@@ -16,10 +16,6 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
-def parse_float(tok: str) -> float:
-    return float(tok)
-
-
 def atomic_write_text(path: str, text: str) -> None:
     """Write ``text`` to ``path`` via a same-directory temp file and rename."""
     directory = os.path.dirname(os.path.abspath(path))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ModelError, NumericsError
 from .farfield import FOUR_PI, Direction
-from .network import COND_LIMIT
+from .network import check_condition
 from .solver import GainOperators, ReMSModel, gain_operators
 
 logger = logging.getLogger(__name__)
@@ -85,22 +85,18 @@ def geometric_schedule(initial: float = 20.0, ratio: float = 0.5, count: int = 1
 
 def h_co(model: ReMSModel, dirs, q_co=x_copol) -> np.ndarray:
     """(len(dirs), n_tx) co-polarized rows of the transmit gain operator."""
-    return _h_rows(gain_operators(model), dirs, q_co)
+    return _h_rows(dirs, gain_operators(model).vtx_gain_matrix(dirs), q_co)
 
 
-def _h_rows(ops: GainOperators, dirs, q_co) -> np.ndarray:
-    return np.array([q_co(d) @ ops.vtx_gain_matrix(d) for d in dirs])
+def _h_rows(dirs, mats: np.ndarray, q_co) -> np.ndarray:
+    return np.array([q_co(d) @ m for d, m in zip(dirs, mats)])
 
 
 def zf_precoder(h: np.ndarray) -> np.ndarray:
     """Right pseudo-inverse H^H (H H^H)^-1, so H T = I."""
     h = np.asarray(h, dtype=complex)
     gram = h @ h.conj().T
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise NumericsError(
-            f"zero-forcing Gram matrix: condition number {cond:.3e} exceeds {COND_LIMIT:.0e}"
-        )
+    check_condition(gram, "zero-forcing Gram matrix")
     return h.conj().T @ np.linalg.inv(gram)
 
 
@@ -115,12 +111,10 @@ class QuasiPowers:
         return self.p_interf + self.p_second
 
 
-def _column_gains(ops: GainOperators, t: np.ndarray, dirs) -> np.ndarray:
-    """gains[i, u]: radiated gain toward dirs[i] when driving precoder column u."""
-    fe = ops.model.frontend
+def _column_gains(fe, mats: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """gains[i, u]: radiated gain through gain matrix mats[i] when driving precoder column u."""
     t = np.asarray(t, dtype=complex)
-    gains = np.zeros((len(dirs), t.shape[1]))
-    mats = [ops.vtx_gain_matrix(d) for d in dirs]
+    gains = np.zeros((len(mats), t.shape[1]))
     for u in range(t.shape[1]):
         col = t[:, u]
         p_a = fe.available_power(col)
@@ -132,20 +126,27 @@ def _column_gains(ops: GainOperators, t: np.ndarray, dirs) -> np.ndarray:
     return gains
 
 
+def _problem_gain_matrices(ops: GainOperators, problem: BeamformProblem):
+    """Gain matrices toward the primary and the secondary directions, from one lookup."""
+    u = len(problem.primary_dirs)
+    mats = ops.vtx_gain_matrix(tuple(problem.primary_dirs) + tuple(problem.secondary_dirs))
+    return mats[:u], mats[u:]
+
+
 def quasi_powers(model: ReMSModel, t: np.ndarray, problem: BeamformProblem) -> QuasiPowers:
     """Worst-case signal, interference, and leakage gains of precoder t."""
-    return _quasi_powers(gain_operators(model), t, problem)
+    return _quasi_powers(model.frontend, *_problem_gain_matrices(gain_operators(model), problem), t)
 
 
-def _quasi_powers(ops: GainOperators, t: np.ndarray, problem: BeamformProblem) -> QuasiPowers:
-    gp = _column_gains(ops, t, problem.primary_dirs)
+def _quasi_powers(fe, g_primary: np.ndarray, g_secondary: np.ndarray, t) -> QuasiPowers:
+    gp = _column_gains(fe, g_primary, t)
     p_signal = float(np.min(np.diag(gp)))
     if gp.shape[0] > 1:
         p_interf = float(np.max(gp[~np.eye(gp.shape[0], dtype=bool)]))
     else:
         p_interf = 0.0
-    if len(problem.secondary_dirs) > 0:
-        p_second = float(np.max(_column_gains(ops, t, problem.secondary_dirs)))
+    if len(g_secondary) > 0:
+        p_second = float(np.max(_column_gains(fe, g_secondary, t)))
     else:
         p_second = 0.0
     return QuasiPowers(p_signal, p_interf, p_second)
@@ -193,9 +194,10 @@ def evaluate_candidate(
     """Build the model for z_values, fit its ZF precoder, score the pair."""
     model = model_builder(tuple(z_values))
     ops = gain_operators(model)
-    h = _h_rows(ops, problem.primary_dirs, problem.q_co)
+    g_primary, g_secondary = _problem_gain_matrices(ops, problem)
+    h = _h_rows(problem.primary_dirs, g_primary, problem.q_co)
     t = zf_precoder(h)
-    qp = _quasi_powers(ops, t, problem)
+    qp = _quasi_powers(model.frontend, g_primary, g_secondary, t)
     return CandidateScore(
         f=_objective_value(qp, sigma),
         powers=qp,

@@ -263,9 +263,9 @@ def cmd_channel(args) -> int:
 
 def _gain_rows(ops, p_a: float, v, thetas_deg, phi_deg: float):
     v = np.asarray(v, dtype=complex)
-    for theta in thetas_deg:
-        d = Direction.from_degrees(float(theta), phi_deg)
-        val = ops.vtx_gain_matrix(d) @ v
+    mats = ops.vtx_gain_matrix([Direction.from_degrees(float(t), phi_deg) for t in thetas_deg])
+    for theta, m in zip(thetas_deg, mats):
+        val = m @ v
         g = FOUR_PI * float(np.vdot(val, val).real) / p_a
         yield (fmt(float(theta)), fmt(_db(g)))
 

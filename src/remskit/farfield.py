@@ -20,6 +20,10 @@ from ._textio import atomic_write_text, fmt
 
 FOUR_PI = 4.0 * math.pi
 
+# stencil entries that take the upper ring i1 / the next phi column j1
+_UPPER_RING = np.array([False, False, True, True])
+_UPPER_COL = np.array([False, True, False, True])
+
 PATTERN_CSV_HEADER = (
     "theta_deg,phi_deg,re_a_theta,im_a_theta,re_a_phi,im_a_phi,intensity_W_per_sr"
 )
@@ -83,13 +87,33 @@ def direction_from_vector(v) -> Direction:
     return Direction.canonical(theta, phi)
 
 
-def local_basis(theta: float, phi: float):
-    """Unit vectors (theta_hat, phi_hat) of the spherical basis at (theta, phi)."""
-    ct, st = math.cos(theta), math.sin(theta)
-    cp, sp = math.cos(phi), math.sin(phi)
-    theta_hat = np.array([ct * cp, ct * sp, -st])
-    phi_hat = np.array([-sp, cp, 0.0])
-    return theta_hat, phi_hat
+def spherical_basis(theta, phi):
+    """Unit vectors (r_hat, theta_hat, phi_hat) at (theta, phi), each (..., 3).
+
+    theta and phi are scalars or equal-shape arrays.
+    """
+    ct, st = np.cos(theta), np.sin(theta)
+    cp, sp = np.cos(phi), np.sin(phi)
+    r_hat = np.stack([st * cp, st * sp, ct], axis=-1)
+    theta_hat = np.stack([ct * cp, ct * sp, -st], axis=-1)
+    phi_hat = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
+    return r_hat, theta_hat, phi_hat
+
+
+def blend(values, idx, w) -> np.ndarray:
+    """Stencil sum of values[idx[..., k]] * w[..., k] over the four entries k.
+
+    values is indexed along its first axis; the result has shape
+    idx.shape[:-1] + values.shape[1:]. The terms are added in stencil order
+    starting from +0.0, which gives the same bits as accumulating only the
+    nonzero-weight terms one at a time.
+    """
+    w = w.reshape(idx.shape[:-1] + (1,) * (values.ndim - 1) + (4,))
+
+    def term(k):
+        return w[..., k] * values[idx[..., k]]
+
+    return 0.0 + term(0) + term(1) + term(2) + term(3)
 
 
 @dataclass(frozen=True)
@@ -122,35 +146,27 @@ class DirectionGrid:
     def direction(self, idx: int) -> Direction:
         return Direction(float(self.theta[idx]), float(self.phi[idx]))
 
-    def interp_stencil(self, theta: float, phi: float):
-        """Bilinear stencil for (theta, phi): four (index, weight) pairs.
+    def interp_stencil(self, theta, phi):
+        """Bilinear stencil at (theta, phi): grid indices and weights, each (..., 4).
 
-        phi wraps around; theta is clamped to the first/last ring centers
-        (pole cells have no partner ring beyond them).
+        theta and phi are scalars or equal-shape arrays. phi wraps around;
+        theta is clamped to the first/last ring centers (pole cells have no
+        partner ring beyond them). Entries are ordered (i0, j0), (i0, j1),
+        (i1, j0), (i1, j1) for ring i1 = i0 + 1 (i1 = i0 on a clamped ring)
+        and column j1 = j0 + 1 modulo n_phi.
         """
-        dt = math.pi / self.n_theta
-        dp = 2.0 * math.pi / self.n_phi
-        t = theta / dt - 0.5
-        if t <= 0.0:
-            i0, ft = 0, 0.0
-            i1 = 0
-        elif t >= self.n_theta - 1:
-            i0, ft = self.n_theta - 1, 0.0
-            i1 = self.n_theta - 1
-        else:
-            i0 = int(math.floor(t))
-            ft = t - i0
-            i1 = i0 + 1
-        u = (phi % (2.0 * math.pi)) / dp
-        j0 = int(math.floor(u)) % self.n_phi
-        fu = u - math.floor(u)
-        j1 = (j0 + 1) % self.n_phi
-        return (
-            (self.index_of(i0, j0), (1.0 - ft) * (1.0 - fu)),
-            (self.index_of(i0, j1), (1.0 - ft) * fu),
-            (self.index_of(i1, j0), ft * (1.0 - fu)),
-            (self.index_of(i1, j1), ft * fu),
-        )
+        t = np.asarray(theta, dtype=float) / (math.pi / self.n_theta) - 0.5
+        inside = (t > 0.0) & (t < self.n_theta - 1)
+        t = np.minimum(np.maximum(t, 0.0), self.n_theta - 1)
+        i0 = np.floor(t)
+        ft = (t - i0)[..., None]
+        u = np.mod(phi, 2.0 * math.pi) / (2.0 * math.pi / self.n_phi)
+        j0 = np.floor(u)
+        fu = (u - j0)[..., None]
+        rows = (i0[..., None] + (inside[..., None] & _UPPER_RING)) * self.n_phi
+        cols = (j0[..., None] + _UPPER_COL) % self.n_phi
+        w = np.where(_UPPER_RING, ft, 1.0 - ft) * np.where(_UPPER_COL, fu, 1.0 - fu)
+        return (rows + cols).astype(int), w
 
 
 def make_latlon_grid(n_theta: int, n_phi: int) -> DirectionGrid:
@@ -221,11 +237,7 @@ class FarFieldPattern:
 
     def at(self, d: Direction) -> np.ndarray:
         """Complex 2-vector at d, bilinearly interpolated off-grid."""
-        out = np.zeros(2, dtype=complex)
-        for idx, w in self.grid.interp_stencil(d.theta, d.phi):
-            if w != 0.0:
-                out += w * self.values[idx]
-        return out
+        return blend(self.values, *self.grid.interp_stencil(d.theta, d.phi))
 
 
 def zero_pattern(grid: DirectionGrid) -> FarFieldPattern:
@@ -238,10 +250,11 @@ def impulse_pattern(grid: DirectionGrid, d: Direction, coeff) -> FarFieldPattern
     Encoded as coeff / weight(d) at the sample, so the discrete pairing
     reproduces the sifting property exactly. d must be a grid direction.
     """
-    stencil = [(i, w) for i, w in grid.interp_stencil(d.theta, d.phi) if w > 1e-12]
-    if len(stencil) != 1:
+    idx, w = grid.interp_stencil(d.theta, d.phi)
+    live = idx[w > 1e-12]
+    if live.size != 1:
         raise ModelError("impulse direction must coincide with a grid sample")
-    idx = stencil[0][0]
+    idx = live[0]
     p = zero_pattern(grid)
     p.values[idx] = np.asarray(coeff, dtype=complex) / grid.weights[idx]
     return p

@@ -54,11 +54,18 @@ def is_reciprocal(s: np.ndarray, tol: float = 1e-9) -> bool:
     return bool(np.max(np.abs(s - s.T)) <= tol)
 
 
-def _checked_solve(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    cond = np.linalg.cond(mat)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
+def check_condition(mat: np.ndarray, what: str) -> None:
+    """Raise NumericsError unless mat's 2-norm condition number is at most COND_LIMIT.
+
+    The condition number is the ratio of the extreme singular values,
+    infinite for a singular matrix. An empty system is well-conditioned.
+    """
+    if mat.size == 0:
+        return
+    s = np.linalg.svd(mat, compute_uv=False)
+    cond = s[0] / s[-1] if s[-1] > 0.0 else math.inf
+    if not cond <= COND_LIMIT:
         raise NumericsError(f"{what}: condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
-    return np.linalg.solve(mat, rhs)
 
 
 def reduce_terminated_ports(s: np.ndarray, keep, gamma) -> np.ndarray:
@@ -84,8 +91,9 @@ def reduce_terminated_ports(s: np.ndarray, keep, gamma) -> np.ndarray:
     s_ba = s[np.ix_(term, keep)]
     s_bb = s[np.ix_(term, term)]
     g = np.diag(gamma)
-    inner = _checked_solve(np.eye(len(term)) - s_bb @ g, s_ba, "terminated-port reduction")
-    return s_aa + s_ab @ g @ inner
+    loop = np.eye(len(term)) - s_bb @ g
+    check_condition(loop, "terminated-port reduction")
+    return s_aa + s_ab @ g @ np.linalg.solve(loop, s_ba)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ from .farfield import (
     DirectionGrid,
     FarFieldPattern,
     antipodal_mirror,
-    direction_from_vector,
-    local_basis,
+    blend,
+    spherical_basis,
     total_power,
 )
 
@@ -38,23 +38,6 @@ Z0_FREE_SPACE = 4.0e-7 * math.pi * C_LIGHT
 def wavenumber(frequency_hz: float) -> float:
     """k = 2*pi*f/c in rad/m."""
     return 2.0 * math.pi * frequency_hz / C_LIGHT
-
-
-def grid_unit_vectors(grid: DirectionGrid) -> np.ndarray:
-    """(n, 3) array of direction unit vectors."""
-    st = np.sin(grid.theta)
-    return np.stack(
-        [st * np.cos(grid.phi), st * np.sin(grid.phi), np.cos(grid.theta)], axis=1
-    )
-
-
-def grid_basis_vectors(grid: DirectionGrid):
-    """(theta_hat, phi_hat) arrays, each (n, 3)."""
-    ct, st = np.cos(grid.theta), np.sin(grid.theta)
-    cp, sp = np.cos(grid.phi), np.sin(grid.phi)
-    theta_hat = np.stack([ct * cp, ct * sp, -st], axis=1)
-    phi_hat = np.stack([-sp, cp, np.zeros_like(sp)], axis=1)
-    return theta_hat, phi_hat
 
 
 def mirror_matrix(grid: DirectionGrid) -> np.ndarray:
@@ -113,36 +96,38 @@ class RadiatingStructure:
                     stacklevel=2,
                 )
 
-    def tx_at(self, d: Direction) -> np.ndarray:
-        """(2, M) transmit-kernel columns interpolated at d."""
-        out = np.zeros((2, self.m_ports), dtype=complex)
-        for idx, w in self.grid.interp_stencil(d.theta, d.phi):
-            if w != 0.0:
-                out += w * self.tx_kernel[:, idx, :].T
-        return out
+    def tx_at(self, d) -> np.ndarray:
+        """(2, M) transmit-kernel columns interpolated at d; (k, 2, M) for k directions."""
+        return _port_at(self.tx_kernel, self.grid, d)
 
-    def rx_at(self, d: Direction) -> np.ndarray:
-        """(2, M) receive-kernel columns interpolated at d."""
-        out = np.zeros((2, self.m_ports), dtype=complex)
-        for idx, w in self.grid.interp_stencil(d.theta, d.phi):
-            if w != 0.0:
-                out += w * self.rx_kernel[:, idx, :].T
-        return out
+    def rx_at(self, d) -> np.ndarray:
+        """(2, M) receive-kernel columns interpolated at d; (k, 2, M) for k directions."""
+        return _port_at(self.rx_kernel, self.grid, d)
 
     def scatter_at(self, d_out: Direction, d_in: Direction) -> np.ndarray:
         """2x2 reduced scattering kernel interpolated at (d_out; d_in)."""
-        out = np.zeros((2, 2), dtype=complex)
         if self.scatter_kernel is None:
-            return out
-        st_out = self.grid.interp_stencil(d_out.theta, d_out.phi)
-        st_in = self.grid.interp_stencil(d_in.theta, d_in.phi)
-        for i, wi in st_out:
-            if wi == 0.0:
-                continue
-            for j, wj in st_in:
-                if wj != 0.0:
-                    out += wi * wj * self.scatter_kernel[i, :, j, :]
-        return out
+            return np.zeros((2, 2), dtype=complex)
+        return _scatter_blend(
+            self.scatter_kernel,
+            self.grid.interp_stencil(d_out.theta, d_out.phi),
+            self.grid.interp_stencil(d_in.theta, d_in.phi),
+        )
+
+
+def _port_at(kernel: np.ndarray, grid: DirectionGrid, d) -> np.ndarray:
+    """(M, n, 2) port kernel at a Direction as (2, M), or at k Directions as (k, 2, M)."""
+    if isinstance(d, Direction):
+        theta, phi = d.theta, d.phi
+    else:
+        theta, phi = np.array([x.theta for x in d]), np.array([x.phi for x in d])
+    return blend(kernel.transpose(1, 2, 0), *grid.interp_stencil(theta, phi))
+
+
+def _scatter_blend(kernel: np.ndarray, out_stencil, in_stencil) -> np.ndarray:
+    """(n, 2, n, 2) kernel interpolated on both sides, shaped (*in, *out, 2, 2)."""
+    rows = blend(kernel, *out_stencil)  # (*out, 2, n, 2)
+    return blend(np.moveaxis(rows, -2, 0), *in_stencil)
 
 
 def apply_transmit(s: RadiatingStructure, a) -> FarFieldPattern:
@@ -192,8 +177,7 @@ def _dipole_kernel(orientation, position, grid: DirectionGrid, k: float) -> np.n
     o = np.asarray(orientation, dtype=float)
     if abs(np.linalg.norm(o) - 1.0) > 1e-9:
         raise ModelError("dipole orientation must be a unit vector")
-    th, ph = grid_basis_vectors(grid)
-    r = grid_unit_vectors(grid)
+    r, th, ph = spherical_basis(grid.theta, grid.phi)
     amp = math.sqrt(3.0 / (8.0 * math.pi))
     phase = np.exp(1j * k * (r @ np.asarray(position, dtype=float)))
     kern = np.empty((grid.size, 2), dtype=complex)
@@ -662,46 +646,29 @@ def rotate_structure(s: RadiatingStructure, rot: np.ndarray) -> RadiatingStructu
     if rot.shape != (3, 3) or not np.allclose(rot @ rot.T, np.eye(3), atol=1e-10):
         raise ModelError("rotation must be a 3x3 orthogonal matrix")
     grid = s.grid
-    n = grid.size
-    th_new, ph_new = grid_basis_vectors(grid)
-    r_new = grid_unit_vectors(grid)
+    r_new, th_new, ph_new = spherical_basis(grid.theta, grid.phi)
     r_old = r_new @ rot  # rot^T applied to each row
-
-    stencils = []
-    a_mats = np.empty((n, 2, 2))
-    for i in range(n):
-        d_old = direction_from_vector(r_old[i])
-        stencils.append(grid.interp_stencil(d_old.theta, d_old.phi))
-        th_o, ph_o = local_basis(d_old.theta, d_old.phi)
-        u_old = np.stack([th_o, ph_o], axis=1)  # 3x2
-        u_new = np.stack([th_new[i], ph_new[i]], axis=1)
-        a_mats[i] = u_new.T @ rot @ u_old
+    theta_old = np.arccos(np.clip(r_old[:, 2] / np.linalg.norm(r_old, axis=1), -1.0, 1.0))
+    phi_old = np.arctan2(r_old[:, 1], r_old[:, 0])
+    _, th_old, ph_old = spherical_basis(theta_old, phi_old)
+    # a[i] = [theta_hat, phi_hat]_new(i)^T rot [theta_hat, phi_hat]_old(i)
+    a = np.einsum(
+        "ixa,xy,iyb->iab",
+        np.stack([th_new, ph_new], axis=-1),
+        rot,
+        np.stack([th_old, ph_old], axis=-1),
+    )
+    stencil = grid.interp_stencil(theta_old, phi_old)
 
     def resample_port_kernel(kern):
-        out = np.empty_like(kern)
-        for i in range(n):
-            acc = np.zeros((kern.shape[0], 2), dtype=complex)
-            for idx, w in stencils[i]:
-                if w != 0.0:
-                    acc += w * kern[:, idx, :]
-            out[:, i, :] = acc @ a_mats[i].T
-        return out
+        return np.einsum("iab,ibm->mia", a, blend(kern.transpose(1, 2, 0), *stencil))
 
     tx = resample_port_kernel(s.tx_kernel)
     rx = resample_port_kernel(s.rx_kernel)
     scatter = None
     if s.scatter_kernel is not None:
-        scatter = np.empty_like(s.scatter_kernel)
-        for i in range(n):
-            for j in range(n):
-                acc = np.zeros((2, 2), dtype=complex)
-                for ii, wi in stencils[i]:
-                    if wi == 0.0:
-                        continue
-                    for jj, wj in stencils[j]:
-                        if wj != 0.0:
-                            acc += wi * wj * s.scatter_kernel[ii, :, jj, :]
-                scatter[i, :, j, :] = a_mats[i] @ acc @ a_mats[j].T
+        q = _scatter_blend(s.scatter_kernel, stencil, stencil)  # [in, out, c, d]
+        scatter = np.einsum("iac,jicd,jbd->iajb", a, q, a)
     return RadiatingStructure(
         m_ports=s.m_ports,
         coupling=s.coupling.copy(),

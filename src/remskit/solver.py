@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ModelError, NumericsError
 from .farfield import FarFieldPattern, intensity, total_power, zero_pattern
-from .network import COND_LIMIT, RFFrontend, TuningNetwork
+from .network import RFFrontend, TuningNetwork, check_condition
 from .radiating import RadiatingStructure, apply_receive, apply_scatter, apply_transmit
 
 
@@ -47,9 +47,7 @@ class ReMSModel:
 
 
 def _inv(mat: np.ndarray, what: str) -> np.ndarray:
-    cond = np.linalg.cond(mat)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise NumericsError(f"{what}: condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
+    check_condition(mat, what)
     return np.linalg.inv(mat)
 
 
@@ -79,7 +77,10 @@ class GainOperators:
         return np.einsum("mic,mt->ict", self.model.structure.tx_kernel, self.core_tx)
 
     def vtx_gain_matrix(self, d) -> np.ndarray:
-        """(2, n_tx) far-field components at direction d per unit v_tx."""
+        """(2, n_tx) far-field components at direction d per unit v_tx.
+
+        A sequence of k directions gives the (k, 2, n_tx) stack from one lookup.
+        """
         return self.model.structure.tx_at(d) @ self.core_tx
 
     def farfield_to_farfield(self, b: FarFieldPattern) -> FarFieldPattern:
@@ -263,11 +264,7 @@ def solve_direct(
     rhs[row : row + n] = fe.k_vtx() @ v_tx + fe.k_vgamma() @ v_gamma + fe.k_igamma() @ i_gamma
     row += n
 
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise NumericsError(
-            f"direct interconnection system: condition number {cond:.3e} exceeds {COND_LIMIT:.0e}"
-        )
+    check_condition(a, "direct interconnection system")
     x = np.linalg.solve(a, rhs)
     resid = np.max(np.abs(a @ x - rhs)) / max(1.0, float(np.max(np.abs(rhs))))
     if resid > 1e-10:

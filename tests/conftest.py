@@ -1,4 +1,6 @@
-"""Shared randomized-model builders and the acceptance summary hook."""
+"""Shared randomized-model builders, loop references, and the acceptance summary hook."""
+
+import math
 
 import numpy as np
 import pytest
@@ -42,6 +44,40 @@ def random_model(rng, grid, n_tx=2, n_rx=1, m=3, frequency=FREQ):
 def random_pattern(rng, grid):
     vals = rng.standard_normal((grid.size, 2)) + 1j * rng.standard_normal((grid.size, 2))
     return FarFieldPattern(grid, vals)
+
+
+def loop_stencil(grid, theta: float, phi: float):
+    """Scalar reference for DirectionGrid.interp_stencil: four (index, weight) pairs."""
+    t = theta / (math.pi / grid.n_theta) - 0.5
+    if t <= 0.0:
+        i0 = i1 = 0
+        ft = 0.0
+    elif t >= grid.n_theta - 1:
+        i0 = i1 = grid.n_theta - 1
+        ft = 0.0
+    else:
+        i0 = int(math.floor(t))
+        ft = t - i0
+        i1 = i0 + 1
+    u = (phi % (2.0 * math.pi)) / (2.0 * math.pi / grid.n_phi)
+    j0 = int(math.floor(u)) % grid.n_phi
+    fu = u - math.floor(u)
+    j1 = (j0 + 1) % grid.n_phi
+    return (
+        (grid.index_of(i0, j0), (1.0 - ft) * (1.0 - fu)),
+        (grid.index_of(i0, j1), (1.0 - ft) * fu),
+        (grid.index_of(i1, j0), ft * (1.0 - fu)),
+        (grid.index_of(i1, j1), ft * fu),
+    )
+
+
+def loop_blend(values, stencil):
+    """Reference stencil sum: accumulate the nonzero-weight terms one at a time."""
+    out = np.zeros(values.shape[1:], dtype=complex)
+    for idx, w in stencil:
+        if w != 0.0:
+            out += w * values[idx]
+    return out
 
 
 @pytest.fixture

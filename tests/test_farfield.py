@@ -17,9 +17,9 @@ from remskit import (
     total_power,
     zero_pattern,
 )
-from remskit.farfield import FOUR_PI, direction_from_vector, local_basis, pattern_to_csv
+from remskit.farfield import FOUR_PI, direction_from_vector, pattern_to_csv, spherical_basis
 
-from conftest import random_pattern
+from conftest import loop_blend, loop_stencil, random_pattern
 
 
 # ---------------------------------------------------------------------------
@@ -62,9 +62,12 @@ def test_direction_from_vector_round_trip():
 
 
 def test_local_basis_orthonormal_right_handed():
-    for theta, phi in [(0.3, 0.7), (1.5, 4.0), (math.pi - 0.1, 2.0)]:
-        th, ph = local_basis(theta, phi)
-        r = Direction(theta, phi).unit_vector()
+    theta, phi = np.array([0.3, 1.5, math.pi - 0.1]), np.array([0.7, 4.0, 2.0])
+    r_hat, theta_hat, phi_hat = spherical_basis(theta, phi)
+    for k in range(3):
+        th, ph = theta_hat[k], phi_hat[k]
+        r = Direction(theta[k], phi[k]).unit_vector()
+        np.testing.assert_allclose(r_hat[k], r, atol=1e-15)
         assert np.dot(th, ph) == pytest.approx(0.0, abs=1e-15)
         assert np.dot(th, r) == pytest.approx(0.0, abs=1e-15)
         # r x theta = phi completes the triad
@@ -129,20 +132,70 @@ def test_interp_stencil_exact_at_samples_and_partition():
     g = make_latlon_grid(8, 10)
     rng = np.random.default_rng(11)
     for idx in rng.integers(0, g.size, 20):
-        st = g.interp_stencil(float(g.theta[idx]), float(g.phi[idx]))
-        live = [(i, w) for i, w in st if w > 1e-12]
+        st_idx, st_w = g.interp_stencil(float(g.theta[idx]), float(g.phi[idx]))
+        live = [(int(i), w) for i, w in zip(st_idx, st_w) if w > 1e-12]
         assert live == [(int(idx), pytest.approx(1.0))]
     # off-sample weights still sum to one and wrap in phi
-    st = g.interp_stencil(0.9, 2.0 * math.pi - 1e-3)
-    assert sum(w for _, w in st) == pytest.approx(1.0, abs=1e-12)
-    assert all(w >= 0.0 for _, w in st)
+    _, w = g.interp_stencil(0.9, 2.0 * math.pi - 1e-3)
+    assert sum(w) == pytest.approx(1.0, abs=1e-12)
+    assert all(w >= 0.0)
 
 
 def test_interp_theta_clamped_at_poles():
     g = make_latlon_grid(6, 8)
-    st = g.interp_stencil(0.0, 0.1)  # above the first ring center
-    idxs = {i for i, w in st if w > 0}
+    st_idx, st_w = g.interp_stencil(0.0, 0.1)  # above the first ring center
+    idxs = {int(i) for i, w in zip(st_idx, st_w) if w > 0}
     assert idxs <= set(range(g.n_phi))  # only ring 0 contributes
+
+
+def _probe_angles(g, rng):
+    """Random angles plus both polar caps, ring centers, and phi just below 2 pi."""
+    cap = math.pi / (2 * g.n_theta)
+    theta = np.concatenate(
+        [
+            rng.uniform(0.0, math.pi, 200),
+            rng.uniform(0.0, cap, 20),
+            rng.uniform(math.pi - cap, math.pi, 20),
+            g.theta[:: g.n_phi],
+            [0.0, math.pi],
+        ]
+    )
+    phi = rng.uniform(0.0, 2.0 * math.pi, theta.size)
+    phi[::7] = 2.0 * math.pi - rng.uniform(0.0, 1e-9, phi[::7].size)
+    return theta, phi
+
+
+def test_interp_stencil_matches_scipy_bilinear_oracle():
+    from scipy.interpolate import RegularGridInterpolator
+
+    for n_theta, n_phi in [(6, 8), (7, 12), (18, 36)]:
+        g = make_latlon_grid(n_theta, n_phi)
+        rng = np.random.default_rng(n_theta)
+        vals = rng.standard_normal(g.size)
+        rings, cols = g.theta[:: g.n_phi], g.phi[: g.n_phi]
+        table = vals.reshape(n_theta, n_phi)
+        # ring centers in theta; phi column 0 repeated at 2 pi closes the wrap
+        oracle = RegularGridInterpolator(
+            (rings, np.append(cols, 2.0 * math.pi)), np.hstack([table, table[:, :1]])
+        )
+        theta, phi = _probe_angles(g, rng)
+        idx, w = g.interp_stencil(theta, phi)
+        want = oracle(np.stack([np.clip(theta, rings[0], rings[-1]), phi], axis=-1))
+        np.testing.assert_allclose(np.sum(w * vals[idx], axis=-1), want, rtol=0, atol=1e-13)
+
+
+def test_array_stencil_and_point_lookup_match_the_scalar_loop_bit_for_bit():
+    for n_theta, n_phi in [(6, 8), (8, 16), (18, 36)]:
+        g = make_latlon_grid(n_theta, n_phi)
+        rng = np.random.default_rng(n_phi)
+        p = random_pattern(rng, g)
+        theta, phi = _probe_angles(g, rng)
+        idx, w = g.interp_stencil(theta, phi)
+        for k in range(theta.size):
+            ref = loop_stencil(g, theta[k], phi[k])
+            assert [(int(i), float(x)) for i, x in zip(idx[k], w[k])] == list(ref)
+            d = Direction(theta[k], phi[k])
+            assert p.at(d).tobytes() == loop_blend(p.values, ref).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Multiport algebra, tuning constructions, frontend blocks, Touchstone io."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from remskit import (
     write_touchstone,
 )
 from remskit.network import (
+    COND_LIMIT,
+    check_condition,
     is_passive,
     is_reciprocal,
     max_singular_value,
@@ -94,6 +97,22 @@ def test_reduce_singular_termination_raises():
     s[1, 1] = 1.0
     with pytest.raises(NumericsError):
         reduce_terminated_ports(s, [0], [1.0])
+
+
+def test_check_condition_agrees_with_numpy_cond():
+    rng = np.random.default_rng(4)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    for cond in (1.0, 1e6, COND_LIMIT * 0.999, COND_LIMIT * 1.001, 1e15):
+        mat = q @ np.diag([1.0, 0.5, 0.3, 1.0 / cond])
+        if np.linalg.cond(mat) <= COND_LIMIT:
+            check_condition(mat, "probe")
+        else:
+            message = f"probe: condition number {np.linalg.cond(mat):.3e} exceeds 1e+12"
+            with pytest.raises(NumericsError, match=re.escape(message)):
+                check_condition(mat, "probe")
+    with pytest.raises(NumericsError, match=re.escape("condition number inf exceeds 1e+12")):
+        check_condition(np.zeros((2, 2)), "singular")
+    check_condition(np.zeros((0, 0)), "empty system")
 
 
 def test_through_and_inline_tuning_blocks():

@@ -29,6 +29,7 @@ from remskit import (
     synthetic_coupling,
     total_power,
 )
+from remskit.farfield import direction_from_vector
 from remskit.radiating import (
     C_LIGHT,
     Z0_FREE_SPACE,
@@ -41,7 +42,9 @@ from remskit.radiating import (
     wavenumber,
 )
 
-from conftest import FREQ, random_pattern
+from remskit.scene import rotation_matrix
+
+from conftest import FREQ, loop_blend, loop_stencil, random_pattern
 
 LAMBDA = C_LIGHT / FREQ
 
@@ -389,3 +392,76 @@ def test_rotate_z_dipole_to_x_dipole():
     # resampled kernels approximate the analytic rebuild to stencil accuracy
     err = np.max(np.abs(r.tx_kernel - s_x.tx_kernel))
     assert err < 0.05
+
+
+def _rel(x, y):
+    return float(np.max(np.abs(x - y))) / float(np.max(np.abs(y)))
+
+
+def test_rotate_z_by_one_phi_step_shifts_every_kernel():
+    g = make_latlon_grid(8, 16)
+    s = random_reciprocal_structure(g, 2, np.random.default_rng(21), FREQ)
+    r = rotate_structure(s, rotation_matrix([0.0, 0.0, 1.0], 360.0 / g.n_phi))
+    # new sample (i, j) reads old sample (i, j - 1); the local basis turns with it
+    ring, col = np.divmod(np.arange(g.size), g.n_phi)
+    src = ring * g.n_phi + (col - 1) % g.n_phi
+    assert _rel(r.tx_kernel, s.tx_kernel[:, src, :]) <= 1e-14
+    assert _rel(r.rx_kernel, s.rx_kernel[:, src, :]) <= 1e-14
+    assert _rel(r.scatter_kernel, s.scatter_kernel[src][:, :, src, :]) <= 1e-14
+
+
+def test_rotate_keeps_reciprocity():
+    g = make_latlon_grid(8, 16)
+    s = random_reciprocal_structure(g, 2, np.random.default_rng(22), FREQ)
+    for axis, angle in [([1.0, 2.0, 3.0], 37.0), ([0.0, 1.0, 0.0], 90.0), ([-1.0, 0.3, 0.2], 133.0)]:
+        rep = check_reciprocity(rotate_structure(s, rotation_matrix(axis, angle)), 1e-12)
+        assert rep.coupling_ok and rep.kernel_ok and rep.scatter_ok, rep
+
+
+def test_rotate_matches_the_per_direction_loop():
+    g = make_latlon_grid(4, 6)
+    s = random_reciprocal_structure(g, 2, np.random.default_rng(23), FREQ)
+    rot = rotation_matrix([1.0, -2.0, 0.5], 71.0)
+    r = rotate_structure(s, rot)
+    # one stencil and one 2x2 basis change per grid direction, as resampling is defined
+    stencils, a = [], []
+    for i in range(g.size):
+        d_new = g.direction(i)
+        d_old = direction_from_vector(rot.T @ d_new.unit_vector())
+        stencils.append(loop_stencil(g, d_old.theta, d_old.phi))
+        a.append(_basis(d_new).T @ rot @ _basis(d_old))
+    tx = np.empty_like(s.tx_kernel)
+    sc = np.empty_like(s.scatter_kernel)
+    for i in range(g.size):
+        tx[:, i, :] = loop_blend(s.tx_kernel.transpose(1, 0, 2), stencils[i]) @ a[i].T
+        for j in range(g.size):
+            acc = np.zeros((2, 2), dtype=complex)
+            for ii, wi in stencils[i]:
+                for jj, wj in stencils[j]:
+                    acc += wi * wj * s.scatter_kernel[ii, :, jj, :]
+            sc[i, :, j, :] = a[i] @ acc @ a[j].T
+    assert _rel(r.tx_kernel, tx) <= 1e-14
+    assert _rel(r.scatter_kernel, sc) <= 1e-14
+
+
+def _basis(d):
+    """3x2 matrix [theta_hat, phi_hat] at d."""
+    ct, st, cp, sp = math.cos(d.theta), math.sin(d.theta), math.cos(d.phi), math.sin(d.phi)
+    return np.array([[ct * cp, -sp], [ct * sp, cp], [-st, 0.0]])
+
+
+def test_batched_lookups_equal_stacked_single_lookups_bit_for_bit():
+    g = make_latlon_grid(8, 16)
+    rng = np.random.default_rng(24)
+    s = random_reciprocal_structure(g, 3, rng, FREQ)
+    dirs = [Direction(0.0, 0.3), Direction(math.pi, 2.0 * math.pi - 1e-9), g.direction(17)]
+    angles = zip(rng.uniform(0.0, math.pi, 40), rng.uniform(0.0, 2.0 * math.pi, 40))
+    dirs += [Direction(t, p) for t, p in angles]
+    for lookup in (s.tx_at, s.rx_at):
+        batched = lookup(dirs)
+        assert batched.shape == (len(dirs), 2, 3)
+        assert batched.tobytes() == np.stack([lookup(d) for d in dirs]).tobytes()
+    for d in dirs[:5]:
+        ref = loop_blend(s.tx_kernel.transpose(1, 2, 0), loop_stencil(g, d.theta, d.phi))
+        assert s.tx_at(d).tobytes() == ref.tobytes()
+

@@ -19,6 +19,7 @@ from remskit import (
     isotropic_radiator,
     make_latlon_grid,
     matching_efficiency,
+    random_passive_structure,
     radiation_efficiency,
     rems_gain,
     solve_direct,
@@ -107,6 +108,31 @@ def test_gain_matrix_consistent_with_pattern():
     np.testing.assert_allclose(
         np.einsum("ict,t->ic", dense, v), p.values, rtol=1e-12
     )
+
+
+def test_batched_gain_matrix_matches_single_lookups():
+    grid = make_latlon_grid(6, 8)
+    rng = np.random.default_rng(33)
+    ops = gain_operators(random_model(rng, grid))
+    dirs = [grid.direction(3), Direction(0.0, 1.0), Direction(2.9, 6.2), Direction(1.1, 0.4)]
+    np.testing.assert_allclose(
+        ops.vtx_gain_matrix(dirs), [ops.vtx_gain_matrix(d) for d in dirs], rtol=1e-15, atol=0
+    )
+
+
+def test_operators_of_a_model_without_frontend_chains():
+    # a loaded passive scatterer: no transmit or receive chain behind the network
+    grid = make_latlon_grid(6, 8)
+    rng = np.random.default_rng(34)
+    for m in (1, 3):
+        model = ReMSModel(
+            structure=random_passive_structure(grid, m, rng, FREQ),
+            tuning=random_tuning(rng, 0, m),
+            frontend=RFFrontend(z_tx=[], z_rx=[]),
+        )
+        b = random_pattern(rng, grid)
+        direct = solve_direct(model, b_in=b).a_f.values
+        assert _rel(gain_operators(model).farfield_to_farfield(b).values, direct) <= 1e-10
 
 
 def test_igamma_operator_matches_direct_solve_not_product_form():

@@ -67,6 +67,7 @@ from .network import (
 )
 from .solver import (
     GainOperators,
+    ReconfigurableBuilder,
     ReMSModel,
     SolveResult,
     directivity,
@@ -75,6 +76,7 @@ from .solver import (
     radiation_efficiency,
     rems_gain,
     solve_direct,
+    transmit_operator,
     tuning_efficiency,
 )
 from .channel import cascade_unilateral, far_channel, propagation_matrix

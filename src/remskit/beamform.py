@@ -10,6 +10,7 @@ between sweeps.
 
 from __future__ import annotations
 
+import cmath
 import logging
 import math
 from dataclasses import dataclass, field
@@ -19,8 +20,8 @@ import numpy as np
 
 from .errors import ModelError, NumericsError
 from .farfield import FOUR_PI, Direction
-from .network import check_condition
-from .solver import GainOperators, ReMSModel, gain_operators
+from .network import checked_inv
+from .solver import ReconfigurableBuilder, ReMSModel, gain_operators, transmit_operator
 
 logger = logging.getLogger(__name__)
 
@@ -54,6 +55,8 @@ class BeamformProblem:
         self.z_set = tuple(complex(z) for z in self.z_set)
         if len(self.z_set) < 1:
             raise ModelError("impedance set is empty")
+        if not all(cmath.isfinite(z) for z in self.z_set):
+            raise ModelError("load impedances must be finite")
         if any(z.real < 0.0 for z in self.z_set):
             raise ModelError("load impedances must lie in the closed right half-plane")
         if len(self.primary_dirs) < 1:
@@ -74,8 +77,8 @@ class BeamformProblem:
                 f"{self.i_max} sweeps need {self.i_max} regularizer values, "
                 f"got {len(self.sigma_schedule)}"
             )
-        if any(s <= 0.0 for s in self.sigma_schedule):
-            raise ModelError("regularizer schedule must be positive")
+        if not all(0.0 < s < math.inf for s in self.sigma_schedule):
+            raise ModelError("regularizer schedule must be positive and finite")
 
 
 def geometric_schedule(initial: float = 20.0, ratio: float = 0.5, count: int = 10) -> tuple:
@@ -88,6 +91,12 @@ def h_co(model: ReMSModel, dirs, q_co=x_copol) -> np.ndarray:
     return _h_rows(dirs, gain_operators(model).vtx_gain_matrix(dirs), q_co)
 
 
+def _gain_matrices(model: ReMSModel, dirs) -> np.ndarray:
+    """(len(dirs), 2, n_tx) far-field components toward dirs per unit v_tx, from one lookup."""
+    _, _, core_tx = transmit_operator(model)
+    return model.structure.tx_at(dirs) @ core_tx
+
+
 def _h_rows(dirs, mats: np.ndarray, q_co) -> np.ndarray:
     return np.array([q_co(d) @ m for d, m in zip(dirs, mats)])
 
@@ -96,8 +105,7 @@ def zf_precoder(h: np.ndarray) -> np.ndarray:
     """Right pseudo-inverse H^H (H H^H)^-1, so H T = I."""
     h = np.asarray(h, dtype=complex)
     gram = h @ h.conj().T
-    check_condition(gram, "zero-forcing Gram matrix")
-    return h.conj().T @ np.linalg.inv(gram)
+    return h.conj().T @ checked_inv(gram, "zero-forcing Gram matrix")
 
 
 @dataclass(frozen=True)
@@ -120,22 +128,20 @@ def _column_gains(fe, mats: np.ndarray, t: np.ndarray) -> np.ndarray:
         p_a = fe.available_power(col)
         if p_a == 0.0:
             continue  # a silent stream radiates nothing
-        for i, m in enumerate(mats):
-            val = m @ col
-            gains[i, u] = FOUR_PI * float(np.vdot(val, val).real) / p_a
+        val = mats @ col
+        gains[:, u] = FOUR_PI * np.vecdot(val, val).real / p_a
     return gains
 
 
-def _problem_gain_matrices(ops: GainOperators, problem: BeamformProblem):
-    """Gain matrices toward the primary and the secondary directions, from one lookup."""
-    u = len(problem.primary_dirs)
-    mats = ops.vtx_gain_matrix(tuple(problem.primary_dirs) + tuple(problem.secondary_dirs))
-    return mats[:u], mats[u:]
+def _problem_dirs(problem: BeamformProblem) -> tuple:
+    return tuple(problem.primary_dirs) + tuple(problem.secondary_dirs)
 
 
 def quasi_powers(model: ReMSModel, t: np.ndarray, problem: BeamformProblem) -> QuasiPowers:
     """Worst-case signal, interference, and leakage gains of precoder t."""
-    return _quasi_powers(model.frontend, *_problem_gain_matrices(gain_operators(model), problem), t)
+    mats = _gain_matrices(model, _problem_dirs(problem))
+    u = len(problem.primary_dirs)
+    return _quasi_powers(model.frontend, mats[:u], mats[u:], t)
 
 
 def _quasi_powers(fe, g_primary: np.ndarray, g_secondary: np.ndarray, t) -> QuasiPowers:
@@ -184,26 +190,35 @@ class CandidateScore:
     powers: QuasiPowers
     h: np.ndarray
     t: np.ndarray
-    ops: GainOperators
     key: tuple
 
 
 def evaluate_candidate(
-    problem: BeamformProblem, model_builder, z_values, sigma: float
+    problem: BeamformProblem, model_builder, z_values, sigma: float, gain_mats=None
 ) -> CandidateScore:
-    """Build the model for z_values, fit its ZF precoder, score the pair."""
-    model = model_builder(tuple(z_values))
-    ops = gain_operators(model)
-    g_primary, g_secondary = _problem_gain_matrices(ops, problem)
+    """Build the model for z_values, fit its ZF precoder, score the pair.
+
+    gain_mats, when given, are the configuration's (primary + secondary, 2,
+    n_tx) gain matrices toward the problem's directions, precomputed by the
+    caller; the model is then not built, and model_builder only supplies the
+    frontend.
+    """
+    if gain_mats is None:
+        model = model_builder(tuple(z_values))
+        frontend = model.frontend
+        gain_mats = _gain_matrices(model, _problem_dirs(problem))
+    else:
+        frontend = model_builder.frontend
+    u = len(problem.primary_dirs)
+    g_primary, g_secondary = gain_mats[:u], gain_mats[u:]
     h = _h_rows(problem.primary_dirs, g_primary, problem.q_co)
     t = zf_precoder(h)
-    qp = _quasi_powers(model.frontend, g_primary, g_secondary, t)
+    qp = _quasi_powers(frontend, g_primary, g_secondary, t)
     return CandidateScore(
         f=_objective_value(qp, sigma),
         powers=qp,
         h=h,
         t=t,
-        ops=ops,
         key=_acceptance_key(qp, sigma),
     )
 
@@ -238,6 +253,11 @@ def coordinate_ascent(
     under a smaller regularizer can itself register as an improvement.
     Candidate evaluations that fail conditioning are logged and skipped.
     Deterministic for a fixed rng_seed.
+
+    A ReconfigurableBuilder's candidates for one coordinate are built in one
+    stacked pass (ReconfigurableBuilder.transmit_stack) and then scored one by
+    one from their gain matrices; a candidate that fails a stacked condition
+    check is rebuilt alone, which raises the check's error.
     """
     z_init_idx = problem.z_set.index(problem.z_init)
     z_idx = [z_init_idx] * problem.r
@@ -259,6 +279,9 @@ def coordinate_ascent(
     if u > n_tx:
         raise ModelError(f"{u} streams need at least {u} transmit chains, got {n_tx}")
 
+    stacked = isinstance(model_builder, ReconfigurableBuilder)
+    if stacked:
+        tx_dirs = probe.structure.tx_at(_problem_dirs(problem))
     rng = np.random.default_rng(problem.rng_seed)
     t_best = np.zeros((n_tx, u), dtype=complex)
     t_best[:u, :u] = np.eye(u)
@@ -270,12 +293,21 @@ def coordinate_ascent(
     for sweep in range(problem.i_max):
         sigma = problem.sigma_schedule[sweep]
         for coord in _fisher_yates(rng, problem.r):
+            candidates = []
             for k in range(len(problem.z_set)):
                 cand_idx = list(z_idx)
                 cand_idx[coord] = k
-                z_values = tuple(problem.z_set[i] for i in cand_idx)
+                candidates.append((cand_idx, tuple(problem.z_set[i] for i in cand_idx)))
+            gain_mats = [None] * len(candidates)
+            if stacked:
+                core_tx, failed = model_builder.transmit_stack([z for _, z in candidates])
+                mats = tx_dirs @ core_tx[:, None]
+                gain_mats = [None if bad else g for bad, g in zip(failed, mats)]
+            for k, (cand_idx, z_values) in enumerate(candidates):
                 try:
-                    score = evaluate_candidate(problem, model_builder, z_values, sigma)
+                    score = evaluate_candidate(
+                        problem, model_builder, z_values, sigma, gain_mats[k]
+                    )
                 except NumericsError as err:
                     logger.warning(
                         "skipping load %d candidate %d (%s): %s", coord, k, z_values[coord], err

@@ -17,6 +17,7 @@ from .errors import ModelError, NumericsError
 from ._textio import atomic_write_text, fmt
 
 COND_LIMIT = 1e12
+CERTIFIED_COND = 1e-3 * COND_LIMIT
 PASSIVITY_TOL = 1e-9
 
 
@@ -54,46 +55,103 @@ def is_reciprocal(s: np.ndarray, tol: float = 1e-9) -> bool:
     return bool(np.max(np.abs(s - s.T)) <= tol)
 
 
+def condition_number(mat: np.ndarray) -> float:
+    """2-norm condition number: the ratio of the extreme singular values, inf when singular."""
+    s = np.linalg.svd(mat, compute_uv=False)
+    return s[0] / s[-1] if s[-1] > 0.0 else math.inf
+
+
 def check_condition(mat: np.ndarray, what: str) -> None:
     """Raise NumericsError unless mat's 2-norm condition number is at most COND_LIMIT.
 
-    The condition number is the ratio of the extreme singular values,
-    infinite for a singular matrix. An empty system is well-conditioned.
+    An empty system is well-conditioned.
     """
     if mat.size == 0:
         return
-    s = np.linalg.svd(mat, compute_uv=False)
-    cond = s[0] / s[-1] if s[-1] > 0.0 else math.inf
+    cond = condition_number(mat)
     if not cond <= COND_LIMIT:
         raise NumericsError(f"{what}: condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
 
 
-def reduce_terminated_ports(s: np.ndarray, keep, gamma) -> np.ndarray:
+def checked_inv(a: np.ndarray, what: str, failed: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of a matrix, or of each matrix of a (..., k, k) stack, under check_condition's rule.
+
+    ||A||_F ||A^-1||_F bounds the 2-norm condition number from above, so a
+    matrix whose bound is at most CERTIFIED_COND passes without an SVD; the
+    1e-3 margin to COND_LIMIT covers the rounding in the computed inverse, so
+    the decision is the one check_condition makes. Every other matrix gets
+    check_condition's exact rule, and one the LU factorization finds singular
+    fails. Without `failed`, a failing matrix raises NumericsError. With a
+    boolean array of the stack's shape, failing matrices are marked there and
+    get a zero inverse instead; matrices already marked are not checked.
+    """
+    a = np.asarray(a)
+    if a.shape[-1] == 0:
+        return np.linalg.inv(a)
+    singular = np.zeros(a.shape[:-2], dtype=bool)
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:  # one singular matrix stops the stacked call
+        inv = np.zeros_like(a)
+        for idx in np.ndindex(singular.shape):
+            try:
+                inv[idx] = np.linalg.inv(a[idx])
+            except np.linalg.LinAlgError:
+                singular[idx] = True
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound2 = _frobenius2(a) * _frobenius2(inv)
+    todo = singular | ~(bound2 <= CERTIFIED_COND**2)
+    if failed is not None:
+        todo &= ~failed
+    if not todo.any():
+        return inv
+    for idx in map(tuple, np.argwhere(todo)):
+        cond = math.inf if singular[idx] else condition_number(a[idx])
+        if cond <= COND_LIMIT:
+            continue
+        if failed is None:
+            raise NumericsError(f"{what}: condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
+        failed[idx] = True
+        inv[idx] = 0.0
+    return inv
+
+
+def _frobenius2(x: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix of a stack."""
+    flat = x.reshape(x.shape[:-2] + (-1,))
+    return np.vecdot(flat, flat).real
+
+
+def reduce_terminated_ports(
+    s: np.ndarray, keep, gamma, failed: np.ndarray | None = None
+) -> np.ndarray:
     """Fold reflective terminations into a smaller scattering matrix.
 
     Ports in `keep` stay external; every other port p is terminated with the
     reflection gamma[k] (ordered as the terminated ports appear in s). The
-    result is S_AA + S_AB G (I - S_BB G)^-1 S_BA.
+    result is S_AA + S_AB G (I - S_BB G)^-1 S_BA. A (..., t) stack of
+    reflection vectors gives the (..., a, a) stack of reduced matrices;
+    `failed` is as in checked_inv.
     """
     s = np.asarray(s, dtype=complex)
     n = s.shape[0]
     if s.shape != (n, n):
         raise ModelError(f"scattering matrix must be square, got {s.shape}")
     keep = list(keep)
-    term = [p for p in range(n) if p not in set(keep)]
+    kept = set(keep)
+    term = [p for p in range(n) if p not in kept]
     gamma = np.asarray(gamma, dtype=complex)
-    if gamma.shape != (len(term),):
+    if gamma.shape[-1:] != (len(term),):
         raise ModelError(f"need {len(term)} termination reflections, got {gamma.shape}")
     s_aa = s[np.ix_(keep, keep)]
     if not term:
-        return s_aa
+        return np.broadcast_to(s_aa, gamma.shape[:-1] + s_aa.shape).copy()
     s_ab = s[np.ix_(keep, term)]
     s_ba = s[np.ix_(term, keep)]
     s_bb = s[np.ix_(term, term)]
-    g = np.diag(gamma)
-    loop = np.eye(len(term)) - s_bb @ g
-    check_condition(loop, "terminated-port reduction")
-    return s_aa + s_ab @ g @ np.linalg.solve(loop, s_ba)
+    g = gamma[..., None, :]  # G is diagonal: scale the columns
+    loop = np.eye(len(term)) - s_bb * g
+    return s_aa + (s_ab * g) @ (checked_inv(loop, "terminated-port reduction", failed) @ s_ba)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +160,10 @@ def reduce_terminated_ports(s: np.ndarray, keep, gamma) -> np.ndarray:
 
 @dataclass
 class TuningNetwork:
-    """(n_frontend + m_radiating)-port network between frontend and structure."""
+    """(n_frontend + m_radiating)-port network between frontend and structure.
+
+    s may also be a (..., dim, dim) stack of networks with one port layout.
+    """
 
     n_frontend: int
     m_radiating: int
@@ -111,24 +172,24 @@ class TuningNetwork:
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=complex)
         dim = self.n_frontend + self.m_radiating
-        if self.s.shape != (dim, dim):
+        if self.s.shape[-2:] != (dim, dim):
             raise ModelError(f"tuning matrix shape {self.s.shape} != ({dim}, {dim})")
 
     @property
     def s_tt(self) -> np.ndarray:
-        return self.s[: self.n_frontend, : self.n_frontend]
+        return self.s[..., : self.n_frontend, : self.n_frontend]
 
     @property
     def s_tr(self) -> np.ndarray:
-        return self.s[: self.n_frontend, self.n_frontend :]
+        return self.s[..., : self.n_frontend, self.n_frontend :]
 
     @property
     def s_rt(self) -> np.ndarray:
-        return self.s[self.n_frontend :, : self.n_frontend]
+        return self.s[..., self.n_frontend :, : self.n_frontend]
 
     @property
     def s_rr(self) -> np.ndarray:
-        return self.s[self.n_frontend :, self.n_frontend :]
+        return self.s[..., self.n_frontend :, self.n_frontend :]
 
 
 def through_tuning(n: int) -> TuningNetwork:
@@ -169,11 +230,15 @@ def feedthrough_reflector_fixed(n: int, m: int, r: int) -> np.ndarray:
     return s
 
 
-def reconfigurable_tuning(fixed_s: np.ndarray, n: int, m: int, gammas) -> TuningNetwork:
-    """Terminate the trailing control ports of fixed_s with reflections."""
-    fixed_s = np.asarray(fixed_s, dtype=complex)
-    reduced = reduce_terminated_ports(fixed_s, range(n + m), gammas)
-    return TuningNetwork(n, m, reduced)
+def reconfigurable_tuning(
+    fixed_s: np.ndarray, n: int, m: int, gammas, failed: np.ndarray | None = None
+) -> TuningNetwork:
+    """Terminate the trailing control ports of fixed_s with reflections.
+
+    A (K, r) stack of reflections gives a network holding K scattering
+    matrices; `failed` is as in checked_inv.
+    """
+    return TuningNetwork(n, m, reduce_terminated_ports(fixed_s, range(n + m), gammas, failed))
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +261,14 @@ class RFFrontend:
     def __post_init__(self):
         self.z_tx = np.atleast_1d(np.asarray(self.z_tx, dtype=complex))
         self.z_rx = np.atleast_1d(np.asarray(self.z_rx, dtype=complex))
+        if not (np.all(np.isfinite(self.z_tx)) and np.all(np.isfinite(self.z_rx))):
+            raise ModelError("frontend impedances must be finite")
         if np.any(self.z_tx.real <= 0.0):
             raise ModelError("transmit impedances must have positive real part")
         if np.any(self.z_rx.real < 0.0):
             raise ModelError("receive impedances must have nonnegative real part")
-        if self.r0 <= 0.0:
-            raise ModelError("reference resistance must be positive")
+        if not (math.isfinite(self.r0) and self.r0 > 0.0):
+            raise ModelError("reference resistance must be positive and finite")
 
     @property
     def n_tx(self) -> int:

@@ -25,8 +25,6 @@ from .network import (
     feedthrough_reflector_fixed,
     inline_tuning,
     read_touchstone,
-    reconfigurable_tuning,
-    reflection_coefficient,
     through_tuning,
 )
 from .radiating import (
@@ -40,7 +38,7 @@ from .radiating import (
     synthetic_coupling,
     wavenumber,
 )
-from .solver import ReMSModel
+from .solver import ReconfigurableBuilder, ReMSModel
 
 
 def parse_complex(value) -> complex:
@@ -123,11 +121,14 @@ class Scene:
     @classmethod
     def from_dict(cls, raw: dict, base_dir: str = ".") -> "Scene":
         frequency = float(_require(raw, "frequency_hz", "scene"))
-        if frequency <= 0.0:
-            raise ModelError("frequency_hz must be positive")
+        if not (math.isfinite(frequency) and frequency > 0.0):
+            raise ModelError("frequency_hz must be positive and finite")
         r0 = float(raw.get("r0_ohms", 50.0))
         grid_spec = _require(raw, "grid", "scene")
-        grid = make_latlon_grid(int(grid_spec["n_theta"]), int(grid_spec["n_phi"]))
+        grid = make_latlon_grid(
+            int(_require(grid_spec, "n_theta", "scene grid")),
+            int(_require(grid_spec, "n_phi", "scene grid")),
+        )
         return cls(
             frequency=frequency,
             r0=r0,
@@ -268,7 +269,7 @@ class Scene:
     # ------------------------------------------------------------- problem
 
     def beamform_problem(self, seed_override: int | None = None):
-        """(BeamformProblem, model_builder) from the scene's problem block."""
+        """(BeamformProblem, ReconfigurableBuilder) from the scene's problem block."""
         if self.problem_spec is None:
             raise ModelError("scene has no problem block")
         spec = self.problem_spec
@@ -291,16 +292,9 @@ class Scene:
         fixed_kind = spec.get("fixed", "feedthrough_reflector")
         if fixed_kind != "feedthrough_reflector":
             raise ModelError(f"problem: unknown fixed network kind {fixed_kind!r}")
-        fixed_s = feedthrough_reflector_fixed(n, m, r)
-        r0 = self.r0
-
-        def model_builder(z_values) -> ReMSModel:
-            gammas = reflection_coefficient(np.asarray(z_values, dtype=complex), r0)
-            return ReMSModel(
-                structure=structure,
-                tuning=reconfigurable_tuning(fixed_s, n, m, gammas),
-                frontend=frontend,
-            )
+        model_builder = ReconfigurableBuilder(
+            structure, frontend, feedthrough_reflector_fixed(n, m, r)
+        )
 
         sigma_spec = spec.get("sigma", {})
         from .beamform import geometric_schedule

@@ -17,7 +17,14 @@ import numpy as np
 
 from .errors import ModelError, NumericsError
 from .farfield import FarFieldPattern, intensity, total_power, zero_pattern
-from .network import RFFrontend, TuningNetwork, check_condition
+from .network import (
+    RFFrontend,
+    TuningNetwork,
+    check_condition,
+    checked_inv,
+    reconfigurable_tuning,
+    reflection_coefficient,
+)
 from .radiating import RadiatingStructure, apply_receive, apply_scatter, apply_transmit
 
 
@@ -46,9 +53,42 @@ class ReMSModel:
         return self.frontend.r0
 
 
-def _inv(mat: np.ndarray, what: str) -> np.ndarray:
-    check_condition(mat, what)
-    return np.linalg.inv(mat)
+@dataclass(frozen=True, eq=False)
+class ReconfigurableBuilder:
+    """Models of one structure and frontend behind a fixed network with tunable loads.
+
+    fixed_s is the (N + M + r)-port fixed network, ports ordered [frontend |
+    radiating | control]. Calling the builder with r load impedances (ohms,
+    referenced to r0) terminates control port j in load j and returns that
+    configuration's ReMSModel.
+    """
+
+    structure: RadiatingStructure
+    frontend: RFFrontend
+    fixed_s: np.ndarray
+
+    @property
+    def r0(self) -> float:
+        return self.frontend.r0
+
+    def __call__(self, z_values) -> ReMSModel:
+        return self._model(z_values)
+
+    def transmit_stack(self, z_stack):
+        """(K, M, n_tx) transmit operators core_tx of K load configurations (K, r).
+
+        Also returns the (K,) mask of the configurations that fail a condition
+        check of transmit_operator; their core_tx entries are meaningless.
+        """
+        failed = np.zeros(len(z_stack), dtype=bool)
+        _, _, core_tx = transmit_operator(self._model(z_stack, failed), failed)
+        return core_tx, failed
+
+    def _model(self, z_values, failed=None) -> ReMSModel:
+        gammas = reflection_coefficient(np.asarray(z_values, dtype=complex), self.r0)
+        n, m = self.frontend.n, self.structure.m_ports
+        tuning = reconfigurable_tuning(self.fixed_s, n, m, gammas, failed)
+        return ReMSModel(structure=self.structure, tuning=tuning, frontend=self.frontend)
 
 
 @dataclass
@@ -105,29 +145,56 @@ class GainOperators:
         return self.g_vupsilon_vrx @ np.asarray(v_upsilon, dtype=complex)
 
 
+def _transmit_loops(model: ReMSModel, failed=None):
+    """(a_r, a_t, core_tx) after the checks of loops I - L2 and I - L1 - L3."""
+    fe, tn, c = model.frontend, model.tuning, model.structure.coupling
+    s_rf = fe.s_rf()
+    l1 = s_rf @ tn.s_tt
+    l2 = tn.s_rr @ c
+    a_r = checked_inv(np.eye(c.shape[0]) - l2, "radiating-side loop (I - L2)", failed)
+    l3 = s_rf @ tn.s_tr @ c @ a_r @ tn.s_rt
+    a_t = checked_inv(np.eye(fe.n) - l1 - l3, "transmit loop (I - L1 - L3)", failed)
+    core_tx = a_r @ tn.s_rt @ a_t @ fe.k_vtx()
+    return a_r, a_t, core_tx
+
+
+def _receive_loops(model: ReMSModel, failed=None):
+    """(b_t, b_r) after the checks of loops I - L5 and I - L6 - L7."""
+    fe, tn, c = model.frontend, model.tuning, model.structure.coupling
+    s_rf = fe.s_rf()
+    l5 = tn.s_tt @ s_rf
+    b_t = checked_inv(np.eye(fe.n) - l5, "frontend reflection loop (I - L5)", failed)
+    l6 = c @ tn.s_rr
+    l7 = c @ tn.s_rt @ s_rf @ b_t @ tn.s_tr
+    b_r = checked_inv(np.eye(c.shape[0]) - l6 - l7, "receive loop (I - L6 - L7)", failed)
+    return b_t, b_r
+
+
+def transmit_operator(model: ReMSModel, failed=None):
+    """(a_r, a_t, core_tx): the resolved transmit loops and v_tx -> a_R tilde.
+
+    The receive-side loops are checked too, so this accepts exactly the
+    models gain_operators accepts. A tuning network holding a (K, ., .) stack
+    gives results stacked the same way; `failed` is as in
+    network.checked_inv.
+    """
+    out = _transmit_loops(model, failed)
+    _receive_loops(model, failed)
+    return out
+
+
 def gain_operators(model: ReMSModel) -> GainOperators:
     """Resolve the interconnection feedback loops into closed-form operators."""
     fe, tn, st = model.frontend, model.tuning, model.structure
-    n, m = fe.n, st.m_ports
-    i_n, i_m = np.eye(n), np.eye(m)
+    i_n, i_m = np.eye(fe.n), np.eye(st.m_ports)
     s_rf = fe.s_rf()
     s_tt, s_tr, s_rt, s_rr = tn.s_tt, tn.s_tr, tn.s_rt, tn.s_rr
     c = st.coupling
-
-    l1 = s_rf @ s_tt
-    l2 = s_rr @ c
-    a_r = _inv(i_m - l2, "radiating-side loop (I - L2)")
-    l3 = s_rf @ s_tr @ c @ a_r @ s_rt
-    a_t = _inv(i_n - l1 - l3, "transmit loop (I - L1 - L3)")
-    l5 = s_tt @ s_rf
-    b_t = _inv(i_n - l5, "frontend reflection loop (I - L5)")
-    l6 = c @ s_rr
-    l7 = c @ s_rt @ s_rf @ b_t @ s_tr
-    b_r = _inv(i_m - l6 - l7, "receive loop (I - L6 - L7)")
+    a_r, a_t, core_tx = _transmit_loops(model)
+    b_t, b_r = _receive_loops(model)
 
     k_vtx, k_vgamma, k_igamma, k_vrx = fe.k_vtx(), fe.k_vgamma(), fe.k_igamma(), fe.k_vrx()
 
-    core_tx = a_r @ s_rt @ a_t @ k_vtx
     mid_rx = (s_rt @ s_rf @ b_t @ s_tr + s_rr) @ b_r
     lead_rx = k_vrx @ (i_n - s_rf) @ b_t @ s_tr @ b_r
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from remskit import (
     FarFieldPattern,
@@ -15,6 +16,11 @@ from remskit import (
 from remskit.network import max_singular_value
 
 FREQ = 5.4e9
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic.
+settings.register_profile("remskit", derandomize=True, database=None, deadline=None)
+settings.load_profile("remskit")
 
 _ACCEPTANCE = []
 

@@ -2,16 +2,20 @@
 
 import logging
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import FREQ, random_model
-from remskit import ModelError, NumericsError
+from conftest import FREQ, random_frontend, random_model
+from remskit import ModelError, NumericsError, Scene
 from remskit.beamform import (
     BeamformProblem,
     QuasiPowers,
     _acceptance_key,
+    _fisher_yates,
     coordinate_ascent,
     evaluate_candidate,
     geometric_schedule,
@@ -23,13 +27,18 @@ from remskit.beamform import (
 )
 from remskit.farfield import Direction, make_latlon_grid
 from remskit.network import (
+    COND_LIMIT,
     RFFrontend,
+    condition_number,
     feedthrough_reflector_fixed,
+    max_singular_value,
     reconfigurable_tuning,
     reflection_coefficient,
 )
-from remskit.radiating import random_reciprocal_structure
-from remskit.solver import ReMSModel, gain_operators, rems_gain
+from remskit.radiating import RadiatingStructure, random_reciprocal_structure
+from remskit.solver import ReconfigurableBuilder, ReMSModel, gain_operators, rems_gain
+
+CASE_STUDY = os.path.join(os.path.dirname(__file__), os.pardir, "scenes", "rra_case_study.yaml")
 
 
 def test_x_copol_projector():
@@ -172,6 +181,20 @@ def test_problem_validation():
     assert len(p.sigma_schedule) == p.i_max
 
 
+def test_problem_rejects_non_finite_loads():
+    d = (Direction(1.0, 0.0),)
+    for bad in (complex("nan"), complex(math.inf, 0.0), complex(1.0, math.nan), complex(1.0, -math.inf)):
+        with pytest.raises(ModelError, match="finite"):
+            BeamformProblem(r=1, z_set=(50.0, bad), primary_dirs=d)
+
+
+def test_problem_rejects_non_finite_regularizer():
+    d = (Direction(1.0, 0.0),)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ModelError, match="finite"):
+            BeamformProblem(r=1, z_set=(50.0,), primary_dirs=d, i_max=2, sigma_schedule=(1.0, bad))
+
+
 # ---------------------------------------------------------------------------
 # coordinate ascent on a one-load reflective network
 
@@ -291,3 +314,154 @@ def test_more_streams_than_transmit_chains_raises():
     )
     with pytest.raises(ModelError, match="transmit chains"):
         coordinate_ascent(problem, builder)
+
+
+# ---------------------------------------------------------------------------
+# stacked candidate scoring against the per-candidate rebuild
+
+
+def _coordinate_candidates(problem, z_idx, coord):
+    """The load configurations of one coordinate pass from incumbent z_idx."""
+    out = []
+    for k in range(len(problem.z_set)):
+        idx = list(z_idx)
+        idx[coord] = k
+        out.append(tuple(problem.z_set[i] for i in idx))
+    return out
+
+
+def _reference_scores(problem, builder, candidates, sigma):
+    out = []
+    for z in candidates:
+        try:
+            out.append(evaluate_candidate(problem, builder, z, sigma))
+        except NumericsError as err:
+            out.append(err)
+    return out
+
+
+def _stacked_scores(problem, builder, candidates, sigma):
+    core_tx, failed = builder.transmit_stack(candidates)
+    dirs = tuple(problem.primary_dirs) + tuple(problem.secondary_dirs)
+    mats = builder.structure.tx_at(dirs) @ core_tx[:, None]
+    return [
+        None if bad else evaluate_candidate(problem, builder, z, sigma, g)
+        for z, bad, g in zip(candidates, failed, mats)
+    ]
+
+
+def _assert_scores_agree(stacked, reference):
+    """Same skip set; f, key and t equal to 1e-12 relative."""
+    assert [s is None for s in stacked] == [isinstance(r, NumericsError) for r in reference]
+    for got, ref in zip(stacked, reference):
+        if got is None:
+            continue
+        assert got.f == pytest.approx(ref.f, rel=1e-12, abs=0.0)
+        assert got.key[0] == ref.key[0]
+        assert got.key[1:] == pytest.approx(ref.key[1:], rel=1e-12, abs=0.0)
+        assert np.max(np.abs(got.t - ref.t)) <= 1e-12 * np.max(np.abs(ref.t))
+
+
+def test_stacked_scoring_matches_reference_on_case_study():
+    problem, builder = Scene.load(CASE_STUDY).beamform_problem()
+    assert isinstance(builder, ReconfigurableBuilder)
+    z_init = [problem.z_set.index(problem.z_init)] * problem.r
+    z_rand = np.random.default_rng(3).integers(0, len(problem.z_set), problem.r)
+    for z_idx, coord, sigma in (
+        (z_init, 0, problem.sigma_schedule[0]),
+        (z_rand, 9, problem.sigma_schedule[-1]),
+    ):
+        candidates = _coordinate_candidates(problem, z_idx, coord)
+        _assert_scores_agree(
+            _stacked_scores(problem, builder, candidates, sigma),
+            _reference_scores(problem, builder, candidates, sigma),
+        )
+
+
+def _near_limit_case(rng, n_rx, r, factor):
+    """A generated reconfigurable model and one coordinate pass over it.
+
+    The fixed network is a random passive matrix, so S_BB != 0 and the
+    terminated-port loop is not the identity. The coupling is chosen so that
+    the target candidate's I - s_rr C has condition number near
+    factor * COND_LIMIT.
+    """
+    n_tx, m = 2, r + 1
+    n = n_tx + n_rx
+    grid = make_latlon_grid(4, 6)
+    dim = n + m + r
+    fixed = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    fixed *= 0.9 / max_singular_value(fixed)
+    frontend = random_frontend(rng, n_tx, n_rx)
+    z_set = tuple(complex(rng.uniform(0.0, 100.0), rng.uniform(-150.0, 150.0)) for _ in range(5))
+    # the ascent's first coordinate pass starts from z_idx and visits the target
+    z_idx = [int(rng.integers(0, len(z_set)))] * r
+    rng_seed = int(rng.integers(0, 1000))
+    coord = _fisher_yates(np.random.default_rng(rng_seed), r)[0]
+    target = int(rng.integers(0, len(z_set)))
+    target_idx = list(z_idx)
+    target_idx[coord] = target
+    z_target = np.array([z_set[i] for i in target_idx])
+    s_rr = reconfigurable_tuning(fixed, n, m, reflection_coefficient(z_target, frontend.r0)).s_rr
+
+    def unitary():
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+        return q
+
+    sv = np.logspace(0.0, -math.log10(factor * COND_LIMIT), m)
+    coupling = np.linalg.solve(s_rr, np.eye(m) - unitary() @ np.diag(sv) @ unitary())
+    kernel = 0.3 * (rng.standard_normal((m, grid.size, 2)) + 1j * rng.standard_normal((m, grid.size, 2)))
+    structure = RadiatingStructure(
+        m_ports=m,
+        coupling=coupling,
+        tx_kernel=kernel,
+        rx_kernel=kernel,
+        scatter_kernel=None,
+        grid=grid,
+        frequency=FREQ,
+    )
+    primary = (Direction(1.0, 0.5), Direction(2.0, 3.0))[: int(rng.integers(1, 3))]
+    problem = BeamformProblem(
+        r=r,
+        z_set=z_set,
+        primary_dirs=primary,
+        secondary_dirs=(Direction(0.6, 4.0),),
+        z_init=z_set[z_idx[0]],
+        i_max=2,
+        sigma_schedule=(1.0, 0.1),
+        rng_seed=rng_seed,
+    )
+    builder = ReconfigurableBuilder(structure, frontend, fixed)
+    return problem, builder, z_idx, coord, target, s_rr
+
+
+@pytest.mark.parametrize("factor", [0.2, 5.0])
+@settings(max_examples=15, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n_rx=st.integers(0, 2), r=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_stacked_scoring_matches_reference_on_generated_models(caplog, factor, n_rx, r, seed):
+    rng = np.random.default_rng(seed)
+    problem, builder, z_idx, coord, target, s_rr = _near_limit_case(rng, n_rx, r, factor)
+    sigma = problem.sigma_schedule[-1]
+    candidates = _coordinate_candidates(problem, z_idx, coord)
+    reference = _reference_scores(problem, builder, candidates, sigma)
+
+    # the target lands on the side of COND_LIMIT its I - s_rr C puts it
+    m = builder.structure.m_ports
+    l2_fails = condition_number(np.eye(m) - s_rr @ builder.structure.coupling) > COND_LIMIT
+    hit = reference[target]
+    assert l2_fails == (isinstance(hit, NumericsError) and "(I - L2)" in str(hit))
+    _assert_scores_agree(_stacked_scores(problem, builder, candidates, sigma), reference)
+
+    # a plain callable takes the per-candidate path; both take the same
+    # steps and log the same skips, naming the same failing checks
+    with caplog.at_level(logging.WARNING, logger="remskit.beamform"):
+        caplog.clear()
+        fast = coordinate_ascent(problem, builder)
+        fast_skips = caplog.messages
+        caplog.clear()
+        slow = coordinate_ascent(problem, lambda z: builder(z))
+    assert fast_skips == caplog.messages
+    assert fast.z_indices == slow.z_indices
+    assert fast.evaluations == slow.evaluations
+    assert fast.f_trace == pytest.approx(slow.f_trace, rel=1e-12, abs=0.0)
+    assert np.max(np.abs(fast.t - slow.t)) <= 1e-12 * np.max(np.abs(slow.t))

@@ -2,6 +2,8 @@
 
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from remskit.radiating import (
 
 SCENES = os.path.join(os.path.dirname(__file__), os.pardir, "scenes")
 FRIIS = os.path.join(SCENES, "friis.yaml")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 LAM = 2.0 * math.pi / wavenumber(FREQ)
 
 
@@ -262,3 +265,35 @@ def test_optimize_command_writes_result_and_repeats(tmp_path):
 
     assert main(["optimize", "--scene", str(p), "--out", str(out2)]) == 0
     assert (out1 / "result.txt").read_bytes() == (out2 / "result.txt").read_bytes()
+
+
+def _optimize_case_study(out, threads: int) -> subprocess.Popen:
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    scene = os.path.join(SCENES, "rra_case_study.yaml")
+    argv = [sys.executable, "-m", "remskit.cli", "optimize", "--scene", scene, "--out", str(out)]
+    return subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+
+
+def test_optimize_determinism_contract(tmp_path):
+    """Same BLAS thread count: same bytes. Other thread count: same loads, f_best to 1e-12."""
+    runs = {}
+    for batch in (("1a", "2a"), ("1b",)):  # two at a time keeps memory small
+        procs = {name: _optimize_case_study(tmp_path / name, int(name[0])) for name in batch}
+        for name, proc in procs.items():
+            assert proc.wait(timeout=600) == 0
+            runs[name] = (tmp_path / name / "result.txt").read_text()
+    assert runs["1a"] == runs["1b"]
+
+    def fields(text):
+        lines = text.splitlines()
+        f_best = float(next(l.split()[1] for l in lines if l.startswith("f_best ")))
+        fixed = [l for l in lines if l.startswith(("load ", "evaluations "))]
+        return f_best, fixed
+
+    f1, fixed1 = fields(runs["1a"])
+    f2, fixed2 = fields(runs["2a"])
+    assert fixed1 == fixed2 and len(fixed1) == 17
+    assert f2 == pytest.approx(f1, rel=1e-12, abs=0.0)

@@ -23,9 +23,11 @@ from remskit import (
     touchstone_to_text,
     write_touchstone,
 )
+from remskit import network
 from remskit.network import (
     COND_LIMIT,
     check_condition,
+    checked_inv,
     is_passive,
     is_reciprocal,
     max_singular_value,
@@ -115,6 +117,57 @@ def test_check_condition_agrees_with_numpy_cond():
     check_condition(np.zeros((0, 0)), "empty system")
 
 
+def _passes_check_condition(mat) -> bool:
+    try:
+        check_condition(mat, "probe")
+    except NumericsError:
+        return False
+    return True
+
+
+def test_checked_inv_decides_like_check_condition(monkeypatch):
+    rng = np.random.default_rng(4)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    mats = [
+        q @ np.diag([1.0, 0.5, 0.3, 1.0 / cond])
+        for cond in (1.0, 1e10, COND_LIMIT * 0.999, COND_LIMIT * 1.001, 1e17)
+    ]
+    lu_singular = np.diag([1.0, 1.0, 1.0, 0.0]).astype(complex)
+    lu_singular[3, :2] = lu_singular[1, :2] = [2.0, 4.0]  # two equal rows
+    mats += [np.zeros((4, 4), dtype=complex), lu_singular]
+    expected = [_passes_check_condition(mat) for mat in mats]
+    assert expected == [True, True, True, False, False, False, False]
+
+    for mat, ok in zip(mats, expected):
+        if ok:
+            assert np.array_equal(checked_inv(mat, "probe"), np.linalg.inv(mat))
+        else:
+            with pytest.raises(NumericsError) as err:
+                check_condition(mat, "probe")
+            with pytest.raises(NumericsError, match=re.escape(str(err.value))):
+                checked_inv(mat, "probe")
+
+    # a stack with singular members is handled matrix by matrix
+    stack = np.array(mats)
+    failed = np.zeros(len(mats), dtype=bool)
+    inv = checked_inv(stack, "probe", failed)
+    assert failed.tolist() == [not ok for ok in expected]
+    assert np.array_equal(inv[failed], np.zeros_like(stack[failed]))
+    assert np.array_equal(inv[~failed], np.linalg.inv(stack[~failed]))
+    # an already failed matrix is not checked again
+    assert checked_inv(stack[3:4], "probe", np.ones(1, dtype=bool)).shape == (1, 4, 4)
+
+    # the Frobenius certificate spares the SVD only where it proves the bound
+    svds = []
+    exact = network.condition_number
+    monkeypatch.setattr(network, "condition_number", lambda m: svds.append(m) or exact(m))
+    checked_inv(mats[0], "probe")
+    assert svds == []
+    checked_inv(mats[1], "probe")  # cond 1e10: bound above 1e9, exact rule passes it
+    assert len(svds) == 1
+    assert checked_inv(np.zeros((3, 0, 0)), "empty").shape == (3, 0, 0)
+
+
 def test_through_and_inline_tuning_blocks():
     t = through_tuning(2)
     np.testing.assert_array_equal(t.s_tt, np.zeros((2, 2)))
@@ -193,12 +246,36 @@ def test_frontend_validation():
         RFFrontend(z_tx=[50.0], z_rx=[-1.0 + 0.0j], r0=50.0)
     with pytest.raises(ModelError):
         RFFrontend(z_tx=[50.0], z_rx=[], r0=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ModelError, match="finite"):
+            RFFrontend(z_tx=[50.0], z_rx=[], r0=bad)
     # purely reactive receive loads are allowed
     fe = RFFrontend(z_tx=[50.0], z_rx=[5.0j], r0=50.0)
     assert fe.n_rx == 1
     # and no receive chains at all is a valid transmit-only frontend
     fe = RFFrontend(z_tx=[50.0, 50.0], z_rx=np.zeros(0), r0=50.0)
     assert fe.n_rx == 0 and fe.k_vrx().shape == (0, 2)
+
+
+
+def test_frontend_rejects_non_finite_impedances():
+    for bad in (complex("nan"), complex(math.inf, 0.0), complex(50.0, math.nan)):
+        with pytest.raises(ModelError, match="finite"):
+            RFFrontend(z_tx=[50.0, bad], z_rx=[], r0=50.0)
+        with pytest.raises(ModelError, match="finite"):
+            RFFrontend(z_tx=[50.0], z_rx=[bad], r0=50.0)
+
+
+def test_stacked_reduction_matches_one_matrix_at_a_time():
+    rng = np.random.default_rng(6)
+    s = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    s *= 0.9 / max_singular_value(s)
+    gammas = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (5, 3)))
+    stacked = reduce_terminated_ports(s, [0, 1, 2], gammas)
+    for g, red in zip(gammas, stacked):
+        assert np.array_equal(red, reduce_terminated_ports(s, [0, 1, 2], g))
+    net = reconfigurable_tuning(s, 1, 2, gammas)
+    assert net.s.shape == (5, 3, 3) and net.s_rr.shape == (5, 2, 2)
 
 
 # ---------------------------------------------------------------------------

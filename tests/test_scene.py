@@ -88,6 +88,18 @@ def test_scene_requires_frequency_and_grid():
         Scene.from_dict({"frequency_hz": FREQ})
 
 
+def test_scene_grid_needs_both_sizes():
+    for grid in ({"n_theta": 8}, {"n_phi": 10}):
+        with pytest.raises(ModelError, match="n_phi" if "n_theta" in grid else "n_theta"):
+            Scene.from_dict({"frequency_hz": FREQ, "grid": grid})
+
+
+def test_scene_rejects_non_finite_frequency():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ModelError, match="finite"):
+            Scene.from_dict({"frequency_hz": bad, "grid": {"n_theta": 8, "n_phi": 10}})
+
+
 def test_scene_defaults_and_duplicates():
     scene = Scene.from_dict(_base_dict())
     assert scene.r0 == 50.0
@@ -358,6 +370,9 @@ def test_beamform_problem_from_scene():
     model = builder((1 + 5j,))
     assert model.tuning.n_frontend == 1 and model.tuning.m_radiating == 2
     assert model.frontend.n == 1
+    # the builder exposes the parts every configuration shares
+    assert model.structure is builder.structure and model.frontend is builder.frontend
+    assert builder.fixed_s.shape == (4, 4) and builder.r0 == 50.0
 
     problem2, _ = scene.beamform_problem(seed_override=99)
     assert problem2.rng_seed == 99

@@ -15,7 +15,8 @@ import warnings
 import numpy as np
 
 from .errors import ModelError
-from .farfield import Direction, direction_from_vector
+from .farfield import direction_from_vector
+from .network import checked_inv
 from .radiating import RadiatingStructure, wavenumber
 
 FAR_FIELD_GUIDELINE_WAVELENGTHS = 10.0
@@ -51,19 +52,12 @@ def _check_pair(s1: RadiatingStructure, s2: RadiatingStructure):
         )
 
 
-def far_channel(
-    tx: RadiatingStructure,
-    rx: RadiatingStructure,
-    displacement,
-    method: str = "direct",
-    neumann_terms: int = 10,
-) -> np.ndarray:
+def far_channel(tx: RadiatingStructure, rx: RadiatingStructure, displacement) -> np.ndarray:
     """Port-to-port channel matrix (rx ports x tx ports) across free space.
 
     displacement points from the tx structure to the rx structure, in m.
     The multi-bounce loop between the two reduced scattering kernels is
-    resolved exactly (method="direct") or by a truncated Neumann sum
-    (method="neumann" with neumann_terms terms).
+    resolved exactly; an ill-conditioned loop raises NumericsError.
     """
     _check_pair(tx, rx)
     disp = np.asarray(displacement, dtype=float)
@@ -77,18 +71,7 @@ def far_channel(
     t1 = tx.tx_at(d_fwd)  # (2, m_tx)
     r2 = rx.rx_at(d_bwd)  # (2, m_rx)
     loop = tx.scatter_at(d_fwd, d_fwd) @ c @ rx.scatter_at(d_bwd, d_bwd) @ c
-    if method == "direct":
-        core = np.linalg.solve(np.eye(2) - loop, t1)
-    elif method == "neumann":
-        if neumann_terms < 1:
-            raise ModelError("neumann_terms must be at least 1")
-        core = t1.copy()
-        term = t1
-        for _ in range(neumann_terms - 1):
-            term = loop @ term
-            core = core + term
-    else:
-        raise ModelError(f"unknown method {method!r}")
+    core = checked_inv(np.eye(2) - loop, "far-field bounce loop") @ t1
     return r2.T @ c @ core
 
 

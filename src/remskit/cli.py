@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from ._textio import atomic_write_text, fmt
+from ._textio import atomic_write_text, csv_text, fmt, number
 from .beamform import coordinate_ascent
 from .channel import far_channel
 from .errors import ModelError, NumericsError
@@ -26,7 +26,7 @@ from .radiating import (
     extract_scatter_kernel,
     read_response_file,
 )
-from .scene import Scene, parse_complex_list, rotation_matrix
+from .scene import Scene, _require, parse_complex_list, rotation_matrix
 from .solver import gain_operators, solve_direct
 
 _POL_NAMES = ("theta", "phi")
@@ -47,21 +47,11 @@ def _out_dir(args) -> str:
 
 
 def _write_csv(path: str, header: str, rows) -> None:
-    buf = io.StringIO()
-    buf.write(header + "\n")
-    for row in rows:
-        buf.write(",".join(row) + "\n")
-    atomic_write_text(path, buf.getvalue())
+    atomic_write_text(path, csv_text(header, rows))
 
 
 def _db(x: float) -> float:
     return 10.0 * math.log10(x) if x > 0.0 else -math.inf
-
-
-def _spec_field(spec: dict, key: str, where: str):
-    if key not in spec:
-        raise ModelError(f"{where}: missing required field {key!r}")
-    return spec[key]
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +132,7 @@ def cmd_solve(args) -> int:
     spec = scene.solve_spec
     if spec is None:
         raise ModelError("scene has no solve block")
-    model_name = _spec_field(spec, "model", "solve block")
+    model_name = _require(spec, "model", "solve block")
     model = scene.model(model_name)
     fe = model.frontend
 
@@ -216,31 +206,39 @@ def cmd_channel(args) -> int:
     ports = spec.get("ports", [0, 0])
     if not isinstance(ports, (list, tuple)) or len(ports) != 2:
         raise ModelError("channel block ports must be [out_port, in_port]")
-    out_port, in_port = int(ports[0]), int(ports[1])
+    out_port = number(ports[0], "channel ports out_port", int, 0)
+    in_port = number(ports[1], "channel ports in_port", int, 0)
+
+    def entry(s2, d):
+        mat = far_channel(s1, s2, d)
+        if out_port >= mat.shape[0] or in_port >= mat.shape[1]:
+            raise ModelError(
+                f"channel ports [{out_port}, {in_port}] outside the "
+                f"{mat.shape[0]}x{mat.shape[1]} channel matrix"
+            )
+        return mat[out_port, in_port]
 
     sweep = spec.get("sweep")
     rows = []
     if sweep is None:
-        s2 = scene.structure(name2)
-        s = far_channel(s1, s2, disp)[out_port, in_port]
+        s = entry(scene.structure(name2), disp)
         header = "alpha_deg,re_s,im_s"
         rows.append((fmt(0.0), fmt(s.real), fmt(s.imag)))
     elif sweep.get("kind") == "rotation":
         alphas = np.linspace(
-            float(sweep.get("start_deg", 0.0)),
-            float(sweep.get("stop_deg", 90.0)),
-            int(sweep.get("count", 10)),
+            number(sweep.get("start_deg", 0.0), "channel sweep start_deg"),
+            number(sweep.get("stop_deg", 90.0), "channel sweep stop_deg"),
+            number(sweep.get("count", 10), "channel sweep count", int, 1),
         )
         header = "alpha_deg,re_s,im_s"
         for alpha in alphas:
             rot = rotation_matrix(axis, float(alpha))
-            s2 = scene.structure(name2, extra_rotation=rot)
-            s = far_channel(s1, s2, disp)[out_port, in_port]
+            s = entry(scene.structure(name2, extra_rotation=rot), disp)
             rows.append((fmt(float(alpha)), fmt(s.real), fmt(s.imag)))
     elif sweep.get("kind") == "distance":
-        start = float(sweep.get("start_m", 1.0))
-        stop = float(sweep.get("stop_m", 100.0))
-        count = int(sweep.get("count", 25))
+        start = number(sweep.get("start_m", 1.0), "channel sweep start_m")
+        stop = number(sweep.get("stop_m", 100.0), "channel sweep stop_m")
+        count = number(sweep.get("count", 25), "channel sweep count", int, 1)
         if sweep.get("spacing", "log") == "log":
             if start <= 0.0:
                 raise ModelError("log-spaced distance sweep needs start_m > 0")
@@ -250,7 +248,7 @@ def cmd_channel(args) -> int:
         s2 = scene.structure(name2)
         header = "d_m,re_s,im_s"
         for d in dists:
-            s = far_channel(s1, s2, axis * float(d))[out_port, in_port]
+            s = entry(s2, axis * float(d))
             rows.append((fmt(float(d)), fmt(s.real), fmt(s.imag)))
     else:
         raise ModelError(f"unknown sweep kind {sweep.get('kind')!r}")
@@ -259,6 +257,16 @@ def cmd_channel(args) -> int:
     _write_csv(path, header, rows)
     print(f"channel {name1!r} -> {name2!r}: {len(rows)} sweep point(s) -> {path}")
     return 0
+
+
+def _gain_slice(spec: dict, where: str, phi_deg: float):
+    """(theta samples, phi) in degrees of a gain-vs-theta slice spec."""
+    thetas = np.linspace(
+        number(spec.get("theta_start_deg", -90.0), f"{where} theta_start_deg"),
+        number(spec.get("theta_stop_deg", 90.0), f"{where} theta_stop_deg"),
+        number(spec.get("count", 181), f"{where} count", int, 1),
+    )
+    return thetas, number(spec.get("phi_deg", phi_deg), f"{where} phi_deg")
 
 
 def _gain_rows(ops, p_a: float, v, thetas_deg, phi_deg: float):
@@ -275,9 +283,9 @@ def cmd_gain_pattern(args) -> int:
     spec = scene.gain_pattern_spec
     if spec is None:
         raise ModelError("scene has no gain_pattern block")
-    model_name = _spec_field(spec, "model", "gain_pattern block")
+    model_name = _require(spec, "model", "gain_pattern block")
     model = scene.model(model_name)
-    v_tx = parse_complex_list(_spec_field(spec, "v_tx", "gain_pattern block"))
+    v_tx = parse_complex_list(_require(spec, "v_tx", "gain_pattern block"))
     if v_tx.shape != (model.frontend.n_tx,):
         raise ModelError(
             f"gain_pattern v_tx needs {model.frontend.n_tx} entries, got {v_tx.shape[0]}"
@@ -286,12 +294,7 @@ def cmd_gain_pattern(args) -> int:
     if p_a <= 0.0:
         raise ModelError("gain_pattern drive has zero available power")
     ops = gain_operators(model)
-    thetas = np.linspace(
-        float(spec.get("theta_start_deg", -90.0)),
-        float(spec.get("theta_stop_deg", 90.0)),
-        int(spec.get("count", 181)),
-    )
-    phi_deg = float(spec.get("phi_deg", 0.0))
+    thetas, phi_deg = _gain_slice(spec, "gain_pattern", 0.0)
     path = os.path.join(_out_dir(args), "gain_pattern.csv")
     _write_csv(path, "theta_deg,gain_db", _gain_rows(ops, p_a, v_tx, thetas, phi_deg))
     print(f"gain pattern for model {model_name!r} at phi={fmt(phi_deg)} deg -> {path}")
@@ -322,17 +325,12 @@ def cmd_optimize(args) -> int:
     model = model_builder(result.z_r)
     ops = gain_operators(model)
     pattern_spec = (scene.problem_spec or {}).get("pattern", {})
-    thetas = np.linspace(
-        float(pattern_spec.get("theta_start_deg", -90.0)),
-        float(pattern_spec.get("theta_stop_deg", 90.0)),
-        int(pattern_spec.get("count", 181)),
-    )
     for u, d in enumerate(problem.primary_dirs):
         col = result.t[:, u]
         p_a = model.frontend.available_power(col)
         if p_a <= 0.0:
             continue
-        phi_deg = float(pattern_spec.get("phi_deg", math.degrees(d.phi)))
+        thetas, phi_deg = _gain_slice(pattern_spec, "problem pattern", math.degrees(d.phi))
         _write_csv(
             os.path.join(out, f"optimized_gain_stream{u}.csv"),
             "theta_deg,gain_db",

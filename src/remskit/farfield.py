@@ -8,15 +8,13 @@ radiated power in watts.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ModelError
-from ._textio import atomic_write_text, fmt
+from ._textio import atomic_write_text, csv_text, fmt
 
 FOUR_PI = 4.0 * math.pi
 
@@ -287,23 +285,19 @@ def antipodal_mirror(p: FarFieldPattern) -> FarFieldPattern:
 
 
 def pattern_to_csv(p: FarFieldPattern) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(PATTERN_CSV_HEADER.split(","))
-    for idx in range(p.grid.size):
-        v = p.values[idx]
-        w.writerow(
-            [
-                fmt(math.degrees(p.grid.theta[idx])),
-                fmt(math.degrees(p.grid.phi[idx])),
-                fmt(v[0].real),
-                fmt(v[0].imag),
-                fmt(v[1].real),
-                fmt(v[1].imag),
-                fmt(float(np.real(np.vdot(v, v)))),
-            ]
+    rows = (
+        (
+            fmt(math.degrees(theta)),
+            fmt(math.degrees(phi)),
+            fmt(v[0].real),
+            fmt(v[0].imag),
+            fmt(v[1].real),
+            fmt(v[1].imag),
+            fmt(float(np.real(np.vdot(v, v)))),
         )
-    return buf.getvalue()
+        for theta, phi, v in zip(p.grid.theta, p.grid.phi, p.values)
+    )
+    return csv_text(PATTERN_CSV_HEADER, rows)
 
 
 def write_pattern_csv(p: FarFieldPattern, path: str) -> None:

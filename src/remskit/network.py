@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError, NumericsError
-from ._textio import atomic_write_text, fmt
+from ._textio import atomic_write_text, fmt, number
 
 COND_LIMIT = 1e12
 CERTIFIED_COND = 1e-3 * COND_LIMIT
@@ -364,8 +364,18 @@ class TouchstoneData:
             raise ModelError(
                 f"columns shape {self.columns.shape} != ({f}, {self.n_ports ** 2}, 2)"
             )
+        if not (math.isfinite(self.reference) and self.reference > 0.0):
+            raise ModelError(f"reference resistance {self.reference} must be positive and finite")
+        if not np.all(np.isfinite(self.frequencies)):
+            raise ModelError("frequencies must be finite")
         if np.any(np.diff(self.frequencies) <= 0.0):
             raise ModelError("frequencies must be strictly increasing")
+        # the one non-finite number a file may hold: a zero magnitude in dB
+        finite = np.isfinite(self.columns)
+        if self.format == "db":
+            finite[..., 0] |= self.columns[..., 0] == -math.inf
+        if not finite.all():
+            raise ModelError("S-parameter data must be finite")
 
     @property
     def frequencies_hz(self) -> np.ndarray:
@@ -509,7 +519,7 @@ def parse_touchstone(text: str, n_ports: int | None = None) -> TouchstoneData:
                 if i + 1 >= len(toks):
                     raise ModelError(f"line {lineno}: option R needs a value")
                 i += 1
-                reference = float(toks[i])
+                reference = number(toks[i], f"line {lineno}: option R")
             else:
                 raise ModelError(f"line {lineno}: unknown option token {toks[i]!r}")
             i += 1
@@ -518,10 +528,10 @@ def parse_touchstone(text: str, n_ports: int | None = None) -> TouchstoneData:
     if not data_lines:
         raise ModelError("no data lines")
 
-    for _, toks in data_lines:
+    for lineno, toks in data_lines:
         for t in toks:
             if not re.fullmatch(r"[+-]?(\d+\.?\d*|\.\d+|inf)([eE][+-]?\d+)?", t):
-                raise ModelError(f"non-numeric token {t!r} in data")
+                raise ModelError(f"line {lineno}: non-numeric token {t!r} in data")
 
     lengths = [len(toks) for _, toks in data_lines]
 
@@ -542,7 +552,7 @@ def parse_touchstone(text: str, n_ports: int | None = None) -> TouchstoneData:
                 f"port count is ambiguous ({candidates}); pass n_ports explicitly"
             )
         n_ports = candidates[0]
-    elif not walks(n_ports):
+    elif n_ports < 1 or not walks(n_ports):
         raise ModelError(f"data lines do not match an {n_ports}-port layout")
 
     per_record = len(_expected_line_lengths(n_ports))

@@ -13,6 +13,7 @@ and a certified-passive random structure generator for validation.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ModelError
-from ._textio import atomic_write_text, fmt
+from ._textio import atomic_write_text, fmt, number
 from .farfield import (
     Direction,
     DirectionGrid,
@@ -194,17 +195,7 @@ def hertzian_dipole(orientation, position, grid: DirectionGrid, frequency: float
     standard single-antenna idealization; it is not passive as a full
     operator under illumination that overlaps the absorption pattern.
     """
-    k = wavenumber(frequency)
-    kern = _dipole_kernel(orientation, position, grid, k)[None, :, :]
-    return RadiatingStructure(
-        m_ports=1,
-        coupling=np.zeros((1, 1), dtype=complex),
-        tx_kernel=kern,
-        rx_kernel=kern.copy(),
-        scatter_kernel=None,
-        grid=grid,
-        frequency=frequency,
-    )
+    return dipole_array([(orientation, position)], grid, frequency)
 
 
 def synthetic_coupling(positions, k: float, gamma: float) -> np.ndarray:
@@ -555,19 +546,21 @@ def parse_response_text(text: str) -> PlaneWaveResponseSet:
     lines = text.splitlines()
     if not lines or lines[0].strip() != _RESPONSE_MAGIC:
         raise ModelError("line 1: not a plane-wave response file")
-    header = {}
-    pos = 1
-    for key in ("frequency_hz", "grid", "ports"):
-        if pos >= len(lines):
-            raise ModelError(f"line {pos + 1}: missing {key} header")
-        toks = lines[pos].split()
+    header = []
+    for lineno, (key, count, kind, low) in enumerate(
+        (("frequency_hz", 1, float, None), ("grid", 2, int, None), ("ports", 1, int, 1)), start=2
+    ):
+        if lineno > len(lines):
+            raise ModelError(f"line {lineno}: missing {key} header")
+        toks = lines[lineno - 1].split()
         if not toks or toks[0] != key:
-            raise ModelError(f"line {pos + 1}: expected {key} header")
-        header[key] = toks[1:]
-        pos += 1
-    frequency = float(header["frequency_hz"][0])
-    n_theta, n_phi = int(header["grid"][0]), int(header["grid"][1])
-    m_ports = int(header["ports"][0])
+            raise ModelError(f"line {lineno}: expected {key} header")
+        if len(toks) != count + 1:
+            raise ModelError(f"line {lineno}: {key} header has {len(toks) - 1} values")
+        header.append([number(t, f"line {lineno}: {key}", kind, low) for t in toks[1:]])
+    (frequency,), (n_theta, n_phi), (m_ports,) = header
+    if frequency <= 0.0:
+        raise ModelError("line 2: frequency_hz must be positive")
     grid = make_latlon_grid(n_theta, n_phi)
     index_map = _grid_index_map(grid)
 
@@ -582,43 +575,55 @@ def parse_response_text(text: str) -> PlaneWaveResponseSet:
     scattered = None
     current_block = None  # (in_idx, pol_idx)
     n_b = 0
-    for lineno in range(pos + 1, len(lines) + 1):
+    for lineno in range(5, len(lines) + 1):
         raw = lines[lineno - 1].strip()
         if not raw or raw.startswith("#"):
             continue
         toks = raw.split()
-        if toks[0] == "b":
-            if len(toks) != 7:
-                raise ModelError(f"line {lineno}: b record needs 6 fields")
-            i = dir_index(toks[1], toks[2], lineno)
-            if toks[3] not in _POL_NAMES:
-                raise ModelError(f"line {lineno}: polarization must be theta or phi")
-            q = _POL_NAMES.index(toks[3])
-            m = int(toks[4])
-            if not (0 <= m < m_ports):
-                raise ModelError(f"line {lineno}: port {m} out of range")
-            port_waves[i, q, m] = complex(float(toks[5]), float(toks[6]))
-            n_b += 1
-        elif toks[0] == "scattered":
-            if len(toks) != 4:
-                raise ModelError(f"line {lineno}: scattered block header needs 3 fields")
-            if scattered is None:
-                scattered = np.full((grid.size, 2, grid.size, 2), np.nan, dtype=complex)
-            i = dir_index(toks[1], toks[2], lineno)
-            if toks[3] not in _POL_NAMES:
-                raise ModelError(f"line {lineno}: polarization must be theta or phi")
-            current_block = (i, _POL_NAMES.index(toks[3]))
-        elif toks[0] == "s":
-            if current_block is None:
-                raise ModelError(f"line {lineno}: s record outside a scattered block")
-            if len(toks) != 7:
-                raise ModelError(f"line {lineno}: s record needs 6 fields")
-            j = dir_index(toks[1], toks[2], lineno)
-            i, q = current_block
-            scattered[i, q, j, 0] = complex(float(toks[3]), float(toks[4]))
-            scattered[i, q, j, 1] = complex(float(toks[5]), float(toks[6]))
-        else:
-            raise ModelError(f"line {lineno}: unknown record type {toks[0]!r}")
+        try:
+            if toks[0] == "b":
+                if len(toks) != 7:
+                    raise ModelError(f"line {lineno}: b record needs 6 fields")
+                i = dir_index(toks[1], toks[2], lineno)
+                if toks[3] not in _POL_NAMES:
+                    raise ModelError(f"line {lineno}: polarization must be theta or phi")
+                q = _POL_NAMES.index(toks[3])
+                m = number(toks[4], f"line {lineno}: port", int)
+                if not (0 <= m < m_ports):
+                    raise ModelError(f"line {lineno}: port {m} out of range")
+                v = complex(float(toks[5]), float(toks[6]))
+                if not cmath.isfinite(v):
+                    raise ModelError(f"line {lineno}: non-finite value")
+                port_waves[i, q, m] = v
+                n_b += 1
+            elif toks[0] == "scattered":
+                if len(toks) != 4:
+                    raise ModelError(f"line {lineno}: scattered block header needs 3 fields")
+                if scattered is None:
+                    scattered = np.full((grid.size, 2, grid.size, 2), np.nan, dtype=complex)
+                i = dir_index(toks[1], toks[2], lineno)
+                if toks[3] not in _POL_NAMES:
+                    raise ModelError(f"line {lineno}: polarization must be theta or phi")
+                current_block = (i, _POL_NAMES.index(toks[3]))
+            elif toks[0] == "s":
+                if current_block is None:
+                    raise ModelError(f"line {lineno}: s record outside a scattered block")
+                if len(toks) != 7:
+                    raise ModelError(f"line {lineno}: s record needs 6 fields")
+                j = dir_index(toks[1], toks[2], lineno)
+                i, q = current_block
+                v0 = complex(float(toks[3]), float(toks[4]))
+                v1 = complex(float(toks[5]), float(toks[6]))
+                if not (cmath.isfinite(v0) and cmath.isfinite(v1)):
+                    raise ModelError(f"line {lineno}: non-finite value")
+                scattered[i, q, j, 0] = v0
+                scattered[i, q, j, 1] = v1
+            else:
+                raise ModelError(f"line {lineno}: unknown record type {toks[0]!r}")
+        except ModelError:
+            raise
+        except ValueError as err:  # float() of a malformed token
+            raise ModelError(f"line {lineno}: {err}") from None
 
     if n_b == 0:
         raise ModelError("no records")

@@ -9,6 +9,7 @@ resolved relative to the scene file.
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from dataclasses import dataclass, field
@@ -17,6 +18,7 @@ import numpy as np
 import yaml
 
 from .beamform import BeamformProblem, x_copol
+from ._textio import number
 from .errors import ModelError
 from .farfield import Direction, DirectionGrid, make_latlon_grid
 from .network import (
@@ -41,25 +43,35 @@ from .radiating import (
 from .solver import ReconfigurableBuilder, ReMSModel
 
 
+def _vector3(value, where: str) -> np.ndarray:
+    """The 3-vector field `where`, each entry through number()."""
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ModelError(f"{where} must be a list of 3 numbers, got {value!r}")
+    return np.array([number(x, where) for x in value])
+
+
 def parse_complex(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, str):
-        try:
-            return complex(value.replace(" ", ""))
-        except ValueError:
-            raise ModelError(f"cannot parse complex value {value!r}") from None
-    raise ModelError(f"cannot parse complex value {value!r}")
+    try:
+        z = complex(value.replace(" ", "") if isinstance(value, str) else value)
+    except (TypeError, ValueError):
+        raise ModelError(f"cannot parse complex value {value!r}") from None
+    if not cmath.isfinite(z):
+        raise ModelError(f"complex value {value!r} is not finite")
+    return z
 
 
 def parse_complex_list(values) -> np.ndarray:
+    if not isinstance(values, (list, tuple)):
+        raise ModelError(f"expected a list of complex values, got {values!r}")
     return np.array([parse_complex(v) for v in values], dtype=complex)
 
 
 def parse_direction(pair) -> Direction:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ModelError(f"direction must be [theta_deg, phi_deg], got {pair!r}")
-    return Direction.from_degrees(float(pair[0]), float(pair[1]))
+    return Direction.from_degrees(
+        number(pair[0], "direction theta_deg"), number(pair[1], "direction phi_deg")
+    )
 
 
 def rotation_matrix(axis, angle_deg: float) -> np.ndarray:
@@ -75,6 +87,8 @@ def rotation_matrix(axis, angle_deg: float) -> np.ndarray:
 
 
 def _require(mapping, key, where):
+    if not isinstance(mapping, dict):
+        raise ModelError(f"{where} must be a mapping, got {mapping!r}")
     if key not in mapping:
         raise ModelError(f"{where}: missing required field {key!r}")
     return mapping[key]
@@ -120,14 +134,14 @@ class Scene:
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir: str = ".") -> "Scene":
-        frequency = float(_require(raw, "frequency_hz", "scene"))
-        if not (math.isfinite(frequency) and frequency > 0.0):
+        frequency = number(_require(raw, "frequency_hz", "scene"), "frequency_hz")
+        if frequency <= 0.0:
             raise ModelError("frequency_hz must be positive and finite")
-        r0 = float(raw.get("r0_ohms", 50.0))
+        r0 = number(raw.get("r0_ohms", 50.0), "r0_ohms")
         grid_spec = _require(raw, "grid", "scene")
         grid = make_latlon_grid(
-            int(_require(grid_spec, "n_theta", "scene grid")),
-            int(_require(grid_spec, "n_phi", "scene grid")),
+            number(_require(grid_spec, "n_theta", "scene grid"), "grid n_theta", int),
+            number(_require(grid_spec, "n_phi", "scene grid"), "grid n_phi", int),
         )
         return cls(
             frequency=frequency,
@@ -156,7 +170,8 @@ class Scene:
 
     def position(self, name: str) -> np.ndarray:
         spec = self.structure_spec(name)
-        return np.asarray(spec.get("position_m", [0.0, 0.0, 0.0]), dtype=float)
+        position = spec.get("position_m", [0.0, 0.0, 0.0])
+        return _vector3(position, f"structure {name!r} position_m")
 
     def structure(self, name: str, extra_rotation: np.ndarray | None = None) -> RadiatingStructure:
         """Build a structure; extra_rotation is applied about its own position.
@@ -168,29 +183,35 @@ class Scene:
         kind = _require(spec, "kind", f"structure {name!r}")
         rot = None
         if "rotation" in spec:
+            where = f"structure {name!r} rotation"
             rot = rotation_matrix(
-                _require(spec["rotation"], "axis", f"structure {name!r} rotation"),
-                float(_require(spec["rotation"], "angle_deg", f"structure {name!r} rotation")),
+                _vector3(_require(spec["rotation"], "axis", where), f"{where} axis"),
+                number(_require(spec["rotation"], "angle_deg", where), f"{where} angle_deg"),
             )
         if extra_rotation is not None:
             rot = extra_rotation @ rot if rot is not None else extra_rotation
 
-        def rotated(vec):
-            v = np.asarray(vec, dtype=float)
+        def rotated(vec, field):
+            v = _vector3(vec, f"structure {name!r} {field}")
             return rot @ v if rot is not None else v
 
         if kind == "dipole":
-            orientation = rotated(_require(spec, "orientation", f"structure {name!r}"))
+            orientation = rotated(_require(spec, "orientation", f"structure {name!r}"), "orientation")
             return hertzian_dipole(orientation, [0.0, 0.0, 0.0], self.grid, self.frequency)
         if kind == "dipole_array":
             elements = []
             for el in _require(spec, "elements", f"structure {name!r}"):
-                orientation = rotated(_require(el, "orientation", f"structure {name!r} element"))
-                position = rotated(el.get("position_m", [0.0, 0.0, 0.0]))
+                orientation = rotated(
+                    _require(el, "orientation", f"structure {name!r} element"), "element orientation"
+                )
+                position = rotated(el.get("position_m", [0.0, 0.0, 0.0]), "element position_m")
                 elements.append((orientation, position))
             coupling = None
             if "coupling" in spec:
-                gamma = float(_require(spec["coupling"], "gamma", f"structure {name!r} coupling"))
+                gamma = number(
+                    _require(spec["coupling"], "gamma", f"structure {name!r} coupling"),
+                    f"structure {name!r} coupling gamma",
+                )
                 coupling = synthetic_coupling(
                     [p for _, p in elements], wavenumber(self.frequency), gamma
                 )
@@ -235,14 +256,19 @@ class Scene:
             raise ModelError(f"unknown tuning {name!r}")
         spec = self.tunings[name]
         kind = _require(spec, "kind", f"tuning {name!r}")
+
+        def ports():
+            return number(_require(spec, "n", f"tuning {name!r}"), f"tuning {name!r} n", int, 0)
+
         if kind == "through":
-            return through_tuning(int(_require(spec, "n", f"tuning {name!r}")))
+            return through_tuning(ports())
         if kind == "inline":
             return inline_tuning(parse_complex_list(_require(spec, "gains", f"tuning {name!r}")))
         if kind == "matrix":
             rows = _require(spec, "s", f"tuning {name!r}")
             s = np.array([[parse_complex(v) for v in row] for row in rows])
-            return TuningNetwork(int(_require(spec, "n", f"tuning {name!r}")), s.shape[0] - int(spec["n"]), s)
+            n = ports()
+            return TuningNetwork(n, s.shape[0] - n, s)
         if kind == "touchstone":
             data = read_touchstone(self.resolve_path(_require(spec, "file", f"tuning {name!r}")))
             freqs = data.frequencies_hz
@@ -251,7 +277,7 @@ class Scene:
                 raise ModelError(
                     f"tuning {name!r}: no entry at {self.frequency} Hz in the file"
                 )
-            n = int(_require(spec, "n", f"tuning {name!r}"))
+            n = ports()
             s = data.matrices[int(match[0])]
             return TuningNetwork(n, s.shape[0] - n, s)
         raise ModelError(f"tuning {name!r}: unknown kind {kind!r}")
@@ -281,14 +307,19 @@ class Scene:
         if "values" in z_spec:
             z_set = tuple(parse_complex(v) for v in z_spec["values"])
         else:
-            resistance = float(_require(z_spec, "resistance", "problem z_set"))
+            resistance = number(
+                _require(z_spec, "resistance", "problem z_set"), "problem z_set resistance"
+            )
             react = _require(z_spec, "reactance", "problem z_set")
+            where = "problem z_set reactance"
             xs = np.linspace(
-                float(react["start"]), float(react["stop"]), int(react["count"])
+                number(_require(react, "start", where), f"{where} start"),
+                number(_require(react, "stop", where), f"{where} stop"),
+                number(_require(react, "count", where), f"{where} count", int, 1),
             )
             z_set = tuple(complex(resistance, x) for x in xs)
 
-        r = int(_require(spec, "r", "problem"))
+        r = number(_require(spec, "r", "problem"), "problem r", int, 0)
         fixed_kind = spec.get("fixed", "feedthrough_reflector")
         if fixed_kind != "feedthrough_reflector":
             raise ModelError(f"problem: unknown fixed network kind {fixed_kind!r}")
@@ -299,12 +330,17 @@ class Scene:
         sigma_spec = spec.get("sigma", {})
         from .beamform import geometric_schedule
 
+        i_max = number(spec.get("i_max", 10), "problem i_max", int, 0)
         schedule = geometric_schedule(
-            initial=float(sigma_spec.get("initial", 20.0)),
-            ratio=float(sigma_spec.get("ratio", 0.5)),
-            count=int(sigma_spec.get("count", spec.get("i_max", 10))),
+            initial=number(sigma_spec.get("initial", 20.0), "problem sigma initial"),
+            ratio=number(sigma_spec.get("ratio", 0.5), "problem sigma ratio"),
+            count=number(sigma_spec.get("count", i_max), "problem sigma count", int, 0),
         )
-        seed = int(spec.get("seed", 0)) if seed_override is None else int(seed_override)
+        seed = spec.get("seed", 0) if seed_override is None else seed_override
+        seed = number(seed, "problem seed", int, 0)
+        z_init_index = number(spec.get("z_init_index", 0), "problem z_init_index", int, 0)
+        if z_init_index >= len(z_set):
+            raise ModelError(f"problem z_init_index {z_init_index} outside a {len(z_set)}-entry z_set")
 
         problem = BeamformProblem(
             r=r,
@@ -312,8 +348,8 @@ class Scene:
             primary_dirs=tuple(parse_direction(p) for p in _require(spec, "primary_deg", "problem")),
             secondary_dirs=tuple(parse_direction(p) for p in spec.get("secondary_deg", [])),
             q_co=x_copol,
-            z_init=z_set[int(spec.get("z_init_index", 0))],
-            i_max=int(spec.get("i_max", 10)),
+            z_init=z_set[z_init_index],
+            i_max=i_max,
             sigma_schedule=schedule,
             rng_seed=seed,
         )

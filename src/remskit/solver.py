@@ -275,6 +275,8 @@ def solve_direct(
         x = np.asarray(x, dtype=complex)
         if x.shape != (size,):
             raise ModelError(f"{name} shape {x.shape} != ({size},)")
+        if not np.all(np.isfinite(x)):
+            raise ModelError(f"{name} must be finite")
         return x
 
     v_tx = vec(v_tx, fe.n_tx, "v_tx")
@@ -334,7 +336,7 @@ def solve_direct(
     check_condition(a, "direct interconnection system")
     x = np.linalg.solve(a, rhs)
     resid = np.max(np.abs(a @ x - rhs)) / max(1.0, float(np.max(np.abs(rhs))))
-    if resid > 1e-10:
+    if not resid <= 1e-10:
         raise NumericsError(f"direct solve residual {resid:.3e} exceeds 1e-10")
 
     a_t, b_t = x[sl_at], x[sl_bt]

@@ -13,7 +13,9 @@ from remskit import (
     TuningNetwork,
     random_passive_structure,
 )
+from remskit.channel import propagation_matrix
 from remskit.network import max_singular_value
+from remskit.radiating import random_reciprocal_structure
 
 FREQ = 5.4e9
 
@@ -84,6 +86,25 @@ def loop_blend(values, stencil):
         if w != 0.0:
             out += w * values[idx]
     return out
+
+
+def singular_loop_pair(grid, disp):
+    """Two 1-port structures whose bounce loop I - loop is singular to rounding.
+
+    The tx reduced kernel's theta-theta block is 1/c^2 for the propagation
+    coefficient c over |disp| and zero elsewhere; the rx reduced kernel is
+    the 2x2 identity. The loop's theta-theta entry is then 1 to rounding.
+    """
+    rng = np.random.default_rng(0)
+    tx = random_reciprocal_structure(grid, 1, rng, FREQ)
+    rx = random_reciprocal_structure(grid, 1, rng, FREQ)
+    c = propagation_matrix(float(np.linalg.norm(disp)), FREQ)[0, 0]
+    tx.scatter_kernel[:] = 0.0
+    tx.scatter_kernel[:, 0, :, 0] = 1.0 / c**2
+    rx.scatter_kernel[:] = 0.0
+    rx.scatter_kernel[:, 0, :, 0] = 1.0
+    rx.scatter_kernel[:, 1, :, 1] = 1.0
+    return tx, rx
 
 
 @pytest.fixture

@@ -6,8 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import FREQ
-from remskit import ModelError
+from conftest import FREQ, singular_loop_pair
+from remskit import ModelError, NumericsError
 from remskit.channel import (
     FAR_FIELD_GUIDELINE_WAVELENGTHS,
     cascade_unilateral,
@@ -90,10 +90,6 @@ def test_far_channel_input_validation():
         far_channel(s1, s2, [0.0, 3.0, 0.0])
     with pytest.raises(ModelError, match="co-located"):
         far_channel(s1, s1, [0.0, 0.0, 0.0])
-    with pytest.raises(ModelError, match="method"):
-        far_channel(s1, s1, [0.0, 3.0, 0.0], method="exact")
-    with pytest.raises(ModelError, match="at least 1"):
-        far_channel(s1, s1, [0.0, 3.0, 0.0], method="neumann", neumann_terms=0)
 
 
 def test_neumann_series_converges_to_direct_solve():
@@ -103,16 +99,32 @@ def test_neumann_series_converges_to_direct_solve():
     s2 = random_reciprocal_structure(grid, 2, rng, FREQ)
     disp = [1.0, 2.0, 0.7]
     direct = far_channel(s1, s2, disp)
-    # loop gain ~ (kernel * lambda/d)^2 is tiny here, so few terms suffice
-    series = far_channel(s1, s2, disp, method="neumann", neumann_terms=8)
-    assert np.max(np.abs(series - direct)) / np.max(np.abs(direct)) < 1e-12
-    # one term drops the bounce loop entirely
-    one = far_channel(s1, s2, disp, method="neumann", neumann_terms=1)
+    # loop gain ~ (kernel * lambda/d)^2 is tiny here, so few terms suffice:
+    # r2^T c sum_{k<8} loop^k t1, summed by hand
     d_fwd = direction_from_vector(disp)
     d_bwd = direction_from_vector([-x for x in disp])
     c = propagation_matrix(float(np.linalg.norm(disp)), FREQ)
-    bare = s2.rx_at(d_bwd).T @ c @ s1.tx_at(d_fwd)
-    assert np.array_equal(one, bare)
+    loop = s1.scatter_at(d_fwd, d_fwd) @ c @ s2.scatter_at(d_bwd, d_bwd) @ c
+    term = s1.tx_at(d_fwd)
+    core = term
+    for _ in range(7):
+        term = loop @ term
+        core = core + term
+    series = s2.rx_at(d_bwd).T @ c @ core
+    assert np.max(np.abs(series - direct)) / np.max(np.abs(direct)) < 1e-12
+
+
+def test_ill_conditioned_bounce_loop_raises():
+    grid = make_latlon_grid(8, 10)
+    disp = [0.0, 3.0, 0.0]
+    tx, rx = singular_loop_pair(grid, disp)
+    d_fwd = direction_from_vector(disp)
+    d_bwd = direction_from_vector([-x for x in disp])
+    c = propagation_matrix(3.0, FREQ)
+    loop = tx.scatter_at(d_fwd, d_fwd) @ c @ rx.scatter_at(d_bwd, d_bwd) @ c
+    assert np.linalg.cond(np.eye(2) - loop) > 1e15
+    with pytest.raises(NumericsError, match="bounce loop"):
+        far_channel(tx, rx, disp)
 
 
 def test_reciprocal_structures_give_reciprocal_channel():
@@ -162,7 +174,10 @@ def test_two_stage_cascade_is_the_bounce_free_channel():
     s2 = random_reciprocal_structure(grid, 2, rng, FREQ)
     disp = [0.5, 3.0, -1.0]
     got = cascade_unilateral([s1, s2], [disp])
-    bare = far_channel(s1, s2, disp, method="neumann", neumann_terms=1)
+    d_fwd = direction_from_vector(disp)
+    d_bwd = direction_from_vector([-x for x in disp])
+    c = propagation_matrix(float(np.linalg.norm(disp)), FREQ)
+    bare = s2.rx_at(d_bwd).T @ c @ s1.tx_at(d_fwd)
     # same factors, different matmul grouping, so allow rounding
     assert np.max(np.abs(got - bare)) <= 1e-14 * np.max(np.abs(bare))
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import FREQ
+from conftest import FREQ, singular_loop_pair
 from remskit.cli import main
 from remskit.farfield import FOUR_PI, make_latlon_grid
 from remskit.radiating import (
@@ -297,3 +297,101 @@ def test_optimize_determinism_contract(tmp_path):
     f2, fixed2 = fields(runs["2a"])
     assert fixed1 == fixed2 and len(fixed1) == 17
     assert f2 == pytest.approx(f1, rel=1e-12, abs=0.0)
+
+
+def _friis_scene():
+    with open(FRIIS, "r", encoding="utf-8") as fh:
+        return yaml.safe_load(fh)
+
+
+def _run_scene(tmp_path, command, scene, capsys):
+    p = tmp_path / "scene.yaml"
+    p.write_text(yaml.safe_dump(scene))
+    out = tmp_path / "out"
+    code = main([command, "--scene", str(p), "--out", str(out)])
+    return code, capsys.readouterr().err, out
+
+
+def test_non_finite_solve_drive_exits_one_and_writes_nothing(tmp_path, capsys):
+    scene = _friis_scene()
+    scene["solve"]["v_tx"] = [math.inf]
+    code, err, out = _run_scene(tmp_path, "solve", scene, capsys)
+    assert code == 1
+    assert "not finite" in err
+    assert not out.exists() or os.listdir(out) == []
+
+
+def test_non_finite_gain_pattern_drive_exits_one(tmp_path, capsys):
+    scene = _friis_scene()
+    scene["gain_pattern"]["v_tx"] = [math.nan]
+    code, err, out = _run_scene(tmp_path, "gain-pattern", scene, capsys)
+    assert code == 1
+    assert "not finite" in err
+    assert not out.exists() or os.listdir(out) == []
+
+
+def _set(scene, path, value):
+    node = scene
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "command, path, field",
+    [
+        ("solve", ("frequency_hz",), "frequency_hz"),
+        ("solve", ("grid", "n_theta"), "grid n_theta"),
+        ("solve", ("r0_ohms",), "r0_ohms"),
+        ("optimize", ("problem", "r"), "problem r"),
+        ("optimize", ("problem", "z_set", "reactance", "count"), "problem z_set reactance count"),
+        ("channel", ("channel", "sweep", "count"), "channel sweep count"),
+    ],
+)
+def test_non_numeric_scene_scalar_is_a_user_error(tmp_path, capsys, command, path, field):
+    scene = _friis_scene() if command != "optimize" else _optimize_scene()
+    if command == "optimize":
+        scene["problem"]["z_set"] = {
+            "resistance": 1.0,
+            "reactance": {"start": -80.0, "stop": 80.0, "count": 4},
+        }
+    _set(scene, path, "5.4 GHz")
+    code, err, out = _run_scene(tmp_path, command, scene, capsys)
+    assert code == 1
+    assert f"{field} must be a number, got '5.4 GHz'" in err
+    assert not out.exists() or os.listdir(out) == []
+
+
+def test_channel_port_outside_the_channel_matrix_is_a_user_error(tmp_path, capsys):
+    scene = _friis_scene()
+    scene["channel"]["ports"] = [0, 1]
+    code, err, _ = _run_scene(tmp_path, "channel", scene, capsys)
+    assert code == 1
+    assert "outside the 1x1 channel matrix" in err
+
+
+def test_ill_conditioned_bounce_loop_channel_exits_two(tmp_path, capsys):
+    # the two file-backed structures bounce a wave between them with loop
+    # gain 1 to rounding, so I - loop is singular
+    grid = make_latlon_grid(8, 10)
+    tx, rx = singular_loop_pair(grid, [0.0, 3.0, 0.0])
+    for name, s in (("tx", tx), ("rx", rx)):
+        write_response_file(synthesize_plane_wave_responses(s), str(tmp_path / f"{name}.rsp"))
+    scene = {
+        "frequency_hz": FREQ,
+        "grid": {"n_theta": 8, "n_phi": 10},
+        "structures": [
+            {"name": "tx", "kind": "from_files", "response_file": "tx.rsp"},
+            {
+                "name": "rx",
+                "kind": "from_files",
+                "response_file": "rx.rsp",
+                "position_m": [0.0, 3.0, 0.0],
+            },
+        ],
+        "channel": {"pair": ["tx", "rx"]},
+    }
+    code, err, out = _run_scene(tmp_path, "channel", scene, capsys)
+    assert code == 2
+    assert "numeric failure: far-field bounce loop" in err
+    assert not (out / "channel.csv").exists()

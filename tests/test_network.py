@@ -324,6 +324,21 @@ def test_touchstone_rejections():
         parse_touchstone("# GHz S RI R 50\n1.0 0.0 0.0\n", n_ports=3)
     with pytest.raises(ModelError, match="no data lines"):
         parse_touchstone("# GHz S RI R 50\n")
+    cases = [
+        ("# GHz S RI R abc\n1.0 0.5 0.0\n", "line 1: option R must be a number"),
+        ("# GHz S RI R nan\n1.0 0.5 0.0\n", "line 1: option R must be finite"),
+        ("# GHz S RI R 0\n1.0 0.5 0.0\n", "reference resistance 0.0 must be positive"),
+        ("# GHz S RI R 50\n1.0 0.5 0.0\n2.0 nan 0.0\n", "line 3: non-numeric token 'nan'"),
+        ("# GHz S RI R 50\ninf 0.5 0.0\n", "frequencies must be finite"),
+        ("# GHz S RI R 50\ninf 0.5 0.0\ninf 0.5 0.0\n", "frequencies must be finite"),
+        ("# GHz S RI R 50\n1.0 inf 0.0\n", "S-parameter data must be finite"),
+        ("# GHz S DB R 50\n1.0 -20.0 inf\n", "S-parameter data must be finite"),
+    ]
+    for text, match in cases:
+        with pytest.raises(ModelError, match=match):
+            parse_touchstone(text)
+    with pytest.raises(ModelError, match="0-port"):
+        parse_touchstone("1.0 0.5 0.0\n", n_ports=0)
 
 
 @pytest.mark.parametrize("fmt", ["ri", "ma", "db"])

@@ -34,6 +34,7 @@ from remskit.radiating import (
     C_LIGHT,
     Z0_FREE_SPACE,
     PlaneWaveResponseSet,
+    _dipole_kernel,
     mirror_matrix,
     parse_response_text,
     power_balance,
@@ -82,6 +83,24 @@ def test_dipole_kernel_analytic():
     # minimal-scattering idealization: reciprocal, no reduced scatter kernel
     np.testing.assert_array_equal(s.rx_kernel, s.tx_kernel)
     assert s.scatter_kernel is None
+
+
+@pytest.mark.parametrize(
+    "orientation, position",
+    [([1.0, 0.0, 0.0], [0.01, -0.02, 0.005]), ([0.0, 0.6, 0.8], [0.0, 0.0, 0.0])],
+)
+def test_hertzian_dipole_is_the_one_element_array(orientation, position):
+    g = make_latlon_grid(8, 10)
+    s = hertzian_dipole(orientation, position, g, FREQ)
+    ref = dipole_array([(orientation, position)], g, FREQ)
+    # and the single kernel on its own, bit for bit
+    kern = _dipole_kernel(orientation, position, g, wavenumber(FREQ))[None]
+    for other in (ref.tx_kernel, ref.rx_kernel, kern):
+        np.testing.assert_array_equal(s.tx_kernel, other)
+        np.testing.assert_array_equal(s.rx_kernel, other)
+    assert s.m_ports == 1 and s.scatter_kernel is None and ref.scatter_kernel is None
+    np.testing.assert_array_equal(s.coupling, np.zeros((1, 1)))
+    assert s.frequency == FREQ and s.grid is g
 
 
 def test_dipole_radiated_power_normalized():
@@ -354,6 +373,39 @@ def test_response_parser_diagnostics():
         parse_response_text(text + "q 1 2 3\n")
     # comments and blank lines are fine
     assert parse_response_text(text + "\n# trailing comment\n").m_ports == 1
+
+    def parse_with(lineno, line):
+        return parse_response_text("\n".join(lines[: lineno - 1] + [line] + lines[lineno:]) + "\n")
+
+    cases = [
+        (2, "frequency_hz", "line 2: frequency_hz header has 0 values"),
+        (2, "frequency_hz 5.4 GHz", "line 2: frequency_hz header has 2 values"),
+        (2, "frequency_hz -1.0", "line 2: frequency_hz must be positive"),
+        (3, "grid 8", "line 3: grid header has 1 values"),
+        (3, "grid 2 x", "line 3: grid must be a number"),
+        (4, "ports x", "line 4: ports must be a number"),
+        (4, "ports 0", "line 4: ports must be at least 1"),
+        (4, "ports 1.5", "line 4: ports must be an integer"),
+        (5, "b 45.0 0.0 theta 1.5 0.0 0.0", "line 5: port must be an integer"),
+        (5, "b 45.0 0.0 theta 0 abc 0.0", "line 5: could not convert"),
+        (5, "b 45.0 x theta 0 0.0 0.0", "line 5: could not convert"),
+        (5, "b 45.0 0.0 theta 0 inf 0.0", "line 5: non-finite value"),
+    ]
+    for lineno, line, match in cases:
+        with pytest.raises(ModelError, match=match):
+            parse_with(lineno, line)
+
+
+def test_response_parser_rejects_non_finite_scatter_values():
+    g = make_latlon_grid(2, 2)
+    s = random_reciprocal_structure(g, 1, np.random.default_rng(4), FREQ)
+    lines = response_to_text(synthesize_plane_wave_responses(s)).splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith("s "))
+    toks = lines[k].split()
+    toks[6] = "nan"
+    lines[k] = " ".join(toks)
+    with pytest.raises(ModelError, match=f"line {k + 1}: non-finite value"):
+        parse_response_text("\n".join(lines) + "\n")
 
 
 def test_response_file_io(tmp_path):

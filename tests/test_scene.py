@@ -39,11 +39,16 @@ def test_parse_complex_accepts_numbers_and_strings():
         parse_complex(None)
     with pytest.raises(ModelError, match="cannot parse"):
         parse_complex({"re": 1.0})
+    for bad in (math.inf, math.nan, "nan", "1+infj"):
+        with pytest.raises(ModelError, match="not finite"):
+            parse_complex(bad)
 
 
 def test_parse_complex_list():
     got = parse_complex_list(["1+2j", 3, "4j"])
     assert np.array_equal(got, np.array([1 + 2j, 3 + 0j, 4j]))
+    with pytest.raises(ModelError, match="list of complex values"):
+        parse_complex_list("1+2j")
 
 
 def test_parse_direction_degrees():

@@ -319,6 +319,24 @@ def test_solve_input_validation():
         solve_direct(model, v_tx=[1.0])  # needs 2 entries
     with pytest.raises(ModelError):
         solve_direct(model, b_in=random_pattern(rng, make_latlon_grid(4, 6)))
+    with pytest.raises(ModelError, match="v_tx must be finite"):
+        solve_direct(model, v_tx=[1.0, math.inf])
+    with pytest.raises(ModelError, match="v_gamma must be finite"):
+        solve_direct(model, v_gamma=[complex(0.0, math.nan)])
+    with pytest.raises(ModelError, match="v_upsilon must be finite"):
+        solve_direct(model, v_upsilon=[0.0, -math.inf])
+
+
+def test_nan_residual_fails_the_residual_gate():
+    # a NaN in the incident pattern reaches the right-hand side; the NaN
+    # residual must fail the gate, not slip past a `resid > tol` test
+    grid = make_latlon_grid(4, 4)
+    rng = np.random.default_rng(38)
+    model = random_model(rng, grid, n_tx=1, n_rx=1, m=2)
+    b_in = random_pattern(rng, grid)
+    b_in.values[3, 0] = math.nan
+    with pytest.raises(NumericsError, match="residual nan"):
+        solve_direct(model, v_tx=[1.0], b_in=b_in)
 
 
 def test_model_shape_validation():

@@ -26,7 +26,7 @@ from .radiating import (
     extract_scatter_kernel,
     read_response_file,
 )
-from .scene import Scene, _require, parse_complex_list, rotation_matrix
+from .scene import Scene, _mapping, _require, parse_complex_list, rotation_matrix
 from .solver import gain_operators, solve_direct
 
 _POL_NAMES = ("theta", "phi")
@@ -189,9 +189,9 @@ def cmd_solve(args) -> int:
 
 def cmd_channel(args) -> int:
     scene = Scene.load(args.scene)
-    spec = scene.channel_spec
-    if spec is None:
+    if scene.channel_spec is None:
         raise ModelError("scene has no channel block")
+    spec = _mapping(scene.channel_spec, "channel block")
     pair = spec.get("pair")
     if not pair or len(pair) != 2:
         raise ModelError("channel block needs pair: [tx_name, rx_name]")
@@ -219,6 +219,8 @@ def cmd_channel(args) -> int:
         return mat[out_port, in_port]
 
     sweep = spec.get("sweep")
+    if sweep is not None:
+        _mapping(sweep, "channel sweep")
     rows = []
     if sweep is None:
         s = entry(scene.structure(name2), disp)
@@ -304,6 +306,7 @@ def cmd_gain_pattern(args) -> int:
 def cmd_optimize(args) -> int:
     scene = Scene.load(args.scene)
     problem, model_builder = scene.beamform_problem(seed_override=args.seed)
+    pattern_spec = _mapping(scene.problem_spec.get("pattern", {}), "problem pattern")
     result = coordinate_ascent(problem, model_builder)
 
     buf = io.StringIO()
@@ -324,7 +327,6 @@ def cmd_optimize(args) -> int:
     # gain-pattern slice per stream at the optimized configuration
     model = model_builder(result.z_r)
     ops = gain_operators(model)
-    pattern_spec = (scene.problem_spec or {}).get("pattern", {})
     for u, d in enumerate(problem.primary_dirs):
         col = result.t[:, u]
         p_a = model.frontend.available_power(col)

@@ -86,10 +86,14 @@ def rotation_matrix(axis, angle_deg: float) -> np.ndarray:
     return math.cos(a) * np.eye(3) + math.sin(a) * ux + (1 - math.cos(a)) * np.outer(u, u)
 
 
+def _mapping(value, where):
+    if not isinstance(value, dict):
+        raise ModelError(f"{where} must be a mapping, got {value!r}")
+    return value
+
+
 def _require(mapping, key, where):
-    if not isinstance(mapping, dict):
-        raise ModelError(f"{where} must be a mapping, got {mapping!r}")
-    if key not in mapping:
+    if key not in _mapping(mapping, where):
         raise ModelError(f"{where}: missing required field {key!r}")
     return mapping[key]
 
@@ -266,6 +270,10 @@ class Scene:
             return inline_tuning(parse_complex_list(_require(spec, "gains", f"tuning {name!r}")))
         if kind == "matrix":
             rows = _require(spec, "s", f"tuning {name!r}")
+            if not isinstance(rows, (list, tuple)) or not all(
+                isinstance(row, (list, tuple)) and len(row) == len(rows) for row in rows
+            ):
+                raise ModelError(f"tuning {name!r} s must be a square list of rows, got {rows!r}")
             s = np.array([[parse_complex(v) for v in row] for row in rows])
             n = ports()
             return TuningNetwork(n, s.shape[0] - n, s)
@@ -327,7 +335,7 @@ class Scene:
             structure, frontend, feedthrough_reflector_fixed(n, m, r)
         )
 
-        sigma_spec = spec.get("sigma", {})
+        sigma_spec = _mapping(spec.get("sigma", {}), "problem sigma")
         from .beamform import geometric_schedule
 
         i_max = number(spec.get("i_max", 10), "problem i_max", int, 0)

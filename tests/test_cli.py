@@ -362,6 +362,22 @@ def test_non_numeric_scene_scalar_is_a_user_error(tmp_path, capsys, command, pat
     assert not out.exists() or os.listdir(out) == []
 
 
+@pytest.mark.parametrize(
+    "command, path, field",
+    [
+        ("channel", ("channel", "sweep"), "channel sweep"),
+        ("optimize", ("problem", "pattern"), "problem pattern"),
+    ],
+)
+def test_non_mapping_scene_block_is_a_user_error(tmp_path, capsys, command, path, field):
+    scene = _friis_scene() if command == "channel" else _optimize_scene()
+    _set(scene, path, "distance")
+    code, err, out = _run_scene(tmp_path, command, scene, capsys)
+    assert code == 1
+    assert f"{field} must be a mapping, got 'distance'" in err
+    assert not out.exists() or os.listdir(out) == []
+
+
 def test_channel_port_outside_the_channel_matrix_is_a_user_error(tmp_path, capsys):
     scene = _friis_scene()
     scene["channel"]["ports"] = [0, 1]

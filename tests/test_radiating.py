@@ -1,9 +1,13 @@
 """Radiating-structure kernels, passivity, reciprocity, extraction, and io."""
 
 import math
+import os
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from remskit import (
     Direction,
@@ -34,7 +38,9 @@ from remskit.radiating import (
     C_LIGHT,
     Z0_FREE_SPACE,
     PlaneWaveResponseSet,
+    RadiatingStructure,
     _dipole_kernel,
+    _weighted_operator_norm,
     mirror_matrix,
     parse_response_text,
     power_balance,
@@ -43,11 +49,12 @@ from remskit.radiating import (
     wavenumber,
 )
 
-from remskit.scene import rotation_matrix
+from remskit.scene import Scene, rotation_matrix
 
 from conftest import FREQ, loop_blend, loop_stencil, random_pattern
 
 LAMBDA = C_LIGHT / FREQ
+SCENES = os.path.join(os.path.dirname(__file__), os.pardir, "scenes")
 
 
 def test_physical_constants():
@@ -246,7 +253,9 @@ def _full_weighted_operator(s):
     n, m = g.size, s.m_ports
     sqw = np.repeat(np.sqrt(g.weights), 2)
     top = np.hstack([s.coupling, s.rx_kernel.reshape(m, 2 * n) * sqw[None, :]])
-    scatter_w = sqw[:, None] * s.scatter_kernel.reshape(2 * n, 2 * n) * sqw[None, :]
+    scatter_w = 0.0
+    if s.scatter_kernel is not None:
+        scatter_w = sqw[:, None] * s.scatter_kernel.reshape(2 * n, 2 * n) * sqw[None, :]
     bottom = np.hstack(
         [sqw[:, None] * s.tx_kernel.reshape(m, 2 * n).T, scatter_w + mirror_matrix(g)]
     )
@@ -289,6 +298,69 @@ def test_dipole_array_passivity_rescale():
     # the rescale keeps the structure exactly reciprocal
     rep = check_reciprocity(s, 1e-12)
     assert rep.coupling_ok and rep.kernel_ok and rep.scatter_ok
+
+
+@settings(max_examples=60)
+@given(
+    n_theta=st.integers(2, 8),
+    half_n_phi=st.integers(1, 5),
+    m=st.integers(1, 4),
+    gamma=st.one_of(st.floats(0.0, 0.2), st.floats(1.0, 3.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_theta=2, half_n_phi=1, m=4, gamma=2.5, seed=3)  # 2M >= 2n: no complement
+@example(n_theta=2, half_n_phi=1, m=4, gamma=0.0, seed=4)
+def test_reduced_passivity_norm_is_the_dense_svd(n_theta, half_n_phi, m, gamma, seed):
+    g = make_latlon_grid(n_theta, 2 * half_n_phi)
+    rng = np.random.default_rng(seed)
+    axes = rng.standard_normal((m, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    positions = rng.uniform(-0.5, 0.5, (m, 3)) * LAMBDA
+    elements = list(zip(axes, positions))
+    coup = synthetic_coupling(positions, wavenumber(FREQ), gamma)
+
+    plain = dipole_array(elements, g, FREQ, coupling=coup)
+    assert plain.scatter_kernel is None
+    dense = float(np.linalg.svd(_full_weighted_operator(plain), compute_uv=False)[0])
+    sigma = _weighted_operator_norm(plain.coupling, plain.tx_kernel, plain.rx_kernel, g)
+    assert sigma == pytest.approx(dense, rel=1e-12, abs=0.0)
+    # the mirror block alone has norm 1, so every certified array is rescaled
+    assert dense >= 1.0 - 1e-12
+
+    s = dipole_array(elements, g, FREQ, coupling=coup, enforce_passivity=True)
+    scale = sigma * (1.0 + 1e-12)
+    assert np.array_equal(s.coupling, plain.coupling / scale)
+    assert np.array_equal(s.tx_kernel, plain.tx_kernel / scale)
+    assert np.array_equal(s.rx_kernel, plain.rx_kernel / scale)
+    certified = float(np.linalg.svd(_full_weighted_operator(s), compute_uv=False)[0])
+    assert certified <= 1.0 + 1e-9
+
+    # kernels without the dipoles' antipodal symmetry (P K_w = -conj(K_w)), rx != tx
+    def draw(*shape):
+        return gamma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    generic = RadiatingStructure(
+        m, draw(m, m), draw(m, g.size, 2), draw(m, g.size, 2), None, g, FREQ
+    )
+    dense = float(np.linalg.svd(_full_weighted_operator(generic), compute_uv=False)[0])
+    sigma = _weighted_operator_norm(generic.coupling, generic.tx_kernel, generic.rx_kernel, g)
+    assert sigma == pytest.approx(dense, rel=1e-12, abs=0.0)
+
+
+def test_case_study_geometry_certifies_at_36x72():
+    with open(os.path.join(SCENES, "rra_case_study.yaml"), "r", encoding="utf-8") as fh:
+        raw = yaml.safe_load(fh)
+    raw["grid"] = {"n_theta": 36, "n_phi": 72}
+    scene = Scene.from_dict(raw, base_dir=SCENES)
+    s = scene.structure(raw["problem"]["structure"])
+    assert s.grid.size == 36 * 72 and s.scatter_kernel is not None
+    rep = check_reciprocity(s, 1e-12)
+    assert rep.coupling_ok and rep.kernel_ok and rep.scatter_ok
+    rng = np.random.default_rng(36)
+    for _ in range(20):
+        a = rng.standard_normal(s.m_ports) + 1j * rng.standard_normal(s.m_ports)
+        p_in, p_out = power_balance(s, a, random_pattern(rng, s.grid))
+        assert p_out <= p_in * (1.0 + 1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,15 @@ def test_tuning_kinds(tmp_path):
         scene.tuning("nope")
 
 
+def test_matrix_tuning_rows_must_form_a_square():
+    for rows in ([["0", "1"], ["1"]], [["0", "1"]], "0 1", [["0", "1"], "01"]):
+        scene = Scene.from_dict(
+            _base_dict(tunings=[{"name": "rag", "kind": "matrix", "n": 1, "s": rows}])
+        )
+        with pytest.raises(ModelError, match="tuning 'rag' s must be a square list of rows"):
+            scene.tuning("rag")
+
+
 def test_touchstone_tuning_needs_matching_frequency(tmp_path):
     ts = TouchstoneData.from_matrices(
         frequencies_hz=np.array([1.0e9]),

@@ -22,6 +22,7 @@ from .channel import far_channel
 from .errors import ModelError, NumericsError
 from .farfield import FOUR_PI, Direction, make_latlon_grid, write_pattern_csv
 from .radiating import (
+    _scatter_asymmetry,
     extract_rx_kernel,
     extract_scatter_kernel,
     read_response_file,
@@ -80,6 +81,7 @@ def cmd_grid(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    tol = None if args.tol is None else number(args.tol, "extract --tol", low=0.0)
     resp = read_response_file(args.response)
     rx = extract_rx_kernel(resp)
     scatter = extract_scatter_kernel(resp) if resp.scattered is not None else None
@@ -110,11 +112,11 @@ def cmd_extract(args) -> int:
                             f"{fmt(th_deg[j])} {fmt(ph_deg[j])} {_POL_NAMES[c_in]} "
                             f"{fmt(v.real)} {fmt(v.imag)}\n"
                         )
-        dev = float(np.max(np.abs(scatter - scatter.transpose(2, 3, 0, 1))))
-        if args.tol is not None and dev > args.tol:
+        dev = _scatter_asymmetry(scatter)
+        if tol is not None and dev > tol:
             print(
                 f"note: reduced scattering kernel asymmetry {dev:.3e} exceeds "
-                f"tolerance {args.tol:.3e}",
+                f"tolerance {tol:.3e}",
                 file=sys.stderr,
             )
     path = os.path.join(_out_dir(args), "kernels.txt")

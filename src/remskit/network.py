@@ -73,46 +73,27 @@ def check_condition(mat: np.ndarray, what: str) -> None:
         raise NumericsError(f"{what}: condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
 
 
-def checked_inv(a: np.ndarray, what: str, failed: np.ndarray | None = None) -> np.ndarray:
+def checked_inv(a: np.ndarray, what: str) -> np.ndarray:
     """Inverse of a matrix, or of each matrix of a (..., k, k) stack, under check_condition's rule.
 
     ||A||_F ||A^-1||_F bounds the 2-norm condition number from above, so a
     matrix whose bound is at most CERTIFIED_COND passes without an SVD; the
     1e-3 margin to COND_LIMIT covers the rounding in the computed inverse, so
-    the decision is the one check_condition makes. Every other matrix gets
-    check_condition's exact rule, and one the LU factorization finds singular
-    fails. Without `failed`, a failing matrix raises NumericsError. With a
-    boolean array of the stack's shape, failing matrices are marked there and
-    get a zero inverse instead; matrices already marked are not checked.
+    the decision is the one check_condition makes. Every other matrix gets the
+    exact rule, a singular one (LU) fails with condition number inf, and the
+    first failing matrix raises NumericsError.
     """
     a = np.asarray(a)
-    if a.shape[-1] == 0:
-        return np.linalg.inv(a)
-    singular = np.zeros(a.shape[:-2], dtype=bool)
     try:
         inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError:  # one singular matrix stops the stacked call
-        inv = np.zeros_like(a)
-        for idx in np.ndindex(singular.shape):
-            try:
-                inv[idx] = np.linalg.inv(a[idx])
-            except np.linalg.LinAlgError:
-                singular[idx] = True
+    except np.linalg.LinAlgError:
+        raise NumericsError(f"{what}: condition number inf exceeds {COND_LIMIT:.0e}") from None
     with np.errstate(over="ignore", invalid="ignore"):
         bound2 = _frobenius2(a) * _frobenius2(inv)
-    todo = singular | ~(bound2 <= CERTIFIED_COND**2)
-    if failed is not None:
-        todo &= ~failed
-    if not todo.any():
-        return inv
-    for idx in map(tuple, np.argwhere(todo)):
-        cond = math.inf if singular[idx] else condition_number(a[idx])
-        if cond <= COND_LIMIT:
-            continue
-        if failed is None:
-            raise NumericsError(f"{what}: condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
-        failed[idx] = True
-        inv[idx] = 0.0
+    uncertified = ~(bound2 <= CERTIFIED_COND**2)
+    if uncertified.any():  # np.argwhere costs more than a small inverse; skip it when all pass
+        for idx in map(tuple, np.argwhere(uncertified)):
+            check_condition(a[idx], what)
     return inv
 
 
@@ -122,16 +103,13 @@ def _frobenius2(x: np.ndarray) -> np.ndarray:
     return np.vecdot(flat, flat).real
 
 
-def reduce_terminated_ports(
-    s: np.ndarray, keep, gamma, failed: np.ndarray | None = None
-) -> np.ndarray:
+def reduce_terminated_ports(s: np.ndarray, keep, gamma) -> np.ndarray:
     """Fold reflective terminations into a smaller scattering matrix.
 
     Ports in `keep` stay external; every other port p is terminated with the
     reflection gamma[k] (ordered as the terminated ports appear in s). The
     result is S_AA + S_AB G (I - S_BB G)^-1 S_BA. A (..., t) stack of
-    reflection vectors gives the (..., a, a) stack of reduced matrices;
-    `failed` is as in checked_inv.
+    reflection vectors gives the (..., a, a) stack of reduced matrices.
     """
     s = np.asarray(s, dtype=complex)
     n = s.shape[0]
@@ -151,7 +129,7 @@ def reduce_terminated_ports(
     s_bb = s[np.ix_(term, term)]
     g = gamma[..., None, :]  # G is diagonal: scale the columns
     loop = np.eye(len(term)) - s_bb * g
-    return s_aa + (s_ab * g) @ (checked_inv(loop, "terminated-port reduction", failed) @ s_ba)
+    return s_aa + (s_ab * g) @ (checked_inv(loop, "terminated-port reduction") @ s_ba)
 
 
 # ---------------------------------------------------------------------------
@@ -230,15 +208,13 @@ def feedthrough_reflector_fixed(n: int, m: int, r: int) -> np.ndarray:
     return s
 
 
-def reconfigurable_tuning(
-    fixed_s: np.ndarray, n: int, m: int, gammas, failed: np.ndarray | None = None
-) -> TuningNetwork:
+def reconfigurable_tuning(fixed_s: np.ndarray, n: int, m: int, gammas) -> TuningNetwork:
     """Terminate the trailing control ports of fixed_s with reflections.
 
     A (K, r) stack of reflections gives a network holding K scattering
-    matrices; `failed` is as in checked_inv.
+    matrices.
     """
-    return TuningNetwork(n, m, reduce_terminated_ports(fixed_s, range(n + m), gammas, failed))
+    return TuningNetwork(n, m, reduce_terminated_ports(fixed_s, range(n + m), gammas))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .beamform import BeamformProblem, x_copol
+from .beamform import BeamformProblem, geometric_schedule, x_copol
 from ._textio import number
 from .errors import ModelError
 from .farfield import Direction, DirectionGrid, make_latlon_grid
@@ -336,8 +336,6 @@ class Scene:
         )
 
         sigma_spec = _mapping(spec.get("sigma", {}), "problem sigma")
-        from .beamform import geometric_schedule
-
         i_max = number(spec.get("i_max", 10), "problem i_max", int, 0)
         schedule = geometric_schedule(
             initial=number(sigma_spec.get("initial", 20.0), "problem sigma initial"),

@@ -60,7 +60,8 @@ class ReconfigurableBuilder:
     fixed_s is the (N + M + r)-port fixed network, ports ordered [frontend |
     radiating | control]. Calling the builder with r load impedances (ohms,
     referenced to r0) terminates control port j in load j and returns that
-    configuration's ReMSModel.
+    configuration's ReMSModel; a (K, r) stack of impedances gives one model
+    whose tuning network holds the K configurations' networks.
     """
 
     structure: RadiatingStructure
@@ -72,22 +73,9 @@ class ReconfigurableBuilder:
         return self.frontend.r0
 
     def __call__(self, z_values) -> ReMSModel:
-        return self._model(z_values)
-
-    def transmit_stack(self, z_stack):
-        """(K, M, n_tx) transmit operators core_tx of K load configurations (K, r).
-
-        Also returns the (K,) mask of the configurations that fail a condition
-        check of transmit_operator; their core_tx entries are meaningless.
-        """
-        failed = np.zeros(len(z_stack), dtype=bool)
-        _, _, core_tx = transmit_operator(self._model(z_stack, failed), failed)
-        return core_tx, failed
-
-    def _model(self, z_values, failed=None) -> ReMSModel:
         gammas = reflection_coefficient(np.asarray(z_values, dtype=complex), self.r0)
         n, m = self.frontend.n, self.structure.m_ports
-        tuning = reconfigurable_tuning(self.fixed_s, n, m, gammas, failed)
+        tuning = reconfigurable_tuning(self.fixed_s, n, m, gammas)
         return ReMSModel(structure=self.structure, tuning=tuning, frontend=self.frontend)
 
 
@@ -145,42 +133,42 @@ class GainOperators:
         return self.g_vupsilon_vrx @ np.asarray(v_upsilon, dtype=complex)
 
 
-def _transmit_loops(model: ReMSModel, failed=None):
+def _transmit_loops(model: ReMSModel):
     """(a_r, a_t, core_tx) after the checks of loops I - L2 and I - L1 - L3."""
     fe, tn, c = model.frontend, model.tuning, model.structure.coupling
     s_rf = fe.s_rf()
     l1 = s_rf @ tn.s_tt
     l2 = tn.s_rr @ c
-    a_r = checked_inv(np.eye(c.shape[0]) - l2, "radiating-side loop (I - L2)", failed)
+    a_r = checked_inv(np.eye(c.shape[0]) - l2, "radiating-side loop (I - L2)")
     l3 = s_rf @ tn.s_tr @ c @ a_r @ tn.s_rt
-    a_t = checked_inv(np.eye(fe.n) - l1 - l3, "transmit loop (I - L1 - L3)", failed)
+    a_t = checked_inv(np.eye(fe.n) - l1 - l3, "transmit loop (I - L1 - L3)")
     core_tx = a_r @ tn.s_rt @ a_t @ fe.k_vtx()
     return a_r, a_t, core_tx
 
 
-def _receive_loops(model: ReMSModel, failed=None):
+def _receive_loops(model: ReMSModel):
     """(b_t, b_r) after the checks of loops I - L5 and I - L6 - L7."""
     fe, tn, c = model.frontend, model.tuning, model.structure.coupling
     s_rf = fe.s_rf()
     l5 = tn.s_tt @ s_rf
-    b_t = checked_inv(np.eye(fe.n) - l5, "frontend reflection loop (I - L5)", failed)
+    b_t = checked_inv(np.eye(fe.n) - l5, "frontend reflection loop (I - L5)")
     l6 = c @ tn.s_rr
     l7 = c @ tn.s_rt @ s_rf @ b_t @ tn.s_tr
-    b_r = checked_inv(np.eye(c.shape[0]) - l6 - l7, "receive loop (I - L6 - L7)", failed)
+    b_r = checked_inv(np.eye(c.shape[0]) - l6 - l7, "receive loop (I - L6 - L7)")
     return b_t, b_r
 
 
-def transmit_operator(model: ReMSModel, failed=None):
-    """(a_r, a_t, core_tx): the resolved transmit loops and v_tx -> a_R tilde.
+def transmit_operator(model: ReMSModel) -> np.ndarray:
+    """(M, n_tx) transmit operator core_tx: v_tx -> a_R tilde.
 
-    The receive-side loops are checked too, so this accepts exactly the
-    models gain_operators accepts. A tuning network holding a (K, ., .) stack
-    gives results stacked the same way; `failed` is as in
-    network.checked_inv.
+    The receive-side loops are checked too, after the transmit loops, so this
+    accepts exactly the models gain_operators accepts and raises the same
+    error. A tuning network holding a (K, ., .) stack gives the (K, M, n_tx)
+    stack of operators.
     """
-    out = _transmit_loops(model, failed)
-    _receive_loops(model, failed)
-    return out
+    core_tx = _transmit_loops(model)[2]
+    _receive_loops(model)
+    return core_tx
 
 
 def gain_operators(model: ReMSModel) -> GainOperators:

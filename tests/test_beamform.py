@@ -36,7 +36,13 @@ from remskit.network import (
     reflection_coefficient,
 )
 from remskit.radiating import RadiatingStructure, random_reciprocal_structure
-from remskit.solver import ReconfigurableBuilder, ReMSModel, gain_operators, rems_gain
+from remskit.solver import (
+    ReconfigurableBuilder,
+    ReMSModel,
+    gain_operators,
+    rems_gain,
+    transmit_operator,
+)
 
 CASE_STUDY = os.path.join(os.path.dirname(__file__), os.pardir, "scenes", "rra_case_study.yaml")
 
@@ -341,13 +347,15 @@ def _reference_scores(problem, builder, candidates, sigma):
 
 
 def _stacked_scores(problem, builder, candidates, sigma):
-    core_tx, failed = builder.transmit_stack(candidates)
+    """Scores from one stacked build; the per-candidate ones if the stacked build raises."""
+    try:
+        core_tx = transmit_operator(builder(candidates))
+    except NumericsError:
+        reference = _reference_scores(problem, builder, candidates, sigma)
+        return [None if isinstance(r, NumericsError) else r for r in reference]
     dirs = tuple(problem.primary_dirs) + tuple(problem.secondary_dirs)
     mats = builder.structure.tx_at(dirs) @ core_tx[:, None]
-    return [
-        None if bad else evaluate_candidate(problem, builder, z, sigma, g)
-        for z, bad, g in zip(candidates, failed, mats)
-    ]
+    return [evaluate_candidate(problem, builder, z, sigma, g) for z, g in zip(candidates, mats)]
 
 
 def _assert_scores_agree(stacked, reference):

@@ -162,6 +162,13 @@ def test_extract_reports_kernel_asymmetry(tmp_path, capsys):
     assert "asymmetry" in capsys.readouterr().err
     text = (tmp_path / "kernels.txt").read_text().splitlines()
     assert sum(1 for line in text if line.startswith("scatter ")) == (2 * grid.size) ** 2
+    # a non-finite or negative tolerance is refused before the file is read
+    for tol in ("nan", "inf", "-1e-3"):
+        out = tmp_path / f"tol{tol}"
+        argv = ["extract", "--response", str(rsp), "--out", str(out), f"--tol={tol}"]
+        assert main(argv) == 1
+        assert "--tol must be" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_out_dir_environment_fallback(tmp_path, monkeypatch):

@@ -147,15 +147,16 @@ def test_checked_inv_decides_like_check_condition(monkeypatch):
             with pytest.raises(NumericsError, match=re.escape(str(err.value))):
                 checked_inv(mat, "probe")
 
-    # a stack with singular members is handled matrix by matrix
+    # a stack raises on a failing member and is np.linalg.inv when none fails
     stack = np.array(mats)
-    failed = np.zeros(len(mats), dtype=bool)
-    inv = checked_inv(stack, "probe", failed)
-    assert failed.tolist() == [not ok for ok in expected]
-    assert np.array_equal(inv[failed], np.zeros_like(stack[failed]))
-    assert np.array_equal(inv[~failed], np.linalg.inv(stack[~failed]))
-    # an already failed matrix is not checked again
-    assert checked_inv(stack[3:4], "probe", np.ones(1, dtype=bool)).shape == (1, 4, 4)
+    for singular in (5, 6):
+        with pytest.raises(NumericsError, match=re.escape("probe: condition number inf exceeds 1e+12")):
+            checked_inv(stack[[0, singular, 1]], "probe")
+    with pytest.raises(NumericsError) as err:
+        check_condition(mats[3], "probe")  # 1.001 COND_LIMIT
+    with pytest.raises(NumericsError, match=re.escape(str(err.value))):
+        checked_inv(stack[[0, 3, 1]], "probe")
+    assert np.array_equal(checked_inv(stack[:3], "probe"), np.linalg.inv(stack[:3]))
 
     # the Frobenius certificate spares the SVD only where it proves the bound
     svds = []

@@ -40,6 +40,7 @@ from remskit.radiating import (
     PlaneWaveResponseSet,
     RadiatingStructure,
     _dipole_kernel,
+    _scatter_asymmetry,
     _weighted_operator_norm,
     mirror_matrix,
     parse_response_text,
@@ -389,6 +390,17 @@ def test_check_reciprocity_accepts_and_flags():
     rep = check_reciprocity(broken, 1e-12)
     assert rep.coupling_ok and rep.scatter_ok and not rep.kernel_ok
     assert rep.max_kernel_dev > 0.1
+
+
+@pytest.mark.parametrize("n", [1, 127, 130, 300])
+def test_blocked_scatter_asymmetry_equals_dense_formula(n):
+    # 2n = 2, 254, 260, 600 rows: none is a multiple of the 256-row block
+    rng = np.random.default_rng(n)
+    k = rng.standard_normal((n, 2, n, 2)) + 1j * rng.standard_normal((n, 2, n, 2))
+    dense = float(np.max(np.abs(k - k.transpose(2, 3, 0, 1))))
+    assert _scatter_asymmetry(k) == dense
+    k[n - 1, 1, 0, 0] = np.nan  # the dense formula gives NaN too
+    assert math.isnan(_scatter_asymmetry(k))
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,7 @@ def geometric_schedule(initial: float = 20.0, ratio: float = 0.5, count: int = 1
 
 def h_co(model: ReMSModel, dirs, q_co=x_copol) -> np.ndarray:
     """(len(dirs), n_tx) co-polarized rows of the transmit gain operator."""
-    return _h_rows(dirs, gain_operators(model).vtx_gain_matrix(dirs), q_co)
+    return _co_rows(dirs, gain_operators(model).vtx_gain_matrix(dirs), q_co)
 
 
 def _gain_matrices(model: ReMSModel, dirs) -> np.ndarray:
@@ -96,15 +96,22 @@ def _gain_matrices(model: ReMSModel, dirs) -> np.ndarray:
     return model.structure.tx_at(dirs) @ transmit_operator(model)
 
 
-def _h_rows(dirs, mats: np.ndarray, q_co) -> np.ndarray:
-    return np.array([q_co(d) @ m for d, m in zip(dirs, mats)])
+def _co_rows(dirs, mats: np.ndarray, q_co) -> np.ndarray:
+    """(..., len(dirs), n_tx) co-polarized rows of a (..., len(dirs), 2, n_tx) gain-matrix stack."""
+    q = np.array([q_co(d) for d in dirs])
+    return np.einsum("dp,...dpn->...dn", q, mats)
 
 
 def zf_precoder(h: np.ndarray) -> np.ndarray:
-    """Right pseudo-inverse H^H (H H^H)^-1, so H T = I."""
+    """Right pseudo-inverse H^H (H H^H)^-1, so H T = I.
+
+    A (..., u, n_tx) stack of rows gives the (..., n_tx, u) stack of
+    precoders from one checked_inv over the (..., u, u) Gram stack; the first
+    failing Gram matrix raises.
+    """
     h = np.asarray(h, dtype=complex)
-    gram = h @ h.conj().T
-    return h.conj().T @ checked_inv(gram, "zero-forcing Gram matrix")
+    h_adj = np.swapaxes(h, -1, -2).conj()
+    return h_adj @ checked_inv(h @ h_adj, "zero-forcing Gram matrix")
 
 
 @dataclass(frozen=True)
@@ -118,43 +125,39 @@ class QuasiPowers:
         return self.p_interf + self.p_second
 
 
-def _column_gains(fe, mats: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """gains[i, u]: radiated gain through gain matrix mats[i] when driving precoder column u."""
-    t = np.asarray(t, dtype=complex)
-    gains = np.zeros((len(mats), t.shape[1]))
-    for u in range(t.shape[1]):
-        col = t[:, u]
-        p_a = fe.available_power(col)
-        if p_a == 0.0:
-            continue  # a silent stream radiates nothing
-        val = mats @ col
-        gains[:, u] = FOUR_PI * np.vecdot(val, val).real / p_a
-    return gains
-
-
 def _problem_dirs(problem: BeamformProblem) -> tuple:
     return tuple(problem.primary_dirs) + tuple(problem.secondary_dirs)
 
 
+def _quasi_powers(fe, mats: np.ndarray, t: np.ndarray, u: int) -> list:
+    """QuasiPowers of each precoder of a (K, n_tx, u) stack through its (K, u + s, 2, n_tx) mats.
+
+    gains[k, i, j] is the gain toward direction i when precoder k drives
+    column j; a silent column (zero available power) radiates nothing.
+    """
+    val = mats @ t[:, None]
+    radiated = FOUR_PI * np.vecdot(val, val, axis=-2).real
+    p_avail = np.vecdot(t, t / fe.z_tx.real[:, None], axis=-2).real[:, None] / 4.0
+    gains = np.divide(radiated, p_avail, out=np.zeros_like(radiated), where=p_avail != 0.0)
+    p_signal = np.diagonal(gains[:, :u], axis1=1, axis2=2).min(axis=1)
+    p_interf = gains[:, :u][:, ~np.eye(u, dtype=bool)].max(axis=1, initial=0.0)
+    p_second = gains[:, u:].max(axis=(1, 2), initial=0.0)
+    return list(map(QuasiPowers, p_signal.tolist(), p_interf.tolist(), p_second.tolist()))
+
+
+def _score_rows(problem: BeamformProblem, fe, mats: np.ndarray) -> list:
+    """(h, t, QuasiPowers) per configuration of a (K, u + s, 2, n_tx) gain-matrix stack."""
+    u = len(problem.primary_dirs)
+    h = _co_rows(problem.primary_dirs, mats[:, :u], problem.q_co)
+    t = zf_precoder(h)
+    return list(zip(h, t, _quasi_powers(fe, mats, t, u)))
+
+
 def quasi_powers(model: ReMSModel, t: np.ndarray, problem: BeamformProblem) -> QuasiPowers:
     """Worst-case signal, interference, and leakage gains of precoder t."""
-    mats = _gain_matrices(model, _problem_dirs(problem))
-    u = len(problem.primary_dirs)
-    return _quasi_powers(model.frontend, mats[:u], mats[u:], t)
-
-
-def _quasi_powers(fe, g_primary: np.ndarray, g_secondary: np.ndarray, t) -> QuasiPowers:
-    gp = _column_gains(fe, g_primary, t)
-    p_signal = float(np.min(np.diag(gp)))
-    if gp.shape[0] > 1:
-        p_interf = float(np.max(gp[~np.eye(gp.shape[0], dtype=bool)]))
-    else:
-        p_interf = 0.0
-    if len(g_secondary) > 0:
-        p_second = float(np.max(_column_gains(fe, g_secondary, t)))
-    else:
-        p_second = 0.0
-    return QuasiPowers(p_signal, p_interf, p_second)
+    mats = _gain_matrices(model, _problem_dirs(problem))[None]
+    t = np.asarray(t, dtype=complex)[None]
+    return _quasi_powers(model.frontend, mats, t, len(problem.primary_dirs))[0]
 
 
 def objective(model: ReMSModel, sigma: float, t: np.ndarray, problem: BeamformProblem) -> float:
@@ -163,10 +166,8 @@ def objective(model: ReMSModel, sigma: float, t: np.ndarray, problem: BeamformPr
 
 
 def _objective_value(qp: QuasiPowers, sigma: float) -> float:
-    denom = qp.denominator_part + sigma
-    if denom == 0.0:
-        return math.inf if qp.p_signal > 0.0 else 0.0
-    return qp.p_signal / denom
+    unbounded, f, _ = _acceptance_key(qp, sigma)
+    return math.inf if unbounded else f
 
 
 def _acceptance_key(qp: QuasiPowers, sigma: float):
@@ -193,33 +194,22 @@ class CandidateScore:
 
 
 def evaluate_candidate(
-    problem: BeamformProblem, model_builder, z_values, sigma: float, gain_mats=None
+    problem: BeamformProblem, model_builder, z_values, sigma: float, scored=None
 ) -> CandidateScore:
-    """Build the model for z_values, fit its ZF precoder, score the pair.
+    """Score the load configuration z_values jointly with its ZF precoder.
 
-    gain_mats, when given, are the configuration's (primary + secondary, 2,
-    n_tx) gain matrices toward the problem's directions, precomputed by the
-    caller; the model is then not built, and model_builder only supplies the
-    frontend.
+    scored, when given, is the configuration's (h, t, QuasiPowers) row from a
+    stacked pass over its coordinate's candidates; only the objective and
+    the acceptance key are then formed, and model_builder is not called.
+    Without it, the model is built for z_values and scored as a stack of one:
+    the reference path.
     """
-    if gain_mats is None:
+    if scored is None:
         model = model_builder(tuple(z_values))
-        frontend = model.frontend
-        gain_mats = _gain_matrices(model, _problem_dirs(problem))
-    else:
-        frontend = model_builder.frontend
-    u = len(problem.primary_dirs)
-    g_primary, g_secondary = gain_mats[:u], gain_mats[u:]
-    h = _h_rows(problem.primary_dirs, g_primary, problem.q_co)
-    t = zf_precoder(h)
-    qp = _quasi_powers(frontend, g_primary, g_secondary, t)
-    return CandidateScore(
-        f=_objective_value(qp, sigma),
-        powers=qp,
-        h=h,
-        t=t,
-        key=_acceptance_key(qp, sigma),
-    )
+        mats = _gain_matrices(model, _problem_dirs(problem))
+        scored = _score_rows(problem, model.frontend, mats[None])[0]
+    h, t, qp = scored
+    return CandidateScore(_objective_value(qp, sigma), qp, h, t, _acceptance_key(qp, sigma))
 
 
 def _fisher_yates(rng: np.random.Generator, n: int) -> list:
@@ -254,10 +244,12 @@ def coordinate_ascent(
     Deterministic for a fixed rng_seed.
 
     A ReconfigurableBuilder builds a coordinate's K candidates as one (K, r)
-    stack, scored one by one from their gain matrices. If the stacked build
-    fails a condition check, the coordinate is scored like any other
-    callable's, one rebuild per candidate, so each failing candidate logs its
-    own error. No candidate of case-study seeds 1-10 is skipped.
+    stack and scores them in one array pass: one zf_precoder call over the K
+    Gram matrices and one quasi-power reduction; only the comparison of the K
+    keys is sequential. If the stacked build or the Gram stack fails a
+    condition check, the coordinate is scored like any other callable's, one
+    rebuild per candidate, so each failing candidate logs its own error. No
+    candidate of case-study seeds 1-10 is skipped.
     """
     z_init_idx = problem.z_set.index(problem.z_init)
     z_idx = [z_init_idx] * problem.r
@@ -298,18 +290,16 @@ def coordinate_ascent(
                 cand_idx = list(z_idx)
                 cand_idx[coord] = k
                 candidates.append((cand_idx, tuple(problem.z_set[i] for i in cand_idx)))
-            gain_mats = [None] * len(candidates)
+            rows = [None] * len(candidates)
             if stacked:
                 try:
                     core_tx = transmit_operator(model_builder([z for _, z in candidates]))
-                    gain_mats = tx_dirs @ core_tx[:, None]
+                    rows = _score_rows(problem, probe.frontend, tx_dirs @ core_tx[:, None])
                 except NumericsError:
                     pass  # each candidate is rebuilt and scored alone below
             for k, (cand_idx, z_values) in enumerate(candidates):
                 try:
-                    score = evaluate_candidate(
-                        problem, model_builder, z_values, sigma, gain_mats[k]
-                    )
+                    score = evaluate_candidate(problem, model_builder, z_values, sigma, rows[k])
                 except NumericsError as err:
                     logger.warning(
                         "skipping load %d candidate %d (%s): %s", coord, k, z_values[coord], err

@@ -74,6 +74,12 @@ def parse_direction(pair) -> Direction:
     )
 
 
+def _directions(pairs, where: str) -> tuple:
+    if not isinstance(pairs, (list, tuple)):
+        raise ModelError(f"{where} must be a list of [theta_deg, phi_deg] pairs, got {pairs!r}")
+    return tuple(parse_direction(p) for p in pairs)
+
+
 def rotation_matrix(axis, angle_deg: float) -> np.ndarray:
     """Rodrigues rotation about `axis` by angle_deg."""
     u = np.asarray(axis, dtype=float)
@@ -311,9 +317,9 @@ class Scene:
         frontend = self.frontend(_require(spec, "frontend", "problem"))
         n, m = frontend.n, structure.m_ports
 
-        z_spec = _require(spec, "z_set", "problem")
+        z_spec = _mapping(_require(spec, "z_set", "problem"), "problem z_set")
         if "values" in z_spec:
-            z_set = tuple(parse_complex(v) for v in z_spec["values"])
+            z_set = tuple(parse_complex_list(z_spec["values"]).tolist())
         else:
             resistance = number(
                 _require(z_spec, "resistance", "problem z_set"), "problem z_set resistance"
@@ -351,8 +357,8 @@ class Scene:
         problem = BeamformProblem(
             r=r,
             z_set=z_set,
-            primary_dirs=tuple(parse_direction(p) for p in _require(spec, "primary_deg", "problem")),
-            secondary_dirs=tuple(parse_direction(p) for p in spec.get("secondary_deg", [])),
+            primary_dirs=_directions(_require(spec, "primary_deg", "problem"), "problem primary_deg"),
+            secondary_dirs=_directions(spec.get("secondary_deg", []), "problem secondary_deg"),
             q_co=x_copol,
             z_init=z_set[z_init_index],
             i_max=i_max,

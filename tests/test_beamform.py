@@ -3,6 +3,8 @@
 import logging
 import math
 import os
+import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -16,6 +18,9 @@ from remskit.beamform import (
     QuasiPowers,
     _acceptance_key,
     _fisher_yates,
+    _gain_matrices,
+    _quasi_powers,
+    _score_rows,
     coordinate_ascent,
     evaluate_candidate,
     geometric_schedule,
@@ -67,6 +72,50 @@ def test_zf_precoder_rejects_degenerate_rows():
     h = np.vstack([row, row])
     with pytest.raises(NumericsError, match="Gram"):
         zf_precoder(h)
+
+
+def test_zf_precoder_stack_matches_per_slice_calls():
+    rng = np.random.default_rng(1)
+    stack = rng.standard_normal((4, 2, 3)) + 1j * rng.standard_normal((4, 2, 3))
+    t = zf_precoder(stack)
+    assert t.shape == (4, 3, 2)
+    for h_k, t_k in zip(stack, t):
+        ref = zf_precoder(h_k)
+        assert np.max(np.abs(t_k - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(h_k @ t_k - np.eye(2))) < 1e-12
+
+
+def test_zf_precoder_stack_with_rank_deficient_member_raises():
+    rng = np.random.default_rng(6)
+    stack = rng.standard_normal((3, 2, 3)) + 1j * rng.standard_normal((3, 2, 3))
+    stack[1] = [[1.0, 2.0j, 0.0], [1.0, 2.0j, 0.0]]
+    with pytest.raises(
+        NumericsError, match=r"^zero-forcing Gram matrix: condition number inf exceeds 1e\+12$"
+    ):
+        zf_precoder(stack)
+
+
+def test_stacked_quasi_powers_give_silent_columns_zero_gain():
+    rng = np.random.default_rng(8)
+    grid = make_latlon_grid(8, 10)
+    model = random_model(rng, grid, n_tx=2, n_rx=0, m=2)
+    dirs = (Direction(1.0, 0.3), Direction(1.9, 2.0))
+    second = (Direction(0.4, 5.0),)
+    problem = _quasi_problem(dirs, second)
+    t = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    t[1, :, 1] = 0.0
+    t[2] = 0.0
+    mats = np.broadcast_to(_gain_matrices(model, dirs + second), (3, 3, 2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        live, half, dead = _quasi_powers(model.frontend, mats, t, len(dirs))
+    ref = quasi_powers(model, t[0], problem)
+    for got, want in zip(astuple(live), astuple(ref)):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert half.p_signal == 0.0  # the silent stream pins the worst-case signal
+    assert half.p_interf == pytest.approx(rems_gain(model, t[1, :, 0], dirs[1]), rel=1e-12)
+    assert half.p_second == pytest.approx(rems_gain(model, t[1, :, 0], second[0]), rel=1e-12)
+    assert dead == QuasiPowers(0.0, 0.0, 0.0)
 
 
 def test_h_co_rows_read_the_gain_operator():
@@ -347,15 +396,16 @@ def _reference_scores(problem, builder, candidates, sigma):
 
 
 def _stacked_scores(problem, builder, candidates, sigma):
-    """Scores from one stacked build; the per-candidate ones if the stacked build raises."""
+    """Scores from one stacked build and scoring pass; the per-candidate ones if either raises."""
+    dirs = tuple(problem.primary_dirs) + tuple(problem.secondary_dirs)
     try:
         core_tx = transmit_operator(builder(candidates))
+        mats = builder.structure.tx_at(dirs) @ core_tx[:, None]
+        rows = _score_rows(problem, builder.frontend, mats)
     except NumericsError:
         reference = _reference_scores(problem, builder, candidates, sigma)
         return [None if isinstance(r, NumericsError) else r for r in reference]
-    dirs = tuple(problem.primary_dirs) + tuple(problem.secondary_dirs)
-    mats = builder.structure.tx_at(dirs) @ core_tx[:, None]
-    return [evaluate_candidate(problem, builder, z, sigma, g) for z, g in zip(candidates, mats)]
+    return [evaluate_candidate(problem, builder, z, sigma, row) for z, row in zip(candidates, rows)]
 
 
 def _assert_scores_agree(stacked, reference):

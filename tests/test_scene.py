@@ -408,3 +408,19 @@ def test_beamform_problem_reactance_sweep_and_errors():
     empty = Scene.from_dict(_base_dict())
     with pytest.raises(ModelError, match="no problem block"):
         empty.beamform_problem()
+
+
+@pytest.mark.parametrize(
+    "extra, match",
+    [
+        ({"z_set": 5}, "problem z_set must be a mapping, got 5"),
+        ({"z_set": {"values": 5}}, "expected a list of complex values, got 5"),
+        ({"z_set": {"values": "50"}}, "expected a list of complex values, got '50'"),
+        ({"primary_deg": 30}, "problem primary_deg must be a list"),
+        ({"secondary_deg": 30}, "problem secondary_deg must be a list"),
+    ],
+    ids=["z_set_number", "values_number", "values_string", "primary_number", "secondary_number"],
+)
+def test_beamform_problem_rejects_non_list_fields(extra, match):
+    with pytest.raises(ModelError, match=match):
+        Scene.from_dict(_problem_dict(**extra)).beamform_problem()

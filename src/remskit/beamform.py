@@ -200,9 +200,9 @@ def evaluate_candidate(
 
     scored, when given, is the configuration's (h, t, QuasiPowers) row from a
     stacked pass over its coordinate's candidates; only the objective and
-    the acceptance key are then formed, and model_builder is not called.
-    Without it, the model is built for z_values and scored as a stack of one:
-    the reference path.
+    the acceptance key are then formed, and neither model_builder nor
+    z_values is used. Without it, the model is built for z_values and scored
+    as a stack of one: the reference path.
     """
     if scored is None:
         model = model_builder(tuple(z_values))
@@ -210,6 +210,22 @@ def evaluate_candidate(
         scored = _score_rows(problem, model.frontend, mats[None])[0]
     h, t, qp = scored
     return CandidateScore(_objective_value(qp, sigma), qp, h, t, _acceptance_key(qp, sigma))
+
+
+def _rank1_rows(problem: BeamformProblem, builder: ReconfigurableBuilder, z_values, coord, tx_dirs):
+    """Scored rows of load coord's candidates from one base model; None to score them one by one.
+
+    The (K, u + s, 2, n_tx) gain matrices: tx_dirs @ T0 plus (K,) scalars times one outer product.
+    """
+    update = builder.load_sweep_transmit(z_values, coord, problem.z_set)
+    if update is None:
+        return None
+    t0, u, v, w = update
+    mats = tx_dirs @ t0 + w[:, None, None, None] * ((tx_dirs @ u)[..., None] * v)
+    try:
+        return _score_rows(problem, builder.frontend, mats)
+    except NumericsError:
+        return None
 
 
 def _fisher_yates(rng: np.random.Generator, n: int) -> list:
@@ -243,13 +259,14 @@ def coordinate_ascent(
     Candidate evaluations that fail conditioning are logged and skipped.
     Deterministic for a fixed rng_seed.
 
-    A ReconfigurableBuilder builds a coordinate's K candidates as one (K, r)
-    stack and scores them in one array pass: one zf_precoder call over the K
-    Gram matrices and one quasi-power reduction; only the comparison of the K
-    keys is sequential. If the stacked build or the Gram stack fails a
-    condition check, the coordinate is scored like any other callable's, one
-    rebuild per candidate, so each failing candidate logs its own error. No
-    candidate of case-study seeds 1-10 is skipped.
+    A ReconfigurableBuilder gives a coordinate's K candidates as rank-1
+    updates of one base model (load_sweep_transmit), scored in one array pass:
+    one zf_precoder call over the K Gram matrices and one quasi-power
+    reduction; only the comparison of the K keys is sequential, and the
+    incumbent rescored under the sigma it was accepted at, equal up to
+    rounding, is not compared. If that pass declines the coordinate, it is
+    scored like any other callable's, one rebuild per candidate, so each
+    failing candidate logs its own error. No case-study coordinate is declined.
     """
     z_init_idx = problem.z_set.index(problem.z_init)
     z_idx = [z_init_idx] * problem.r
@@ -271,46 +288,37 @@ def coordinate_ascent(
     if u > n_tx:
         raise ModelError(f"{u} streams need at least {u} transmit chains, got {n_tx}")
 
-    stacked = isinstance(model_builder, ReconfigurableBuilder)
-    if stacked:
-        tx_dirs = probe.structure.tx_at(_problem_dirs(problem))
+    rank1 = isinstance(model_builder, ReconfigurableBuilder)
+    tx_dirs = probe.structure.tx_at(_problem_dirs(problem)) if rank1 else None
     rng = np.random.default_rng(problem.rng_seed)
     t_best = np.zeros((n_tx, u), dtype=complex)
     t_best[:u, :u] = np.eye(u)
     f_best = 0.0
     key_best = (0, 0.0, 0.0)
+    sigma_best = None
     f_trace: list = []
     n_eval = 0
 
     for sweep in range(problem.i_max):
         sigma = problem.sigma_schedule[sweep]
         for coord in _fisher_yates(rng, problem.r):
-            candidates = []
-            for k in range(len(problem.z_set)):
-                cand_idx = list(z_idx)
-                cand_idx[coord] = k
-                candidates.append((cand_idx, tuple(problem.z_set[i] for i in cand_idx)))
-            rows = [None] * len(candidates)
-            if stacked:
+            z_cur = [problem.z_set[i] for i in z_idx]
+            rows = _rank1_rows(problem, model_builder, z_cur, coord, tx_dirs) if rank1 else None
+            for k, z_k in enumerate(problem.z_set):
                 try:
-                    core_tx = transmit_operator(model_builder([z for _, z in candidates]))
-                    rows = _score_rows(problem, probe.frontend, tx_dirs @ core_tx[:, None])
-                except NumericsError:
-                    pass  # each candidate is rebuilt and scored alone below
-            for k, (cand_idx, z_values) in enumerate(candidates):
-                try:
-                    score = evaluate_candidate(problem, model_builder, z_values, sigma, rows[k])
+                    if rows is None:  # the reference path: rebuild and score this candidate alone
+                        z_values = (*z_cur[:coord], z_k, *z_cur[coord + 1 :])
+                        score = evaluate_candidate(problem, model_builder, z_values, sigma)
+                    else:
+                        score = evaluate_candidate(problem, model_builder, None, sigma, rows[k])
                 except NumericsError as err:
-                    logger.warning(
-                        "skipping load %d candidate %d (%s): %s", coord, k, z_values[coord], err
-                    )
+                    logger.warning("skipping load %d candidate %d (%s): %s", coord, k, z_k, err)
                     continue
                 n_eval += 1
-                if score.key > key_best:
-                    key_best = score.key
-                    f_best = score.f
-                    z_idx = cand_idx
-                    t_best = score.t
+                # the incumbent rescored under its own sigma equals its record up to rounding
+                if score.key > key_best and (k != z_idx[coord] or sigma != sigma_best):
+                    key_best, f_best, t_best, sigma_best = score.key, score.f, score.t, sigma
+                    z_idx[coord] = k
                     f_trace.append(f_best)
 
     return BeamformResult(

@@ -104,10 +104,21 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
+def _block(blocks: dict, kind: str, name) -> dict:
+    """The spec of the named block; a name that is not a string names no block."""
+    if not isinstance(name, str):
+        raise ModelError(f"{kind} name must be a string, got {name!r}")
+    if name not in blocks:
+        raise ModelError(f"unknown {kind} {name!r}")
+    return blocks[name]
+
+
 def _named_list(entries, where) -> dict:
     out = {}
     for entry in entries or []:
         name = _require(entry, "name", where)
+        if not isinstance(name, str):
+            raise ModelError(f"{where}: name must be a string, got {name!r}")
         if name in out:
             raise ModelError(f"{where}: duplicate name {name!r}")
         out[name] = entry
@@ -128,6 +139,8 @@ class Scene:
     solve_spec: dict | None = None
     gain_pattern_spec: dict | None = None
     problem_spec: dict | None = None
+    # from_files structures as extracted, before any rotation: a file is read once per scene
+    _extracted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------ io
 
@@ -174,9 +187,7 @@ class Scene:
     # ------------------------------------------------------------ builders
 
     def structure_spec(self, name: str) -> dict:
-        if name not in self.structures:
-            raise ModelError(f"unknown structure {name!r}")
-        return self.structures[name]
+        return _block(self.structures, "structure", name)
 
     def position(self, name: str) -> np.ndarray:
         spec = self.structure_spec(name)
@@ -237,24 +248,24 @@ class Scene:
                 raise ModelError(f"structure {name!r}: isotropic patterns cannot be rotated")
             return isotropic_radiator(self.grid, self.frequency, pol=spec.get("pol", "theta"))
         if kind == "from_files":
-            resp = read_response_file(
-                self.resolve_path(_require(spec, "response_file", f"structure {name!r}"))
-            )
-            if not resp.grid.compatible(self.grid):
-                raise ModelError(
-                    f"structure {name!r}: response grid ({resp.grid.n_theta}, "
-                    f"{resp.grid.n_phi}) does not match the scene grid"
+            if name not in self._extracted:
+                resp = read_response_file(
+                    self.resolve_path(_require(spec, "response_file", f"structure {name!r}"))
                 )
-            if resp.frequency != self.frequency:
-                raise ModelError(f"structure {name!r}: response frequency differs from scene")
-            built = structure_from_responses(resp)
+                if not resp.grid.compatible(self.grid):
+                    raise ModelError(
+                        f"structure {name!r}: response grid ({resp.grid.n_theta}, "
+                        f"{resp.grid.n_phi}) does not match the scene grid"
+                    )
+                if resp.frequency != self.frequency:
+                    raise ModelError(f"structure {name!r}: response frequency differs from scene")
+                self._extracted[name] = structure_from_responses(resp)
+            built = self._extracted[name]
             return rotate_structure(built, rot) if rot is not None else built
         raise ModelError(f"structure {name!r}: unknown kind {kind!r}")
 
     def frontend(self, name: str) -> RFFrontend:
-        if name not in self.frontends:
-            raise ModelError(f"unknown frontend {name!r}")
-        spec = self.frontends[name]
+        spec = _block(self.frontends, "frontend", name)
         return RFFrontend(
             z_tx=parse_complex_list(spec.get("z_tx_ohms", [])),
             z_rx=parse_complex_list(spec.get("z_rx_ohms", [])),
@@ -262,9 +273,7 @@ class Scene:
         )
 
     def tuning(self, name: str) -> TuningNetwork:
-        if name not in self.tunings:
-            raise ModelError(f"unknown tuning {name!r}")
-        spec = self.tunings[name]
+        spec = _block(self.tunings, "tuning", name)
         kind = _require(spec, "kind", f"tuning {name!r}")
 
         def ports():
@@ -297,9 +306,7 @@ class Scene:
         raise ModelError(f"tuning {name!r}: unknown kind {kind!r}")
 
     def model(self, name: str) -> ReMSModel:
-        if name not in self.models:
-            raise ModelError(f"unknown model {name!r}")
-        spec = self.models[name]
+        spec = _block(self.models, "model", name)
         return ReMSModel(
             structure=self.structure(_require(spec, "structure", f"model {name!r}")),
             tuning=self.tuning(_require(spec, "tuning", f"model {name!r}")),

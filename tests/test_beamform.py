@@ -20,6 +20,7 @@ from remskit.beamform import (
     _fisher_yates,
     _gain_matrices,
     _quasi_powers,
+    _rank1_rows,
     _score_rows,
     coordinate_ascent,
     evaluate_candidate,
@@ -523,3 +524,101 @@ def test_stacked_scoring_matches_reference_on_generated_models(caplog, factor, n
     assert fast.evaluations == slow.evaluations
     assert fast.f_trace == pytest.approx(slow.f_trace, rel=1e-12, abs=0.0)
     assert np.max(np.abs(fast.t - slow.t)) <= 1e-12 * np.max(np.abs(slow.t))
+
+
+# ---------------------------------------------------------------------------
+# rank-1 candidate scoring against the stacked and per-candidate rebuilds
+
+
+def _well_conditioned_case(rng, n_rx, r):
+    """A generated reconfigurable model with well-conditioned loops, and one coordinate pass.
+
+    The fixed network and the coupling are random with largest singular value
+    0.9, so S_BB != 0 and, with passive loads and frontend, every loop is
+    I - X with ||X||_2 < 1. Three transmit chains for at most two streams keep
+    the zero-forcing Gram matrix well conditioned too.
+    """
+    n_tx, m = 3, r + 1
+    n = n_tx + n_rx
+    grid = make_latlon_grid(4, 6)
+
+    def contraction(dim):
+        s = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        return s * (0.9 / max_singular_value(s))
+
+    fixed = contraction(n + m + r)
+    kernel = 0.3 * (rng.standard_normal((m, grid.size, 2)) + 1j * rng.standard_normal((m, grid.size, 2)))
+    structure = RadiatingStructure(
+        m_ports=m,
+        coupling=contraction(m),
+        tx_kernel=kernel,
+        rx_kernel=kernel,
+        scatter_kernel=None,
+        grid=grid,
+        frequency=FREQ,
+    )
+    z_set = tuple(complex(rng.uniform(0.0, 100.0), rng.uniform(-150.0, 150.0)) for _ in range(5))
+    z_idx = [int(i) for i in rng.integers(0, len(z_set), r)]
+    problem = BeamformProblem(
+        r=r,
+        z_set=z_set,
+        primary_dirs=(Direction(1.0, 0.5), Direction(2.0, 3.0))[: int(rng.integers(1, 3))],
+        secondary_dirs=(Direction(0.6, 4.0),),
+        z_init=z_set[z_idx[0]],
+        i_max=2,
+        sigma_schedule=(1.0, 0.1),
+        rng_seed=int(rng.integers(0, 1000)),
+    )
+    builder = ReconfigurableBuilder(structure, random_frontend(rng, n_tx, n_rx), fixed)
+    return problem, builder, z_idx, int(rng.integers(0, r))
+
+
+@settings(max_examples=25)
+@given(n_rx=st.integers(0, 2), r=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_rank1_scoring_matches_rebuilds_on_generated_models(n_rx, r, seed):
+    rng = np.random.default_rng(seed)
+    problem, builder, z_idx, coord = _well_conditioned_case(rng, n_rx, r)
+    assert np.any(builder.fixed_s[-r:, -r:] != 0.0)  # S_BB != 0
+    sigma = problem.sigma_schedule[-1]
+    dirs = tuple(problem.primary_dirs) + tuple(problem.secondary_dirs)
+    z_values = [problem.z_set[i] for i in z_idx]
+    rows = _rank1_rows(problem, builder, z_values, coord, builder.structure.tx_at(dirs))
+    assert rows is not None  # the coordinate takes the rank-1 path, not the fallback
+    rank1 = [evaluate_candidate(problem, builder, None, sigma, row) for row in rows]
+    candidates = _coordinate_candidates(problem, z_idx, coord)
+    reference = _reference_scores(problem, builder, candidates, sigma)
+    _assert_scores_agree(rank1, reference)
+    _assert_scores_agree(rank1, _stacked_scores(problem, builder, candidates, sigma))
+
+    # whole ascents: the rank-1 pass takes the per-candidate path's steps
+    fast = coordinate_ascent(problem, builder)
+    slow = coordinate_ascent(problem, lambda z: builder(z))
+    assert fast.z_indices == slow.z_indices
+    assert fast.evaluations == slow.evaluations == problem.i_max * r * len(problem.z_set)
+    assert fast.f_trace == pytest.approx(slow.f_trace, rel=1e-12, abs=0.0)
+    assert np.max(np.abs(fast.t - slow.t)) <= 1e-12 * np.max(np.abs(slow.t))
+
+
+def test_case_study_ascent_builds_one_base_model_per_coordinate(monkeypatch, caplog):
+    problem, builder = Scene.load(CASE_STUDY).beamform_problem()
+    builds, updates = [], []
+    build, sweep = ReconfigurableBuilder.__call__, ReconfigurableBuilder.load_sweep_transmit
+
+    def counted_build(self, z_values):
+        builds.append(np.shape(z_values))
+        return build(self, z_values)
+
+    def recorded_sweep(*args):
+        updates.append(sweep(*args))
+        return updates[-1]
+
+    monkeypatch.setattr(ReconfigurableBuilder, "__call__", counted_build)
+    monkeypatch.setattr(ReconfigurableBuilder, "load_sweep_transmit", recorded_sweep)
+    with caplog.at_level(logging.WARNING, logger="remskit.beamform"):
+        result = coordinate_ascent(problem, builder)
+    coords = problem.i_max * problem.r
+    assert len(updates) == coords and all(upd is not None for upd in updates)  # 0 fallbacks
+    # the probe, then one base model per coordinate: no stacked build, no per-candidate rebuild
+    assert builds == [(problem.r,)] * (1 + coords)
+    assert caplog.messages == []
+    assert result.evaluations == coords * len(problem.z_set)

@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 import yaml
 
+import remskit.scene as scene_mod
 from conftest import FREQ, singular_loop_pair
+from remskit._textio import fmt
+from remskit.channel import far_channel
 from remskit.cli import main
 from remskit.farfield import FOUR_PI, make_latlon_grid
 from remskit.radiating import (
@@ -19,6 +22,7 @@ from remskit.radiating import (
     wavenumber,
     write_response_file,
 )
+from remskit.scene import Scene, rotation_matrix
 
 SCENES = os.path.join(os.path.dirname(__file__), os.pardir, "scenes")
 FRIIS = os.path.join(SCENES, "friis.yaml")
@@ -418,3 +422,64 @@ def test_ill_conditioned_bounce_loop_channel_exits_two(tmp_path, capsys):
     assert code == 2
     assert "numeric failure: far-field bounce loop" in err
     assert not (out / "channel.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, path, value, message",
+    [
+        ("optimize", ("problem", "structure"), [], "structure name must be a string, got []"),
+        ("optimize", ("problem", "frontend"), {}, "frontend name must be a string, got {}"),
+        ("channel", ("channel", "pair"), [["tx"], "rx"], "structure name must be a string, got ['tx']"),
+    ],
+)
+def test_non_string_block_name_is_a_user_error(tmp_path, capsys, command, path, value, message):
+    scene = _friis_scene() if command == "channel" else _optimize_scene()
+    _set(scene, path, value)
+    code, err, out = _run_scene(tmp_path, command, scene, capsys)
+    assert code == 1
+    assert message in err
+    assert not out.exists() or os.listdir(out) == []
+
+
+def test_rotation_sweep_reads_its_response_file_once(tmp_path, monkeypatch):
+    grid = make_latlon_grid(8, 10)
+    panel = random_reciprocal_structure(grid, 2, np.random.default_rng(4), FREQ)
+    write_response_file(synthesize_plane_wave_responses(panel), str(tmp_path / "panel.rsp"))
+    scene = {
+        "frequency_hz": FREQ,
+        "grid": {"n_theta": 8, "n_phi": 10},
+        "structures": [
+            {"name": "tx", "kind": "dipole", "orientation": [1.0, 0.0, 0.0]},
+            {
+                "name": "panel",
+                "kind": "from_files",
+                "response_file": "panel.rsp",
+                "position_m": [0.0, 3.0, 0.0],
+                "rotation": {"axis": [0.0, 0.0, 1.0], "angle_deg": 20.0},
+            },
+        ],
+        "channel": {
+            "pair": ["tx", "panel"],
+            "ports": [1, 0],
+            "sweep": {"kind": "rotation", "start_deg": 0.0, "stop_deg": 75.0, "count": 4},
+        },
+    }
+    p = tmp_path / "sweep.yaml"
+    p.write_text(yaml.safe_dump(scene))
+    reads = []
+    read = scene_mod.read_response_file
+    monkeypatch.setattr(scene_mod, "read_response_file", lambda path: reads.append(path) or read(path))
+    assert main(["channel", "--scene", str(p), "--out", str(tmp_path)]) == 0
+    assert len(reads) == 1
+    _, rows = _read_csv(tmp_path / "channel.csv")
+    assert [float(r[0]) for r in rows] == [0.0, 25.0, 50.0, 75.0]
+
+    # every point equals a scene that reads and extracts the file afresh
+    for alpha, re_s, im_s in rows:
+        fresh = Scene.load(str(p))
+        rot = rotation_matrix([0.0, 1.0, 0.0], float(alpha))
+        s = far_channel(
+            fresh.structure("tx"), fresh.structure("panel", extra_rotation=rot), [0.0, 3.0, 0.0]
+        )[1, 0]
+        assert (re_s, im_s) == (fmt(s.real), fmt(s.imag))
+    assert len(reads) == 1 + len(rows)

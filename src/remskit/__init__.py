@@ -56,7 +56,6 @@ from .network import (
     is_reciprocal,
     parse_touchstone,
     read_touchstone,
-    reconfigurable_tuning,
     reduce_terminated_ports,
     reflection_coefficient,
     through_tuning,

@@ -28,7 +28,8 @@ from .radiating import (
     read_response_file,
 )
 from .scene import Scene, _mapping, _require, parse_complex_list, rotation_matrix
-from .solver import gain_operators, solve_direct
+from .solver import gain_operators, matching_efficiency, radiation_efficiency
+from .solver import solve_direct, tuning_efficiency
 
 _POL_NAMES = ("theta", "phi")
 
@@ -176,11 +177,11 @@ def cmd_solve(args) -> int:
         p_a = fe.available_power(v_tx)
         power_rows.insert(0, ("p_available_w", fmt(p_a)))
         if p_a > 0.0:
-            power_rows.append(("eta_matching", fmt(res.p_transmit / p_a)))
+            power_rows.append(("eta_matching", fmt(matching_efficiency(model, res, v_tx))))
         if res.p_transmit != 0.0:
-            power_rows.append(("eta_tuning", fmt(res.p_radiating / res.p_transmit)))
+            power_rows.append(("eta_tuning", fmt(tuning_efficiency(res))))
         if res.p_radiating != 0.0:
-            power_rows.append(("eta_radiation", fmt(res.p_farfield / res.p_radiating)))
+            power_rows.append(("eta_radiation", fmt(radiation_efficiency(res))))
     _write_csv(os.path.join(out, "powers.csv"), "name,value", power_rows)
     print(
         f"solved model {model_name!r}: radiated {fmt(res.p_farfield)} W -> "

@@ -103,33 +103,23 @@ def _frobenius2(x: np.ndarray) -> np.ndarray:
     return np.vecdot(flat, flat).real
 
 
-def reduce_terminated_ports(s: np.ndarray, keep, gamma) -> np.ndarray:
-    """Fold reflective terminations into a smaller scattering matrix.
+def reduce_terminated_ports(s: np.ndarray, n_keep: int, gamma) -> np.ndarray:
+    """Fold reflective terminations of the trailing ports into a smaller scattering matrix.
 
-    Ports in `keep` stay external; every other port p is terminated with the
-    reflection gamma[k] (ordered as the terminated ports appear in s). The
-    result is S_AA + S_AB G (I - S_BB G)^-1 S_BA. A (..., t) stack of
-    reflection vectors gives the (..., a, a) stack of reduced matrices.
+    The leading n_keep ports stay external; trailing port n_keep + k is
+    terminated with the reflection gamma[k]. The result is
+    S_AA + S_AB G (I - S_BB G)^-1 S_BA, formed on contiguous blocks of s.
     """
     s = np.asarray(s, dtype=complex)
     n = s.shape[0]
     if s.shape != (n, n):
         raise ModelError(f"scattering matrix must be square, got {s.shape}")
-    keep = list(keep)
-    kept = set(keep)
-    term = [p for p in range(n) if p not in kept]
     gamma = np.asarray(gamma, dtype=complex)
-    if gamma.shape[-1:] != (len(term),):
-        raise ModelError(f"need {len(term)} termination reflections, got {gamma.shape}")
-    s_aa = s[np.ix_(keep, keep)]
-    if not term:
-        return np.broadcast_to(s_aa, gamma.shape[:-1] + s_aa.shape).copy()
-    s_ab = s[np.ix_(keep, term)]
-    s_ba = s[np.ix_(term, keep)]
-    s_bb = s[np.ix_(term, term)]
-    g = gamma[..., None, :]  # G is diagonal: scale the columns
-    loop = np.eye(len(term)) - s_bb * g
-    return s_aa + (s_ab * g) @ (checked_inv(loop, "terminated-port reduction") @ s_ba)
+    if not 0 <= n_keep <= n or gamma.shape != (n - n_keep,):
+        raise ModelError(f"{n}-port matrix keeping {n_keep} ports: got {gamma.shape} reflections")
+    loop = np.eye(gamma.size) - s[n_keep:, n_keep:] * gamma  # G is diagonal: scale the columns
+    inv = checked_inv(loop, "terminated-port reduction")
+    return s[:n_keep, :n_keep] + (s[:n_keep, n_keep:] * gamma) @ (inv @ s[n_keep:, :n_keep])
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +128,7 @@ def reduce_terminated_ports(s: np.ndarray, keep, gamma) -> np.ndarray:
 
 @dataclass
 class TuningNetwork:
-    """(n_frontend + m_radiating)-port network between frontend and structure.
-
-    s may also be a (..., dim, dim) stack of networks with one port layout.
-    """
+    """(n_frontend + m_radiating)-port network between frontend and structure."""
 
     n_frontend: int
     m_radiating: int
@@ -150,24 +137,26 @@ class TuningNetwork:
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=complex)
         dim = self.n_frontend + self.m_radiating
-        if self.s.shape[-2:] != (dim, dim):
+        if self.s.shape != (dim, dim):
             raise ModelError(f"tuning matrix shape {self.s.shape} != ({dim}, {dim})")
+        if not np.all(np.isfinite(self.s)):
+            raise ModelError("tuning matrix must be finite")
 
     @property
     def s_tt(self) -> np.ndarray:
-        return self.s[..., : self.n_frontend, : self.n_frontend]
+        return self.s[: self.n_frontend, : self.n_frontend]
 
     @property
     def s_tr(self) -> np.ndarray:
-        return self.s[..., : self.n_frontend, self.n_frontend :]
+        return self.s[: self.n_frontend, self.n_frontend :]
 
     @property
     def s_rt(self) -> np.ndarray:
-        return self.s[..., self.n_frontend :, : self.n_frontend]
+        return self.s[self.n_frontend :, : self.n_frontend]
 
     @property
     def s_rr(self) -> np.ndarray:
-        return self.s[..., self.n_frontend :, self.n_frontend :]
+        return self.s[self.n_frontend :, self.n_frontend :]
 
 
 def through_tuning(n: int) -> TuningNetwork:
@@ -206,15 +195,6 @@ def feedthrough_reflector_fixed(n: int, m: int, r: int) -> np.ndarray:
         s[n + n + j, n + m + j] = 1.0
         s[n + m + j, n + n + j] = 1.0
     return s
-
-
-def reconfigurable_tuning(fixed_s: np.ndarray, n: int, m: int, gammas) -> TuningNetwork:
-    """Terminate the trailing control ports of fixed_s with reflections.
-
-    A (K, r) stack of reflections gives a network holding K scattering
-    matrices.
-    """
-    return TuningNetwork(n, m, reduce_terminated_ports(fixed_s, range(n + m), gammas))
 
 
 # ---------------------------------------------------------------------------

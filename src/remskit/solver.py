@@ -22,7 +22,7 @@ from .network import (
     TuningNetwork,
     check_condition,
     checked_inv,
-    reconfigurable_tuning,
+    reduce_terminated_ports,
     reflection_coefficient,
 )
 from .radiating import RadiatingStructure, apply_receive, apply_scatter, apply_transmit
@@ -75,9 +75,8 @@ class ReconfigurableBuilder:
     fixed_s is the (N + M + r)-port fixed network, ports ordered [frontend |
     radiating | control]. Calling the builder with r load impedances (ohms,
     referenced to r0) terminates control port j in load j and returns that
-    configuration's ReMSModel; a (K, r) stack of impedances gives one model
-    whose tuning network holds the K configurations' networks.
-    load_sweep_transmit gives every setting of one load from one base model.
+    configuration's ReMSModel. load_sweep_transmit gives every setting of one
+    load from one base model.
     """
 
     structure: RadiatingStructure
@@ -89,23 +88,22 @@ class ReconfigurableBuilder:
         return self.frontend.r0
 
     def __call__(self, z_values) -> ReMSModel:
-        gammas = reflection_coefficient(np.asarray(z_values, dtype=complex), self.r0)
+        gammas = reflection_coefficient(z_values, self.r0)
         n, m = self.frontend.n, self.structure.m_ports
-        tuning = reconfigurable_tuning(self.fixed_s, n, m, gammas)
+        tuning = TuningNetwork(n, m, reduce_terminated_ports(self.fixed_s, n + m, gammas))
         return ReMSModel(structure=self.structure, tuning=tuning, frontend=self.frontend)
 
     def load_sweep_transmit(self, z_values, coord: int, z_set):
-        """(T0, u, v, w): core_tx = T0 + w[k] u v with load coord of z_values set to z_set[k].
+        """(T0, u, v, w, b): core_tx = T0 + w[k] u v with load coord of z_values set to z_set[k].
 
-        T0 is core_tx of the base, z_values with load coord matched; u the
-        response at a_R tilde to a unit wave into that control port, v the wave
-        out of it per unit v_tx, and w = gamma / (1 - rho gamma) with rho the
-        reflection looking into it. None unless the base passes every loop
-        check and each candidate's five loops (I - S_BB G, I - L2, I - L1 - L3,
-        I - L5, I - L6 - L7) have a Sherman-Morrison bound <= RANK1_COND. A
-        fresh inverse and an update each err by about eps cond (eps = 2.2e-16),
-        so over five loops they differ by ~10 eps cond, < 1e-12 for cond <= 4.5e2
-        (measured < 7e-14 for bounds < 1e3 on generated models).
+        T0 is core_tx of the base, z_values with load coord matched; u the response at a_R tilde
+        to a unit wave into that control port, v the wave out of it per unit v_tx, and
+        w = gamma / (1 - rho gamma) with rho the reflection looking into it. b[k] is the largest
+        Sherman-Morrison bound of candidate k's five loops (I - S_BB G, I - L2, I - L1 - L3,
+        I - L5, I - L6 - L7). None unless the base passes every loop check and every
+        b[k] <= RANK1_COND. A fresh inverse and an update each err by about eps cond
+        (eps = 2.2e-16), so over five loops they differ by ~10 eps cond, < 1e-12 for
+        cond <= 4.5e2 (measured < 7e-14 for bounds < 1e3 on generated models).
         """
         fe, c = self.frontend, self.structure.coupling
         n, nm = fe.n, fe.n + self.structure.m_ports
@@ -140,10 +138,11 @@ class ReconfigurableBuilder:
                 _rank1_cond(loop5, b_t, beta, p_t, q_t @ s_rf),
                 _rank1_cond(loop67, b_r, g / (1.0 - rho67 * g), p67, q67),
             )
-            if not all(np.all(b <= RANK1_COND) for b in bounds):
+            bound = np.max(bounds, axis=0)
+            if not np.all(bound <= RANK1_COND):
                 return None
             u, v = a_r @ (p_r + tn.s_rt @ (a_t @ p3)), q3 @ a_t @ fe.k_vtx()
-            return t0, u, v, g / (1.0 - (rho3 + q3 @ a_t @ p3) * g)
+            return t0, u, v, g / (1.0 - (rho3 + q3 @ a_t @ p3) * g), bound
 
 
 @dataclass
@@ -227,8 +226,7 @@ def transmit_operator(model: ReMSModel) -> np.ndarray:
 
     The receive-side loops are checked too, after the transmit loops, so this
     accepts exactly the models gain_operators accepts and raises the same
-    error. A tuning network holding a (K, ., .) stack gives the (K, M, n_tx)
-    stack of operators.
+    error.
     """
     core_tx = _transmit_loops(model)[2]
     _receive_loops(model)
@@ -414,17 +412,23 @@ def solve_direct(
 # power metrics
 
 
+def _efficiency(p_out: float, p_in: float, what: str) -> float:
+    if p_in == 0.0:
+        raise ModelError(f"{what} is zero")
+    return p_out / p_in
+
+
 def matching_efficiency(model: ReMSModel, res: SolveResult, v_tx) -> float:
     """Transmit power over available power."""
-    return res.p_transmit / model.frontend.available_power(v_tx)
+    return _efficiency(res.p_transmit, model.frontend.available_power(v_tx), "available power")
 
 def tuning_efficiency(res: SolveResult) -> float:
     """Radiating-port power over transmit power."""
-    return res.p_radiating / res.p_transmit
+    return _efficiency(res.p_radiating, res.p_transmit, "transmit power")
 
 def radiation_efficiency(res: SolveResult) -> float:
     """Radiated power over radiating-port power."""
-    return res.p_farfield / res.p_radiating
+    return _efficiency(res.p_farfield, res.p_radiating, "radiating-port power")
 
 
 def rems_gain(model: ReMSModel, v_tx, d) -> float:

@@ -16,7 +16,6 @@ from remskit import (
     inline_tuning,
     parse_touchstone,
     read_touchstone,
-    reconfigurable_tuning,
     reduce_terminated_ports,
     reflection_coefficient,
     through_tuning,
@@ -90,7 +89,7 @@ def test_reduce_terminated_ports_against_brute_solve():
         s = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         s *= 0.9 / max_singular_value(s)
         gamma = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 2))
-        red = reduce_terminated_ports(s, [0, 1, 2], gamma)
+        red = reduce_terminated_ports(s, 3, gamma)
         np.testing.assert_allclose(red, _brute_reduce(s, [0, 1, 2], gamma), rtol=1e-11)
 
 
@@ -98,7 +97,14 @@ def test_reduce_singular_termination_raises():
     s = np.zeros((2, 2), dtype=complex)
     s[1, 1] = 1.0
     with pytest.raises(NumericsError):
-        reduce_terminated_ports(s, [0], [1.0])
+        reduce_terminated_ports(s, 1, [1.0])
+
+
+def test_reduce_rejects_mismatched_terminations():
+    s = np.zeros((4, 4), dtype=complex)
+    for n_keep, gamma in ((2, [0.5]), (2, np.zeros((3, 2))), (5, []), (-1, np.zeros(5))):
+        with pytest.raises(ModelError, match="reflections"):
+            reduce_terminated_ports(s, n_keep, gamma)
 
 
 def test_check_condition_agrees_with_numpy_cond():
@@ -203,7 +209,7 @@ def test_reconfigurable_tuning_reflects_loads():
     n, m, r = 1, 3, 2
     fixed = feedthrough_reflector_fixed(n, m, r)
     gammas = np.array([0.5j, -0.25 + 0.1j])
-    t = reconfigurable_tuning(fixed, n, m, gammas)
+    t = TuningNetwork(n, m, reduce_terminated_ports(fixed, n + m, gammas))
     assert t.n_frontend == n and t.m_radiating == m
     # the frontend chain passes straight through
     np.testing.assert_allclose(t.s_tt, np.zeros((1, 1)), atol=1e-15)
@@ -265,18 +271,6 @@ def test_frontend_rejects_non_finite_impedances():
             RFFrontend(z_tx=[50.0, bad], z_rx=[], r0=50.0)
         with pytest.raises(ModelError, match="finite"):
             RFFrontend(z_tx=[50.0], z_rx=[bad], r0=50.0)
-
-
-def test_stacked_reduction_matches_one_matrix_at_a_time():
-    rng = np.random.default_rng(6)
-    s = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    s *= 0.9 / max_singular_value(s)
-    gammas = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (5, 3)))
-    stacked = reduce_terminated_ports(s, [0, 1, 2], gammas)
-    for g, red in zip(gammas, stacked):
-        assert np.array_equal(red, reduce_terminated_ports(s, [0, 1, 2], g))
-    net = reconfigurable_tuning(s, 1, 2, gammas)
-    assert net.s.shape == (5, 3, 3) and net.s_rr.shape == (5, 2, 2)
 
 
 # ---------------------------------------------------------------------------

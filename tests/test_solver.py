@@ -285,6 +285,22 @@ def test_efficiency_chain_recomposes_gain():
     assert chain == pytest.approx(rems_gain(model, v_tx, d), rel=1e-10)
 
 
+def test_efficiencies_of_an_undriven_model_raise_model_error():
+    grid = make_latlon_grid(7, 12)
+    model = ReMSModel(
+        structure=hertzian_dipole([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], grid, FREQ),
+        tuning=inline_tuning([0.8]),
+        frontend=RFFrontend(z_tx=[30.0 + 10.0j], z_rx=np.zeros(0), r0=50.0),
+    )
+    res = solve_direct(model, v_tx=[0.0])
+    with pytest.raises(ModelError, match="available power is zero"):
+        matching_efficiency(model, res, [0.0])
+    with pytest.raises(ModelError, match="transmit power is zero"):
+        tuning_efficiency(res)
+    with pytest.raises(ModelError, match="radiating-port power is zero"):
+        radiation_efficiency(res)
+
+
 def test_directivity_of_dipole():
     grid = make_latlon_grid(37, 72)
     s = hertzian_dipole([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], grid, FREQ)
@@ -351,3 +367,16 @@ def test_model_shape_validation():
             tuning=random_tuning(rng, 4, 2),
             frontend=random_frontend(rng, 2, 1),
         )
+
+
+def test_malformed_tuning_matrix_raises_model_error():
+    grid = make_latlon_grid(4, 4)
+    rng = np.random.default_rng(37)
+    st = _zero_kernel_structure(grid, 2)
+    fe = random_frontend(rng, 1, 1)
+    s = random_tuning(rng, 2, 2).s
+    bad_nan = s.copy()
+    bad_nan[1, 3] = complex(math.nan, 0.0)
+    for bad, what in ((np.stack([s, s]), "shape"), (bad_nan, "finite")):
+        with pytest.raises(ModelError, match=what):
+            solve_direct(ReMSModel(structure=st, tuning=TuningNetwork(2, 2, bad), frontend=fe))

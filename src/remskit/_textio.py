@@ -1,8 +1,9 @@
 """Text parsing, formatting and file-writing helpers shared by the IO paths.
 
-All numeric text output goes through ``fmt`` so that every file the package
-writes uses the same 17-significant-digit representation, which is enough to
-round-trip IEEE doubles exactly. Scalar input fields go through ``number``,
+Every number the package writes is ``repr`` of a Python float, through
+``fmt`` or, in the bulk writers, directly on values read with ``.tolist()``:
+the shortest text that round-trips the IEEE double exactly, at most 17
+significant digits. Scalar input fields go through ``number``,
 which turns a malformed value into a ModelError naming the field.
 """
 

@@ -25,13 +25,12 @@ from .radiating import (
     _scatter_asymmetry,
     extract_rx_kernel,
     extract_scatter_kernel,
+    kernels_to_text,
     read_response_file,
 )
 from .scene import Scene, _mapping, _require, parse_complex_list, rotation_matrix
 from .solver import gain_operators, matching_efficiency, radiation_efficiency
 from .solver import solve_direct, tuning_efficiency
-
-_POL_NAMES = ("theta", "phi")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -86,33 +85,7 @@ def cmd_extract(args) -> int:
     resp = read_response_file(args.response)
     rx = extract_rx_kernel(resp)
     scatter = extract_scatter_kernel(resp) if resp.scattered is not None else None
-    grid = resp.grid
-    th_deg = np.degrees(grid.theta)
-    ph_deg = np.degrees(grid.phi)
-
-    buf = io.StringIO()
-    buf.write("remskit-kernels v1\n")
-    buf.write(f"frequency_hz {fmt(resp.frequency)}\n")
-    buf.write(f"grid {grid.n_theta} {grid.n_phi}\n")
-    buf.write(f"ports {resp.m_ports}\n")
-    for m in range(resp.m_ports):
-        for i in range(grid.size):
-            buf.write(
-                f"rx {m} {fmt(th_deg[i])} {fmt(ph_deg[i])} "
-                f"{fmt(rx[m, i, 0].real)} {fmt(rx[m, i, 0].imag)} "
-                f"{fmt(rx[m, i, 1].real)} {fmt(rx[m, i, 1].imag)}\n"
-            )
     if scatter is not None:
-        for i in range(grid.size):
-            for c_out in range(2):
-                for j in range(grid.size):
-                    for c_in in range(2):
-                        v = scatter[i, c_out, j, c_in]
-                        buf.write(
-                            f"scatter {fmt(th_deg[i])} {fmt(ph_deg[i])} {_POL_NAMES[c_out]} "
-                            f"{fmt(th_deg[j])} {fmt(ph_deg[j])} {_POL_NAMES[c_in]} "
-                            f"{fmt(v.real)} {fmt(v.imag)}\n"
-                        )
         dev = _scatter_asymmetry(scatter)
         if tol is not None and dev > tol:
             print(
@@ -121,7 +94,7 @@ def cmd_extract(args) -> int:
                 file=sys.stderr,
             )
     path = os.path.join(_out_dir(args), "kernels.txt")
-    atomic_write_text(path, buf.getvalue())
+    atomic_write_text(path, kernels_to_text(resp.frequency, resp.grid, rx, scatter))
     print(
         f"extracted {resp.m_ports} receive kernel(s)"
         + ("" if scatter is None else " and the reduced scattering kernel")

@@ -7,7 +7,7 @@ scattering kernel. The free-space mirror term of the full scattering operator
 is never stored; apply_scatter re-adds it analytically.
 
 Also here: analytic dipole structures used as ground truth, kernel extraction
-from plane-wave response data, the response file format, reciprocity checks,
+from plane-wave response data, the response and kernel text formats, reciprocity checks,
 and a certified-passive random structure generator for validation.
 """
 
@@ -17,6 +17,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -437,6 +438,8 @@ class PlaneWaveResponseSet:
     direction i with polarization q (0 theta-hat, 1 phi-hat), in sqrt(W).
     scattered[i, q, j, c]: scattered far-field amplitude component c at
     direction j for the same excitation, in V (field amplitude times meters).
+    A non-finite entry or frequency is a ModelError, so every set that
+    write_response_file writes parses back.
     """
 
     frequency: float
@@ -446,17 +449,23 @@ class PlaneWaveResponseSet:
 
     def __post_init__(self):
         n = self.grid.size
+        if not (math.isfinite(self.frequency) and self.frequency > 0.0):
+            raise ModelError(f"frequency must be positive and finite, got {self.frequency!r}")
         self.port_waves = np.asarray(self.port_waves, dtype=complex)
         if self.port_waves.ndim != 3 or self.port_waves.shape[:2] != (n, 2):
             raise ModelError(
                 f"port_waves shape {self.port_waves.shape} != ({n}, 2, M)"
             )
+        if not np.isfinite(self.port_waves).all():
+            raise ModelError("port_waves must be finite")
         if self.scattered is not None:
             self.scattered = np.asarray(self.scattered, dtype=complex)
             if self.scattered.shape != (n, 2, n, 2):
                 raise ModelError(
                     f"scattered shape {self.scattered.shape} != ({n}, 2, {n}, 2)"
                 )
+            if not np.isfinite(self.scattered).all():
+                raise ModelError("scattered must be finite")
 
     @property
     def m_ports(self) -> int:
@@ -520,10 +529,32 @@ def structure_from_responses(
 
 
 # ---------------------------------------------------------------------------
-# response file io
+# response and kernel file io
 
 _RESPONSE_MAGIC = "remskit-planewave-responses v1"
+_KERNELS_MAGIC = "remskit-kernels v1"
 _POL_NAMES = ("theta", "phi")
+
+
+def _header_lines(magic: str, frequency: float, grid: DirectionGrid, m_ports: int) -> list[str]:
+    return [
+        magic,
+        f"frequency_hz {fmt(frequency)}",
+        f"grid {grid.n_theta} {grid.n_phi}",
+        f"ports {m_ports}",
+    ]
+
+
+def _direction_labels(grid: DirectionGrid) -> list[str]:
+    """The "theta phi" text of every grid direction in degrees, as fmt writes it."""
+    theta, phi = np.degrees(grid.theta).tolist(), np.degrees(grid.phi).tolist()
+    return [f"{th!r} {ph!r}" for th, ph in zip(theta, phi)]
+
+
+# The writers read values with .tolist() and write them with repr, the shortest
+# round-trip text fmt gives, so the same data always gives the same bytes. Each
+# scattering block is joined into one string at once: a write peaks near twice
+# its text size, not at one object per line.
 
 
 def write_response_file(resp: PlaneWaveResponseSet, path: str) -> None:
@@ -532,34 +563,48 @@ def write_response_file(resp: PlaneWaveResponseSet, path: str) -> None:
 
 def response_to_text(resp: PlaneWaveResponseSet) -> str:
     g = resp.grid
-    lines = [
-        _RESPONSE_MAGIC,
-        f"frequency_hz {fmt(resp.frequency)}",
-        f"grid {g.n_theta} {g.n_phi}",
-        f"ports {resp.m_ports}",
-    ]
-    th_deg = np.degrees(g.theta)
-    ph_deg = np.degrees(g.phi)
-    for i in range(g.size):
-        for q, pol in enumerate(_POL_NAMES):
-            for m in range(resp.m_ports):
-                b = resp.port_waves[i, q, m]
-                lines.append(
-                    f"b {fmt(th_deg[i])} {fmt(ph_deg[i])} {pol} {m} "
-                    f"{fmt(b.real)} {fmt(b.imag)}"
-                )
+    labels = _direction_labels(g)
+    lines = _header_lines(_RESPONSE_MAGIC, resp.frequency, g, resp.m_ports)
+    for label, waves in zip(labels, resp.port_waves.tolist()):
+        for pol, row in zip(_POL_NAMES, waves):
+            lines += [f"b {label} {pol} {m} {b.real!r} {b.imag!r}" for m, b in enumerate(row)]
     if resp.scattered is not None:
-        for i in range(g.size):
-            for q, pol in enumerate(_POL_NAMES):
-                lines.append(f"scattered {fmt(th_deg[i])} {fmt(ph_deg[i])} {pol}")
-                for j in range(g.size):
-                    s = resp.scattered[i, q, j]
-                    lines.append(
-                        f"s {fmt(th_deg[j])} {fmt(ph_deg[j])} "
-                        f"{fmt(s[0].real)} {fmt(s[0].imag)} "
-                        f"{fmt(s[1].real)} {fmt(s[1].imag)}"
-                    )
-    return "\n".join(lines) + "\n"
+        heads = ["s " + label for label in labels]
+        for i, label in enumerate(labels):
+            for pol, block in zip(_POL_NAMES, resp.scattered[i].tolist()):
+                lines.append(f"scattered {label} {pol}")
+                lines.append("\n".join([
+                    f"{h} {a.real!r} {a.imag!r} {b.real!r} {b.imag!r}"
+                    for h, (a, b) in zip(heads, block)
+                ]))
+    lines.append("")  # the final newline, without a copy of the whole text
+    return "\n".join(lines)
+
+
+def kernels_to_text(
+    frequency: float, grid: DirectionGrid, rx_kernel: np.ndarray, scatter_kernel: np.ndarray | None
+) -> str:
+    """The remskit-kernels v1 text of an (M, n, 2) receive and an optional (n, 2, n, 2) scattering kernel.
+
+    One "rx m theta phi re0 im0 re1 im1" line per port and direction, then one
+    "scatter theta phi pol theta' phi' pol' re im" line per kernel entry
+    [out_dir, out_comp, in_dir, in_comp].
+    """
+    labels = _direction_labels(grid)
+    lines = _header_lines(_KERNELS_MAGIC, frequency, grid, rx_kernel.shape[0])
+    for m, kernel in enumerate(rx_kernel.tolist()):
+        lines += [
+            f"rx {m} {label} {a.real!r} {a.imag!r} {b.real!r} {b.imag!r}"
+            for label, (a, b) in zip(labels, kernel)
+        ]
+    if scatter_kernel is not None:
+        tails = [f"{label} {pol}" for label in labels for pol in _POL_NAMES]
+        for i, label in enumerate(labels):
+            for pol, row in zip(_POL_NAMES, scatter_kernel[i].reshape(2, -1).tolist()):
+                head = f"scatter {label} {pol} "
+                lines.append("\n".join([f"{head}{t} {v.real!r} {v.imag!r}" for t, v in zip(tails, row)]))
+    lines.append("")  # the final newline, without a copy of the whole text
+    return "\n".join(lines)
 
 
 def _grid_index_map(grid: DirectionGrid):
@@ -599,24 +644,48 @@ def parse_response_text(text: str) -> PlaneWaveResponseSet:
     grid = make_latlon_grid(n_theta, n_phi)
     index_map = _grid_index_map(grid)
 
+    isfinite = math.isfinite
+    dirs = {}  # direction tokens already looked up -> grid index
+
     def dir_index(th_s: str, ph_s: str, lineno: int) -> int:
-        key = (round(float(th_s), 6), round(float(ph_s), 6))
-        idx = index_map.get(key)
+        idx = dirs.get((th_s, ph_s))
         if idx is None:
-            raise ModelError(f"line {lineno}: direction {key} not on the declared grid")
+            key = (round(float(th_s), 6), round(float(ph_s), 6))
+            idx = index_map.get(key)
+            if idx is None:
+                raise ModelError(f"line {lineno}: direction {key} not on the declared grid")
+            dirs[th_s, ph_s] = idx
         return idx
+
+    def store_block():
+        # one array store per block; block holds each out direction's last record
+        if block:
+            i, q = block_at
+            values = np.fromiter(chain.from_iterable(block.values()), float, 4 * len(block))
+            js = np.fromiter(block, np.intp, len(block))
+            scattered[i, q, js] = values.view(complex).reshape(-1, 2)
 
     port_waves = np.full((grid.size, 2, m_ports), np.nan, dtype=complex)
     scattered = None
-    current_block = None  # (in_idx, pol_idx)
+    block_at, block = None, {}  # open scattered block (in_idx, pol_idx), {j: (re0, im0, re1, im1)}
     n_b = 0
-    for lineno in range(5, len(lines) + 1):
-        raw = lines[lineno - 1].strip()
-        if not raw or raw.startswith("#"):
+    for lineno, line in enumerate(lines[4:], start=5):
+        toks = line.split()
+        if not toks:
             continue
-        toks = raw.split()
         try:
-            if toks[0] == "b":
+            if toks[0] == "s":
+                if block_at is None:
+                    raise ModelError(f"line {lineno}: s record outside a scattered block")
+                if len(toks) != 7:
+                    raise ModelError(f"line {lineno}: s record needs 6 fields")
+                j = dir_index(toks[1], toks[2], lineno)
+                values = float(toks[3]), float(toks[4]), float(toks[5]), float(toks[6])
+                re0, im0, re1, im1 = values
+                if not (isfinite(re0) and isfinite(im0) and isfinite(re1) and isfinite(im1)):
+                    raise ModelError(f"line {lineno}: non-finite value")
+                block[j] = values
+            elif toks[0] == "b":
                 if len(toks) != 7:
                     raise ModelError(f"line {lineno}: b record needs 6 fields")
                 i = dir_index(toks[1], toks[2], lineno)
@@ -639,26 +708,15 @@ def parse_response_text(text: str) -> PlaneWaveResponseSet:
                 i = dir_index(toks[1], toks[2], lineno)
                 if toks[3] not in _POL_NAMES:
                     raise ModelError(f"line {lineno}: polarization must be theta or phi")
-                current_block = (i, _POL_NAMES.index(toks[3]))
-            elif toks[0] == "s":
-                if current_block is None:
-                    raise ModelError(f"line {lineno}: s record outside a scattered block")
-                if len(toks) != 7:
-                    raise ModelError(f"line {lineno}: s record needs 6 fields")
-                j = dir_index(toks[1], toks[2], lineno)
-                i, q = current_block
-                v0 = complex(float(toks[3]), float(toks[4]))
-                v1 = complex(float(toks[5]), float(toks[6]))
-                if not (cmath.isfinite(v0) and cmath.isfinite(v1)):
-                    raise ModelError(f"line {lineno}: non-finite value")
-                scattered[i, q, j, 0] = v0
-                scattered[i, q, j, 1] = v1
-            else:
+                store_block()
+                block_at, block = (i, _POL_NAMES.index(toks[3])), {}
+            elif not toks[0].startswith("#"):  # a comment otherwise
                 raise ModelError(f"line {lineno}: unknown record type {toks[0]!r}")
         except ModelError:
             raise
         except ValueError as err:  # float() of a malformed token
             raise ModelError(f"line {lineno}: {err}") from None
+    store_block()
 
     if n_b == 0:
         raise ModelError("no records")

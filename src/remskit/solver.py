@@ -88,10 +88,14 @@ class ReconfigurableBuilder:
         return self.frontend.r0
 
     def __call__(self, z_values) -> ReMSModel:
-        gammas = reflection_coefficient(z_values, self.r0)
+        return self._build(reflection_coefficient(z_values, self.r0))[0]
+
+    def _build(self, gammas):
+        """(model, terminated-port loop inverse) with control port j terminated in gammas[j]."""
         n, m = self.frontend.n, self.structure.m_ports
-        tuning = TuningNetwork(n, m, reduce_terminated_ports(self.fixed_s, n + m, gammas))
-        return ReMSModel(structure=self.structure, tuning=tuning, frontend=self.frontend)
+        s, loop_inv = reduce_terminated_ports(self.fixed_s, n + m, gammas)
+        tuning = TuningNetwork(n, m, s)
+        return ReMSModel(structure=self.structure, tuning=tuning, frontend=self.frontend), loop_inv
 
     def load_sweep_transmit(self, z_values, coord: int, z_set):
         """(T0, u, v, w, b): core_tx = T0 + w[k] u v with load coord of z_values set to z_set[k].
@@ -110,9 +114,8 @@ class ReconfigurableBuilder:
         z_base = [*z_values[:coord], self.r0, *z_values[coord + 1 :]]
         s, g0 = self.fixed_s, reflection_coefficient(z_base, self.r0)
         try:
-            model = self(z_base)
+            model, inv1 = self._build(g0)
             loop1 = np.eye(g0.size) - s[nm:, nm:] * g0  # the base's terminated-port loop
-            inv1 = checked_inv(loop1, "terminated-port reduction")
             (loop2, a_r), (loop3, a_t), t0 = _transmit_loops(model)
             (loop5, b_t), (loop67, b_r) = _receive_loops(model)
         except NumericsError:

@@ -267,7 +267,7 @@ def _one_load_setup(seed=17):
         gammas = reflection_coefficient(np.asarray(z_values, dtype=complex), 50.0)
         return ReMSModel(
             structure=structure,
-            tuning=TuningNetwork(1, 2, reduce_terminated_ports(fixed_s, 3, gammas)),
+            tuning=TuningNetwork(1, 2, reduce_terminated_ports(fixed_s, 3, gammas)[0]),
             frontend=RFFrontend(z_tx=[50.0], z_rx=np.zeros(0)),
         )
 
@@ -324,7 +324,7 @@ def test_no_tunable_loads_returns_zero_forcing_of_fixed_model():
         assert z_values == ()
         return ReMSModel(
             structure=structure,
-            tuning=TuningNetwork(1, 1, reduce_terminated_ports(fixed_s, 2, np.zeros(0))),
+            tuning=TuningNetwork(1, 1, reduce_terminated_ports(fixed_s, 2, np.zeros(0))[0]),
             frontend=RFFrontend(z_tx=[50.0], z_rx=np.zeros(0)),
         )
 
@@ -457,7 +457,7 @@ def _near_limit_case(rng, n_rx, r, factor):
     target_idx = list(z_idx)
     target_idx[coord] = target
     z_target = np.array([z_set[i] for i in target_idx])
-    s_rr = reduce_terminated_ports(fixed, n + m, reflection_coefficient(z_target, frontend.r0))[n:, n:]
+    s_rr = reduce_terminated_ports(fixed, n + m, reflection_coefficient(z_target, frontend.r0))[0][n:, n:]
 
     def unitary():
         q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
@@ -617,17 +617,17 @@ def test_rank1_scoring_certifies_the_zf_gram_on_two_chain_models():
 def test_case_study_ascent_builds_one_base_model_per_coordinate(monkeypatch, caplog):
     problem, builder = Scene.load(CASE_STUDY).beamform_problem()
     builds, updates = [], []
-    build, sweep = ReconfigurableBuilder.__call__, ReconfigurableBuilder.load_sweep_transmit
+    build, sweep = ReconfigurableBuilder._build, ReconfigurableBuilder.load_sweep_transmit
 
-    def counted_build(self, z_values):
-        builds.append(np.shape(z_values))
-        return build(self, z_values)
+    def counted_build(self, gammas):  # every model build, through __call__ or the sweep
+        builds.append(np.shape(gammas))
+        return build(self, gammas)
 
     def recorded_sweep(*args):
         updates.append(sweep(*args))
         return updates[-1]
 
-    monkeypatch.setattr(ReconfigurableBuilder, "__call__", counted_build)
+    monkeypatch.setattr(ReconfigurableBuilder, "_build", counted_build)
     monkeypatch.setattr(ReconfigurableBuilder, "load_sweep_transmit", recorded_sweep)
     with caplog.at_level(logging.WARNING, logger="remskit.beamform"):
         result = coordinate_ascent(problem, builder)

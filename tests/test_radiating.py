@@ -492,6 +492,100 @@ def test_response_parser_rejects_non_finite_scatter_values():
         parse_response_text("\n".join(lines) + "\n")
 
 
+def test_response_parser_keeps_the_later_of_duplicated_records():
+    g = make_latlon_grid(2, 2)
+    s = random_reciprocal_structure(g, 2, np.random.default_rng(5), FREQ)
+    resp = synthesize_plane_wave_responses(s)
+    lines = response_to_text(resp).splitlines()
+
+    def changed(line, values):
+        return " ".join(line.split()[: -len(values)] + list(values))
+
+    kb = next(i for i, line in enumerate(lines) if line.startswith("b ") and line.split()[4] == "1")
+    b_line = changed(lines[kb], ("0.25", "-0.5"))
+    ks = [i for i, line in enumerate(lines) if line.startswith("s ")][2]  # block (0, theta), j = 2
+    s_line = changed(lines[ks], ("1.0", "2.0", "3.0", "4.0"))
+
+    # a changed copy right after the original wins; right before it, the original wins
+    after = lines[: kb + 1] + [b_line] + lines[kb + 1 : ks + 1] + [s_line] + lines[ks + 1 :]
+    back = parse_response_text("\n".join(after) + "\n")
+    assert back.port_waves[0, 0, 1] == 0.25 - 0.5j
+    np.testing.assert_array_equal(back.scattered[0, 0, 2], [1 + 2j, 3 + 4j])
+    before = lines[:kb] + [b_line] + lines[kb:ks] + [s_line] + lines[ks:]
+    back = parse_response_text("\n".join(before) + "\n")
+    np.testing.assert_array_equal(back.port_waves, resp.port_waves)
+    np.testing.assert_array_equal(back.scattered, resp.scattered)
+
+    # a block header repeated at the end overrides only the records it carries
+    last = lines[-1].split()
+    header = next(line for line in lines if line.startswith("scattered "))
+    tail = [header, " ".join(last[:3] + ["7.0", "0.0", "0.0", "-7.0"])]
+    back = parse_response_text("\n".join(lines + tail) + "\n")
+    want = resp.scattered.copy()
+    want[0, 0, g.size - 1] = [7.0, -7.0j]
+    np.testing.assert_array_equal(back.scattered, want)
+
+
+def test_response_parser_names_the_first_bad_scatter_line():
+    g = make_latlon_grid(2, 2)
+    s = random_reciprocal_structure(g, 1, np.random.default_rng(8), FREQ)
+    lines = response_to_text(synthesize_plane_wave_responses(s)).splitlines()
+    first_block = next(i for i, line in enumerate(lines) if line.startswith("scattered "))
+    k = first_block + 2  # the second s record of the first block, 0-based
+    s_records = [i for i, line in enumerate(lines) if line.startswith("s ")]
+    k_last = s_records[-1]
+
+    def parse_with(edits):
+        edited = list(lines)
+        for at, field, word in edits:
+            toks = edited[at].split()
+            toks[field] = word
+            edited[at] = " ".join(toks)
+        return parse_response_text("\n".join(edited) + "\n")
+
+    cases = [
+        ([(k, 4, "abc")], f"line {k + 1}: could not convert"),
+        ([(k, 5, "inf")], f"line {k + 1}: non-finite value"),
+        ([(k, 1, "46.5")], f"line {k + 1}: direction .* not on the declared grid"),
+        ([(k_last, 6, "nan")], f"line {k_last + 1}: non-finite value"),
+        # two bad records in one block: the earlier line is the one named
+        ([(k, 6, "nan"), (k + 1, 3, "x")], f"line {k + 1}: non-finite value"),
+        ([(k, 3, "x"), (k + 1, 6, "nan")], f"line {k + 1}: could not convert"),
+    ]
+    for edits, match in cases:
+        with pytest.raises(ModelError, match=match):
+            parse_with(edits)
+    # an s record before the first block header
+    moved = lines[:first_block] + [lines[k]] + lines[first_block:]
+    with pytest.raises(ModelError, match=f"line {first_block + 1}: s record outside a scattered block"):
+        parse_response_text("\n".join(moved) + "\n")
+
+
+def test_response_set_rejects_non_finite_values(tmp_path):
+    from remskit.radiating import write_response_file
+
+    g = make_latlon_grid(2, 2)
+    resp = synthesize_plane_wave_responses(random_reciprocal_structure(g, 1, np.random.default_rng(9), FREQ))
+    for bad in (complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, math.nan)):
+        port_waves = resp.port_waves.copy()
+        port_waves[1, 0, 0] = bad
+        with pytest.raises(ModelError, match="port_waves must be finite"):
+            PlaneWaveResponseSet(FREQ, g, port_waves, resp.scattered)
+        scattered = resp.scattered.copy()
+        scattered[0, 1, 2, 1] = bad
+        with pytest.raises(ModelError, match="scattered must be finite"):
+            PlaneWaveResponseSet(FREQ, g, resp.port_waves, scattered)
+    for frequency in (math.nan, math.inf, 0.0, -FREQ):
+        with pytest.raises(ModelError, match="frequency must be positive and finite"):
+            PlaneWaveResponseSet(frequency, g, resp.port_waves)
+    # a structure with a non-finite kernel has no response set to write
+    s = random_reciprocal_structure(g, 1, np.random.default_rng(9), FREQ)
+    s.rx_kernel[0, 1, 0] = math.nan
+    with pytest.raises(ModelError, match="port_waves must be finite"):
+        write_response_file(synthesize_plane_wave_responses(s), str(tmp_path / "r.rsp"))
+    assert not (tmp_path / "r.rsp").exists()
+
+
 def test_response_file_io(tmp_path):
     from remskit.radiating import read_response_file, write_response_file
 

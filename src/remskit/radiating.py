@@ -2,9 +2,9 @@
 
 A structure couples M ports to the far field through three sampled kernels:
 a transmit kernel (port wave to outgoing pattern), a receive kernel (incoming
-pattern to port wave, paired bilinearly with area weights), and a reduced
-scattering kernel. The free-space mirror term of the full scattering operator
-is never stored; apply_scatter re-adds it analytically.
+pattern to port wave, paired bilinearly with area weights), and a scattering
+remainder. The full scattering operator is mirror * P plus the remainder; the
+free-space antipodal mirror P is applied analytically and never stored.
 
 Also here: analytic dipole structures used as ground truth, kernel extraction
 from plane-wave response data, the response and kernel text formats, reciprocity checks,
@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -43,17 +43,6 @@ def wavenumber(frequency_hz: float) -> float:
     return 2.0 * math.pi * frequency_hz / C_LIGHT
 
 
-def mirror_matrix(grid: DirectionGrid) -> np.ndarray:
-    """Dense (2n, 2n) matrix of the antipodal mirror -diag(1,-1) P."""
-    n = grid.size
-    m = np.zeros((2 * n, 2 * n))
-    rows = np.arange(n)
-    ap = grid.antipode
-    m[2 * rows, 2 * ap] = -1.0
-    m[2 * rows + 1, 2 * ap + 1] = 1.0
-    return m
-
-
 @dataclass
 class RadiatingStructure:
     """The four blocks of the radiating-structure scattering operator.
@@ -62,8 +51,10 @@ class RadiatingStructure:
     tx_kernel: (M, n, 2) sampled transmit kernel, sqrt(1/sr) per sqrt(W).
     rx_kernel: (M, n, 2) sampled receive kernel; enters only through the
         area-weighted bilinear pairing sum_i b(i)^T rx[m](i) w(i).
-    scatter_kernel: (n, 2, n, 2) reduced sampled scattering kernel in 1/sr,
+    scatter_kernel: (n, 2, n, 2) sampled scattering remainder in 1/sr,
         indexed [out_dir, out_comp, in_dir, in_comp], or None for zero.
+    mirror: coefficient of the antipodal mirror P in the full scattering
+        operator mirror * P + remainder; 1 (free space) by default.
     """
 
     m_ports: int
@@ -73,6 +64,7 @@ class RadiatingStructure:
     scatter_kernel: np.ndarray | None
     grid: DirectionGrid
     frequency: float
+    mirror: float = 1.0
     extrinsic_noise_enabled: bool = True
 
     def __post_init__(self):
@@ -108,7 +100,7 @@ class RadiatingStructure:
         return _port_at(self.rx_kernel, self.grid, d)
 
     def scatter_at(self, d_out: Direction, d_in: Direction) -> np.ndarray:
-        """2x2 reduced scattering kernel interpolated at (d_out; d_in)."""
+        """2x2 scattering remainder interpolated at (d_out; d_in), without mirror * P."""
         if self.scatter_kernel is None:
             return np.zeros((2, 2), dtype=complex)
         return _scatter_blend(
@@ -150,6 +142,7 @@ def apply_scatter(s: RadiatingStructure, b: FarFieldPattern) -> FarFieldPattern:
     if not b.grid.compatible(s.grid):
         raise ModelError("pattern grid does not match structure grid")
     out = antipodal_mirror(b)
+    out.values *= s.mirror
     if s.scatter_kernel is not None:
         out.values += np.einsum(
             "icjd,jd->ic", s.scatter_kernel, b.values * s.grid.weights[:, None]
@@ -201,18 +194,16 @@ def hertzian_dipole(orientation, position, grid: DirectionGrid, frequency: float
 
 
 def synthetic_coupling(positions, k: float, gamma: float) -> np.ndarray:
-    """Exp-phase, 1/(k d) magnitude coupling profile between element pairs."""
-    p = np.asarray(positions, dtype=float)
+    """Exp-phase, 1/(k d) magnitude coupling profile between element pairs at 3-D positions."""
+    p = np.asarray(positions, dtype=float).reshape(-1, 3)
     m = len(p)
+    i, j = np.nonzero(~np.eye(m, dtype=bool))  # off-diagonal pairs, row by row
+    diff = p[i] - p[j]
+    d = np.sqrt(np.vecdot(diff, diff))
+    if not d.all():  # argmin is then the first zero distance, row by row
+        raise ModelError(f"elements {i[d.argmin()]} and {j[d.argmin()]} are co-located")
     c = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            d = float(np.linalg.norm(p[i] - p[j]))
-            if d == 0.0:
-                raise ModelError(f"elements {i} and {j} are co-located")
-            c[i, j] = gamma * np.exp(-1j * k * d) / (k * d)
+    c[i, j] = gamma * np.exp(-1j * k * d) / (k * d)
     return c
 
 
@@ -256,22 +247,21 @@ def dipole_array(
     """Array of Hertzian dipoles; elements is a list of (orientation, position).
 
     With coupling=None the elements are ideal and uncoupled (zero coupling,
-    zero reduced scatter). A coupling matrix makes the structure interactive;
-    enforce_passivity then rescales the whole operator by its exact largest
-    singular value sigma (times 1 + 1e-12), absorbing the excess into a small
-    negative-mirror reduced kernel so passivity is certified rather than
-    assumed. sigma is found on the at most 3M-dimensional subspace where the
-    weighted operator differs from an isometry (_weighted_operator_norm), so
-    the cost grows linearly with the grid rather than cubically. The mirror
-    block alone has norm 1, so sigma >= 1 and every certified array is
+    free-space scattering P). A coupling matrix makes the structure
+    interactive; enforce_passivity then divides every block by the exact
+    largest singular value sigma of the whole operator (times 1 + 1e-12), so
+    the scattering becomes mirror = 1/sigma with no remainder and passivity is
+    certified rather than assumed. sigma is found on the at most 3M-dimensional
+    subspace where the weighted operator differs from an isometry
+    (_weighted_operator_norm), so the cost grows linearly with the grid. The
+    mirror block alone has norm 1, so sigma >= 1 and every certified array is
     rescaled.
     """
     if len(elements) == 0:
         raise ModelError("dipole_array requires at least one element")
     k = wavenumber(frequency)
     m = len(elements)
-    n = grid.size
-    tx = np.empty((m, n, 2), dtype=complex)
+    tx = np.empty((m, grid.size, 2), dtype=complex)
     for idx, (orientation, position) in enumerate(elements):
         tx[idx] = _dipole_kernel(orientation, position, grid, k)
     if coupling is None:
@@ -281,30 +271,20 @@ def dipole_array(
         if coupling.shape != (m, m):
             raise ModelError(f"coupling shape {coupling.shape} != ({m}, {m})")
     rx = tx.copy()
-    scatter = None
-
+    scale = 1.0
     if enforce_passivity:
         scale = _weighted_operator_norm(coupling, tx, rx, grid) * (1.0 + 1e-12)
-        if scale > 1.0:
-            coupling = coupling / scale
-            tx = tx / scale
-            rx = rx / scale
-            # full scatter becomes mirror/scale; the reduced kernel holds the
-            # difference (1/scale - 1) * mirror, a slight uniform absorber
-            delta = 1.0 / scale - 1.0
-            scatter = np.zeros((n, 2, n, 2), dtype=complex)
-            rows = np.arange(n)
-            scatter[rows, 0, grid.antipode, 0] = -delta / grid.weights
-            scatter[rows, 1, grid.antipode, 1] = delta / grid.weights
+        coupling, tx, rx = coupling / scale, tx / scale, rx / scale
 
     return RadiatingStructure(
         m_ports=m,
         coupling=coupling,
         tx_kernel=tx,
         rx_kernel=rx,
-        scatter_kernel=scatter,
+        scatter_kernel=None,
         grid=grid,
         frequency=frequency,
+        mirror=1.0 / scale,
     )
 
 
@@ -333,8 +313,8 @@ def random_passive_structure(
 
     The whole weighted block operator (coupling, weighted kernels, full
     scattering block) is drawn as one random matrix scaled by its Frobenius
-    norm, a rigorous bound on the largest singular value. The reduced kernel
-    then contains a -mirror/weight component, i.e. the structure is an
+    norm, a rigorous bound on the largest singular value. The full scattering
+    block is stored as the remainder with mirror = 0, so the structure is an
     absorber-like scatterer. No per-model SVD is needed.
     """
     m, n = m_ports, grid.size
@@ -346,9 +326,8 @@ def random_passive_structure(
     coupling = g[:m, :m]
     rx = (g[:m, m:] / np.repeat(sqw, 2)[None, :]).reshape(m, n, 2)
     tx = (g[m:, :m] / np.repeat(sqw, 2)[:, None]).T.reshape(m, n, 2)
-    reduced_w = g[m:, m:] - mirror_matrix(grid)
     inv_sqw = np.repeat(1.0 / sqw, 2)
-    scatter = (inv_sqw[:, None] * reduced_w * inv_sqw[None, :]).reshape(n, 2, n, 2)
+    scatter = (inv_sqw[:, None] * g[m:, m:] * inv_sqw[None, :]).reshape(n, 2, n, 2)
 
     return RadiatingStructure(
         m_ports=m,
@@ -358,6 +337,7 @@ def random_passive_structure(
         scatter_kernel=scatter,
         grid=grid,
         frequency=frequency,
+        mirror=0.0,
     )
 
 
@@ -496,10 +476,16 @@ def synthesize_plane_wave_responses(
 ) -> PlaneWaveResponseSet:
     """Analytic oracle: the responses a full-wave solver would report."""
     port_waves = s.rx_kernel.transpose(1, 2, 0) / rx_extraction_factor(s.frequency)
+    reduced = s.scatter_kernel if include_scatter else None
+    if include_scatter and s.mirror != 1.0:  # the reduced kernel: remainder + (mirror - 1) P / w
+        n = s.grid.size
+        reduced = np.zeros((n, 2, n, 2), dtype=complex) if reduced is None else reduced.copy()
+        delta = (s.mirror - 1.0) / s.grid.weights
+        reduced[np.arange(n), :, s.grid.antipode, :] += delta[:, None, None] * np.diag(_MIRROR_SIGN)
     scattered = None
-    if include_scatter and s.scatter_kernel is not None:
+    if reduced is not None:
         pref = 1j * wavenumber(s.frequency) / (2.0 * math.pi)
-        scattered = s.scatter_kernel.transpose(2, 3, 0, 1) / pref
+        scattered = reduced.transpose(2, 3, 0, 1) / pref
     return PlaneWaveResponseSet(s.frequency, s.grid, port_waves, scattered)
 
 
@@ -641,6 +627,13 @@ def parse_response_text(text: str) -> PlaneWaveResponseSet:
     (frequency,), (n_theta, n_phi), (m_ports,) = header
     if frequency <= 0.0:
         raise ModelError("line 2: frequency_hz must be positive")
+    # arrays are sized from the header, so check first that the text can fill them:
+    # a complete set has 2nM b lines, and 2n(n + 1) lines from its first scattered block on
+    n = n_theta * n_phi
+    if len(lines) - 4 < 2 * n * m_ports:
+        raise ModelError(
+            "no records" if len(lines) == 4 else "incomplete response set: too few lines for its header"
+        )
     grid = make_latlon_grid(n_theta, n_phi)
     index_map = _grid_index_map(grid)
 
@@ -704,7 +697,9 @@ def parse_response_text(text: str) -> PlaneWaveResponseSet:
                 if len(toks) != 4:
                     raise ModelError(f"line {lineno}: scattered block header needs 3 fields")
                 if scattered is None:
-                    scattered = np.full((grid.size, 2, grid.size, 2), np.nan, dtype=complex)
+                    if len(lines) - lineno + 1 < 2 * n * (n + 1):
+                        raise ModelError(f"line {lineno}: incomplete scattered-field blocks: too few lines")
+                    scattered = np.full((n, 2, n, 2), np.nan, dtype=complex)
                 i = dir_index(toks[1], toks[2], lineno)
                 if toks[3] not in _POL_NAMES:
                     raise ModelError(f"line {lineno}: polarization must be theta or phi")
@@ -737,8 +732,9 @@ def rotate_structure(s: RadiatingStructure, rot: np.ndarray) -> RadiatingStructu
     Each kernel is re-evaluated at the back-rotated directions with the
     polarization basis reprojected. Exact when the rotation maps grid
     samples onto grid samples (e.g. z-rotations by multiples of the phi
-    step); bilinear interpolation error otherwise. Analytic structures are
-    better rebuilt from rotated geometry.
+    step); bilinear interpolation error otherwise. Every other field, mirror
+    included (P commutes with rotations), carries over unchanged. Analytic
+    structures are better rebuilt from rotated geometry.
     """
     rot = np.asarray(rot, dtype=float)
     if rot.shape != (3, 3) or not np.allclose(rot @ rot.T, np.eye(3), atol=1e-10):
@@ -761,19 +757,14 @@ def rotate_structure(s: RadiatingStructure, rot: np.ndarray) -> RadiatingStructu
     def resample_port_kernel(kern):
         return np.einsum("iab,ibm->mia", a, blend(kern.transpose(1, 2, 0), *stencil))
 
-    tx = resample_port_kernel(s.tx_kernel)
-    rx = resample_port_kernel(s.rx_kernel)
     scatter = None
     if s.scatter_kernel is not None:
         q = _scatter_blend(s.scatter_kernel, stencil, stencil)  # [in, out, c, d]
         scatter = np.einsum("iac,jicd,jbd->iajb", a, q, a)
-    return RadiatingStructure(
-        m_ports=s.m_ports,
+    return replace(
+        s,
         coupling=s.coupling.copy(),
-        tx_kernel=tx,
-        rx_kernel=rx,
+        tx_kernel=resample_port_kernel(s.tx_kernel),
+        rx_kernel=resample_port_kernel(s.rx_kernel),
         scatter_kernel=scatter,
-        grid=grid,
-        frequency=s.frequency,
-        extrinsic_noise_enabled=s.extrinsic_noise_enabled,
     )

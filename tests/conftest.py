@@ -1,5 +1,6 @@
 """Shared randomized-model builders, loop references, and the acceptance summary hook."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -77,6 +78,32 @@ def loop_stencil(grid, theta: float, phi: float):
         (grid.index_of(i1, j0), ft * (1.0 - fu)),
         (grid.index_of(i1, j1), ft * fu),
     )
+
+
+def mirror_matrix(grid):
+    """Dense (2n, 2n) matrix of the antipodal mirror P, -diag(1, -1) on each antipodal pair."""
+    n = grid.size
+    m = np.zeros((2 * n, 2 * n))
+    rows = np.arange(n)
+    ap = grid.antipode
+    m[2 * rows, 2 * ap] = -1.0
+    m[2 * rows + 1, 2 * ap + 1] = 1.0
+    return m
+
+
+def dense_reduced_twin(s):
+    """s with its mirror folded into a dense (n, 2, n, 2) reduced kernel.
+
+    The twin has mirror 1 and the remainder plus (mirror - 1) P / w, the
+    dense oracle the structured form is held to.
+    """
+    g = s.grid
+    n = g.size
+    inv_w = np.repeat(1.0 / g.weights, 2)
+    reduced = (s.mirror - 1.0) * mirror_matrix(g) * inv_w[:, None]
+    if s.scatter_kernel is not None:
+        reduced = reduced + s.scatter_kernel.reshape(2 * n, 2 * n)
+    return dataclasses.replace(s, scatter_kernel=reduced.reshape(n, 2, n, 2), mirror=1.0)
 
 
 def loop_blend(values, stencil):

@@ -16,8 +16,10 @@ from remskit.channel import (
 )
 from remskit.farfield import direction_from_vector, make_latlon_grid
 from remskit.radiating import (
+    dipole_array,
     hertzian_dipole,
     random_reciprocal_structure,
+    synthetic_coupling,
     wavenumber,
 )
 
@@ -180,6 +182,28 @@ def test_two_stage_cascade_is_the_bounce_free_channel():
     bare = s2.rx_at(d_bwd).T @ c @ s1.tx_at(d_fwd)
     # same factors, different matmul grouping, so allow rounding
     assert np.max(np.abs(got - bare)) <= 1e-14 * np.max(np.abs(bare))
+
+
+def test_straight_cascade_through_a_certified_array_does_not_depend_on_the_grid():
+    # the certified array scatters only mirror * P, which a unilateral cascade
+    # leaves out, so the straight line through it reads no remainder on any grid
+    positions = [[0.0, 0.0, 0.0], [0.0, 0.25 * LAM, 0.0]]
+    hop = [0.0, 0.0, 3.0]
+    channels = []
+    for n_theta in (9, 18, 36):
+        grid = make_latlon_grid(n_theta, 2 * n_theta)
+        mid = dipole_array(
+            [([1.0, 0.0, 0.0], p) for p in positions],
+            grid,
+            FREQ,
+            coupling=synthetic_coupling(positions, wavenumber(FREQ), 1.5),
+            enforce_passivity=True,
+        )
+        assert mid.mirror < 1.0
+        dipole = hertzian_dipole([1.0, 0.0, 0.0], [0.0, 0.0, 0.0], grid, FREQ)
+        channels.append(cascade_unilateral([dipole, mid, dipole], [hop, hop]))
+    assert channels[0].shape == (1, 1)
+    assert np.array_equal(channels[0], channels[1]) and np.array_equal(channels[1], channels[2])
 
 
 def test_cascade_input_validation():

@@ -1,7 +1,9 @@
 """Radiating-structure kernels, passivity, reciprocity, extraction, and io."""
 
+import dataclasses
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,7 +44,6 @@ from remskit.radiating import (
     _dipole_kernel,
     _scatter_asymmetry,
     _weighted_operator_norm,
-    mirror_matrix,
     parse_response_text,
     power_balance,
     response_to_text,
@@ -52,7 +53,7 @@ from remskit.radiating import (
 
 from remskit.scene import Scene, rotation_matrix
 
-from conftest import FREQ, loop_blend, loop_stencil, random_pattern
+from conftest import FREQ, loop_blend, loop_stencil, mirror_matrix, random_pattern
 
 LAMBDA = C_LIGHT / FREQ
 SCENES = os.path.join(os.path.dirname(__file__), os.pardir, "scenes")
@@ -175,6 +176,40 @@ def test_synthetic_coupling_values():
         synthetic_coupling([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], k, gamma=1.0)
 
 
+def _loop_coupling(positions, k, gamma):
+    """Per-pair reference loop for synthetic_coupling."""
+    p = np.asarray(positions, dtype=float)
+    m = len(p)
+    c = np.zeros((m, m), dtype=complex)
+    for i in range(m):
+        for j in range(m):
+            if i == j:
+                continue
+            d = float(np.linalg.norm(p[i] - p[j]))
+            if d == 0.0:
+                raise ModelError(f"elements {i} and {j} are co-located")
+            c[i, j] = gamma * np.exp(-1j * k * d) / (k * d)
+    return c
+
+
+def test_synthetic_coupling_equals_the_pair_loop_bit_for_bit():
+    k = wavenumber(FREQ)
+    with open(os.path.join(SCENES, "rra_case_study.yaml"), "r", encoding="utf-8") as fh:
+        raw = yaml.safe_load(fh)
+    case_study = [el["position_m"] for el in raw["structures"][0]["elements"]]
+    rng = np.random.default_rng(146)
+    panel = rng.uniform(-0.5, 0.5, (146, 3))
+    for positions, gamma in ((case_study, 2.5), (panel, 0.7), (panel[:1], 1.0), ([], 1.0)):
+        assert np.array_equal(synthetic_coupling(positions, k, gamma), _loop_coupling(positions, k, gamma))
+    # the first co-located pair, row by row, is the one named
+    clash = panel[:6].copy()
+    clash[4] = clash[2]
+    clash[5] = clash[1]
+    for build in (synthetic_coupling, _loop_coupling):
+        with pytest.raises(ModelError, match="elements 1 and 5 are co-located"):
+            build(clash, k, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # block action
 
@@ -258,7 +293,7 @@ def _full_weighted_operator(s):
     if s.scatter_kernel is not None:
         scatter_w = sqw[:, None] * s.scatter_kernel.reshape(2 * n, 2 * n) * sqw[None, :]
     bottom = np.hstack(
-        [sqw[:, None] * s.tx_kernel.reshape(m, 2 * n).T, scatter_w + mirror_matrix(g)]
+        [sqw[:, None] * s.tx_kernel.reshape(m, 2 * n).T, scatter_w + s.mirror * mirror_matrix(g)]
     )
     return np.vstack([top, bottom])
 
@@ -353,15 +388,94 @@ def test_case_study_geometry_certifies_at_36x72():
         raw = yaml.safe_load(fh)
     raw["grid"] = {"n_theta": 36, "n_phi": 72}
     scene = Scene.from_dict(raw, base_dir=SCENES)
-    s = scene.structure(raw["problem"]["structure"])
-    assert s.grid.size == 36 * 72 and s.scatter_kernel is not None
-    rep = check_reciprocity(s, 1e-12)
-    assert rep.coupling_ok and rep.kernel_ok and rep.scatter_ok
-    rng = np.random.default_rng(36)
-    for _ in range(20):
-        a = rng.standard_normal(s.m_ports) + 1j * rng.standard_normal(s.m_ports)
-        p_in, p_out = power_balance(s, a, random_pattern(rng, s.grid))
-        assert p_out <= p_in * (1.0 + 1e-9)
+    tracemalloc.start()
+    try:
+        s = scene.structure(raw["problem"]["structure"])
+        assert s.grid.size == 36 * 72 and s.mirror < 1.0
+        rep = check_reciprocity(s, 1e-12)
+        assert rep.coupling_ok and rep.kernel_ok and rep.scatter_ok
+        rng = np.random.default_rng(36)
+        for _ in range(20):
+            a = rng.standard_normal(s.m_ports) + 1j * rng.standard_normal(s.m_ports)
+            p_in, p_out = power_balance(s, a, random_pattern(rng, s.grid))
+            assert p_out <= p_in * (1.0 + 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a dense (n, 2, n, 2) absorber kernel alone would be 430 MB here
+    assert peak < 50e6
+
+
+def _certified_pair(grid, gamma=1.5):
+    quarter = 0.25 * LAMBDA
+    positions = [[0.0, 0.0, 0.0], [quarter, 0.0, 0.0]]
+    coup = synthetic_coupling(positions, wavenumber(FREQ), gamma)
+    return dipole_array(
+        [([1.0, 0.0, 0.0], p) for p in positions], grid, FREQ, coupling=coup, enforce_passivity=True
+    )
+
+
+def test_mirror_coefficient_matches_the_dense_reduced_kernel():
+    from remskit import ReMSModel, solve_direct
+    from remskit.channel import far_channel
+
+    from conftest import dense_reduced_twin, random_frontend, random_tuning
+
+    g = make_latlon_grid(6, 12)
+    rng = np.random.default_rng(37)
+    with open(os.path.join(SCENES, "rra_case_study.yaml"), "r", encoding="utf-8") as fh:
+        raw = yaml.safe_load(fh)
+    raw["grid"] = {"n_theta": 6, "n_phi": 12}
+    structures = [
+        Scene.from_dict(raw, base_dir=SCENES).structure("array"),
+        _certified_pair(g),
+        random_passive_structure(g, 3, rng, FREQ),
+    ]
+    assert [s.mirror < 1.0 for s in structures] == [True, True, True]
+    assert structures[0].scatter_kernel is None and structures[2].mirror == 0.0
+    other = random_reciprocal_structure(g, 2, rng, FREQ)
+    for s in structures:
+        dense = dense_reduced_twin(s)
+        assert dense.mirror == 1.0
+        m = s.m_ports
+        for _ in range(3):
+            a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            b = random_pattern(rng, g)
+            assert _rel(apply_scatter(s, b).values, apply_scatter(dense, b).values) <= 1e-14
+            (p_in, p_out), (q_in, q_out) = power_balance(s, a, b), power_balance(dense, a, b)
+            assert p_in == q_in and abs(p_out - q_out) <= 1e-14 * q_out
+
+        tuning, frontend = random_tuning(rng, 2 + 1, m), random_frontend(rng, 2, 1)
+        drive = dict(v_tx=rng.standard_normal(2) + 0.5j, b_in=random_pattern(rng, g))
+        got = solve_direct(ReMSModel(s, tuning, frontend), **drive)
+        want = solve_direct(ReMSModel(dense, tuning, frontend), **drive)
+        for wave in ("a_t", "b_t", "a_r", "b_r", "a_r_tilde", "b_r_tilde", "v_rx"):
+            assert _rel(getattr(got, wave), getattr(want, wave)) <= 1e-14, wave
+        assert _rel(got.a_f.values, want.a_f.values) <= 1e-14
+
+        disp = np.array([0.3, 2.0, 0.7])
+        assert _rel(far_channel(s, other, disp), far_channel(dense, other, disp)) <= 1e-14
+        assert _rel(far_channel(other, s, -disp), far_channel(other, dense, -disp)) <= 1e-14
+
+        resp, resp_dense = synthesize_plane_wave_responses(s), synthesize_plane_wave_responses(dense)
+        np.testing.assert_array_equal(resp.port_waves, resp_dense.port_waves)
+        assert _rel(extract_scatter_kernel(resp), dense.scatter_kernel) <= 1e-14
+        assert _rel(resp.scattered, resp_dense.scattered) <= 1e-14
+
+
+def test_certified_array_scatters_no_remainder_at_any_direction_pair():
+    g = make_latlon_grid(6, 12)
+    s = _certified_pair(g)
+    assert s.scatter_kernel is None and s.mirror < 1.0
+    dirs = [g.direction(i) for i in range(g.size)]
+    rng = np.random.default_rng(38)
+    dirs += [Direction(t, p) for t, p in zip(rng.uniform(0.0, math.pi, 8), rng.uniform(0.0, 2.0 * math.pi, 8))]
+    antipodes = [direction_from_vector(-d.unit_vector()) for d in dirs]
+    for d_out in dirs:
+        for d_in in dirs:
+            assert not s.scatter_at(d_out, d_in).any()
+    for d, opposite in zip(dirs, antipodes):
+        assert not s.scatter_at(d, opposite).any() and not s.scatter_at(opposite, d).any()
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +675,33 @@ def test_response_parser_names_the_first_bad_scatter_line():
         parse_response_text("\n".join(moved) + "\n")
 
 
+def test_short_response_text_fails_before_allocating_its_declared_grid():
+    g = make_latlon_grid(20, 40)
+    lines = response_to_text(
+        synthesize_plane_wave_responses(hertzian_dipole([1.0, 0.0, 0.0], [0.0, 0.0, 0.0], g, FREQ))
+    ).splitlines()
+    labels = [" ".join(line.split()[1:3]) for line in lines[4:24]]
+    header_only = "\n".join(lines[:4] + ["scattered " + labels[0] + " theta"]) + "\n"
+    # every b record, then the first of 1600 scattered blocks, cut after 20 records
+    one_block = "\n".join(
+        lines + ["scattered " + labels[0] + " theta"] + [f"s {label} 0.0 0.0 0.0 0.0" for label in labels]
+    ) + "\n"
+    cases = [
+        (header_only, "incomplete response set: too few lines for its header"),
+        (one_block, f"line {len(lines) + 1}: incomplete scattered-field blocks: too few lines"),
+    ]
+    for text, match in cases:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelError, match=match):
+                parse_response_text(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the declared (800, 2, 800, 2) scattered array alone is 41 MB
+        assert peak < 10 * len(text) + 16_000, (len(text), peak)
+
+
 def test_response_set_rejects_non_finite_values(tmp_path):
     from remskit.radiating import write_response_file
 
@@ -638,6 +779,35 @@ def test_rotate_z_by_one_phi_step_shifts_every_kernel():
     assert _rel(r.tx_kernel, s.tx_kernel[:, src, :]) <= 1e-14
     assert _rel(r.rx_kernel, s.rx_kernel[:, src, :]) <= 1e-14
     assert _rel(r.scatter_kernel, s.scatter_kernel[src][:, :, src, :]) <= 1e-14
+
+
+def test_rotate_keeps_every_field_but_the_kernels():
+    g = make_latlon_grid(8, 16)
+    kernels = {"tx_kernel", "rx_kernel", "scatter_kernel"}
+    certified = dataclasses.replace(_certified_pair(g), extrinsic_noise_enabled=False)
+    random = dataclasses.replace(random_passive_structure(g, 2, np.random.default_rng(25), FREQ), mirror=0.25)
+    for s in (certified, random):
+        r = rotate_structure(s, rotation_matrix([1.0, -2.0, 0.5], 71.0))
+        for f in dataclasses.fields(s):
+            if f.name not in kernels:
+                assert np.array_equal(getattr(r, f.name), getattr(s, f.name)), f.name
+        assert r.coupling is not s.coupling
+        assert r.mirror == s.mirror and r.extrinsic_noise_enabled == s.extrinsic_noise_enabled
+
+
+def test_certified_array_rotated_by_one_phi_step_stays_passive():
+    g = make_latlon_grid(8, 16)
+    s = _certified_pair(g, gamma=2.5)
+    r = rotate_structure(s, rotation_matrix([0.0, 0.0, 1.0], 360.0 / g.n_phi))
+    assert r.mirror == s.mirror < 1.0 and r.scatter_kernel is None
+    ring, col = np.divmod(np.arange(g.size), g.n_phi)
+    src = ring * g.n_phi + (col - 1) % g.n_phi
+    assert _rel(r.tx_kernel, s.tx_kernel[:, src, :]) <= 1e-14
+    rng = np.random.default_rng(26)
+    for _ in range(20):
+        a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        p_in, p_out = power_balance(r, a, random_pattern(rng, g))
+        assert p_out <= p_in * (1.0 + 1e-9)
 
 
 def test_rotate_keeps_reciprocity():

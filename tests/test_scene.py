@@ -182,6 +182,7 @@ def test_dipole_array_structure_matches_direct_build():
     assert np.array_equal(got.tx_kernel, ref.tx_kernel)
     assert np.array_equal(got.coupling, ref.coupling)
     assert np.array_equal(got.scatter_kernel, ref.scatter_kernel)
+    assert got.mirror == ref.mirror < 1.0
 
 
 def test_isotropic_structure_and_rotation_rejection():

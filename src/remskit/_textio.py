@@ -37,6 +37,15 @@ def number(value, where: str, kind=float, low=None):
     return x
 
 
+def read_text(path: str) -> str:
+    """The UTF-8 text of the file at ``path``; undecodable bytes raise a ModelError naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as err:
+            raise ModelError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
+
+
 def fmt(x: float) -> str:
     """Shortest decimal text that round-trips the double exactly."""
     return repr(float(x))

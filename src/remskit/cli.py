@@ -28,7 +28,7 @@ from .radiating import (
     kernels_to_text,
     read_response_file,
 )
-from .scene import Scene, _mapping, _require, parse_complex_list, rotation_matrix
+from .scene import Scene
 from .solver import gain_operators, matching_efficiency, radiation_efficiency
 from .solver import solve_direct, tuning_efficiency
 
@@ -104,25 +104,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    scene = Scene.load(args.scene)
-    spec = scene.solve_spec
-    if spec is None:
-        raise ModelError("scene has no solve block")
-    model_name = _require(spec, "model", "solve block")
-    model = scene.model(model_name)
-    fe = model.frontend
-
-    def drive(key, size):
-        if key not in spec:
-            return None
-        vals = parse_complex_list(spec[key])
-        if vals.shape != (size,):
-            raise ModelError(f"solve block {key} needs {size} entries, got {vals.shape[0]}")
-        return vals
-
-    v_tx = drive("v_tx", fe.n_tx)
-    v_gamma = drive("v_gamma", fe.n_rx)
-    i_gamma = drive("i_gamma", fe.n_rx)
+    model_name, model, v_tx, v_gamma, i_gamma = Scene.load(args.scene).solve_task()
     res = solve_direct(model, v_tx=v_tx, v_gamma=v_gamma, i_gamma=i_gamma)
 
     out = _out_dir(args)
@@ -147,7 +129,7 @@ def cmd_solve(args) -> int:
         ("p_farfield_w", fmt(res.p_farfield)),
     ]
     if v_tx is not None:
-        p_a = fe.available_power(v_tx)
+        p_a = model.frontend.available_power(v_tx)
         power_rows.insert(0, ("p_available_w", fmt(p_a)))
         if p_a > 0.0:
             power_rows.append(("eta_matching", fmt(matching_efficiency(model, res, v_tx))))
@@ -164,87 +146,23 @@ def cmd_solve(args) -> int:
 
 
 def cmd_channel(args) -> int:
-    scene = Scene.load(args.scene)
-    if scene.channel_spec is None:
-        raise ModelError("scene has no channel block")
-    spec = _mapping(scene.channel_spec, "channel block")
-    pair = spec.get("pair")
-    if not pair or len(pair) != 2:
-        raise ModelError("channel block needs pair: [tx_name, rx_name]")
-    name1, name2 = pair
-    p1, p2 = scene.position(name1), scene.position(name2)
-    disp = p2 - p1
-    dist = float(np.linalg.norm(disp))
-    if dist == 0.0:
-        raise ModelError("channel pair structures are co-located")
-    axis = disp / dist
-    s1 = scene.structure(name1)
-    ports = spec.get("ports", [0, 0])
-    if not isinstance(ports, (list, tuple)) or len(ports) != 2:
-        raise ModelError("channel block ports must be [out_port, in_port]")
-    out_port = number(ports[0], "channel ports out_port", int, 0)
-    in_port = number(ports[1], "channel ports in_port", int, 0)
-
-    def entry(s2, d):
-        mat = far_channel(s1, s2, d)
+    (name1, name2), tx, (out_port, in_port), x_name, points = Scene.load(args.scene).channel_task()
+    rows = []
+    for x, rx, disp in points:
+        mat = far_channel(tx, rx, disp)
+        del rx  # a rotation sweep keeps one rotated structure alive at a time
         if out_port >= mat.shape[0] or in_port >= mat.shape[1]:
             raise ModelError(
                 f"channel ports [{out_port}, {in_port}] outside the "
                 f"{mat.shape[0]}x{mat.shape[1]} channel matrix"
             )
-        return mat[out_port, in_port]
-
-    sweep = spec.get("sweep")
-    if sweep is not None:
-        _mapping(sweep, "channel sweep")
-    rows = []
-    if sweep is None:
-        s = entry(scene.structure(name2), disp)
-        header = "alpha_deg,re_s,im_s"
-        rows.append((fmt(0.0), fmt(s.real), fmt(s.imag)))
-    elif sweep.get("kind") == "rotation":
-        alphas = np.linspace(
-            number(sweep.get("start_deg", 0.0), "channel sweep start_deg"),
-            number(sweep.get("stop_deg", 90.0), "channel sweep stop_deg"),
-            number(sweep.get("count", 10), "channel sweep count", int, 1),
-        )
-        header = "alpha_deg,re_s,im_s"
-        for alpha in alphas:
-            rot = rotation_matrix(axis, float(alpha))
-            s = entry(scene.structure(name2, extra_rotation=rot), disp)
-            rows.append((fmt(float(alpha)), fmt(s.real), fmt(s.imag)))
-    elif sweep.get("kind") == "distance":
-        start = number(sweep.get("start_m", 1.0), "channel sweep start_m")
-        stop = number(sweep.get("stop_m", 100.0), "channel sweep stop_m")
-        count = number(sweep.get("count", 25), "channel sweep count", int, 1)
-        if sweep.get("spacing", "log") == "log":
-            if start <= 0.0:
-                raise ModelError("log-spaced distance sweep needs start_m > 0")
-            dists = np.geomspace(start, stop, count)
-        else:
-            dists = np.linspace(start, stop, count)
-        s2 = scene.structure(name2)
-        header = "d_m,re_s,im_s"
-        for d in dists:
-            s = entry(s2, axis * float(d))
-            rows.append((fmt(float(d)), fmt(s.real), fmt(s.imag)))
-    else:
-        raise ModelError(f"unknown sweep kind {sweep.get('kind')!r}")
+        s = mat[out_port, in_port]
+        rows.append((fmt(x), fmt(s.real), fmt(s.imag)))
 
     path = os.path.join(_out_dir(args), "channel.csv")
-    _write_csv(path, header, rows)
+    _write_csv(path, f"{x_name},re_s,im_s", rows)
     print(f"channel {name1!r} -> {name2!r}: {len(rows)} sweep point(s) -> {path}")
     return 0
-
-
-def _gain_slice(spec: dict, where: str, phi_deg: float):
-    """(theta samples, phi) in degrees of a gain-vs-theta slice spec."""
-    thetas = np.linspace(
-        number(spec.get("theta_start_deg", -90.0), f"{where} theta_start_deg"),
-        number(spec.get("theta_stop_deg", 90.0), f"{where} theta_stop_deg"),
-        number(spec.get("count", 181), f"{where} count", int, 1),
-    )
-    return thetas, number(spec.get("phi_deg", phi_deg), f"{where} phi_deg")
 
 
 def _gain_rows(ops, p_a: float, v, thetas_deg, phi_deg: float):
@@ -257,22 +175,11 @@ def _gain_rows(ops, p_a: float, v, thetas_deg, phi_deg: float):
 
 
 def cmd_gain_pattern(args) -> int:
-    scene = Scene.load(args.scene)
-    spec = scene.gain_pattern_spec
-    if spec is None:
-        raise ModelError("scene has no gain_pattern block")
-    model_name = _require(spec, "model", "gain_pattern block")
-    model = scene.model(model_name)
-    v_tx = parse_complex_list(_require(spec, "v_tx", "gain_pattern block"))
-    if v_tx.shape != (model.frontend.n_tx,):
-        raise ModelError(
-            f"gain_pattern v_tx needs {model.frontend.n_tx} entries, got {v_tx.shape[0]}"
-        )
+    model_name, model, v_tx, thetas, phi_deg = Scene.load(args.scene).gain_pattern_task()
     p_a = model.frontend.available_power(v_tx)
     if p_a <= 0.0:
         raise ModelError("gain_pattern drive has zero available power")
     ops = gain_operators(model)
-    thetas, phi_deg = _gain_slice(spec, "gain_pattern", 0.0)
     path = os.path.join(_out_dir(args), "gain_pattern.csv")
     _write_csv(path, "theta_deg,gain_db", _gain_rows(ops, p_a, v_tx, thetas, phi_deg))
     print(f"gain pattern for model {model_name!r} at phi={fmt(phi_deg)} deg -> {path}")
@@ -282,7 +189,7 @@ def cmd_gain_pattern(args) -> int:
 def cmd_optimize(args) -> int:
     scene = Scene.load(args.scene)
     problem, model_builder = scene.beamform_problem(seed_override=args.seed)
-    pattern_spec = _mapping(scene.problem_spec.get("pattern", {}), "problem pattern")
+    slices = scene.pattern_slices(problem)
     result = coordinate_ascent(problem, model_builder)
 
     buf = io.StringIO()
@@ -303,12 +210,11 @@ def cmd_optimize(args) -> int:
     # gain-pattern slice per stream at the optimized configuration
     model = model_builder(result.z_r)
     ops = gain_operators(model)
-    for u, d in enumerate(problem.primary_dirs):
+    for u, (thetas, phi_deg) in enumerate(slices):
         col = result.t[:, u]
         p_a = model.frontend.available_power(col)
         if p_a <= 0.0:
             continue
-        thetas, phi_deg = _gain_slice(pattern_spec, "problem pattern", math.degrees(d.phi))
         _write_csv(
             os.path.join(out, f"optimized_gain_stream{u}.csv"),
             "theta_deg,gain_db",

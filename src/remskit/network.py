@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError, NumericsError
-from ._textio import atomic_write_text, fmt, number
+from ._textio import atomic_write_text, fmt, number, read_text
 
 COND_LIMIT = 1e12
 CERTIFIED_COND = 1e-3 * COND_LIMIT
@@ -534,5 +534,4 @@ def read_touchstone(path: str, n_ports: int | None = None) -> TouchstoneData:
         m = re.search(r"\.s(\d+)p$", path.lower())
         if m:
             n_ports = int(m.group(1))
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_touchstone(fh.read(), n_ports=n_ports)
+    return parse_touchstone(read_text(path), n_ports=n_ports)

@@ -22,7 +22,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ModelError
-from ._textio import atomic_write_text, fmt, number
+from ._textio import atomic_write_text, fmt, number, read_text
 from .farfield import (
     Direction,
     DirectionGrid,
@@ -602,8 +602,7 @@ def _grid_index_map(grid: DirectionGrid):
 
 
 def read_response_file(path: str) -> PlaneWaveResponseSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_response_text(fh.read())
+    return parse_response_text(read_text(path))
 
 
 def parse_response_text(text: str) -> PlaneWaveResponseSet:

@@ -2,6 +2,10 @@
 tuning networks, models, and tasks (solve, channel sweep, gain pattern,
 beamform problem).
 
+This module is the only reader of the scene format: builders return library
+objects, task readers (`*_task`, `beamform_problem`, `pattern_slices`) return
+plain values, and a malformed field raises a ModelError that names it.
+
 Angles are degrees and impedances are ohms at this boundary. Complex values
 are written as strings ("1.2-14j") or bare reals. File references are
 resolved relative to the scene file.
@@ -18,7 +22,7 @@ import numpy as np
 import yaml
 
 from .beamform import BeamformProblem, geometric_schedule, x_copol
-from ._textio import number
+from ._textio import number, read_text
 from .errors import ModelError
 from .farfield import Direction, DirectionGrid, make_latlon_grid
 from .network import (
@@ -43,11 +47,23 @@ from .radiating import (
 from .solver import ReconfigurableBuilder, ReMSModel
 
 
+def _sequence(value, where: str, length: int | None = None):
+    """The list field `where`, of `length` entries if given."""
+    if not isinstance(value, (list, tuple)) or (length is not None and len(value) != length):
+        size = "" if length is None else f" of {length} entries"
+        raise ModelError(f"{where} must be a list{size}, got {value!r}")
+    return value
+
+
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ModelError(f"{where} must be a string, got {value!r}")
+    return value
+
+
 def _vector3(value, where: str) -> np.ndarray:
     """The 3-vector field `where`, each entry through number()."""
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ModelError(f"{where} must be a list of 3 numbers, got {value!r}")
-    return np.array([number(x, where) for x in value])
+    return np.array([number(x, where) for x in _sequence(value, where, 3)])
 
 
 def parse_complex(value) -> complex:
@@ -67,17 +83,14 @@ def parse_complex_list(values) -> np.ndarray:
 
 
 def parse_direction(pair) -> Direction:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ModelError(f"direction must be [theta_deg, phi_deg], got {pair!r}")
+    theta, phi = _sequence(pair, "direction [theta_deg, phi_deg]", 2)
     return Direction.from_degrees(
-        number(pair[0], "direction theta_deg"), number(pair[1], "direction phi_deg")
+        number(theta, "direction theta_deg"), number(phi, "direction phi_deg")
     )
 
 
 def _directions(pairs, where: str) -> tuple:
-    if not isinstance(pairs, (list, tuple)):
-        raise ModelError(f"{where} must be a list of [theta_deg, phi_deg] pairs, got {pairs!r}")
-    return tuple(parse_direction(p) for p in pairs)
+    return tuple(parse_direction(p) for p in _sequence(pairs, where))
 
 
 def rotation_matrix(axis, angle_deg: float) -> np.ndarray:
@@ -106,23 +119,39 @@ def _require(mapping, key, where):
 
 def _block(blocks: dict, kind: str, name) -> dict:
     """The spec of the named block; a name that is not a string names no block."""
-    if not isinstance(name, str):
-        raise ModelError(f"{kind} name must be a string, got {name!r}")
-    if name not in blocks:
+    if _string(name, f"{kind} name") not in blocks:
         raise ModelError(f"unknown {kind} {name!r}")
     return blocks[name]
 
 
 def _named_list(entries, where) -> dict:
     out = {}
-    for entry in entries or []:
-        name = _require(entry, "name", where)
-        if not isinstance(name, str):
-            raise ModelError(f"{where}: name must be a string, got {name!r}")
+    for entry in _sequence([] if entries is None else entries, where):
+        name = _string(_require(entry, "name", where), f"{where} name")
         if name in out:
             raise ModelError(f"{where}: duplicate name {name!r}")
         out[name] = entry
     return out
+
+
+def _drive(spec: dict, key: str, size: int, where: str, required: bool = False):
+    """The complex drive spec[key] of `size` entries; None if optional and absent."""
+    if not required and key not in spec:
+        return None
+    values = parse_complex_list(_sequence(_require(spec, key, where), f"{where} {key}"))
+    if values.shape != (size,):
+        raise ModelError(f"{where} {key} needs {size} entries, got {values.shape[0]}")
+    return values
+
+
+def _gain_slice(spec: dict, where: str, phi_deg: float):
+    """(theta samples, phi) in degrees of a gain-vs-theta slice spec."""
+    thetas = np.linspace(
+        number(spec.get("theta_start_deg", -90.0), f"{where} theta_start_deg"),
+        number(spec.get("theta_stop_deg", 90.0), f"{where} theta_stop_deg"),
+        number(spec.get("count", 181), f"{where} count", int, 1),
+    )
+    return thetas, number(spec.get("phi_deg", phi_deg), f"{where} phi_deg")
 
 
 @dataclass
@@ -135,10 +164,8 @@ class Scene:
     frontends: dict = field(repr=False)
     tunings: dict = field(repr=False)
     models: dict = field(repr=False)
-    channel_spec: dict | None = None
-    solve_spec: dict | None = None
-    gain_pattern_spec: dict | None = None
-    problem_spec: dict | None = None
+    # the task blocks present in the file, by key; read only through _task
+    _tasks: dict = field(default_factory=dict, repr=False)
     # from_files structures as extracted, before any rotation: a file is read once per scene
     _extracted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -147,8 +174,7 @@ class Scene:
     @classmethod
     def load(cls, path: str) -> "Scene":
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = yaml.safe_load(fh)
+            raw = yaml.safe_load(read_text(path))
         except yaml.YAMLError as err:
             raise ModelError(f"scene parse error: {err}") from None
         if not isinstance(raw, dict):
@@ -175,23 +201,17 @@ class Scene:
             frontends=_named_list(raw.get("frontends"), "frontends"),
             tunings=_named_list(raw.get("tunings"), "tunings"),
             models=_named_list(raw.get("models"), "models"),
-            channel_spec=raw.get("channel"),
-            solve_spec=raw.get("solve"),
-            gain_pattern_spec=raw.get("gain_pattern"),
-            problem_spec=raw.get("problem"),
+            _tasks={k: raw[k] for k in ("solve", "channel", "gain_pattern", "problem") if k in raw},
         )
 
-    def resolve_path(self, p: str) -> str:
-        return p if os.path.isabs(p) else os.path.join(self.base_dir, p)
+    def _file(self, spec: dict, key: str, where: str) -> str:
+        path = _string(_require(spec, key, where), f"{where} {key}")
+        return path if os.path.isabs(path) else os.path.join(self.base_dir, path)
 
     # ------------------------------------------------------------ builders
 
-    def structure_spec(self, name: str) -> dict:
-        return _block(self.structures, "structure", name)
-
     def position(self, name: str) -> np.ndarray:
-        spec = self.structure_spec(name)
-        position = spec.get("position_m", [0.0, 0.0, 0.0])
+        position = _block(self.structures, "structure", name).get("position_m", [0.0, 0.0, 0.0])
         return _vector3(position, f"structure {name!r} position_m")
 
     def structure(self, name: str, extra_rotation: np.ndarray | None = None) -> RadiatingStructure:
@@ -200,7 +220,7 @@ class Scene:
         Analytic kinds rebuild from rotated geometry (exact); file-backed
         kinds fall back to kernel resampling.
         """
-        spec = self.structure_spec(name)
+        spec = _block(self.structures, "structure", name)
         kind = _require(spec, "kind", f"structure {name!r}")
         rot = None
         if "rotation" in spec:
@@ -221,7 +241,9 @@ class Scene:
             return hertzian_dipole(orientation, [0.0, 0.0, 0.0], self.grid, self.frequency)
         if kind == "dipole_array":
             elements = []
-            for el in _require(spec, "elements", f"structure {name!r}"):
+            for el in _sequence(
+                _require(spec, "elements", f"structure {name!r}"), f"structure {name!r} elements"
+            ):
                 orientation = rotated(
                     _require(el, "orientation", f"structure {name!r} element"), "element orientation"
                 )
@@ -236,22 +258,22 @@ class Scene:
                 coupling = synthetic_coupling(
                     [p for _, p in elements], wavenumber(self.frequency), gamma
                 )
+            passive = spec.get("enforce_passivity", False)
+            if not isinstance(passive, bool):
+                raise ModelError(
+                    f"structure {name!r} enforce_passivity must be true or false, got {passive!r}"
+                )
             return dipole_array(
-                elements,
-                self.grid,
-                self.frequency,
-                coupling=coupling,
-                enforce_passivity=bool(spec.get("enforce_passivity", False)),
+                elements, self.grid, self.frequency, coupling=coupling, enforce_passivity=passive
             )
         if kind == "isotropic":
             if rot is not None:
                 raise ModelError(f"structure {name!r}: isotropic patterns cannot be rotated")
-            return isotropic_radiator(self.grid, self.frequency, pol=spec.get("pol", "theta"))
+            pol = _string(spec.get("pol", "theta"), f"structure {name!r} pol")
+            return isotropic_radiator(self.grid, self.frequency, pol=pol)
         if kind == "from_files":
             if name not in self._extracted:
-                resp = read_response_file(
-                    self.resolve_path(_require(spec, "response_file", f"structure {name!r}"))
-                )
+                resp = read_response_file(self._file(spec, "response_file", f"structure {name!r}"))
                 if not resp.grid.compatible(self.grid):
                     raise ModelError(
                         f"structure {name!r}: response grid ({resp.grid.n_theta}, "
@@ -293,7 +315,7 @@ class Scene:
             n = ports()
             return TuningNetwork(n, s.shape[0] - n, s)
         if kind == "touchstone":
-            data = read_touchstone(self.resolve_path(_require(spec, "file", f"tuning {name!r}")))
+            data = read_touchstone(self._file(spec, "file", f"tuning {name!r}"))
             freqs = data.frequencies_hz
             match = np.nonzero(np.isclose(freqs, self.frequency, rtol=1e-6, atol=0.0))[0]
             if match.size == 0:
@@ -313,13 +335,86 @@ class Scene:
             frontend=self.frontend(_require(spec, "frontend", f"model {name!r}")),
         )
 
-    # ------------------------------------------------------------- problem
+    # --------------------------------------------------------------- tasks
+
+    def _task(self, key: str) -> dict:
+        if self._tasks.get(key) is None:
+            raise ModelError(f"scene has no {key} block")
+        return _mapping(self._tasks[key], f"{key} block")
+
+    def solve_task(self):
+        """(model name, model, v_tx, v_gamma, i_gamma) of the solve block; an
+        absent drive is None."""
+        spec = self._task("solve")
+        name = _require(spec, "model", "solve block")
+        model = self.model(name)
+        fe = model.frontend
+        drives = (("v_tx", fe.n_tx), ("v_gamma", fe.n_rx), ("i_gamma", fe.n_rx))
+        return (name, model) + tuple(_drive(spec, k, n, "solve block") for k, n in drives)
+
+    def gain_pattern_task(self):
+        """(model name, model, v_tx, theta samples, phi) of the gain_pattern
+        block, angles in degrees."""
+        spec = self._task("gain_pattern")
+        name = _require(spec, "model", "gain_pattern block")
+        model = self.model(name)
+        v_tx = _drive(spec, "v_tx", model.frontend.n_tx, "gain_pattern block", required=True)
+        return (name, model, v_tx) + _gain_slice(spec, "gain_pattern", 0.0)
+
+    def channel_task(self):
+        """((tx name, rx name), tx structure, (out_port, in_port), x-column
+        name, sweep points) of the channel block. A sweep point is (x, rx
+        structure, displacement); a rotated rx is built when its point is reached."""
+        spec = self._task("channel")
+        name1, name2 = _sequence(_require(spec, "pair", "channel block"), "channel pair", 2)
+        disp = self.position(name2) - self.position(name1)
+        dist = float(np.linalg.norm(disp))
+        if dist == 0.0:
+            raise ModelError("channel pair structures are co-located")
+        axis = disp / dist
+        tx = self.structure(name1)
+        out_port, in_port = _sequence(spec.get("ports", [0, 0]), "channel ports", 2)
+        ports = (
+            number(out_port, "channel ports out_port", int, 0),
+            number(in_port, "channel ports in_port", int, 0),
+        )
+
+        sweep = spec.get("sweep")
+        if sweep is None:
+            x_name, points = "alpha_deg", [(0.0, self.structure(name2), disp)]
+        elif _mapping(sweep, "channel sweep").get("kind") == "rotation":
+            alphas = np.linspace(
+                number(sweep.get("start_deg", 0.0), "channel sweep start_deg"),
+                number(sweep.get("stop_deg", 90.0), "channel sweep stop_deg"),
+                number(sweep.get("count", 10), "channel sweep count", int, 1),
+            )
+            x_name = "alpha_deg"
+            points = (
+                (float(a), self.structure(name2, rotation_matrix(axis, float(a))), disp)
+                for a in alphas
+            )
+        elif sweep.get("kind") == "distance":
+            start = number(sweep.get("start_m", 1.0), "channel sweep start_m")
+            stop = number(sweep.get("stop_m", 100.0), "channel sweep stop_m")
+            count = number(sweep.get("count", 25), "channel sweep count", int, 1)
+            spacing = sweep.get("spacing", "log")
+            if spacing == "log":
+                if start <= 0.0:
+                    raise ModelError("log-spaced distance sweep needs start_m > 0")
+                dists = np.geomspace(start, stop, count)
+            elif spacing == "linear":
+                dists = np.linspace(start, stop, count)
+            else:
+                raise ModelError(f"channel sweep spacing must be log or linear, got {spacing!r}")
+            rx = self.structure(name2)
+            x_name, points = "d_m", ((float(d), rx, axis * float(d)) for d in dists)
+        else:
+            raise ModelError(f"unknown sweep kind {sweep.get('kind')!r}")
+        return (name1, name2), tx, ports, x_name, points
 
     def beamform_problem(self, seed_override: int | None = None):
         """(BeamformProblem, ReconfigurableBuilder) from the scene's problem block."""
-        if self.problem_spec is None:
-            raise ModelError("scene has no problem block")
-        spec = self.problem_spec
+        spec = self._task("problem")
         structure = self.structure(_require(spec, "structure", "problem"))
         frontend = self.frontend(_require(spec, "frontend", "problem"))
         n, m = frontend.n, structure.m_ports
@@ -373,3 +468,10 @@ class Scene:
             rng_seed=seed,
         )
         return problem, model_builder
+
+    def pattern_slices(self, problem: BeamformProblem) -> list:
+        """(theta samples, phi) in degrees of the problem pattern's gain slice
+        per primary direction of `problem`; phi defaults to the direction's."""
+        spec = _mapping(self._task("problem").get("pattern", {}), "problem pattern")
+        phis = [math.degrees(d.phi) for d in problem.primary_dirs]
+        return [_gain_slice(spec, "problem pattern", phi) for phi in phis]

@@ -4,7 +4,7 @@ import logging
 import math
 import os
 import warnings
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -637,3 +637,48 @@ def test_case_study_ascent_builds_one_base_model_per_coordinate(monkeypatch, cap
     assert builds == [(problem.r,)] * (1 + coords)
     assert caplog.messages == []
     assert result.evaluations == coords * len(problem.z_set)
+
+
+def test_singular_gram_declines_the_rank1_pass_and_logs_the_rebuild_skips(caplog):
+    # two identical streams: every candidate's Gram matrix is singular
+    problem, builder, z_idx, coord = _well_conditioned_case(np.random.default_rng(5), 1, 2, n_tx=2)
+    problem = replace(problem, primary_dirs=(Direction(1.0, 0.5),) * 2)
+    dirs = tuple(problem.primary_dirs) + tuple(problem.secondary_dirs)
+    z_values = [problem.z_set[i] for i in z_idx]
+    assert builder.load_sweep_transmit(z_values, coord, problem.z_set) is not None
+    assert _rank1_rows(problem, builder, z_values, coord, builder.structure.tx_at(dirs)) is None
+
+    with caplog.at_level(logging.WARNING, logger="remskit.beamform"):
+        caplog.clear()
+        fast = coordinate_ascent(problem, builder)
+        fast_skips = caplog.messages
+        caplog.clear()
+        slow = coordinate_ascent(problem, lambda z: builder(z))
+    assert fast_skips == caplog.messages
+    assert len(fast_skips) == problem.i_max * problem.r * len(problem.z_set)
+    assert fast.evaluations == slow.evaluations == 0
+
+
+def test_failing_base_build_declines_the_rank1_pass(monkeypatch):
+    problem, builder, _, _ = _well_conditioned_case(np.random.default_rng(7), 1, 3)
+    build, sweep = ReconfigurableBuilder._build, ReconfigurableBuilder.load_sweep_transmit
+    updates = []
+
+    def failing_base(self, gammas):  # only a rank-1 base has a matched (gamma = 0) load
+        if np.any(np.asarray(gammas) == 0.0):
+            raise NumericsError("synthetic base-model failure")
+        return build(self, gammas)
+
+    def recorded_sweep(*args):
+        updates.append(sweep(*args))
+        return updates[-1]
+
+    monkeypatch.setattr(ReconfigurableBuilder, "_build", failing_base)
+    monkeypatch.setattr(ReconfigurableBuilder, "load_sweep_transmit", recorded_sweep)
+    fast = coordinate_ascent(problem, builder)
+    assert len(updates) == problem.i_max * problem.r and all(upd is None for upd in updates)
+    slow = coordinate_ascent(problem, lambda z: builder(z))
+    assert fast.z_indices == slow.z_indices
+    assert fast.evaluations == slow.evaluations == problem.i_max * problem.r * len(problem.z_set)
+    assert fast.f_trace == pytest.approx(slow.f_trace, rel=1e-12, abs=0.0)
+    assert np.max(np.abs(fast.t - slow.t)) <= 1e-12 * np.max(np.abs(slow.t))

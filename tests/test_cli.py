@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from remskit._textio import fmt
 from remskit.channel import far_channel
 from remskit.cli import main
 from remskit.farfield import FOUR_PI, make_latlon_grid
+from remskit.network import TouchstoneData, touchstone_to_text
 from remskit.radiating import (
     hertzian_dipole,
     random_reciprocal_structure,
+    response_to_text,
     synthesize_plane_wave_responses,
     wavenumber,
     write_response_file,
@@ -483,3 +486,176 @@ def test_rotation_sweep_reads_its_response_file_once(tmp_path, monkeypatch):
         )[1, 0]
         assert (re_s, im_s) == (fmt(s.real), fmt(s.imag))
     assert len(reads) == 1 + len(rows)
+
+
+@pytest.mark.parametrize(
+    "command, path, value, message",
+    [
+        ("channel", ("channel", "pair"), 5, "channel pair must be a list of 2 entries, got 5"),
+        ("channel", ("channel", "ports"), 5, "channel ports must be a list of 2 entries, got 5"),
+        ("solve", ("structures",), 5, "structures must be a list, got 5"),
+        ("solve", ("models",), 5, "models must be a list, got 5"),
+        ("optimize", ("structures", 0, "elements"), 5, "structure 'trio' elements must be a list"),
+        (
+            "channel",
+            ("structures", 1),
+            {"name": "rx", "kind": "from_files", "response_file": 5, "position_m": [0, 5, 0]},
+            "structure 'rx' response_file must be a string, got 5",
+        ),
+        (
+            "solve",
+            ("tunings", 0),
+            {"name": "thru", "kind": "touchstone", "file": 5, "n": 1},
+            "tuning 'thru' file must be a string, got 5",
+        ),
+        (
+            "solve",
+            ("structures", 0),
+            {"name": "tx", "kind": "isotropic", "pol": ["theta"]},
+            "structure 'tx' pol must be a string, got ['theta']",
+        ),
+        ("solve", ("solve", "v_tx"), 5, "solve block v_tx must be a list, got 5"),
+        (
+            "optimize",
+            ("structures", 0, "enforce_passivity"),
+            "false",
+            "structure 'trio' enforce_passivity must be true or false, got 'false'",
+        ),
+        (
+            "channel",
+            ("channel", "sweep", "spacing"),
+            5,
+            "channel sweep spacing must be log or linear, got 5",
+        ),
+    ],
+)
+def test_wrong_type_scene_field_is_a_user_error(tmp_path, capsys, command, path, value, message):
+    scene = _optimize_scene() if command == "optimize" else _friis_scene()
+    _set(scene, path, value)
+    code, err, out = _run_scene(tmp_path, command, scene, capsys)
+    assert code == 1
+    assert message in err
+    assert not out.exists() or os.listdir(out) == []
+
+
+def _undecodable(text: str) -> bytes:
+    """text with one 0xff byte, which is not UTF-8, in a comment line."""
+    return text.encode("utf-8") + b"# \xff\n"
+
+
+@pytest.mark.parametrize("reader", ["scene", "response", "touchstone"])
+def test_undecodable_file_is_a_user_error(tmp_path, capsys, reader):
+    out = tmp_path / "out"
+    if reader == "scene":
+        bad = tmp_path / "bad.yaml"
+        with open(FRIIS, "r", encoding="utf-8") as fh:
+            bad.write_bytes(_undecodable(fh.read()))
+        argv = ["solve", "--scene", str(bad)]
+    elif reader == "response":
+        bad = tmp_path / "bad.rsp"
+        grid = make_latlon_grid(4, 4)
+        s = random_reciprocal_structure(grid, 1, np.random.default_rng(3), FREQ)
+        bad.write_bytes(_undecodable(response_to_text(synthesize_plane_wave_responses(s))))
+        argv = ["extract", "--response", str(bad)]
+    else:
+        bad = tmp_path / "bad.s2p"
+        data = TouchstoneData.from_matrices([FREQ], np.array([[[0.0, 1.0], [1.0, 0.0]]]), "ri")
+        bad.write_bytes(_undecodable(touchstone_to_text(data)))
+        scene = _friis_scene()
+        scene["tunings"] = [{"name": "thru", "kind": "touchstone", "file": "bad.s2p", "n": 1}]
+        (tmp_path / "scene.yaml").write_text(yaml.safe_dump(scene))
+        argv = ["solve", "--scene", str(tmp_path / "scene.yaml")]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize(
+    "command, path, value, message",
+    [
+        ("channel", ("channel",), _DROP, "scene has no channel block"),
+        ("gain-pattern", ("gain_pattern",), _DROP, "scene has no gain_pattern block"),
+        ("channel", ("structures", 1, "position_m"), [0, 0, 0], "pair structures are co-located"),
+        ("channel", ("channel", "ports"), [0], "channel ports must be a list of 2 entries"),
+        ("channel", ("channel", "sweep", "start_m"), 0, "distance sweep needs start_m > 0"),
+        ("channel", ("channel", "sweep", "kind"), "spiral", "unknown sweep kind 'spiral'"),
+        ("solve", ("solve", "v_tx"), ["1", "1"], "solve block v_tx needs 1 entries, got 2"),
+        (
+            "gain-pattern",
+            ("gain_pattern", "v_tx"),
+            ["1", "1"],
+            "gain_pattern block v_tx needs 1 entries, got 2",
+        ),
+        ("gain-pattern", ("gain_pattern", "v_tx"), ["0"], "drive has zero available power"),
+        ("optimize", ("problem", "pattern"), {"count": "x"}, "pattern count must be a number"),
+    ],
+)
+def test_malformed_task_block_is_a_user_error(tmp_path, capsys, command, path, value, message):
+    scene = _optimize_scene() if command == "optimize" else _friis_scene()
+    if value is _DROP:
+        del scene[path[0]]
+    else:
+        _set(scene, path, value)
+    code, err, out = _run_scene(tmp_path, command, scene, capsys)
+    assert code == 1
+    assert message in err
+    # the optimize pattern is read before the ascent, so no result.txt is left behind
+    assert not out.exists() or os.listdir(out) == []
+
+
+def test_linear_distance_sweep_is_evenly_spaced(tmp_path, capsys):
+    scene = _friis_scene()
+    scene["channel"]["sweep"]["spacing"] = "linear"
+    code, _, out = _run_scene(tmp_path, "channel", scene, capsys)
+    assert code == 0
+    header, rows = _read_csv(out / "channel.csv")
+    assert header == "d_m,re_s,im_s"
+    assert [r[0] for r in rows] == [fmt(d) for d in np.linspace(1.0, 100.0, 25)]
+
+
+def test_channel_without_sweep_writes_one_row_at_alpha_zero(tmp_path, capsys):
+    scene = _friis_scene()
+    del scene["channel"]["sweep"]
+    code, _, out = _run_scene(tmp_path, "channel", scene, capsys)
+    assert code == 0
+    header, rows = _read_csv(out / "channel.csv")
+    assert header == "alpha_deg,re_s,im_s"
+    assert len(rows) == 1 and rows[0][0] == "0.0"
+    s = far_channel(
+        hertzian_dipole([1.0, 0.0, 0.0], [0.0, 0.0, 0.0], make_latlon_grid(19, 36), FREQ),
+        hertzian_dipole([1.0, 0.0, 0.0], [0.0, 0.0, 0.0], make_latlon_grid(19, 36), FREQ),
+        [0.0, 5.0, 0.0],
+    )[0, 0]
+    assert rows[0][1:] == [fmt(s.real), fmt(s.imag)]
+
+
+def test_rotation_sweep_keeps_one_rotated_structure_alive(tmp_path, monkeypatch):
+    scene = {
+        "frequency_hz": FREQ,
+        "grid": {"n_theta": 6, "n_phi": 8},
+        "structures": [
+            {"name": "tx", "kind": "dipole", "orientation": [1.0, 0.0, 0.0]},
+            {"name": "rx", "kind": "dipole", "orientation": [1.0, 0.0, 0.0], "position_m": [0, 3, 0]},
+        ],
+        "channel": {"pair": ["tx", "rx"], "sweep": {"kind": "rotation", "count": 4}},
+    }
+    p = tmp_path / "twist.yaml"
+    p.write_text(yaml.safe_dump(scene))
+    built, alive = [], []  # weak references to the rotated structures; live ones per build
+    structure = Scene.structure
+
+    def tracked(self, name, extra_rotation=None):
+        if extra_rotation is not None:
+            alive.append(sum(ref() is not None for ref in built))
+        s = structure(self, name, extra_rotation)
+        if extra_rotation is not None:
+            built.append(weakref.ref(s))
+        return s
+
+    monkeypatch.setattr(Scene, "structure", tracked)
+    assert main(["channel", "--scene", str(p), "--out", str(tmp_path)]) == 0
+    # each rotated structure is released before the next one is built
+    assert alive == [0, 0, 0, 0]

@@ -1,11 +1,16 @@
-"""Mutated response and Touchstone texts either parse or raise ModelError."""
+"""Mutated response and Touchstone texts either parse or raise ModelError;
+mutated scene texts load and run or end as ModelError or NumericsError."""
+
+import os
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FREQ
-from remskit import ModelError
+from remskit import ModelError, NumericsError
+from remskit.cli import main
 from remskit.farfield import make_latlon_grid
 from remskit.network import TouchstoneData, parse_touchstone, touchstone_to_text
 from remskit.radiating import (
@@ -14,6 +19,9 @@ from remskit.radiating import (
     response_to_text,
     synthesize_plane_wave_responses,
 )
+from remskit.scene import Scene
+
+SCENE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenes")
 
 # Replacement words: non-numbers, non-finite values, keywords of both formats,
 # and numbers no larger than the ones they replace, so that no mutation
@@ -38,8 +46,14 @@ def _touchstone_texts():
     )
 
 
+def _scene_text(name):
+    with open(os.path.join(SCENE_DIR, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
 RESPONSE = _response_text()
 TOUCHSTONE = _touchstone_texts()
+SCENES = {name: _scene_text(name) for name in ("friis.yaml", "rra_case_study.yaml")}
 
 
 @st.composite
@@ -90,3 +104,45 @@ def test_mutated_touchstone_text_parses_or_raises_model_error(text):
     except ModelError:
         return
     assert data.matrices.shape[1:] == (data.n_ports, data.n_ports)
+
+
+def _scene_calls(scene):
+    """Every builder and task reader of scene, as zero-argument calls."""
+    calls = [scene.solve_task, scene.gain_pattern_task, lambda: list(scene.channel_task()[-1])]
+    calls.append(lambda: scene.pattern_slices(scene.beamform_problem()[0]))
+    for names, build in (
+        (scene.structures, scene.structure),
+        (scene.structures, scene.position),
+        (scene.frontends, scene.frontend),
+        (scene.tunings, scene.tuning),
+        (scene.models, scene.model),
+    ):
+        calls += [lambda build=build, name=name: build(name) for name in names]
+    return calls
+
+
+@pytest.fixture(scope="module")
+def scene_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated_scenes")
+
+
+# The same words keep scenes small: a grid size or count they replace shrinks
+# or becomes non-integral or non-finite, and duplicated lines add at most three
+# list entries.
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SCENES)), st.data())
+def test_mutated_scene_text_loads_runs_or_raises_model_error(scene_dir, name, data):
+    path = scene_dir / name
+    path.write_text(data.draw(mutated(SCENES[name])), encoding="utf-8")
+    try:
+        scene = Scene.load(str(path))
+    except ModelError:
+        return
+    for call in _scene_calls(scene):
+        try:
+            call()
+        except (ModelError, NumericsError):
+            pass
+    if name == "friis.yaml":  # exit 0, 1 (ModelError) or 2 (NumericsError); never a traceback
+        for command in ("solve", "channel", "gain-pattern"):
+            assert main([command, "--scene", str(path), "--out", str(scene_dir / "out")]) in (0, 1, 2)

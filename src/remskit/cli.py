@@ -166,12 +166,12 @@ def cmd_channel(args) -> int:
 
 
 def _gain_rows(ops, p_a: float, v, thetas_deg, phi_deg: float):
-    v = np.asarray(v, dtype=complex)
-    mats = ops.vtx_gain_matrix([Direction.from_degrees(float(t), phi_deg) for t in thetas_deg])
-    for theta, m in zip(thetas_deg, mats):
-        val = m @ v
-        g = FOUR_PI * float(np.vdot(val, val).real) / p_a
-        yield (fmt(float(theta)), fmt(_db(g)))
+    thetas = [float(t) for t in thetas_deg]
+    mats = ops.vtx_gain_matrix([Direction.from_degrees(t, phi_deg) for t in thetas])
+    vals = mats @ np.asarray(v, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing square reads inf
+        gains = FOUR_PI * np.vecdot(vals, vals).real / p_a
+    return [(repr(t), repr(_db(g))) for t, g in zip(thetas, gains.tolist())]
 
 
 def cmd_gain_pattern(args) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ModelError
-from ._textio import atomic_write_text, csv_text, fmt
+from ._textio import atomic_write_text, csv_text
 
 FOUR_PI = 4.0 * math.pi
 
@@ -285,19 +285,23 @@ def antipodal_mirror(p: FarFieldPattern) -> FarFieldPattern:
 
 
 def pattern_to_csv(p: FarFieldPattern) -> str:
-    rows = (
+    v = p.values
+    # np.vecdot matches a per-row np.vdot bit for bit (einsum and
+    # |re|^2 + |im|^2 do not); an overflowing square reads inf without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = np.vecdot(v, v).real
+    cols = np.column_stack(
         (
-            fmt(math.degrees(theta)),
-            fmt(math.degrees(phi)),
-            fmt(v[0].real),
-            fmt(v[0].imag),
-            fmt(v[1].real),
-            fmt(v[1].imag),
-            fmt(float(np.real(np.vdot(v, v)))),
+            np.degrees(p.grid.theta),
+            np.degrees(p.grid.phi),
+            v[:, 0].real,
+            v[:, 0].imag,
+            v[:, 1].real,
+            v[:, 1].imag,
+            power,
         )
-        for theta, phi, v in zip(p.grid.theta, p.grid.phi, p.values)
     )
-    return csv_text(PATTERN_CSV_HEADER, rows)
+    return csv_text(PATTERN_CSV_HEADER, (map(repr, row) for row in cols.tolist()))
 
 
 def write_pattern_csv(p: FarFieldPattern, path: str) -> None:

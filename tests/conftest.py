@@ -8,13 +8,17 @@ import pytest
 from hypothesis import settings
 
 from remskit import (
+    Direction,
     FarFieldPattern,
     ReMSModel,
     RFFrontend,
     TuningNetwork,
     random_passive_structure,
 )
+from remskit._textio import csv_text, fmt
 from remskit.channel import propagation_matrix
+from remskit.cli import _db
+from remskit.farfield import FOUR_PI, PATTERN_CSV_HEADER
 from remskit.network import max_singular_value
 from remskit.radiating import random_reciprocal_structure
 
@@ -132,6 +136,33 @@ def singular_loop_pair(grid, disp):
     rx.scatter_kernel[:, 0, :, 0] = 1.0
     rx.scatter_kernel[:, 1, :, 1] = 1.0
     return tx, rx
+
+
+def loop_pattern_to_csv(p):
+    """Per-row reference for farfield.pattern_to_csv."""
+    rows = (
+        (
+            fmt(math.degrees(theta)),
+            fmt(math.degrees(phi)),
+            fmt(v[0].real),
+            fmt(v[0].imag),
+            fmt(v[1].real),
+            fmt(v[1].imag),
+            fmt(float(np.real(np.vdot(v, v)))),
+        )
+        for theta, phi, v in zip(p.grid.theta, p.grid.phi, p.values)
+    )
+    return csv_text(PATTERN_CSV_HEADER, rows)
+
+
+def loop_gain_rows(ops, p_a, v, thetas_deg, phi_deg):
+    """Per-row reference for cli._gain_rows: (theta, gain in dB) text rows."""
+    v = np.asarray(v, dtype=complex)
+    mats = ops.vtx_gain_matrix([Direction.from_degrees(float(t), phi_deg) for t in thetas_deg])
+    for theta, m in zip(thetas_deg, mats):
+        val = m @ v
+        g = FOUR_PI * float(np.vdot(val, val).real) / p_a
+        yield (fmt(float(theta)), fmt(_db(g)))
 
 
 @pytest.fixture

@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 import yaml
 
+import remskit.cli as cli_mod
+import remskit.farfield as farfield_mod
 import remskit.scene as scene_mod
-from conftest import FREQ, singular_loop_pair
+from conftest import FREQ, loop_gain_rows, loop_pattern_to_csv, singular_loop_pair
 from remskit._textio import fmt
 from remskit.channel import far_channel
-from remskit.cli import main
+from remskit.cli import _gain_rows, main
 from remskit.farfield import FOUR_PI, make_latlon_grid
 from remskit.network import TouchstoneData, touchstone_to_text
 from remskit.radiating import (
@@ -29,6 +31,7 @@ from remskit.scene import Scene, rotation_matrix
 
 SCENES = os.path.join(os.path.dirname(__file__), os.pardir, "scenes")
 FRIIS = os.path.join(SCENES, "friis.yaml")
+CASE_STUDY = os.path.join(SCENES, "rra_case_study.yaml")
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 LAM = 2.0 * math.pi / wavenumber(FREQ)
 
@@ -127,6 +130,68 @@ def test_channel_rotation_sweep_projects_cosine(tmp_path):
     # co-polarized at 0, crossed at 90: rotating the receiver about the
     # line of sight scales the link by the polarization projection
     assert np.allclose(mags, mags[0] * np.cos(np.radians(alphas)), atol=mags[0] * 1e-12)
+
+
+class _StackOps:
+    """Gain operators reduced to a fixed (k, 2, n_tx) vtx_gain_matrix stack."""
+
+    def __init__(self, mats):
+        self.mats = mats
+
+    def vtx_gain_matrix(self, dirs):
+        assert len(dirs) == len(self.mats)
+        return self.mats
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gain_rows_match_per_row_reference(seed):
+    rng = np.random.default_rng(seed)
+    k, n_tx = 37, 3
+    mats = rng.standard_normal((k, 2, n_tx)) + 1j * rng.standard_normal((k, 2, n_tx))
+    # zero rows give zero gain (-inf dB); the others under- and overflow the square
+    mats *= rng.choice((1.0, 0.0, -0.0, 1e-300, 1e-160, 1e160, 1e300), (k, 1, 1))
+    mats[:2] = 0.0
+    v = rng.standard_normal(n_tx) + 1j * rng.standard_normal(n_tx)
+    thetas = np.linspace(-90.0, 90.0, k)
+    ops = _StackOps(mats)
+    assert _gain_rows(ops, 0.37, v, thetas, 12.5) == list(loop_gain_rows(ops, 0.37, v, thetas, 12.5))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--scene", FRIIS], ["gain-pattern", "--scene", FRIIS], ["optimize", "--scene", CASE_STUDY]],
+    ids=["solve", "gain-pattern", "optimize"],
+)
+def test_shipped_outputs_match_per_row_formatting(tmp_path, monkeypatch, argv):
+    assert main(argv + ["--out", str(tmp_path / "bulk")]) == 0
+    monkeypatch.setattr(farfield_mod, "pattern_to_csv", loop_pattern_to_csv)
+    monkeypatch.setattr(cli_mod, "_gain_rows", loop_gain_rows)
+    assert main(argv + ["--out", str(tmp_path / "loop")]) == 0
+    names = sorted(os.listdir(tmp_path / "bulk"))
+    assert names == sorted(os.listdir(tmp_path / "loop"))
+    for name in names:
+        assert (tmp_path / "bulk" / name).read_bytes() == (tmp_path / "loop" / name).read_bytes()
+
+
+def test_deeply_nested_scene_is_a_user_error(tmp_path, capsys):
+    p = tmp_path / "deep.yaml"
+    p.write_text("x: " + "[" * 3000 + "]" * 3000 + "\n")
+    assert main(["solve", "--scene", str(p), "--out", str(tmp_path / "out")]) == 1
+    assert "error: scene parse error" in capsys.readouterr().err
+
+
+def test_nesting_beyond_the_c_stack_is_a_user_error(tmp_path):
+    # libyaml's composer recurses on the C stack: at this depth it ends the
+    # process with SIGSEGV, so the run is a child process
+    p = tmp_path / "deep.yaml"
+    p.write_text("x: " + "[" * 30000 + "]" * 30000 + "\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(q for q in (SRC, env.get("PYTHONPATH")) if q)
+    argv = [sys.executable, "-m", "remskit.cli", "solve", "--scene", str(p), "--out", str(tmp_path)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "error: scene parse error" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_gain_pattern_slice(tmp_path):
@@ -526,6 +591,30 @@ def test_rotation_sweep_reads_its_response_file_once(tmp_path, monkeypatch):
             ("channel", "sweep", "spacing"),
             5,
             "channel sweep spacing must be log or linear, got 5",
+        ),
+        (
+            "solve",
+            ("frontends", 0, "z_tx_ohms"),
+            5,
+            "frontend 'matched' z_tx_ohms: expected a list of complex values, got 5",
+        ),
+        (
+            "solve",
+            ("frontends", 0, "z_rx_ohms"),
+            ["watts"],
+            "frontend 'matched' z_rx_ohms: cannot parse complex value 'watts'",
+        ),
+        (
+            "solve",
+            ("tunings", 0),
+            {"name": "thru", "kind": "inline", "gains": 5},
+            "tuning 'thru' gains: expected a list of complex values, got 5",
+        ),
+        (
+            "optimize",
+            ("problem", "z_set", "values"),
+            "50",
+            "problem z_set values: expected a list of complex values, got '50'",
         ),
     ],
 )

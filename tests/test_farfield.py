@@ -19,7 +19,7 @@ from remskit import (
 )
 from remskit.farfield import FOUR_PI, direction_from_vector, pattern_to_csv, spherical_basis
 
-from conftest import loop_blend, loop_stencil, random_pattern
+from conftest import loop_blend, loop_pattern_to_csv, loop_stencil, random_pattern
 
 
 # ---------------------------------------------------------------------------
@@ -284,3 +284,18 @@ def test_pattern_csv_layout():
     first = lines[1].split(",")
     assert float(first[2]) == 1.0 and float(first[5]) == 2.0
     assert float(first[6]) == pytest.approx(5.0)
+
+
+# Scales that stress the text and the intensity column: exact and signed
+# zeros, the smallest subnormal, and values whose squares underflow or overflow.
+EXTREME_SCALES = (1.0, 0.0, -0.0, 5e-324, 1e-300, 1e-160, 1e160, 1e300)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pattern_csv_matches_per_row_reference(seed):
+    rng = np.random.default_rng(seed)
+    p = random_pattern(rng, make_latlon_grid(6, 12))
+    p.values.real *= rng.choice(EXTREME_SCALES, p.values.shape)
+    p.values.imag *= rng.choice(EXTREME_SCALES, p.values.shape)
+    p.values[:3] = 0.0
+    assert pattern_to_csv(p) == loop_pattern_to_csv(p)

@@ -1,10 +1,12 @@
 """Mutated response and Touchstone texts either parse or raise ModelError;
-mutated scene texts load and run or end as ModelError or NumericsError."""
+mutated scene texts load and run or end as ModelError or NumericsError, and
+the YAML loader Scene.load picks reads them as PyYAML's pure-Python loader does."""
 
 import os
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +21,7 @@ from remskit.radiating import (
     response_to_text,
     synthesize_plane_wave_responses,
 )
-from remskit.scene import Scene
+from remskit.scene import Scene, _yaml_loader
 
 SCENE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenes")
 
@@ -54,10 +56,15 @@ def _scene_text(name):
 RESPONSE = _response_text()
 TOUCHSTONE = _touchstone_texts()
 SCENES = {name: _scene_text(name) for name in ("friis.yaml", "rra_case_study.yaml")}
+# YAML syntax for the loader property: indicators, anchors, tags, quotes and
+# the scalars whose type the resolver decides.
+YAML_WORDS = WORDS + ("[", "]", "{", "}", "-", ":", "?", "&a", "*a", "!!str", "!!float", "'",
+                      '"', "~", "null", "yes", "Off", ".nan", ".inf", "-.inf", "0x1f", "0o17",
+                      "1e3", "1_000", "2001-12-14", "<<:")
 
 
 @st.composite
-def mutated(draw, text):
+def mutated(draw, text, words=WORDS):
     """text after one to three edits: replace a token with a word, delete a
     token, or drop or duplicate a line."""
     lines = text.splitlines()
@@ -70,7 +77,7 @@ def mutated(draw, text):
         if edit in ("replace", "delete") and toks:
             j = draw(st.integers(0, len(toks) - 1))
             if edit == "replace":
-                toks[j] = draw(st.sampled_from(WORDS))
+                toks[j] = draw(st.sampled_from(words))
             else:
                 del toks[j]
             lines[i] = " ".join(toks)
@@ -146,3 +153,19 @@ def test_mutated_scene_text_loads_runs_or_raises_model_error(scene_dir, name, da
     if name == "friis.yaml":  # exit 0, 1 (ModelError) or 2 (NumericsError); never a traceback
         for command in ("solve", "channel", "gain-pattern"):
             assert main([command, "--scene", str(path), "--out", str(scene_dir / "out")]) in (0, 1, 2)
+
+
+def _loaded(text, loader):
+    """repr of what loader reads from text (type-strict, and equal for NaN),
+    or YAMLError."""
+    try:
+        return repr(yaml.load(text, Loader=loader))
+    except yaml.YAMLError:
+        return yaml.YAMLError
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML is built without libyaml")
+@settings(max_examples=120)
+@given(st.sampled_from(sorted(SCENES)).flatmap(lambda name: mutated(SCENES[name], YAML_WORDS)))
+def test_scene_loader_reads_mutated_scenes_as_the_pure_loader(text):
+    assert _loaded(text, _yaml_loader(text)) == _loaded(text, yaml.SafeLoader)

@@ -1,9 +1,11 @@
 """Scene-file parsing and model assembly."""
 
 import math
+import os
 
 import numpy as np
 import pytest
+import yaml
 from scipy.spatial.transform import Rotation
 
 from conftest import FREQ
@@ -19,7 +21,9 @@ from remskit.radiating import (
     write_response_file,
 )
 from remskit.scene import (
+    _C_LOADER_MAX_OPENERS,
     Scene,
+    _yaml_loader,
     parse_complex,
     parse_complex_list,
     parse_direction,
@@ -45,10 +49,12 @@ def test_parse_complex_accepts_numbers_and_strings():
 
 
 def test_parse_complex_list():
-    got = parse_complex_list(["1+2j", 3, "4j"])
+    got = parse_complex_list(["1+2j", 3, "4j"], "gains")
     assert np.array_equal(got, np.array([1 + 2j, 3 + 0j, 4j]))
-    with pytest.raises(ModelError, match="list of complex values"):
-        parse_complex_list("1+2j")
+    with pytest.raises(ModelError, match="gains: expected a list of complex values"):
+        parse_complex_list("1+2j", "gains")
+    with pytest.raises(ModelError, match="gains: cannot parse complex value 'watts'"):
+        parse_complex_list([1, "watts"], "gains")
 
 
 def test_parse_direction_degrees():
@@ -129,6 +135,30 @@ def test_scene_load_rejects_non_mapping(tmp_path):
     p2.write_text("a: [unclosed\n")
     with pytest.raises(ModelError, match="parse error"):
         Scene.load(str(p2))
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML is built without libyaml")
+@pytest.mark.parametrize("name", ["friis.yaml", "rra_case_study.yaml"])
+def test_scene_load_parses_shipped_scenes_with_libyaml(monkeypatch, name):
+    loaders = []
+    load = yaml.load
+
+    def spy(stream, Loader):
+        loaders.append(Loader)
+        return load(stream, Loader)
+
+    monkeypatch.setattr(yaml, "load", spy)
+    Scene.load(os.path.join(os.path.dirname(__file__), os.pardir, "scenes", name))
+    assert loaders == [yaml.CSafeLoader]
+
+
+def test_yaml_loader_takes_libyaml_only_where_both_loaders_accept_the_depth():
+    n = _C_LOADER_MAX_OPENERS
+    at_limit = "x: " + "[" * (n - 1) + "]" * (n - 1)  # n openers with the ':'
+    loader = _yaml_loader(at_limit)
+    assert loader is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    assert yaml.load(at_limit, Loader=loader) == yaml.load(at_limit, Loader=yaml.SafeLoader)
+    assert _yaml_loader("x: " + "[" * n + "]" * n) is yaml.SafeLoader
 
 
 def test_dipole_structure_with_rotation():

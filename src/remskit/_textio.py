@@ -16,8 +16,8 @@ import tempfile
 from .errors import ModelError
 
 
-def number(value, where: str, kind=float, low=None):
-    """The finite scalar field `where` as kind (float or int), at least `low` if given.
+def number(value, where: str, kind=float, low=None, high=None):
+    """The finite scalar field `where` as kind (float or int), within [low, high] where given.
 
     Anything else (a word, a non-integral count, a non-finite value) raises a
     ModelError naming the field.
@@ -34,6 +34,8 @@ def number(value, where: str, kind=float, low=None):
         x = int(x)
     if low is not None and x < low:
         raise ModelError(f"{where} must be at least {low}, got {value!r}")
+    if high is not None and x > high:
+        raise ModelError(f"{where} must be at most {high}, got {value!r}")
     return x
 
 

@@ -32,7 +32,6 @@ from .farfield import (
     spherical_basis,
     total_power,
 )
-from .network import max_singular_value
 
 C_LIGHT = 299792458.0
 Z0_FREE_SPACE = 4.0e-7 * math.pi * C_LIGHT
@@ -169,19 +168,6 @@ def power_balance(s: RadiatingStructure, a, b: FarFieldPattern):
 # analytic structures
 
 
-def _dipole_kernel(orientation, position, grid: DirectionGrid, k: float) -> np.ndarray:
-    o = np.asarray(orientation, dtype=float)
-    if abs(np.linalg.norm(o) - 1.0) > 1e-9:
-        raise ModelError("dipole orientation must be a unit vector")
-    r, th, ph = spherical_basis(grid.theta, grid.phi)
-    amp = math.sqrt(3.0 / (8.0 * math.pi))
-    phase = np.exp(1j * k * (r @ np.asarray(position, dtype=float)))
-    kern = np.empty((grid.size, 2), dtype=complex)
-    kern[:, 0] = amp * (th @ o) * phase
-    kern[:, 1] = amp * (ph @ o) * phase
-    return kern
-
-
 def hertzian_dipole(orientation, position, grid: DirectionGrid, frequency: float) -> RadiatingStructure:
     """Lossless matched Hertzian dipole, unit radiated power at unit drive.
 
@@ -215,12 +201,13 @@ def _weighted_operator_norm(coupling, tx, rx, grid: DirectionGrid) -> float:
 
     R_w and K_w are the area-weighted receive and transmit kernels, and P is
     the antipodal mirror, a signed permutation, so P^H P = I. Then W^H W - I
-    vanishes outside ports + span(R_w^H, P^H K_w), and with Q an orthonormal
-    basis of that span the singular values of W are those of
-    W B = [[C, R_w Q], [K_w, P Q]], a (M + 2n) x (M + 2M) matrix at most,
-    plus 1 for every field direction outside span(Q). Each column of P Q has
-    norm 1, so sigma_max(W B) >= 1 and it is the largest of them all.
-    P is applied as the signed antipode gather, never as a matrix.
+    vanishes outside ports + span(R_w^H, P^H K_w), and with that span =
+    Q [R1 | R2] (k = min(2n, 2M) rows) the singular values of W are those of
+    W B = [[C, R_w Q], [K_w, P Q]], plus 1 for every field direction outside
+    span(Q). As R_w Q = R1^H, K_w = P Q R2 and P Q has orthonormal columns,
+    (W B)^H (W B) = [[C^H C + R2^H R2, C^H R1^H + R2^H], [R1 C + R2, R1 R1^H + I]],
+    whose last k diagonal entries are >= 1, so its largest eigenvalue is
+    sigma^2 >= 1. Only R is formed; squaring costs about eps relative in sigma.
     """
     m, n = tx.shape[0], grid.size
     sqw = np.sqrt(grid.weights)[:, None]
@@ -229,12 +216,14 @@ def _weighted_operator_norm(coupling, tx, rx, grid: DirectionGrid) -> float:
     mirrored_kw = np.empty_like(kw)
     mirrored_kw[:, grid.antipode] = kw * _MIRROR_SIGN  # P^H K_w, columns as rows
     span = np.concatenate([rw.conj(), mirrored_kw]).reshape(2 * m, 2 * n).T
-    q = np.linalg.qr(span)[0]  # (2n, min(2n, 2M))
-    mirror_q = q.reshape(n, 2, -1)[grid.antipode] * _MIRROR_SIGN[:, None]
-    return max_singular_value(np.block([
-        [coupling, rw.reshape(m, 2 * n) @ q],
-        [kw.reshape(m, 2 * n).T, mirror_q.reshape(2 * n, -1)],
-    ]))
+    r = np.linalg.qr(span, mode="r")  # (k, 2M)
+    r1, r2 = r[:, :m], r[:, m:]
+    cross = r1 @ coupling + r2
+    gram = np.block([
+        [coupling.conj().T @ coupling + r2.conj().T @ r2, cross.conj().T],
+        [cross, r1 @ r1.conj().T + np.eye(len(r))],
+    ])
+    return math.sqrt(np.linalg.eigvalsh(gram)[-1])
 
 
 def dipole_array(
@@ -252,18 +241,25 @@ def dipole_array(
     largest singular value sigma of the whole operator (times 1 + 1e-12), so
     the scattering becomes mirror = 1/sigma with no remainder and passivity is
     certified rather than assumed. sigma is found on the at most 3M-dimensional
-    subspace where the weighted operator differs from an isometry
+    subspace where the weighted operator differs from an isometry, as an
+    eigenvalue of a Gram built from one QR's R factor
     (_weighted_operator_norm), so the cost grows linearly with the grid. The
     mirror block alone has norm 1, so sigma >= 1 and every certified array is
     rescaled.
     """
     if len(elements) == 0:
         raise ModelError("dipole_array requires at least one element")
-    k = wavenumber(frequency)
     m = len(elements)
-    tx = np.empty((m, grid.size, 2), dtype=complex)
-    for idx, (orientation, position) in enumerate(elements):
-        tx[idx] = _dipole_kernel(orientation, position, grid, k)
+    axes = np.array([o for o, _ in elements], dtype=float).reshape(m, 3, 1)
+    if (np.abs(np.sqrt(np.vecdot(axes, axes, axis=1)) - 1.0) > 1e-9).any():
+        raise ModelError("dipole orientation must be a unit vector")
+    positions = np.array([p for _, p in elements], dtype=float).reshape(m, 3, 1)
+    # stacked matrix-vector products: each element's kernel has the bits that
+    # the same element alone (hertzian_dipole) gets
+    r, th, ph = spherical_basis(grid.theta, grid.phi)
+    phase = np.exp(1j * wavenumber(frequency) * (r @ positions))  # (M, n, 1)
+    amp = math.sqrt(3.0 / (8.0 * math.pi))
+    tx = np.concatenate([amp * (th @ axes) * phase, amp * (ph @ axes) * phase], axis=-1)
     if coupling is None:
         coupling = np.zeros((m, m), dtype=complex)
     else:

@@ -54,6 +54,10 @@ from .solver import ReconfigurableBuilder, ReMSModel
 # many openers is shallow enough for both.
 _C_LOADER_MAX_OPENERS = 400
 
+# The most samples a scene count (gain slice, channel sweep, reactance set)
+# may ask for; every count is read before anything count-sized is allocated.
+MAX_COUNT = 100_000
+
 
 def _yaml_loader(text: str):
     """The PyYAML loader for `text`: libyaml's CSafeLoader where the install
@@ -174,7 +178,7 @@ def _gain_slice(spec: dict, where: str, phi_deg: float):
     thetas = np.linspace(
         number(spec.get("theta_start_deg", -90.0), f"{where} theta_start_deg"),
         number(spec.get("theta_stop_deg", 90.0), f"{where} theta_stop_deg"),
-        number(spec.get("count", 181), f"{where} count", int, 1),
+        number(spec.get("count", 181), f"{where} count", int, 1, MAX_COUNT),
     )
     return thetas, number(spec.get("phi_deg", phi_deg), f"{where} phi_deg")
 
@@ -413,7 +417,7 @@ class Scene:
             alphas = np.linspace(
                 number(sweep.get("start_deg", 0.0), "channel sweep start_deg"),
                 number(sweep.get("stop_deg", 90.0), "channel sweep stop_deg"),
-                number(sweep.get("count", 10), "channel sweep count", int, 1),
+                number(sweep.get("count", 10), "channel sweep count", int, 1, MAX_COUNT),
             )
             x_name = "alpha_deg"
             points = (
@@ -423,7 +427,7 @@ class Scene:
         elif sweep.get("kind") == "distance":
             start = number(sweep.get("start_m", 1.0), "channel sweep start_m")
             stop = number(sweep.get("stop_m", 100.0), "channel sweep stop_m")
-            count = number(sweep.get("count", 25), "channel sweep count", int, 1)
+            count = number(sweep.get("count", 25), "channel sweep count", int, 1, MAX_COUNT)
             spacing = sweep.get("spacing", "log")
             if spacing == "log":
                 if start <= 0.0:
@@ -458,7 +462,7 @@ class Scene:
             xs = np.linspace(
                 number(_require(react, "start", where), f"{where} start"),
                 number(_require(react, "stop", where), f"{where} stop"),
-                number(_require(react, "count", where), f"{where} count", int, 1),
+                number(_require(react, "count", where), f"{where} count", int, 1, MAX_COUNT),
             )
             z_set = tuple(complex(resistance, x) for x in xs)
 

@@ -18,7 +18,7 @@ from remskit import (
 from remskit._textio import csv_text, fmt
 from remskit.channel import propagation_matrix
 from remskit.cli import _db
-from remskit.farfield import FOUR_PI, PATTERN_CSV_HEADER
+from remskit.farfield import FOUR_PI, PATTERN_CSV_HEADER, spherical_basis
 from remskit.network import max_singular_value
 from remskit.radiating import random_reciprocal_structure
 
@@ -82,6 +82,18 @@ def loop_stencil(grid, theta: float, phi: float):
         (grid.index_of(i1, j0), ft * (1.0 - fu)),
         (grid.index_of(i1, j1), ft * fu),
     )
+
+
+def loop_dipole_kernel(orientation, position, grid, k):
+    """Per-element reference for dipole_array's kernels: one (n, 2) Hertzian dipole kernel."""
+    o = np.asarray(orientation, dtype=float)
+    r, th, ph = spherical_basis(grid.theta, grid.phi)
+    amp = math.sqrt(3.0 / (8.0 * math.pi))
+    phase = np.exp(1j * k * (r @ np.asarray(position, dtype=float)))
+    kern = np.empty((grid.size, 2), dtype=complex)
+    kern[:, 0] = amp * (th @ o) * phase
+    kern[:, 1] = amp * (ph @ o) * phase
+    return kern
 
 
 def mirror_matrix(grid):

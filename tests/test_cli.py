@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -439,6 +440,39 @@ def test_non_numeric_scene_scalar_is_a_user_error(tmp_path, capsys, command, pat
     assert code == 1
     assert f"{field} must be a number, got '5.4 GHz'" in err
     assert not out.exists() or os.listdir(out) == []
+
+
+@pytest.mark.parametrize(
+    "command, path, field",
+    [
+        ("gain-pattern", ("gain_pattern", "count"), "gain_pattern count"),
+        ("channel", ("channel", "sweep", "count"), "channel sweep count"),
+        ("rotation", ("channel", "sweep", "count"), "channel sweep count"),
+        ("optimize", ("problem", "pattern", "count"), "problem pattern count"),
+        ("optimize", ("problem", "z_set", "reactance", "count"), "problem z_set reactance count"),
+    ],
+)
+def test_scene_count_above_the_limit_is_a_user_error(tmp_path, capsys, command, path, field):
+    scene = _friis_scene() if command != "optimize" else _optimize_scene()
+    if command == "rotation":
+        command = "channel"
+        scene["channel"]["sweep"] = {"kind": "rotation", "count": 7}
+    if command == "optimize":
+        scene["problem"]["z_set"] = {
+            "resistance": 1.0,
+            "reactance": {"start": -80.0, "stop": 80.0, "count": 4},
+        }
+    _set(scene, path, scene_mod.MAX_COUNT + 1)
+    tracemalloc.start()
+    try:
+        code, err, out = _run_scene(tmp_path, command, scene, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert f"{field} must be at most {scene_mod.MAX_COUNT}, got {scene_mod.MAX_COUNT + 1}" in err
+    assert not out.exists() or os.listdir(out) == []
+    assert peak < 8 * scene_mod.MAX_COUNT  # less than one float per sample
 
 
 @pytest.mark.parametrize(

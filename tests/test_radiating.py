@@ -41,7 +41,6 @@ from remskit.radiating import (
     Z0_FREE_SPACE,
     PlaneWaveResponseSet,
     RadiatingStructure,
-    _dipole_kernel,
     _scatter_asymmetry,
     _weighted_operator_norm,
     parse_response_text,
@@ -53,7 +52,7 @@ from remskit.radiating import (
 
 from remskit.scene import Scene, rotation_matrix
 
-from conftest import FREQ, loop_blend, loop_stencil, mirror_matrix, random_pattern
+from conftest import FREQ, loop_blend, loop_dipole_kernel, loop_stencil, mirror_matrix, random_pattern
 
 LAMBDA = C_LIGHT / FREQ
 SCENES = os.path.join(os.path.dirname(__file__), os.pardir, "scenes")
@@ -103,7 +102,7 @@ def test_hertzian_dipole_is_the_one_element_array(orientation, position):
     s = hertzian_dipole(orientation, position, g, FREQ)
     ref = dipole_array([(orientation, position)], g, FREQ)
     # and the single kernel on its own, bit for bit
-    kern = _dipole_kernel(orientation, position, g, wavenumber(FREQ))[None]
+    kern = loop_dipole_kernel(orientation, position, g, wavenumber(FREQ))[None]
     for other in (ref.tx_kernel, ref.rx_kernel, kern):
         np.testing.assert_array_equal(s.tx_kernel, other)
         np.testing.assert_array_equal(s.rx_kernel, other)
@@ -124,6 +123,36 @@ def test_dipole_rejects_non_unit_orientation():
     g = make_latlon_grid(4, 4)
     with pytest.raises(ModelError):
         hertzian_dipole([2.0, 0.0, 0.0], [0.0, 0.0, 0.0], g, FREQ)
+
+
+@pytest.mark.parametrize("bad", [0, 2, 4])
+def test_dipole_array_rejects_any_non_unit_orientation(bad):
+    g = make_latlon_grid(4, 4)
+    elements = [([0.0, 0.0, 1.0], [0.01 * i, 0.0, 0.0]) for i in range(5)]
+    elements[bad] = ([0.0, 0.0, 1.0 + 1e-6], elements[bad][1])
+    with pytest.raises(ModelError, match="unit vector"):
+        dipole_array(elements, g, FREQ)
+
+
+@settings(max_examples=40)
+@given(
+    n_theta=st.integers(2, 10),
+    half_n_phi=st.integers(1, 10),
+    m=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_theta=2, half_n_phi=1, m=1, seed=0)  # the one element hertzian_dipole builds
+def test_batched_dipole_kernels_match_the_per_element_formula(n_theta, half_n_phi, m, seed):
+    g = make_latlon_grid(n_theta, 2 * half_n_phi)
+    rng = np.random.default_rng(seed)
+    axes = rng.standard_normal((m, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    positions = rng.uniform(-0.5, 0.5, (m, 3)) * LAMBDA
+    s = dipole_array(list(zip(axes, positions)), g, FREQ)
+    ref = np.stack([loop_dipole_kernel(o, p, g, wavenumber(FREQ)) for o, p in zip(axes, positions)])
+    tol = 1e-15 * np.abs(ref).max()
+    np.testing.assert_allclose(s.tx_kernel, ref, rtol=0.0, atol=tol)
+    np.testing.assert_array_equal(s.rx_kernel, s.tx_kernel)
 
 
 def test_array_pattern_superposes_element_phases():
@@ -381,6 +410,23 @@ def test_reduced_passivity_norm_is_the_dense_svd(n_theta, half_n_phi, m, gamma, 
     dense = float(np.linalg.svd(_full_weighted_operator(generic), compute_uv=False)[0])
     sigma = _weighted_operator_norm(generic.coupling, generic.tx_kernel, generic.rx_kernel, g)
     assert sigma == pytest.approx(dense, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n_theta, n_phi, m", [(2, 2, 4), (2, 2, 1), (8, 16, 1), (8, 16, 4)])
+def test_passivity_norm_of_a_rank_one_span(n_theta, n_phi, m):
+    # x-dipoles at the origin have real kernels with P^H K_w = -R_w^H, so the
+    # span [R_w^H, P^H K_w] has rank 1 and the QR's R factor has zero rows;
+    # (2, 2, 4) has 2M >= 2n, so the span's basis covers every field direction
+    g = make_latlon_grid(n_theta, n_phi)
+    rng = np.random.default_rng(n_theta + m)
+    coup = 0.8 * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    elements = [([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])] * m
+    plain = dipole_array(elements, g, FREQ, coupling=coup)
+    dense = float(np.linalg.svd(_full_weighted_operator(plain), compute_uv=False)[0])
+    sigma = _weighted_operator_norm(plain.coupling, plain.tx_kernel, plain.rx_kernel, g)
+    assert sigma == pytest.approx(dense, rel=1e-12, abs=0.0)
+    s = dipole_array(elements, g, FREQ, coupling=coup, enforce_passivity=True)
+    assert float(np.linalg.svd(_full_weighted_operator(s), compute_uv=False)[0]) <= 1.0 + 1e-9
 
 
 def test_case_study_geometry_certifies_at_36x72():

@@ -20,7 +20,7 @@ from ._textio import atomic_write_text, csv_text, fmt, number
 from .beamform import coordinate_ascent
 from .channel import far_channel
 from .errors import ModelError, NumericsError
-from .farfield import FOUR_PI, Direction, make_latlon_grid, write_pattern_csv
+from .farfield import FOUR_PI, Direction, write_pattern_csv
 from .radiating import (
     _scatter_asymmetry,
     extract_rx_kernel,
@@ -28,7 +28,7 @@ from .radiating import (
     kernels_to_text,
     read_response_file,
 )
-from .scene import Scene
+from .scene import Scene, latlon_grid
 from .solver import gain_operators, matching_efficiency, radiation_efficiency
 from .solver import solve_direct, tuning_efficiency
 
@@ -60,7 +60,7 @@ def _db(x: float) -> float:
 
 
 def cmd_grid(args) -> int:
-    grid = make_latlon_grid(args.n_theta, args.n_phi)
+    grid = latlon_grid(args.n_theta, args.n_phi)
     rows = (
         (
             str(i),

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -163,10 +164,7 @@ class TuningNetwork:
 
 def through_tuning(n: int) -> TuningNetwork:
     """Ideal n-to-n pass-through."""
-    s = np.zeros((2 * n, 2 * n), dtype=complex)
-    s[:n, n:] = np.eye(n)
-    s[n:, :n] = np.eye(n)
-    return TuningNetwork(n, n, s)
+    return inline_tuning(np.ones(n))
 
 
 def inline_tuning(gains) -> TuningNetwork:
@@ -346,10 +344,9 @@ class TouchstoneData:
         c2 = self.columns[:, :, 1]
         if self.format == "ri":
             vals = c1 + 1j * c2
-        elif self.format == "ma":
-            vals = c1 * np.exp(1j * np.radians(c2))
         else:
-            vals = 10.0 ** (c1 / 20.0) * np.exp(1j * np.radians(c2))
+            mag = c1 if self.format == "ma" else 10.0 ** (c1 / 20.0)
+            vals = mag * np.exp(1j * np.radians(c2))
         n = self.n_ports
         return vals.reshape(-1, n, n)
 
@@ -362,56 +359,51 @@ class TouchstoneData:
         frequency_unit: str = "ghz",
         reference: float = 50.0,
     ) -> "TouchstoneData":
+        """Raw pairs of the complex matrices; the constructor rejects an unknown format or unit."""
         mats = np.asarray(matrices, dtype=complex)
         if mats.ndim == 2:
             mats = mats[None, :, :]
         n = mats.shape[1]
         if mats.shape[1:] != (n, n):
             raise ModelError(f"matrices must be square, got {mats.shape}")
-        freqs = np.asarray(frequencies_hz, dtype=float) / _UNIT_HZ[frequency_unit.lower()]
+        freqs = np.asarray(frequencies_hz, dtype=float) / _UNIT_HZ.get(frequency_unit.lower(), 1.0)
         flat = mats.reshape(mats.shape[0], n * n)
-        fmt_l = format.lower()
         cols = np.empty((mats.shape[0], n * n, 2))
-        if fmt_l == "ri":
+        if format.lower() == "ri":
             cols[:, :, 0] = flat.real
             cols[:, :, 1] = flat.imag
-        elif fmt_l in ("ma", "db"):
+        else:
             mag = np.abs(flat)
             with np.errstate(divide="ignore"):
-                cols[:, :, 0] = mag if fmt_l == "ma" else 20.0 * np.log10(mag)
+                cols[:, :, 0] = mag if format.lower() == "ma" else 20.0 * np.log10(mag)
             cols[:, :, 1] = np.degrees(np.angle(flat))
-        else:
-            raise ModelError(f"unknown format {format!r}")
-        return cls(n, frequency_unit, fmt_l, reference, freqs, cols)
+        return cls(n, frequency_unit, format, reference, freqs, cols)
 
 
-def _record_pairs(data: TouchstoneData, f_idx: int) -> np.ndarray:
-    """Raw pairs in on-disk order (2-port files swap to S11 S21 S12 S22)."""
-    pairs = data.columns[f_idx]
-    if data.n_ports == 2:
-        return pairs[[0, 2, 1, 3]]
-    return pairs
+def _record_layout(n: int) -> tuple[list[int] | slice, list[int]]:
+    """Touchstone v1 layout of one frequency record of an n-port file.
+
+    A record is the frequency, then the two numbers of each of the n² matrix
+    entries. Up to two ports it is one line; otherwise each matrix row starts
+    a line and wraps after four entries. Returns the row-major indices of the
+    entries in disk order (two-port records run S11 S21 S12 S22) and the
+    token count of each line.
+    """
+    if n <= 2:
+        return ([0, 2, 1, 3] if n == 2 else slice(None)), [1 + 2 * n * n]
+    counts = [2 * min(4, n - c) for c in range(0, n, 4)] * n
+    counts[0] += 1
+    return slice(None), counts
 
 
 def touchstone_to_text(data: TouchstoneData) -> str:
-    n = data.n_ports
+    order, counts = _record_layout(data.n_ports)
+    f = data.frequencies.shape[0]
+    pairs = data.columns[:, order].reshape(f, 2 * data.n_ports**2)
+    toks = list(map(repr, np.column_stack([data.frequencies, pairs]).ravel().tolist()))
+    bounds = np.cumsum([0] + counts * f).tolist()
     lines = [f"# {data.frequency_unit.upper()} S {data.format.upper()} R {fmt(data.reference)}"]
-    for f_idx in range(data.frequencies.shape[0]):
-        pairs = _record_pairs(data, f_idx)
-        toks = [fmt(data.frequencies[f_idx])]
-        if n <= 2:
-            for p in pairs:
-                toks.extend([fmt(p[0]), fmt(p[1])])
-            lines.append(" ".join(toks))
-        else:
-            # one line start per matrix row, at most 4 entries per line
-            for row in range(n):
-                row_pairs = pairs[row * n : (row + 1) * n]
-                for chunk in range(0, n, 4):
-                    for p in row_pairs[chunk : chunk + 4]:
-                        toks.extend([fmt(p[0]), fmt(p[1])])
-                    lines.append(" ".join(toks))
-                    toks = []
+    lines += [" ".join(toks[a:b]) for a, b in zip(bounds, bounds[1:])]
     return "\n".join(lines) + "\n"
 
 
@@ -419,37 +411,11 @@ def write_touchstone(data: TouchstoneData, path: str) -> None:
     atomic_write_text(path, touchstone_to_text(data))
 
 
-def _expected_line_lengths(n: int):
-    """Token counts of the lines of one frequency record, v1 wrapping."""
-    if n == 1:
-        return [3]
-    if n == 2:
-        return [9]
-    counts = []
-    first = True
-    for _row in range(n):
-        remaining = n
-        row_first = True
-        while remaining > 0:
-            take = min(4, remaining)
-            extra = 1 if (first and row_first) else 0
-            counts.append(2 * take + extra)
-            remaining -= take
-            row_first = False
-        first = False
-    return counts
-
-
-def _strip_comment(line: str) -> str:
-    cut = line.find("!")
-    return line if cut < 0 else line[:cut]
-
-
 def parse_touchstone(text: str, n_ports: int | None = None) -> TouchstoneData:
     option = None
     data_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = _strip_comment(raw).strip()
+        body = raw.split("!", 1)[0].strip()
         if not body:
             continue
         if body.startswith("["):
@@ -488,45 +454,36 @@ def parse_touchstone(text: str, n_ports: int | None = None) -> TouchstoneData:
 
     for lineno, toks in data_lines:
         for t in toks:
-            if not re.fullmatch(r"[+-]?(\d+\.?\d*|\.\d+|inf)([eE][+-]?\d+)?", t):
+            # a decimal number with an optional exponent, or inf: float() reads every match
+            if not re.fullmatch(r"[+-]?((\d+\.?\d*|\.\d+)([eE][+-]?\d+)?|inf)", t):
                 raise ModelError(f"line {lineno}: non-numeric token {t!r} in data")
 
     lengths = [len(toks) for _, toks in data_lines]
+    total = sum(lengths)
 
-    def walks(n: int) -> bool:
-        pattern = _expected_line_lengths(n)
-        if len(lengths) % len(pattern) != 0:
+    def fits(n: int) -> bool:
+        # a record of 1 + 2n² numbers must fit before its layout is built
+        if 1 + 2 * n * n > total:
             return False
-        return all(
-            lengths[i] == pattern[i % len(pattern)] for i in range(len(lengths))
-        )
+        counts = _record_layout(n)[1]
+        return lengths == counts * (len(lengths) // len(counts))
 
     if n_ports is None:
-        candidates = [n for n in range(1, 9) if walks(n)]
+        candidates = [n for n in range(1, 9) if fits(n)]
         if not candidates:
             raise ModelError("data lines do not match any supported port count (1-8)")
         if len(candidates) > 1:
-            raise ModelError(
-                f"port count is ambiguous ({candidates}); pass n_ports explicitly"
-            )
+            raise ModelError(f"port count is ambiguous ({candidates}); pass n_ports explicitly")
         n_ports = candidates[0]
-    elif n_ports < 1 or not walks(n_ports):
+    elif n_ports < 1 or not fits(n_ports):
         raise ModelError(f"data lines do not match an {n_ports}-port layout")
 
-    per_record = len(_expected_line_lengths(n_ports))
-    n_records = len(data_lines) // per_record
-    freqs = np.empty(n_records)
-    cols = np.empty((n_records, n_ports * n_ports, 2))
-    for rec in range(n_records):
-        toks = []
-        for _, line_toks in data_lines[rec * per_record : (rec + 1) * per_record]:
-            toks.extend(line_toks)
-        freqs[rec] = float(toks[0])
-        vals = np.array([float(t) for t in toks[1:]]).reshape(n_ports * n_ports, 2)
-        if n_ports == 2:
-            vals = vals[[0, 2, 1, 3]]  # disk order S11 S21 S12 S22
-        cols[rec] = vals
-    return TouchstoneData(n_ports, unit, s_format, reference, freqs, cols)
+    order = _record_layout(n_ports)[0]
+    tokens = chain.from_iterable(toks for _, toks in data_lines)
+    records = np.fromiter(map(float, tokens), float, total).reshape(-1, 1 + 2 * n_ports * n_ports)
+    cols = np.empty((records.shape[0], n_ports * n_ports, 2))
+    cols[:, order] = records[:, 1:].reshape(cols.shape)
+    return TouchstoneData(n_ports, unit, s_format, reference, records[:, 0].copy(), cols)
 
 
 def read_touchstone(path: str, n_ports: int | None = None) -> TouchstoneData:

@@ -54,9 +54,17 @@ from .solver import ReconfigurableBuilder, ReMSModel
 # many openers is shallow enough for both.
 _C_LOADER_MAX_OPENERS = 400
 
-# The most samples a scene count (gain slice, channel sweep, reactance set)
-# may ask for; every count is read before anything count-sized is allocated.
+# The most samples a scene count (grid directions, gain slice, channel sweep,
+# reactance set) may ask for; every count is read before anything count-sized
+# is allocated.
 MAX_COUNT = 100_000
+
+
+def latlon_grid(n_theta: int, n_phi: int) -> DirectionGrid:
+    """make_latlon_grid(n_theta, n_phi), refused above MAX_COUNT directions."""
+    if n_theta * n_phi > MAX_COUNT:
+        raise ModelError(f"grid n_theta*n_phi must be at most {MAX_COUNT}, got {n_theta * n_phi}")
+    return make_latlon_grid(n_theta, n_phi)
 
 
 def _yaml_loader(text: str):
@@ -218,7 +226,7 @@ class Scene:
             raise ModelError("frequency_hz must be positive and finite")
         r0 = number(raw.get("r0_ohms", 50.0), "r0_ohms")
         grid_spec = _require(raw, "grid", "scene")
-        grid = make_latlon_grid(
+        grid = latlon_grid(
             number(_require(grid_spec, "n_theta", "scene grid"), "grid n_theta", int),
             number(_require(grid_spec, "n_phi", "scene grid"), "grid n_phi", int),
         )

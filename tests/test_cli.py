@@ -450,10 +450,13 @@ def test_non_numeric_scene_scalar_is_a_user_error(tmp_path, capsys, command, pat
         ("rotation", ("channel", "sweep", "count"), "channel sweep count"),
         ("optimize", ("problem", "pattern", "count"), "problem pattern count"),
         ("optimize", ("problem", "z_set", "reactance", "count"), "problem z_set reactance count"),
+        ("solve", ("grid", "n_phi"), "grid n_theta*n_phi"),
     ],
 )
 def test_scene_count_above_the_limit_is_a_user_error(tmp_path, capsys, command, path, field):
     scene = _friis_scene() if command != "optimize" else _optimize_scene()
+    if path[0] == "grid":  # 1 x (MAX_COUNT + 1) directions: the count is checked first
+        scene["grid"]["n_theta"] = 1
     if command == "rotation":
         command = "channel"
         scene["channel"]["sweep"] = {"kind": "rotation", "count": 7}
@@ -473,6 +476,31 @@ def test_scene_count_above_the_limit_is_a_user_error(tmp_path, capsys, command, 
     assert f"{field} must be at most {scene_mod.MAX_COUNT}, got {scene_mod.MAX_COUNT + 1}" in err
     assert not out.exists() or os.listdir(out) == []
     assert peak < 8 * scene_mod.MAX_COUNT  # less than one float per sample
+
+
+def test_grid_command_above_the_direction_limit_is_a_user_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main(["grid", "--n-theta", "18", "--n-phi", "1000000000000", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"grid n_theta*n_phi must be at most {scene_mod.MAX_COUNT}, got 18000000000000" in err
+    assert not out.exists()
+    assert peak < 8 * scene_mod.MAX_COUNT
+
+
+def test_touchstone_number_with_a_misplaced_exponent_is_a_user_error(tmp_path, capsys):
+    (tmp_path / "thru.s2p").write_text("# GHz S RI R 50\n5.4 0.0 0.0 1.0 0.0 1.0 infe5 0.0 0.0\n")
+    scene = _friis_scene()
+    scene["tunings"] = [{"name": "thru", "kind": "touchstone", "file": "thru.s2p", "n": 1}]
+    code, err, out = _run_scene(tmp_path, "solve", scene, capsys)
+    assert code == 1
+    assert "line 2: non-numeric token 'infe5' in data" in err
+    assert not out.exists() or os.listdir(out) == []
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,6 +330,8 @@ def test_touchstone_rejections():
         ("# GHz S RI R 50\ninf 0.5 0.0\ninf 0.5 0.0\n", "frequencies must be finite"),
         ("# GHz S RI R 50\n1.0 inf 0.0\n", "S-parameter data must be finite"),
         ("# GHz S DB R 50\n1.0 -20.0 inf\n", "S-parameter data must be finite"),
+        ("# GHz S RI R 50\n1.0 infe5 0.0\n", "line 2: non-numeric token 'infe5'"),
+        ("# GHz S RI R 50\n1.0 0.5 -infE2\n", "line 2: non-numeric token '-infE2'"),
     ]
     for text, match in cases:
         with pytest.raises(ModelError, match=match):
@@ -338,7 +341,7 @@ def test_touchstone_rejections():
 
 
 @pytest.mark.parametrize("fmt", ["ri", "ma", "db"])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
 def test_touchstone_write_parse_bit_exact(fmt, n):
     rng = np.random.default_rng(100 * n + len(fmt))
     mats = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
@@ -384,6 +387,33 @@ def test_touchstone_three_port_wrapping_and_inference():
     np.testing.assert_allclose(back.matrices, mats, rtol=1e-15)
 
 
+def test_touchstone_five_port_rows_wrap_after_four_entries():
+    mats = np.arange(50, dtype=float).reshape(2, 5, 5) * (1.0 + 0.5j)
+    text = touchstone_to_text(TouchstoneData.from_matrices([1e9, 2e9], mats, format="ri"))
+    lines = [l for l in text.splitlines() if not l.startswith("#")]
+    # each matrix row: four entries, then one on its own line; frequency on the first
+    assert [len(l.split()) for l in lines] == 2 * [9, 2, 8, 2, 8, 2, 8, 2, 8, 2]
+    assert lines[:2] == ["1.0 0.0 0.0 1.0 0.5 2.0 1.0 3.0 1.5", "4.0 2.0"]
+    back = parse_touchstone(text)
+    assert back.n_ports == 5
+    np.testing.assert_array_equal(back.matrices, mats)
+
+
+def test_touchstone_port_count_is_checked_against_the_data_first(tmp_path):
+    # a 100000-port record holds 2e10 numbers: the one-line file is refused
+    # before the layout of such a record is built
+    path = tmp_path / "huge.s100000p"
+    path.write_text("# GHz S RI R 50\n1.0 0.5 0.0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelError, match="do not match an 100000-port layout"):
+            read_touchstone(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 def test_touchstone_file_io_and_extension_hint(tmp_path):
     rng = np.random.default_rng(21)
     mats = 0.4 * (rng.standard_normal((1, 2, 2)) + 1j * rng.standard_normal((1, 2, 2)))
@@ -400,3 +430,5 @@ def test_touchstone_validation():
         TouchstoneData.from_matrices([2e9, 1e9], np.zeros((2, 1, 1), dtype=complex))
     with pytest.raises(ModelError, match="unknown format"):
         TouchstoneData.from_matrices([1e9], np.zeros((1, 1, 1), dtype=complex), format="xx")
+    with pytest.raises(ModelError, match="unknown frequency unit 'thz'"):
+        TouchstoneData.from_matrices([1e9], np.zeros((1, 1, 1)), frequency_unit="thz")

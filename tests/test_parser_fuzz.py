@@ -28,7 +28,7 @@ SCENE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenes")
 # Replacement words: non-numbers, non-finite values, keywords of both formats,
 # and numbers no larger than the ones they replace, so that no mutation
 # declares a larger grid or port count than the valid text.
-WORDS = ("x", "abc", "nan", "inf", "-inf", "-1", "0", "1.5", "theta", "phi", "b", "s",
+WORDS = ("x", "abc", "nan", "inf", "-inf", "infe5", "-1", "0", "1.5", "theta", "phi", "b", "s",
          "scattered", "ports", "grid", "R", "MA", "#", "!")
 
 

@@ -287,6 +287,11 @@ class RFFrontend:
 
 _UNIT_HZ = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 
+# a data token is a decimal number with an optional exponent, or inf: float() reads every match.
+# Each token has one parse, so a data line that fails the line pattern fails in linear time.
+_TOKEN = re.compile(r"[+-]?((\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?|inf)")
+_DATA_LINE = re.compile(rf"{_TOKEN.pattern}(\s+{_TOKEN.pattern})*")
+
 
 @dataclass
 class TouchstoneData:
@@ -425,6 +430,9 @@ def parse_touchstone(text: str, n_ports: int | None = None) -> TouchstoneData:
                 raise ModelError(f"line {lineno}: multiple option lines")
             option = (lineno, body)
             continue
+        if not _DATA_LINE.fullmatch(body):  # the token scan only names the bad token
+            bad = next(t for t in body.split() if not _TOKEN.fullmatch(t))
+            raise ModelError(f"line {lineno}: non-numeric token {bad!r} in data")
         data_lines.append((lineno, body.split()))
     unit, parameter, s_format, reference = "ghz", "s", "ma", 50.0
     if option is not None:
@@ -451,12 +459,6 @@ def parse_touchstone(text: str, n_ports: int | None = None) -> TouchstoneData:
         raise ModelError(f"only S-parameter files are supported, got {parameter.upper()!r}")
     if not data_lines:
         raise ModelError("no data lines")
-
-    for lineno, toks in data_lines:
-        for t in toks:
-            # a decimal number with an optional exponent, or inf: float() reads every match
-            if not re.fullmatch(r"[+-]?((\d+\.?\d*|\.\d+)([eE][+-]?\d+)?|inf)", t):
-                raise ModelError(f"line {lineno}: non-numeric token {t!r} in data")
 
     lengths = [len(toks) for _, toks in data_lines]
     total = sum(lengths)

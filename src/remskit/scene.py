@@ -4,7 +4,8 @@ beamform problem).
 
 This module is the only reader of the scene format: builders return library
 objects, task readers (`*_task`, `beamform_problem`, `pattern_slices`) return
-plain values, and a malformed field raises a ModelError that names it.
+plain values. Every block is read through a field table, and a malformed,
+missing or unknown field raises a ModelError that names it and its block.
 
 Angles are degrees and impedances are ohms at this boundary. Complex values
 are written as strings ("1.2-14j") or bare reals. File references are
@@ -55,8 +56,8 @@ from .solver import ReconfigurableBuilder, ReMSModel
 _C_LOADER_MAX_OPENERS = 400
 
 # The most samples a scene count (grid directions, gain slice, channel sweep,
-# reactance set) may ask for; every count is read before anything count-sized
-# is allocated.
+# reactance set, ascent sweeps) may ask for; every count is read before
+# anything count-sized is allocated.
 MAX_COUNT = 100_000
 
 
@@ -141,54 +142,181 @@ def rotation_matrix(axis, angle_deg: float) -> np.ndarray:
     return math.cos(a) * np.eye(3) + math.sin(a) * ux + (1 - math.cos(a)) * np.outer(u, u)
 
 
-def _mapping(value, where):
-    if not isinstance(value, dict):
-        raise ModelError(f"{where} must be a mapping, got {value!r}")
+# ---------------------------------------------------------------- field table
+# A field table maps each key of a block to (reader, default, *args). A value
+# the block holds is read as reader(value, where, *args), `where` being the
+# block's display name and the key, and an absent one is its default read the
+# same way. A None reader keeps the value as written; a None default leaves an
+# absent field None, and a _REQUIRED one makes it an error. A null value is read
+# like any other.
+
+_REQUIRED = object()
+_KIND = "{where}: unknown kind {kind!r}"
+
+
+def _walk(raw, where: str, fields: dict, unknown_kind: str | None = None) -> dict:
+    """The plain values of block `raw` read through its field table. With
+    `unknown_kind`, the error for any other kind, `fields` holds one table per
+    value of the block's `kind`."""
+    block, prefix = (where, where + " ") if where else ("scene", "")
+    if not isinstance(raw, dict):
+        raise ModelError(f"{block} must be a mapping, got {raw!r}")
+    if unknown_kind:
+        kind = raw.get("kind")
+        if not isinstance(kind, str) or kind not in fields:
+            raise ModelError(unknown_kind.format(where=block, kind=kind))
+        fields = fields[kind]
+    if not raw.keys() <= fields.keys():
+        key = next(key for key in raw if key not in fields)
+        raise ModelError(f"{block}: unknown field {key!r}")
+    out = {}
+    for key, spec in fields.items():  # spec: (reader, default, *args)
+        value = raw.get(key, spec[1])
+        if value is _REQUIRED:
+            raise ModelError(f"{block}: missing required field {key!r}")
+        if spec[0] is not None and (value is not None or key in raw):
+            value = spec[0](value, prefix + key, *spec[2:])
+        out[key] = value
+    return out
+
+
+def _each(values, where: str, length: int | None, read, *args) -> list:
+    """The list field `where` of `length` entries (any number if None), each read as `read`."""
+    return [read(v, f"{where}[{i}]", *args) for i, v in enumerate(_sequence(values, where, length))]
+
+
+def _choice(value, where: str, options: tuple):
+    """`value`, which must equal one of `options` and be of its type."""
+    if not any(type(value) is type(o) and value == o for o in options):
+        names = " or ".join(str(o).lower() for o in options)
+        raise ModelError(f"{where} must be {names}, got {value!r}")
     return value
 
 
-def _require(mapping, key, where):
-    if key not in _mapping(mapping, where):
-        raise ModelError(f"{where}: missing required field {key!r}")
-    return mapping[key]
+def _drive(value, where: str) -> np.ndarray:
+    return parse_complex_list(_sequence(value, where), where)
 
 
-def _block(blocks: dict, kind: str, name) -> dict:
-    """The spec of the named block; a name that is not a string names no block."""
-    if _string(name, f"{kind} name") not in blocks:
-        raise ModelError(f"unknown {kind} {name!r}")
-    return blocks[name]
+def _matrix(rows, where: str) -> np.ndarray:
+    if not isinstance(rows, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) and len(row) == len(rows) for row in rows
+    ):
+        raise ModelError(f"{where} must be a square list of rows, got {rows!r}")
+    return np.array([[parse_complex(v) for v in row] for row in rows])
 
 
-def _named_list(entries, where) -> dict:
+def _z_set(raw, where: str, fields: dict) -> tuple:
+    """The load impedances of a z_set block: its values, or its resistance
+    plus each sample of its reactance range."""
+    z = _walk(raw, where, fields)
+    if z["values"] is not None:
+        return tuple(z["values"].tolist())
+    if z["resistance"] is None or z["reactance"] is None:
+        raise ModelError(f"{where} needs values, or resistance and reactance")
+    xs = np.linspace(z["reactance"]["start"], z["reactance"]["stop"], z["reactance"]["count"])
+    return tuple(complex(z["resistance"], x) for x in xs)
+
+
+def _named_list(entries, where: str) -> dict:
+    """The entries of a list of named blocks by name; each is walked when it is built."""
     out = {}
     for entry in _sequence([] if entries is None else entries, where):
-        name = _string(_require(entry, "name", where), f"{where} name")
+        if not isinstance(entry, dict):
+            raise ModelError(f"{where} must be a mapping, got {entry!r}")
+        if "name" not in entry:
+            raise ModelError(f"{where}: missing required field 'name'")
+        name = _string(entry["name"], f"{where} name")
         if name in out:
             raise ModelError(f"{where}: duplicate name {name!r}")
         out[name] = entry
     return out
 
 
-def _drive(spec: dict, key: str, size: int, where: str, required: bool = False):
-    """The complex drive spec[key] of `size` entries; None if optional and absent."""
-    if not required and key not in spec:
-        return None
-    field = f"{where} {key}"
-    values = parse_complex_list(_sequence(_require(spec, key, where), field), field)
-    if values.shape != (size,):
-        raise ModelError(f"{field} needs {size} entries, got {values.shape[0]}")
+_NAME = (None, _REQUIRED)
+_REAL = (number, _REQUIRED)
+_PORTS = (number, _REQUIRED, int, 0)
+_VECTOR = (_vector3, _REQUIRED)
+_ORIGIN = (_vector3, [0.0, 0.0, 0.0])
+
+# The named blocks, listed at the top level under kind + "s", map to (table,
+# unknown kind error); the task blocks map to (display name, table).
+_SLICE = {"theta_start_deg": (number, -90.0), "theta_stop_deg": (number, 90.0),
+          "count": (number, 181, int, 1, MAX_COUNT), "phi_deg": (number, 0.0)}
+_STRUCTURE = {"name": _NAME, "kind": _NAME, "position_m": _ORIGIN,
+              "rotation": (_walk, None, {"axis": _VECTOR, "angle_deg": _REAL})}
+_ELEMENT = {"orientation": _VECTOR, "position_m": _ORIGIN}
+_TUNING = {"name": _NAME, "kind": _NAME, "n": _PORTS}
+_NAMED = {
+    "structure": ({
+        "dipole": {**_STRUCTURE, "orientation": _VECTOR},
+        "dipole_array": {
+            **_STRUCTURE,
+            "elements": (_each, _REQUIRED, None, _walk, _ELEMENT),
+            "coupling": (_walk, None, {"gamma": _REAL}),
+            "enforce_passivity": (_choice, False, (True, False)),
+        },
+        "isotropic": {**_STRUCTURE, "pol": (_string, "theta")},
+        "from_files": {**_STRUCTURE, "response_file": (_string, _REQUIRED)},
+    }, _KIND),
+    "frontend": ({"name": _NAME, "z_tx_ohms": (parse_complex_list, []),
+                  "z_rx_ohms": (parse_complex_list, [])}, None),
+    "tuning": ({
+        "through": _TUNING,
+        "inline": {"name": _NAME, "kind": _NAME, "gains": (parse_complex_list, _REQUIRED)},
+        "matrix": {**_TUNING, "s": (_matrix, _REQUIRED)},
+        "touchstone": {**_TUNING, "file": (_string, _REQUIRED)},
+    }, _KIND),
+    "model": ({"name": _NAME, "structure": _NAME, "tuning": _NAME, "frontend": _NAME}, None),
+}
+_SWEEPS = {
+    "rotation": {"kind": _NAME, "start_deg": (number, 0.0), "stop_deg": (number, 90.0),
+                 "count": (number, 10, int, 1, MAX_COUNT)},
+    "distance": {"kind": _NAME, "start_m": (number, 1.0), "stop_m": (number, 100.0),
+                 "count": (number, 25, int, 1, MAX_COUNT),
+                 "spacing": (_choice, "log", ("log", "linear"))},
+}
+_Z_SET = {"values": (parse_complex_list, None), "resistance": (number, None),
+          "reactance": (_walk, None, {"start": _REAL, "stop": _REAL,
+                                      "count": (number, _REQUIRED, int, 1, MAX_COUNT)})}
+_TASKS = {
+    "solve": ("solve block", {"model": _NAME, "v_tx": (_drive, None),
+                              "v_gamma": (_drive, None), "i_gamma": (_drive, None)}),
+    "gain_pattern": ("gain_pattern", {"model": _NAME, "v_tx": (_drive, _REQUIRED), **_SLICE}),
+    "channel": ("channel", {
+        "pair": (_sequence, _REQUIRED, 2),
+        "ports": (_each, [0, 0], 2, number, int, 0),
+        "sweep": (_walk, None, _SWEEPS, "unknown sweep kind {kind!r}"),
+    }),
+    "problem": ("problem", {
+        "structure": _NAME, "frontend": _NAME, "r": _PORTS,
+        "fixed": (None, "feedthrough_reflector"),
+        "z_set": (_z_set, _REQUIRED, _Z_SET), "z_init_index": (number, 0, int, 0),
+        "primary_deg": (_directions, _REQUIRED), "secondary_deg": (_directions, []),
+        "i_max": (number, 10, int, 0, MAX_COUNT), "seed": (number, 0, int, 0),
+        "sigma": (_walk, {}, {"initial": (number, 20.0), "ratio": (number, 0.5),
+                              "count": (number, None, int, 0, MAX_COUNT)}),
+        "pattern": (_walk, {}, {**_SLICE, "phi_deg": (number, None)}),
+    }),
+}
+_SCENE = {
+    "frequency_hz": _REAL, "r0_ohms": (number, 50.0),
+    "grid": (_walk, _REQUIRED, {"n_theta": (number, _REQUIRED, int),
+                                "n_phi": (number, _REQUIRED, int)}),
+    **{kind + "s": (_named_list, []) for kind in _NAMED},
+    **{key: (None, None) for key in _TASKS},
+}
+
+
+def _thetas(spec: dict) -> np.ndarray:
+    """The theta samples in degrees of a gain slice."""
+    return np.linspace(spec["theta_start_deg"], spec["theta_stop_deg"], spec["count"])
+
+
+def _sized(values, size: int, where: str):
+    """The drive `values`, None if absent, which must hold `size` entries."""
+    if values is not None and values.shape != (size,):
+        raise ModelError(f"{where} needs {size} entries, got {values.shape[0]}")
     return values
-
-
-def _gain_slice(spec: dict, where: str, phi_deg: float):
-    """(theta samples, phi) in degrees of a gain-vs-theta slice spec."""
-    thetas = np.linspace(
-        number(spec.get("theta_start_deg", -90.0), f"{where} theta_start_deg"),
-        number(spec.get("theta_stop_deg", 90.0), f"{where} theta_stop_deg"),
-        number(spec.get("count", 181), f"{where} count", int, 1, MAX_COUNT),
-    )
-    return thetas, number(spec.get("phi_deg", phi_deg), f"{where} phi_deg")
 
 
 @dataclass
@@ -205,6 +333,8 @@ class Scene:
     _tasks: dict = field(default_factory=dict, repr=False)
     # from_files structures as extracted, before any rotation: a file is read once per scene
     _extracted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the plain values of each block read so far: a block is walked once per scene
+    _walked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------ io
 
@@ -215,42 +345,31 @@ class Scene:
             raw = yaml.load(text, Loader=_yaml_loader(text))
         except (yaml.YAMLError, RecursionError) as err:
             raise ModelError(f"scene parse error: {err}") from None
-        if not isinstance(raw, dict):
-            raise ModelError("scene file must contain a mapping")
         return cls.from_dict(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir: str = ".") -> "Scene":
-        frequency = number(_require(raw, "frequency_hz", "scene"), "frequency_hz")
-        if frequency <= 0.0:
+        top = _walk(raw, "", _SCENE)
+        if top["frequency_hz"] <= 0.0:
             raise ModelError("frequency_hz must be positive and finite")
-        r0 = number(raw.get("r0_ohms", 50.0), "r0_ohms")
-        grid_spec = _require(raw, "grid", "scene")
-        grid = latlon_grid(
-            number(_require(grid_spec, "n_theta", "scene grid"), "grid n_theta", int),
-            number(_require(grid_spec, "n_phi", "scene grid"), "grid n_phi", int),
-        )
-        return cls(
-            frequency=frequency,
-            r0=r0,
-            grid=grid,
-            base_dir=base_dir,
-            structures=_named_list(raw.get("structures"), "structures"),
-            frontends=_named_list(raw.get("frontends"), "frontends"),
-            tunings=_named_list(raw.get("tunings"), "tunings"),
-            models=_named_list(raw.get("models"), "models"),
-            _tasks={k: raw[k] for k in ("solve", "channel", "gain_pattern", "problem") if k in raw},
-        )
+        named = {kind + "s": top[kind + "s"] for kind in _NAMED}
+        tasks = {key: top[key] for key in _TASKS}
+        grid = latlon_grid(**top["grid"])
+        return cls(top["frequency_hz"], top["r0_ohms"], grid, base_dir, **named, _tasks=tasks)
 
-    def _file(self, spec: dict, key: str, where: str) -> str:
-        path = _string(_require(spec, key, where), f"{where} {key}")
-        return path if os.path.isabs(path) else os.path.join(self.base_dir, path)
+    def _spec(self, kind: str, name) -> dict:
+        """The fields of the named `kind` block; a name that is not a string names no block."""
+        blocks = getattr(self, kind + "s")
+        if _string(name, f"{kind} name") not in blocks:
+            raise ModelError(f"unknown {kind} {name!r}")
+        if (kind, name) not in self._walked:
+            self._walked[kind, name] = _walk(blocks[name], f"{kind} {name!r}", *_NAMED[kind])
+        return self._walked[kind, name]
 
     # ------------------------------------------------------------ builders
 
     def position(self, name: str) -> np.ndarray:
-        position = _block(self.structures, "structure", name).get("position_m", [0.0, 0.0, 0.0])
-        return _vector3(position, f"structure {name!r} position_m")
+        return self._spec("structure", name)["position_m"].copy()
 
     def structure(self, name: str, extra_rotation: np.ndarray | None = None) -> RadiatingStructure:
         """Build a structure; extra_rotation is applied about its own position.
@@ -258,120 +377,69 @@ class Scene:
         Analytic kinds rebuild from rotated geometry (exact); file-backed
         kinds fall back to kernel resampling.
         """
-        spec = _block(self.structures, "structure", name)
-        kind = _require(spec, "kind", f"structure {name!r}")
-        rot = None
-        if "rotation" in spec:
-            where = f"structure {name!r} rotation"
-            rot = rotation_matrix(
-                _vector3(_require(spec["rotation"], "axis", where), f"{where} axis"),
-                number(_require(spec["rotation"], "angle_deg", where), f"{where} angle_deg"),
-            )
+        spec = self._spec("structure", name)
+        rot = None if spec["rotation"] is None else rotation_matrix(**spec["rotation"])
         if extra_rotation is not None:
             rot = extra_rotation @ rot if rot is not None else extra_rotation
 
-        def rotated(vec, field):
-            v = _vector3(vec, f"structure {name!r} {field}")
-            return rot @ v if rot is not None else v
+        def turn(v):
+            return v if rot is None else rot @ v
 
-        if kind == "dipole":
-            orientation = rotated(_require(spec, "orientation", f"structure {name!r}"), "orientation")
+        if spec["kind"] == "dipole":
+            orientation = turn(spec["orientation"])
             return hertzian_dipole(orientation, [0.0, 0.0, 0.0], self.grid, self.frequency)
-        if kind == "dipole_array":
-            elements = []
-            for el in _sequence(
-                _require(spec, "elements", f"structure {name!r}"), f"structure {name!r} elements"
-            ):
-                orientation = rotated(
-                    _require(el, "orientation", f"structure {name!r} element"), "element orientation"
-                )
-                position = rotated(el.get("position_m", [0.0, 0.0, 0.0]), "element position_m")
-                elements.append((orientation, position))
+        if spec["kind"] == "dipole_array":
+            elements = [(turn(e["orientation"]), turn(e["position_m"])) for e in spec["elements"]]
             coupling = None
-            if "coupling" in spec:
-                gamma = number(
-                    _require(spec["coupling"], "gamma", f"structure {name!r} coupling"),
-                    f"structure {name!r} coupling gamma",
-                )
-                coupling = synthetic_coupling(
-                    [p for _, p in elements], wavenumber(self.frequency), gamma
-                )
-            passive = spec.get("enforce_passivity", False)
-            if not isinstance(passive, bool):
-                raise ModelError(
-                    f"structure {name!r} enforce_passivity must be true or false, got {passive!r}"
-                )
-            return dipole_array(
-                elements, self.grid, self.frequency, coupling=coupling, enforce_passivity=passive
-            )
-        if kind == "isotropic":
+            if spec["coupling"] is not None:
+                k = wavenumber(self.frequency)
+                coupling = synthetic_coupling([p for _, p in elements], k, **spec["coupling"])
+            passive = spec["enforce_passivity"]
+            return dipole_array(elements, self.grid, self.frequency, coupling, passive)
+        if spec["kind"] == "isotropic":
             if rot is not None:
                 raise ModelError(f"structure {name!r}: isotropic patterns cannot be rotated")
-            pol = _string(spec.get("pol", "theta"), f"structure {name!r} pol")
-            return isotropic_radiator(self.grid, self.frequency, pol=pol)
-        if kind == "from_files":
-            if name not in self._extracted:
-                resp = read_response_file(self._file(spec, "response_file", f"structure {name!r}"))
-                if not resp.grid.compatible(self.grid):
-                    raise ModelError(
-                        f"structure {name!r}: response grid ({resp.grid.n_theta}, "
-                        f"{resp.grid.n_phi}) does not match the scene grid"
-                    )
-                if resp.frequency != self.frequency:
-                    raise ModelError(f"structure {name!r}: response frequency differs from scene")
-                self._extracted[name] = structure_from_responses(resp)
-            built = self._extracted[name]
-            return rotate_structure(built, rot) if rot is not None else built
-        raise ModelError(f"structure {name!r}: unknown kind {kind!r}")
+            return isotropic_radiator(self.grid, self.frequency, pol=spec["pol"])
+        if name not in self._extracted:  # from_files
+            resp = read_response_file(os.path.join(self.base_dir, spec["response_file"]))
+            if not resp.grid.compatible(self.grid):
+                raise ModelError(
+                    f"structure {name!r}: response grid ({resp.grid.n_theta}, "
+                    f"{resp.grid.n_phi}) does not match the scene grid"
+                )
+            if resp.frequency != self.frequency:
+                raise ModelError(f"structure {name!r}: response frequency differs from scene")
+            self._extracted[name] = structure_from_responses(resp)
+        built = self._extracted[name]
+        return rotate_structure(built, rot) if rot is not None else built
 
     def frontend(self, name: str) -> RFFrontend:
-        spec = _block(self.frontends, "frontend", name)
-        return RFFrontend(
-            z_tx=parse_complex_list(spec.get("z_tx_ohms", []), f"frontend {name!r} z_tx_ohms"),
-            z_rx=parse_complex_list(spec.get("z_rx_ohms", []), f"frontend {name!r} z_rx_ohms"),
-            r0=self.r0,
-        )
+        spec = self._spec("frontend", name)
+        return RFFrontend(z_tx=spec["z_tx_ohms"], z_rx=spec["z_rx_ohms"], r0=self.r0)
 
     def tuning(self, name: str) -> TuningNetwork:
-        spec = _block(self.tunings, "tuning", name)
-        kind = _require(spec, "kind", f"tuning {name!r}")
-
-        def ports():
-            return number(_require(spec, "n", f"tuning {name!r}"), f"tuning {name!r} n", int, 0)
-
-        if kind == "through":
-            return through_tuning(ports())
-        if kind == "inline":
-            gains = _require(spec, "gains", f"tuning {name!r}")
-            return inline_tuning(parse_complex_list(gains, f"tuning {name!r} gains"))
-        if kind == "matrix":
-            rows = _require(spec, "s", f"tuning {name!r}")
-            if not isinstance(rows, (list, tuple)) or not all(
-                isinstance(row, (list, tuple)) and len(row) == len(rows) for row in rows
-            ):
-                raise ModelError(f"tuning {name!r} s must be a square list of rows, got {rows!r}")
-            s = np.array([[parse_complex(v) for v in row] for row in rows])
-            n = ports()
-            return TuningNetwork(n, s.shape[0] - n, s)
-        if kind == "touchstone":
-            data = read_touchstone(self._file(spec, "file", f"tuning {name!r}"))
+        spec = self._spec("tuning", name)
+        if spec["kind"] == "through":
+            return through_tuning(spec["n"])
+        if spec["kind"] == "inline":
+            return inline_tuning(spec["gains"])
+        if spec["kind"] == "matrix":
+            s = spec["s"]
+        else:  # touchstone
+            data = read_touchstone(os.path.join(self.base_dir, spec["file"]))
             freqs = data.frequencies_hz
             match = np.nonzero(np.isclose(freqs, self.frequency, rtol=1e-6, atol=0.0))[0]
             if match.size == 0:
-                raise ModelError(
-                    f"tuning {name!r}: no entry at {self.frequency} Hz in the file"
-                )
-            n = ports()
+                raise ModelError(f"tuning {name!r}: no entry at {self.frequency} Hz in the file")
             s = data.matrices[int(match[0])]
-            return TuningNetwork(n, s.shape[0] - n, s)
-        raise ModelError(f"tuning {name!r}: unknown kind {kind!r}")
+        return TuningNetwork(spec["n"], s.shape[0] - spec["n"], s)
 
     def model(self, name: str) -> ReMSModel:
-        spec = _block(self.models, "model", name)
+        spec = self._spec("model", name)
         return ReMSModel(
-            structure=self.structure(_require(spec, "structure", f"model {name!r}")),
-            tuning=self.tuning(_require(spec, "tuning", f"model {name!r}")),
-            frontend=self.frontend(_require(spec, "frontend", f"model {name!r}")),
+            structure=self.structure(spec["structure"]),
+            tuning=self.tuning(spec["tuning"]),
+            frontend=self.frontend(spec["frontend"]),
         )
 
     # --------------------------------------------------------------- tasks
@@ -379,138 +447,90 @@ class Scene:
     def _task(self, key: str) -> dict:
         if self._tasks.get(key) is None:
             raise ModelError(f"scene has no {key} block")
-        return _mapping(self._tasks[key], f"{key} block")
+        if key not in self._walked:
+            self._walked[key] = _walk(self._tasks[key], *_TASKS[key])
+        return self._walked[key]
 
     def solve_task(self):
         """(model name, model, v_tx, v_gamma, i_gamma) of the solve block; an
         absent drive is None."""
         spec = self._task("solve")
-        name = _require(spec, "model", "solve block")
-        model = self.model(name)
+        model = self.model(spec["model"])
         fe = model.frontend
-        drives = (("v_tx", fe.n_tx), ("v_gamma", fe.n_rx), ("i_gamma", fe.n_rx))
-        return (name, model) + tuple(_drive(spec, k, n, "solve block") for k, n in drives)
+        sizes = (("v_tx", fe.n_tx), ("v_gamma", fe.n_rx), ("i_gamma", fe.n_rx))
+        drives = tuple(_sized(spec[k], n, f"solve block {k}") for k, n in sizes)
+        return (spec["model"], model) + drives
 
     def gain_pattern_task(self):
         """(model name, model, v_tx, theta samples, phi) of the gain_pattern
         block, angles in degrees."""
         spec = self._task("gain_pattern")
-        name = _require(spec, "model", "gain_pattern block")
-        model = self.model(name)
-        v_tx = _drive(spec, "v_tx", model.frontend.n_tx, "gain_pattern block", required=True)
-        return (name, model, v_tx) + _gain_slice(spec, "gain_pattern", 0.0)
+        model = self.model(spec["model"])
+        v_tx = _sized(spec["v_tx"], model.frontend.n_tx, "gain_pattern block v_tx")
+        return spec["model"], model, v_tx, _thetas(spec), spec["phi_deg"]
 
     def channel_task(self):
         """((tx name, rx name), tx structure, (out_port, in_port), x-column
         name, sweep points) of the channel block. A sweep point is (x, rx
         structure, displacement); a rotated rx is built when its point is reached."""
         spec = self._task("channel")
-        name1, name2 = _sequence(_require(spec, "pair", "channel block"), "channel pair", 2)
+        name1, name2 = spec["pair"]
         disp = self.position(name2) - self.position(name1)
         dist = float(np.linalg.norm(disp))
         if dist == 0.0:
             raise ModelError("channel pair structures are co-located")
         axis = disp / dist
         tx = self.structure(name1)
-        out_port, in_port = _sequence(spec.get("ports", [0, 0]), "channel ports", 2)
-        ports = (
-            number(out_port, "channel ports out_port", int, 0),
-            number(in_port, "channel ports in_port", int, 0),
-        )
 
-        sweep = spec.get("sweep")
+        sweep = spec["sweep"]
         if sweep is None:
             x_name, points = "alpha_deg", [(0.0, self.structure(name2), disp)]
-        elif _mapping(sweep, "channel sweep").get("kind") == "rotation":
-            alphas = np.linspace(
-                number(sweep.get("start_deg", 0.0), "channel sweep start_deg"),
-                number(sweep.get("stop_deg", 90.0), "channel sweep stop_deg"),
-                number(sweep.get("count", 10), "channel sweep count", int, 1, MAX_COUNT),
-            )
+        elif sweep["kind"] == "rotation":
+            alphas = np.linspace(sweep["start_deg"], sweep["stop_deg"], sweep["count"]).tolist()
             x_name = "alpha_deg"
-            points = (
-                (float(a), self.structure(name2, rotation_matrix(axis, float(a))), disp)
-                for a in alphas
-            )
-        elif sweep.get("kind") == "distance":
-            start = number(sweep.get("start_m", 1.0), "channel sweep start_m")
-            stop = number(sweep.get("stop_m", 100.0), "channel sweep stop_m")
-            count = number(sweep.get("count", 25), "channel sweep count", int, 1, MAX_COUNT)
-            spacing = sweep.get("spacing", "log")
-            if spacing == "log":
-                if start <= 0.0:
-                    raise ModelError("log-spaced distance sweep needs start_m > 0")
-                dists = np.geomspace(start, stop, count)
-            elif spacing == "linear":
-                dists = np.linspace(start, stop, count)
-            else:
-                raise ModelError(f"channel sweep spacing must be log or linear, got {spacing!r}")
+            points = ((a, self.structure(name2, rotation_matrix(axis, a)), disp) for a in alphas)
+        else:  # distance
+            start, stop, log = sweep["start_m"], sweep["stop_m"], sweep["spacing"] == "log"
+            if log and start <= 0.0:
+                raise ModelError("log-spaced distance sweep needs start_m > 0")
+            if log and stop <= 0.0:
+                raise ModelError(f"log-spaced channel sweep stop_m must be positive, got {stop!r}")
+            dists = (np.geomspace if log else np.linspace)(start, stop, sweep["count"])
             rx = self.structure(name2)
             x_name, points = "d_m", ((float(d), rx, axis * float(d)) for d in dists)
-        else:
-            raise ModelError(f"unknown sweep kind {sweep.get('kind')!r}")
-        return (name1, name2), tx, ports, x_name, points
+        return (name1, name2), tx, spec["ports"], x_name, points
 
     def beamform_problem(self, seed_override: int | None = None):
         """(BeamformProblem, ReconfigurableBuilder) from the scene's problem block."""
         spec = self._task("problem")
-        structure = self.structure(_require(spec, "structure", "problem"))
-        frontend = self.frontend(_require(spec, "frontend", "problem"))
-        n, m = frontend.n, structure.m_ports
+        structure = self.structure(spec["structure"])
+        frontend = self.frontend(spec["frontend"])
 
-        z_spec = _mapping(_require(spec, "z_set", "problem"), "problem z_set")
-        if "values" in z_spec:
-            z_set = tuple(parse_complex_list(z_spec["values"], "problem z_set values").tolist())
-        else:
-            resistance = number(
-                _require(z_spec, "resistance", "problem z_set"), "problem z_set resistance"
-            )
-            react = _require(z_spec, "reactance", "problem z_set")
-            where = "problem z_set reactance"
-            xs = np.linspace(
-                number(_require(react, "start", where), f"{where} start"),
-                number(_require(react, "stop", where), f"{where} stop"),
-                number(_require(react, "count", where), f"{where} count", int, 1, MAX_COUNT),
-            )
-            z_set = tuple(complex(resistance, x) for x in xs)
-
-        r = number(_require(spec, "r", "problem"), "problem r", int, 0)
-        fixed_kind = spec.get("fixed", "feedthrough_reflector")
-        if fixed_kind != "feedthrough_reflector":
-            raise ModelError(f"problem: unknown fixed network kind {fixed_kind!r}")
-        model_builder = ReconfigurableBuilder(
-            structure, frontend, feedthrough_reflector_fixed(n, m, r)
-        )
-
-        sigma_spec = _mapping(spec.get("sigma", {}), "problem sigma")
-        i_max = number(spec.get("i_max", 10), "problem i_max", int, 0)
-        schedule = geometric_schedule(
-            initial=number(sigma_spec.get("initial", 20.0), "problem sigma initial"),
-            ratio=number(sigma_spec.get("ratio", 0.5), "problem sigma ratio"),
-            count=number(sigma_spec.get("count", i_max), "problem sigma count", int, 0),
-        )
-        seed = spec.get("seed", 0) if seed_override is None else seed_override
-        seed = number(seed, "problem seed", int, 0)
-        z_init_index = number(spec.get("z_init_index", 0), "problem z_init_index", int, 0)
+        z_set, z_init_index = spec["z_set"], spec["z_init_index"]
         if z_init_index >= len(z_set):
             raise ModelError(f"problem z_init_index {z_init_index} outside a {len(z_set)}-entry z_set")
-
+        if spec["fixed"] != "feedthrough_reflector":
+            raise ModelError(f"problem: unknown fixed network kind {spec['fixed']!r}")
+        fixed = feedthrough_reflector_fixed(frontend.n, structure.m_ports, spec["r"])
+        sigma = spec["sigma"]
+        count = spec["i_max"] if sigma["count"] is None else sigma["count"]
+        seed = spec["seed"] if seed_override is None else seed_override
         problem = BeamformProblem(
-            r=r,
+            r=spec["r"],
             z_set=z_set,
-            primary_dirs=_directions(_require(spec, "primary_deg", "problem"), "problem primary_deg"),
-            secondary_dirs=_directions(spec.get("secondary_deg", []), "problem secondary_deg"),
+            primary_dirs=spec["primary_deg"],
+            secondary_dirs=spec["secondary_deg"],
             q_co=x_copol,
             z_init=z_set[z_init_index],
-            i_max=i_max,
-            sigma_schedule=schedule,
-            rng_seed=seed,
+            i_max=spec["i_max"],
+            sigma_schedule=geometric_schedule(sigma["initial"], sigma["ratio"], count),
+            rng_seed=number(seed, "problem seed", int, 0),
         )
-        return problem, model_builder
+        return problem, ReconfigurableBuilder(structure, frontend, fixed)
 
     def pattern_slices(self, problem: BeamformProblem) -> list:
         """(theta samples, phi) in degrees of the problem pattern's gain slice
         per primary direction of `problem`; phi defaults to the direction's."""
-        spec = _mapping(self._task("problem").get("pattern", {}), "problem pattern")
-        phis = [math.degrees(d.phi) for d in problem.primary_dirs]
-        return [_gain_slice(spec, "problem pattern", phi) for phi in phis]
+        spec = self._task("problem")["pattern"]
+        phi = spec["phi_deg"]
+        return [(_thetas(spec), math.degrees(d.phi) if phi is None else phi) for d in problem.primary_dirs]

@@ -451,6 +451,8 @@ def test_non_numeric_scene_scalar_is_a_user_error(tmp_path, capsys, command, pat
         ("optimize", ("problem", "pattern", "count"), "problem pattern count"),
         ("optimize", ("problem", "z_set", "reactance", "count"), "problem z_set reactance count"),
         ("solve", ("grid", "n_phi"), "grid n_theta*n_phi"),
+        ("optimize", ("problem", "i_max"), "problem i_max"),
+        ("optimize", ("problem", "sigma", "count"), "problem sigma count"),
     ],
 )
 def test_scene_count_above_the_limit_is_a_user_error(tmp_path, capsys, command, path, field):
@@ -742,6 +744,8 @@ _DROP = object()
         ),
         ("gain-pattern", ("gain_pattern", "v_tx"), ["0"], "drive has zero available power"),
         ("optimize", ("problem", "pattern"), {"count": "x"}, "pattern count must be a number"),
+        ("channel", ("channel", "sweep", "stop_m"), 0, "channel sweep stop_m"),
+        ("channel", ("channel", "sweep", "stop_m"), -5, "channel sweep stop_m"),
     ],
 )
 def test_malformed_task_block_is_a_user_error(tmp_path, capsys, command, path, value, message):
@@ -810,3 +814,139 @@ def test_rotation_sweep_keeps_one_rotated_structure_alive(tmp_path, monkeypatch)
     assert main(["channel", "--scene", str(p), "--out", str(tmp_path)]) == 0
     # each rotated structure is released before the next one is built
     assert alive == [0, 0, 0, 0]
+
+
+def _case_study_scene():
+    with open(CASE_STUDY, "r", encoding="utf-8") as fh:
+        return yaml.safe_load(fh)
+
+
+_BASES = {"friis": _friis_scene, "optimize": _optimize_scene, "case_study": _case_study_scene}
+_S = [["0", "1"], ["1", "0"]]
+_ROTATION = {"axis": [0, 0, 1], "angle_deg": 5, "angle": 5}
+_REACT = {"start": -80.0, "stop": 80.0, "count": 4, "step": 1.0}
+
+
+def _tuning(**fields):
+    return {"name": "thru", **fields}
+
+
+# (command, base scene, path, value, block, key): the value set at the path
+# holds one key, `key`, that the block `block` does not accept
+@pytest.mark.parametrize(
+    "command, base, path, value, block, key",
+    [
+        pytest.param("solve", "friis", ("frequency",), 5.4e9, "scene", "frequency", id="top"),
+        pytest.param("solve", "friis", ("grid", "n_thetas"), 8, "grid", "n_thetas", id="grid"),
+        pytest.param(
+            "solve", "friis", ("structures", 0, "rotation_deg"), 10.0,
+            "structure 'tx'", "rotation_deg", id="dipole",
+        ),
+        pytest.param(
+            "optimize", "case_study", ("structures", 0, "enforce_pasivity"), True,
+            "structure 'array'", "enforce_pasivity", id="dipole_array",
+        ),
+        pytest.param(
+            "solve", "friis", ("structures", 0), {"name": "tx", "kind": "isotropic", "polar": 1},
+            "structure 'tx'", "polar", id="isotropic",
+        ),
+        pytest.param(
+            "channel", "friis", ("structures", 1),
+            {"name": "rx", "kind": "from_files", "response_file": "rx.rsp", "orientation": []},
+            "structure 'rx'", "orientation", id="from_files",
+        ),
+        pytest.param(
+            "optimize", "optimize", ("structures", 0, "elements", 1, "position"), [0, 0, 0],
+            "structure 'trio' elements[1]", "position", id="element",
+        ),
+        pytest.param(
+            "optimize", "optimize", ("structures", 0, "coupling", "gama"), 1.0,
+            "structure 'trio' coupling", "gama", id="coupling",
+        ),
+        pytest.param(
+            "solve", "friis", ("structures", 0, "rotation"), _ROTATION,
+            "structure 'tx' rotation", "angle", id="rotation",
+        ),
+        pytest.param(
+            "solve", "friis", ("frontends", 0, "z_tx"), [50.0], "frontend 'matched'", "z_tx",
+            id="frontend",
+        ),
+        pytest.param(
+            "solve", "friis", ("tunings", 0, "ports"), 1, "tuning 'thru'", "ports", id="through",
+        ),
+        pytest.param(
+            "solve", "friis", ("tunings", 0), _tuning(kind="inline", gains=["1"], n=1),
+            "tuning 'thru'", "n", id="inline",
+        ),
+        pytest.param(
+            "solve", "friis", ("tunings", 0), _tuning(kind="matrix", n=1, s=_S, gains=["1"]),
+            "tuning 'thru'", "gains", id="matrix",
+        ),
+        pytest.param(
+            "solve", "friis", ("tunings", 0), _tuning(kind="touchstone", n=1, file="t", fmt="ri"),
+            "tuning 'thru'", "fmt", id="touchstone",
+        ),
+        pytest.param(
+            "solve", "friis", ("models", 0, "frontends"), "matched",
+            "model 'tx_model'", "frontends", id="model",
+        ),
+        pytest.param("solve", "friis", ("solve", "vtx"), ["1"], "solve block", "vtx", id="solve"),
+        pytest.param(
+            "gain-pattern", "friis", ("gain_pattern", "theta_step_deg"), 1.0,
+            "gain_pattern", "theta_step_deg", id="gain_pattern",
+        ),
+        pytest.param("channel", "friis", ("channel", "port"), 0, "channel", "port", id="channel"),
+        pytest.param(
+            "channel", "friis", ("channel", "sweep", "stop"), 50.0, "channel sweep", "stop",
+            id="distance_sweep",
+        ),
+        pytest.param(
+            "channel", "friis", ("channel", "sweep"), {"kind": "rotation", "spacing": "log"},
+            "channel sweep", "spacing", id="rotation_sweep",
+        ),
+        pytest.param(
+            "optimize", "case_study", ("problem", "i_maxx"), 3, "problem", "i_maxx", id="problem",
+        ),
+        pytest.param(
+            "optimize", "optimize", ("problem", "z_set", "resistnce"), 1.0,
+            "problem z_set", "resistnce", id="z_set",
+        ),
+        pytest.param(
+            "optimize", "optimize", ("problem", "z_set"), {"resistance": 1, "reactance": _REACT},
+            "problem z_set reactance", "step", id="reactance",
+        ),
+        pytest.param(
+            "optimize", "optimize", ("problem", "sigma", "ratios"), 0.5, "problem sigma", "ratios",
+            id="sigma",
+        ),
+        pytest.param(
+            "optimize", "optimize", ("problem", "pattern", "phi"), 0.0, "problem pattern", "phi",
+            id="pattern",
+        ),
+    ],
+)
+def test_misspelled_scene_key_is_a_user_error(tmp_path, capsys, command, base, path, value, block,
+                                              key):
+    scene = _BASES[base]()
+    _set(scene, path, value)
+    code, err, out = _run_scene(tmp_path, command, scene, capsys)
+    assert code == 1
+    assert f"error: {block}: unknown field {key!r}" in err
+    assert not out.exists() or os.listdir(out) == []
+
+
+@pytest.mark.parametrize(
+    "command, path, field",
+    [
+        ("solve", ("frequency_hz",), "frequency_hz"),
+        ("optimize", ("problem", "r"), "problem r"),
+        ("channel", ("channel", "sweep", "count"), "channel sweep count"),
+    ],
+)
+def test_null_scene_field_is_read_not_defaulted(tmp_path, capsys, command, path, field):
+    scene = _optimize_scene() if command == "optimize" else _friis_scene()
+    _set(scene, path, None)
+    code, err, out = _run_scene(tmp_path, command, scene, capsys)
+    assert code == 1
+    assert f"{field} must be a number, got None" in err
+    assert not out.exists() or os.listdir(out) == []

@@ -2,6 +2,7 @@
 
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -338,6 +339,17 @@ def test_touchstone_rejections():
             parse_touchstone(text)
     with pytest.raises(ModelError, match="0-port"):
         parse_touchstone("1.0 0.5 0.0\n", n_ports=0)
+
+
+@pytest.mark.parametrize("fmt, bad", [("RI", "x"), ("DB", "-3.0.1")])
+def test_touchstone_bad_token_after_many_integers_fails_fast(fmt, bad):
+    # integer tokens of several digits: a token pattern with more than one parse
+    # of "10" would backtrack through ~2^60 splits before the bad token fails
+    line = " ".join(["10"] * 30 + ["120", "-35"] * 15 + [bad])
+    start = time.perf_counter()
+    with pytest.raises(ModelError, match=f"line 2: non-numeric token {re.escape(repr(bad))}"):
+        parse_touchstone(f"# GHz S {fmt} R 50\n{line}\n")
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("fmt", ["ri", "ma", "db"])

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import yaml
 from scipy.spatial.transform import Rotation
 
 from conftest import FREQ
+import remskit.scene as scene_mod
 from remskit import ModelError
 from remskit.farfield import make_latlon_grid
 from remskit.network import TouchstoneData, through_tuning, write_touchstone
@@ -109,6 +111,20 @@ def test_scene_rejects_non_finite_frequency():
     for bad in (math.nan, math.inf):
         with pytest.raises(ModelError, match="finite"):
             Scene.from_dict({"frequency_hz": bad, "grid": {"n_theta": 8, "n_phi": 10}})
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("tx", "structures must be a mapping, got 'tx'"),
+        ({"kind": "isotropic"}, "structures: missing required field 'name'"),
+        ({"name": 5, "kind": "isotropic"}, "structures name must be a string, got 5"),
+    ],
+    ids=["not_a_mapping", "no_name", "non_string_name"],
+)
+def test_named_list_entry_is_checked_at_load(entry, message):
+    with pytest.raises(ModelError, match=re.escape(message)):
+        Scene.from_dict(_base_dict(structures=[entry]))
 
 
 def test_scene_defaults_and_duplicates():
@@ -455,3 +471,28 @@ def test_beamform_problem_reactance_sweep_and_errors():
 def test_beamform_problem_rejects_non_list_fields(extra, match):
     with pytest.raises(ModelError, match=match):
         Scene.from_dict(_problem_dict(**extra)).beamform_problem()
+
+
+def _table_keys(table: dict) -> set:
+    """Every key of a field table and of the tables nested in it; in a table
+    of kinds, the keys are the kinds."""
+    keys = set(table)
+    for spec in table.values():
+        for sub in [spec] if isinstance(spec, dict) else spec[2:]:
+            if isinstance(sub, dict):
+                keys |= _table_keys(sub)
+    return keys
+
+
+def test_readme_scene_format_lists_every_table_key():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, "r", encoding="utf-8") as fh:
+        section = fh.read().split("\n## Scene format\n", 1)[1].split("\n## ", 1)[0]
+    tables = [scene_mod._SCENE]
+    tables += [table for table, *_ in scene_mod._NAMED.values()]
+    tables += [table for _, table, *_ in scene_mod._TASKS.values()]
+    keys = set().union(*map(_table_keys, tables))
+    assert {"enforce_passivity", "spacing", "response_file", "reactance", "phi_deg"} <= keys
+    quoted = re.findall(r"`([^`]*)`", section)
+    missing = [k for k in sorted(keys) if not any(re.search(rf"\b{k}\b", q) for q in quoted)]
+    assert missing == []

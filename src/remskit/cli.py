@@ -83,20 +83,22 @@ def cmd_grid(args) -> int:
 def cmd_extract(args) -> int:
     tol = None if args.tol is None else number(args.tol, "extract --tol", low=0.0)
     resp = read_response_file(args.response)
+    frequency, grid, m_ports = resp.frequency, resp.grid, resp.m_ports
     rx = extract_rx_kernel(resp)
     scatter = extract_scatter_kernel(resp) if resp.scattered is not None else None
-    if scatter is not None:
+    del resp  # its scattered blocks are the kernel's size: free them before the text is built
+    if scatter is not None and tol is not None:
         dev = _scatter_asymmetry(scatter)
-        if tol is not None and dev > tol:
+        if dev > tol:
             print(
                 f"note: reduced scattering kernel asymmetry {dev:.3e} exceeds "
                 f"tolerance {tol:.3e}",
                 file=sys.stderr,
             )
     path = os.path.join(_out_dir(args), "kernels.txt")
-    atomic_write_text(path, kernels_to_text(resp.frequency, resp.grid, rx, scatter))
+    atomic_write_text(path, kernels_to_text(frequency, grid, rx, scatter))
     print(
-        f"extracted {resp.m_ports} receive kernel(s)"
+        f"extracted {m_ports} receive kernel(s)"
         + ("" if scatter is None else " and the reduced scattering kernel")
         + f" -> {path}"
     )

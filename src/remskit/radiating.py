@@ -17,7 +17,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -589,12 +589,57 @@ def kernels_to_text(
     return "\n".join(lines)
 
 
-def _grid_index_map(grid: DirectionGrid):
-    key = lambda th, ph: (round(th, 6), round(ph, 6))
-    return {
-        key(math.degrees(grid.theta[i]), math.degrees(grid.phi[i])): i
-        for i in range(grid.size)
-    }
+def _angle_keys(radians, step: int = 1) -> dict:
+    """{round(degrees, 6): step * index} over a grid's ring thetas or column phis.
+
+    The later of equal keys wins, as it would in a map of whole directions.
+    """
+    return {round(math.degrees(x), 6): step * i for i, x in enumerate(radians.tolist())}
+
+
+def _run_indices(angles: np.ndarray, ring: dict, column: dict):
+    """The grid indices of a run's (k, 2) direction columns, each once, and the row of its last record.
+
+    Python's round is applied once per distinct angle, so the keys are the
+    per-line reader's. None if a direction is off the grid.
+    """
+    thetas, phis = angles.T.tolist()
+    rows = {x: ring.get(round(x, 6)) for x in set(thetas)}
+    cols = {x: column.get(round(x, 6)) for x in set(phis)}
+    if None in rows.values() or None in cols.values():
+        return None
+    last = {rows[th] + cols[ph]: k for k, (th, ph) in enumerate(zip(thetas, phis))}
+    return np.fromiter(last, np.intp, len(last)), np.fromiter(last.values(), np.intp, len(last))
+
+
+def _convert_s_run(run: list, ring: dict, column: dict, layouts: dict):
+    """The grid indices and (k, 2) values of a run of s record bodies, converted in bulk.
+
+    Each direction keeps its last record. layouts holds the previous run's
+    _run_indices under its direction columns' bytes, since runs usually list
+    the same directions in the same order. NumPy's reader converts with the
+    same correctly rounded routine as float() but accepts less (no "1_0", no
+    non-ASCII digits), so None, for any record it refuses or any failed
+    check, sends the run to the per-line reader, which stores what float()
+    accepts or raises the first bad line's error.
+    """
+    if not run[0].strip():  # loadtxt skips blank bodies, and warns when all are
+        return None
+    try:
+        values = np.loadtxt(run, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (len(run), 6) or not np.isfinite(values).all():
+        return None
+    angles = values[:, :2]
+    key = angles.tobytes()
+    if key not in layouts:
+        layouts.clear()
+        layouts[key] = _run_indices(angles, ring, column)
+    if layouts[key] is None:
+        return None
+    js, last = layouts[key]
+    return js, values[last, 2:].view(complex)
 
 
 def read_response_file(path: str) -> PlaneWaveResponseSet:
@@ -602,6 +647,12 @@ def read_response_file(path: str) -> PlaneWaveResponseSet:
 
 
 def parse_response_text(text: str) -> PlaneWaveResponseSet:
+    """The response set in a remskit-planewave-responses v1 text.
+
+    Each run of consecutive "s " lines in a scattered block is converted in
+    bulk (_convert_s_run); every other line, and any run the bulk path
+    refuses, is read per line, which is the only source of errors.
+    """
     from .farfield import make_latlon_grid
 
     lines = text.splitlines()
@@ -630,7 +681,8 @@ def parse_response_text(text: str) -> PlaneWaveResponseSet:
             "no records" if len(lines) == 4 else "incomplete response set: too few lines for its header"
         )
     grid = make_latlon_grid(n_theta, n_phi)
-    index_map = _grid_index_map(grid)
+    # the grid is rings x columns, so a direction's index is its ring's plus its column's
+    ring, column = _angle_keys(grid.theta[::n_phi], n_phi), _angle_keys(grid.phi[:n_phi])
 
     isfinite = math.isfinite
     dirs = {}  # direction tokens already looked up -> grid index
@@ -639,14 +691,14 @@ def parse_response_text(text: str) -> PlaneWaveResponseSet:
         idx = dirs.get((th_s, ph_s))
         if idx is None:
             key = (round(float(th_s), 6), round(float(ph_s), 6))
-            idx = index_map.get(key)
-            if idx is None:
+            row, col = ring.get(key[0]), column.get(key[1])
+            if row is None or col is None:
                 raise ModelError(f"line {lineno}: direction {key} not on the declared grid")
-            dirs[th_s, ph_s] = idx
+            idx = dirs[th_s, ph_s] = row + col
         return idx
 
     def store_block():
-        # one array store per block; block holds each out direction's last record
+        # one array store for the per-line records; block holds each out direction's last one
         if block:
             i, q = block_at
             values = np.fromiter(chain.from_iterable(block.values()), float, 4 * len(block))
@@ -657,7 +709,25 @@ def parse_response_text(text: str) -> PlaneWaveResponseSet:
     scattered = None
     block_at, block = None, {}  # open scattered block (in_idx, pol_idx), {j: (re0, im0, re1, im1)}
     n_b = 0
-    for lineno, line in enumerate(lines[4:], start=5):
+    layouts = {}
+    stored = per_line = 0  # line numbers up to which lines were stored in bulk, or go per line
+    for lineno, line in enumerate(islice(lines, 4, None), start=5):
+        if lineno <= stored:
+            continue
+        if lineno > per_line and block_at is not None and line.startswith("s "):
+            stop = lineno  # the end of the run of s lines
+            while stop < len(lines) and lines[stop].startswith("s "):
+                stop += 1
+            converted = _convert_s_run([rec[2:] for rec in lines[lineno - 1 : stop]], ring, column, layouts)
+            if converted is not None:
+                store_block()  # the per-line records before the run, so later lines win
+                block = {}
+                i, q = block_at
+                js, values = converted
+                scattered[i, q, js] = values
+                stored = stop
+                continue
+            per_line = stop
         toks = line.split()
         if not toks:
             continue

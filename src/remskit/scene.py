@@ -493,8 +493,10 @@ class Scene:
             start, stop, log = sweep["start_m"], sweep["stop_m"], sweep["spacing"] == "log"
             if log and start <= 0.0:
                 raise ModelError("log-spaced distance sweep needs start_m > 0")
-            if log and stop <= 0.0:
-                raise ModelError(f"log-spaced channel sweep stop_m must be positive, got {stop!r}")
+            spacing = "log-spaced" if log else "linear"
+            for key, d in (("start_m", start), ("stop_m", stop)):
+                if d <= 0.0:  # a point at or behind the transmitter
+                    raise ModelError(f"{spacing} channel sweep {key} must be positive, got {d!r}")
             dists = (np.geomspace if log else np.linspace)(start, stop, sweep["count"])
             rx = self.structure(name2)
             x_name, points = "d_m", ((float(d), rx, axis * float(d)) for d in dists)

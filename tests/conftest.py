@@ -1,7 +1,9 @@
 """Shared randomized-model builders, loop references, and the acceptance summary hook."""
 
+import cmath
 import dataclasses
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -15,12 +17,13 @@ from remskit import (
     TuningNetwork,
     random_passive_structure,
 )
-from remskit._textio import csv_text, fmt
+from remskit._textio import csv_text, fmt, number
 from remskit.channel import propagation_matrix
 from remskit.cli import _db
-from remskit.farfield import FOUR_PI, PATTERN_CSV_HEADER, spherical_basis
+from remskit.errors import ModelError
+from remskit.farfield import FOUR_PI, PATTERN_CSV_HEADER, make_latlon_grid, spherical_basis
 from remskit.network import max_singular_value
-from remskit.radiating import random_reciprocal_structure
+from remskit.radiating import _POL_NAMES, _RESPONSE_MAGIC, PlaneWaveResponseSet, random_reciprocal_structure
 
 FREQ = 5.4e9
 
@@ -175,6 +178,129 @@ def loop_gain_rows(ops, p_a, v, thetas_deg, phi_deg):
         val = m @ v
         g = FOUR_PI * float(np.vdot(val, val).real) / p_a
         yield (fmt(float(theta)), fmt(_db(g)))
+
+
+def _grid_index_map(grid):
+    key = lambda th, ph: (round(th, 6), round(ph, 6))
+    return {
+        key(math.degrees(grid.theta[i]), math.degrees(grid.phi[i])): i
+        for i in range(grid.size)
+    }
+
+
+def loop_parse_response_text(text: str) -> PlaneWaveResponseSet:
+    """Per-line reference for radiating.parse_response_text: split and float() every record."""
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != _RESPONSE_MAGIC:
+        raise ModelError("line 1: not a plane-wave response file")
+    header = []
+    for lineno, (key, count, kind, low) in enumerate(
+        (("frequency_hz", 1, float, None), ("grid", 2, int, None), ("ports", 1, int, 1)), start=2
+    ):
+        if lineno > len(lines):
+            raise ModelError(f"line {lineno}: missing {key} header")
+        toks = lines[lineno - 1].split()
+        if not toks or toks[0] != key:
+            raise ModelError(f"line {lineno}: expected {key} header")
+        if len(toks) != count + 1:
+            raise ModelError(f"line {lineno}: {key} header has {len(toks) - 1} values")
+        header.append([number(t, f"line {lineno}: {key}", kind, low) for t in toks[1:]])
+    (frequency,), (n_theta, n_phi), (m_ports,) = header
+    if frequency <= 0.0:
+        raise ModelError("line 2: frequency_hz must be positive")
+    # arrays are sized from the header, so check first that the text can fill them:
+    # a complete set has 2nM b lines, and 2n(n + 1) lines from its first scattered block on
+    n = n_theta * n_phi
+    if len(lines) - 4 < 2 * n * m_ports:
+        raise ModelError(
+            "no records" if len(lines) == 4 else "incomplete response set: too few lines for its header"
+        )
+    grid = make_latlon_grid(n_theta, n_phi)
+    index_map = _grid_index_map(grid)
+
+    isfinite = math.isfinite
+    dirs = {}  # direction tokens already looked up -> grid index
+
+    def dir_index(th_s: str, ph_s: str, lineno: int) -> int:
+        idx = dirs.get((th_s, ph_s))
+        if idx is None:
+            key = (round(float(th_s), 6), round(float(ph_s), 6))
+            idx = index_map.get(key)
+            if idx is None:
+                raise ModelError(f"line {lineno}: direction {key} not on the declared grid")
+            dirs[th_s, ph_s] = idx
+        return idx
+
+    def store_block():
+        # one array store per block; block holds each out direction's last record
+        if block:
+            i, q = block_at
+            values = np.fromiter(chain.from_iterable(block.values()), float, 4 * len(block))
+            js = np.fromiter(block, np.intp, len(block))
+            scattered[i, q, js] = values.view(complex).reshape(-1, 2)
+
+    port_waves = np.full((grid.size, 2, m_ports), np.nan, dtype=complex)
+    scattered = None
+    block_at, block = None, {}  # open scattered block (in_idx, pol_idx), {j: (re0, im0, re1, im1)}
+    n_b = 0
+    for lineno, line in enumerate(lines[4:], start=5):
+        toks = line.split()
+        if not toks:
+            continue
+        try:
+            if toks[0] == "s":
+                if block_at is None:
+                    raise ModelError(f"line {lineno}: s record outside a scattered block")
+                if len(toks) != 7:
+                    raise ModelError(f"line {lineno}: s record needs 6 fields")
+                j = dir_index(toks[1], toks[2], lineno)
+                values = float(toks[3]), float(toks[4]), float(toks[5]), float(toks[6])
+                re0, im0, re1, im1 = values
+                if not (isfinite(re0) and isfinite(im0) and isfinite(re1) and isfinite(im1)):
+                    raise ModelError(f"line {lineno}: non-finite value")
+                block[j] = values
+            elif toks[0] == "b":
+                if len(toks) != 7:
+                    raise ModelError(f"line {lineno}: b record needs 6 fields")
+                i = dir_index(toks[1], toks[2], lineno)
+                if toks[3] not in _POL_NAMES:
+                    raise ModelError(f"line {lineno}: polarization must be theta or phi")
+                q = _POL_NAMES.index(toks[3])
+                m = number(toks[4], f"line {lineno}: port", int)
+                if not (0 <= m < m_ports):
+                    raise ModelError(f"line {lineno}: port {m} out of range")
+                v = complex(float(toks[5]), float(toks[6]))
+                if not cmath.isfinite(v):
+                    raise ModelError(f"line {lineno}: non-finite value")
+                port_waves[i, q, m] = v
+                n_b += 1
+            elif toks[0] == "scattered":
+                if len(toks) != 4:
+                    raise ModelError(f"line {lineno}: scattered block header needs 3 fields")
+                if scattered is None:
+                    if len(lines) - lineno + 1 < 2 * n * (n + 1):
+                        raise ModelError(f"line {lineno}: incomplete scattered-field blocks: too few lines")
+                    scattered = np.full((n, 2, n, 2), np.nan, dtype=complex)
+                i = dir_index(toks[1], toks[2], lineno)
+                if toks[3] not in _POL_NAMES:
+                    raise ModelError(f"line {lineno}: polarization must be theta or phi")
+                store_block()
+                block_at, block = (i, _POL_NAMES.index(toks[3])), {}
+            elif not toks[0].startswith("#"):  # a comment otherwise
+                raise ModelError(f"line {lineno}: unknown record type {toks[0]!r}")
+        except ModelError:
+            raise
+        except ValueError as err:  # float() of a malformed token
+            raise ModelError(f"line {lineno}: {err}") from None
+    store_block()
+
+    if n_b == 0:
+        raise ModelError("no records")
+    if np.isnan(port_waves).any():
+        raise ModelError("incomplete response set: missing direction, polarization, or port entries")
+    if scattered is not None and np.isnan(scattered).any():
+        raise ModelError("incomplete scattered-field blocks")
+    return PlaneWaveResponseSet(frequency, grid, port_waves, scattered)
 
 
 @pytest.fixture

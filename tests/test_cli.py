@@ -244,6 +244,21 @@ def test_extract_reports_kernel_asymmetry(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_extract_computes_the_asymmetry_only_for_tol(tmp_path, capsys, monkeypatch):
+    s = random_reciprocal_structure(make_latlon_grid(2, 4), 1, np.random.default_rng(7), FREQ)
+    rsp = tmp_path / "s.rsp"
+    write_response_file(synthesize_plane_wave_responses(s), str(rsp))
+    calls = []
+    real = cli_mod._scatter_asymmetry
+    monkeypatch.setattr(cli_mod, "_scatter_asymmetry", lambda kernel: calls.append(1) or real(kernel))
+    assert main(["extract", "--response", str(rsp), "--out", str(tmp_path / "plain")]) == 0
+    assert calls == []
+    assert main(["extract", "--response", str(rsp), "--out", str(tmp_path / "tol"), "--tol", "1e-3"]) == 0
+    assert calls == [1]
+    assert "asymmetry" not in capsys.readouterr().err
+    assert (tmp_path / "plain" / "kernels.txt").read_text() == (tmp_path / "tol" / "kernels.txt").read_text()
+
+
 def test_out_dir_environment_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("REMSKIT_OUT_DIR", str(tmp_path / "env"))
     assert main(["grid", "--n-theta", "4", "--n-phi", "6"]) == 0
@@ -726,6 +741,10 @@ def test_undecodable_file_is_a_user_error(tmp_path, capsys, reader):
 _DROP = object()
 
 
+def _linear_sweep(start_m, stop_m):
+    return {"kind": "distance", "spacing": "linear", "start_m": start_m, "stop_m": stop_m, "count": 3}
+
+
 @pytest.mark.parametrize(
     "command, path, value, message",
     [
@@ -746,6 +765,9 @@ _DROP = object()
         ("optimize", ("problem", "pattern"), {"count": "x"}, "pattern count must be a number"),
         ("channel", ("channel", "sweep", "stop_m"), 0, "channel sweep stop_m"),
         ("channel", ("channel", "sweep", "stop_m"), -5, "channel sweep stop_m"),
+        ("channel", ("channel", "sweep"), _linear_sweep(-2, -1), "linear channel sweep start_m must be"),
+        ("channel", ("channel", "sweep"), _linear_sweep(0, 5), "linear channel sweep start_m must be"),
+        ("channel", ("channel", "sweep"), _linear_sweep(5, -1), "linear channel sweep stop_m must be"),
     ],
 )
 def test_malformed_task_block_is_a_user_error(tmp_path, capsys, command, path, value, message):

@@ -1,8 +1,11 @@
 """Mutated response and Touchstone texts either parse or raise ModelError;
+the bulk response parser reads mutated texts as its per-line reference does;
 mutated scene texts load and run or end as ModelError or NumericsError, and
 the YAML loader Scene.load picks reads them as PyYAML's pure-Python loader does."""
 
+import functools
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FREQ
+from conftest import FREQ, loop_parse_response_text
 from remskit import ModelError, NumericsError
 from remskit.cli import main
 from remskit.farfield import make_latlon_grid
@@ -111,6 +114,106 @@ def test_mutated_touchstone_text_parses_or_raises_model_error(text):
     except ModelError:
         return
     assert data.matrices.shape[1:] == (data.n_ports, data.n_ports)
+
+
+# Words for the bulk response parser: tokens float() accepts and NumPy's
+# reader refuses, non-finite values, an off-grid angle, a comment and a word.
+PARSER_WORDS = ("1_0", "\u0663", "nan", "1e500", "abc", "#x", "46.5", "theta")
+
+
+@functools.lru_cache(maxsize=None)
+def _structure_text(n_theta, n_phi, m_ports, scatter):
+    s = random_reciprocal_structure(
+        make_latlon_grid(n_theta, n_phi), m_ports, np.random.default_rng(n_theta * n_phi + m_ports), FREQ
+    )
+    return response_to_text(synthesize_plane_wave_responses(s, include_scatter=scatter))
+
+
+@st.composite
+def edited_response(draw):
+    """A small response text after one to four edits of its records, with LF or CRLF line ends.
+
+    The header lines stay as written: their reader is shared and fuzzed above.
+    A duplicated line lands anywhere, so a later record can restate a
+    direction in another block or run.
+    """
+    n_theta, n_phi = draw(st.integers(2, 4)), draw(st.sampled_from((2, 4, 6)))
+    lines = _structure_text(n_theta, n_phi, draw(st.integers(1, 3)), draw(st.booleans())).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(4, len(lines) - 1))
+        toks = lines[i].split() or [""]
+        edit = draw(st.sampled_from(
+            ("replace", "truncate", "duplicate", "delete", "swap", "blank", "comment", "indent", "tabs",
+             "inner tabs")
+        ))
+        if edit == "replace":
+            toks[draw(st.integers(0, len(toks) - 1))] = draw(st.sampled_from(PARSER_WORDS))
+            lines[i] = " ".join(toks)
+        elif edit == "truncate":
+            lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+        elif edit == "duplicate":
+            lines.insert(draw(st.integers(4, len(lines))), lines[i])
+        elif edit == "delete":
+            del lines[i]
+        elif edit == "swap":
+            j = draw(st.integers(4, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit in ("blank", "comment"):
+            lines.insert(i, "" if edit == "blank" else "# a comment")
+        elif edit == "indent":
+            lines[i] = draw(st.sampled_from(("  ", "\t"))) + lines[i]
+        elif edit == "tabs":
+            lines[i] = "\t".join(toks)
+        else:
+            lines[i] = toks[0] + " " + "\t".join(toks[1:])
+    return draw(st.sampled_from(("\n", "\r\n"))).join(lines) + "\n"
+
+
+def _parsed(parse, text):
+    """The bytes of every array parse reads from text, or its ModelError message."""
+    try:
+        resp = parse(text)
+    except ModelError as err:
+        return str(err)
+    scattered = None if resp.scattered is None else resp.scattered.tobytes()
+    return resp.frequency, resp.grid.n_theta, resp.grid.n_phi, resp.port_waves.tobytes(), scattered
+
+
+@settings(max_examples=400)
+@given(edited_response())
+def test_bulk_response_parser_reads_edited_texts_as_the_per_line_reference(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _parsed(parse_response_text, text)
+    assert got == _parsed(loop_parse_response_text, text)
+
+
+def test_bulk_response_parser_reads_each_word_in_each_s_field_as_the_per_line_reference():
+    lines = _structure_text(2, 4, 1, True).splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith("s ")) + 1  # inside the first run
+    toks = lines[k].split()
+    edits = [" ".join(toks[:at] + [word] + toks[at + 1 :]) for at in range(7) for word in PARSER_WORDS]
+    # blank bodies, which NumPy's reader skips, alone in a run and inside one
+    edits += ["s", "s ", "s \t ", "# alone\ns \n# in a run of one"]
+    for edit in edits:
+        text = "\n".join(lines[:k] + [edit] + lines[k + 1 :]) + "\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _parsed(parse_response_text, text)
+        assert got == _parsed(loop_parse_response_text, text), edit
+    # what float() accepts and NumPy refuses is stored, as the reference stores it
+    for word, value in (("1_0", 10.0), ("\u0663", 3.0)):
+        text = "\n".join(lines[:k] + [" ".join(toks[:3] + [word] * 4)] + lines[k + 1 :]) + "\n"
+        assert (parse_response_text(text).scattered.view(float) == value).sum() == 4
+
+
+def test_bulk_response_parser_rounds_angles_as_python_does():
+    # Python rounds 11.2500005 to 11.250001; NumPy's round gives 11.25, a ring of this grid
+    lines = _structure_text(8, 2, 1, True).splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith("s 11.25 0.0 "))
+    lines[k] = "s 11.2500005" + lines[k][len("s 11.25") :]
+    with pytest.raises(ModelError, match=rf"line {k + 1}: direction \(11.250001, 0.0\) not on the"):
+        parse_response_text("\n".join(lines) + "\n")
 
 
 def _scene_calls(scene):

@@ -58,14 +58,27 @@ def csv_text(header: str, rows) -> str:
     return "".join([header + "\n"] + [",".join(row) + "\n" for row in rows])
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` via a same-directory temp file and rename."""
+def atomic_write_text(path: str, text) -> None:
+    """Write ``text`` to ``path`` via a same-directory temp file and rename.
+
+    ``text`` is a str, written in one call, or an iterable of str chunks,
+    written in order, so a caller can stream a file without holding its whole
+    text. A chunk that raises leaves ``path`` as it was and removes the temp
+    file. The file gets the mode ``open(path, "w")`` would give a new file,
+    ``0o666`` less the umask, not the temp file's owner-only ``0o600``.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            if isinstance(text, str):
+                fh.write(text)
+            else:
+                fh.writelines(text)  # never a str: writelines would write it by character
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -22,10 +22,10 @@ from .channel import far_channel
 from .errors import ModelError, NumericsError
 from .farfield import FOUR_PI, Direction, write_pattern_csv
 from .radiating import (
+    _kernels_chunks,
     _scatter_asymmetry,
     extract_rx_kernel,
     extract_scatter_kernel,
-    kernels_to_text,
     read_response_file,
 )
 from .scene import Scene, latlon_grid
@@ -86,7 +86,7 @@ def cmd_extract(args) -> int:
     frequency, grid, m_ports = resp.frequency, resp.grid, resp.m_ports
     rx = extract_rx_kernel(resp)
     scatter = extract_scatter_kernel(resp) if resp.scattered is not None else None
-    del resp  # its scattered blocks are the kernel's size: free them before the text is built
+    del resp  # its scattered blocks are kernel-sized: free them, so the streamed write holds one kernel
     if scatter is not None and tol is not None:
         dev = _scatter_asymmetry(scatter)
         if dev > tol:
@@ -96,7 +96,7 @@ def cmd_extract(args) -> int:
                 file=sys.stderr,
             )
     path = os.path.join(_out_dir(args), "kernels.txt")
-    atomic_write_text(path, kernels_to_text(frequency, grid, rx, scatter))
+    atomic_write_text(path, _kernels_chunks(frequency, grid, rx, scatter))
     print(
         f"extracted {m_ports} receive kernel(s)"
         + ("" if scatter is None else " and the reduced scattering kernel")

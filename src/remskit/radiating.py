@@ -535,32 +535,39 @@ def _direction_labels(grid: DirectionGrid) -> list[str]:
 
 # The writers read values with .tolist() and write them with repr, the shortest
 # round-trip text fmt gives, so the same data always gives the same bytes. Each
-# scattering block is joined into one string at once: a write peaks near twice
-# its text size, not at one object per line.
+# format has one chunk generator: the header and the per-direction records as
+# one chunk, then one chunk per scattering block, each ending in a newline. The
+# file writers stream the chunks, so a write holds one block's text at a time,
+# not the file's; the *_to_text functions join the same chunks.
 
 
 def write_response_file(resp: PlaneWaveResponseSet, path: str) -> None:
-    atomic_write_text(path, response_to_text(resp))
+    atomic_write_text(path, _response_chunks(resp))
 
 
 def response_to_text(resp: PlaneWaveResponseSet) -> str:
+    return "".join(_response_chunks(resp))
+
+
+def _response_chunks(resp: PlaneWaveResponseSet):
     g = resp.grid
     labels = _direction_labels(g)
     lines = _header_lines(_RESPONSE_MAGIC, resp.frequency, g, resp.m_ports)
     for label, waves in zip(labels, resp.port_waves.tolist()):
         for pol, row in zip(_POL_NAMES, waves):
             lines += [f"b {label} {pol} {m} {b.real!r} {b.imag!r}" for m, b in enumerate(row)]
+    lines.append("")
+    yield "\n".join(lines)
     if resp.scattered is not None:
         heads = ["s " + label for label in labels]
         for i, label in enumerate(labels):
             for pol, block in zip(_POL_NAMES, resp.scattered[i].tolist()):
-                lines.append(f"scattered {label} {pol}")
-                lines.append("\n".join([
-                    f"{h} {a.real!r} {a.imag!r} {b.real!r} {b.imag!r}"
-                    for h, (a, b) in zip(heads, block)
-                ]))
-    lines.append("")  # the final newline, without a copy of the whole text
-    return "\n".join(lines)
+                lines = [f"scattered {label} {pol}"]
+                lines += [
+                    f"{h} {a.real!r} {a.imag!r} {b.real!r} {b.imag!r}" for h, (a, b) in zip(heads, block)
+                ]
+                lines.append("")
+                yield "\n".join(lines)
 
 
 def kernels_to_text(
@@ -572,6 +579,13 @@ def kernels_to_text(
     "scatter theta phi pol theta' phi' pol' re im" line per kernel entry
     [out_dir, out_comp, in_dir, in_comp].
     """
+    return "".join(_kernels_chunks(frequency, grid, rx_kernel, scatter_kernel))
+
+
+def _kernels_chunks(
+    frequency: float, grid: DirectionGrid, rx_kernel: np.ndarray, scatter_kernel: np.ndarray | None
+):
+    """kernels_to_text's text in chunks: the header and rx lines, then one per scattering row block."""
     labels = _direction_labels(grid)
     lines = _header_lines(_KERNELS_MAGIC, frequency, grid, rx_kernel.shape[0])
     for m, kernel in enumerate(rx_kernel.tolist()):
@@ -579,14 +593,16 @@ def kernels_to_text(
             f"rx {m} {label} {a.real!r} {a.imag!r} {b.real!r} {b.imag!r}"
             for label, (a, b) in zip(labels, kernel)
         ]
+    lines.append("")
+    yield "\n".join(lines)
     if scatter_kernel is not None:
         tails = [f"{label} {pol}" for label in labels for pol in _POL_NAMES]
         for i, label in enumerate(labels):
             for pol, row in zip(_POL_NAMES, scatter_kernel[i].reshape(2, -1).tolist()):
                 head = f"scatter {label} {pol} "
-                lines.append("\n".join([f"{head}{t} {v.real!r} {v.imag!r}" for t, v in zip(tails, row)]))
-    lines.append("")  # the final newline, without a copy of the whole text
-    return "\n".join(lines)
+                lines = [f"{head}{t} {v.real!r} {v.imag!r}" for t, v in zip(tails, row)]
+                lines.append("")
+                yield "\n".join(lines)
 
 
 def _angle_keys(radians, step: int = 1) -> dict:

@@ -2,14 +2,20 @@
 
 The references below compose every line value by value with ``fmt``. The
 writers, which format each direction label once per grid and read values in
-bulk, must produce the same text byte for byte.
+bulk, must produce the same text byte for byte. The file writers stream that
+text one block at a time; the tests below also hold their peak memory, their
+failure-atomicity and the mode of the files they create.
 """
+
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import remskit.cli as cli_mod
 from conftest import FREQ
-from remskit._textio import fmt
+from remskit._textio import atomic_write_text, fmt
 from remskit.cli import main
 from remskit.farfield import make_latlon_grid
 from remskit.radiating import (
@@ -141,3 +147,58 @@ def test_extract_writes_the_per_value_reference_text(tmp_path, grid_shape, m_por
         extract_scatter_kernel(back) if scatter else None,
     )
     assert (tmp_path / "kernels.txt").read_text() == want
+
+
+def _traced_peak(fn, *args):
+    """Bytes that fn(*args) allocates at its peak above what was allocated before it, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_file_writers_stream_below_a_quarter_of_the_file_size(tmp_path, monkeypatch):
+    resp = _responses((6, 12), 2, 60, True)
+    path = tmp_path / "r.rsp"
+    peak = _traced_peak(write_response_file, resp, str(path))
+    assert path.read_text() == response_to_text(resp)
+    assert peak < path.stat().st_size / 4
+
+    peaks = []
+
+    def traced_write(out_path, text):
+        peaks.append(_traced_peak(atomic_write_text, out_path, text))
+
+    monkeypatch.setattr(cli_mod, "atomic_write_text", traced_write)
+    assert main(["extract", "--response", str(path), "--out", str(tmp_path)]) == 0
+    assert len(peaks) == 1
+    assert peaks[0] < (tmp_path / "kernels.txt").stat().st_size / 4
+
+
+def test_a_failing_chunk_leaves_the_target_and_no_temp_file(tmp_path):
+    target = tmp_path / "kernels.txt"
+    target.write_bytes(b"old contents\n")
+
+    def chunks():
+        yield "first chunk\n"
+        raise RuntimeError("formatting failed")
+
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        atomic_write_text(str(target), chunks())
+    assert target.read_bytes() == b"old contents\n"
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_written_files_get_the_mode_open_would_give(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        assert main(["grid", "--n-theta", "2", "--n-phi", "4", "--out", str(tmp_path)]) == 0
+        write_response_file(_responses((2, 4), 1, 70, False), str(tmp_path / "r.rsp"))
+    finally:
+        os.umask(old)
+    for name in ("grid.csv", "r.rsp"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == mode

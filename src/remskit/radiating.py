@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 import warnings
 from dataclasses import dataclass, replace
-from itertools import chain, islice
+from itertools import chain, groupby, islice
+from operator import methodcaller
 
 import numpy as np
 
 from .errors import ModelError
-from ._textio import atomic_write_text, fmt, number, read_text
+from ._textio import atomic_write_text, count_lines, fmt, number, split_lines, text_chunks
 from .farfield import (
     Direction,
     DirectionGrid,
@@ -659,28 +661,68 @@ def _convert_s_run(run: list, ring: dict, column: dict, layouts: dict):
 
 
 def read_response_file(path: str) -> PlaneWaveResponseSet:
-    return parse_response_text(read_text(path))
+    """The response set in the remskit-planewave-responses v1 file at path, read as a stream.
+
+    A first pass checks the UTF-8 and counts the lines, so an undecodable
+    byte is reported ahead of any record error and the allocation checks
+    know the line count; the second parses the lines chunk by chunk. Either
+    holds about one chunk of text, so the memory a read takes is the result's
+    arrays and that.
+    """
+    with open(path, "rb") as fh:
+        if not fh.seekable():  # a pipe can be read once: parse its whole text
+            return parse_response_text("".join(text_chunks(fh, path)))
+        size = os.fstat(fh.fileno()).st_size
+        n_lines = count_lines(text_chunks(fh, path, size))
+        fh.seek(0)
+        return _parse_response_lines(split_lines(text_chunks(fh, path, size)), n_lines)
 
 
 def parse_response_text(text: str) -> PlaneWaveResponseSet:
-    """The response set in a remskit-planewave-responses v1 text.
+    """The response set in a remskit-planewave-responses v1 text."""
+    lines = text.splitlines()
+    return _parse_response_lines(iter(lines), len(lines))
+
+
+def _records(lines, ring: dict, column: dict, most: int):
+    """(lineno, line, None) for each line from line 5 on, except that each
+    run of consecutive "s " lines, at most `most` of them, that _convert_s_run
+    converts comes as one (lineno, first line, (js, values))."""
+    lineno, layouts = 5, {}
+    for is_s, group in groupby(lines, methodcaller("startswith", "s ")):
+        if not is_s:
+            for line in group:
+                yield lineno, line, None
+                lineno += 1
+            continue
+        while run := list(islice(group, most)):
+            converted = _convert_s_run([rec[2:] for rec in run], ring, column, layouts)
+            if converted is not None:
+                yield lineno, run[0], converted
+            else:
+                yield from ((lineno + k, line, None) for k, line in enumerate(run))
+            lineno += len(run)
+
+
+def _parse_response_lines(lines, n_lines: int) -> PlaneWaveResponseSet:
+    """The response set in the iterator of n_lines lines of a response text.
 
     Each run of consecutive "s " lines in a scattered block is converted in
-    bulk (_convert_s_run); every other line, and any run the bulk path
-    refuses, is read per line, which is the only source of errors.
+    bulk (_records); every other line, and any run the bulk path refuses, is
+    read per line, which is the only source of errors.
     """
     from .farfield import make_latlon_grid
 
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != _RESPONSE_MAGIC:
+    first = next(lines, None)
+    if first is None or first.strip() != _RESPONSE_MAGIC:
         raise ModelError("line 1: not a plane-wave response file")
     header = []
     for lineno, (key, count, kind, low) in enumerate(
         (("frequency_hz", 1, float, None), ("grid", 2, int, None), ("ports", 1, int, 1)), start=2
     ):
-        if lineno > len(lines):
+        if lineno > n_lines:
             raise ModelError(f"line {lineno}: missing {key} header")
-        toks = lines[lineno - 1].split()
+        toks = next(lines, "").split()
         if not toks or toks[0] != key:
             raise ModelError(f"line {lineno}: expected {key} header")
         if len(toks) != count + 1:
@@ -692,9 +734,9 @@ def parse_response_text(text: str) -> PlaneWaveResponseSet:
     # arrays are sized from the header, so check first that the text can fill them:
     # a complete set has 2nM b lines, and 2n(n + 1) lines from its first scattered block on
     n = n_theta * n_phi
-    if len(lines) - 4 < 2 * n * m_ports:
+    if n_lines - 4 < 2 * n * m_ports:
         raise ModelError(
-            "no records" if len(lines) == 4 else "incomplete response set: too few lines for its header"
+            "no records" if n_lines == 4 else "incomplete response set: too few lines for its header"
         )
     grid = make_latlon_grid(n_theta, n_phi)
     # the grid is rings x columns, so a direction's index is its ring's plus its column's
@@ -725,26 +767,15 @@ def parse_response_text(text: str) -> PlaneWaveResponseSet:
     scattered = None
     block_at, block = None, {}  # open scattered block (in_idx, pol_idx), {j: (re0, im0, re1, im1)}
     n_b = 0
-    layouts = {}
-    stored = per_line = 0  # line numbers up to which lines were stored in bulk, or go per line
-    for lineno, line in enumerate(islice(lines, 4, None), start=5):
-        if lineno <= stored:
+    for lineno, line, converted in _records(lines, ring, column, n):
+        if converted is not None and block_at is not None:
+            store_block()  # the per-line records before the run, so later lines win
+            block = {}
+            i, q = block_at
+            js, values = converted
+            scattered[i, q, js] = values
             continue
-        if lineno > per_line and block_at is not None and line.startswith("s "):
-            stop = lineno  # the end of the run of s lines
-            while stop < len(lines) and lines[stop].startswith("s "):
-                stop += 1
-            converted = _convert_s_run([rec[2:] for rec in lines[lineno - 1 : stop]], ring, column, layouts)
-            if converted is not None:
-                store_block()  # the per-line records before the run, so later lines win
-                block = {}
-                i, q = block_at
-                js, values = converted
-                scattered[i, q, js] = values
-                stored = stop
-                continue
-            per_line = stop
-        toks = line.split()
+        toks = line.split()  # a converted run outside a block raises at its first line
         if not toks:
             continue
         try:
@@ -778,7 +809,7 @@ def parse_response_text(text: str) -> PlaneWaveResponseSet:
                 if len(toks) != 4:
                     raise ModelError(f"line {lineno}: scattered block header needs 3 fields")
                 if scattered is None:
-                    if len(lines) - lineno + 1 < 2 * n * (n + 1):
+                    if n_lines - lineno + 1 < 2 * n * (n + 1):
                         raise ModelError(f"line {lineno}: incomplete scattered-field blocks: too few lines")
                     scattered = np.full((n, 2, n, 2), np.nan, dtype=complex)
                 i = dir_index(toks[1], toks[2], lineno)

@@ -1,11 +1,13 @@
 """Mutated response and Touchstone texts either parse or raise ModelError;
-the bulk response parser reads mutated texts as its per-line reference does;
+the bulk response parser reads mutated texts as its per-line reference does,
+and the streamed file reader reads them as the whole-text parser does;
 mutated scene texts load and run or end as ModelError or NumericsError, and
 the YAML loader Scene.load picks reads them as PyYAML's pure-Python loader does."""
 
 import functools
 import os
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,12 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FREQ, loop_parse_response_text
-from remskit import ModelError, NumericsError
+from remskit import ModelError, NumericsError, _textio
+from remskit._textio import read_text
 from remskit.cli import main
 from remskit.farfield import make_latlon_grid
 from remskit.network import TouchstoneData, parse_touchstone, touchstone_to_text
 from remskit.radiating import (
     parse_response_text,
+    read_response_file,
     random_reciprocal_structure,
     response_to_text,
     synthesize_plane_wave_responses,
@@ -214,6 +218,76 @@ def test_bulk_response_parser_rounds_angles_as_python_does():
     lines[k] = "s 11.2500005" + lines[k][len("s 11.25") :]
     with pytest.raises(ModelError, match=rf"line {k + 1}: direction \(11.250001, 0.0\) not on the"):
         parse_response_text("\n".join(lines) + "\n")
+
+
+# Byte sequences that are not UTF-8: a stray byte, a lead byte before ASCII,
+# a cut three-byte lead, a surrogate, a code point above U+10FFFF, and a
+# valid two-byte character before a stray byte.
+BAD_UTF8 = (b"\xff", b"\xc3(", b"\xe2\x80", b"\xed\xa0\x80", b"\xf4\x90\x80\x80", "\u0663".encode() + b"\x80")
+# Line breaks str.splitlines knows besides LF and CRLF.
+LINE_BREAKS = ("\n", "\r", "\x0c", "\x1e", "\x85", "\u2028")
+
+
+@st.composite
+def response_file_bytes(draw):
+    """The fuzz corpus as file bytes: an edited or mutated response text,
+    its LFs maybe replaced by another line break, maybe with one sequence
+    that is not UTF-8 inserted anywhere."""
+    text = draw(st.one_of(edited_response(), mutated(RESPONSE)))
+    data = text.replace("\n", draw(st.sampled_from(LINE_BREAKS))).encode()
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(BAD_UTF8)) + data[at:]
+    return data
+
+
+def _read_whole(path):
+    return parse_response_text(read_text(path))
+
+
+def _read_streamed(path, chunk):
+    with mock.patch.object(_textio, "_CHUNK", chunk), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _parsed(read_response_file, path)
+
+
+@pytest.fixture(scope="module")
+def response_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("response_files")
+
+
+@settings(max_examples=300, deadline=None)
+@given(response_file_bytes(), st.one_of(st.integers(1, 64), st.integers(65, 1 << 17)))
+def test_streamed_read_parses_files_as_the_whole_text_parser(response_dir, data, chunk):
+    path = response_dir / "r.rsp"
+    path.write_bytes(data)
+    chunk = max(chunk, len(data) // 256)  # at most 256 reads a pass keeps the examples fast
+    assert _read_streamed(str(path), chunk) == _parsed(_read_whole, str(path))
+
+
+def test_streamed_read_splits_lines_and_characters_at_any_chunk_end(tmp_path):
+    lines = _structure_text(2, 2, 1, True).splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith("s "))
+    toks = lines[k].split()
+    lines[k] = " ".join(toks[:3] + ["\u0663"] + toks[4:])  # stored as 3.0 by the per-line reader
+    text = "\r\n".join(lines[: k + 1]) + "\u2028" + "\r\n".join(lines[k + 1 :]) + "\r\n"
+    data = text.encode()
+    path = tmp_path / "r.rsp"
+    path.write_bytes(data)
+    want = _parsed(_read_whole, str(path))
+    assert isinstance(want, tuple)
+    digit, separator = data.index("\u0663".encode()), data.index("\u2028".encode())
+    ends = {
+        "mid-line": data.index(b"grid") + 2,
+        "between CR and LF": data.index(b"\r\n") + 1,
+        "inside a two-byte character": digit + 1,
+        "before U+2028": separator,
+        "inside U+2028": separator + 1,
+        "inside U+2028, one byte later": separator + 2,
+        "after U+2028": separator + 3,
+    }
+    for where, chunk in ends.items():  # the first chunk ends there
+        assert _read_streamed(str(path), chunk) == want, where
 
 
 def _scene_calls(scene):

@@ -45,6 +45,7 @@ from remskit.radiating import (
     _weighted_operator_norm,
     parse_response_text,
     power_balance,
+    read_response_file,
     response_to_text,
     rx_extraction_factor,
     wavenumber,
@@ -721,7 +722,7 @@ def test_response_parser_names_the_first_bad_scatter_line():
         parse_response_text("\n".join(moved) + "\n")
 
 
-def test_short_response_text_fails_before_allocating_its_declared_grid():
+def test_short_response_text_fails_before_allocating_its_declared_grid(tmp_path):
     g = make_latlon_grid(20, 40)
     lines = response_to_text(
         synthesize_plane_wave_responses(hertzian_dipole([1.0, 0.0, 0.0], [0.0, 0.0, 0.0], g, FREQ))
@@ -736,16 +737,19 @@ def test_short_response_text_fails_before_allocating_its_declared_grid():
         (header_only, "incomplete response set: too few lines for its header"),
         (one_block, f"line {len(lines) + 1}: incomplete scattered-field blocks: too few lines"),
     ]
+    path = tmp_path / "short.rsp"
     for text, match in cases:
-        tracemalloc.start()
-        try:
-            with pytest.raises(ModelError, match=match):
-                parse_response_text(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the declared (800, 2, 800, 2) scattered array alone is 41 MB
-        assert peak < 10 * len(text) + 16_000, (len(text), peak)
+        path.write_text(text, encoding="utf-8")
+        for parse, source in ((parse_response_text, text), (read_response_file, str(path))):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ModelError, match=match):
+                    parse(source)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the declared (800, 2, 800, 2) scattered array alone is 41 MB
+            assert peak < 10 * len(text) + 16_000, (parse.__name__, len(text), peak)
 
 
 def test_response_set_rejects_non_finite_values(tmp_path):

@@ -22,10 +22,12 @@ from .errors import ModelError
 def number(value, where: str, kind=float, low=None, high=None):
     """The finite scalar field `where` as kind (float or int), within [low, high] where given.
 
-    Anything else (a word, a non-integral count, a non-finite value) raises a
-    ModelError naming the field.
+    Anything else (a word, a boolean, a non-integral count, a non-finite
+    value) raises a ModelError naming the field.
     """
     try:
+        if isinstance(value, bool):  # float(True) is 1.0, but a YAML boolean is not a number
+            raise TypeError
         x = float(value)
     except (TypeError, ValueError):
         raise ModelError(f"{where} must be a number, got {value!r}") from None

@@ -138,6 +138,10 @@ class TuningNetwork:
     s: np.ndarray
 
     def __post_init__(self):
+        if self.n_frontend < 0 or self.m_radiating < 0:
+            raise ModelError(
+                f"tuning network port counts must be non-negative, got {self.n_frontend} and {self.m_radiating}"
+            )
         self.s = np.asarray(self.s, dtype=complex)
         dim = self.n_frontend + self.m_radiating
         if self.s.shape != (dim, dim):

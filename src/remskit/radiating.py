@@ -18,7 +18,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, replace
-from itertools import chain, groupby, islice
+from itertools import groupby, islice
 from operator import methodcaller
 
 import numpy as np
@@ -686,10 +686,11 @@ def parse_response_text(text: str) -> PlaneWaveResponseSet:
 
 def _records(lines, ring: dict, column: dict, most: int):
     """(lineno, line, None) for each line from line 5 on, except that each
-    run of consecutive "s " lines, at most `most` of them, that _convert_s_run
-    converts comes as one (lineno, first line, (js, values))."""
+    run of consecutive s records (an "s", then a space or a tab), at most
+    `most` of them, that _convert_s_run converts comes as one (lineno, first
+    line, (js, values))."""
     lineno, layouts = 5, {}
-    for is_s, group in groupby(lines, methodcaller("startswith", "s ")):
+    for is_s, group in groupby(lines, methodcaller("startswith", ("s ", "s\t"))):
         if not is_s:
             for line in group:
                 yield lineno, line, None
@@ -707,9 +708,10 @@ def _records(lines, ring: dict, column: dict, most: int):
 def _parse_response_lines(lines, n_lines: int) -> PlaneWaveResponseSet:
     """The response set in the iterator of n_lines lines of a response text.
 
-    Each run of consecutive "s " lines in a scattered block is converted in
+    Each run of consecutive s lines in a scattered block is converted in
     bulk (_records); every other line, and any run the bulk path refuses, is
-    read per line, which is the only source of errors.
+    read per line, which is the only source of errors. Records are stored in
+    file order, so a later line that restates a direction wins.
     """
     from .farfield import make_latlon_grid
 
@@ -755,41 +757,28 @@ def _parse_response_lines(lines, n_lines: int) -> PlaneWaveResponseSet:
             idx = dirs[th_s, ph_s] = row + col
         return idx
 
-    def store_block():
-        # one array store for the per-line records; block holds each out direction's last one
-        if block:
-            i, q = block_at
-            values = np.fromiter(chain.from_iterable(block.values()), float, 4 * len(block))
-            js = np.fromiter(block, np.intp, len(block))
-            scattered[i, q, js] = values.view(complex).reshape(-1, 2)
-
     port_waves = np.full((grid.size, 2, m_ports), np.nan, dtype=complex)
-    scattered = None
-    block_at, block = None, {}  # open scattered block (in_idx, pol_idx), {j: (re0, im0, re1, im1)}
+    scattered = block = None  # block: the open scattered block, the view scattered[in_idx, pol_idx]
     n_b = 0
     for lineno, line, converted in _records(lines, ring, column, n):
-        if converted is not None and block_at is not None:
-            store_block()  # the per-line records before the run, so later lines win
-            block = {}
-            i, q = block_at
+        if converted is not None and block is not None:
             js, values = converted
-            scattered[i, q, js] = values
+            block[js] = values
             continue
         toks = line.split()  # a converted run outside a block raises at its first line
         if not toks:
             continue
         try:
             if toks[0] == "s":
-                if block_at is None:
+                if block is None:
                     raise ModelError(f"line {lineno}: s record outside a scattered block")
                 if len(toks) != 7:
                     raise ModelError(f"line {lineno}: s record needs 6 fields")
                 j = dir_index(toks[1], toks[2], lineno)
-                values = float(toks[3]), float(toks[4]), float(toks[5]), float(toks[6])
-                re0, im0, re1, im1 = values
+                re0, im0, re1, im1 = float(toks[3]), float(toks[4]), float(toks[5]), float(toks[6])
                 if not (isfinite(re0) and isfinite(im0) and isfinite(re1) and isfinite(im1)):
                     raise ModelError(f"line {lineno}: non-finite value")
-                block[j] = values
+                block[j, 0], block[j, 1] = complex(re0, im0), complex(re1, im1)
             elif toks[0] == "b":
                 if len(toks) != 7:
                     raise ModelError(f"line {lineno}: b record needs 6 fields")
@@ -815,15 +804,13 @@ def _parse_response_lines(lines, n_lines: int) -> PlaneWaveResponseSet:
                 i = dir_index(toks[1], toks[2], lineno)
                 if toks[3] not in _POL_NAMES:
                     raise ModelError(f"line {lineno}: polarization must be theta or phi")
-                store_block()
-                block_at, block = (i, _POL_NAMES.index(toks[3])), {}
+                block = scattered[i, _POL_NAMES.index(toks[3])]
             elif not toks[0].startswith("#"):  # a comment otherwise
                 raise ModelError(f"line {lineno}: unknown record type {toks[0]!r}")
         except ModelError:
             raise
         except ValueError as err:  # float() of a malformed token
             raise ModelError(f"line {lineno}: {err}") from None
-    store_block()
 
     if n_b == 0:
         raise ModelError("no records")

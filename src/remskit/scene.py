@@ -101,6 +101,8 @@ def _vector3(value, where: str) -> np.ndarray:
 
 def parse_complex(value) -> complex:
     try:
+        if isinstance(value, bool):  # complex(True) is 1, but a YAML boolean is not a number
+            raise TypeError
         z = complex(value.replace(" ", "") if isinstance(value, str) else value)
     except (TypeError, ValueError):
         raise ModelError(f"cannot parse complex value {value!r}") from None
@@ -202,7 +204,7 @@ def _matrix(rows, where: str) -> np.ndarray:
         isinstance(row, (list, tuple)) and len(row) == len(rows) for row in rows
     ):
         raise ModelError(f"{where} must be a square list of rows, got {rows!r}")
-    return np.array([[parse_complex(v) for v in row] for row in rows])
+    return np.array([parse_complex_list(row, where) for row in rows])
 
 
 def _z_set(raw, where: str, fields: dict) -> tuple:
@@ -432,6 +434,8 @@ class Scene:
             if match.size == 0:
                 raise ModelError(f"tuning {name!r}: no entry at {self.frequency} Hz in the file")
             s = data.matrices[int(match[0])]
+        if spec["n"] > s.shape[0]:
+            raise ModelError(f"tuning {name!r}: n is {spec['n']}, more than its {s.shape[0]} ports")
         return TuningNetwork(spec["n"], s.shape[0] - spec["n"], s)
 
     def model(self, name: str) -> ReMSModel:

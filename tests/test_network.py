@@ -195,6 +195,12 @@ def test_through_and_inline_tuning_blocks():
         TuningNetwork(1, 1, np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("n, m", [(3, -1), (-1, 3)])
+def test_tuning_network_rejects_negative_port_counts(n, m):
+    with pytest.raises(ModelError, match=rf"port counts must be non-negative, got {n} and {m}"):
+        TuningNetwork(n, m, np.eye(2))
+
+
 def test_feedthrough_reflector_layout():
     n, m, r = 1, 3, 2
     s = feedthrough_reflector_fixed(n, m, r)

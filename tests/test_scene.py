@@ -114,6 +114,26 @@ def test_scene_rejects_non_finite_frequency():
 
 
 @pytest.mark.parametrize(
+    "extra, build, message",
+    [
+        ({"frequency_hz": True}, lambda s: s, "frequency_hz must be a number, got True"),  # raised at load
+        ({"gain_pattern": {"model": "m", "v_tx": ["1"], "count": True}}, lambda s: s.gain_pattern_task(),
+         "gain_pattern count must be a number, got True"),
+        ({"structures": [{"name": "a", "kind": "isotropic", "position_m": [0.0, False, 0.0]}]},
+         lambda s: s.structure("a"), "structure 'a' position_m must be a number, got False"),
+        ({"frontends": [{"name": "fe", "z_tx_ohms": [True]}]}, lambda s: s.frontend("fe"),
+         "frontend 'fe' z_tx_ohms: cannot parse complex value True"),
+        ({"tunings": [{"name": "t", "kind": "matrix", "n": 1, "s": [["0", "1"], ["1", False]]}]},
+         lambda s: s.tuning("t"), "tuning 't' s: cannot parse complex value False"),
+    ],
+    ids=["scalar", "count", "position_entry", "complex_list", "matrix_entry"],
+)
+def test_scene_rejects_a_yaml_boolean_where_a_number_is_expected(extra, build, message):
+    with pytest.raises(ModelError, match=re.escape(message)):
+        build(Scene.from_dict(_base_dict(**extra)))
+
+
+@pytest.mark.parametrize(
     "entry, message",
     [
         ("tx", "structures must be a mapping, got 'tx'"),
@@ -351,6 +371,38 @@ def test_matrix_tuning_rows_must_form_a_square():
         )
         with pytest.raises(ModelError, match="tuning 'rag' s must be a square list of rows"):
             scene.tuning("rag")
+
+
+@pytest.mark.parametrize(
+    "word, message",
+    [("zz", "cannot parse complex value 'zz'"), ("nan", "complex value 'nan' is not finite")],
+    ids=["word", "nan"],
+)
+def test_matrix_tuning_entry_error_names_the_field(word, message):
+    scene = Scene.from_dict(
+        _base_dict(tunings=[{"name": "t", "kind": "matrix", "n": 1, "s": [["0", "1"], ["1", word]]}])
+    )
+    with pytest.raises(ModelError, match=re.escape(f"tuning 't' s: {message}")):
+        scene.tuning("t")
+
+
+def test_tuning_with_more_frontend_ports_than_ports_is_rejected(tmp_path):
+    ts = TouchstoneData.from_matrices(
+        frequencies_hz=np.array([FREQ]), matrices=np.zeros((1, 2, 2)), format="ri", frequency_unit="hz"
+    )
+    write_touchstone(ts, str(tmp_path / "net.s2p"))
+    scene = Scene.from_dict(
+        _base_dict(
+            tunings=[
+                {"name": "mat", "kind": "matrix", "n": 3, "s": [["0", "1"], ["1", "0"]]},
+                {"name": "disk", "kind": "touchstone", "n": 3, "file": "net.s2p"},
+            ]
+        ),
+        base_dir=str(tmp_path),
+    )
+    for name in ("mat", "disk"):
+        with pytest.raises(ModelError, match=re.escape(f"tuning {name!r}: n is 3, more than its 2 ports")):
+            scene.tuning(name)
 
 
 def test_touchstone_tuning_needs_matching_frequency(tmp_path):

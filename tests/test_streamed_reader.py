@@ -1,9 +1,11 @@
-"""The streamed response-file reader: its memory, and its UTF-8 errors.
+"""The streamed response-file reader: its memory, its UTF-8 errors, and its store order.
 
 read_response_file reads a file in chunks of _textio._CHUNK bytes, so its
 peak memory is the arrays it returns plus about one chunk of text, and an
 undecodable byte is reported with the offset a whole-file decode gives,
-wherever the chunk ends fall, ahead of any record error.
+wherever the chunk ends fall, ahead of any record error. Each s record is
+stored as it is read, in bulk or per line, so the later of two records for
+one direction wins.
 """
 
 import os
@@ -14,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FREQ
-from remskit import ModelError, _textio
+from conftest import FREQ, loop_parse_response_text
+from remskit import ModelError, _textio, radiating
 from remskit._textio import count_lines, read_text, split_lines
 from remskit.farfield import make_latlon_grid
 from remskit.radiating import (
@@ -129,5 +131,43 @@ def test_streamed_read_reads_a_pipe_as_a_file(tmp_path, response_bytes):
         got = read_response_file(f"/dev/fd/{r}")
     finally:
         os.close(r)
+    np.testing.assert_array_equal(got.port_waves, want.port_waves)
+    np.testing.assert_array_equal(got.scattered, want.scattered)
+
+
+def test_later_s_record_wins_across_bulk_runs_and_per_line_records(response_bytes):
+    # a block's bulk run, then a per-line record ("1_0" is refused by NumPy's
+    # reader) and a one-line bulk run that restate the run's first direction, in
+    # both orders; comments keep the three apart, as runs group consecutive lines
+    lines = response_bytes.decode().splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith("s "))
+    head = " ".join(lines[k].split()[:3])
+    per_line, bulk = f"{head} 1_0 1_0 1_0 1_0", f"{head} 2.5 2.5 2.5 2.5"
+    n = 8  # the 2x4 grid's directions: one block's run
+    for restated, want in (([per_line, bulk], 2.5), ([bulk, per_line], 10.0)):
+        edit = lines[k : k + n] + ["# one", restated[0], "# two", restated[1]]
+        text = "\n".join(lines[:k] + edit + lines[k + n :]) + "\n"
+        got = parse_response_text(text)
+        ref = loop_parse_response_text(text)
+        np.testing.assert_array_equal(got.scattered, ref.scattered)
+        np.testing.assert_array_equal(got.port_waves, ref.port_waves)
+        assert (got.scattered[0, 0, 0] == complex(want, want)).all()
+
+
+def test_tab_separated_s_runs_are_converted_in_bulk(tmp_path, monkeypatch, response_bytes):
+    lines = response_bytes.decode().splitlines()
+    tabbed = "\n".join(lines[:1] + ["\t".join(line.split()) for line in lines[1:]]) + "\n"
+    assert "\ns\t" in tabbed and "\ns " not in tabbed
+    (tmp_path / "spaced.rsp").write_bytes(response_bytes)
+    (tmp_path / "tabbed.rsp").write_text(tabbed, encoding="utf-8")
+    want = read_response_file(str(tmp_path / "spaced.rsp"))
+    converted = []
+    convert = radiating._convert_s_run
+    monkeypatch.setattr(
+        radiating, "_convert_s_run", lambda *args: converted.append(convert(*args)) or converted[-1]
+    )
+    got = read_response_file(str(tmp_path / "tabbed.rsp"))
+    assert len(converted) == got.scattered.shape[0] * 2  # one run per scattered block
+    assert all(c is not None for c in converted)
     np.testing.assert_array_equal(got.port_waves, want.port_waves)
     np.testing.assert_array_equal(got.scattered, want.scattered)

@@ -26,7 +26,6 @@ from .radiating import (
     PlaneWaveResponseSet,
     RadiatingStructure,
     ReciprocityReport,
-    apply_full,
     apply_receive,
     apply_scatter,
     apply_transmit,
@@ -36,7 +35,6 @@ from .radiating import (
     extract_scatter_kernel,
     hertzian_dipole,
     isotropic_radiator,
-    random_passive_structure,
     random_reciprocal_structure,
     read_response_file,
     rotate_structure,

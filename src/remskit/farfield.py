@@ -217,22 +217,6 @@ class FarFieldPattern:
                 f"grid size ({self.grid.size}, 2)"
             )
 
-    def copy(self) -> "FarFieldPattern":
-        return FarFieldPattern(self.grid, self.values.copy())
-
-    def __add__(self, other: "FarFieldPattern") -> "FarFieldPattern":
-        if not self.grid.compatible(other.grid):
-            raise ModelError("pattern grids do not match")
-        return FarFieldPattern(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "FarFieldPattern") -> "FarFieldPattern":
-        if not self.grid.compatible(other.grid):
-            raise ModelError("pattern grids do not match")
-        return FarFieldPattern(self.grid, self.values - other.values)
-
-    def scaled(self, c: complex) -> "FarFieldPattern":
-        return FarFieldPattern(self.grid, self.values * c)
-
     def at(self, d: Direction) -> np.ndarray:
         """Complex 2-vector at d, bilinearly interpolated off-grid."""
         return blend(self.values, *self.grid.interp_stencil(d.theta, d.phi))
@@ -284,7 +268,7 @@ def antipodal_mirror(p: FarFieldPattern) -> FarFieldPattern:
     return FarFieldPattern(p.grid, out)
 
 
-def pattern_to_csv(p: FarFieldPattern) -> str:
+def _pattern_csv(p: FarFieldPattern) -> str:
     v = p.values
     # np.vecdot matches a per-row np.vdot bit for bit (einsum and
     # |re|^2 + |im|^2 do not); an overflowing square reads inf without a warning
@@ -305,4 +289,4 @@ def pattern_to_csv(p: FarFieldPattern) -> str:
 
 
 def write_pattern_csv(p: FarFieldPattern, path: str) -> None:
-    atomic_write_text(path, pattern_to_csv(p))
+    atomic_write_text(path, _pattern_csv(p))

@@ -7,8 +7,9 @@ remainder. The full scattering operator is mirror * P plus the remainder; the
 free-space antipodal mirror P is applied analytically and never stored.
 
 Also here: analytic dipole structures used as ground truth, kernel extraction
-from plane-wave response data, the response and kernel text formats, reciprocity checks,
-and a certified-passive random structure generator for validation.
+from plane-wave response data, one formatter per text format (response and
+kernels), reciprocity checks, and a reciprocal random structure generator. The
+passive random generator and the power oracles are test code, in tests/conftest.py.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .farfield import (
     antipodal_mirror,
     blend,
     spherical_basis,
-    total_power,
 )
 
 C_LIGHT = 299792458.0
@@ -66,7 +66,6 @@ class RadiatingStructure:
     grid: DirectionGrid
     frequency: float
     mirror: float = 1.0
-    extrinsic_noise_enabled: bool = True
 
     def __post_init__(self):
         m, n = self.m_ports, self.grid.size
@@ -149,21 +148,6 @@ def apply_scatter(s: RadiatingStructure, b: FarFieldPattern) -> FarFieldPattern:
             "icjd,jd->ic", s.scatter_kernel, b.values * s.grid.weights[:, None]
         )
     return out
-
-
-def apply_full(s: RadiatingStructure, a, b: FarFieldPattern):
-    """Block action: (b_out, a_out) = S_R (a, b)."""
-    b_out = s.coupling @ np.asarray(a, dtype=complex) + apply_receive(s, b)
-    a_out = apply_transmit(s, a) + apply_scatter(s, b)
-    return b_out, a_out
-
-
-def power_balance(s: RadiatingStructure, a, b: FarFieldPattern):
-    """(input power, output power) of one full application, both in W."""
-    b_out, a_out = apply_full(s, a, b)
-    p_in = float(np.vdot(a, a).real) + total_power(b)
-    p_out = float(np.vdot(b_out, b_out).real) + total_power(a_out)
-    return p_in, p_out
 
 
 # ---------------------------------------------------------------------------
@@ -304,50 +288,15 @@ def isotropic_radiator(grid: DirectionGrid, frequency: float, pol: str = "theta"
     )
 
 
-def random_passive_structure(
-    grid: DirectionGrid, m_ports: int, rng: np.random.Generator, frequency: float, norm: float = 0.95
-) -> RadiatingStructure:
-    """Random structure with certified discrete passivity.
-
-    The whole weighted block operator (coupling, weighted kernels, full
-    scattering block) is drawn as one random matrix scaled by its Frobenius
-    norm, a rigorous bound on the largest singular value. The full scattering
-    block is stored as the remainder with mirror = 0, so the structure is an
-    absorber-like scatterer. No per-model SVD is needed.
-    """
-    m, n = m_ports, grid.size
-    dim = m + 2 * n
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    g *= norm / np.linalg.norm(g)
-
-    sqw = np.sqrt(grid.weights)
-    coupling = g[:m, :m]
-    rx = (g[:m, m:] / np.repeat(sqw, 2)[None, :]).reshape(m, n, 2)
-    tx = (g[m:, :m] / np.repeat(sqw, 2)[:, None]).T.reshape(m, n, 2)
-    inv_sqw = np.repeat(1.0 / sqw, 2)
-    scatter = (inv_sqw[:, None] * g[m:, m:] * inv_sqw[None, :]).reshape(n, 2, n, 2)
-
-    return RadiatingStructure(
-        m_ports=m,
-        coupling=coupling,
-        tx_kernel=tx,
-        rx_kernel=rx,
-        scatter_kernel=scatter,
-        grid=grid,
-        frequency=frequency,
-        mirror=0.0,
-    )
-
-
 def random_reciprocal_structure(
-    grid: DirectionGrid, m_ports: int, rng: np.random.Generator, frequency: float, kernel_scale: float = 0.3
+    grid: DirectionGrid, m_ports: int, rng: np.random.Generator, frequency: float
 ) -> RadiatingStructure:
     """Random structure satisfying the reciprocity symmetries exactly."""
     m, n = m_ports, grid.size
     c = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     coupling = 0.1 * (c + c.T)
-    tx = kernel_scale * (rng.standard_normal((m, n, 2)) + 1j * rng.standard_normal((m, n, 2)))
-    sc = kernel_scale * (rng.standard_normal((n, 2, n, 2)) + 1j * rng.standard_normal((n, 2, n, 2)))
+    tx = 0.3 * (rng.standard_normal((m, n, 2)) + 1j * rng.standard_normal((m, n, 2)))
+    sc = 0.3 * (rng.standard_normal((n, 2, n, 2)) + 1j * rng.standard_normal((n, 2, n, 2)))
     # symmetrize: S(d; d') = S(d'; d)^T
     scatter = 0.5 * (sc + sc.transpose(2, 3, 0, 1))
     return RadiatingStructure(
@@ -537,18 +486,14 @@ def _direction_labels(grid: DirectionGrid) -> list[str]:
 
 # The writers read values with .tolist() and write them with repr, the shortest
 # round-trip text fmt gives, so the same data always gives the same bytes. Each
-# format has one chunk generator: the header and the per-direction records as
-# one chunk, then one chunk per scattering block, each ending in a newline. The
-# file writers stream the chunks, so a write holds one block's text at a time,
-# not the file's; the *_to_text functions join the same chunks.
+# format has one formatter, a chunk generator: the header and the per-direction
+# records as one chunk, then one chunk per scattering block, each ending in a
+# newline. The file writers stream the chunks, so a write holds one block's
+# text at a time, not the file's.
 
 
 def write_response_file(resp: PlaneWaveResponseSet, path: str) -> None:
     atomic_write_text(path, _response_chunks(resp))
-
-
-def response_to_text(resp: PlaneWaveResponseSet) -> str:
-    return "".join(_response_chunks(resp))
 
 
 def _response_chunks(resp: PlaneWaveResponseSet):
@@ -572,22 +517,15 @@ def _response_chunks(resp: PlaneWaveResponseSet):
                 yield "\n".join(lines)
 
 
-def kernels_to_text(
+def _kernels_chunks(
     frequency: float, grid: DirectionGrid, rx_kernel: np.ndarray, scatter_kernel: np.ndarray | None
-) -> str:
+):
     """The remskit-kernels v1 text of an (M, n, 2) receive and an optional (n, 2, n, 2) scattering kernel.
 
     One "rx m theta phi re0 im0 re1 im1" line per port and direction, then one
     "scatter theta phi pol theta' phi' pol' re im" line per kernel entry
     [out_dir, out_comp, in_dir, in_comp].
     """
-    return "".join(_kernels_chunks(frequency, grid, rx_kernel, scatter_kernel))
-
-
-def _kernels_chunks(
-    frequency: float, grid: DirectionGrid, rx_kernel: np.ndarray, scatter_kernel: np.ndarray | None
-):
-    """kernels_to_text's text in chunks: the header and rx lines, then one per scattering row block."""
     labels = _direction_labels(grid)
     lines = _header_lines(_KERNELS_MAGIC, frequency, grid, rx_kernel.shape[0])
     for m, kernel in enumerate(rx_kernel.tolist()):

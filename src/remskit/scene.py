@@ -495,8 +495,6 @@ class Scene:
             points = ((a, self.structure(name2, rotation_matrix(axis, a)), disp) for a in alphas)
         else:  # distance
             start, stop, log = sweep["start_m"], sweep["stop_m"], sweep["spacing"] == "log"
-            if log and start <= 0.0:
-                raise ModelError("log-spaced distance sweep needs start_m > 0")
             spacing = "log-spaced" if log else "linear"
             for key, d in (("start_m", start), ("stop_m", stop)):
                 if d <= 0.0:  # a point at or behind the transmitter

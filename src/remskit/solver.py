@@ -169,10 +169,6 @@ class GainOperators:
         v = np.asarray(v_tx, dtype=complex)
         return apply_transmit(self.model.structure, self.core_tx @ v)
 
-    def vtx_dense(self) -> np.ndarray:
-        """(n, 2, n_tx) sampled transmit operator, one pattern per chain."""
-        return np.einsum("mic,mt->ict", self.model.structure.tx_kernel, self.core_tx)
-
     def vtx_gain_matrix(self, d) -> np.ndarray:
         """(2, n_tx) far-field components at direction d per unit v_tx.
 
@@ -340,9 +336,6 @@ def solve_direct(
         b_in = zero_pattern(st.grid)
     elif not b_in.grid.compatible(st.grid):
         raise ModelError("incident pattern grid does not match structure grid")
-
-    if v_upsilon.any() and not st.extrinsic_noise_enabled:
-        raise ModelError("extrinsic noise ports are disabled for this structure")
 
     # unknowns x = [a_T, b_T, a_R, b_R, a_R~, b_R~]
     dim = 2 * n + 4 * m

@@ -1,4 +1,4 @@
-"""Shared randomized-model builders, loop references, and the acceptance summary hook."""
+"""Shared randomized-model builders, power oracles, loop references, and the acceptance summary hook."""
 
 import cmath
 import dataclasses
@@ -12,10 +12,14 @@ from hypothesis import settings
 from remskit import (
     Direction,
     FarFieldPattern,
+    RadiatingStructure,
     ReMSModel,
     RFFrontend,
     TuningNetwork,
-    random_passive_structure,
+    apply_receive,
+    apply_scatter,
+    apply_transmit,
+    total_power,
 )
 from remskit._textio import csv_text, fmt, number
 from remskit.channel import propagation_matrix
@@ -23,7 +27,13 @@ from remskit.cli import _db
 from remskit.errors import ModelError
 from remskit.farfield import FOUR_PI, PATTERN_CSV_HEADER, make_latlon_grid, spherical_basis
 from remskit.network import max_singular_value
-from remskit.radiating import _POL_NAMES, _RESPONSE_MAGIC, PlaneWaveResponseSet, random_reciprocal_structure
+from remskit.radiating import (
+    _POL_NAMES,
+    _RESPONSE_MAGIC,
+    PlaneWaveResponseSet,
+    _response_chunks,
+    random_reciprocal_structure,
+)
 
 FREQ = 5.4e9
 
@@ -33,6 +43,59 @@ settings.register_profile("remskit", derandomize=True, database=None, deadline=N
 settings.load_profile("remskit")
 
 _ACCEPTANCE = []
+
+
+def random_passive_structure(grid, m_ports, rng, frequency):
+    """Random structure with certified discrete passivity.
+
+    The whole weighted block operator (coupling, weighted kernels, full
+    scattering block) is drawn as one random matrix scaled to Frobenius norm
+    0.95, a rigorous bound on its largest singular value. The full scattering
+    block is stored as the remainder with mirror = 0, so the structure is an
+    absorber-like scatterer. No per-model SVD is needed.
+    """
+    m, n = m_ports, grid.size
+    dim = m + 2 * n
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    g *= 0.95 / np.linalg.norm(g)
+
+    sqw = np.sqrt(grid.weights)
+    coupling = g[:m, :m]
+    rx = (g[:m, m:] / np.repeat(sqw, 2)[None, :]).reshape(m, n, 2)
+    tx = (g[m:, :m] / np.repeat(sqw, 2)[:, None]).T.reshape(m, n, 2)
+    inv_sqw = np.repeat(1.0 / sqw, 2)
+    scatter = (inv_sqw[:, None] * g[m:, m:] * inv_sqw[None, :]).reshape(n, 2, n, 2)
+
+    return RadiatingStructure(
+        m_ports=m,
+        coupling=coupling,
+        tx_kernel=tx,
+        rx_kernel=rx,
+        scatter_kernel=scatter,
+        grid=grid,
+        frequency=frequency,
+        mirror=0.0,
+    )
+
+
+def apply_full(s, a, b):
+    """Block action: (b_out, a_out) = S_R (a, b)."""
+    b_out = s.coupling @ np.asarray(a, dtype=complex) + apply_receive(s, b)
+    a_out = FarFieldPattern(s.grid, apply_transmit(s, a).values + apply_scatter(s, b).values)
+    return b_out, a_out
+
+
+def power_balance(s, a, b):
+    """(input power, output power) of one full application, both in W."""
+    b_out, a_out = apply_full(s, a, b)
+    p_in = float(np.vdot(a, a).real) + total_power(b)
+    p_out = float(np.vdot(b_out, b_out).real) + total_power(a_out)
+    return p_in, p_out
+
+
+def response_text(resp):
+    """The response-file text of resp: the writer's chunks, joined."""
+    return "".join(_response_chunks(resp))
 
 
 def random_tuning(rng, n, m):
@@ -154,7 +217,7 @@ def singular_loop_pair(grid, disp):
 
 
 def loop_pattern_to_csv(p):
-    """Per-row reference for farfield.pattern_to_csv."""
+    """Per-row reference for farfield._pattern_csv."""
     rows = (
         (
             fmt(math.degrees(theta)),

@@ -14,7 +14,7 @@ import yaml
 import remskit.cli as cli_mod
 import remskit.farfield as farfield_mod
 import remskit.scene as scene_mod
-from conftest import FREQ, loop_gain_rows, loop_pattern_to_csv, singular_loop_pair
+from conftest import FREQ, loop_gain_rows, loop_pattern_to_csv, response_text, singular_loop_pair
 from remskit._textio import fmt
 from remskit.channel import far_channel
 from remskit.cli import _gain_rows, main
@@ -23,7 +23,6 @@ from remskit.network import TouchstoneData, touchstone_to_text
 from remskit.radiating import (
     hertzian_dipole,
     random_reciprocal_structure,
-    response_to_text,
     synthesize_plane_wave_responses,
     wavenumber,
     write_response_file,
@@ -165,7 +164,7 @@ def test_gain_rows_match_per_row_reference(seed):
 )
 def test_shipped_outputs_match_per_row_formatting(tmp_path, monkeypatch, argv):
     assert main(argv + ["--out", str(tmp_path / "bulk")]) == 0
-    monkeypatch.setattr(farfield_mod, "pattern_to_csv", loop_pattern_to_csv)
+    monkeypatch.setattr(farfield_mod, "_pattern_csv", loop_pattern_to_csv)
     monkeypatch.setattr(cli_mod, "_gain_rows", loop_gain_rows)
     assert main(argv + ["--out", str(tmp_path / "loop")]) == 0
     names = sorted(os.listdir(tmp_path / "bulk"))
@@ -723,7 +722,7 @@ def test_undecodable_file_is_a_user_error(tmp_path, capsys, reader):
         bad = tmp_path / "bad.rsp"
         grid = make_latlon_grid(4, 4)
         s = random_reciprocal_structure(grid, 1, np.random.default_rng(3), FREQ)
-        bad.write_bytes(_undecodable(response_to_text(synthesize_plane_wave_responses(s))))
+        bad.write_bytes(_undecodable(response_text(synthesize_plane_wave_responses(s))))
         argv = ["extract", "--response", str(bad)]
     else:
         bad = tmp_path / "bad.s2p"
@@ -752,7 +751,7 @@ def _linear_sweep(start_m, stop_m):
         ("gain-pattern", ("gain_pattern",), _DROP, "scene has no gain_pattern block"),
         ("channel", ("structures", 1, "position_m"), [0, 0, 0], "pair structures are co-located"),
         ("channel", ("channel", "ports"), [0], "channel ports must be a list of 2 entries"),
-        ("channel", ("channel", "sweep", "start_m"), 0, "distance sweep needs start_m > 0"),
+        ("channel", ("channel", "sweep", "start_m"), 0, "log-spaced channel sweep start_m must be positive"),
         ("channel", ("channel", "sweep", "kind"), "spiral", "unknown sweep kind 'spiral'"),
         ("solve", ("solve", "v_tx"), ["1", "1"], "solve block v_tx needs 1 entries, got 2"),
         (

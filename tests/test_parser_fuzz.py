@@ -15,7 +15,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FREQ, loop_parse_response_text
+from conftest import FREQ, loop_parse_response_text, response_text
 from remskit import ModelError, NumericsError, _textio
 from remskit._textio import read_text
 from remskit.cli import main
@@ -25,7 +25,6 @@ from remskit.radiating import (
     parse_response_text,
     read_response_file,
     random_reciprocal_structure,
-    response_to_text,
     synthesize_plane_wave_responses,
 )
 from remskit.scene import Scene, _yaml_loader
@@ -42,7 +41,7 @@ WORDS = ("x", "abc", "nan", "inf", "-inf", "infe5", "-1", "0", "1.5", "theta", "
 def _response_text():
     grid = make_latlon_grid(4, 4)
     s = random_reciprocal_structure(grid, 2, np.random.default_rng(12), FREQ)
-    return response_to_text(synthesize_plane_wave_responses(s))
+    return response_text(synthesize_plane_wave_responses(s))
 
 
 def _touchstone_texts():
@@ -130,7 +129,7 @@ def _structure_text(n_theta, n_phi, m_ports, scatter):
     s = random_reciprocal_structure(
         make_latlon_grid(n_theta, n_phi), m_ports, np.random.default_rng(n_theta * n_phi + m_ports), FREQ
     )
-    return response_to_text(synthesize_plane_wave_responses(s, include_scatter=scatter))
+    return response_text(synthesize_plane_wave_responses(s, include_scatter=scatter))
 
 
 @st.composite

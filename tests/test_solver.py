@@ -19,7 +19,6 @@ from remskit import (
     isotropic_radiator,
     make_latlon_grid,
     matching_efficiency,
-    random_passive_structure,
     radiation_efficiency,
     rems_gain,
     solve_direct,
@@ -28,7 +27,7 @@ from remskit import (
 )
 from remskit.radiating import RadiatingStructure
 
-from conftest import FREQ, random_frontend, random_model, random_pattern, random_tuning
+from conftest import FREQ, random_frontend, random_model, random_passive_structure, random_pattern, random_tuning
 
 
 def _zero_kernel_structure(grid, m, coupling=None):
@@ -104,7 +103,7 @@ def test_gain_matrix_consistent_with_pattern():
     for idx in [0, 11, 29, 47]:
         d = grid.direction(idx)
         np.testing.assert_allclose(ops.vtx_gain_matrix(d) @ v, p.at(d), rtol=1e-12)
-    dense = ops.vtx_dense()
+    dense = np.einsum("mic,mt->ict", model.structure.tx_kernel, ops.core_tx)
     np.testing.assert_allclose(
         np.einsum("ict,t->ic", dense, v), p.values, rtol=1e-12
     )
@@ -309,22 +308,6 @@ def test_directivity_of_dipole():
     p = apply_transmit(s, [1.0])
     equator = Direction.from_degrees(90.0, 0.0)
     assert directivity(p, equator) == pytest.approx(1.5, abs=2e-3)
-
-
-def test_upsilon_drive_requires_enabled_noise_ports():
-    grid = make_latlon_grid(4, 4)
-    st = _zero_kernel_structure(grid, 2)
-    st.extrinsic_noise_enabled = False
-    model = ReMSModel(
-        structure=st,
-        tuning=through_tuning(2),
-        frontend=RFFrontend(z_tx=[50.0], z_rx=[50.0], r0=50.0),
-    )
-    with pytest.raises(ModelError):
-        solve_direct(model, v_upsilon=[1.0, 0.0])
-    # zero upsilon is fine even when disabled
-    res = solve_direct(model, v_tx=[1.0])
-    assert res.v_rx.shape == (1,)
 
 
 def test_solve_input_validation():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FREQ, loop_parse_response_text
+from conftest import FREQ, loop_parse_response_text, response_text
 from remskit import ModelError, _textio, radiating
 from remskit._textio import count_lines, read_text, split_lines
 from remskit.farfield import make_latlon_grid
@@ -24,7 +24,6 @@ from remskit.radiating import (
     parse_response_text,
     random_reciprocal_structure,
     read_response_file,
-    response_to_text,
     synthesize_plane_wave_responses,
     write_response_file,
 )
@@ -63,7 +62,7 @@ def test_chunked_text_splits_into_the_lines_of_the_whole(text, cuts):
 def test_streamed_read_holds_one_block_of_a_long_run(tmp_path):
     # 20,000 restated records in one run: a run is converted a block's worth at a time
     s = random_reciprocal_structure(make_latlon_grid(4, 8), 1, np.random.default_rng(4), FREQ)
-    lines = response_to_text(synthesize_plane_wave_responses(s)).splitlines()
+    lines = response_text(synthesize_plane_wave_responses(s)).splitlines()
     k = next(i for i, line in enumerate(lines) if line.startswith("s "))
     text = "\n".join(lines[:k] + lines[k : k + 32] * 625 + lines[k + 32 :]) + "\n"
     path = str(tmp_path / "r.rsp")
@@ -83,7 +82,7 @@ def test_streamed_read_holds_one_block_of_a_long_run(tmp_path):
 @pytest.fixture(scope="module")
 def response_bytes():
     s = random_reciprocal_structure(make_latlon_grid(2, 4), 1, np.random.default_rng(3), FREQ)
-    return response_to_text(synthesize_plane_wave_responses(s)).encode()
+    return response_text(synthesize_plane_wave_responses(s)).encode()
 
 
 @pytest.mark.parametrize(

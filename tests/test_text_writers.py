@@ -14,18 +14,17 @@ import numpy as np
 import pytest
 
 import remskit.cli as cli_mod
-from conftest import FREQ
+from conftest import FREQ, response_text
 from remskit._textio import atomic_write_text, fmt
 from remskit.cli import main
 from remskit.farfield import make_latlon_grid
 from remskit.radiating import (
     PlaneWaveResponseSet,
+    _kernels_chunks,
     extract_rx_kernel,
     extract_scatter_kernel,
-    kernels_to_text,
     parse_response_text,
     random_reciprocal_structure,
-    response_to_text,
     synthesize_plane_wave_responses,
     write_response_file,
 )
@@ -109,7 +108,7 @@ def test_response_writer_matches_per_value_reference(grid_shape, m_ports, scatte
         _with_edge_values(resp.port_waves, rng),
         None if resp.scattered is None else _with_edge_values(resp.scattered, rng),
     )
-    text = response_to_text(resp)
+    text = response_text(resp)
     assert text == _reference_response_text(resp)
     back = parse_response_text(text)
     for got, want in ((back.port_waves, resp.port_waves), (back.scattered, resp.scattered)):
@@ -129,7 +128,7 @@ def test_kernels_writer_matches_per_value_reference(grid_shape, m_ports, scatter
     rx = _with_edge_values(extract_rx_kernel(resp), rng)
     kernel = _with_edge_values(extract_scatter_kernel(resp), rng) if scatter else None
     want = _reference_kernels_text(FREQ, resp.grid, rx, kernel)
-    assert kernels_to_text(FREQ, resp.grid, rx, kernel) == want
+    assert "".join(_kernels_chunks(FREQ, resp.grid, rx, kernel)) == want
 
 
 @pytest.mark.parametrize("scatter", [False, True])
@@ -164,7 +163,7 @@ def test_file_writers_stream_below_a_quarter_of_the_file_size(tmp_path, monkeypa
     resp = _responses((6, 12), 2, 60, True)
     path = tmp_path / "r.rsp"
     peak = _traced_peak(write_response_file, resp, str(path))
-    assert path.read_text() == response_to_text(resp)
+    assert path.read_text() == response_text(resp)
     assert peak < path.stat().st_size / 4
 
     peaks = []

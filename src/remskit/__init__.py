@@ -73,7 +73,6 @@ from .solver import (
     radiation_efficiency,
     rems_gain,
     solve_direct,
-    transmit_operator,
     tuning_efficiency,
 )
 from .channel import cascade_unilateral, far_channel, propagation_matrix

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ModelError, NumericsError
 from .farfield import FOUR_PI, Direction
 from .network import _frobenius2, checked_inv
-from .solver import ReconfigurableBuilder, ReMSModel, gain_operators, transmit_operator
+from .solver import ReconfigurableBuilder, ReMSModel, gain_operators
 
 logger = logging.getLogger(__name__)
 
@@ -94,11 +94,6 @@ def h_co(model: ReMSModel, dirs, q_co=x_copol) -> np.ndarray:
     return _co_rows(dirs, gain_operators(model).vtx_gain_matrix(dirs), q_co)
 
 
-def _gain_matrices(model: ReMSModel, dirs) -> np.ndarray:
-    """(len(dirs), 2, n_tx) far-field components toward dirs per unit v_tx, from one lookup."""
-    return model.structure.tx_at(dirs) @ transmit_operator(model)
-
-
 def _co_rows(dirs, mats: np.ndarray, q_co) -> np.ndarray:
     """(..., len(dirs), n_tx) co-polarized rows of a (..., len(dirs), 2, n_tx) gain-matrix stack."""
     q = np.array([q_co(d) for d in dirs])
@@ -158,7 +153,7 @@ def _score_rows(problem: BeamformProblem, fe, mats: np.ndarray):
 
 def quasi_powers(model: ReMSModel, t: np.ndarray, problem: BeamformProblem) -> QuasiPowers:
     """Worst-case signal, interference, and leakage gains of precoder t."""
-    mats = _gain_matrices(model, _problem_dirs(problem))[None]
+    mats = gain_operators(model).vtx_gain_matrix(_problem_dirs(problem))[None]
     t = np.asarray(t, dtype=complex)[None]
     return _quasi_powers(model.frontend, mats, t, len(problem.primary_dirs))[0]
 
@@ -209,7 +204,7 @@ def evaluate_candidate(
     """
     if scored is None:
         model = model_builder(tuple(z_values))
-        mats = _gain_matrices(model, _problem_dirs(problem))
+        mats = gain_operators(model).vtx_gain_matrix(_problem_dirs(problem))
         h, t, qp = _score_rows(problem, model.frontend, mats[None])
         scored = h[0], t[0], qp[0]
     h, t, qp = scored
@@ -284,6 +279,12 @@ def coordinate_ascent(
     z_init_idx = problem.z_set.index(problem.z_init)
     z_idx = [z_init_idx] * problem.r
 
+    probe = model_builder(tuple(problem.z_set[i] for i in z_idx))
+    n_tx = probe.frontend.n_tx
+    u = len(problem.primary_dirs)
+    if u > n_tx:
+        raise ModelError(f"{u} streams need at least {u} transmit chains, got {n_tx}")
+
     if problem.r == 0:
         score = evaluate_candidate(problem, model_builder, (), problem.sigma_schedule[0])
         return BeamformResult(
@@ -294,12 +295,6 @@ def coordinate_ascent(
             f_trace=[score.f],
             evaluations=1,
         )
-
-    probe = model_builder(tuple(problem.z_set[i] for i in z_idx))
-    n_tx = probe.frontend.n_tx
-    u = len(problem.primary_dirs)
-    if u > n_tx:
-        raise ModelError(f"{u} streams need at least {u} transmit chains, got {n_tx}")
 
     rank1 = isinstance(model_builder, ReconfigurableBuilder)
     tx_dirs = probe.structure.tx_at(_problem_dirs(problem)) if rank1 else None

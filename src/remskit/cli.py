@@ -108,6 +108,24 @@ def cmd_extract(args) -> int:
 def cmd_solve(args) -> int:
     model_name, model, v_tx, v_gamma, i_gamma = Scene.load(args.scene).solve_task()
     res = solve_direct(model, v_tx=v_tx, v_gamma=v_gamma, i_gamma=i_gamma)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing drive reads inf or nan
+        powers = [
+            ("p_transmit_w", res.p_transmit),
+            ("p_radiating_w", res.p_radiating),
+            ("p_farfield_w", res.p_farfield),
+        ]
+        if v_tx is not None:
+            p_a = model.frontend.available_power(v_tx)
+            powers.insert(0, ("p_available_w", p_a))
+            if p_a > 0.0:
+                powers.append(("eta_matching", matching_efficiency(model, res, v_tx)))
+            if res.p_transmit != 0.0:
+                powers.append(("eta_tuning", tuning_efficiency(res)))
+            if res.p_radiating != 0.0:
+                powers.append(("eta_radiation", radiation_efficiency(res)))
+    for name, value in powers:  # refused before any file is written
+        if not math.isfinite(value):
+            raise ModelError(f"solve drive overflows the power ledger: {name} is {value}")
 
     out = _out_dir(args)
     wave_rows = []
@@ -125,21 +143,7 @@ def cmd_solve(args) -> int:
     _write_csv(os.path.join(out, "waves.csv"), "plane,index,re,im", wave_rows)
     write_pattern_csv(res.a_f, os.path.join(out, "farfield.csv"))
 
-    power_rows = [
-        ("p_transmit_w", fmt(res.p_transmit)),
-        ("p_radiating_w", fmt(res.p_radiating)),
-        ("p_farfield_w", fmt(res.p_farfield)),
-    ]
-    if v_tx is not None:
-        p_a = model.frontend.available_power(v_tx)
-        power_rows.insert(0, ("p_available_w", fmt(p_a)))
-        if p_a > 0.0:
-            power_rows.append(("eta_matching", fmt(matching_efficiency(model, res, v_tx))))
-        if res.p_transmit != 0.0:
-            power_rows.append(("eta_tuning", fmt(tuning_efficiency(res))))
-        if res.p_radiating != 0.0:
-            power_rows.append(("eta_radiation", fmt(radiation_efficiency(res))))
-    _write_csv(os.path.join(out, "powers.csv"), "name,value", power_rows)
+    _write_csv(os.path.join(out, "powers.csv"), "name,value", ((n, fmt(v)) for n, v in powers))
     print(
         f"solved model {model_name!r}: radiated {fmt(res.p_farfield)} W -> "
         f"{out}/waves.csv, farfield.csv, powers.csv"
@@ -179,8 +183,9 @@ def _gain_rows(ops, p_a: float, v, thetas_deg, phi_deg: float):
 def cmd_gain_pattern(args) -> int:
     model_name, model, v_tx, thetas, phi_deg = Scene.load(args.scene).gain_pattern_task()
     p_a = model.frontend.available_power(v_tx)
-    if p_a <= 0.0:
-        raise ModelError("gain_pattern drive has zero available power")
+    if not 0.0 < p_a < math.inf:
+        what = "zero" if p_a <= 0.0 else "infinite"
+        raise ModelError(f"gain_pattern drive has {what} available power")
     ops = gain_operators(model)
     path = os.path.join(_out_dir(args), "gain_pattern.csv")
     _write_csv(path, "theta_deg,gain_db", _gain_rows(ops, p_a, v_tx, thetas, phi_deg))

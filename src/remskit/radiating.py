@@ -418,13 +418,11 @@ def extract_scatter_kernel(resp: PlaneWaveResponseSet) -> np.ndarray:
     return pref * resp.scattered.transpose(2, 3, 0, 1)
 
 
-def synthesize_plane_wave_responses(
-    s: RadiatingStructure, include_scatter: bool = True
-) -> PlaneWaveResponseSet:
+def synthesize_plane_wave_responses(s: RadiatingStructure) -> PlaneWaveResponseSet:
     """Analytic oracle: the responses a full-wave solver would report."""
     port_waves = s.rx_kernel.transpose(1, 2, 0) / rx_extraction_factor(s.frequency)
-    reduced = s.scatter_kernel if include_scatter else None
-    if include_scatter and s.mirror != 1.0:  # the reduced kernel: remainder + (mirror - 1) P / w
+    reduced = s.scatter_kernel
+    if s.mirror != 1.0:  # the reduced kernel: remainder + (mirror - 1) P / w
         n = s.grid.size
         reduced = np.zeros((n, 2, n, 2), dtype=complex) if reduced is None else reduced.copy()
         delta = (s.mirror - 1.0) / s.grid.weights

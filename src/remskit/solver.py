@@ -220,18 +220,6 @@ def _receive_loops(model: ReMSModel):
     return (loop5, b_t), (loop67, b_r)
 
 
-def transmit_operator(model: ReMSModel) -> np.ndarray:
-    """(M, n_tx) transmit operator core_tx: v_tx -> a_R tilde.
-
-    The receive-side loops are checked too, after the transmit loops, so this
-    accepts exactly the models gain_operators accepts and raises the same
-    error.
-    """
-    core_tx = _transmit_loops(model)[2]
-    _receive_loops(model)
-    return core_tx
-
-
 def gain_operators(model: ReMSModel) -> GainOperators:
     """Resolve the interconnection feedback loops into closed-form operators."""
     fe, tn, st = model.frontend, model.tuning, model.structure
@@ -434,12 +422,11 @@ def rems_gain(model: ReMSModel, v_tx, d) -> float:
     matched chain; in general it folds matching, tuning, and radiation
     losses into one number.
     """
-    ops = gain_operators(model)
-    pat = ops.vtx_to_farfield(v_tx)
+    val = gain_operators(model).vtx_gain_matrix(d) @ np.asarray(v_tx, dtype=complex)
     p_a = model.frontend.available_power(v_tx)
     if p_a <= 0.0:
         raise ModelError("available power is zero; drive at least one chain")
-    return 4.0 * math.pi * intensity(pat, d) / p_a
+    return 4.0 * math.pi * float(np.vdot(val, val).real) / p_a
 
 
 def directivity(pattern: FarFieldPattern, d) -> float:

@@ -33,6 +33,7 @@ from remskit.radiating import (
     PlaneWaveResponseSet,
     _response_chunks,
     random_reciprocal_structure,
+    synthesize_plane_wave_responses,
 )
 
 FREQ = 5.4e9
@@ -96,6 +97,12 @@ def power_balance(s, a, b):
 def response_text(resp):
     """The response-file text of resp: the writer's chunks, joined."""
     return "".join(_response_chunks(resp))
+
+
+def port_wave_responses(s):
+    """The structure's plane-wave responses without scattered-field blocks."""
+    resp = synthesize_plane_wave_responses(s)
+    return PlaneWaveResponseSet(resp.frequency, resp.grid, resp.port_waves)
 
 
 def random_tuning(rng, n, m):

@@ -12,7 +12,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from conftest import FREQ, mirror_matrix, random_model, random_pattern
+from conftest import FREQ, mirror_matrix, port_wave_responses, random_model, random_pattern
 from remskit import (
     Direction,
     RFFrontend,
@@ -311,7 +311,7 @@ def test_criterion_6_extraction_round_trip(criterion_report, tmp_path):
         grid,
         FREQ,
     )
-    resp = synthesize_plane_wave_responses(s_rx, include_scatter=False)
+    resp = port_wave_responses(s_rx)
     write_response_file(resp, str(tmp_path / "rx.rsp"))
     resp_back = read_response_file(str(tmp_path / "rx.rsp"))
     rx_dev = _rel(extract_rx_kernel(resp_back), s_rx.rx_kernel)

@@ -18,7 +18,6 @@ from remskit.beamform import (
     QuasiPowers,
     _acceptance_key,
     _fisher_yates,
-    _gain_matrices,
     _quasi_powers,
     _rank1_rows,
     coordinate_ascent,
@@ -105,7 +104,7 @@ def test_stacked_quasi_powers_give_silent_columns_zero_gain():
     t = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
     t[1, :, 1] = 0.0
     t[2] = 0.0
-    mats = np.broadcast_to(_gain_matrices(model, dirs + second), (3, 3, 2, 2))
+    mats = np.broadcast_to(gain_operators(model).vtx_gain_matrix(dirs + second), (3, 3, 2, 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         live, half, dead = _quasi_powers(model.frontend, mats, t, len(dirs))
@@ -367,8 +366,11 @@ def test_more_streams_than_transmit_chains_raises():
         i_max=1,
         sigma_schedule=(1.0,),
     )
-    with pytest.raises(ModelError, match="transmit chains"):
+    with pytest.raises(ModelError, match="2 streams need at least 2 transmit chains, got 1"):
         coordinate_ascent(problem, builder)
+    # with no loads the count is checked too, before the one-candidate shortcut
+    with pytest.raises(ModelError, match="2 streams need at least 2 transmit chains, got 1"):
+        coordinate_ascent(replace(problem, r=0), lambda z_values: builder(problem.z_set[:1]))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,14 @@ import yaml
 import remskit.cli as cli_mod
 import remskit.farfield as farfield_mod
 import remskit.scene as scene_mod
-from conftest import FREQ, loop_gain_rows, loop_pattern_to_csv, response_text, singular_loop_pair
+from conftest import (
+    FREQ,
+    loop_gain_rows,
+    loop_pattern_to_csv,
+    port_wave_responses,
+    response_text,
+    singular_loop_pair,
+)
 from remskit._textio import fmt
 from remskit.channel import far_channel
 from remskit.cli import _gain_rows, main
@@ -210,7 +217,7 @@ def test_gain_pattern_slice(tmp_path):
 def test_extract_command_round_trips_kernels(tmp_path):
     grid = make_latlon_grid(6, 8)
     dip = hertzian_dipole([1.0, 0.0, 0.0], [0.0, 0.0, 0.0], grid, FREQ)
-    resp = synthesize_plane_wave_responses(dip, include_scatter=False)
+    resp = port_wave_responses(dip)
     rsp = tmp_path / "dip.rsp"
     write_response_file(resp, str(rsp))
     assert main(["extract", "--response", str(rsp), "--out", str(tmp_path)]) == 0
@@ -421,6 +428,18 @@ def test_non_finite_gain_pattern_drive_exits_one(tmp_path, capsys):
     code, err, out = _run_scene(tmp_path, "gain-pattern", scene, capsys)
     assert code == 1
     assert "not finite" in err
+    assert not out.exists() or os.listdir(out) == []
+
+
+@pytest.mark.parametrize("r", [0, 1])
+def test_more_streams_than_transmit_chains_is_a_user_error(tmp_path, capsys, r):
+    scene = _optimize_scene()
+    scene["structures"][0]["elements"] = scene["structures"][0]["elements"][: 1 + r]
+    scene["problem"]["r"] = r
+    scene["problem"]["primary_deg"] = [[45.0, 0.0], [100.0, 0.0]]
+    code, err, out = _run_scene(tmp_path, "optimize", scene, capsys)
+    assert code == 1
+    assert "2 streams need at least 2 transmit chains, got 1" in err
     assert not out.exists() or os.listdir(out) == []
 
 
@@ -767,6 +786,9 @@ def _linear_sweep(start_m, stop_m):
         ("channel", ("channel", "sweep"), _linear_sweep(-2, -1), "linear channel sweep start_m must be"),
         ("channel", ("channel", "sweep"), _linear_sweep(0, 5), "linear channel sweep start_m must be"),
         ("channel", ("channel", "sweep"), _linear_sweep(5, -1), "linear channel sweep stop_m must be"),
+        # a drive whose powers overflow; pyproject.toml makes any RuntimeWarning on the way an error
+        ("solve", ("solve", "v_tx"), ["1e200"], "solve drive overflows the power ledger: p_available_w is inf"),
+        ("gain-pattern", ("gain_pattern", "v_tx"), ["1e200"], "gain_pattern drive has infinite available power"),
     ],
 )
 def test_malformed_task_block_is_a_user_error(tmp_path, capsys, command, path, value, message):

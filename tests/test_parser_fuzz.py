@@ -15,7 +15,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FREQ, loop_parse_response_text, response_text
+from conftest import FREQ, loop_parse_response_text, port_wave_responses, response_text
 from remskit import ModelError, NumericsError, _textio
 from remskit._textio import read_text
 from remskit.cli import main
@@ -129,7 +129,7 @@ def _structure_text(n_theta, n_phi, m_ports, scatter):
     s = random_reciprocal_structure(
         make_latlon_grid(n_theta, n_phi), m_ports, np.random.default_rng(n_theta * n_phi + m_ports), FREQ
     )
-    return response_text(synthesize_plane_wave_responses(s, include_scatter=scatter))
+    return response_text(synthesize_plane_wave_responses(s) if scatter else port_wave_responses(s))
 
 
 @st.composite

@@ -61,6 +61,7 @@ from conftest import (
     loop_dipole_kernel,
     loop_stencil,
     mirror_matrix,
+    port_wave_responses,
     power_balance,
     random_passive_structure,
     random_pattern,
@@ -305,6 +306,7 @@ def test_the_test_kit_stays_out_of_the_package():
     assert not {"__add__", "__sub__"} & set(vars(FarFieldPattern))
     assert "extrinsic_noise_enabled" not in {f.name for f in dataclasses.fields(RadiatingStructure)}
     assert "kernel_scale" not in inspect.signature(random_reciprocal_structure).parameters
+    assert "include_scatter" not in inspect.signature(synthesize_plane_wave_responses).parameters
     assert not hasattr(GainOperators, "vtx_dense")
 
 
@@ -807,7 +809,7 @@ def test_response_file_io(tmp_path):
     g = make_latlon_grid(3, 4)
     rng = np.random.default_rng(18)
     s = random_reciprocal_structure(g, 2, rng, FREQ)
-    resp = synthesize_plane_wave_responses(s, include_scatter=False)
+    resp = port_wave_responses(s)
     path = tmp_path / "responses.txt"
     write_response_file(resp, str(path))
     back = read_response_file(str(path))

@@ -9,7 +9,7 @@ import pytest
 import yaml
 from scipy.spatial.transform import Rotation
 
-from conftest import FREQ
+from conftest import FREQ, port_wave_responses
 import remskit.scene as scene_mod
 from remskit import ModelError
 from remskit.farfield import make_latlon_grid
@@ -17,7 +17,6 @@ from remskit.network import TouchstoneData, through_tuning, write_touchstone
 from remskit.radiating import (
     dipole_array,
     hertzian_dipole,
-    synthesize_plane_wave_responses,
     synthetic_coupling,
     wavenumber,
     write_response_file,
@@ -278,7 +277,7 @@ def test_isotropic_structure_and_rotation_rejection():
 def test_from_files_structure_round_trip(tmp_path):
     grid = make_latlon_grid(8, 10)
     src = hertzian_dipole([1.0, 0.0, 0.0], [0.0, 0.0, 0.0], grid, FREQ)
-    resp = synthesize_plane_wave_responses(src, include_scatter=False)
+    resp = port_wave_responses(src)
     write_response_file(resp, str(tmp_path / "dip.rsp"))
 
     scene = Scene.from_dict(

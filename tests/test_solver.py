@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import remskit
 from remskit import (
     Direction,
     ModelError,
@@ -25,6 +28,7 @@ from remskit import (
     through_tuning,
     tuning_efficiency,
 )
+from remskit.farfield import intensity
 from remskit.radiating import RadiatingStructure
 
 from conftest import FREQ, random_frontend, random_model, random_passive_structure, random_pattern, random_tuning
@@ -263,6 +267,33 @@ def test_rems_gain_dipole_null_on_axis():
     broadside = Direction.from_degrees(90.0, 90.0)
     assert rems_gain(model, [1.0], on_axis) < 1e-6
     assert rems_gain(model, [1.0], broadside) > 1.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_tx=st.integers(1, 3),
+    n_rx=st.integers(0, 2),
+    m=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rems_gain_lookup_matches_the_whole_grid_pattern(n_tx, n_rx, m, seed):
+    # the old route: the whole-grid transmit pattern, then its intensity at d
+    rng = np.random.default_rng(seed)
+    grid = make_latlon_grid(int(rng.integers(3, 9)), 2 * int(rng.integers(2, 6)))
+    model = random_model(rng, grid, n_tx=n_tx, n_rx=n_rx, m=m)
+    ops = gain_operators(model)
+    v = rng.standard_normal(n_tx) + 1j * rng.standard_normal(n_tx)
+    p_a = model.frontend.available_power(v)
+    on_grid = [grid.direction(int(i)) for i in rng.integers(0, grid.size, 3)]
+    off_grid = [Direction(t, p) for t, p in zip(rng.uniform(0.0, math.pi, 3), rng.uniform(0.0, 2 * math.pi, 3))]
+    for d in on_grid + off_grid:
+        want = 4.0 * math.pi * intensity(ops.vtx_to_farfield(v), d) / p_a
+        assert rems_gain(model, v, d) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_one_transmit_operator():
+    assert not hasattr(remskit, "transmit_operator")
+    assert not hasattr(remskit.solver, "transmit_operator")
 
 
 def test_efficiency_chain_recomposes_gain():

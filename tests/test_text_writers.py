@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import remskit.cli as cli_mod
-from conftest import FREQ, response_text
+from conftest import FREQ, port_wave_responses, response_text
 from remskit._textio import atomic_write_text, fmt
 from remskit.cli import main
 from remskit.farfield import make_latlon_grid
@@ -94,7 +94,7 @@ def _with_edge_values(a, rng):
 def _responses(grid_shape, m_ports, seed, scatter):
     grid = make_latlon_grid(*grid_shape)
     s = random_reciprocal_structure(grid, m_ports, np.random.default_rng(seed), FREQ)
-    return synthesize_plane_wave_responses(s, include_scatter=scatter)
+    return synthesize_plane_wave_responses(s) if scatter else port_wave_responses(s)
 
 
 @pytest.mark.parametrize("scatter", [False, True])

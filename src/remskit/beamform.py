@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ModelError, NumericsError
 from .farfield import FOUR_PI, Direction
 from .network import _frobenius2, checked_inv
-from .solver import ReconfigurableBuilder, ReMSModel, gain_operators
+from .solver import ReconfigurableBuilder, ReMSModel, SweepBase, gain_operators
 
 logger = logging.getLogger(__name__)
 
@@ -211,22 +211,23 @@ def evaluate_candidate(
     return CandidateScore(_objective_value(qp, sigma), qp, h, t, _acceptance_key(qp, sigma))
 
 
-def _rank1_rows(problem: BeamformProblem, builder: ReconfigurableBuilder, z_values, coord, tx_dirs):
-    """Scored rows of load coord's candidates from one base model; None to score them one by one.
+def _rank1_rows(problem: BeamformProblem, base: SweepBase, coord, tx_dirs):
+    """Scored rows of load coord's candidates from the incumbent's base; None to score them one by one.
 
-    The (K, u + s, 2, n_tx) gain matrices: tx_dirs @ T0 plus (K,) scalars times one outer product.
-    They differ from a rebuild's by about eps b (eps = 2.2e-16, b the candidate's loop bound),
-    and the ZF Gram inverse amplifies that by up to ||G||_F ||G^-1||_F, so the precoders differ
-    by about eps ||G||_F ||G^-1||_F b: < 1e-12 for products <= RANK1_ZF_COND = 4.5e3 (measured
-    < 0.25 eps times products above 1e2 on generated models). None unless each candidate's is.
+    The (K, u + s, 2, n_tx) gain matrices: tx_dirs @ T0 plus (K,) scalars times one outer product,
+    the scalar 0 at the incumbent's own setting. They differ from a rebuild's by about eps b
+    (eps = 2.2e-16, b the candidate's loop bound), and the ZF Gram inverse amplifies that by up to
+    ||G||_F ||G^-1||_F, so the precoders differ by about eps ||G||_F ||G^-1||_F b: < 1e-12 for
+    products <= RANK1_ZF_COND = 4.5e3 (measured < 0.25 eps times products above 1e2 on generated
+    models). None unless each candidate's is.
     """
-    update = builder.load_sweep_transmit(z_values, coord, problem.z_set)
+    update = base.load_sweep_transmit(coord, problem.z_set)
     if update is None:
         return None
     t0, u, v, w, bound = update
     mats = tx_dirs @ t0 + w[:, None, None, None] * ((tx_dirs @ u)[..., None] * v)
     try:
-        h, t, qp = _score_rows(problem, builder.frontend, mats)
+        h, t, qp = _score_rows(problem, base.model.frontend, mats)
     except NumericsError:
         return None
     # t = h^H G^-1, so t^H t = G^-1; the bound is compared squared
@@ -268,18 +269,20 @@ def coordinate_ascent(
     Deterministic for a fixed rng_seed.
 
     A ReconfigurableBuilder gives a coordinate's K candidates as rank-1
-    updates of one base model (load_sweep_transmit), scored in one array pass:
-    one zf_precoder call over the K Gram matrices and one quasi-power
-    reduction; only the comparison of the K keys is sequential, and the
-    incumbent rescored under the sigma it was accepted at, equal up to
-    rounding, is not compared. If that pass declines the coordinate, it is
-    scored like any other callable's, one rebuild per candidate, so each
+    updates of the incumbent configuration (SweepBase.load_sweep_transmit),
+    scored in one array pass: one zf_precoder call over the K Gram matrices
+    and one quasi-power reduction; only the comparison of the K keys is
+    sequential, and the incumbent rescored under the sigma it was accepted
+    at, equal up to rounding, is not compared. One base serves until a
+    different load is accepted. If it or the pass declines a coordinate, it
+    is scored like any other callable's, one rebuild per candidate, so each
     failing candidate logs its own error. No case-study coordinate is declined.
     """
-    z_init_idx = problem.z_set.index(problem.z_init)
-    z_idx = [z_init_idx] * problem.r
-
-    probe = model_builder(tuple(problem.z_set[i] for i in z_idx))
+    z_idx = [problem.z_set.index(problem.z_init)] * problem.r
+    rank1 = isinstance(model_builder, ReconfigurableBuilder)
+    z_base = [problem.z_set[i] for i in z_idx]
+    base = model_builder.sweep_base(z_base) if rank1 else None  # the first base is the probe
+    probe = model_builder(tuple(z_base)) if base is None else base.model
     n_tx = probe.frontend.n_tx
     u = len(problem.primary_dirs)
     if u > n_tx:
@@ -287,16 +290,8 @@ def coordinate_ascent(
 
     if problem.r == 0:
         score = evaluate_candidate(problem, model_builder, (), problem.sigma_schedule[0])
-        return BeamformResult(
-            z_r=(),
-            z_indices=(),
-            t=score.t,
-            f_best=score.f,
-            f_trace=[score.f],
-            evaluations=1,
-        )
+        return BeamformResult((), (), score.t, score.f, [score.f], evaluations=1)
 
-    rank1 = isinstance(model_builder, ReconfigurableBuilder)
     tx_dirs = probe.structure.tx_at(_problem_dirs(problem)) if rank1 else None
     rng = np.random.default_rng(problem.rng_seed)
     t_best = np.zeros((n_tx, u), dtype=complex)
@@ -311,7 +306,9 @@ def coordinate_ascent(
         sigma = problem.sigma_schedule[sweep]
         for coord in _fisher_yates(rng, problem.r):
             z_cur = [problem.z_set[i] for i in z_idx]
-            rows = _rank1_rows(problem, model_builder, z_cur, coord, tx_dirs) if rank1 else None
+            if rank1 and z_cur != z_base:  # an accepted candidate changed a load
+                base, z_base = model_builder.sweep_base(z_cur), z_cur
+            rows = None if base is None else _rank1_rows(problem, base, coord, tx_dirs)
             for k, z_k in enumerate(problem.z_set):
                 try:
                     if rows is None:  # the reference path: rebuild and score this candidate alone
@@ -329,11 +326,5 @@ def coordinate_ascent(
                     z_idx[coord] = k
                     f_trace.append(f_best)
 
-    return BeamformResult(
-        z_r=tuple(problem.z_set[i] for i in z_idx),
-        z_indices=tuple(z_idx),
-        t=t_best,
-        f_best=f_best,
-        f_trace=f_trace,
-        evaluations=n_eval,
-    )
+    z_r = tuple(problem.z_set[i] for i in z_idx)
+    return BeamformResult(z_r, tuple(z_idx), t_best, f_best, f_trace, evaluations=n_eval)

@@ -20,6 +20,7 @@ from .farfield import FarFieldPattern, intensity, total_power, zero_pattern
 from .network import (
     RFFrontend,
     TuningNetwork,
+    _frobenius2,
     check_condition,
     checked_inv,
     reduce_terminated_ports,
@@ -53,18 +54,17 @@ class ReMSModel:
         return self.frontend.r0
 
 
-# Largest certified ||A||_F ||A^-1||_F of a candidate loop (see load_sweep_transmit).
+# Largest certified ||A||_F ||A^-1||_F of a candidate loop (see SweepBase.load_sweep_transmit).
 RANK1_COND = 4.5e2
 
 
-def _rank1_cond(loop, inv, w, p, q) -> np.ndarray:
-    """Upper bound on ||A_k||_F ||A_k^-1||_F for every A_k = loop - w[k] p q, given inv = loop^-1.
-
-    The triangle inequality on A_k and on its Sherman-Morrison inverse
-    inv + w_k (inv p)(q inv) / (1 - w_k q inv p); inf or nan where A_k may be singular.
+def _rank1_cond(inv, fa, fi, w, p, q) -> np.ndarray:
+    """Bound on ||A_k||_F ||A_k^-1||_F of every A_k = A - w[k] p q, given A^-1 and both norms: the
+    triangle inequality on A_k and on its Sherman-Morrison inverse A^-1 + w_k (A^-1 p)(q A^-1) /
+    (1 - w_k q A^-1 p); inf or nan where A_k may be singular.
     """
     ip, qi = inv @ p, q @ inv
-    fa, fp, fq, fi, fip, fqi = (math.sqrt(np.vdot(a, a).real) for a in (loop, p, q, inv, ip, qi))
+    fp, fq, fip, fqi = (math.sqrt(_frobenius2(a)) for a in (p, q, ip, qi))
     return (fa + abs(w) * fp * fq) * (fi + abs(w) * fip * fqi / abs(1.0 - w * (q @ ip)))
 
 
@@ -75,8 +75,8 @@ class ReconfigurableBuilder:
     fixed_s is the (N + M + r)-port fixed network, ports ordered [frontend |
     radiating | control]. Calling the builder with r load impedances (ohms,
     referenced to r0) terminates control port j in load j and returns that
-    configuration's ReMSModel. load_sweep_transmit gives every setting of one
-    load from one base model.
+    configuration's ReMSModel. sweep_base gives a configuration's SweepBase,
+    from which every setting of any one load follows by a rank-1 update.
     """
 
     structure: RadiatingStructure
@@ -94,58 +94,83 @@ class ReconfigurableBuilder:
         """(model, terminated-port loop inverse) with control port j terminated in gammas[j]."""
         n, m = self.frontend.n, self.structure.m_ports
         s, loop_inv = reduce_terminated_ports(self.fixed_s, n + m, gammas)
-        tuning = TuningNetwork(n, m, s)
-        return ReMSModel(structure=self.structure, tuning=tuning, frontend=self.frontend), loop_inv
+        return ReMSModel(self.structure, TuningNetwork(n, m, s), self.frontend), loop_inv
 
-    def load_sweep_transmit(self, z_values, coord: int, z_set):
-        """(T0, u, v, w, b): core_tx = T0 + w[k] u v with load coord of z_values set to z_set[k].
-
-        T0 is core_tx of the base, z_values with load coord matched; u the response at a_R tilde
-        to a unit wave into that control port, v the wave out of it per unit v_tx, and
-        w = gamma / (1 - rho gamma) with rho the reflection looking into it. b[k] is the largest
-        Sherman-Morrison bound of candidate k's five loops (I - S_BB G, I - L2, I - L1 - L3,
-        I - L5, I - L6 - L7). None unless the base passes every loop check and every
-        b[k] <= RANK1_COND. A fresh inverse and an update each err by about eps cond
-        (eps = 2.2e-16), so over five loops they differ by ~10 eps cond, < 1e-12 for
-        cond <= 4.5e2 (measured < 7e-14 for bounds < 1e3 on generated models).
-        """
-        fe, c = self.frontend, self.structure.coupling
-        n, nm = fe.n, fe.n + self.structure.m_ports
-        z_base = [*z_values[:coord], self.r0, *z_values[coord + 1 :]]
-        s, g0 = self.fixed_s, reflection_coefficient(z_base, self.r0)
+    def sweep_base(self, z_values) -> SweepBase | None:
+        """The SweepBase of load configuration z_values; None unless its five loops pass their checks."""
+        fe, g0 = self.frontend, reflection_coefficient(z_values, self.r0)
+        nm = fe.n + self.structure.m_ports
         try:
             model, inv1 = self._build(g0)
-            loop1 = np.eye(g0.size) - s[nm:, nm:] * g0  # the base's terminated-port loop
             (loop2, a_r), (loop3, a_t), t0 = _transmit_loops(model)
             (loop5, b_t), (loop67, b_r) = _receive_loops(model)
         except NumericsError:
             return None
-        # port c of the fixed network with the other loads in place: S(gamma) = S_0 + beta p q
+        loop1 = np.eye(g0.size) - self.fixed_s[nm:, nm:] * g0  # the terminated-port loop
+        pairs = (loop1, inv1), (loop2, a_r), (loop3, a_t), (loop5, b_t), (loop67, b_r)
+        loops = tuple((inv, math.sqrt(_frobenius2(a)), math.sqrt(_frobenius2(inv))) for a, inv in pairs)
+        c_ar, f_bt = self.structure.coupling @ a_r, fe.s_rf() @ b_t
+        return SweepBase(self.fixed_s, g0, model, loops, fe.s_rf(), c_ar, f_bt, fe.k_vtx(), t0)
+
+
+@dataclass(frozen=True, eq=False)
+class SweepBase:
+    """A load configuration (reflections gammas, core_tx t0) and what rank-1 changes of a load reuse.
+
+    loops holds (inverse, ||loop||_F, ||inverse||_F) of the five loops I - S_BB G, I - L2,
+    I - L1 - L3, I - L5 and I - L6 - L7; c_ar is C (I - L2)^-1 and f_bt is S_RF (I - L5)^-1.
+    """
+
+    fixed_s: np.ndarray
+    gammas: np.ndarray
+    model: ReMSModel
+    loops: tuple
+    s_rf: np.ndarray
+    c_ar: np.ndarray
+    f_bt: np.ndarray
+    k_vtx: np.ndarray
+    t0: np.ndarray
+
+    def load_sweep_transmit(self, coord: int, z_set):
+        """(T0, u, v, w, b): core_tx = T0 + w[k] u v with load coord set to z_set[k].
+
+        u is the response at a_R tilde to a unit wave into that control port, v the wave out of it
+        per unit v_tx, and w = delta / (1 - rho delta), delta = gamma - gammas[coord] the change of
+        its reflection and rho the reflection looking into it: w = 0 at the incumbent setting. b[k]
+        is the largest Sherman-Morrison bound of candidate k's five loops. None unless every
+        b[k] <= RANK1_COND. A fresh inverse and an update each err by about eps cond (eps = 2.2e-16),
+        so over five loops they differ by ~10 eps cond, < 1e-12 for cond <= 4.5e2 (measured < 7e-14
+        for bounds < 1e3 on generated models).
+        """
+        fe, tn, c = self.model.frontend, self.model.tuning, self.model.structure.coupling
+        n, nm = fe.n, fe.n + self.model.structure.m_ports
+        s, g0, s_rf, c_ar, f_bt = self.fixed_s, self.gammas, self.s_rf, self.c_ar, self.f_bt
+        loop1, loop2, loop3, loop5, loop67 = self.loops
+        inv1, a_r, a_t = loop1[0], loop2[0], loop3[0]
+        # port c of the fixed network with the other loads in place: S(delta) = S_0 + beta p q
         x = s[nm:, nm + coord]
         p = s[:nm, nm + coord] + (s[:nm, nm:] * g0) @ (inv1 @ x)
         q, rho1 = inv1[coord] @ s[nm:, :nm], inv1[coord] @ x
         p_t, p_r, q_t, q_r = p[:n], p[n:], q[:n], q[n:]
-        tn, s_rf = model.tuning, fe.s_rf()
-        c_ar, f_bt = c @ a_r, s_rf @ b_t
         # port c with the structure closed (I - L1 - L3) and with the frontend closed (I - L6 - L7)
         p3, q3 = s_rf @ (p_t + tn.s_tr @ (c_ar @ p_r)), q_t + (q_r @ c_ar) @ tn.s_rt
         p67, q67 = c @ (p_r + tn.s_rt @ (f_bt @ p_t)), q_r + (q_t @ f_bt) @ tn.s_tr
         rho3, rho67 = rho1 + q_r @ c_ar @ p_r, rho1 + q_t @ f_bt @ p_t
-        g = reflection_coefficient(z_set, self.r0)
+        d = reflection_coefficient(z_set, fe.r0) - g0[coord]
         with np.errstate(all="ignore"):  # a singular candidate loop reads inf or nan
-            beta = g / (1.0 - rho1 * g)
+            beta = d / (1.0 - rho1 * d)
             bounds = (
-                _rank1_cond(loop1, inv1, g, x, np.eye(g0.size)[coord]),
-                _rank1_cond(loop2, a_r, beta, p_r, q_r @ c),
-                _rank1_cond(loop3, a_t, g / (1.0 - rho3 * g), p3, q3),
-                _rank1_cond(loop5, b_t, beta, p_t, q_t @ s_rf),
-                _rank1_cond(loop67, b_r, g / (1.0 - rho67 * g), p67, q67),
+                _rank1_cond(*loop1, d, x, np.eye(g0.size)[coord]),
+                _rank1_cond(*loop2, beta, p_r, q_r @ c),
+                _rank1_cond(*loop3, d / (1.0 - rho3 * d), p3, q3),
+                _rank1_cond(*loop5, beta, p_t, q_t @ s_rf),
+                _rank1_cond(*loop67, d / (1.0 - rho67 * d), p67, q67),
             )
             bound = np.max(bounds, axis=0)
             if not np.all(bound <= RANK1_COND):
                 return None
-            u, v = a_r @ (p_r + tn.s_rt @ (a_t @ p3)), q3 @ a_t @ fe.k_vtx()
-            return t0, u, v, g / (1.0 - (rho3 + q3 @ a_t @ p3) * g), bound
+            u, v = a_r @ (p_r + tn.s_rt @ (a_t @ p3)), q3 @ a_t @ self.k_vtx
+            return self.t0, u, v, d / (1.0 - (rho3 + q3 @ a_t @ p3) * d), bound
 
 
 @dataclass
@@ -294,6 +319,17 @@ class SolveResult:
         return total_power(self.a_f) - total_power(self.b_in)
 
 
+def _source_vector(x, size: int, name: str) -> np.ndarray:
+    if x is None:
+        return np.zeros(size, dtype=complex)
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (size,):
+        raise ModelError(f"{name} shape {x.shape} != ({size},)")
+    if not np.all(np.isfinite(x)):
+        raise ModelError(f"{name} must be finite")
+    return x
+
+
 def solve_direct(
     model: ReMSModel,
     v_tx=None,
@@ -305,21 +341,10 @@ def solve_direct(
     """Solve the stacked block relations for all interface waves."""
     fe, tn, st = model.frontend, model.tuning, model.structure
     n, m = fe.n, st.m_ports
-
-    def vec(x, size, name):
-        if x is None:
-            return np.zeros(size, dtype=complex)
-        x = np.asarray(x, dtype=complex)
-        if x.shape != (size,):
-            raise ModelError(f"{name} shape {x.shape} != ({size},)")
-        if not np.all(np.isfinite(x)):
-            raise ModelError(f"{name} must be finite")
-        return x
-
-    v_tx = vec(v_tx, fe.n_tx, "v_tx")
-    v_gamma = vec(v_gamma, fe.n_rx, "v_gamma")
-    i_gamma = vec(i_gamma, fe.n_rx, "i_gamma")
-    v_upsilon = vec(v_upsilon, m, "v_upsilon")
+    v_tx = _source_vector(v_tx, fe.n_tx, "v_tx")
+    v_gamma = _source_vector(v_gamma, fe.n_rx, "v_gamma")
+    i_gamma = _source_vector(i_gamma, fe.n_rx, "i_gamma")
+    v_upsilon = _source_vector(v_upsilon, m, "v_upsilon")
     if b_in is None:
         b_in = zero_pattern(st.grid)
     elif not b_in.grid.compatible(st.grid):
@@ -420,13 +445,17 @@ def rems_gain(model: ReMSModel, v_tx, d) -> float:
 
     Collapses to the usual antenna gain when the model has one lossless
     matched chain; in general it folds matching, tuning, and radiation
-    losses into one number.
+    losses into one number. A drive whose power overflows raises NumericsError.
     """
-    val = gain_operators(model).vtx_gain_matrix(d) @ np.asarray(v_tx, dtype=complex)
+    v_tx = _source_vector(v_tx, model.frontend.n_tx, "v_tx")
+    val = gain_operators(model).vtx_gain_matrix(d) @ v_tx
     p_a = model.frontend.available_power(v_tx)
     if p_a <= 0.0:
         raise ModelError("available power is zero; drive at least one chain")
-    return 4.0 * math.pi * float(np.vdot(val, val).real) / p_a
+    gain = 4.0 * math.pi * float(np.vdot(val, val).real) / p_a
+    if not (math.isfinite(p_a) and math.isfinite(gain)):
+        raise NumericsError(f"gain of drive v_tx is {gain} at available power {p_a:.3e} W")
+    return gain
 
 
 def directivity(pattern: FarFieldPattern, d) -> float:

@@ -44,6 +44,7 @@ from remskit.radiating import RadiatingStructure, random_reciprocal_structure
 from remskit.solver import (
     ReconfigurableBuilder,
     ReMSModel,
+    SweepBase,
     gain_operators,
     rems_gain,
 )
@@ -402,7 +403,7 @@ def _rank1_scores(problem, builder, z_idx, coord, sigma):
     """Scores of load coord's candidates from the rank-1 pass, which must not decline."""
     dirs = tuple(problem.primary_dirs) + tuple(problem.secondary_dirs)
     z_values = [problem.z_set[i] for i in z_idx]
-    rows = _rank1_rows(problem, builder, z_values, coord, builder.structure.tx_at(dirs))
+    rows = _rank1_rows(problem, builder.sweep_base(z_values), coord, builder.structure.tx_at(dirs))
     assert rows is not None  # the coordinate takes the rank-1 path, not the fallback
     return [evaluate_candidate(problem, builder, None, sigma, row) for row in rows]
 
@@ -433,6 +434,23 @@ def test_stacked_scoring_matches_reference_on_case_study():
             _rank1_scores(problem, builder, z_idx, coord, sigma),
             _reference_scores(problem, builder, candidates, sigma),
         )
+
+
+def test_incumbent_rank1_row_is_the_rebuild_row_on_case_study():
+    # the incumbent's own setting has w = 0: its row is the base's, bit for bit
+    problem, builder = Scene.load(CASE_STUDY).beamform_problem()
+    rng = np.random.default_rng(11)
+    z_idx = [int(i) for i in rng.integers(0, len(problem.z_set), problem.r)]
+    assert len(set(z_idx)) > 1
+    z_values = [problem.z_set[i] for i in z_idx]
+    dirs = tuple(problem.primary_dirs) + tuple(problem.secondary_dirs)
+    base = builder.sweep_base(z_values)
+    ref = evaluate_candidate(problem, builder, z_values, problem.sigma_schedule[-1])
+    for coord in range(problem.r):
+        assert base.load_sweep_transmit(coord, problem.z_set)[3][z_idx[coord]] == 0.0
+        h, t, qp = _rank1_rows(problem, base, coord, builder.structure.tx_at(dirs))[z_idx[coord]]
+        assert np.array_equal(h, ref.h) and np.array_equal(t, ref.t)
+        assert astuple(qp) == astuple(ref.powers)
 
 
 def _near_limit_case(rng, n_rx, r, factor):
@@ -594,6 +612,28 @@ def test_rank1_scoring_matches_rebuilds_on_generated_models(n_rx, r, seed):
     assert np.max(np.abs(fast.t - slow.t)) <= 1e-12 * np.max(np.abs(slow.t))
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_rank1_ascent_matches_rebuilds_at_panel_size(monkeypatch, seed):
+    # 64 loads and 65 radiating ports, one sweep: the per-candidate path rebuilds 320 models
+    rng = np.random.default_rng(seed)
+    problem, builder, _, _ = _well_conditioned_case(rng, int(rng.integers(0, 3)), 64)
+    problem = replace(problem, i_max=1)
+    sweep, updates = SweepBase.load_sweep_transmit, []
+
+    def recorded_sweep(self, *args):
+        updates.append(sweep(self, *args))
+        return updates[-1]
+
+    monkeypatch.setattr(SweepBase, "load_sweep_transmit", recorded_sweep)
+    fast = coordinate_ascent(problem, builder)
+    assert len(updates) == problem.r and all(upd is not None for upd in updates)  # 0 fallbacks
+    slow = coordinate_ascent(problem, lambda z: builder(z))
+    assert fast.z_indices == slow.z_indices
+    assert fast.evaluations == slow.evaluations == problem.r * len(problem.z_set)
+    assert fast.f_trace == pytest.approx(slow.f_trace, rel=1e-12, abs=0.0)
+    assert np.max(np.abs(fast.t - slow.t)) <= 1e-12 * np.max(np.abs(slow.t))
+
+
 def test_rank1_scoring_certifies_the_zf_gram_on_two_chain_models():
     # two streams on two chains: Gram conditions reach ~7e6, where an uncertified
     # rank-1 precoder lies up to 2e-10 from the rebuild's
@@ -604,7 +644,7 @@ def test_rank1_scoring_certifies_the_zf_gram_on_two_chain_models():
         problem, builder, z_idx, coord = _well_conditioned_case(rng, n_rx, r, n_tx=2)
         dirs = tuple(problem.primary_dirs) + tuple(problem.secondary_dirs)
         z_values = [problem.z_set[i] for i in z_idx]
-        rows = _rank1_rows(problem, builder, z_values, coord, builder.structure.tx_at(dirs))
+        rows = _rank1_rows(problem, builder.sweep_base(z_values), coord, builder.structure.tx_at(dirs))
         if rows is None:  # the ascent scores this coordinate candidate by candidate
             declined += 1
             continue
@@ -616,27 +656,32 @@ def test_rank1_scoring_certifies_the_zf_gram_on_two_chain_models():
     assert declined <= 40  # the rank-1 pass still scores most coordinates
 
 
-def test_case_study_ascent_builds_one_base_model_per_coordinate(monkeypatch, caplog):
+def test_case_study_ascent_builds_one_base_model_per_incumbent(monkeypatch, caplog):
     problem, builder = Scene.load(CASE_STUDY).beamform_problem()
-    builds, updates = [], []
-    build, sweep = ReconfigurableBuilder._build, ReconfigurableBuilder.load_sweep_transmit
+    builds, seen, updates = [], [], []
+    build, sweep = ReconfigurableBuilder._build, SweepBase.load_sweep_transmit
 
-    def counted_build(self, gammas):  # every model build, through __call__ or the sweep
+    def counted_build(self, gammas):  # every model build, through __call__ or sweep_base
         builds.append(np.shape(gammas))
         return build(self, gammas)
 
-    def recorded_sweep(*args):
-        updates.append(sweep(*args))
+    def recorded_sweep(self, *args):  # the load reflections each coordinate's sweep starts from
+        seen.append(tuple(self.gammas))
+        updates.append(sweep(self, *args))
         return updates[-1]
 
     monkeypatch.setattr(ReconfigurableBuilder, "_build", counted_build)
-    monkeypatch.setattr(ReconfigurableBuilder, "load_sweep_transmit", recorded_sweep)
+    monkeypatch.setattr(SweepBase, "load_sweep_transmit", recorded_sweep)
     with caplog.at_level(logging.WARNING, logger="remskit.beamform"):
         result = coordinate_ascent(problem, builder)
     coords = problem.i_max * problem.r
     assert len(updates) == coords and all(upd is not None for upd in updates)  # 0 fallbacks
-    # the probe, then one base model per coordinate: no per-candidate rebuild
-    assert builds == [(problem.r,)] * (1 + coords)
+    assert seen[0] == tuple(reflection_coefficient([problem.z_init] * problem.r, builder.r0))
+    changes = sum(a != b for a, b in zip(seen, seen[1:]))
+    assert 0 < changes < coords
+    # the first base is the probe, and a new one follows each changed incumbent:
+    # no per-candidate rebuild and no rebuild of an unchanged incumbent
+    assert builds == [(problem.r,)] * (1 + changes)
     assert caplog.messages == []
     assert result.evaluations == coords * len(problem.z_set)
 
@@ -647,8 +692,9 @@ def test_singular_gram_declines_the_rank1_pass_and_logs_the_rebuild_skips(caplog
     problem = replace(problem, primary_dirs=(Direction(1.0, 0.5),) * 2)
     dirs = tuple(problem.primary_dirs) + tuple(problem.secondary_dirs)
     z_values = [problem.z_set[i] for i in z_idx]
-    assert builder.load_sweep_transmit(z_values, coord, problem.z_set) is not None
-    assert _rank1_rows(problem, builder, z_values, coord, builder.structure.tx_at(dirs)) is None
+    base = builder.sweep_base(z_values)
+    assert base.load_sweep_transmit(coord, problem.z_set) is not None
+    assert _rank1_rows(problem, base, coord, builder.structure.tx_at(dirs)) is None
 
     with caplog.at_level(logging.WARNING, logger="remskit.beamform"):
         caplog.clear()
@@ -663,22 +709,27 @@ def test_singular_gram_declines_the_rank1_pass_and_logs_the_rebuild_skips(caplog
 
 def test_failing_base_build_declines_the_rank1_pass(monkeypatch):
     problem, builder, _, _ = _well_conditioned_case(np.random.default_rng(7), 1, 3)
-    build, sweep = ReconfigurableBuilder._build, ReconfigurableBuilder.load_sweep_transmit
-    updates = []
+    build, sweep_base = ReconfigurableBuilder._build, ReconfigurableBuilder.sweep_base
+    in_base, bases = [], []
 
-    def failing_base(self, gammas):  # only a rank-1 base has a matched (gamma = 0) load
-        if np.any(np.asarray(gammas) == 0.0):
+    def failing_build(self, gammas):  # fails inside sweep_base, never in a per-candidate build
+        if in_base:
             raise NumericsError("synthetic base-model failure")
         return build(self, gammas)
 
-    def recorded_sweep(*args):
-        updates.append(sweep(*args))
-        return updates[-1]
+    def recorded_sweep_base(self, z_values):
+        in_base.append(True)
+        try:
+            bases.append(sweep_base(self, z_values))
+        finally:
+            in_base.clear()
+        return bases[-1]
 
-    monkeypatch.setattr(ReconfigurableBuilder, "_build", failing_base)
-    monkeypatch.setattr(ReconfigurableBuilder, "load_sweep_transmit", recorded_sweep)
+    monkeypatch.setattr(ReconfigurableBuilder, "_build", failing_build)
+    monkeypatch.setattr(ReconfigurableBuilder, "sweep_base", recorded_sweep_base)
     fast = coordinate_ascent(problem, builder)
-    assert len(updates) == problem.i_max * problem.r and all(upd is None for upd in updates)
+    # the first incumbent's base and each changed incumbent's fail, declining every coordinate
+    assert len(bases) > 1 and all(base is None for base in bases)
     slow = coordinate_ascent(problem, lambda z: builder(z))
     assert fast.z_indices == slow.z_indices
     assert fast.evaluations == slow.evaluations == problem.i_max * problem.r * len(problem.z_set)

@@ -1,6 +1,7 @@
 """Direct interconnection solve vs the closed-form gain operators."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -253,6 +254,20 @@ def test_rems_gain_isotropic_is_unity():
     assert abs(g - 1.0) < 1e-14
     with pytest.raises(ModelError):
         rems_gain(model, [0.0], grid.direction(0))
+
+
+def test_rems_gain_rejects_bad_drives():
+    scene = remskit.Scene.load(os.path.join(os.path.dirname(__file__), os.pardir, "scenes", "friis.yaml"))
+    model = scene.model("tx_model")
+    d = Direction.from_degrees(90.0, 90.0)
+    gain = rems_gain(model, [1.0], d)
+    assert rems_gain(model, np.array([1.0 + 0j]), d) == gain and 0.0 < gain < math.inf
+    for v_tx, match in (([math.nan], "must be finite"), ([math.inf], "must be finite"), ([1.0, 1.0], "shape")):
+        with pytest.raises(ModelError, match=match):
+            rems_gain(model, v_tx, d)
+    # a finite drive whose power overflows
+    with pytest.raises(NumericsError, match="gain of drive v_tx"):
+        rems_gain(model, [1e200], d)
 
 
 def test_rems_gain_dipole_null_on_axis():

@@ -15,7 +15,6 @@ from .farfield import (
     FarFieldPattern,
     antipodal_mirror,
     direction_from_vector,
-    impulse_pattern,
     inner_product,
     intensity,
     make_latlon_grid,
@@ -50,16 +49,12 @@ from .network import (
     TuningNetwork,
     feedthrough_reflector_fixed,
     inline_tuning,
-    is_passive,
-    is_reciprocal,
     parse_touchstone,
     read_touchstone,
     reduce_terminated_ports,
     reflection_coefficient,
     through_tuning,
     touchstone_to_text,
-    vi_from_waves,
-    waves_from_vi,
     write_touchstone,
 )
 from .solver import (

@@ -91,12 +91,16 @@ def geometric_schedule(initial: float = 20.0, ratio: float = 0.5, count: int = 1
 
 def h_co(model: ReMSModel, dirs, q_co=x_copol) -> np.ndarray:
     """(len(dirs), n_tx) co-polarized rows of the transmit gain operator."""
-    return _co_rows(dirs, gain_operators(model).vtx_gain_matrix(dirs), q_co)
+    return _co_rows(_projectors(dirs, q_co), gain_operators(model).vtx_gain_matrix(dirs))
 
 
-def _co_rows(dirs, mats: np.ndarray, q_co) -> np.ndarray:
-    """(..., len(dirs), n_tx) co-polarized rows of a (..., len(dirs), 2, n_tx) gain-matrix stack."""
-    q = np.array([q_co(d) for d in dirs])
+def _projectors(dirs, q_co) -> np.ndarray:
+    """(len(dirs), 2) co-polarization projector rows, one per direction."""
+    return np.array([q_co(d) for d in dirs])
+
+
+def _co_rows(q: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """(..., d, n_tx) co-polarized rows of a (..., d, 2, n_tx) gain-matrix stack through (d, 2) projectors."""
     return np.einsum("dp,...dpn->...dn", q, mats)
 
 
@@ -112,7 +116,7 @@ def zf_precoder(h: np.ndarray) -> np.ndarray:
     return h_adj @ checked_inv(h @ h_adj, "zero-forcing Gram matrix")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class QuasiPowers:
     p_signal: float
     p_interf: float
@@ -143,10 +147,13 @@ def _quasi_powers(fe, mats: np.ndarray, t: np.ndarray, u: int) -> list:
     return list(map(QuasiPowers, p_signal.tolist(), p_interf.tolist(), p_second.tolist()))
 
 
-def _score_rows(problem: BeamformProblem, fe, mats: np.ndarray):
-    """(h, t, QuasiPowers) stacks, one entry per configuration of a (K, u + s, 2, n_tx) stack."""
-    u = len(problem.primary_dirs)
-    h = _co_rows(problem.primary_dirs, mats[:, :u], problem.q_co)
+def _score_rows(fe, mats: np.ndarray, q: np.ndarray):
+    """(h, t, QuasiPowers) stacks, one entry per configuration of a (K, u + s, 2, n_tx) stack.
+
+    q holds the (u, 2) co-polarization projectors of the u primary directions.
+    """
+    u = q.shape[0]
+    h = _co_rows(q, mats[:, :u])
     t = zf_precoder(h)
     return h, t, _quasi_powers(fe, mats, t, u)
 
@@ -160,11 +167,7 @@ def quasi_powers(model: ReMSModel, t: np.ndarray, problem: BeamformProblem) -> Q
 
 def objective(model: ReMSModel, sigma: float, t: np.ndarray, problem: BeamformProblem) -> float:
     """p_signal / (p_interf + p_second + sigma)."""
-    return _objective_value(quasi_powers(model, t, problem), sigma)
-
-
-def _objective_value(qp: QuasiPowers, sigma: float) -> float:
-    unbounded, f, _ = _acceptance_key(qp, sigma)
+    unbounded, f, _ = _acceptance_key(quasi_powers(model, t, problem), sigma)
     return math.inf if unbounded else f
 
 
@@ -182,7 +185,7 @@ def _acceptance_key(qp: QuasiPowers, sigma: float):
     return (0, f, 0.0)
 
 
-@dataclass
+@dataclass(slots=True)
 class CandidateScore:
     f: float
     powers: QuasiPowers
@@ -205,21 +208,26 @@ def evaluate_candidate(
     if scored is None:
         model = model_builder(tuple(z_values))
         mats = gain_operators(model).vtx_gain_matrix(_problem_dirs(problem))
-        h, t, qp = _score_rows(problem, model.frontend, mats[None])
+        q = _projectors(problem.primary_dirs, problem.q_co)
+        h, t, qp = _score_rows(model.frontend, mats[None], q)
         scored = h[0], t[0], qp[0]
     h, t, qp = scored
-    return CandidateScore(_objective_value(qp, sigma), qp, h, t, _acceptance_key(qp, sigma))
+    key = _acceptance_key(qp, sigma)
+    return CandidateScore(math.inf if key[0] else key[1], qp, h, t, key)
 
 
-def _rank1_rows(problem: BeamformProblem, base: SweepBase, coord, tx_dirs):
+def _rank1_rows(problem: BeamformProblem, base: SweepBase, coord, tx_dirs, q):
     """Scored rows of load coord's candidates from the incumbent's base; None to score them one by one.
 
-    The (K, u + s, 2, n_tx) gain matrices: tx_dirs @ T0 plus (K,) scalars times one outer product,
-    the scalar 0 at the incumbent's own setting. They differ from a rebuild's by about eps b
-    (eps = 2.2e-16, b the candidate's loop bound), and the ZF Gram inverse amplifies that by up to
-    ||G||_F ||G^-1||_F, so the precoders differ by about eps ||G||_F ||G^-1||_F b: < 1e-12 for
-    products <= RANK1_ZF_COND = 4.5e3 (measured < 0.25 eps times products above 1e2 on generated
-    models). None unless each candidate's is.
+    tx_dirs holds the structure's (u + s, 2, M) transmit kernels at the problem's directions and q
+    the (u, 2) co-polarization projectors of its primary ones; the ascent forms both once. The
+    (K, u + s, 2, n_tx) gain matrices are tx_dirs @ T0 plus (K,) scalars times one outer product
+    (SweepBase.load_sweep_transmit), the scalar 0 at the incumbent's own setting. They differ from a
+    rebuild's by about eps b (eps = 2.2e-16, b the candidate's largest certified loop bound
+    ||A||_F ||A^-1||_F), and the ZF Gram inverse amplifies that by up to ||G||_F ||G^-1||_F, so
+    the precoders differ by about eps ||G||_F ||G^-1||_F b: < 1e-12 for products <=
+    RANK1_ZF_COND = 4.5e3 (measured < 0.25 eps times products above 1e2 on generated models).
+    None unless each candidate's is.
     """
     update = base.load_sweep_transmit(coord, problem.z_set)
     if update is None:
@@ -227,7 +235,7 @@ def _rank1_rows(problem: BeamformProblem, base: SweepBase, coord, tx_dirs):
     t0, u, v, w, bound = update
     mats = tx_dirs @ t0 + w[:, None, None, None] * ((tx_dirs @ u)[..., None] * v)
     try:
-        h, t, qp = _score_rows(problem, base.model.frontend, mats)
+        h, t, qp = _score_rows(base.model.frontend, mats, q)
     except NumericsError:
         return None
     # t = h^H G^-1, so t^H t = G^-1; the bound is compared squared
@@ -292,7 +300,9 @@ def coordinate_ascent(
         score = evaluate_candidate(problem, model_builder, (), problem.sigma_schedule[0])
         return BeamformResult((), (), score.t, score.f, [score.f], evaluations=1)
 
+    # what every coordinate's rank-1 pass reads: the transmit kernels and the co-polar projectors
     tx_dirs = probe.structure.tx_at(_problem_dirs(problem)) if rank1 else None
+    q = _projectors(problem.primary_dirs, problem.q_co)
     rng = np.random.default_rng(problem.rng_seed)
     t_best = np.zeros((n_tx, u), dtype=complex)
     t_best[:u, :u] = np.eye(u)
@@ -308,7 +318,7 @@ def coordinate_ascent(
             z_cur = [problem.z_set[i] for i in z_idx]
             if rank1 and z_cur != z_base:  # an accepted candidate changed a load
                 base, z_base = model_builder.sweep_base(z_cur), z_cur
-            rows = None if base is None else _rank1_rows(problem, base, coord, tx_dirs)
+            rows = None if base is None else _rank1_rows(problem, base, coord, tx_dirs, q)
             for k, z_k in enumerate(problem.z_set):
                 try:
                     if rows is None:  # the reference path: rebuild and score this candidate alone

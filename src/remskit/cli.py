@@ -198,6 +198,9 @@ def cmd_optimize(args) -> int:
     problem, model_builder = scene.beamform_problem(seed_override=args.seed)
     slices = scene.pattern_slices(problem)
     result = coordinate_ascent(problem, model_builder)
+    if result.evaluations == 0:  # the initial t is then no zero-forcing precoder
+        n = problem.i_max * problem.r * len(problem.z_set)
+        raise NumericsError(f"all {n} candidates were skipped: no load configuration was scored")
 
     buf = io.StringIO()
     buf.write("remskit-beamform-result v1\n")

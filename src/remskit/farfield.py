@@ -226,22 +226,6 @@ def zero_pattern(grid: DirectionGrid) -> FarFieldPattern:
     return FarFieldPattern(grid, np.zeros((grid.size, 2), dtype=complex))
 
 
-def impulse_pattern(grid: DirectionGrid, d: Direction, coeff) -> FarFieldPattern:
-    """Focused wave from grid direction d with 2-vector coefficient coeff.
-
-    Encoded as coeff / weight(d) at the sample, so the discrete pairing
-    reproduces the sifting property exactly. d must be a grid direction.
-    """
-    idx, w = grid.interp_stencil(d.theta, d.phi)
-    live = idx[w > 1e-12]
-    if live.size != 1:
-        raise ModelError("impulse direction must coincide with a grid sample")
-    idx = live[0]
-    p = zero_pattern(grid)
-    p.values[idx] = np.asarray(coeff, dtype=complex) / grid.weights[idx]
-    return p
-
-
 def inner_product(p: FarFieldPattern, q: FarFieldPattern) -> complex:
     """Discrete L2 inner product, linear in p and conjugate-linear in q."""
     if not p.grid.compatible(q.grid):

@@ -19,22 +19,6 @@ from ._textio import atomic_write_text, fmt, number, read_text
 
 COND_LIMIT = 1e12
 CERTIFIED_COND = 1e-3 * COND_LIMIT
-PASSIVITY_TOL = 1e-9
-
-
-def waves_from_vi(v, i, r0: float):
-    """Power waves (a, b) from port voltage and inbound current."""
-    v = np.asarray(v, dtype=complex)
-    i = np.asarray(i, dtype=complex)
-    s = 2.0 * math.sqrt(r0)
-    return (v + r0 * i) / s, (v - r0 * i) / s
-
-
-def vi_from_waves(a, b, r0: float):
-    """Port voltage and inbound current from power waves."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    return math.sqrt(r0) * (a + b), (a - b) / math.sqrt(r0)
 
 
 def reflection_coefficient(z, r0: float):
@@ -45,15 +29,6 @@ def reflection_coefficient(z, r0: float):
 
 def max_singular_value(s: np.ndarray) -> float:
     return float(np.linalg.svd(np.asarray(s, dtype=complex), compute_uv=False)[0])
-
-
-def is_passive(s: np.ndarray, tol: float = PASSIVITY_TOL) -> bool:
-    return max_singular_value(s) <= 1.0 + tol
-
-
-def is_reciprocal(s: np.ndarray, tol: float = 1e-9) -> bool:
-    s = np.asarray(s, dtype=complex)
-    return bool(np.max(np.abs(s - s.T)) <= tol)
 
 
 def condition_number(mat: np.ndarray) -> float:

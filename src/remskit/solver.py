@@ -58,16 +58,6 @@ class ReMSModel:
 RANK1_COND = 4.5e2
 
 
-def _rank1_cond(inv, fa, fi, w, p, q) -> np.ndarray:
-    """Bound on ||A_k||_F ||A_k^-1||_F of every A_k = A - w[k] p q, given A^-1 and both norms: the
-    triangle inequality on A_k and on its Sherman-Morrison inverse A^-1 + w_k (A^-1 p)(q A^-1) /
-    (1 - w_k q A^-1 p); inf or nan where A_k may be singular.
-    """
-    ip, qi = inv @ p, q @ inv
-    fp, fq, fip, fqi = (math.sqrt(_frobenius2(a)) for a in (p, q, ip, qi))
-    return (fa + abs(w) * fp * fq) * (fi + abs(w) * fip * fqi / abs(1.0 - w * (q @ ip)))
-
-
 @dataclass(frozen=True, eq=False)
 class ReconfigurableBuilder:
     """Models of one structure and frontend behind a fixed network with tunable loads.
@@ -98,79 +88,107 @@ class ReconfigurableBuilder:
 
     def sweep_base(self, z_values) -> SweepBase | None:
         """The SweepBase of load configuration z_values; None unless its five loops pass their checks."""
-        fe, g0 = self.frontend, reflection_coefficient(z_values, self.r0)
-        nm = fe.n + self.structure.m_ports
+        fe, s, g0 = self.frontend, self.fixed_s, reflection_coefficient(z_values, self.r0)
+        n, m = fe.n, self.structure.m_ports
+        s_rf = fe.s_rf()
         try:
             model, inv1 = self._build(g0)
-            (loop2, a_r), (loop3, a_t), t0 = _transmit_loops(model)
-            (loop5, b_t), (loop67, b_r) = _receive_loops(model)
+            (loop2, a_r), (loop3, a_t), t0 = _transmit_loops(model, s_rf)
+            (loop5, b_t), (loop67, b_r) = _receive_loops(model, s_rf)
         except NumericsError:
             return None
-        loop1 = np.eye(g0.size) - self.fixed_s[nm:, nm:] * g0  # the terminated-port loop
-        pairs = (loop1, inv1), (loop2, a_r), (loop3, a_t), (loop5, b_t), (loop67, b_r)
-        loops = tuple((inv, math.sqrt(_frobenius2(a)), math.sqrt(_frobenius2(inv))) for a, inv in pairs)
-        c_ar, f_bt = self.structure.coupling @ a_r, fe.s_rf() @ b_t
-        return SweepBase(self.fixed_s, g0, model, loops, fe.s_rf(), c_ar, f_bt, fe.k_vtx(), t0)
+        loop1 = np.eye(g0.size) - s[n + m :, n + m :] * g0  # the terminated-port loop
+        invs, loops = (inv1, a_r, a_t, b_t, b_r), (loop1, loop2, loop3, loop5, loop67)
+        f_norms = np.sqrt([[_frobenius2(a) for a in loops], [_frobenius2(a) for a in invs]])[..., None]
+        # load_sweep_transmit's 20 certificate vectors, each as its real and imaginary parts
+        sizes = np.array([g0.size, 1] + [m, m, n, n, n, n, m, m] + [g0.size] * 2 + [m, m, n, n, n, n, m, m])
+        g_rf = s_rf.diagonal()
+        return SweepBase(
+            s, g0, model, invs, f_norms, s[: n + m, n + m :] * g0, g_rf, self.structure.coupling @ a_r,
+            g_rf[:, None] * b_t, fe.k_vtx(), t0, np.repeat(np.arange(20), 2 * sizes),
+        )
+
+
+_ONE = np.ones(1, dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
 class SweepBase:
-    """A load configuration (reflections gammas, core_tx t0) and what rank-1 changes of a load reuse.
+    """A load configuration and what every rank-1 change of one of its loads reuses.
 
-    loops holds (inverse, ||loop||_F, ||inverse||_F) of the five loops I - S_BB G, I - L2,
-    I - L1 - L3, I - L5 and I - L6 - L7; c_ar is C (I - L2)^-1 and f_bt is S_RF (I - L5)^-1.
+    gammas are the load reflections and t0 the configuration's core_tx. invs are the checked
+    inverses of the five loops I - S_BB G, I - L2, I - L1 - L3, I - L5 and I - L6 - L7, and
+    f_norms the (2, 5, 1) Frobenius norms of the loops (row 0) and of their inverses (row 1).
+    sab_g is S_AB G, g_rf the frontend reflections (the diagonal of S_RF), c_ar is C (I - L2)^-1
+    and f_bt S_RF (I - L5)^-1. None of these depends on the load a sweep changes. segments
+    labels the real and imaginary parts of load_sweep_transmit's 20 certificate vectors with
+    their vector's index, for one reduction over all of them.
     """
 
     fixed_s: np.ndarray
     gammas: np.ndarray
     model: ReMSModel
-    loops: tuple
-    s_rf: np.ndarray
+    invs: tuple
+    f_norms: np.ndarray
+    sab_g: np.ndarray
+    g_rf: np.ndarray
     c_ar: np.ndarray
     f_bt: np.ndarray
     k_vtx: np.ndarray
     t0: np.ndarray
+    segments: np.ndarray
 
     def load_sweep_transmit(self, coord: int, z_set):
         """(T0, u, v, w, b): core_tx = T0 + w[k] u v with load coord set to z_set[k].
 
         u is the response at a_R tilde to a unit wave into that control port, v the wave out of it
         per unit v_tx, and w = delta / (1 - rho delta), delta = gamma - gammas[coord] the change of
-        its reflection and rho the reflection looking into it: w = 0 at the incumbent setting. b[k]
-        is the largest Sherman-Morrison bound of candidate k's five loops. None unless every
-        b[k] <= RANK1_COND. A fresh inverse and an update each err by about eps cond (eps = 2.2e-16),
-        so over five loops they differ by ~10 eps cond, < 1e-12 for cond <= 4.5e2 (measured < 7e-14
-        for bounds < 1e3 on generated models).
+        its reflection and rho the reflection looking into it: w = 0 at the incumbent setting.
+
+        Candidate k changes each of the five loops by rank 1, A_k = A - w_k p q with w_k =
+        delta_k / (1 - rho delta_k), rho the port's reflection before that loop closes. The triangle
+        inequality on A_k and on its Sherman-Morrison inverse A^-1 + w_k (A^-1 p)(q A^-1) /
+        (1 - w_k q A^-1 p) bounds ||A_k||_F ||A_k^-1||_F by (||A|| + ||p|| ||q|| |w_k|)
+        (||A^-1|| + ||A^-1 p|| ||q A^-1|| |delta_k| / |1 - (rho + q A^-1 p) delta_k|), where
+        rho + q A^-1 p is the reflection once the loop is closed: inf or nan where A_k may be
+        singular. The 20 vector norms come from one reduction and the (5, K) bounds from one
+        array expression; b[k] is candidate k's largest. None unless every b[k] <= RANK1_COND. A
+        fresh inverse and an update each err by about eps cond (eps = 2.2e-16), so over five
+        loops they differ by ~10 eps cond, < 1e-12 for cond <= 4.5e2 (measured < 7e-14 for
+        bounds < 1e3 on generated models).
         """
-        fe, tn, c = self.model.frontend, self.model.tuning, self.model.structure.coupling
-        n, nm = fe.n, fe.n + self.model.structure.m_ports
-        s, g0, s_rf, c_ar, f_bt = self.fixed_s, self.gammas, self.s_rf, self.c_ar, self.f_bt
-        loop1, loop2, loop3, loop5, loop67 = self.loops
-        inv1, a_r, a_t = loop1[0], loop2[0], loop3[0]
+        s_tr, s_rt, c = self.model.tuning.s_tr, self.model.tuning.s_rt, self.model.structure.coupling
+        n, nm = self.model.frontend.n, self.sab_g.shape[0]
+        s, g_rf, c_ar, f_bt = self.fixed_s, self.g_rf, self.c_ar, self.f_bt
+        inv1, a_r, a_t, b_t, b_r = self.invs
         # port c of the fixed network with the other loads in place: S(delta) = S_0 + beta p q
-        x = s[nm:, nm + coord]
-        p = s[:nm, nm + coord] + (s[:nm, nm:] * g0) @ (inv1 @ x)
-        q, rho1 = inv1[coord] @ s[nm:, :nm], inv1[coord] @ x
+        x, row1 = s[nm:, nm + coord], inv1[coord]
+        ix = inv1 @ x
+        p, q, rho1 = s[:nm, nm + coord] + self.sab_g @ ix, row1 @ s[nm:, :nm], row1 @ x
         p_t, p_r, q_t, q_r = p[:n], p[n:], q[:n], q[n:]
         # port c with the structure closed (I - L1 - L3) and with the frontend closed (I - L6 - L7)
-        p3, q3 = s_rf @ (p_t + tn.s_tr @ (c_ar @ p_r)), q_t + (q_r @ c_ar) @ tn.s_rt
-        p67, q67 = c @ (p_r + tn.s_rt @ (f_bt @ p_t)), q_r + (q_t @ f_bt) @ tn.s_tr
-        rho3, rho67 = rho1 + q_r @ c_ar @ p_r, rho1 + q_t @ f_bt @ p_t
-        d = reflection_coefficient(z_set, fe.r0) - g0[coord]
+        qc, qf = q_r @ c_ar, q_t @ f_bt
+        p3, q3 = g_rf * (p_t + s_tr @ (c_ar @ p_r)), q_t + qc @ s_rt
+        p67, q67 = c @ (p_r + s_rt @ (f_bt @ p_t)), q_r + qf @ s_tr
+        ip3, q3i, ip67, q67i = a_t @ p3, q3 @ a_t, b_r @ p67, q67 @ b_r
+        rho3, rho67 = rho1 + qc @ p_r, rho1 + qf @ p_t
+        rho_out = rho3 + q3i @ p3  # with every loop closed
+        # ||p|| ||q|| (row 0) and ||A^-1 p|| ||q A^-1|| (row 1) of each loop
+        vecs = np.concatenate((
+            x, _ONE, p_r, q_r @ c, p3, q3, p_t, q_t * g_rf, p67, q67,
+            ix, row1, a_r @ p_r, qc, ip3, q3i, b_t @ p_t, qf, ip67, q67i,
+        )).view(float)
+        d = reflection_coefficient(z_set, self.model.r0) - self.gammas[coord]
         with np.errstate(all="ignore"):  # a singular candidate loop reads inf or nan
-            beta = d / (1.0 - rho1 * d)
-            bounds = (
-                _rank1_cond(*loop1, d, x, np.eye(g0.size)[coord]),
-                _rank1_cond(*loop2, beta, p_r, q_r @ c),
-                _rank1_cond(*loop3, d / (1.0 - rho3 * d), p3, q3),
-                _rank1_cond(*loop5, beta, p_t, q_t @ s_rf),
-                _rank1_cond(*loop67, d / (1.0 - rho67 * d), p67, q67),
-            )
-            bound = np.max(bounds, axis=0)
+            pq = np.sqrt(np.bincount(self.segments, vecs * vecs, 20).reshape(10, 2).prod(axis=1))
+            # each loop's rho before (row 0) and after (row 1) it closes
+            rho_after = rho1, rho3, rho_out, rho67, rho67 + q67i @ p67
+            rhos = np.array([(0.0, rho1, rho3, rho1, rho67), rho_after])
+            terms = self.f_norms + pq.reshape(2, 5, 1) * (abs(d) / abs(1.0 - rhos[..., None] * d))
+            bound = (terms[0] * terms[1]).max(axis=0)
             if not np.all(bound <= RANK1_COND):
                 return None
-            u, v = a_r @ (p_r + tn.s_rt @ (a_t @ p3)), q3 @ a_t @ self.k_vtx
-            return self.t0, u, v, d / (1.0 - (rho3 + q3 @ a_t @ p3) * d), bound
+            return self.t0, a_r @ (p_r + s_rt @ ip3), q3i @ self.k_vtx, d / (1.0 - rho_out * d), bound
 
 
 @dataclass
@@ -223,10 +241,9 @@ class GainOperators:
         return self.g_vupsilon_vrx @ np.asarray(v_upsilon, dtype=complex)
 
 
-def _transmit_loops(model: ReMSModel):
+def _transmit_loops(model: ReMSModel, s_rf):
     """((I - L2, a_r), (I - L1 - L3, a_t), core_tx): two loops, their checked inverses, core_tx."""
     fe, tn, c = model.frontend, model.tuning, model.structure.coupling
-    s_rf = fe.s_rf()
     loop2 = np.eye(c.shape[0]) - tn.s_rr @ c
     a_r = checked_inv(loop2, "radiating-side loop (I - L2)")
     loop3 = np.eye(fe.n) - s_rf @ tn.s_tt - s_rf @ tn.s_tr @ c @ a_r @ tn.s_rt
@@ -234,10 +251,9 @@ def _transmit_loops(model: ReMSModel):
     return (loop2, a_r), (loop3, a_t), a_r @ tn.s_rt @ a_t @ fe.k_vtx()
 
 
-def _receive_loops(model: ReMSModel):
+def _receive_loops(model: ReMSModel, s_rf):
     """((I - L5, b_t), (I - L6 - L7, b_r)): two loops and their checked inverses."""
     fe, tn, c = model.frontend, model.tuning, model.structure.coupling
-    s_rf = fe.s_rf()
     loop5 = np.eye(fe.n) - tn.s_tt @ s_rf
     b_t = checked_inv(loop5, "frontend reflection loop (I - L5)")
     loop67 = np.eye(c.shape[0]) - c @ tn.s_rr - c @ tn.s_rt @ s_rf @ b_t @ tn.s_tr
@@ -252,8 +268,8 @@ def gain_operators(model: ReMSModel) -> GainOperators:
     s_rf = fe.s_rf()
     s_tt, s_tr, s_rt, s_rr = tn.s_tt, tn.s_tr, tn.s_rt, tn.s_rr
     c = st.coupling
-    (_, a_r), (_, a_t), core_tx = _transmit_loops(model)
-    (_, b_t), (_, b_r) = _receive_loops(model)
+    (_, a_r), (_, a_t), core_tx = _transmit_loops(model, s_rf)
+    (_, b_t), (_, b_r) = _receive_loops(model, s_rf)
 
     k_vtx, k_vgamma, k_igamma, k_vrx = fe.k_vtx(), fe.k_vgamma(), fe.k_igamma(), fe.k_vrx()
 

@@ -20,13 +20,14 @@ from remskit import (
     apply_scatter,
     apply_transmit,
     total_power,
+    zero_pattern,
 )
 from remskit._textio import csv_text, fmt, number
 from remskit.channel import propagation_matrix
 from remskit.cli import _db
-from remskit.errors import ModelError
+from remskit.errors import ModelError, NumericsError
 from remskit.farfield import FOUR_PI, PATTERN_CSV_HEADER, make_latlon_grid, spherical_basis
-from remskit.network import max_singular_value
+from remskit.network import checked_inv, max_singular_value, reflection_coefficient
 from remskit.radiating import (
     _POL_NAMES,
     _RESPONSE_MAGIC,
@@ -35,6 +36,7 @@ from remskit.radiating import (
     random_reciprocal_structure,
     synthesize_plane_wave_responses,
 )
+from remskit.solver import RANK1_COND
 
 FREQ = 5.4e9
 
@@ -92,6 +94,46 @@ def power_balance(s, a, b):
     p_in = float(np.vdot(a, a).real) + total_power(b)
     p_out = float(np.vdot(b_out, b_out).real) + total_power(a_out)
     return p_in, p_out
+
+
+def waves_from_vi(v, i, r0: float):
+    """Power waves (a, b) from port voltage and inbound current."""
+    v = np.asarray(v, dtype=complex)
+    i = np.asarray(i, dtype=complex)
+    s = 2.0 * math.sqrt(r0)
+    return (v + r0 * i) / s, (v - r0 * i) / s
+
+
+def vi_from_waves(a, b, r0: float):
+    """Port voltage and inbound current from power waves."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    return math.sqrt(r0) * (a + b), (a - b) / math.sqrt(r0)
+
+
+def is_passive(s, tol: float = 1e-9) -> bool:
+    return max_singular_value(s) <= 1.0 + tol
+
+
+def is_reciprocal(s, tol: float = 1e-9) -> bool:
+    s = np.asarray(s, dtype=complex)
+    return bool(np.max(np.abs(s - s.T)) <= tol)
+
+
+def impulse_pattern(grid, d, coeff):
+    """Focused wave from grid direction d with 2-vector coefficient coeff.
+
+    Encoded as coeff / weight(d) at the sample, so the discrete pairing
+    reproduces the sifting property exactly. d must be a grid direction.
+    """
+    idx, w = grid.interp_stencil(d.theta, d.phi)
+    live = idx[w > 1e-12]
+    if live.size != 1:
+        raise ModelError("impulse direction must coincide with a grid sample")
+    idx = live[0]
+    p = zero_pattern(grid)
+    p.values[idx] = np.asarray(coeff, dtype=complex) / grid.weights[idx]
+    return p
 
 
 def response_text(resp):
@@ -221,6 +263,66 @@ def singular_loop_pair(grid, disp):
     rx.scatter_kernel[:, 0, :, 0] = 1.0
     rx.scatter_kernel[:, 1, :, 1] = 1.0
     return tx, rx
+
+
+def loop_sweep_transmit(builder, z_values, coord, z_set):
+    """Per-loop reference for SweepBase.load_sweep_transmit: (T0, u, v, w, b), or None.
+
+    The base model is built afresh from builder.fixed_s, its five loops are
+    inverted one by one, and each loop's Sherman-Morrison bound
+    (||A|| + |w| ||p|| ||q||)(||A^-1|| + |w| ||A^-1 p|| ||q A^-1|| / |1 - w q A^-1 p|)
+    is formed by itself. None where a base loop fails its check or a bound
+    exceeds RANK1_COND.
+    """
+    fe, c = builder.frontend, builder.structure.coupling
+    n, nm, s = fe.n, fe.n + builder.structure.m_ports, builder.fixed_s
+    g0, s_rf, k_vtx = reflection_coefficient(z_values, fe.r0), fe.s_rf(), fe.k_vtx()
+    loop1 = np.eye(g0.size) - s[nm:, nm:] * g0
+    try:
+        tn = builder(z_values).tuning
+        inv1 = checked_inv(loop1, "terminated-port loop")
+        loop2 = np.eye(c.shape[0]) - tn.s_rr @ c
+        a_r = checked_inv(loop2, "I - L2")
+        loop3 = np.eye(n) - s_rf @ tn.s_tt - s_rf @ tn.s_tr @ c @ a_r @ tn.s_rt
+        a_t = checked_inv(loop3, "I - L1 - L3")
+        loop5 = np.eye(n) - tn.s_tt @ s_rf
+        b_t = checked_inv(loop5, "I - L5")
+        loop67 = np.eye(c.shape[0]) - c @ tn.s_rr - c @ tn.s_rt @ s_rf @ b_t @ tn.s_tr
+        b_r = checked_inv(loop67, "I - L6 - L7")
+    except NumericsError:
+        return None
+
+    def rank1_cond(a, inv, w, p, q):
+        ip, qi = inv @ p, q @ inv
+        fa, fi, fp, fq, fip, fqi = (np.linalg.norm(x) for x in (a, inv, p, q, ip, qi))
+        return (fa + abs(w) * fp * fq) * (fi + abs(w) * fip * fqi / abs(1.0 - w * (q @ ip)))
+
+    x = s[nm:, nm + coord]
+    p = s[:nm, nm + coord] + (s[:nm, nm:] * g0) @ (inv1 @ x)
+    q, rho1 = inv1[coord] @ s[nm:, :nm], inv1[coord] @ x
+    p_t, p_r, q_t, q_r = p[:n], p[n:], q[:n], q[n:]
+    c_ar, f_bt = c @ a_r, s_rf @ b_t
+    p3, q3 = s_rf @ (p_t + tn.s_tr @ (c_ar @ p_r)), q_t + (q_r @ c_ar) @ tn.s_rt
+    p67, q67 = c @ (p_r + tn.s_rt @ (f_bt @ p_t)), q_r + (q_t @ f_bt) @ tn.s_tr
+    rho3, rho67 = rho1 + q_r @ c_ar @ p_r, rho1 + q_t @ f_bt @ p_t
+    d = reflection_coefficient(z_set, fe.r0) - g0[coord]
+    with np.errstate(all="ignore"):
+        beta = d / (1.0 - rho1 * d)
+        bound = np.max(
+            [
+                rank1_cond(loop1, inv1, d, x, np.eye(g0.size)[coord]),
+                rank1_cond(loop2, a_r, beta, p_r, q_r @ c),
+                rank1_cond(loop3, a_t, d / (1.0 - rho3 * d), p3, q3),
+                rank1_cond(loop5, b_t, beta, p_t, q_t @ s_rf),
+                rank1_cond(loop67, b_r, d / (1.0 - rho67 * d), p67, q67),
+            ],
+            axis=0,
+        )
+        if not np.all(bound <= RANK1_COND):
+            return None
+        u, v = a_r @ (p_r + tn.s_rt @ (a_t @ p3)), q3 @ a_t @ k_vtx
+        t0 = a_r @ tn.s_rt @ a_t @ k_vtx
+        return t0, u, v, d / (1.0 - (rho3 + q3 @ a_t @ p3) * d), bound
 
 
 def loop_pattern_to_csv(p):

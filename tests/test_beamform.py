@@ -11,13 +11,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import FREQ, random_frontend, random_model
+from conftest import FREQ, loop_sweep_transmit, random_frontend, random_model
 from remskit import ModelError, NumericsError, Scene
 from remskit.beamform import (
     BeamformProblem,
     QuasiPowers,
     _acceptance_key,
     _fisher_yates,
+    _projectors,
     _quasi_powers,
     _rank1_rows,
     coordinate_ascent,
@@ -399,11 +400,16 @@ def _reference_scores(problem, builder, candidates, sigma):
     return out
 
 
+def _ascent_inputs(problem, builder):
+    """The transmit kernels and co-polar projectors that an ascent forms once for its rank-1 passes."""
+    dirs = tuple(problem.primary_dirs) + tuple(problem.secondary_dirs)
+    return builder.structure.tx_at(dirs), _projectors(problem.primary_dirs, problem.q_co)
+
+
 def _rank1_scores(problem, builder, z_idx, coord, sigma):
     """Scores of load coord's candidates from the rank-1 pass, which must not decline."""
-    dirs = tuple(problem.primary_dirs) + tuple(problem.secondary_dirs)
     z_values = [problem.z_set[i] for i in z_idx]
-    rows = _rank1_rows(problem, builder.sweep_base(z_values), coord, builder.structure.tx_at(dirs))
+    rows = _rank1_rows(problem, builder.sweep_base(z_values), coord, *_ascent_inputs(problem, builder))
     assert rows is not None  # the coordinate takes the rank-1 path, not the fallback
     return [evaluate_candidate(problem, builder, None, sigma, row) for row in rows]
 
@@ -443,12 +449,11 @@ def test_incumbent_rank1_row_is_the_rebuild_row_on_case_study():
     z_idx = [int(i) for i in rng.integers(0, len(problem.z_set), problem.r)]
     assert len(set(z_idx)) > 1
     z_values = [problem.z_set[i] for i in z_idx]
-    dirs = tuple(problem.primary_dirs) + tuple(problem.secondary_dirs)
     base = builder.sweep_base(z_values)
     ref = evaluate_candidate(problem, builder, z_values, problem.sigma_schedule[-1])
     for coord in range(problem.r):
         assert base.load_sweep_transmit(coord, problem.z_set)[3][z_idx[coord]] == 0.0
-        h, t, qp = _rank1_rows(problem, base, coord, builder.structure.tx_at(dirs))[z_idx[coord]]
+        h, t, qp = _rank1_rows(problem, base, coord, *_ascent_inputs(problem, builder))[z_idx[coord]]
         assert np.array_equal(h, ref.h) and np.array_equal(t, ref.t)
         assert astuple(qp) == astuple(ref.powers)
 
@@ -590,6 +595,39 @@ def _well_conditioned_case(rng, n_rx, r, n_tx=3):
     return problem, builder, z_idx, int(rng.integers(0, r))
 
 
+@settings(max_examples=30)
+@given(
+    near_limit=st.booleans(),
+    factor=st.sampled_from([0.2, 5.0]),
+    n_rx=st.integers(0, 2),
+    r=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_load_sweep_matches_the_per_loop_oracle_on_generated_models(near_limit, factor, n_rx, r, seed):
+    # the stored base and the stacked certificate against a fresh build and five separate bounds;
+    # the near-limit case's target configuration is itself a base, whose loops may fail their checks
+    rng = np.random.default_rng(seed)
+    if near_limit:
+        problem, builder, z_idx, coord, target, _ = _near_limit_case(rng, n_rx, r, factor)
+        other = list(z_idx)
+        other[coord] = target
+    else:
+        problem, builder, z_idx, _ = _well_conditioned_case(rng, n_rx, r)
+        other = [int(i) for i in rng.integers(0, len(problem.z_set), r)]
+    assert np.any(builder.fixed_s[-r:, -r:] != 0.0)  # S_BB != 0
+    for idx in (z_idx, other):
+        z_values = [problem.z_set[i] for i in idx]
+        base = builder.sweep_base(z_values)
+        for coord in range(r):
+            ref = loop_sweep_transmit(builder, z_values, coord, problem.z_set)
+            got = None if base is None else base.load_sweep_transmit(coord, problem.z_set)
+            assert (got is None) == (ref is None)
+            if got is None:
+                continue
+            for a, b, tol in zip(got, ref, (1e-13, 1e-13, 1e-13, 1e-13, 1e-12)):
+                assert np.max(np.abs(a - b)) <= tol * np.max(np.abs(b))
+
+
 @settings(max_examples=25)
 @given(n_rx=st.integers(0, 2), r=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 def test_rank1_scoring_matches_rebuilds_on_generated_models(n_rx, r, seed):
@@ -642,9 +680,8 @@ def test_rank1_scoring_certifies_the_zf_gram_on_two_chain_models():
         rng = np.random.default_rng(seed)
         n_rx, r = int(rng.integers(0, 3)), int(rng.integers(1, 5))
         problem, builder, z_idx, coord = _well_conditioned_case(rng, n_rx, r, n_tx=2)
-        dirs = tuple(problem.primary_dirs) + tuple(problem.secondary_dirs)
         z_values = [problem.z_set[i] for i in z_idx]
-        rows = _rank1_rows(problem, builder.sweep_base(z_values), coord, builder.structure.tx_at(dirs))
+        rows = _rank1_rows(problem, builder.sweep_base(z_values), coord, *_ascent_inputs(problem, builder))
         if rows is None:  # the ascent scores this coordinate candidate by candidate
             declined += 1
             continue
@@ -690,11 +727,10 @@ def test_singular_gram_declines_the_rank1_pass_and_logs_the_rebuild_skips(caplog
     # two identical streams: every candidate's Gram matrix is singular
     problem, builder, z_idx, coord = _well_conditioned_case(np.random.default_rng(5), 1, 2, n_tx=2)
     problem = replace(problem, primary_dirs=(Direction(1.0, 0.5),) * 2)
-    dirs = tuple(problem.primary_dirs) + tuple(problem.secondary_dirs)
     z_values = [problem.z_set[i] for i in z_idx]
     base = builder.sweep_base(z_values)
     assert base.load_sweep_transmit(coord, problem.z_set) is not None
-    assert _rank1_rows(problem, base, coord, builder.structure.tx_at(dirs)) is None
+    assert _rank1_rows(problem, base, coord, *_ascent_inputs(problem, builder)) is None
 
     with caplog.at_level(logging.WARNING, logger="remskit.beamform"):
         caplog.clear()

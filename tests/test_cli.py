@@ -314,6 +314,23 @@ def test_ill_conditioned_solve_exits_two(tmp_path, capsys):
     assert "numeric failure:" in capsys.readouterr().err
 
 
+def test_optimize_with_every_candidate_skipped_exits_two_and_writes_nothing(tmp_path, capsys):
+    # two streams toward one direction: every zero-forcing Gram matrix is singular
+    scene = _case_study_scene()
+    scene["grid"] = {"n_theta": 8, "n_phi": 16}
+    scene["problem"]["primary_deg"] = [[30.0, 0.0], [30.0, 0.0]]
+    scene["problem"]["z_set"]["reactance"]["count"] = 4
+    scene["problem"]["i_max"] = 1
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "result.txt").write_text("an earlier result\n")
+    code, err, _ = _run_scene(tmp_path, "optimize", scene, capsys)
+    assert code == 2
+    assert "numeric failure: all 64 candidates were skipped: no load configuration was scored" in err
+    assert os.listdir(out) == ["result.txt"]
+    assert (out / "result.txt").read_text() == "an earlier result\n"
+
+
 def _optimize_scene():
     return {
         "frequency_hz": FREQ,

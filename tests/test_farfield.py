@@ -10,7 +10,6 @@ from remskit import (
     FarFieldPattern,
     ModelError,
     antipodal_mirror,
-    impulse_pattern,
     inner_product,
     intensity,
     make_latlon_grid,
@@ -19,7 +18,7 @@ from remskit import (
 )
 from remskit.farfield import FOUR_PI, _pattern_csv, direction_from_vector, spherical_basis
 
-from conftest import loop_blend, loop_pattern_to_csv, loop_stencil, random_pattern
+from conftest import impulse_pattern, loop_blend, loop_pattern_to_csv, loop_stencil, random_pattern
 
 
 # ---------------------------------------------------------------------------

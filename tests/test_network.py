@@ -29,12 +29,10 @@ from remskit.network import (
     COND_LIMIT,
     check_condition,
     checked_inv,
-    is_passive,
-    is_reciprocal,
     max_singular_value,
-    vi_from_waves,
-    waves_from_vi,
 )
+
+from conftest import is_passive, is_reciprocal, vi_from_waves, waves_from_vi
 
 
 def test_wave_voltage_round_trip():

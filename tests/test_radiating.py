@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import remskit
 import remskit.farfield as farfield_mod
+import remskit.network as network_mod
 import remskit.radiating as radiating_mod
 from remskit import (
     Direction,
@@ -300,8 +301,8 @@ def test_apply_scatter_adds_weighted_kernel_action():
 def test_the_test_kit_stays_out_of_the_package():
     # generators, oracles and text joiners that only tests call live in conftest
     kit = {"apply_full", "power_balance", "random_passive_structure", "response_to_text", "kernels_to_text",
-           "pattern_to_csv"}
-    for module in (remskit, radiating_mod, farfield_mod):
+           "pattern_to_csv", "is_passive", "is_reciprocal", "waves_from_vi", "vi_from_waves", "impulse_pattern"}
+    for module in (remskit, radiating_mod, farfield_mod, network_mod):
         assert not kit & set(dir(module)), module.__name__
     assert not {"__add__", "__sub__"} & set(vars(FarFieldPattern))
     assert "extrinsic_noise_enabled" not in {f.name for f in dataclasses.fields(RadiatingStructure)}

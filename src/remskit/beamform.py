@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ModelError, NumericsError
 from .farfield import FOUR_PI, Direction
-from .network import _frobenius2, checked_inv
+from .network import _frobenius2, checked_inv, reflection_coefficient
 from .solver import ReconfigurableBuilder, ReMSModel, SweepBase, gain_operators
 
 logger = logging.getLogger(__name__)
@@ -216,11 +216,12 @@ def evaluate_candidate(
     return CandidateScore(math.inf if key[0] else key[1], qp, h, t, key)
 
 
-def _rank1_rows(problem: BeamformProblem, base: SweepBase, coord, tx_dirs, q):
+def _rank1_rows(base: SweepBase, coord, gamma_set, tx_dirs, q):
     """Scored rows of load coord's candidates from the incumbent's base; None to score them one by one.
 
-    tx_dirs holds the structure's (u + s, 2, M) transmit kernels at the problem's directions and q
-    the (u, 2) co-polarization projectors of its primary ones; the ascent forms both once. The
+    gamma_set holds the reflections of the problem's load impedances, tx_dirs the structure's
+    (u + s, 2, M) transmit kernels at its directions and q the (u, 2) co-polarization projectors
+    of its primary ones; the ascent forms all three once. The
     (K, u + s, 2, n_tx) gain matrices are tx_dirs @ T0 plus (K,) scalars times one outer product
     (SweepBase.load_sweep_transmit), the scalar 0 at the incumbent's own setting. They differ from a
     rebuild's by about eps b (eps = 2.2e-16, b the candidate's largest certified loop bound
@@ -229,7 +230,7 @@ def _rank1_rows(problem: BeamformProblem, base: SweepBase, coord, tx_dirs, q):
     RANK1_ZF_COND = 4.5e3 (measured < 0.25 eps times products above 1e2 on generated models).
     None unless each candidate's is.
     """
-    update = base.load_sweep_transmit(coord, problem.z_set)
+    update = base.load_sweep_transmit(coord, gamma_set)
     if update is None:
         return None
     t0, u, v, w, bound = update
@@ -300,7 +301,8 @@ def coordinate_ascent(
         score = evaluate_candidate(problem, model_builder, (), problem.sigma_schedule[0])
         return BeamformResult((), (), score.t, score.f, [score.f], evaluations=1)
 
-    # what every coordinate's rank-1 pass reads: the transmit kernels and the co-polar projectors
+    # what every coordinate's rank-1 pass reads: load reflections, transmit kernels, co-polar projectors
+    gamma_set = reflection_coefficient(problem.z_set, probe.r0)
     tx_dirs = probe.structure.tx_at(_problem_dirs(problem)) if rank1 else None
     q = _projectors(problem.primary_dirs, problem.q_co)
     rng = np.random.default_rng(problem.rng_seed)
@@ -318,7 +320,7 @@ def coordinate_ascent(
             z_cur = [problem.z_set[i] for i in z_idx]
             if rank1 and z_cur != z_base:  # an accepted candidate changed a load
                 base, z_base = model_builder.sweep_base(z_cur), z_cur
-            rows = None if base is None else _rank1_rows(problem, base, coord, tx_dirs, q)
+            rows = None if base is None else _rank1_rows(base, coord, gamma_set, tx_dirs, q)
             for k, z_k in enumerate(problem.z_set):
                 try:
                     if rows is None:  # the reference path: rebuild and score this candidate alone

@@ -182,11 +182,13 @@ def feedthrough_reflector_fixed(n: int, m: int, r: int) -> np.ndarray:
 
 @dataclass
 class RFFrontend:
-    """Source and load one-ports behind the tuning network.
+    """The N independent one-ports behind the tuning network, transmit chains first.
 
     z_tx[i]: output impedance of transmit chain i (Thevenin source v_tx[i]).
     z_rx[j]: input impedance of receive chain j, with series noise voltage
-    v_gamma[j] and shunt noise current i_gamma[j].
+    v_gamma[j] and shunt noise current i_gamma[j]. The one-ports are held as
+    vectors: S_RF = diag(g_rf), the waves they inject are k_tx v_tx and
+    k_rx (v_gamma + z_rx i_gamma), and v_rx = k_out (b_T - a_T)[n_tx:] + z_rx i_gamma.
     """
 
     z_tx: np.ndarray
@@ -196,6 +198,8 @@ class RFFrontend:
     def __post_init__(self):
         self.z_tx = np.atleast_1d(np.asarray(self.z_tx, dtype=complex))
         self.z_rx = np.atleast_1d(np.asarray(self.z_rx, dtype=complex))
+        if self.z_tx.ndim != 1 or self.z_rx.ndim != 1:
+            raise ModelError(f"frontend impedances must be 1-D, got {self.z_tx.ndim}-D and {self.z_rx.ndim}-D")
         if not (np.all(np.isfinite(self.z_tx)) and np.all(np.isfinite(self.z_rx))):
             raise ModelError("frontend impedances must be finite")
         if np.any(self.z_tx.real <= 0.0):
@@ -217,38 +221,25 @@ class RFFrontend:
     def n(self) -> int:
         return self.n_tx + self.n_rx
 
-    def s_rf(self) -> np.ndarray:
-        """Diagonal reflection block of all N frontend one-ports."""
-        g_tx = reflection_coefficient(self.z_tx, self.r0)
-        g_rx = reflection_coefficient(self.z_rx, self.r0)
-        return np.diag(np.concatenate([g_tx, g_rx]))
+    @property
+    def g_rf(self) -> np.ndarray:
+        """(N,) reflections of the one-ports: S_RF = diag(g_rf)."""
+        return reflection_coefficient(np.concatenate([self.z_tx, self.z_rx]), self.r0)
 
-    def k_vtx(self) -> np.ndarray:
-        """(N, n_tx) injection matrix for the transmit source voltages."""
-        k = np.zeros((self.n, self.n_tx), dtype=complex)
-        k[: self.n_tx, :] = np.diag(math.sqrt(self.r0) / (self.z_tx + self.r0))
-        return k
+    @property
+    def k_tx(self) -> np.ndarray:
+        """(n_tx,) wave injected per unit source voltage v_tx."""
+        return math.sqrt(self.r0) / (self.z_tx + self.r0)
 
-    def k_vgamma(self) -> np.ndarray:
-        """(N, n_rx) injection matrix for the series noise voltages."""
-        k = np.zeros((self.n, self.n_rx), dtype=complex)
-        k[self.n_tx :, :] = np.diag(math.sqrt(self.r0) / (self.z_rx + self.r0))
-        return k
+    @property
+    def k_rx(self) -> np.ndarray:
+        """(n_rx,) wave injected per unit noise voltage v_gamma; per unit i_gamma it is z_rx k_rx."""
+        return math.sqrt(self.r0) / (self.z_rx + self.r0)
 
-    def k_igamma(self) -> np.ndarray:
-        """(N, n_rx) injection matrix for the shunt noise currents."""
-        k = np.zeros((self.n, self.n_rx), dtype=complex)
-        k[self.n_tx :, :] = np.diag(math.sqrt(self.r0) * self.z_rx / (self.z_rx + self.r0))
-        return k
-
-    def k_vrx(self) -> np.ndarray:
-        """(n_rx, N) readout matrix: v_rx = k_vrx (b_T - a_T) + Z_rx i_gamma."""
-        k = np.zeros((self.n_rx, self.n), dtype=complex)
-        k[:, self.n_tx :] = np.diag(self.z_rx / math.sqrt(self.r0))
-        return k
-
-    def z_rx_diag(self) -> np.ndarray:
-        return np.diag(self.z_rx)
+    @property
+    def k_out(self) -> np.ndarray:
+        """(n_rx,) receive voltage per unit b_T - a_T at the receive chains."""
+        return self.z_rx / math.sqrt(self.r0)
 
     def available_power(self, v_tx) -> float:
         """P_A = v^H Re(Z_tx)^-1 v / 4 for Thevenin sources v behind Z_tx."""

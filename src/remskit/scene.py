@@ -440,11 +440,13 @@ class Scene:
 
     def model(self, name: str) -> ReMSModel:
         spec = self._spec("model", name)
-        return ReMSModel(
-            structure=self.structure(spec["structure"]),
-            tuning=self.tuning(spec["tuning"]),
-            frontend=self.frontend(spec["frontend"]),
-        )
+        frontend, tuning = self.frontend(spec["frontend"]), self._spec("tuning", spec["tuning"])
+        if tuning["kind"] == "through" and tuning["n"] != frontend.n:  # refused before it is allocated
+            raise ModelError(
+                f"tuning {spec['tuning']!r}: through n is {tuning['n']}, "
+                f"model {name!r} has {frontend.n} frontend ports"
+            )
+        return ReMSModel(self.structure(spec["structure"]), self.tuning(spec["tuning"]), frontend)
 
     # --------------------------------------------------------------- tasks
 

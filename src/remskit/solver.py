@@ -90,11 +90,10 @@ class ReconfigurableBuilder:
         """The SweepBase of load configuration z_values; None unless its five loops pass their checks."""
         fe, s, g0 = self.frontend, self.fixed_s, reflection_coefficient(z_values, self.r0)
         n, m = fe.n, self.structure.m_ports
-        s_rf = fe.s_rf()
         try:
             model, inv1 = self._build(g0)
-            (loop2, a_r), (loop3, a_t), t0 = _transmit_loops(model, s_rf)
-            (loop5, b_t), (loop67, b_r) = _receive_loops(model, s_rf)
+            (loop2, a_r), (loop3, a_t), t0 = _transmit_loops(model)
+            (loop5, b_t), (loop67, b_r) = _receive_loops(model)
         except NumericsError:
             return None
         loop1 = np.eye(g0.size) - s[n + m :, n + m :] * g0  # the terminated-port loop
@@ -102,10 +101,10 @@ class ReconfigurableBuilder:
         f_norms = np.sqrt([[_frobenius2(a) for a in loops], [_frobenius2(a) for a in invs]])[..., None]
         # load_sweep_transmit's 20 certificate vectors, each as its real and imaginary parts
         sizes = np.array([g0.size, 1] + [m, m, n, n, n, n, m, m] + [g0.size] * 2 + [m, m, n, n, n, n, m, m])
-        g_rf = s_rf.diagonal()
+        g_rf = fe.g_rf
         return SweepBase(
             s, g0, model, invs, f_norms, s[: n + m, n + m :] * g0, g_rf, self.structure.coupling @ a_r,
-            g_rf[:, None] * b_t, fe.k_vtx(), t0, np.repeat(np.arange(20), 2 * sizes),
+            g_rf[:, None] * b_t, fe.k_tx, t0, np.repeat(np.arange(20), 2 * sizes),
         )
 
 
@@ -119,8 +118,9 @@ class SweepBase:
     gammas are the load reflections and t0 the configuration's core_tx. invs are the checked
     inverses of the five loops I - S_BB G, I - L2, I - L1 - L3, I - L5 and I - L6 - L7, and
     f_norms the (2, 5, 1) Frobenius norms of the loops (row 0) and of their inverses (row 1).
-    sab_g is S_AB G, g_rf the frontend reflections (the diagonal of S_RF), c_ar is C (I - L2)^-1
-    and f_bt S_RF (I - L5)^-1. None of these depends on the load a sweep changes. segments
+    sab_g is S_AB G, g_rf and k_tx the frontend's reflections and source injections (vectors, as
+    RFFrontend holds them), c_ar is C (I - L2)^-1 and f_bt S_RF (I - L5)^-1, formed as g_rf
+    scaling the rows of (I - L5)^-1. None of these depends on the load a sweep changes. segments
     labels the real and imaginary parts of load_sweep_transmit's 20 certificate vectors with
     their vector's index, for one reduction over all of them.
     """
@@ -134,12 +134,12 @@ class SweepBase:
     g_rf: np.ndarray
     c_ar: np.ndarray
     f_bt: np.ndarray
-    k_vtx: np.ndarray
+    k_tx: np.ndarray
     t0: np.ndarray
     segments: np.ndarray
 
-    def load_sweep_transmit(self, coord: int, z_set):
-        """(T0, u, v, w, b): core_tx = T0 + w[k] u v with load coord set to z_set[k].
+    def load_sweep_transmit(self, coord: int, gamma_set):
+        """(T0, u, v, w, b): core_tx = T0 + w[k] u v with load coord set to the reflection gamma_set[k].
 
         u is the response at a_R tilde to a unit wave into that control port, v the wave out of it
         per unit v_tx, and w = delta / (1 - rho delta), delta = gamma - gammas[coord] the change of
@@ -178,7 +178,7 @@ class SweepBase:
             x, _ONE, p_r, q_r @ c, p3, q3, p_t, q_t * g_rf, p67, q67,
             ix, row1, a_r @ p_r, qc, ip3, q3i, b_t @ p_t, qf, ip67, q67i,
         )).view(float)
-        d = reflection_coefficient(z_set, self.model.r0) - self.gammas[coord]
+        d = gamma_set - self.gammas[coord]
         with np.errstate(all="ignore"):  # a singular candidate loop reads inf or nan
             pq = np.sqrt(np.bincount(self.segments, vecs * vecs, 20).reshape(10, 2).prod(axis=1))
             # each loop's rho before (row 0) and after (row 1) it closes
@@ -188,7 +188,8 @@ class SweepBase:
             bound = (terms[0] * terms[1]).max(axis=0)
             if not np.all(bound <= RANK1_COND):
                 return None
-            return self.t0, a_r @ (p_r + s_rt @ ip3), q3i @ self.k_vtx, d / (1.0 - rho_out * d), bound
+            v = q3i[: self.k_tx.size] * self.k_tx
+            return self.t0, a_r @ (p_r + s_rt @ ip3), v, d / (1.0 - rho_out * d), bound
 
 
 @dataclass
@@ -241,22 +242,30 @@ class GainOperators:
         return self.g_vupsilon_vrx @ np.asarray(v_upsilon, dtype=complex)
 
 
-def _transmit_loops(model: ReMSModel, s_rf):
-    """((I - L2, a_r), (I - L1 - L3, a_t), core_tx): two loops, their checked inverses, core_tx."""
+def _transmit_loops(model: ReMSModel):
+    """((I - L2, a_r), (I - L1 - L3, a_t), core_tx): two loops, their checked inverses, core_tx.
+
+    S_RF = diag(g_rf) scales rows, and k_tx the transmit columns of (I - L1 - L3)^-1.
+    """
     fe, tn, c = model.frontend, model.tuning, model.structure.coupling
+    g = fe.g_rf[:, None]
     loop2 = np.eye(c.shape[0]) - tn.s_rr @ c
     a_r = checked_inv(loop2, "radiating-side loop (I - L2)")
-    loop3 = np.eye(fe.n) - s_rf @ tn.s_tt - s_rf @ tn.s_tr @ c @ a_r @ tn.s_rt
+    loop3 = np.eye(fe.n) - g * tn.s_tt - (g * tn.s_tr) @ c @ a_r @ tn.s_rt
     a_t = checked_inv(loop3, "transmit loop (I - L1 - L3)")
-    return (loop2, a_r), (loop3, a_t), a_r @ tn.s_rt @ a_t @ fe.k_vtx()
+    return (loop2, a_r), (loop3, a_t), (a_r @ tn.s_rt @ a_t[:, : fe.n_tx]) * fe.k_tx
 
 
-def _receive_loops(model: ReMSModel, s_rf):
-    """((I - L5, b_t), (I - L6 - L7, b_r)): two loops and their checked inverses."""
+def _receive_loops(model: ReMSModel):
+    """((I - L5, b_t), (I - L6 - L7, b_r)): two loops and their checked inverses.
+
+    S_RF = diag(g_rf) scales the columns of the blocks it follows.
+    """
     fe, tn, c = model.frontend, model.tuning, model.structure.coupling
-    loop5 = np.eye(fe.n) - tn.s_tt @ s_rf
+    g = fe.g_rf
+    loop5 = np.eye(fe.n) - tn.s_tt * g
     b_t = checked_inv(loop5, "frontend reflection loop (I - L5)")
-    loop67 = np.eye(c.shape[0]) - c @ tn.s_rr - c @ tn.s_rt @ s_rf @ b_t @ tn.s_tr
+    loop67 = np.eye(c.shape[0]) - c @ tn.s_rr - (c @ tn.s_rt * g) @ b_t @ tn.s_tr
     b_r = checked_inv(loop67, "receive loop (I - L6 - L7)")
     return (loop5, b_t), (loop67, b_r)
 
@@ -264,34 +273,24 @@ def _receive_loops(model: ReMSModel, s_rf):
 def gain_operators(model: ReMSModel) -> GainOperators:
     """Resolve the interconnection feedback loops into closed-form operators."""
     fe, tn, st = model.frontend, model.tuning, model.structure
-    i_n, i_m = np.eye(fe.n), np.eye(st.m_ports)
-    s_rf = fe.s_rf()
     s_tt, s_tr, s_rt, s_rr = tn.s_tt, tn.s_tr, tn.s_rt, tn.s_rr
-    c = st.coupling
-    (_, a_r), (_, a_t), core_tx = _transmit_loops(model, s_rf)
-    (_, b_t), (_, b_r) = _receive_loops(model, s_rf)
+    c, g, rx = st.coupling, fe.g_rf, slice(fe.n_tx, None)
+    (_, a_r), (_, a_t), core_tx = _transmit_loops(model)
+    (_, b_t), (_, b_r) = _receive_loops(model)
 
-    k_vtx, k_vgamma, k_igamma, k_vrx = fe.k_vtx(), fe.k_vgamma(), fe.k_igamma(), fe.k_vrx()
+    # S_RF = diag(g) and the frontend injections and readout scale rows or columns
+    mid_rx = ((s_rt * g) @ b_t @ s_tr + s_rr) @ b_r
+    lead_rx = ((fe.k_out * (1.0 - g[rx]))[:, None] * b_t[rx]) @ s_tr @ b_r
 
-    mid_rx = (s_rt @ s_rf @ b_t @ s_tr + s_rr) @ b_r
-    lead_rx = k_vrx @ (i_n - s_rf) @ b_t @ s_tr @ b_r
-
-    f_mid = s_tr @ c @ a_r @ s_rt + s_tt - i_n  # v_rx reads b_T - a_T
-    to_vrx = k_vrx @ f_mid @ a_t
-    g_vtx_vrx = to_vrx @ k_vtx
-    g_vgamma_vrx = to_vrx @ k_vgamma
-    g_igamma_vrx = to_vrx @ k_igamma + fe.z_rx_diag()
-    g_vupsilon_vrx = lead_rx @ (c - i_m) / (2.0 * math.sqrt(fe.r0))
+    f_mid = s_tr @ c @ a_r @ s_rt + s_tt - np.eye(fe.n)  # v_rx reads b_T - a_T
+    to_vrx = (fe.k_out[:, None] * f_mid[rx]) @ a_t
+    g_vtx_vrx = to_vrx[:, : fe.n_tx] * fe.k_tx
+    g_vgamma_vrx = to_vrx[:, rx] * fe.k_rx
+    g_igamma_vrx = g_vgamma_vrx * fe.z_rx + np.diag(fe.z_rx)
+    g_vupsilon_vrx = lead_rx @ (c - np.eye(st.m_ports)) / (2.0 * math.sqrt(fe.r0))
 
     return GainOperators(
-        model=model,
-        core_tx=core_tx,
-        mid_rx=mid_rx,
-        lead_rx=lead_rx,
-        g_vtx_vrx=g_vtx_vrx,
-        g_vgamma_vrx=g_vgamma_vrx,
-        g_igamma_vrx=g_igamma_vrx,
-        g_vupsilon_vrx=g_vupsilon_vrx,
+        model, core_tx, mid_rx, lead_rx, g_vtx_vrx, g_vgamma_vrx, g_igamma_vrx, g_vupsilon_vrx
     )
 
 
@@ -404,8 +403,9 @@ def solve_direct(
     row += m
     # frontend one-ports
     a[row : row + n, sl_at] = np.eye(n)
-    a[row : row + n, sl_bt] = -fe.s_rf()
-    rhs[row : row + n] = fe.k_vtx() @ v_tx + fe.k_vgamma() @ v_gamma + fe.k_igamma() @ i_gamma
+    a[row : row + n, sl_bt] = -np.diag(fe.g_rf)
+    rhs[row : row + fe.n_tx] = fe.k_tx * v_tx
+    rhs[row + fe.n_tx : row + n] = fe.k_rx * (v_gamma + fe.z_rx * i_gamma)
     row += n
 
     check_condition(a, "direct interconnection system")
@@ -417,20 +417,10 @@ def solve_direct(
     a_t, b_t = x[sl_at], x[sl_bt]
     a_r, b_r = x[sl_ar], x[sl_br]
     a_rt, b_rt = x[sl_art], x[sl_brt]
-    v_rx = fe.k_vrx() @ (b_t - a_t) + fe.z_rx_diag() @ i_gamma
+    v_rx = fe.k_out * (b_t - a_t)[fe.n_tx :] + fe.z_rx * i_gamma
     a_f = apply_scatter(st, b_in)
     a_f.values += apply_transmit(st, a_rt).values
-    return SolveResult(
-        a_t=a_t,
-        b_t=b_t,
-        a_r=a_r,
-        b_r=b_r,
-        a_r_tilde=a_rt,
-        b_r_tilde=b_rt,
-        v_rx=v_rx,
-        a_f=a_f,
-        b_in=b_in,
-    )
+    return SolveResult(a_t, b_t, a_r, b_r, a_rt, b_rt, v_rx, a_f, b_in)
 
 
 # ---------------------------------------------------------------------------

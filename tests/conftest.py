@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+from collections import namedtuple
 from itertools import chain
 
 import numpy as np
@@ -161,6 +162,56 @@ def random_frontend(rng, n_tx, n_rx, r0=50.0):
     return RFFrontend(z_tx=zs(n_tx), z_rx=zs(n_rx), r0=r0)
 
 
+DenseFrontend = namedtuple("DenseFrontend", "s_rf k_vtx k_vgamma k_igamma k_vrx z_rx")
+
+
+def dense_frontend(fe):
+    """The frontend's one-ports as six dense blocks, built entry by entry: the oracle for its vectors.
+
+    s_rf is the (N, N) reflection block; k_vtx (N, n_tx), k_vgamma and k_igamma (N, n_rx) inject
+    the source voltages, noise voltages and noise currents; k_vrx (n_rx, N) reads
+    v_rx = k_vrx (b_T - a_T) + z_rx i_gamma, with z_rx the (n_rx, n_rx) receive impedances.
+    """
+    n, n_tx, n_rx, r0, sq = fe.n, fe.n_tx, fe.n_rx, fe.r0, math.sqrt(fe.r0)
+    s_rf = np.zeros((n, n), dtype=complex)
+    k_vtx = np.zeros((n, n_tx), dtype=complex)
+    k_vgamma, k_igamma = np.zeros((2, n, n_rx), dtype=complex)
+    k_vrx = np.zeros((n_rx, n), dtype=complex)
+    z_rx = np.zeros((n_rx, n_rx), dtype=complex)
+    for i, z in enumerate(fe.z_tx):
+        s_rf[i, i] = (z - r0) / (z + r0)
+        k_vtx[i, i] = sq / (z + r0)
+    for j, z in enumerate(fe.z_rx):
+        k = n_tx + j
+        s_rf[k, k] = (z - r0) / (z + r0)
+        k_vgamma[k, j] = sq / (z + r0)
+        k_igamma[k, j] = sq * z / (z + r0)
+        k_vrx[j, k] = z / sq
+        z_rx[j, j] = z
+    return DenseFrontend(s_rf, k_vtx, k_vgamma, k_igamma, k_vrx, z_rx)
+
+
+def dense_gain_operators(model):
+    """The seven matrices of gain_operators, from dense_frontend's blocks and plain inverses."""
+    tn, c, m = model.tuning, model.structure.coupling, model.structure.m_ports
+    d, i_n = dense_frontend(model.frontend), np.eye(model.frontend.n)
+    a_r = np.linalg.inv(np.eye(m) - tn.s_rr @ c)
+    a_t = np.linalg.inv(i_n - d.s_rf @ tn.s_tt - d.s_rf @ tn.s_tr @ c @ a_r @ tn.s_rt)
+    b_t = np.linalg.inv(i_n - tn.s_tt @ d.s_rf)
+    b_r = np.linalg.inv(np.eye(m) - c @ tn.s_rr - c @ tn.s_rt @ d.s_rf @ b_t @ tn.s_tr)
+    lead_rx = d.k_vrx @ (i_n - d.s_rf) @ b_t @ tn.s_tr @ b_r
+    to_vrx = d.k_vrx @ (tn.s_tr @ c @ a_r @ tn.s_rt + tn.s_tt - i_n) @ a_t
+    return {
+        "core_tx": a_r @ tn.s_rt @ a_t @ d.k_vtx,
+        "mid_rx": (tn.s_rt @ d.s_rf @ b_t @ tn.s_tr + tn.s_rr) @ b_r,
+        "lead_rx": lead_rx,
+        "g_vtx_vrx": to_vrx @ d.k_vtx,
+        "g_vgamma_vrx": to_vrx @ d.k_vgamma,
+        "g_igamma_vrx": to_vrx @ d.k_igamma + d.z_rx,
+        "g_vupsilon_vrx": lead_rx @ (c - np.eye(m)) / (2.0 * math.sqrt(model.frontend.r0)),
+    }
+
+
 def random_model(rng, grid, n_tx=2, n_rx=1, m=3, frequency=FREQ):
     return ReMSModel(
         structure=random_passive_structure(grid, m, rng, frequency),
@@ -276,7 +327,8 @@ def loop_sweep_transmit(builder, z_values, coord, z_set):
     """
     fe, c = builder.frontend, builder.structure.coupling
     n, nm, s = fe.n, fe.n + builder.structure.m_ports, builder.fixed_s
-    g0, s_rf, k_vtx = reflection_coefficient(z_values, fe.r0), fe.s_rf(), fe.k_vtx()
+    g0, dense = reflection_coefficient(z_values, fe.r0), dense_frontend(fe)
+    s_rf, k_vtx = dense.s_rf, dense.k_vtx
     loop1 = np.eye(g0.size) - s[nm:, nm:] * g0
     try:
         tn = builder(z_values).tuning

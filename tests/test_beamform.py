@@ -401,15 +401,17 @@ def _reference_scores(problem, builder, candidates, sigma):
 
 
 def _ascent_inputs(problem, builder):
-    """The transmit kernels and co-polar projectors that an ascent forms once for its rank-1 passes."""
+    """The load reflections, transmit kernels and co-polar projectors that an ascent forms once for
+    its rank-1 passes."""
     dirs = tuple(problem.primary_dirs) + tuple(problem.secondary_dirs)
-    return builder.structure.tx_at(dirs), _projectors(problem.primary_dirs, problem.q_co)
+    gamma_set = reflection_coefficient(problem.z_set, builder.r0)
+    return gamma_set, builder.structure.tx_at(dirs), _projectors(problem.primary_dirs, problem.q_co)
 
 
 def _rank1_scores(problem, builder, z_idx, coord, sigma):
     """Scores of load coord's candidates from the rank-1 pass, which must not decline."""
     z_values = [problem.z_set[i] for i in z_idx]
-    rows = _rank1_rows(problem, builder.sweep_base(z_values), coord, *_ascent_inputs(problem, builder))
+    rows = _rank1_rows(builder.sweep_base(z_values), coord, *_ascent_inputs(problem, builder))
     assert rows is not None  # the coordinate takes the rank-1 path, not the fallback
     return [evaluate_candidate(problem, builder, None, sigma, row) for row in rows]
 
@@ -451,9 +453,10 @@ def test_incumbent_rank1_row_is_the_rebuild_row_on_case_study():
     z_values = [problem.z_set[i] for i in z_idx]
     base = builder.sweep_base(z_values)
     ref = evaluate_candidate(problem, builder, z_values, problem.sigma_schedule[-1])
+    inputs = _ascent_inputs(problem, builder)
     for coord in range(problem.r):
-        assert base.load_sweep_transmit(coord, problem.z_set)[3][z_idx[coord]] == 0.0
-        h, t, qp = _rank1_rows(problem, base, coord, *_ascent_inputs(problem, builder))[z_idx[coord]]
+        assert base.load_sweep_transmit(coord, inputs[0])[3][z_idx[coord]] == 0.0
+        h, t, qp = _rank1_rows(base, coord, *inputs)[z_idx[coord]]
         assert np.array_equal(h, ref.h) and np.array_equal(t, ref.t)
         assert astuple(qp) == astuple(ref.powers)
 
@@ -615,12 +618,13 @@ def test_load_sweep_matches_the_per_loop_oracle_on_generated_models(near_limit, 
         problem, builder, z_idx, _ = _well_conditioned_case(rng, n_rx, r)
         other = [int(i) for i in rng.integers(0, len(problem.z_set), r)]
     assert np.any(builder.fixed_s[-r:, -r:] != 0.0)  # S_BB != 0
+    gamma_set = reflection_coefficient(problem.z_set, builder.r0)
     for idx in (z_idx, other):
         z_values = [problem.z_set[i] for i in idx]
         base = builder.sweep_base(z_values)
         for coord in range(r):
             ref = loop_sweep_transmit(builder, z_values, coord, problem.z_set)
-            got = None if base is None else base.load_sweep_transmit(coord, problem.z_set)
+            got = None if base is None else base.load_sweep_transmit(coord, gamma_set)
             assert (got is None) == (ref is None)
             if got is None:
                 continue
@@ -681,7 +685,7 @@ def test_rank1_scoring_certifies_the_zf_gram_on_two_chain_models():
         n_rx, r = int(rng.integers(0, 3)), int(rng.integers(1, 5))
         problem, builder, z_idx, coord = _well_conditioned_case(rng, n_rx, r, n_tx=2)
         z_values = [problem.z_set[i] for i in z_idx]
-        rows = _rank1_rows(problem, builder.sweep_base(z_values), coord, *_ascent_inputs(problem, builder))
+        rows = _rank1_rows(builder.sweep_base(z_values), coord, *_ascent_inputs(problem, builder))
         if rows is None:  # the ascent scores this coordinate candidate by candidate
             declined += 1
             continue
@@ -729,8 +733,8 @@ def test_singular_gram_declines_the_rank1_pass_and_logs_the_rebuild_skips(caplog
     problem = replace(problem, primary_dirs=(Direction(1.0, 0.5),) * 2)
     z_values = [problem.z_set[i] for i in z_idx]
     base = builder.sweep_base(z_values)
-    assert base.load_sweep_transmit(coord, problem.z_set) is not None
-    assert _rank1_rows(problem, base, coord, *_ascent_inputs(problem, builder)) is None
+    assert base.load_sweep_transmit(coord, reflection_coefficient(problem.z_set, builder.r0)) is not None
+    assert _rank1_rows(base, coord, *_ascent_inputs(problem, builder)) is None
 
     with caplog.at_level(logging.WARNING, logger="remskit.beamform"):
         caplog.clear()

@@ -460,6 +460,21 @@ def test_more_streams_than_transmit_chains_is_a_user_error(tmp_path, capsys, r):
     assert not out.exists() or os.listdir(out) == []
 
 
+def test_oversized_through_tuning_exits_one_before_it_is_built(tmp_path, capsys, monkeypatch):
+    # a through block's n must match its model's frontend; a million ports would need 58 TiB
+    def refuse(n):
+        raise AssertionError(f"through_tuning({n}) was called")
+
+    monkeypatch.setattr(scene_mod, "through_tuning", refuse)
+    scene = _friis_scene()
+    scene["tunings"][0]["n"] = 1_000_000
+    code, err, out = _run_scene(tmp_path, "solve", scene, capsys)
+    assert code == 1
+    assert "error: tuning 'thru': through n is 1000000, model 'tx_model' has 1 frontend ports" in err
+    assert "Traceback" not in err
+    assert not out.exists() or os.listdir(out) == []
+
+
 def _set(scene, path, value):
     node = scene
     for key in path[:-1]:

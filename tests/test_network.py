@@ -233,17 +233,13 @@ def test_frontend_blocks_by_hand():
     fe = RFFrontend(z_tx=[z_t], z_rx=[z_r], r0=50.0)
     assert fe.n_tx == 1 and fe.n_rx == 1 and fe.n == 2
     np.testing.assert_allclose(
-        np.diag(fe.s_rf()),
-        [(z_t - 50.0) / (z_t + 50.0), (z_r - 50.0) / (z_r + 50.0)],
-        rtol=1e-15,
+        fe.g_rf, [(z_t - 50.0) / (z_t + 50.0), (z_r - 50.0) / (z_r + 50.0)], rtol=1e-15
     )
     sq = math.sqrt(50.0)
-    np.testing.assert_allclose(fe.k_vtx(), [[sq / (z_t + 50.0)], [0.0]], rtol=1e-15)
-    np.testing.assert_allclose(fe.k_vgamma(), [[0.0], [sq / (z_r + 50.0)]], rtol=1e-15)
-    np.testing.assert_allclose(
-        fe.k_igamma(), [[0.0], [sq * z_r / (z_r + 50.0)]], rtol=1e-15
-    )
-    np.testing.assert_allclose(fe.k_vrx(), [[0.0, z_r / sq]], rtol=1e-15)
+    np.testing.assert_allclose(fe.k_tx, [sq / (z_t + 50.0)], rtol=1e-15)
+    np.testing.assert_allclose(fe.k_rx, [sq / (z_r + 50.0)], rtol=1e-15)
+    np.testing.assert_allclose(fe.z_rx * fe.k_rx, [sq * z_r / (z_r + 50.0)], rtol=1e-15)
+    np.testing.assert_allclose(fe.k_out, [z_r / sq], rtol=1e-15)
     # available power of a 2 V source behind 30+40j ohms
     assert fe.available_power([2.0]) == pytest.approx(4.0 / 120.0, rel=1e-14)
     np.testing.assert_allclose(
@@ -263,12 +259,16 @@ def test_frontend_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ModelError, match="finite"):
             RFFrontend(z_tx=[50.0], z_rx=[], r0=bad)
+    # one impedance per chain: a nested list is no frontend
+    for z_tx, z_rx in (([[50.0, 60.0]], []), ([50.0], [[50.0], [60.0]])):
+        with pytest.raises(ModelError, match="1-D"):
+            RFFrontend(z_tx=z_tx, z_rx=z_rx, r0=50.0)
     # purely reactive receive loads are allowed
     fe = RFFrontend(z_tx=[50.0], z_rx=[5.0j], r0=50.0)
     assert fe.n_rx == 1
     # and no receive chains at all is a valid transmit-only frontend
     fe = RFFrontend(z_tx=[50.0, 50.0], z_rx=np.zeros(0), r0=50.0)
-    assert fe.n_rx == 0 and fe.k_vrx().shape == (0, 2)
+    assert fe.n_rx == 0 and fe.k_out.shape == (0,) and fe.g_rf.shape == (2,)
 
 
 

@@ -1,13 +1,17 @@
-"""Every name a package module imports is used in that module, and every private function is read.
+"""Every name a package module imports is used in that module, and every private function and
+public method is read.
 
 No linter ships with the project, so this reads each module's syntax tree
 with ast: a name bound by an import statement must be read somewhere else
-in the module, and a module-level _private function must be read by some
-package module outside its own body.
+in the module, a module-level _private function must be read by some
+package module outside its own body, and a public method or property of a
+package class must be read outside its own body by some module of src/,
+tests/ or perfbench/.
 """
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -44,30 +48,57 @@ def test_package_module_has_no_unused_import(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
+def _reads(node) -> Counter:
+    """How often node reads each name: as a Name, an attribute or an imported name."""
+    reads = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            reads[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            reads[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            reads.update(a.name for a in sub.names)
+    return reads
+
+
+def _unread(defs, trees) -> list:
+    """The (label, def) pairs of defs whose name trees read nowhere but inside that def's own body."""
+    total = sum((_reads(tree) for tree in trees), Counter())
+    return sorted(label for label, node in defs if total[node.name] == _reads(node)[node.name])
+
+
 def dead_private_functions(sources: dict) -> list:
     """Module-level _private functions of sources (module name -> text) that no module reads.
 
     A read is a Name, an attribute or an imported name equal to the function's
     name, anywhere but inside the function's own body.
     """
-    defined, reads = [], []
-    for module, source in sources.items():
-        for stmt in ast.parse(source).body:
-            owner = None
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner = (module, stmt.name)
-                if stmt.name.startswith("_") and not stmt.name.startswith("__"):
-                    defined.append(owner)
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    reads.append((owner, node.id))
-                elif isinstance(node, ast.Attribute):
-                    reads.append((owner, node.attr))
-                elif isinstance(node, ast.ImportFrom):
-                    reads.extend((owner, a.name) for a in node.names)
-    return sorted(f"{m}.{name}" for m, name in defined if not any(
-        read == name and owner != (m, name) for owner, read in reads
-    ))
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defs = [
+        (f"{module}.{stmt.name}", stmt)
+        for module, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and stmt.name.startswith("_") and not stmt.name.startswith("__")
+    ]
+    return _unread(defs, trees.values())
+
+
+def dead_public_methods(package: dict, readers: list) -> list:
+    """Public methods and properties of the classes of package (module name -> text) that no reader reads.
+
+    readers holds the texts of every module that may use the package. A read
+    is as for dead_private_functions, anywhere but inside the method's own body.
+    """
+    defs = [
+        (f"{module}.{cls.name}.{stmt.name}", stmt)
+        for module, source in package.items()
+        for cls in ast.walk(ast.parse(source))
+        if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and not stmt.name.startswith("_")
+    ]
+    return _unread(defs, [ast.parse(source) for source in readers])
 
 
 def test_the_check_finds_a_dead_private_function():
@@ -82,3 +113,22 @@ def test_the_check_finds_a_dead_private_function():
 def test_package_has_no_dead_private_function():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert dead_private_functions(sources) == []
+
+
+def test_the_check_finds_a_dead_public_method():
+    package = {
+        "a": "class A:\n    def called(self):\n        pass\n\n    @property\n    def recursive(self):\n"
+        "        return self.recursive\n\n    def _private(self):\n        pass\n\n"
+        "    def __len__(self):\n        return 0\n\n    def read_by_b(self):\n        pass\n",
+    }
+    readers = [package["a"], "from a import A\n\nA().called()\nx = A.read_by_b\n"]
+    assert dead_public_methods(package, readers) == ["a.A.recursive"]
+    assert dead_public_methods(package, readers[:1]) == ["a.A.called", "a.A.read_by_b", "a.A.recursive"]
+
+
+def test_package_has_no_dead_public_method():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    root = PACKAGE.parent.parent
+    paths = [p for d in ("src", "tests", "perfbench") for p in (root / d).rglob("*.py")]
+    readers = [p.read_text(encoding="utf-8") for p in paths]
+    assert dead_public_methods(package, readers) == []

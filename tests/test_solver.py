@@ -32,7 +32,16 @@ from remskit import (
 from remskit.farfield import intensity
 from remskit.radiating import RadiatingStructure
 
-from conftest import FREQ, random_frontend, random_model, random_passive_structure, random_pattern, random_tuning
+from conftest import (
+    FREQ,
+    dense_frontend,
+    dense_gain_operators,
+    random_frontend,
+    random_model,
+    random_passive_structure,
+    random_pattern,
+    random_tuning,
+)
 
 
 def _zero_kernel_structure(grid, m, coupling=None):
@@ -50,52 +59,58 @@ def _zero_kernel_structure(grid, m, coupling=None):
 
 
 def _rel(x, y):
+    """Largest entry difference over y's largest magnitude; 0 for two empty arrays of one shape."""
+    x, y = np.asarray(x), np.asarray(y)
+    assert x.shape == y.shape
+    if y.size == 0:
+        return 0.0
     scale = max(float(np.max(np.abs(y))), 1e-300)
-    return float(np.max(np.abs(np.asarray(x) - np.asarray(y)))) / scale
+    return float(np.max(np.abs(x - y))) / scale
 
 
-def test_operators_match_direct_solve():
+@settings(max_examples=40)
+@given(st.integers(0, 2), st.integers(0, 2), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_operators_match_direct_solve(n_tx, n_rx, m, seed):
+    # the vector frontend against the stacked system, and against the dense frontend's formulas
     grid = make_latlon_grid(6, 8)
-    rng = np.random.default_rng(31)
-    for trial in range(10):
-        model = random_model(
-            rng, grid, n_tx=int(rng.integers(1, 3)), n_rx=int(rng.integers(1, 3)), m=int(rng.integers(1, 5))
-        )
-        fe = model.frontend
-        ops = gain_operators(model)
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, grid, n_tx=n_tx, n_rx=n_rx, m=m)
+    fe = model.frontend
+    ops = gain_operators(model)
+    for name, ref in dense_gain_operators(model).items():
+        assert _rel(getattr(ops, name), ref) < 1e-12, name
 
-        v_tx = rng.standard_normal(fe.n_tx) + 1j * rng.standard_normal(fe.n_tx)
-        res = solve_direct(model, v_tx=v_tx)
-        assert _rel(ops.vtx_to_vrx(v_tx), res.v_rx) < 1e-11
-        assert _rel(ops.vtx_to_farfield(v_tx).values, res.a_f.values) < 1e-11
+    v_tx = rng.standard_normal(fe.n_tx) + 1j * rng.standard_normal(fe.n_tx)
+    res = solve_direct(model, v_tx=v_tx)
+    assert _rel(ops.vtx_to_vrx(v_tx), res.v_rx) < 1e-11
+    assert _rel(ops.vtx_to_farfield(v_tx).values, res.a_f.values) < 1e-11
 
-        v_g = rng.standard_normal(fe.n_rx) + 1j * rng.standard_normal(fe.n_rx)
-        assert _rel(ops.vgamma_to_vrx(v_g), solve_direct(model, v_gamma=v_g).v_rx) < 1e-11
+    v_g = rng.standard_normal(fe.n_rx) + 1j * rng.standard_normal(fe.n_rx)
+    assert _rel(ops.vgamma_to_vrx(v_g), solve_direct(model, v_gamma=v_g).v_rx) < 1e-11
 
-        i_g = rng.standard_normal(fe.n_rx) + 1j * rng.standard_normal(fe.n_rx)
-        assert _rel(ops.igamma_to_vrx(i_g), solve_direct(model, i_gamma=i_g).v_rx) < 1e-11
+    i_g = rng.standard_normal(fe.n_rx) + 1j * rng.standard_normal(fe.n_rx)
+    assert _rel(ops.igamma_to_vrx(i_g), solve_direct(model, i_gamma=i_g).v_rx) < 1e-11
 
-        m = model.structure.m_ports
-        v_u = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        assert _rel(ops.upsilon_to_vrx(v_u), solve_direct(model, v_upsilon=v_u).v_rx) < 1e-11
+    v_u = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    assert _rel(ops.upsilon_to_vrx(v_u), solve_direct(model, v_upsilon=v_u).v_rx) < 1e-11
 
-        b_in = random_pattern(rng, grid)
-        res_b = solve_direct(model, b_in=b_in)
-        assert _rel(ops.farfield_to_vrx(b_in), res_b.v_rx) < 1e-11
-        assert _rel(ops.farfield_to_farfield(b_in).values, res_b.a_f.values) < 1e-11
+    b_in = random_pattern(rng, grid)
+    res_b = solve_direct(model, b_in=b_in)
+    assert _rel(ops.farfield_to_vrx(b_in), res_b.v_rx) < 1e-11
+    assert _rel(ops.farfield_to_farfield(b_in).values, res_b.a_f.values) < 1e-11
 
-        # superposition of all drives at once
-        res_all = solve_direct(
-            model, v_tx=v_tx, v_gamma=v_g, i_gamma=i_g, v_upsilon=v_u, b_in=b_in
-        )
-        v_rx_sum = (
-            ops.vtx_to_vrx(v_tx)
-            + ops.vgamma_to_vrx(v_g)
-            + ops.igamma_to_vrx(i_g)
-            + ops.upsilon_to_vrx(v_u)
-            + ops.farfield_to_vrx(b_in)
-        )
-        assert _rel(v_rx_sum, res_all.v_rx) < 1e-11
+    # superposition of all drives at once
+    res_all = solve_direct(
+        model, v_tx=v_tx, v_gamma=v_g, i_gamma=i_g, v_upsilon=v_u, b_in=b_in
+    )
+    v_rx_sum = (
+        ops.vtx_to_vrx(v_tx)
+        + ops.vgamma_to_vrx(v_g)
+        + ops.igamma_to_vrx(i_g)
+        + ops.upsilon_to_vrx(v_u)
+        + ops.farfield_to_vrx(b_in)
+    )
+    assert _rel(v_rx_sum, res_all.v_rx) < 1e-11
 
 
 def test_gain_matrix_consistent_with_pattern():
@@ -147,24 +162,23 @@ def test_igamma_operator_matches_direct_solve_not_product_form():
     model = random_model(rng, grid, n_tx=2, n_rx=2, m=4)
     fe, tn, st = model.frontend, model.tuning, model.structure
     n, m = fe.n, st.m_ports
-    s_rf = fe.s_rf()
-    c = st.coupling
+    dense = dense_frontend(fe)
+    s_rf, c = dense.s_rf, st.coupling
     l1 = s_rf @ tn.s_tt
     l2 = tn.s_rr @ c
     a_r = np.linalg.inv(np.eye(m) - l2)
     l3 = s_rf @ tn.s_tr @ c @ a_r @ tn.s_rt
     f_mid = tn.s_tr @ c @ a_r @ tn.s_rt + tn.s_tt - np.eye(n)
-    z_rx = np.diag(fe.z_rx)
 
     i_g = rng.standard_normal(fe.n_rx) + 1j * rng.standard_normal(fe.n_rx)
     direct = solve_direct(model, i_gamma=i_g).v_rx
 
     a_t_good = np.linalg.inv(np.eye(n) - l1 - l3)
-    g_good = fe.k_vrx() @ f_mid @ a_t_good @ fe.k_igamma() + z_rx
+    g_good = dense.k_vrx @ f_mid @ a_t_good @ dense.k_igamma + dense.z_rx
     assert _rel(g_good @ i_g, direct) < 1e-11
 
     a_t_bad = np.linalg.inv(np.eye(n) - l1 @ l3)
-    g_bad = fe.k_vrx() @ f_mid @ a_t_bad @ fe.k_igamma() + z_rx
+    g_bad = dense.k_vrx @ f_mid @ a_t_bad @ dense.k_igamma + dense.z_rx
     assert _rel(g_bad @ i_g, direct) > 1e-3
 
 

@@ -1,11 +1,13 @@
 """Interconnection of frontend, tuning network, and radiating structure.
 
 Two independent solution paths are provided. `gain_operators` assembles the
-closed-form input/output operators of the interconnected model by resolving
-the feedback loops between the blocks. `solve_direct` stacks the raw block
-relations into one linear system and solves for every interior wave vector;
-it exists as a cross-check and for power accounting, since it exposes the
-waves at each reference plane.
+closed-form input/output operators of the interconnected model from one loop:
+the tuning network S closed on the block-diagonal Theta = diag(g_rf) (+) C,
+the frontend's one-ports and the structure's coupling, gives
+(I - S Theta)^-1 S, which the rank-1 load sweep reuses. `solve_direct` stacks
+the raw block relations into one linear system and solves for every interior
+wave vector; it exists as a cross-check and for power accounting, since it
+exposes the waves at each reference plane.
 """
 
 from __future__ import annotations
@@ -87,28 +89,21 @@ class ReconfigurableBuilder:
         return ReMSModel(self.structure, TuningNetwork(n, m, s), self.frontend), loop_inv
 
     def sweep_base(self, z_values) -> SweepBase | None:
-        """The SweepBase of load configuration z_values; None unless its five loops pass their checks."""
+        """The SweepBase of load configuration z_values; None unless its two loops pass their checks."""
         fe, s, g0 = self.frontend, self.fixed_s, reflection_coefficient(z_values, self.r0)
-        n, m = fe.n, self.structure.m_ports
+        n, nm = fe.n, fe.n + self.structure.m_ports
         try:
             model, inv1 = self._build(g0)
-            (loop2, a_r), (loop3, a_t), t0 = _transmit_loops(model)
-            (loop5, b_t), (loop67, b_r) = _receive_loops(model)
+            loop, inv, ls = _interconnection(model)
         except NumericsError:
             return None
-        loop1 = np.eye(g0.size) - s[n + m :, n + m :] * g0  # the terminated-port loop
-        invs, loops = (inv1, a_r, a_t, b_t, b_r), (loop1, loop2, loop3, loop5, loop67)
-        f_norms = np.sqrt([[_frobenius2(a) for a in loops], [_frobenius2(a) for a in invs]])[..., None]
-        # load_sweep_transmit's 20 certificate vectors, each as its real and imaginary parts
-        sizes = np.array([g0.size, 1] + [m, m, n, n, n, n, m, m] + [g0.size] * 2 + [m, m, n, n, n, n, m, m])
-        g_rf = fe.g_rf
+        loop1 = np.eye(g0.size) - s[nm:, nm:] * g0  # the terminated-port loop
+        f_norms = np.sqrt([_frobenius2(a) for a in (loop1, loop, inv1, inv)]).reshape(2, 2, 1)
+        k_tx = fe.k_tx
         return SweepBase(
-            s, g0, model, invs, f_norms, s[: n + m, n + m :] * g0, g_rf, self.structure.coupling @ a_r,
-            g_rf[:, None] * b_t, fe.k_tx, t0, np.repeat(np.arange(20), 2 * sizes),
+            s, g0, model, (inv1, inv), f_norms, s[:nm, nm:] * g0, fe.g_rf, ls, k_tx,
+            ls[n:, : k_tx.size] * k_tx,  # t0: gain_operators' core_tx expression, bit for bit
         )
-
-
-_ONE = np.ones(1, dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,13 +111,11 @@ class SweepBase:
     """A load configuration and what every rank-1 change of one of its loads reuses.
 
     gammas are the load reflections and t0 the configuration's core_tx. invs are the checked
-    inverses of the five loops I - S_BB G, I - L2, I - L1 - L3, I - L5 and I - L6 - L7, and
-    f_norms the (2, 5, 1) Frobenius norms of the loops (row 0) and of their inverses (row 1).
-    sab_g is S_AB G, g_rf and k_tx the frontend's reflections and source injections (vectors, as
-    RFFrontend holds them), c_ar is C (I - L2)^-1 and f_bt S_RF (I - L5)^-1, formed as g_rf
-    scaling the rows of (I - L5)^-1. None of these depends on the load a sweep changes. segments
-    labels the real and imaginary parts of load_sweep_transmit's 20 certificate vectors with
-    their vector's index, for one reduction over all of them.
+    inverses of its two loops, the terminated-port loop I - S_BB G and the interconnection loop
+    I - S Theta, and f_norms the (2, 2, 1) Frobenius norms of the loops (row 0) and of their
+    inverses (row 1). sab_g is S_AB G, g_rf and k_tx the frontend's reflections and source
+    injections (vectors, as RFFrontend holds them) and ls = (I - S Theta)^-1 S. None of these
+    depends on the load a sweep changes.
     """
 
     fixed_s: np.ndarray
@@ -132,11 +125,9 @@ class SweepBase:
     f_norms: np.ndarray
     sab_g: np.ndarray
     g_rf: np.ndarray
-    c_ar: np.ndarray
-    f_bt: np.ndarray
+    ls: np.ndarray
     k_tx: np.ndarray
     t0: np.ndarray
-    segments: np.ndarray
 
     def load_sweep_transmit(self, coord: int, gamma_set):
         """(T0, u, v, w, b): core_tx = T0 + w[k] u v with load coord set to the reflection gamma_set[k].
@@ -145,51 +136,42 @@ class SweepBase:
         per unit v_tx, and w = delta / (1 - rho delta), delta = gamma - gammas[coord] the change of
         its reflection and rho the reflection looking into it: w = 0 at the incumbent setting.
 
-        Candidate k changes each of the five loops by rank 1, A_k = A - w_k p q with w_k =
+        Candidate k changes each of the two loops by rank 1, A_k = A - w_k p q with w_k =
         delta_k / (1 - rho delta_k), rho the port's reflection before that loop closes. The triangle
         inequality on A_k and on its Sherman-Morrison inverse A^-1 + w_k (A^-1 p)(q A^-1) /
         (1 - w_k q A^-1 p) bounds ||A_k||_F ||A_k^-1||_F by (||A|| + ||p|| ||q|| |w_k|)
         (||A^-1|| + ||A^-1 p|| ||q A^-1|| |delta_k| / |1 - (rho + q A^-1 p) delta_k|), where
         rho + q A^-1 p is the reflection once the loop is closed: inf or nan where A_k may be
-        singular. The 20 vector norms come from one reduction and the (5, K) bounds from one
-        array expression; b[k] is candidate k's largest. None unless every b[k] <= RANK1_COND. A
-        fresh inverse and an update each err by about eps cond (eps = 2.2e-16), so over five
-        loops they differ by ~10 eps cond, < 1e-12 for cond <= 4.5e2 (measured < 7e-14 for
-        bounds < 1e3 on generated models).
+        singular. The (2, K) bounds come from one array expression; b[k] is candidate k's largest.
+        None unless every b[k] <= RANK1_COND. A fresh inverse and an update each err by about
+        eps cond (eps = 2.2e-16), so over two loops they differ by ~4 eps cond, < 1e-12 for
+        cond <= 4.5e2 (measured < 1e-14 on generated models).
         """
-        s_tr, s_rt, c = self.model.tuning.s_tr, self.model.tuning.s_rt, self.model.structure.coupling
-        n, nm = self.model.frontend.n, self.sab_g.shape[0]
-        s, g_rf, c_ar, f_bt = self.fixed_s, self.g_rf, self.c_ar, self.f_bt
-        inv1, a_r, a_t, b_t, b_r = self.invs
-        # port c of the fixed network with the other loads in place: S(delta) = S_0 + beta p q
+        n, nm, n_tx = self.g_rf.size, self.sab_g.shape[0], self.k_tx.size
+        s, ls, (inv1, inv) = self.fixed_s, self.ls, self.invs
+        # port c of the fixed network with the other loads in place: S(delta) = S_0 + beta p q,
+        # which changes the interconnection loop by beta p (q Theta), Theta = diag(g_rf) (+) C
         x, row1 = s[nm:, nm + coord], inv1[coord]
         ix = inv1 @ x
         p, q, rho1 = s[:nm, nm + coord] + self.sab_g @ ix, row1 @ s[nm:, :nm], row1 @ x
-        p_t, p_r, q_t, q_r = p[:n], p[n:], q[:n], q[n:]
-        # port c with the structure closed (I - L1 - L3) and with the frontend closed (I - L6 - L7)
-        qc, qf = q_r @ c_ar, q_t @ f_bt
-        p3, q3 = g_rf * (p_t + s_tr @ (c_ar @ p_r)), q_t + qc @ s_rt
-        p67, q67 = c @ (p_r + s_rt @ (f_bt @ p_t)), q_r + qf @ s_tr
-        ip3, q3i, ip67, q67i = a_t @ p3, q3 @ a_t, b_r @ p67, q67 @ b_r
-        rho3, rho67 = rho1 + qc @ p_r, rho1 + qf @ p_t
-        rho_out = rho3 + q3i @ p3  # with every loop closed
-        # ||p|| ||q|| (row 0) and ||A^-1 p|| ||q A^-1|| (row 1) of each loop
-        vecs = np.concatenate((
-            x, _ONE, p_r, q_r @ c, p3, q3, p_t, q_t * g_rf, p67, q67,
-            ix, row1, a_r @ p_r, qc, ip3, q3i, b_t @ p_t, qf, ip67, q67i,
-        )).view(float)
+        q_th = np.concatenate((q[:n] * self.g_rf, q[n:] @ self.model.structure.coupling))
+        ip, q_thi = inv @ p, q_th @ inv
+        rho_out = rho1 + q_th @ ip  # with both loops closed
         d = gamma_set - self.gammas[coord]
+        by_r, by_nm = np.array((x, ix, row1)), np.array((p, q_th, ip, q_thi))
         with np.errstate(all="ignore"):  # a singular candidate loop reads inf or nan
-            pq = np.sqrt(np.bincount(self.segments, vecs * vecs, 20).reshape(10, 2).prod(axis=1))
+            # ||p|| ||q|| (row 0) and ||A^-1 p|| ||q A^-1|| (row 1) of each loop; q = e_c in the first
+            fx, fix, frow = np.sqrt(np.vecdot(by_r, by_r).real)
+            fp, fq, fip, fqi = np.sqrt(np.vecdot(by_nm, by_nm).real)
+            pq = np.array([[fx, fp * fq], [fix * frow, fip * fqi]])
             # each loop's rho before (row 0) and after (row 1) it closes
-            rho_after = rho1, rho3, rho_out, rho67, rho67 + q67i @ p67
-            rhos = np.array([(0.0, rho1, rho3, rho1, rho67), rho_after])
-            terms = self.f_norms + pq.reshape(2, 5, 1) * (abs(d) / abs(1.0 - rhos[..., None] * d))
+            rhos = np.array([(0.0, rho1), (rho1, rho_out)])
+            terms = self.f_norms + pq[..., None] * (abs(d) / abs(1.0 - rhos[..., None] * d))
             bound = (terms[0] * terms[1]).max(axis=0)
             if not np.all(bound <= RANK1_COND):
                 return None
-            v = q3i[: self.k_tx.size] * self.k_tx
-            return self.t0, a_r @ (p_r + s_rt @ ip3), v, d / (1.0 - rho_out * d), bound
+            v = (q[:n_tx] + q_th @ ls[:, :n_tx]) * self.k_tx
+            return self.t0, ip[n:], v, d / (1.0 - rho_out * d), bound
 
 
 @dataclass
@@ -210,7 +192,7 @@ class GainOperators:
     g_vupsilon_vrx: np.ndarray = field(repr=False)
 
     def vtx_to_farfield(self, v_tx) -> FarFieldPattern:
-        v = np.asarray(v_tx, dtype=complex)
+        v = _source_vector(v_tx, self.model.frontend.n_tx, "v_tx")
         return apply_transmit(self.model.structure, self.core_tx @ v)
 
     def vtx_gain_matrix(self, d) -> np.ndarray:
@@ -230,64 +212,53 @@ class GainOperators:
         return self.lead_rx @ apply_receive(self.model.structure, b)
 
     def vtx_to_vrx(self, v_tx) -> np.ndarray:
-        return self.g_vtx_vrx @ np.asarray(v_tx, dtype=complex)
+        return self.g_vtx_vrx @ _source_vector(v_tx, self.model.frontend.n_tx, "v_tx")
 
     def vgamma_to_vrx(self, v_gamma) -> np.ndarray:
-        return self.g_vgamma_vrx @ np.asarray(v_gamma, dtype=complex)
+        return self.g_vgamma_vrx @ _source_vector(v_gamma, self.model.frontend.n_rx, "v_gamma")
 
     def igamma_to_vrx(self, i_gamma) -> np.ndarray:
-        return self.g_igamma_vrx @ np.asarray(i_gamma, dtype=complex)
+        return self.g_igamma_vrx @ _source_vector(i_gamma, self.model.frontend.n_rx, "i_gamma")
 
     def upsilon_to_vrx(self, v_upsilon) -> np.ndarray:
-        return self.g_vupsilon_vrx @ np.asarray(v_upsilon, dtype=complex)
+        return self.g_vupsilon_vrx @ _source_vector(v_upsilon, self.model.structure.m_ports, "v_upsilon")
 
 
-def _transmit_loops(model: ReMSModel):
-    """((I - L2, a_r), (I - L1 - L3, a_t), core_tx): two loops, their checked inverses, core_tx.
+def _interconnection(model: ReMSModel):
+    """(I - S Theta, its checked inverse, ls = (I - S Theta)^-1 S): the one loop of the model.
 
-    S_RF = diag(g_rf) scales rows, and k_tx the transmit columns of (I - L1 - L3)^-1.
+    The block-diagonal Theta = diag(g_rf) (+) C closes the tuning network S on the frontend's
+    one-ports and on the structure's coupling: S Theta scales the frontend columns of S by g_rf
+    and multiplies its radiating columns by C.
     """
-    fe, tn, c = model.frontend, model.tuning, model.structure.coupling
-    g = fe.g_rf[:, None]
-    loop2 = np.eye(c.shape[0]) - tn.s_rr @ c
-    a_r = checked_inv(loop2, "radiating-side loop (I - L2)")
-    loop3 = np.eye(fe.n) - g * tn.s_tt - (g * tn.s_tr) @ c @ a_r @ tn.s_rt
-    a_t = checked_inv(loop3, "transmit loop (I - L1 - L3)")
-    return (loop2, a_r), (loop3, a_t), (a_r @ tn.s_rt @ a_t[:, : fe.n_tx]) * fe.k_tx
-
-
-def _receive_loops(model: ReMSModel):
-    """((I - L5, b_t), (I - L6 - L7, b_r)): two loops and their checked inverses.
-
-    S_RF = diag(g_rf) scales the columns of the blocks it follows.
-    """
-    fe, tn, c = model.frontend, model.tuning, model.structure.coupling
-    g = fe.g_rf
-    loop5 = np.eye(fe.n) - tn.s_tt * g
-    b_t = checked_inv(loop5, "frontend reflection loop (I - L5)")
-    loop67 = np.eye(c.shape[0]) - c @ tn.s_rr - (c @ tn.s_rt * g) @ b_t @ tn.s_tr
-    b_r = checked_inv(loop67, "receive loop (I - L6 - L7)")
-    return (loop5, b_t), (loop67, b_r)
+    s, n = model.tuning.s, model.frontend.n
+    s_theta = np.concatenate((s[:, :n] * model.frontend.g_rf, s[:, n:] @ model.structure.coupling), axis=1)
+    loop = np.eye(s.shape[0]) - s_theta
+    inv = checked_inv(loop, "interconnection loop (I - S Theta)")
+    return loop, inv, inv @ s
 
 
 def gain_operators(model: ReMSModel) -> GainOperators:
-    """Resolve the interconnection feedback loops into closed-form operators."""
-    fe, tn, st = model.frontend, model.tuning, model.structure
-    s_tt, s_tr, s_rt, s_rr = tn.s_tt, tn.s_tr, tn.s_rt, tn.s_rr
-    c, g, rx = st.coupling, fe.g_rf, slice(fe.n_tx, None)
-    (_, a_r), (_, a_t), core_tx = _transmit_loops(model)
-    (_, b_t), (_, b_r) = _receive_loops(model)
+    """Closed-form operators from the outgoing waves [b_T; a_R] = ls e of the interconnection loop.
 
-    # S_RF = diag(g) and the frontend injections and readout scale rows or columns
-    mid_rx = ((s_rt * g) @ b_t @ s_tr + s_rr) @ b_r
-    lead_rx = ((fe.k_out * (1.0 - g[rx]))[:, None] * b_t[rx]) @ s_tr @ b_r
+    e = [a_T; b_R] - Theta [b_T; a_R] holds the waves the sources inject: k_tx v_tx and
+    k_rx (v_gamma + z_rx i_gamma) at the frontend, the received wave and (C - I) v_upsilon /
+    (2 sqrt(r0)) at the radiating ports.
+    """
+    fe, st = model.frontend, model.structure
+    n, n_tx, r, rx = fe.n, fe.n_tx, slice(fe.n, None), slice(fe.n_tx, fe.n)
+    ls = _interconnection(model)[2]
+    g_rx = fe.g_rf[rx]
 
-    f_mid = s_tr @ c @ a_r @ s_rt + s_tt - np.eye(fe.n)  # v_rx reads b_T - a_T
-    to_vrx = (fe.k_out[:, None] * f_mid[rx]) @ a_t
-    g_vtx_vrx = to_vrx[:, : fe.n_tx] * fe.k_tx
+    core_tx = ls[r, :n_tx] * fe.k_tx
+    mid_rx = ls[r, r]
+    # v_rx reads b_T - a_T = (1 - g_rf) b_T - e_T at the receive chains
+    lead_rx = (fe.k_out * (1.0 - g_rx))[:, None] * ls[rx, r]
+    to_vrx = fe.k_out[:, None] * ((1.0 - g_rx)[:, None] * ls[rx, :n] - np.eye(n)[rx])
+    g_vtx_vrx = to_vrx[:, :n_tx] * fe.k_tx
     g_vgamma_vrx = to_vrx[:, rx] * fe.k_rx
     g_igamma_vrx = g_vgamma_vrx * fe.z_rx + np.diag(fe.z_rx)
-    g_vupsilon_vrx = lead_rx @ (c - np.eye(st.m_ports)) / (2.0 * math.sqrt(fe.r0))
+    g_vupsilon_vrx = lead_rx @ (st.coupling - np.eye(st.m_ports)) / (2.0 * math.sqrt(fe.r0))
 
     return GainOperators(
         model, core_tx, mid_rx, lead_rx, g_vtx_vrx, g_vgamma_vrx, g_igamma_vrx, g_vupsilon_vrx

@@ -316,31 +316,33 @@ def singular_loop_pair(grid, disp):
     return tx, rx
 
 
+def dense_theta(frontend, coupling):
+    """The block-diagonal Theta = S_RF (+) C that closes the tuning network, with dense_frontend's S_RF."""
+    n, m = frontend.n, coupling.shape[0]
+    theta = np.zeros((n + m, n + m), dtype=complex)
+    theta[:n, :n], theta[n:, n:] = dense_frontend(frontend).s_rf, coupling
+    return theta
+
+
 def loop_sweep_transmit(builder, z_values, coord, z_set):
     """Per-loop reference for SweepBase.load_sweep_transmit: (T0, u, v, w, b), or None.
 
-    The base model is built afresh from builder.fixed_s, its five loops are
-    inverted one by one, and each loop's Sherman-Morrison bound
-    (||A|| + |w| ||p|| ||q||)(||A^-1|| + |w| ||A^-1 p|| ||q A^-1|| / |1 - w q A^-1 p|)
-    is formed by itself. None where a base loop fails its check or a bound
+    The base model is built afresh from builder.fixed_s, its two loops (the terminated-port loop
+    and I - S Theta with a dense Theta) are inverted one by one, and each loop's Sherman-Morrison
+    bound (||A|| + |w| ||p|| ||q||)(||A^-1|| + |w| ||A^-1 p|| ||q A^-1|| / |1 - w q A^-1 p|)
+    is formed by itself, one norm per vector. None where a base loop fails its check or a bound
     exceeds RANK1_COND.
     """
-    fe, c = builder.frontend, builder.structure.coupling
+    fe = builder.frontend
     n, nm, s = fe.n, fe.n + builder.structure.m_ports, builder.fixed_s
-    g0, dense = reflection_coefficient(z_values, fe.r0), dense_frontend(fe)
-    s_rf, k_vtx = dense.s_rf, dense.k_vtx
+    g0, k_vtx = reflection_coefficient(z_values, fe.r0), dense_frontend(fe).k_vtx
+    theta = dense_theta(fe, builder.structure.coupling)
     loop1 = np.eye(g0.size) - s[nm:, nm:] * g0
     try:
         tn = builder(z_values).tuning
         inv1 = checked_inv(loop1, "terminated-port loop")
-        loop2 = np.eye(c.shape[0]) - tn.s_rr @ c
-        a_r = checked_inv(loop2, "I - L2")
-        loop3 = np.eye(n) - s_rf @ tn.s_tt - s_rf @ tn.s_tr @ c @ a_r @ tn.s_rt
-        a_t = checked_inv(loop3, "I - L1 - L3")
-        loop5 = np.eye(n) - tn.s_tt @ s_rf
-        b_t = checked_inv(loop5, "I - L5")
-        loop67 = np.eye(c.shape[0]) - c @ tn.s_rr - c @ tn.s_rt @ s_rf @ b_t @ tn.s_tr
-        b_r = checked_inv(loop67, "I - L6 - L7")
+        loop = np.eye(nm) - tn.s @ theta
+        inv = checked_inv(loop, "I - S Theta")
     except NumericsError:
         return None
 
@@ -352,29 +354,18 @@ def loop_sweep_transmit(builder, z_values, coord, z_set):
     x = s[nm:, nm + coord]
     p = s[:nm, nm + coord] + (s[:nm, nm:] * g0) @ (inv1 @ x)
     q, rho1 = inv1[coord] @ s[nm:, :nm], inv1[coord] @ x
-    p_t, p_r, q_t, q_r = p[:n], p[n:], q[:n], q[n:]
-    c_ar, f_bt = c @ a_r, s_rf @ b_t
-    p3, q3 = s_rf @ (p_t + tn.s_tr @ (c_ar @ p_r)), q_t + (q_r @ c_ar) @ tn.s_rt
-    p67, q67 = c @ (p_r + tn.s_rt @ (f_bt @ p_t)), q_r + (q_t @ f_bt) @ tn.s_tr
-    rho3, rho67 = rho1 + q_r @ c_ar @ p_r, rho1 + q_t @ f_bt @ p_t
+    q_th = q @ theta
     d = reflection_coefficient(z_set, fe.r0) - g0[coord]
     with np.errstate(all="ignore"):
-        beta = d / (1.0 - rho1 * d)
-        bound = np.max(
-            [
-                rank1_cond(loop1, inv1, d, x, np.eye(g0.size)[coord]),
-                rank1_cond(loop2, a_r, beta, p_r, q_r @ c),
-                rank1_cond(loop3, a_t, d / (1.0 - rho3 * d), p3, q3),
-                rank1_cond(loop5, b_t, beta, p_t, q_t @ s_rf),
-                rank1_cond(loop67, b_r, d / (1.0 - rho67 * d), p67, q67),
-            ],
-            axis=0,
+        bound = np.maximum(
+            rank1_cond(loop1, inv1, d, x, np.eye(g0.size)[coord]),
+            rank1_cond(loop, inv, d / (1.0 - rho1 * d), p, q_th),
         )
         if not np.all(bound <= RANK1_COND):
             return None
-        u, v = a_r @ (p_r + tn.s_rt @ (a_t @ p3)), q3 @ a_t @ k_vtx
-        t0 = a_r @ tn.s_rt @ a_t @ k_vtx
-        return t0, u, v, d / (1.0 - (rho3 + q3 @ a_t @ p3) * d), bound
+        ls = inv @ tn.s
+        u, v = (inv @ p)[n:], (q + q_th @ ls)[:n] @ k_vtx
+        return ls[n:, :n] @ k_vtx, u, v, d / (1.0 - (rho1 + q_th @ inv @ p) * d), bound
 
 
 def loop_pattern_to_csv(p):

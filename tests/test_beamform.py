@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import FREQ, loop_sweep_transmit, random_frontend, random_model
+from conftest import FREQ, dense_theta, loop_sweep_transmit, random_frontend, random_model
 from remskit import ModelError, NumericsError, Scene
 from remskit.beamform import (
     BeamformProblem,
@@ -48,6 +48,7 @@ from remskit.solver import (
     SweepBase,
     gain_operators,
     rems_gain,
+    solve_direct,
 )
 
 CASE_STUDY = os.path.join(os.path.dirname(__file__), os.pardir, "scenes", "rra_case_study.yaml")
@@ -461,13 +462,16 @@ def test_incumbent_rank1_row_is_the_rebuild_row_on_case_study():
         assert astuple(qp) == astuple(ref.powers)
 
 
-def _near_limit_case(rng, n_rx, r, factor):
+def _near_limit_case(rng, n_rx, r, factor, frontend_closed=True):
     """A generated reconfigurable model and one coordinate pass over it.
 
     The fixed network is a random passive matrix, so S_BB != 0 and the
     terminated-port loop is not the identity. The coupling is chosen so that
-    the target candidate's I - s_rr C has condition number near
-    factor * COND_LIMIT.
+    the target candidate's I - S' C has condition number near
+    factor * COND_LIMIT, where S' is the radiating-side reflection
+    s_rr + s_rt G (I - s_tt G)^-1 s_tr with the frontend closed, G = S_RF, or
+    s_rr alone without frontend_closed. I - S Theta then is near the limit in
+    the first case and only its s_rr C sub-loop in the second.
     """
     n_tx, m = 2, r + 1
     n = n_tx + n_rx
@@ -485,7 +489,11 @@ def _near_limit_case(rng, n_rx, r, factor):
     target_idx = list(z_idx)
     target_idx[coord] = target
     z_target = np.array([z_set[i] for i in target_idx])
-    s_rr = reduce_terminated_ports(fixed, n + m, reflection_coefficient(z_target, frontend.r0))[0][n:, n:]
+    s = reduce_terminated_ports(fixed, n + m, reflection_coefficient(z_target, frontend.r0))[0]
+    s_rr = s[n:, n:]
+    if frontend_closed:
+        g = frontend.g_rf
+        s_rr = s_rr + (s[n:, :n] * g) @ np.linalg.solve(np.eye(n) - s[:n, :n] * g, s[:n, n:])
 
     def unitary():
         q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
@@ -515,24 +523,32 @@ def _near_limit_case(rng, n_rx, r, factor):
         rng_seed=rng_seed,
     )
     builder = ReconfigurableBuilder(structure, frontend, fixed)
-    return problem, builder, z_idx, coord, target, s_rr
+    return problem, builder, z_idx, coord, target
 
 
-@pytest.mark.parametrize("factor", [0.2, 5.0])
+def _target_model(problem, builder, z_idx, coord, target):
+    idx = list(z_idx)
+    idx[coord] = target
+    return builder([problem.z_set[i] for i in idx])
+
+
+@pytest.mark.parametrize("factor", [1e-3, 5.0])
 @settings(max_examples=15, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(n_rx=st.integers(0, 2), r=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 def test_stacked_scoring_matches_reference_on_generated_models(caplog, factor, n_rx, r, seed):
     rng = np.random.default_rng(seed)
-    problem, builder, z_idx, coord, target, s_rr = _near_limit_case(rng, n_rx, r, factor)
+    problem, builder, z_idx, coord, target = _near_limit_case(rng, n_rx, r, factor)
     sigma = problem.sigma_schedule[-1]
     candidates = _coordinate_candidates(problem, z_idx, coord)
     reference = _reference_scores(problem, builder, candidates, sigma)
 
-    # the target lands on the side of COND_LIMIT its I - s_rr C puts it
-    m = builder.structure.m_ports
-    l2_fails = condition_number(np.eye(m) - s_rr @ builder.structure.coupling) > COND_LIMIT
+    # the target lands on the side of COND_LIMIT its interconnection loop I - S Theta puts it
+    s = _target_model(problem, builder, z_idx, coord, target).tuning.s
+    loop = np.eye(s.shape[0]) - s @ dense_theta(builder.frontend, builder.structure.coupling)
     hit = reference[target]
-    assert l2_fails == (isinstance(hit, NumericsError) and "(I - L2)" in str(hit))
+    assert (condition_number(loop) > COND_LIMIT) == (
+        isinstance(hit, NumericsError) and "interconnection loop" in str(hit)
+    )
 
     # a plain callable takes the per-candidate path; both take the same
     # steps and log the same skips, naming the same failing checks
@@ -547,6 +563,20 @@ def test_stacked_scoring_matches_reference_on_generated_models(caplog, factor, n
     assert fast.evaluations == slow.evaluations
     assert fast.f_trace == pytest.approx(slow.f_trace, rel=1e-12, abs=0.0)
     assert np.max(np.abs(fast.t - slow.t)) <= 1e-12 * np.max(np.abs(slow.t))
+
+
+def test_gain_operators_serve_models_whose_sub_loop_is_singular():
+    # I - s_rr C is beyond COND_LIMIT, and a resolution through that sub-loop refuses the model;
+    # the one interconnection loop is regular, and its transmit operator is the direct solve's
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        n_rx, r = int(rng.integers(0, 3)), int(rng.integers(1, 5))
+        model = _target_model(*_near_limit_case(rng, n_rx, r, 5.0, frontend_closed=False))
+        s_rr, c = model.tuning.s_rr, model.structure.coupling
+        assert condition_number(np.eye(c.shape[0]) - s_rr @ c) > COND_LIMIT
+        core_tx = gain_operators(model).core_tx
+        direct = np.array([solve_direct(model, v_tx=e).a_r_tilde for e in np.eye(model.frontend.n_tx)]).T
+        assert np.max(np.abs(core_tx - direct)) <= 1e-7 * np.max(np.abs(direct))
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +641,7 @@ def test_load_sweep_matches_the_per_loop_oracle_on_generated_models(near_limit, 
     # the near-limit case's target configuration is itself a base, whose loops may fail their checks
     rng = np.random.default_rng(seed)
     if near_limit:
-        problem, builder, z_idx, coord, target, _ = _near_limit_case(rng, n_rx, r, factor)
+        problem, builder, z_idx, coord, target = _near_limit_case(rng, n_rx, r, factor)
         other = list(z_idx)
         other[coord] = target
     else:

@@ -1,12 +1,13 @@
-"""Every name a package module imports is used in that module, and every private function and
-public method is read.
+"""Every name a package module imports is used in that module, and every private function,
+public method and dataclass field is read.
 
 No linter ships with the project, so this reads each module's syntax tree
 with ast: a name bound by an import statement must be read somewhere else
 in the module, a module-level _private function must be read by some
-package module outside its own body, and a public method or property of a
+package module outside its own body, a public method or property of a
 package class must be read outside its own body by some module of src/,
-tests/ or perfbench/.
+tests/ or perfbench/, and a field of a package dataclass must be read as
+an attribute by some module of those three.
 """
 
 import ast
@@ -132,3 +133,48 @@ def test_package_has_no_dead_public_method():
     paths = [p for d in ("src", "tests", "perfbench") for p in (root / d).rglob("*.py")]
     readers = [p.read_text(encoding="utf-8") for p in paths]
     assert dead_public_methods(package, readers) == []
+
+
+def dead_dataclass_fields(package: dict, readers: list) -> list:
+    """Fields of the dataclasses of package (module name -> text) that no reader reads as an attribute.
+
+    A field is an annotated name in the body of a class decorated with
+    dataclass, dataclass(...) or dataclasses.dataclass. A read is an attribute
+    of that name in a load context, such as self.field or base.field; a store
+    such as self.field = x in __post_init__ is not one.
+    """
+    fields = [
+        (f"{module}.{cls.name}.{stmt.target.id}", stmt.target.id)
+        for module, source in package.items()
+        for cls in ast.walk(ast.parse(source))
+        if isinstance(cls, ast.ClassDef) and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+    read = {
+        node.attr
+        for source in readers
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(label for label, name in fields if name not in read)
+
+
+def test_the_check_finds_a_dead_dataclass_field():
+    package = {
+        "a": "import dataclasses\nfrom dataclasses import dataclass\n\n\n@dataclass(frozen=True)\nclass A:\n"
+        "    used: int\n    stored: int\n    dead: int = 0\n\n    def __post_init__(self):\n"
+        "        self.stored = 1\n\n\n@dataclasses.dataclass\nclass B:\n    read_by_b: float\n\n\n"
+        "class Plain:\n    annotated: int\n",
+    }
+    readers = [package["a"], "from a import A, B\n\nA(1, 2).used + B(0.0).read_by_b\n"]
+    assert dead_dataclass_fields(package, readers) == ["a.A.dead", "a.A.stored"]
+    assert dead_dataclass_fields(package, readers[:1]) == ["a.A.dead", "a.A.stored", "a.A.used", "a.B.read_by_b"]
+
+
+def test_package_has_no_dead_dataclass_field():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    root = PACKAGE.parent.parent
+    paths = [p for d in ("src", "tests", "perfbench") for p in (root / d).rglob("*.py")]
+    readers = [p.read_text(encoding="utf-8") for p in paths]
+    assert dead_dataclass_fields(package, readers) == []

@@ -155,8 +155,11 @@ def test_operators_of_a_model_without_frontend_chains():
 
 
 def test_igamma_operator_matches_direct_solve_not_product_form():
-    # the sibling resolvent appears as (I - L1 - L3); substituting the
-    # superficially similar (I - L1 @ L3) breaks against the direct solve
+    # the nested-loop form that conftest.dense_gain_operators keeps as an
+    # oracle for gain_operators' one loop I - S Theta: eliminating the
+    # radiating ports first (L2) leaves the frontend loop I - L1 - L3, a sum;
+    # substituting the superficially similar I - L1 @ L3 breaks against the
+    # direct solve
     grid = make_latlon_grid(6, 8)
     rng = np.random.default_rng(33)
     model = random_model(rng, grid, n_tx=2, n_rx=2, m=4)
@@ -242,8 +245,8 @@ def test_attenuator_halves_radiating_power():
 
 def test_ill_conditioned_loop_raises():
     # chain 0 closes a near-unity feedback loop: s_rf ~ 1 - 1e-13 against a
-    # unit self-coupling, while chain 1 stays healthy, so the transmit-loop
-    # resolvent has condition ~1e13 and must be refused, not inverted
+    # unit self-coupling, while chain 1 stays healthy, so the interconnection
+    # loop I - S Theta has condition ~1e13 and must be refused, not inverted
     grid = make_latlon_grid(4, 4)
     st = _zero_kernel_structure(grid, 2, coupling=[[1.0, 0.0], [0.0, 0.0]])
     model = ReMSModel(
@@ -251,7 +254,7 @@ def test_ill_conditioned_loop_raises():
         tuning=through_tuning(2),
         frontend=RFFrontend(z_tx=[1e15, 50.0], z_rx=np.zeros(0), r0=50.0),
     )
-    with pytest.raises(NumericsError, match="loop"):
+    with pytest.raises(NumericsError, match="interconnection loop"):
         gain_operators(model)
     with pytest.raises(NumericsError):
         solve_direct(model, v_tx=[1.0, 0.0])
@@ -384,6 +387,24 @@ def test_solve_input_validation():
         solve_direct(model, v_gamma=[complex(0.0, math.nan)])
     with pytest.raises(ModelError, match="v_upsilon must be finite"):
         solve_direct(model, v_upsilon=[0.0, -math.inf])
+
+
+def test_operator_input_maps_validate_like_solve_direct():
+    # a wrong shape or a non-finite entry ends as ModelError, not a NumPy error or a NaN output
+    model = random_model(np.random.default_rng(35), make_latlon_grid(4, 4), n_tx=2, n_rx=1, m=2)
+    ops = gain_operators(model)
+    maps = (
+        (ops.vtx_to_farfield, "v_tx", 2),
+        (ops.vtx_to_vrx, "v_tx", 2),
+        (ops.vgamma_to_vrx, "v_gamma", 1),
+        (ops.igamma_to_vrx, "i_gamma", 1),
+        (ops.upsilon_to_vrx, "v_upsilon", 2),
+    )
+    for apply, name, size in maps:
+        with pytest.raises(ModelError, match=rf"{name} shape \({size + 1},\) != \({size},\)"):
+            apply(np.ones(size + 1))
+        with pytest.raises(ModelError, match=f"{name} must be finite"):
+            apply(np.full(size, math.nan))
 
 
 def test_nan_residual_fails_the_residual_gate():

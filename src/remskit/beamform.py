@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ModelError, NumericsError
 from .farfield import FOUR_PI, Direction
 from .network import _frobenius2, checked_inv, reflection_coefficient
-from .solver import ReconfigurableBuilder, ReMSModel, SweepBase, gain_operators
+from .solver import ReconfigurableBuilder, ReMSModel, gain_operators
 
 logger = logging.getLogger(__name__)
 
@@ -216,27 +216,24 @@ def evaluate_candidate(
     return CandidateScore(math.inf if key[0] else key[1], qp, h, t, key)
 
 
-def _rank1_rows(base: SweepBase, coord, gamma_set, tx_dirs, q):
-    """Scored rows of load coord's candidates from the incumbent's base; None to score them one by one.
+def _rank1_rows(fe, t0, u, v, w, bound, tx_dirs, q):
+    """Scored rows of one coordinate's candidates from its update; None to score them one by one.
 
-    gamma_set holds the reflections of the problem's load impedances, tx_dirs the structure's
-    (u + s, 2, M) transmit kernels at its directions and q the (u, 2) co-polarization projectors
-    of its primary ones; the ascent forms all three once. The
-    (K, u + s, 2, n_tx) gain matrices are tx_dirs @ T0 plus (K,) scalars times one outer product
-    (SweepBase.load_sweep_transmit), the scalar 0 at the incumbent's own setting. They differ from a
-    rebuild's by about eps b (eps = 2.2e-16, b the candidate's largest certified loop bound
-    ||A||_F ||A^-1||_F), and the ZF Gram inverse amplifies that by up to ||G||_F ||G^-1||_F, so
-    the precoders differ by about eps ||G||_F ||G^-1||_F b: < 1e-12 for products <=
-    RANK1_ZF_COND = 4.5e3 (measured < 0.25 eps times products above 1e2 on generated models).
-    None unless each candidate's is.
+    (t0, u, v, w) is the update (LoadPorts.update), bound the load ports' certificate, tx_dirs the
+    (u + s, 2, M) transmit kernels at the problem's directions and q the (u, 2) primary
+    co-polarization projectors. The (K, u + s, 2, n_tx) gain matrices are tx_dirs @ T0 plus (K,)
+    scalars times one outer product, 0 at the incumbent's own setting. They differ from a
+    rebuild's by about eps b (eps = 2.2e-16; b = bound bounds every loop either path inverts).
+    K and T0 are fresh each sweep, then carried through up to r accepted moves: an update of an
+    inverse with backward error F is the exact inverse of A' + F, so a carried error is not
+    amplified, and r updates add r roundings, the order r eps of a fresh r x r inverse's own. The
+    ZF Gram inverse amplifies the difference by up to ||G||_F ||G^-1||_F, so the precoders differ
+    by about eps ||G||_F ||G^-1||_F b: < 1e-12 for products <= RANK1_ZF_COND = 4.5e3. None unless
+    each candidate's is.
     """
-    update = base.load_sweep_transmit(coord, gamma_set)
-    if update is None:
-        return None
-    t0, u, v, w, bound = update
     mats = tx_dirs @ t0 + w[:, None, None, None] * ((tx_dirs @ u)[..., None] * v)
     try:
-        h, t, qp = _score_rows(base.model.frontend, mats, q)
+        h, t, qp = _score_rows(fe, mats, q)
     except NumericsError:
         return None
     # t = h^H G^-1, so t^H t = G^-1; the bound is compared squared
@@ -277,21 +274,20 @@ def coordinate_ascent(
     Candidate evaluations that fail conditioning are logged and skipped.
     Deterministic for a fixed rng_seed.
 
-    A ReconfigurableBuilder gives a coordinate's K candidates as rank-1
-    updates of the incumbent configuration (SweepBase.load_sweep_transmit),
-    scored in one array pass: one zf_precoder call over the K Gram matrices
-    and one quasi-power reduction; only the comparison of the K keys is
-    sequential, and the incumbent rescored under the sigma it was accepted
-    at, equal up to rounding, is not compared. One base serves until a
-    different load is accepted. If it or the pass declines a coordinate, it
-    is scored like any other callable's, one rebuild per candidate, so each
-    failing candidate logs its own error. No case-study coordinate is declined.
+    A ReconfigurableBuilder is reduced once to the r x r network its loads
+    see (ReconfigurableBuilder.load_ports). Each sweep inverts that loop for
+    the incumbent; a coordinate's K candidates are rank-1 updates of it
+    (LoadPorts.update), scored in one array pass of one zf_precoder call and
+    one quasi-power reduction, and an accepted move updates the loop inverse
+    and T0 in O(r^2). Only the comparison of the K keys is sequential; the
+    incumbent rescored under the sigma it was accepted at, equal up to
+    rounding, is not compared. An uncertified reduction or a declined
+    coordinate is scored like any other callable's, one rebuild per
+    candidate, so each failing candidate logs its own error. No case-study
+    coordinate is declined.
     """
     z_idx = [problem.z_set.index(problem.z_init)] * problem.r
-    rank1 = isinstance(model_builder, ReconfigurableBuilder)
-    z_base = [problem.z_set[i] for i in z_idx]
-    base = model_builder.sweep_base(z_base) if rank1 else None  # the first base is the probe
-    probe = model_builder(tuple(z_base)) if base is None else base.model
+    probe = model_builder(tuple(problem.z_set[i] for i in z_idx))
     n_tx = probe.frontend.n_tx
     u = len(problem.primary_dirs)
     if u > n_tx:
@@ -301,26 +297,26 @@ def coordinate_ascent(
         score = evaluate_candidate(problem, model_builder, (), problem.sigma_schedule[0])
         return BeamformResult((), (), score.t, score.f, [score.f], evaluations=1)
 
-    # what every coordinate's rank-1 pass reads: load reflections, transmit kernels, co-polar projectors
+    # what every coordinate's rank-1 pass reads: the load ports, transmit kernels, co-polar projectors
     gamma_set = reflection_coefficient(problem.z_set, probe.r0)
-    tx_dirs = probe.structure.tx_at(_problem_dirs(problem)) if rank1 else None
+    ports = model_builder.load_ports(gamma_set) if isinstance(model_builder, ReconfigurableBuilder) else None
+    tx_dirs = None if ports is None else probe.structure.tx_at(_problem_dirs(problem))
     q = _projectors(problem.primary_dirs, problem.q_co)
     rng = np.random.default_rng(problem.rng_seed)
-    t_best = np.zeros((n_tx, u), dtype=complex)
-    t_best[:u, :u] = np.eye(u)
-    f_best = 0.0
-    key_best = (0, 0.0, 0.0)
-    sigma_best = None
-    f_trace: list = []
-    n_eval = 0
+    t_best = np.eye(n_tx, u, dtype=complex)
+    f_best, key_best, sigma_best = 0.0, (0, 0.0, 0.0), None
+    f_trace, n_eval = [], 0
 
     for sweep in range(problem.i_max):
         sigma = problem.sigma_schedule[sweep]
+        if ports is not None:  # the incumbent's loop inverse and transmit operator, carried through the sweep
+            k_inv, t0 = ports.loop(gamma_set[z_idx])
         for coord in _fisher_yates(rng, problem.r):
             z_cur = [problem.z_set[i] for i in z_idx]
-            if rank1 and z_cur != z_base:  # an accepted candidate changed a load
-                base, z_base = model_builder.sweep_base(z_cur), z_cur
-            rows = None if base is None else _rank1_rows(base, coord, gamma_set, tx_dirs, q)
+            k_cur, rows = z_idx[coord], None
+            if ports is not None:
+                ks, u_c, v_c, w = ports.update(k_inv, gamma_set[z_idx], coord, gamma_set)
+                rows = _rank1_rows(probe.frontend, t0, u_c, v_c, w, ports.bound, tx_dirs, q)
             for k, z_k in enumerate(problem.z_set):
                 try:
                     if rows is None:  # the reference path: rebuild and score this candidate alone
@@ -337,6 +333,9 @@ def coordinate_ascent(
                     key_best, f_best, t_best, sigma_best = score.key, score.f, score.t, sigma
                     z_idx[coord] = k
                     f_trace.append(f_best)
+            if ports is not None and z_idx[coord] != k_cur:  # the accepted move, by Sherman-Morrison
+                t0 += w[z_idx[coord]] * np.outer(u_c, v_c)
+                k_inv += w[z_idx[coord]] * np.outer(ks, k_inv[coord])
 
     z_r = tuple(problem.z_set[i] for i in z_idx)
     return BeamformResult(z_r, tuple(z_idx), t_best, f_best, f_trace, evaluations=n_eval)

@@ -79,14 +79,13 @@ def _frobenius2(x: np.ndarray) -> np.ndarray:
     return np.vecdot(flat, flat).real
 
 
-def reduce_terminated_ports(s: np.ndarray, n_keep: int, gamma) -> tuple[np.ndarray, np.ndarray]:
+def reduce_terminated_ports(s: np.ndarray, n_keep: int, gamma) -> np.ndarray:
     """Fold reflective terminations of the trailing ports into a smaller scattering matrix.
 
     The leading n_keep ports stay external; trailing port n_keep + k is
     terminated with the reflection gamma[k]. Returns the reduced matrix
     S_AA + S_AB G (I - S_BB G)^-1 S_BA, formed on contiguous blocks of s,
-    and the checked loop inverse (I - S_BB G)^-1, which rank-1 updates of
-    one termination reuse.
+    with the loop I - S_BB G inverted under checked_inv's rule.
     """
     s = np.asarray(s, dtype=complex)
     n = s.shape[0]
@@ -97,7 +96,7 @@ def reduce_terminated_ports(s: np.ndarray, n_keep: int, gamma) -> tuple[np.ndarr
         raise ModelError(f"{n}-port matrix keeping {n_keep} ports: got {gamma.shape} reflections")
     loop = np.eye(gamma.size) - s[n_keep:, n_keep:] * gamma  # G is diagonal: scale the columns
     inv = checked_inv(loop, "terminated-port reduction")
-    return s[:n_keep, :n_keep] + (s[:n_keep, n_keep:] * gamma) @ (inv @ s[n_keep:, :n_keep]), inv
+    return s[:n_keep, :n_keep] + (s[:n_keep, n_keep:] * gamma) @ (inv @ s[n_keep:, :n_keep])
 
 
 # ---------------------------------------------------------------------------

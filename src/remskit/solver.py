@@ -4,7 +4,7 @@ Two independent solution paths are provided. `gain_operators` assembles the
 closed-form input/output operators of the interconnected model from one loop:
 the tuning network S closed on the block-diagonal Theta = diag(g_rf) (+) C,
 the frontend's one-ports and the structure's coupling, gives
-(I - S Theta)^-1 S, which the rank-1 load sweep reuses. `solve_direct` stacks
+(I - S Theta)^-1 S, which also reduces a fixed network to its load ports. `solve_direct` stacks
 the raw block relations into one linear system and solves for every interior
 wave vector; it exists as a cross-check and for power accounting, since it
 exposes the waves at each reference plane.
@@ -20,11 +20,12 @@ import numpy as np
 from .errors import ModelError, NumericsError
 from .farfield import FarFieldPattern, intensity, total_power, zero_pattern
 from .network import (
+    CERTIFIED_COND,
     RFFrontend,
     TuningNetwork,
-    _frobenius2,
     check_condition,
     checked_inv,
+    condition_number,
     reduce_terminated_ports,
     reflection_coefficient,
 )
@@ -56,19 +57,13 @@ class ReMSModel:
         return self.frontend.r0
 
 
-# Largest certified ||A||_F ||A^-1||_F of a candidate loop (see SweepBase.load_sweep_transmit).
-RANK1_COND = 4.5e2
-
-
 @dataclass(frozen=True, eq=False)
 class ReconfigurableBuilder:
     """Models of one structure and frontend behind a fixed network with tunable loads.
 
-    fixed_s is the (N + M + r)-port fixed network, ports ordered [frontend |
-    radiating | control]. Calling the builder with r load impedances (ohms,
-    referenced to r0) terminates control port j in load j and returns that
-    configuration's ReMSModel. sweep_base gives a configuration's SweepBase,
-    from which every setting of any one load follows by a rank-1 update.
+    fixed_s is the (N + M + r)-port fixed network, ports ordered [frontend | radiating | control].
+    Calling the builder with r load impedances (ohms, referenced to r0) terminates control port j
+    in load j and returns that configuration's ReMSModel; load_ports gives the network the loads see.
     """
 
     structure: RadiatingStructure
@@ -80,98 +75,77 @@ class ReconfigurableBuilder:
         return self.frontend.r0
 
     def __call__(self, z_values) -> ReMSModel:
-        return self._build(reflection_coefficient(z_values, self.r0))[0]
-
-    def _build(self, gammas):
-        """(model, terminated-port loop inverse) with control port j terminated in gammas[j]."""
         n, m = self.frontend.n, self.structure.m_ports
-        s, loop_inv = reduce_terminated_ports(self.fixed_s, n + m, gammas)
-        return ReMSModel(self.structure, TuningNetwork(n, m, s), self.frontend), loop_inv
+        s = reduce_terminated_ports(self.fixed_s, n + m, reflection_coefficient(z_values, self.r0))
+        return ReMSModel(self.structure, TuningNetwork(n, m, s), self.frontend)
 
-    def sweep_base(self, z_values) -> SweepBase | None:
-        """The SweepBase of load configuration z_values; None unless its two loops pass their checks."""
-        fe, s, g0 = self.frontend, self.fixed_s, reflection_coefficient(z_values, self.r0)
-        n, nm = fe.n, fe.n + self.structure.m_ports
+    def load_ports(self, gamma_set) -> LoadPorts | None:
+        """The r x r network the loads see, certified for reflections drawn from gamma_set; or None.
+
+        With x = [frontend | radiating], c the control ports and Theta = diag(g_rf) (+) C, the
+        matched-control loop L = (I - S_xx Theta)^-1 leaves S_LL = S_cx Theta L S_xc + S_cc.
+        The certificate covers every G = diag(gammas) over gamma_set: with g = max |gamma_set|,
+        a = g ||S_LL||_2 and a_cc = g ||S_cc||_2 below 1, cond(I - S_LL G) <= (1 + a) / (1 - a),
+        ||K||_2 <= 1 / (1 - a), and a rebuild's cond(I - S_cc G) <= (1 + a_cc) / (1 - a_cc). Its
+        interconnection loop I - S_red Theta = (I - S_xx Theta)(I - W G J V), W = L S_xc,
+        V = S_cx Theta, J = (I - S_cc G)^-1, has inverse L + W G K V L = (I + W G K V) L, so its
+        condition number is at most kappa_L (1 + x / (1 - a_cc))(1 + x / (1 - a)), x = g ||W||_2
+        ||V||_2 and kappa_L that of I - S_xx Theta. bound, the largest of the three, covers every
+        loop either path inverts. None if L fails its check, a or a_cc >= 1, or bound >
+        CERTIFIED_COND (< COND_LIMIT): so every rebuild and every fresh K passes its check.
+        """
+        fe, st, s = self.frontend, self.structure, self.fixed_s
+        n, nm, n_tx = fe.n, fe.n + st.m_ports, fe.n_tx
         try:
-            model, inv1 = self._build(g0)
-            loop, inv, ls = _interconnection(model)
+            loop, ls, s_theta = _interconnection(s, fe, st.coupling)  # ls = L [S_xx | S_xc]
         except NumericsError:
             return None
-        loop1 = np.eye(g0.size) - s[nm:, nm:] * g0  # the terminated-port loop
-        f_norms = np.sqrt([_frobenius2(a) for a in (loop1, loop, inv1, inv)]).reshape(2, 2, 1)
-        k_tx = fe.k_tx
-        return SweepBase(
-            s, g0, model, (inv1, inv), f_norms, s[:nm, nm:] * g0, fe.g_rf, ls, k_tx,
-            ls[n:, : k_tx.size] * k_tx,  # t0: gain_operators' core_tx expression, bit for bit
-        )
+        w, v, s_cc = ls[:, nm:], s_theta[nm:], s[nm:, nm:]
+        s_ll = v @ w + s_cc
+        # ||S_LL||, ||S_cc||, ||W||^2 and ||V||^2 from one stacked SVD
+        norms = np.linalg.svd(np.stack((s_ll, s_cc, w.mT.conj() @ w, v @ v.mT.conj())), compute_uv=False)[:, 0]
+        g = float(np.abs(gamma_set).max())
+        a, a_cc, x = g * norms[0], g * norms[1], g * math.sqrt(norms[2] * norms[3])
+        if not (a < 1.0 and a_cc < 1.0):
+            return None
+        kappa = condition_number(loop) * (1.0 + x / (1.0 - a_cc)) * (1.0 + x / (1.0 - a))
+        bound = max((1.0 + a) / (1.0 - a), (1.0 + a_cc) / (1.0 - a_cc), kappa)
+        if not bound <= CERTIFIED_COND:
+            return None
+        r_tx = (v @ ls[:, :n_tx] + s[nm:, :n_tx]) * fe.k_tx
+        return LoadPorts(ls[n:, :n_tx] * fe.k_tx, w[n:], r_tx, s_ll, float(bound))
 
 
 @dataclass(frozen=True, eq=False)
-class SweepBase:
-    """A load configuration and what every rank-1 change of one of its loads reuses.
+class LoadPorts:
+    """A fixed network reduced to its r load ports: core_tx = P + Q G K R, K = (I - S_LL G)^-1.
 
-    gammas are the load reflections and t0 the configuration's core_tx. invs are the checked
-    inverses of its two loops, the terminated-port loop I - S_BB G and the interconnection loop
-    I - S Theta, and f_norms the (2, 2, 1) Frobenius norms of the loops (row 0) and of their
-    inverses (row 1). sab_g is S_AB G, g_rf and k_tx the frontend's reflections and source
-    injections (vectors, as RFFrontend holds them) and ls = (I - S Theta)^-1 S. None of these
-    depends on the load a sweep changes.
+    G = diag(gammas) holds the load reflections. With the loads matched, p is the (M, n_tx) core_tx
+    and r the (r, n_tx) waves out of the control ports per unit v_tx; q is the (M, r) response of
+    a_R tilde to unit waves into them, and s_ll is S_LL.
     """
 
-    fixed_s: np.ndarray
-    gammas: np.ndarray
-    model: ReMSModel
-    invs: tuple
-    f_norms: np.ndarray
-    sab_g: np.ndarray
-    g_rf: np.ndarray
-    ls: np.ndarray
-    k_tx: np.ndarray
-    t0: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    r: np.ndarray
+    s_ll: np.ndarray
+    bound: float  # ReconfigurableBuilder.load_ports' certificate
 
-    def load_sweep_transmit(self, coord: int, gamma_set):
-        """(T0, u, v, w, b): core_tx = T0 + w[k] u v with load coord set to the reflection gamma_set[k].
+    def loop(self, gammas):
+        """(K, T0): the checked loop inverse and the core_tx of configuration gammas."""
+        k = checked_inv(np.eye(gammas.size) - self.s_ll * gammas, "load-port loop (I - S_LL G)")
+        return k, self.p + (self.q * gammas) @ (k @ self.r)
 
-        u is the response at a_R tilde to a unit wave into that control port, v the wave out of it
-        per unit v_tx, and w = delta / (1 - rho delta), delta = gamma - gammas[coord] the change of
-        its reflection and rho the reflection looking into it: w = 0 at the incumbent setting.
+    def update(self, k, gammas, coord, gamma_set):
+        """(ks, u, v, w): from gammas with loop inverse k, load coord set to gamma_set[j], in O(r^2).
 
-        Candidate k changes each of the two loops by rank 1, A_k = A - w_k p q with w_k =
-        delta_k / (1 - rho delta_k), rho the port's reflection before that loop closes. The triangle
-        inequality on A_k and on its Sherman-Morrison inverse A^-1 + w_k (A^-1 p)(q A^-1) /
-        (1 - w_k q A^-1 p) bounds ||A_k||_F ||A_k^-1||_F by (||A|| + ||p|| ||q|| |w_k|)
-        (||A^-1|| + ||A^-1 p|| ||q A^-1|| |delta_k| / |1 - (rho + q A^-1 p) delta_k|), where
-        rho + q A^-1 p is the reflection once the loop is closed: inf or nan where A_k may be
-        singular. The (2, K) bounds come from one array expression; b[k] is candidate k's largest.
-        None unless every b[k] <= RANK1_COND. A fresh inverse and an update each err by about
-        eps cond (eps = 2.2e-16), so over two loops they differ by ~4 eps cond, < 1e-12 for
-        cond <= 4.5e2 (measured < 1e-14 on generated models).
+        By Sherman-Morrison the loop inverse becomes k + w[j] ks k[coord] and core_tx T0 + w[j] u v:
+        ks = K S_LL e_c, u = Q (G ks + e_c), v = K[coord] R and w = delta / (1 - rho delta) with
+        delta = gamma_set[j] - gammas[coord] and rho = ks[coord], so w = 0 at the incumbent setting.
         """
-        n, nm, n_tx = self.g_rf.size, self.sab_g.shape[0], self.k_tx.size
-        s, ls, (inv1, inv) = self.fixed_s, self.ls, self.invs
-        # port c of the fixed network with the other loads in place: S(delta) = S_0 + beta p q,
-        # which changes the interconnection loop by beta p (q Theta), Theta = diag(g_rf) (+) C
-        x, row1 = s[nm:, nm + coord], inv1[coord]
-        ix = inv1 @ x
-        p, q, rho1 = s[:nm, nm + coord] + self.sab_g @ ix, row1 @ s[nm:, :nm], row1 @ x
-        q_th = np.concatenate((q[:n] * self.g_rf, q[n:] @ self.model.structure.coupling))
-        ip, q_thi = inv @ p, q_th @ inv
-        rho_out = rho1 + q_th @ ip  # with both loops closed
-        d = gamma_set - self.gammas[coord]
-        by_r, by_nm = np.array((x, ix, row1)), np.array((p, q_th, ip, q_thi))
-        with np.errstate(all="ignore"):  # a singular candidate loop reads inf or nan
-            # ||p|| ||q|| (row 0) and ||A^-1 p|| ||q A^-1|| (row 1) of each loop; q = e_c in the first
-            fx, fix, frow = np.sqrt(np.vecdot(by_r, by_r).real)
-            fp, fq, fip, fqi = np.sqrt(np.vecdot(by_nm, by_nm).real)
-            pq = np.array([[fx, fp * fq], [fix * frow, fip * fqi]])
-            # each loop's rho before (row 0) and after (row 1) it closes
-            rhos = np.array([(0.0, rho1), (rho1, rho_out)])
-            terms = self.f_norms + pq[..., None] * (abs(d) / abs(1.0 - rhos[..., None] * d))
-            bound = (terms[0] * terms[1]).max(axis=0)
-            if not np.all(bound <= RANK1_COND):
-                return None
-            v = (q[:n_tx] + q_th @ ls[:, :n_tx]) * self.k_tx
-            return self.t0, ip[n:], v, d / (1.0 - rho_out * d), bound
+        ks, d = k @ self.s_ll[:, coord], gamma_set - gammas[coord]
+        u = self.q @ (gammas * ks) + self.q[:, coord]
+        return ks, u, k[coord] @ self.r, d / (1.0 - ks[coord] * d)
 
 
 @dataclass
@@ -203,13 +177,13 @@ class GainOperators:
         return self.model.structure.tx_at(d) @ self.core_tx
 
     def farfield_to_farfield(self, b: FarFieldPattern) -> FarFieldPattern:
-        s = self.model.structure
+        s, b = self.model.structure, _incident_pattern(b, self.model.structure)
         out = apply_scatter(s, b)
         out.values += apply_transmit(s, self.mid_rx @ apply_receive(s, b)).values
         return out
 
     def farfield_to_vrx(self, b: FarFieldPattern) -> np.ndarray:
-        return self.lead_rx @ apply_receive(self.model.structure, b)
+        return self.lead_rx @ apply_receive(self.model.structure, _incident_pattern(b, self.model.structure))
 
     def vtx_to_vrx(self, v_tx) -> np.ndarray:
         return self.g_vtx_vrx @ _source_vector(v_tx, self.model.frontend.n_tx, "v_tx")
@@ -224,18 +198,16 @@ class GainOperators:
         return self.g_vupsilon_vrx @ _source_vector(v_upsilon, self.model.structure.m_ports, "v_upsilon")
 
 
-def _interconnection(model: ReMSModel):
-    """(I - S Theta, its checked inverse, ls = (I - S Theta)^-1 S): the one loop of the model.
+def _interconnection(s, fe: RFFrontend, coupling):
+    """(I - S_xx Theta, (I - S_xx Theta)^-1 S_x, S Theta): the loop closing s on the frontend and structure.
 
-    The block-diagonal Theta = diag(g_rf) (+) C closes the tuning network S on the frontend's
-    one-ports and on the structure's coupling: S Theta scales the frontend columns of S by g_rf
-    and multiplies its radiating columns by C.
+    x are the leading N + M ports of s and S_x its rows there; S Theta scales the frontend
+    columns of s by g_rf and multiplies its radiating columns by C.
     """
-    s, n = model.tuning.s, model.frontend.n
-    s_theta = np.concatenate((s[:, :n] * model.frontend.g_rf, s[:, n:] @ model.structure.coupling), axis=1)
-    loop = np.eye(s.shape[0]) - s_theta
-    inv = checked_inv(loop, "interconnection loop (I - S Theta)")
-    return loop, inv, inv @ s
+    nm = fe.n + coupling.shape[0]
+    s_theta = np.concatenate((s[:, : fe.n] * fe.g_rf, s[:, fe.n : nm] @ coupling), axis=1)
+    loop = np.eye(nm) - s_theta[:nm]
+    return loop, checked_inv(loop, "interconnection loop (I - S Theta)") @ s[:nm], s_theta
 
 
 def gain_operators(model: ReMSModel) -> GainOperators:
@@ -247,7 +219,7 @@ def gain_operators(model: ReMSModel) -> GainOperators:
     """
     fe, st = model.frontend, model.structure
     n, n_tx, r, rx = fe.n, fe.n_tx, slice(fe.n, None), slice(fe.n_tx, fe.n)
-    ls = _interconnection(model)[2]
+    ls = _interconnection(model.tuning.s, fe, st.coupling)[1]
     g_rx = fe.g_rf[rx]
 
     core_tx = ls[r, :n_tx] * fe.k_tx
@@ -316,6 +288,14 @@ def _source_vector(x, size: int, name: str) -> np.ndarray:
     return x
 
 
+def _incident_pattern(b: FarFieldPattern, st: RadiatingStructure) -> FarFieldPattern:
+    if not b.grid.compatible(st.grid):
+        raise ModelError("incident pattern grid does not match structure grid")
+    if not np.all(np.isfinite(b.values)):
+        raise ModelError("incident pattern must be finite")
+    return b
+
+
 def solve_direct(
     model: ReMSModel,
     v_tx=None,
@@ -331,10 +311,7 @@ def solve_direct(
     v_gamma = _source_vector(v_gamma, fe.n_rx, "v_gamma")
     i_gamma = _source_vector(i_gamma, fe.n_rx, "i_gamma")
     v_upsilon = _source_vector(v_upsilon, m, "v_upsilon")
-    if b_in is None:
-        b_in = zero_pattern(st.grid)
-    elif not b_in.grid.compatible(st.grid):
-        raise ModelError("incident pattern grid does not match structure grid")
+    b_in = zero_pattern(st.grid) if b_in is None else _incident_pattern(b_in, st)
 
     # unknowns x = [a_T, b_T, a_R, b_R, a_R~, b_R~]
     dim = 2 * n + 4 * m

@@ -26,9 +26,9 @@ from remskit import (
 from remskit._textio import csv_text, fmt, number
 from remskit.channel import propagation_matrix
 from remskit.cli import _db
-from remskit.errors import ModelError, NumericsError
+from remskit.errors import ModelError
 from remskit.farfield import FOUR_PI, PATTERN_CSV_HEADER, make_latlon_grid, spherical_basis
-from remskit.network import checked_inv, max_singular_value, reflection_coefficient
+from remskit.network import max_singular_value
 from remskit.radiating import (
     _POL_NAMES,
     _RESPONSE_MAGIC,
@@ -37,7 +37,6 @@ from remskit.radiating import (
     random_reciprocal_structure,
     synthesize_plane_wave_responses,
 )
-from remskit.solver import RANK1_COND
 
 FREQ = 5.4e9
 
@@ -322,50 +321,6 @@ def dense_theta(frontend, coupling):
     theta = np.zeros((n + m, n + m), dtype=complex)
     theta[:n, :n], theta[n:, n:] = dense_frontend(frontend).s_rf, coupling
     return theta
-
-
-def loop_sweep_transmit(builder, z_values, coord, z_set):
-    """Per-loop reference for SweepBase.load_sweep_transmit: (T0, u, v, w, b), or None.
-
-    The base model is built afresh from builder.fixed_s, its two loops (the terminated-port loop
-    and I - S Theta with a dense Theta) are inverted one by one, and each loop's Sherman-Morrison
-    bound (||A|| + |w| ||p|| ||q||)(||A^-1|| + |w| ||A^-1 p|| ||q A^-1|| / |1 - w q A^-1 p|)
-    is formed by itself, one norm per vector. None where a base loop fails its check or a bound
-    exceeds RANK1_COND.
-    """
-    fe = builder.frontend
-    n, nm, s = fe.n, fe.n + builder.structure.m_ports, builder.fixed_s
-    g0, k_vtx = reflection_coefficient(z_values, fe.r0), dense_frontend(fe).k_vtx
-    theta = dense_theta(fe, builder.structure.coupling)
-    loop1 = np.eye(g0.size) - s[nm:, nm:] * g0
-    try:
-        tn = builder(z_values).tuning
-        inv1 = checked_inv(loop1, "terminated-port loop")
-        loop = np.eye(nm) - tn.s @ theta
-        inv = checked_inv(loop, "I - S Theta")
-    except NumericsError:
-        return None
-
-    def rank1_cond(a, inv, w, p, q):
-        ip, qi = inv @ p, q @ inv
-        fa, fi, fp, fq, fip, fqi = (np.linalg.norm(x) for x in (a, inv, p, q, ip, qi))
-        return (fa + abs(w) * fp * fq) * (fi + abs(w) * fip * fqi / abs(1.0 - w * (q @ ip)))
-
-    x = s[nm:, nm + coord]
-    p = s[:nm, nm + coord] + (s[:nm, nm:] * g0) @ (inv1 @ x)
-    q, rho1 = inv1[coord] @ s[nm:, :nm], inv1[coord] @ x
-    q_th = q @ theta
-    d = reflection_coefficient(z_set, fe.r0) - g0[coord]
-    with np.errstate(all="ignore"):
-        bound = np.maximum(
-            rank1_cond(loop1, inv1, d, x, np.eye(g0.size)[coord]),
-            rank1_cond(loop, inv, d / (1.0 - rho1 * d), p, q_th),
-        )
-        if not np.all(bound <= RANK1_COND):
-            return None
-        ls = inv @ tn.s
-        u, v = (inv @ p)[n:], (q + q_th @ ls)[:n] @ k_vtx
-        return ls[n:, :n] @ k_vtx, u, v, d / (1.0 - (rho1 + q_th @ inv @ p) * d), bound
 
 
 def loop_pattern_to_csv(p):

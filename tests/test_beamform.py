@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import FREQ, dense_theta, loop_sweep_transmit, random_frontend, random_model
+from conftest import FREQ, dense_theta, random_frontend, random_model, random_passive_structure
 from remskit import ModelError, NumericsError, Scene
 from remskit.beamform import (
     BeamformProblem,
@@ -21,6 +21,7 @@ from remskit.beamform import (
     _projectors,
     _quasi_powers,
     _rank1_rows,
+    _score_rows,
     coordinate_ascent,
     evaluate_candidate,
     geometric_schedule,
@@ -45,7 +46,6 @@ from remskit.radiating import RadiatingStructure, random_reciprocal_structure
 from remskit.solver import (
     ReconfigurableBuilder,
     ReMSModel,
-    SweepBase,
     gain_operators,
     rems_gain,
     solve_direct,
@@ -269,7 +269,7 @@ def _one_load_setup(seed=17):
         gammas = reflection_coefficient(np.asarray(z_values, dtype=complex), 50.0)
         return ReMSModel(
             structure=structure,
-            tuning=TuningNetwork(1, 2, reduce_terminated_ports(fixed_s, 3, gammas)[0]),
+            tuning=TuningNetwork(1, 2, reduce_terminated_ports(fixed_s, 3, gammas)),
             frontend=RFFrontend(z_tx=[50.0], z_rx=np.zeros(0)),
         )
 
@@ -326,7 +326,7 @@ def test_no_tunable_loads_returns_zero_forcing_of_fixed_model():
         assert z_values == ()
         return ReMSModel(
             structure=structure,
-            tuning=TuningNetwork(1, 1, reduce_terminated_ports(fixed_s, 2, np.zeros(0))[0]),
+            tuning=TuningNetwork(1, 1, reduce_terminated_ports(fixed_s, 2, np.zeros(0))),
             frontend=RFFrontend(z_tx=[50.0], z_rx=np.zeros(0)),
         )
 
@@ -378,7 +378,7 @@ def test_more_streams_than_transmit_chains_raises():
 
 # ---------------------------------------------------------------------------
 # stacked candidate scoring against the per-candidate rebuild: a coordinate's
-# K candidates from one base model's rank-1 updates, scored in one array pass
+# K candidates from rank-1 updates of the load-port loop, scored in one array pass
 
 
 def _coordinate_candidates(problem, z_idx, coord):
@@ -409,10 +409,20 @@ def _ascent_inputs(problem, builder):
     return gamma_set, builder.structure.tx_at(dirs), _projectors(problem.primary_dirs, problem.q_co)
 
 
+def _rank1_rows_at(problem, builder, z_idx, coord):
+    """Load coord's rank-1 rows from incumbent z_idx through a fresh load-port loop, or None."""
+    gamma_set, tx_dirs, q = _ascent_inputs(problem, builder)
+    ports = builder.load_ports(gamma_set)
+    assert ports is not None  # the reduction is certified
+    gammas = gamma_set[list(z_idx)]
+    k, t0 = ports.loop(gammas)
+    _, u, v, w = ports.update(k, gammas, coord, gamma_set)
+    return _rank1_rows(builder.frontend, t0, u, v, w, ports.bound, tx_dirs, q)
+
+
 def _rank1_scores(problem, builder, z_idx, coord, sigma):
     """Scores of load coord's candidates from the rank-1 pass, which must not decline."""
-    z_values = [problem.z_set[i] for i in z_idx]
-    rows = _rank1_rows(builder.sweep_base(z_values), coord, *_ascent_inputs(problem, builder))
+    rows = _rank1_rows_at(problem, builder, z_idx, coord)
     assert rows is not None  # the coordinate takes the rank-1 path, not the fallback
     return [evaluate_candidate(problem, builder, None, sigma, row) for row in rows]
 
@@ -446,20 +456,28 @@ def test_stacked_scoring_matches_reference_on_case_study():
 
 
 def test_incumbent_rank1_row_is_the_rebuild_row_on_case_study():
-    # the incumbent's own setting has w = 0: its row is the base's, bit for bit
+    # the incumbent's own setting has w = 0: its row is T0's bit for bit, and T0 is the rebuild's core_tx
     problem, builder = Scene.load(CASE_STUDY).beamform_problem()
     rng = np.random.default_rng(11)
     z_idx = [int(i) for i in rng.integers(0, len(problem.z_set), problem.r)]
     assert len(set(z_idx)) > 1
     z_values = [problem.z_set[i] for i in z_idx]
-    base = builder.sweep_base(z_values)
     ref = evaluate_candidate(problem, builder, z_values, problem.sigma_schedule[-1])
-    inputs = _ascent_inputs(problem, builder)
+    gamma_set, tx_dirs, q = _ascent_inputs(problem, builder)
+    ports = builder.load_ports(gamma_set)
+    gammas = gamma_set[z_idx]
+    k, t0 = ports.loop(gammas)
+    core_tx = gain_operators(builder(z_values)).core_tx
+    assert np.max(np.abs(t0 - core_tx)) <= 1e-13 * np.max(np.abs(core_tx))
+    h0, t_0, qp0 = _score_rows(builder.frontend, (tx_dirs @ t0)[None], q)
+    own = evaluate_candidate(problem, builder, None, problem.sigma_schedule[-1], (h0[0], t_0[0], qp0[0]))
     for coord in range(problem.r):
-        assert base.load_sweep_transmit(coord, inputs[0])[3][z_idx[coord]] == 0.0
-        h, t, qp = _rank1_rows(base, coord, *inputs)[z_idx[coord]]
-        assert np.array_equal(h, ref.h) and np.array_equal(t, ref.t)
-        assert astuple(qp) == astuple(ref.powers)
+        _, u, v, w = ports.update(k, gammas, coord, gamma_set)
+        assert w[z_idx[coord]] == 0.0
+        h, t, qp = _rank1_rows(builder.frontend, t0, u, v, w, ports.bound, tx_dirs, q)[z_idx[coord]]
+        assert np.array_equal(h, own.h) and np.array_equal(t, own.t)
+        assert astuple(qp) == astuple(own.powers)
+    _assert_scores_agree([own], [ref])
 
 
 def _near_limit_case(rng, n_rx, r, factor, frontend_closed=True):
@@ -489,7 +507,7 @@ def _near_limit_case(rng, n_rx, r, factor, frontend_closed=True):
     target_idx = list(z_idx)
     target_idx[coord] = target
     z_target = np.array([z_set[i] for i in target_idx])
-    s = reduce_terminated_ports(fixed, n + m, reflection_coefficient(z_target, frontend.r0))[0]
+    s = reduce_terminated_ports(fixed, n + m, reflection_coefficient(z_target, frontend.r0))
     s_rr = s[n:, n:]
     if frontend_closed:
         g = frontend.g_rf
@@ -628,38 +646,48 @@ def _well_conditioned_case(rng, n_rx, r, n_tx=3):
     return problem, builder, z_idx, int(rng.integers(0, r))
 
 
-@settings(max_examples=30)
+def _rel(x, y):
+    """Largest entry difference over y's largest magnitude; 0 for two empty arrays of one shape."""
+    assert x.shape == y.shape
+    return float(np.max(np.abs(x - y)) / np.max(np.abs(y))) if y.size else 0.0
+
+
+@settings(max_examples=40)
 @given(
-    near_limit=st.booleans(),
-    factor=st.sampled_from([0.2, 5.0]),
+    n_tx=st.integers(0, 2),
     n_rx=st.integers(0, 2),
+    m=st.integers(1, 4),
     r=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_load_sweep_matches_the_per_loop_oracle_on_generated_models(near_limit, factor, n_rx, r, seed):
-    # the stored base and the stacked certificate against a fresh build and five separate bounds;
-    # the near-limit case's target configuration is itself a base, whose loops may fail their checks
+def test_load_port_algebra_matches_rebuilds_on_generated_models(n_tx, n_rx, m, r, seed):
+    # P + Q G K R against a rebuild's core_tx, and the loop inverse and transmit operator carried
+    # through a chain of accepted moves against fresh ones
     rng = np.random.default_rng(seed)
-    if near_limit:
-        problem, builder, z_idx, coord, target = _near_limit_case(rng, n_rx, r, factor)
-        other = list(z_idx)
-        other[coord] = target
-    else:
-        problem, builder, z_idx, _ = _well_conditioned_case(rng, n_rx, r)
-        other = [int(i) for i in rng.integers(0, len(problem.z_set), r)]
-    assert np.any(builder.fixed_s[-r:, -r:] != 0.0)  # S_BB != 0
-    gamma_set = reflection_coefficient(problem.z_set, builder.r0)
-    for idx in (z_idx, other):
-        z_values = [problem.z_set[i] for i in idx]
-        base = builder.sweep_base(z_values)
-        for coord in range(r):
-            ref = loop_sweep_transmit(builder, z_values, coord, problem.z_set)
-            got = None if base is None else base.load_sweep_transmit(coord, gamma_set)
-            assert (got is None) == (ref is None)
-            if got is None:
-                continue
-            for a, b, tol in zip(got, ref, (1e-13, 1e-13, 1e-13, 1e-13, 1e-12)):
-                assert np.max(np.abs(a - b)) <= tol * np.max(np.abs(b))
+    dim = n_tx + n_rx + m + r
+    fixed = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    fixed *= 0.9 / max_singular_value(fixed)
+    assert np.all(fixed[-r:, -r:] != 0.0)  # S_cc != 0
+    structure = random_passive_structure(make_latlon_grid(4, 6), m, rng, FREQ)
+    builder = ReconfigurableBuilder(structure, random_frontend(rng, n_tx, n_rx), fixed)
+    z_set = rng.uniform(0.0, 100.0, 5) + 1j * rng.uniform(-150.0, 150.0, 5)
+    gamma_set = reflection_coefficient(z_set, builder.r0)
+    ports = builder.load_ports(gamma_set)
+    assert ports is not None
+    for _ in range(3):
+        idx = rng.integers(0, len(z_set), r)
+        gammas = gamma_set[idx]
+        k, t0 = ports.loop(gammas)
+        assert _rel(t0, gain_operators(builder(z_set[idx])).core_tx) <= 1e-13
+        for _ in range(int(rng.integers(1, 2 * r + 1))):
+            coord, j = int(rng.integers(0, r)), int(rng.integers(0, len(z_set)))
+            ks, u, v, w = ports.update(k, gammas, coord, gamma_set)
+            t0 = t0 + w[j] * np.outer(u, v)
+            k = k + w[j] * np.outer(ks, k[coord])
+            gammas[coord], idx[coord] = gamma_set[j], j
+        k_fresh, t0_fresh = ports.loop(gammas)
+        assert _rel(k, k_fresh) <= 1e-13 and _rel(t0, t0_fresh) <= 1e-13
+        assert _rel(t0, gain_operators(builder(z_set[idx])).core_tx) <= 1e-13
 
 
 @settings(max_examples=25)
@@ -684,21 +712,27 @@ def test_rank1_scoring_matches_rebuilds_on_generated_models(n_rx, r, seed):
     assert np.max(np.abs(fast.t - slow.t)) <= 1e-12 * np.max(np.abs(slow.t))
 
 
+def _recorded_rank1_rows(monkeypatch):
+    """The list that every _rank1_rows result of the ascents that follow is appended to."""
+    rank1_rows, rows = _rank1_rows, []
+
+    def recorded(*args):
+        rows.append(rank1_rows(*args))
+        return rows[-1]
+
+    monkeypatch.setattr("remskit.beamform._rank1_rows", recorded)
+    return rows
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_rank1_ascent_matches_rebuilds_at_panel_size(monkeypatch, seed):
     # 64 loads and 65 radiating ports, one sweep: the per-candidate path rebuilds 320 models
     rng = np.random.default_rng(seed)
     problem, builder, _, _ = _well_conditioned_case(rng, int(rng.integers(0, 3)), 64)
     problem = replace(problem, i_max=1)
-    sweep, updates = SweepBase.load_sweep_transmit, []
-
-    def recorded_sweep(self, *args):
-        updates.append(sweep(self, *args))
-        return updates[-1]
-
-    monkeypatch.setattr(SweepBase, "load_sweep_transmit", recorded_sweep)
+    rows = _recorded_rank1_rows(monkeypatch)
     fast = coordinate_ascent(problem, builder)
-    assert len(updates) == problem.r and all(upd is not None for upd in updates)  # 0 fallbacks
+    assert len(rows) == problem.r and all(row is not None for row in rows)  # 0 fallbacks
     slow = coordinate_ascent(problem, lambda z: builder(z))
     assert fast.z_indices == slow.z_indices
     assert fast.evaluations == slow.evaluations == problem.r * len(problem.z_set)
@@ -714,8 +748,7 @@ def test_rank1_scoring_certifies_the_zf_gram_on_two_chain_models():
         rng = np.random.default_rng(seed)
         n_rx, r = int(rng.integers(0, 3)), int(rng.integers(1, 5))
         problem, builder, z_idx, coord = _well_conditioned_case(rng, n_rx, r, n_tx=2)
-        z_values = [problem.z_set[i] for i in z_idx]
-        rows = _rank1_rows(builder.sweep_base(z_values), coord, *_ascent_inputs(problem, builder))
+        rows = _rank1_rows_at(problem, builder, z_idx, coord)
         if rows is None:  # the ascent scores this coordinate candidate by candidate
             declined += 1
             continue
@@ -727,32 +760,22 @@ def test_rank1_scoring_certifies_the_zf_gram_on_two_chain_models():
     assert declined <= 40  # the rank-1 pass still scores most coordinates
 
 
-def test_case_study_ascent_builds_one_base_model_per_incumbent(monkeypatch, caplog):
+def test_case_study_ascent_builds_only_the_probe_model(monkeypatch, caplog):
     problem, builder = Scene.load(CASE_STUDY).beamform_problem()
-    builds, seen, updates = [], [], []
-    build, sweep = ReconfigurableBuilder._build, SweepBase.load_sweep_transmit
+    build, builds = ReconfigurableBuilder.__call__, []
 
-    def counted_build(self, gammas):  # every model build, through __call__ or sweep_base
-        builds.append(np.shape(gammas))
-        return build(self, gammas)
+    def counted_build(self, z_values):  # every model build
+        builds.append(tuple(z_values))
+        return build(self, z_values)
 
-    def recorded_sweep(self, *args):  # the load reflections each coordinate's sweep starts from
-        seen.append(tuple(self.gammas))
-        updates.append(sweep(self, *args))
-        return updates[-1]
-
-    monkeypatch.setattr(ReconfigurableBuilder, "_build", counted_build)
-    monkeypatch.setattr(SweepBase, "load_sweep_transmit", recorded_sweep)
+    monkeypatch.setattr(ReconfigurableBuilder, "__call__", counted_build)
+    rows = _recorded_rank1_rows(monkeypatch)
     with caplog.at_level(logging.WARNING, logger="remskit.beamform"):
         result = coordinate_ascent(problem, builder)
     coords = problem.i_max * problem.r
-    assert len(updates) == coords and all(upd is not None for upd in updates)  # 0 fallbacks
-    assert seen[0] == tuple(reflection_coefficient([problem.z_init] * problem.r, builder.r0))
-    changes = sum(a != b for a, b in zip(seen, seen[1:]))
-    assert 0 < changes < coords
-    # the first base is the probe, and a new one follows each changed incumbent:
-    # no per-candidate rebuild and no rebuild of an unchanged incumbent
-    assert builds == [(problem.r,)] * (1 + changes)
+    assert len(rows) == coords and all(row is not None for row in rows)  # 0 declined coordinates
+    # the probe is the only model: no per-candidate rebuild and no per-incumbent one
+    assert builds == [(problem.z_init,) * problem.r]
     assert caplog.messages == []
     assert result.evaluations == coords * len(problem.z_set)
 
@@ -761,10 +784,7 @@ def test_singular_gram_declines_the_rank1_pass_and_logs_the_rebuild_skips(caplog
     # two identical streams: every candidate's Gram matrix is singular
     problem, builder, z_idx, coord = _well_conditioned_case(np.random.default_rng(5), 1, 2, n_tx=2)
     problem = replace(problem, primary_dirs=(Direction(1.0, 0.5),) * 2)
-    z_values = [problem.z_set[i] for i in z_idx]
-    base = builder.sweep_base(z_values)
-    assert base.load_sweep_transmit(coord, reflection_coefficient(problem.z_set, builder.r0)) is not None
-    assert _rank1_rows(base, coord, *_ascent_inputs(problem, builder)) is None
+    assert _rank1_rows_at(problem, builder, z_idx, coord) is None  # certified loops, singular Grams
 
     with caplog.at_level(logging.WARNING, logger="remskit.beamform"):
         caplog.clear()
@@ -777,31 +797,26 @@ def test_singular_gram_declines_the_rank1_pass_and_logs_the_rebuild_skips(caplog
     assert fast.evaluations == slow.evaluations == 0
 
 
-def test_failing_base_build_declines_the_rank1_pass(monkeypatch):
+def test_uncertified_load_ports_decline_the_rank1_pass(monkeypatch, caplog):
+    # a rescaled fixed network whose loads see ||S_LL||_2 max|gamma| >= 1: every coordinate is rebuilt
     problem, builder, _, _ = _well_conditioned_case(np.random.default_rng(7), 1, 3)
-    build, sweep_base = ReconfigurableBuilder._build, ReconfigurableBuilder.sweep_base
-    in_base, bases = [], []
-
-    def failing_build(self, gammas):  # fails inside sweep_base, never in a per-candidate build
-        if in_base:
-            raise NumericsError("synthetic base-model failure")
-        return build(self, gammas)
-
-    def recorded_sweep_base(self, z_values):
-        in_base.append(True)
-        try:
-            bases.append(sweep_base(self, z_values))
-        finally:
-            in_base.clear()
-        return bases[-1]
-
-    monkeypatch.setattr(ReconfigurableBuilder, "_build", failing_build)
-    monkeypatch.setattr(ReconfigurableBuilder, "sweep_base", recorded_sweep_base)
-    fast = coordinate_ascent(problem, builder)
-    # the first incumbent's base and each changed incumbent's fail, declining every coordinate
-    assert len(bases) > 1 and all(base is None for base in bases)
-    slow = coordinate_ascent(problem, lambda z: builder(z))
+    builder = replace(builder, fixed_s=3.0 * builder.fixed_s)
+    fe, s, nm = builder.frontend, builder.fixed_s, builder.fixed_s.shape[0] - problem.r
+    theta = dense_theta(fe, builder.structure.coupling)
+    s_ll = s[nm:, :nm] @ theta @ np.linalg.solve(np.eye(nm) - s[:nm, :nm] @ theta, s[:nm, nm:]) + s[nm:, nm:]
+    gamma_set = reflection_coefficient(problem.z_set, builder.r0)
+    assert max_singular_value(s_ll) * np.max(np.abs(gamma_set)) >= 1.0
+    assert builder.load_ports(gamma_set) is None
+    rows = _recorded_rank1_rows(monkeypatch)
+    with caplog.at_level(logging.WARNING, logger="remskit.beamform"):
+        caplog.clear()
+        fast = coordinate_ascent(problem, builder)
+        fast_skips = caplog.messages
+        caplog.clear()
+        slow = coordinate_ascent(problem, lambda z: builder(z))
+    assert rows == []  # no rank-1 row
+    assert fast_skips == caplog.messages
     assert fast.z_indices == slow.z_indices
     assert fast.evaluations == slow.evaluations == problem.i_max * problem.r * len(problem.z_set)
-    assert fast.f_trace == pytest.approx(slow.f_trace, rel=1e-12, abs=0.0)
-    assert np.max(np.abs(fast.t - slow.t)) <= 1e-12 * np.max(np.abs(slow.t))
+    assert fast.f_trace == slow.f_trace
+    assert np.array_equal(fast.t, slow.t)

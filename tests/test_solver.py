@@ -1,5 +1,6 @@
 """Direct interconnection solve vs the closed-form gain operators."""
 
+import dataclasses
 import math
 import os
 
@@ -408,15 +409,32 @@ def test_operator_input_maps_validate_like_solve_direct():
 
 
 def test_nan_residual_fails_the_residual_gate():
-    # a NaN in the incident pattern reaches the right-hand side; the NaN
+    # a received wave that overflows puts inf on the right-hand side; the NaN
     # residual must fail the gate, not slip past a `resid > tol` test
     grid = make_latlon_grid(4, 4)
     rng = np.random.default_rng(38)
     model = random_model(rng, grid, n_tx=1, n_rx=1, m=2)
+    loud = dataclasses.replace(model.structure, rx_kernel=1e300 * model.structure.rx_kernel)
     b_in = random_pattern(rng, grid)
-    b_in.values[3, 0] = math.nan
+    b_in.values *= 1e10
     with pytest.raises(NumericsError, match="residual nan"):
-        solve_direct(model, v_tx=[1.0], b_in=b_in)
+        solve_direct(dataclasses.replace(model, structure=loud), v_tx=[1.0], b_in=b_in)
+
+
+def test_non_finite_incident_patterns_raise_model_error():
+    # a NaN or inf sample ends as ModelError at every map that takes an incident pattern,
+    # not as a NaN output or a failed residual gate
+    grid = make_latlon_grid(8, 16)
+    rng = np.random.default_rng(1)
+    model = random_model(rng, grid)
+    ops = gain_operators(model)
+    maps = (ops.farfield_to_vrx, ops.farfield_to_farfield, lambda b: solve_direct(model, b_in=b))
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+        b_in = random_pattern(rng, grid)
+        b_in.values[5, 1] = bad
+        for apply in maps:
+            with pytest.raises(ModelError, match="incident pattern must be finite"):
+                apply(b_in)
 
 
 def test_model_shape_validation():

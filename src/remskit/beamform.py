@@ -122,10 +122,6 @@ class QuasiPowers:
     p_interf: float
     p_second: float
 
-    @property
-    def denominator_part(self) -> float:
-        return self.p_interf + self.p_second
-
 
 def _problem_dirs(problem: BeamformProblem) -> tuple:
     return tuple(problem.primary_dirs) + tuple(problem.secondary_dirs)
@@ -167,22 +163,15 @@ def quasi_powers(model: ReMSModel, t: np.ndarray, problem: BeamformProblem) -> Q
 
 def objective(model: ReMSModel, sigma: float, t: np.ndarray, problem: BeamformProblem) -> float:
     """p_signal / (p_interf + p_second + sigma)."""
-    unbounded, f, _ = _acceptance_key(quasi_powers(model, t, problem), sigma)
-    return math.inf if unbounded else f
+    return _objective(quasi_powers(model, t, problem), sigma)
 
 
-def _acceptance_key(qp: QuasiPowers, sigma: float):
-    """Total order on candidate scores without nonfinite arithmetic.
-
-    Finite-denominator scores compare by the objective. A zero denominator
-    (possible only at sigma = 0) with positive signal dominates everything
-    finite; among those, (p_signal, -denominator) compares lexicographically.
-    """
-    denom = qp.denominator_part + sigma
-    if denom == 0.0 and qp.p_signal > 0.0:
-        return (1, qp.p_signal, -denom)
-    f = 0.0 if denom == 0.0 else qp.p_signal / denom
-    return (0, f, 0.0)
+def _objective(qp: QuasiPowers, sigma: float) -> float:
+    """p_signal / ((p_interf + p_second) + sigma); a zero denominator gives inf with signal, 0 without."""
+    denom = (qp.p_interf + qp.p_second) + sigma
+    if denom == 0.0:
+        return math.inf if qp.p_signal > 0.0 else 0.0
+    return qp.p_signal / denom
 
 
 @dataclass(slots=True)
@@ -191,7 +180,6 @@ class CandidateScore:
     powers: QuasiPowers
     h: np.ndarray
     t: np.ndarray
-    key: tuple
 
 
 def evaluate_candidate(
@@ -200,10 +188,10 @@ def evaluate_candidate(
     """Score the load configuration z_values jointly with its ZF precoder.
 
     scored, when given, is the configuration's (h, t, QuasiPowers) row from a
-    stacked pass over its coordinate's candidates; only the objective and
-    the acceptance key are then formed, and neither model_builder nor
-    z_values is used. Without it, the model is built for z_values and scored
-    as a stack of one: the reference path.
+    stacked pass over its coordinate's candidates; only the objective is
+    then formed, and neither model_builder nor z_values is used. Without
+    it, the model is built for z_values and scored as a stack of one: the
+    reference path.
     """
     if scored is None:
         model = model_builder(tuple(z_values))
@@ -212,8 +200,7 @@ def evaluate_candidate(
         h, t, qp = _score_rows(model.frontend, mats[None], q)
         scored = h[0], t[0], qp[0]
     h, t, qp = scored
-    key = _acceptance_key(qp, sigma)
-    return CandidateScore(math.inf if key[0] else key[1], qp, h, t, key)
+    return CandidateScore(_objective(qp, sigma), qp, h, t)
 
 
 def _rank1_rows(fe, t0, u, v, w, bound, tx_dirs, q):
@@ -279,9 +266,10 @@ def coordinate_ascent(
     the incumbent; a coordinate's K candidates are rank-1 updates of it
     (LoadPorts.update), scored in one array pass of one zf_precoder call and
     one quasi-power reduction, and an accepted move updates the loop inverse
-    and T0 in O(r^2). Only the comparison of the K keys is sequential; the
-    incumbent rescored under the sigma it was accepted at, equal up to
-    rounding, is not compared. An uncertified reduction or a declined
+    and T0 in O(r^2). Only the comparison of the K objective values, one
+    float each, is sequential (a NaN never wins); the incumbent rescored
+    under the sigma it was accepted at, equal up to rounding, is not
+    compared. An uncertified reduction or a declined
     coordinate is scored like any other callable's, one rebuild per
     candidate, so each failing candidate logs its own error. No case-study
     coordinate is declined.
@@ -304,7 +292,7 @@ def coordinate_ascent(
     q = _projectors(problem.primary_dirs, problem.q_co)
     rng = np.random.default_rng(problem.rng_seed)
     t_best = np.eye(n_tx, u, dtype=complex)
-    f_best, key_best, sigma_best = 0.0, (0, 0.0, 0.0), None
+    f_best, sigma_best = 0.0, None
     f_trace, n_eval = [], 0
 
     for sweep in range(problem.i_max):
@@ -329,8 +317,8 @@ def coordinate_ascent(
                     continue
                 n_eval += 1
                 # the incumbent rescored under its own sigma equals its record up to rounding
-                if score.key > key_best and (k != z_idx[coord] or sigma != sigma_best):
-                    key_best, f_best, t_best, sigma_best = score.key, score.f, score.t, sigma
+                if score.f > f_best and (k != z_idx[coord] or sigma != sigma_best):
+                    f_best, t_best, sigma_best = score.f, score.t, sigma
                     z_idx[coord] = k
                     f_trace.append(f_best)
             if ports is not None and z_idx[coord] != k_cur:  # the accepted move, by Sherman-Morrison

@@ -27,10 +27,6 @@ def reflection_coefficient(z, r0: float):
     return (z - r0) / (z + r0)
 
 
-def max_singular_value(s: np.ndarray) -> float:
-    return float(np.linalg.svd(np.asarray(s, dtype=complex), compute_uv=False)[0])
-
-
 def condition_number(mat: np.ndarray) -> float:
     """2-norm condition number: the ratio of the extreme singular values, inf when singular."""
     s = np.linalg.svd(mat, compute_uv=False)

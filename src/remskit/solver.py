@@ -176,14 +176,18 @@ class GainOperators:
         """
         return self.model.structure.tx_at(d) @ self.core_tx
 
+    @np.errstate(over="ignore", invalid="ignore")
     def farfield_to_farfield(self, b: FarFieldPattern) -> FarFieldPattern:
         s, b = self.model.structure, _incident_pattern(b, self.model.structure)
         out = apply_scatter(s, b)
         out.values += apply_transmit(s, self.mid_rx @ apply_receive(s, b)).values
+        _finite(out.values, "scattered pattern")
         return out
 
+    @np.errstate(over="ignore", invalid="ignore")
     def farfield_to_vrx(self, b: FarFieldPattern) -> np.ndarray:
-        return self.lead_rx @ apply_receive(self.model.structure, _incident_pattern(b, self.model.structure))
+        v_rx = self.lead_rx @ apply_receive(self.model.structure, _incident_pattern(b, self.model.structure))
+        return _finite(v_rx, "v_rx")
 
     def vtx_to_vrx(self, v_tx) -> np.ndarray:
         return self.g_vtx_vrx @ _source_vector(v_tx, self.model.frontend.n_tx, "v_tx")
@@ -296,6 +300,14 @@ def _incident_pattern(b: FarFieldPattern, st: RadiatingStructure) -> FarFieldPat
     return b
 
 
+def _finite(x: np.ndarray, name: str) -> np.ndarray:
+    """x, or NumericsError when an output of finite inputs overflows to inf or NaN."""
+    if not np.all(np.isfinite(x)):
+        raise NumericsError(f"{name} is not finite: the output overflows")
+    return x
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def solve_direct(
     model: ReMSModel,
     v_tx=None,
@@ -365,9 +377,10 @@ def solve_direct(
     a_t, b_t = x[sl_at], x[sl_bt]
     a_r, b_r = x[sl_ar], x[sl_br]
     a_rt, b_rt = x[sl_art], x[sl_brt]
-    v_rx = fe.k_out * (b_t - a_t)[fe.n_tx :] + fe.z_rx * i_gamma
+    v_rx = _finite(fe.k_out * (b_t - a_t)[fe.n_tx :] + fe.z_rx * i_gamma, "v_rx")
     a_f = apply_scatter(st, b_in)
     a_f.values += apply_transmit(st, a_rt).values
+    _finite(a_f.values, "radiated pattern a_f")
     return SolveResult(a_t, b_t, a_r, b_r, a_rt, b_rt, v_rx, a_f, b_in)
 
 

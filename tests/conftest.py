@@ -28,7 +28,6 @@ from remskit.channel import propagation_matrix
 from remskit.cli import _db
 from remskit.errors import ModelError
 from remskit.farfield import FOUR_PI, PATTERN_CSV_HEADER, make_latlon_grid, spherical_basis
-from remskit.network import max_singular_value
 from remskit.radiating import (
     _POL_NAMES,
     _RESPONSE_MAGIC,
@@ -111,6 +110,10 @@ def vi_from_waves(a, b, r0: float):
     return math.sqrt(r0) * (a + b), (a - b) / math.sqrt(r0)
 
 
+def max_singular_value(s: np.ndarray) -> float:
+    return float(np.linalg.svd(np.asarray(s, dtype=complex), compute_uv=False)[0])
+
+
 def is_passive(s, tol: float = 1e-9) -> bool:
     return max_singular_value(s) <= 1.0 + tol
 
@@ -118,6 +121,19 @@ def is_passive(s, tol: float = 1e-9) -> bool:
 def is_reciprocal(s, tol: float = 1e-9) -> bool:
     s = np.asarray(s, dtype=complex)
     return bool(np.max(np.abs(s - s.T)) <= tol)
+
+
+def fejer_weights(grid) -> np.ndarray:
+    """(grid.size,) sphere weights of Fejer's first rule on make_latlon_grid's theta nodes.
+
+    The nodes (k + 1/2) pi / n are Fejer's; ring k weighs
+    (2/n)(1 - 2 sum_{j=1}^{n//2} cos(2 j theta_k) / (4 j^2 - 1)) 2 pi / n_phi, so with the
+    uniform phi trapezoid a band-limited pattern integrates exactly (Waldvogel, BIT 2006).
+    """
+    n, theta = grid.n_theta, grid.theta[:: grid.n_phi]
+    j = np.arange(1, n // 2 + 1)
+    ring = (2.0 / n) * (1.0 - 2.0 * (np.cos(2.0 * np.outer(theta, j)) / (4.0 * j**2 - 1.0)).sum(axis=1))
+    return np.repeat(ring * (2.0 * math.pi / grid.n_phi), grid.n_phi)
 
 
 def impulse_pattern(grid, d, coeff):

@@ -11,12 +11,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import FREQ, dense_theta, random_frontend, random_model, random_passive_structure
+from conftest import (
+    FREQ,
+    dense_theta,
+    max_singular_value,
+    random_frontend,
+    random_model,
+    random_passive_structure,
+)
 from remskit import ModelError, NumericsError, Scene
 from remskit.beamform import (
     BeamformProblem,
     QuasiPowers,
-    _acceptance_key,
     _fisher_yates,
     _projectors,
     _quasi_powers,
@@ -38,7 +44,6 @@ from remskit.network import (
     TuningNetwork,
     condition_number,
     feedthrough_reflector_fixed,
-    max_singular_value,
     reduce_terminated_ports,
     reflection_coefficient,
 )
@@ -157,7 +162,6 @@ def test_quasi_powers_are_worst_case_radiated_gains():
     assert qp.p_interf == pytest.approx(max(g[0, 1], g[1, 0]), rel=1e-12)
     g2 = max(rems_gain(model, t[:, u], second[0]) for u in range(2))
     assert qp.p_second == pytest.approx(g2, rel=1e-12)
-    assert qp.denominator_part == qp.p_interf + qp.p_second
 
 
 def test_quasi_powers_silent_stream_counts_as_zero_gain():
@@ -194,16 +198,27 @@ def test_objective_handles_zero_denominator():
     assert sig == qp.p_signal / 2.0
 
 
-def test_acceptance_key_total_order():
-    finite_lo = _acceptance_key(QuasiPowers(1.0, 1.0, 0.0), 1.0)
-    finite_hi = _acceptance_key(QuasiPowers(3.0, 1.0, 0.0), 1.0)
-    unbounded = _acceptance_key(QuasiPowers(0.1, 0.0, 0.0), 0.0)
-    unbounded_hi = _acceptance_key(QuasiPowers(0.2, 0.0, 0.0), 0.0)
-    dead = _acceptance_key(QuasiPowers(0.0, 0.0, 0.0), 0.0)
-    assert finite_lo < finite_hi
-    assert finite_hi < unbounded < unbounded_hi
-    assert dead < finite_lo
-    assert dead == (0, 0.0, 0.0)
+_POWER = st.floats(min_value=0.0)
+
+
+def _score_f(sigma, qp):
+    """The objective evaluate_candidate forms from a scored row."""
+    return evaluate_candidate(_quasi_problem((Direction(1.2, 0.0),)), None, None, sigma, (None, None, qp)).f
+
+
+@given(
+    p=st.tuples(_POWER, _POWER, _POWER),
+    sigma=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+def test_objective_is_one_float_at_positive_sigma(p, sigma):
+    qp = QuasiPowers(*p)
+    assert _score_f(sigma, qp).hex() == (qp.p_signal / ((qp.p_interf + qp.p_second) + sigma)).hex()
+
+
+def test_objective_at_zero_sigma():
+    assert _score_f(0.0, QuasiPowers(0.1, 0.0, 0.0)) == math.inf
+    assert _score_f(0.0, QuasiPowers(0.0, 0.0, 0.0)) == 0.0
+    assert _score_f(0.0, QuasiPowers(3.0, 1.0, 0.5)) == 2.0
 
 
 def test_geometric_schedule_values():
@@ -295,7 +310,7 @@ def test_single_load_sweep_matches_exhaustive_search():
     scores = [
         evaluate_candidate(problem, builder, (z,), sigma_last) for z in problem.z_set
     ]
-    best = max(range(len(scores)), key=lambda k: scores[k].key)
+    best = max(range(len(scores)), key=lambda k: scores[k].f)
     assert result.z_indices == (best,)
     assert result.z_r == (problem.z_set[best],)
     assert result.f_best == scores[best].f
@@ -428,14 +443,12 @@ def _rank1_scores(problem, builder, z_idx, coord, sigma):
 
 
 def _assert_scores_agree(scores, reference):
-    """Same skip set; f, key and t equal to 1e-12 relative."""
+    """Same skip set; f and t equal to 1e-12 relative."""
     assert [s is None for s in scores] == [isinstance(r, NumericsError) for r in reference]
     for got, ref in zip(scores, reference):
         if got is None:
             continue
         assert got.f == pytest.approx(ref.f, rel=1e-12, abs=0.0)
-        assert got.key[0] == ref.key[0]
-        assert got.key[1:] == pytest.approx(ref.key[1:], rel=1e-12, abs=0.0)
         assert np.max(np.abs(got.t - ref.t)) <= 1e-12 * np.max(np.abs(ref.t))
 
 

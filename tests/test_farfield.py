@@ -10,6 +10,8 @@ from remskit import (
     FarFieldPattern,
     ModelError,
     antipodal_mirror,
+    apply_transmit,
+    hertzian_dipole,
     inner_product,
     intensity,
     make_latlon_grid,
@@ -18,7 +20,15 @@ from remskit import (
 )
 from remskit.farfield import FOUR_PI, _pattern_csv, direction_from_vector, spherical_basis
 
-from conftest import impulse_pattern, loop_blend, loop_pattern_to_csv, loop_stencil, random_pattern
+from conftest import (
+    FREQ,
+    fejer_weights,
+    impulse_pattern,
+    loop_blend,
+    loop_pattern_to_csv,
+    loop_stencil,
+    random_pattern,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +135,18 @@ def test_quadrature_convergence_quadratic():
 
     e1, e2 = run(12, 16), run(24, 32)
     assert e2 < e1 / 3.5
+
+
+@pytest.mark.parametrize("n_theta", [4, 9, 18, 36])
+def test_fejer_weights_integrate_a_dipole_to_round_off(n_theta):
+    # a Hertzian dipole radiates 1 W at unit drive; its band-limited intensity is integrated
+    # exactly by Fejer's rule, where the cell weights are off by 1.5e-2 (4x8) to 1.5e-4 (36x72)
+    g = make_latlon_grid(n_theta, 2 * n_theta)
+    w = fejer_weights(g)
+    assert w.sum() == pytest.approx(FOUR_PI, rel=1e-15)
+    for orientation in ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.6, 0.0, 0.8]):
+        values = apply_transmit(hertzian_dipole(orientation, [0.0, 0.0, 0.0], g, FREQ), [1.0]).values
+        assert abs(np.sum(np.abs(values) ** 2 * w[:, None]) - 1.0) <= 1e-15
 
 
 def test_interp_stencil_exact_at_samples_and_partition():

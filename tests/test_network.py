@@ -29,10 +29,9 @@ from remskit.network import (
     COND_LIMIT,
     check_condition,
     checked_inv,
-    max_singular_value,
 )
 
-from conftest import is_passive, is_reciprocal, vi_from_waves, waves_from_vi
+from conftest import is_passive, is_reciprocal, max_singular_value, vi_from_waves, waves_from_vi
 
 
 def test_wave_voltage_round_trip():

@@ -1,13 +1,15 @@
 """Every name a package module imports is used in that module, and every private function,
-public method and dataclass field is read.
+public method, dataclass field and public function is read.
 
 No linter ships with the project, so this reads each module's syntax tree
 with ast: a name bound by an import statement must be read somewhere else
 in the module, a module-level _private function must be read by some
 package module outside its own body, a public method or property of a
 package class must be read outside its own body by some module of src/,
-tests/ or perfbench/, and a field of a package dataclass must be read as
-an attribute by some module of those three.
+tests/ or perfbench/, a field of a package dataclass must be read as
+an attribute by some module of those three, and a module-level public
+function must be exported by the package or read by some module of src/ or
+perfbench/, so that no function ships for the tests alone.
 """
 
 import ast
@@ -178,3 +180,39 @@ def test_package_has_no_dead_dataclass_field():
     paths = [p for d in ("src", "tests", "perfbench") for p in (root / d).rglob("*.py")]
     readers = [p.read_text(encoding="utf-8") for p in paths]
     assert dead_dataclass_fields(package, readers) == []
+
+
+def functions_only_tests_read(package: dict, readers: list) -> list:
+    """Public module-level functions of package (module name -> text) that no reader reads.
+
+    readers holds the texts of every module that ships or runs with the
+    package, its __init__ included, so an exported function is read by the
+    export. A read is as for dead_private_functions, anywhere but inside the
+    function's own body.
+    """
+    defs = [
+        (f"{module}.{stmt.name}", stmt)
+        for module, source in package.items()
+        for stmt in ast.parse(source).body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and not stmt.name.startswith("_")
+    ]
+    return _unread(defs, [ast.parse(source) for source in readers])
+
+
+def test_the_check_finds_a_test_only_function():
+    package = {
+        "__init__": "from .a import exported\n",
+        "a": "def exported():\n    pass\n\n\ndef used():\n    pass\n\n\ndef test_only():\n"
+        "    return test_only()\n\n\ndef _private():\n    pass\n",
+    }
+    readers = [package["__init__"], package["a"], "from a import used\n\nused()\n"]
+    assert functions_only_tests_read(package, readers) == ["a.test_only"]
+    assert functions_only_tests_read(package, readers[1:]) == ["a.exported", "a.test_only"]
+    assert functions_only_tests_read(package, readers[:2]) == ["a.test_only", "a.used"]
+
+
+def test_package_has_no_test_only_function():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    root = PACKAGE.parent.parent
+    readers = [p.read_text(encoding="utf-8") for d in ("src", "perfbench") for p in (root / d).rglob("*.py")]
+    assert functions_only_tests_read(package, readers) == []

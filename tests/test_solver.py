@@ -437,6 +437,36 @@ def test_non_finite_incident_patterns_raise_model_error():
                 apply(b_in)
 
 
+def _float_limit_model():
+    return random_model(np.random.default_rng(38), make_latlon_grid(4, 4), n_tx=1, n_rx=1, m=2)
+
+
+def test_overflowing_receive_outputs_raise_numerics_error():
+    # a finite incident pattern phased against the first receive kernel at the float limit
+    # passes the input checks and the residual gate; its v_rx overflows to -inf + 1.25e307j
+    model = _float_limit_model()
+    k = model.structure.rx_kernel[0]
+    b_in = remskit.FarFieldPattern(model.structure.grid, np.conj(k) / np.max(np.abs(k)) * 1.7e308)
+    with pytest.raises(NumericsError, match="v_rx is not finite"):
+        solve_direct(model, b_in=b_in)
+    with pytest.raises(NumericsError, match="v_rx is not finite"):
+        gain_operators(model).farfield_to_vrx(b_in)
+
+
+def test_overflowing_scattered_pattern_raises_numerics_error():
+    # the pattern phased against the output sample with the largest row 1-norm (1.17 > 1)
+    # of the far-field-to-far-field operator overflows that sample
+    model = _float_limit_model()
+    ops, grid = gain_operators(model), model.structure.grid
+    unit = np.eye(2 * grid.size, dtype=complex).reshape(-1, grid.size, 2)
+    op = np.array([ops.farfield_to_farfield(remskit.FarFieldPattern(grid, e)).values.ravel() for e in unit]).T
+    row = op[np.argmax(np.abs(op).sum(axis=1))]
+    assert np.abs(row).sum() > 1.0
+    b_in = remskit.FarFieldPattern(grid, (np.conj(row) / np.abs(row) * 1.7e308).reshape(-1, 2))
+    with pytest.raises(NumericsError, match="scattered pattern is not finite"):
+        ops.farfield_to_farfield(b_in)
+
+
 def test_model_shape_validation():
     grid = make_latlon_grid(4, 4)
     rng = np.random.default_rng(36)

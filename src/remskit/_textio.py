@@ -36,7 +36,7 @@ def number(value, where: str, kind=float, low=None, high=None):
     if kind is int:
         if x != math.floor(x):
             raise ModelError(f"{where} must be an integer, got {value!r}")
-        x = int(x)
+        x = int(value) if isinstance(value, (int, np.integer)) else int(x)  # exact beyond 2**53
     if low is not None and x < low:
         raise ModelError(f"{where} must be at least {low}, got {value!r}")
     if high is not None and x > high:

@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._textio import number
 from .errors import ModelError, NumericsError
 from .farfield import FOUR_PI, Direction
 from .network import _frobenius2, checked_inv, reflection_coefficient
@@ -53,9 +54,13 @@ class BeamformProblem:
     rng_seed: int = 0
 
     def __post_init__(self):
+        self.r = number(self.r, "BeamformProblem r", int)
         if self.r < 0:
             raise ModelError("number of tunable loads cannot be negative")
-        self.z_set = tuple(complex(z) for z in self.z_set)
+        try:
+            self.z_set = tuple(complex(z) for z in self.z_set)
+        except (TypeError, ValueError):
+            raise ModelError(f"load impedances must be complex numbers, got {self.z_set!r}") from None
         if len(self.z_set) < 1:
             raise ModelError("impedance set is empty")
         if not all(cmath.isfinite(z) for z in self.z_set):
@@ -64,17 +69,19 @@ class BeamformProblem:
             raise ModelError("load impedances must lie in the closed right half-plane")
         if len(self.primary_dirs) < 1:
             raise ModelError("need at least one primary direction")
-        if self.z_init is None:
-            self.z_init = self.z_set[0]
-        else:
-            self.z_init = complex(self.z_init)
+        if not all(isinstance(d, Direction) for d in (*self.primary_dirs, *self.secondary_dirs)):
+            raise ModelError("primary and secondary directions must be Direction entries")
+        self.z_init = self.z_set[0] if self.z_init is None else complex(self.z_init)
         if self.z_init not in self.z_set:
             raise ModelError("z_init is not a member of z_set")
-        if self.sigma_schedule is None:
-            self.sigma_schedule = geometric_schedule(count=self.i_max)
-        self.sigma_schedule = tuple(float(s) for s in self.sigma_schedule)
+        self.i_max = number(self.i_max, "BeamformProblem i_max", int)
         if self.i_max < 1:
             raise ModelError("need at least one sweep")
+        schedule = geometric_schedule(count=self.i_max) if self.sigma_schedule is None else self.sigma_schedule
+        try:
+            self.sigma_schedule = tuple(float(s) for s in schedule)
+        except (TypeError, ValueError):
+            raise ModelError(f"regularizer schedule must be numbers, got {schedule!r}") from None
         if len(self.sigma_schedule) < self.i_max:
             raise ModelError(
                 f"{self.i_max} sweeps need {self.i_max} regularizer values, "
@@ -82,6 +89,7 @@ class BeamformProblem:
             )
         if not all(0.0 < s < math.inf for s in self.sigma_schedule):
             raise ModelError("regularizer schedule must be positive and finite")
+        self.rng_seed = number(self.rng_seed, "BeamformProblem rng_seed", int, 0)
 
 
 def geometric_schedule(initial: float = 20.0, ratio: float = 0.5, count: int = 10) -> tuple:

@@ -107,22 +107,25 @@ def cmd_extract(args) -> int:
 
 def cmd_solve(args) -> int:
     model_name, model, v_tx, v_gamma, i_gamma = Scene.load(args.scene).solve_task()
-    res = solve_direct(model, v_tx=v_tx, v_gamma=v_gamma, i_gamma=i_gamma)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing drive reads inf or nan
-        powers = [
-            ("p_transmit_w", res.p_transmit),
-            ("p_radiating_w", res.p_radiating),
-            ("p_farfield_w", res.p_farfield),
-        ]
-        if v_tx is not None:
+    if v_tx is not None:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing drive reads inf
             p_a = model.frontend.available_power(v_tx)
-            powers.insert(0, ("p_available_w", p_a))
-            if p_a > 0.0:
-                powers.append(("eta_matching", matching_efficiency(model, res, v_tx)))
-            if res.p_transmit != 0.0:
-                powers.append(("eta_tuning", tuning_efficiency(res)))
-            if res.p_radiating != 0.0:
-                powers.append(("eta_radiation", radiation_efficiency(res)))
+        if not math.isfinite(p_a):  # refused before the solve, whose own ledger would overflow
+            raise ModelError(f"solve drive overflows the power ledger: p_available_w is {p_a}")
+    res = solve_direct(model, v_tx=v_tx, v_gamma=v_gamma, i_gamma=i_gamma)
+    powers = [
+        ("p_transmit_w", res.p_transmit),
+        ("p_radiating_w", res.p_radiating),
+        ("p_farfield_w", res.p_farfield),
+    ]
+    if v_tx is not None:
+        powers.insert(0, ("p_available_w", p_a))
+        if p_a > 0.0:
+            powers.append(("eta_matching", matching_efficiency(model, res, v_tx)))
+        if res.p_transmit != 0.0:
+            powers.append(("eta_tuning", tuning_efficiency(res)))
+        if res.p_radiating != 0.0:
+            powers.append(("eta_radiation", radiation_efficiency(res)))
     for name, value in powers:  # refused before any file is written
         if not math.isfinite(value):
             raise ModelError(f"solve drive overflows the power ledger: {name} is {value}")

@@ -182,32 +182,29 @@ def synthetic_coupling(positions, k: float, gamma: float) -> np.ndarray:
 _MIRROR_SIGN = np.array([-1.0, 1.0])  # the mirror's theta/phi signs, -diag(1, -1)
 
 
-def _weighted_operator_norm(coupling, tx, rx, grid: DirectionGrid) -> float:
-    """Largest singular value of the weighted block W = [[C, R_w], [K_w, P]].
+def _weighted_operator_norm(coupling, tx, grid: DirectionGrid) -> float:
+    """Largest singular value of the weighted block W = [[C, R_w], [K_w, P]] of a dipole array.
 
     R_w and K_w are the area-weighted receive and transmit kernels, and P is
-    the antipodal mirror, a signed permutation, so P^H P = I. Then W^H W - I
-    vanishes outside ports + span(R_w^H, P^H K_w), and with that span =
-    Q [R1 | R2] (k = min(2n, 2M) rows) the singular values of W are those of
-    W B = [[C, R_w Q], [K_w, P Q]], plus 1 for every field direction outside
-    span(Q). As R_w Q = R1^H, K_w = P Q R2 and P Q has orthonormal columns,
-    (W B)^H (W B) = [[C^H C + R2^H R2, C^H R1^H + R2^H], [R1 C + R2, R1 R1^H + I]],
-    whose last k diagonal entries are >= 1, so its largest eigenvalue is
-    sigma^2 >= 1. Only R is formed; squaring costs about eps relative in sigma.
+    the antipodal mirror, a signed permutation, so P^H P = I. Two conditions,
+    which dipole_array's kernels meet to rounding, make R_w^H = conj(K_w) and
+    P^H K_w = -conj(K_w): rx = tx, and the minimum-scattering symmetry
+    tx[:, antipode] * [-1, 1] = -conj(tx). Then W^H W - I vanishes outside
+    ports + span(conj(K_w)), and with conj(K_w) = Q R (k = min(2n, M) rows)
+    the singular values of W are those of W B = [[C, R^H], [-P Q R, P Q]],
+    plus 1 for every field direction outside span(Q). As P Q has orthonormal
+    columns, (W B)^H (W B) = [[C^H C + R^H R, cross^H], [cross, R R^H + I]]
+    with cross = R (C - I); its last k diagonal entries are >= 1, so its
+    largest eigenvalue is sigma^2 >= 1. Only R is formed; squaring costs
+    about eps relative in sigma.
     """
     m, n = tx.shape[0], grid.size
-    sqw = np.sqrt(grid.weights)[:, None]
-    kw = tx * sqw  # (M, n, 2): column j of K_w is kw[j]
-    rw = rx * sqw  # (M, n, 2): row j of R_w is rw[j]
-    mirrored_kw = np.empty_like(kw)
-    mirrored_kw[:, grid.antipode] = kw * _MIRROR_SIGN  # P^H K_w, columns as rows
-    span = np.concatenate([rw.conj(), mirrored_kw]).reshape(2 * m, 2 * n).T
-    r = np.linalg.qr(span, mode="r")  # (k, 2M)
-    r1, r2 = r[:, :m], r[:, m:]
-    cross = r1 @ coupling + r2
+    kw = tx * np.sqrt(grid.weights)[:, None]  # (M, n, 2): column j of K_w is kw[j]
+    r = np.linalg.qr(kw.conj().reshape(m, 2 * n).T, mode="r")  # (k, M)
+    cross = r @ (coupling - np.eye(m))
     gram = np.block([
-        [coupling.conj().T @ coupling + r2.conj().T @ r2, cross.conj().T],
-        [cross, r1 @ r1.conj().T + np.eye(len(r))],
+        [coupling.conj().T @ coupling + r.conj().T @ r, cross.conj().T],
+        [cross, r @ r.conj().T + np.eye(len(r))],
     ])
     return math.sqrt(np.linalg.eigvalsh(gram)[-1])
 
@@ -226,12 +223,12 @@ def dipole_array(
     interactive; enforce_passivity then divides every block by the exact
     largest singular value sigma of the whole operator (times 1 + 1e-12), so
     the scattering becomes mirror = 1/sigma with no remainder and passivity is
-    certified rather than assumed. sigma is found on the at most 3M-dimensional
-    subspace where the weighted operator differs from an isometry, as an
-    eigenvalue of a Gram built from one QR's R factor
-    (_weighted_operator_norm), so the cost grows linearly with the grid. The
-    mirror block alone has norm 1, so sigma >= 1 and every certified array is
-    rescaled.
+    certified rather than assumed. sigma is found on the at most 2M-dimensional
+    subspace (the ports plus the span of the M conjugated patterns) where the
+    weighted operator differs from an isometry, as an eigenvalue of a Gram
+    from one QR's R factor (_weighted_operator_norm): the cost grows linearly
+    with the grid. The mirror block alone has norm 1, so sigma >= 1 and every
+    certified array is rescaled.
     """
     if len(elements) == 0:
         raise ModelError("dipole_array requires at least one element")
@@ -252,17 +249,16 @@ def dipole_array(
         coupling = np.asarray(coupling, dtype=complex)
         if coupling.shape != (m, m):
             raise ModelError(f"coupling shape {coupling.shape} != ({m}, {m})")
-    rx = tx.copy()
     scale = 1.0
     if enforce_passivity:
-        scale = _weighted_operator_norm(coupling, tx, rx, grid) * (1.0 + 1e-12)
-        coupling, tx, rx = coupling / scale, tx / scale, rx / scale
+        scale = _weighted_operator_norm(coupling, tx, grid) * (1.0 + 1e-12)
+        coupling, tx = coupling / scale, tx / scale
 
     return RadiatingStructure(
         m_ports=m,
         coupling=coupling,
         tx_kernel=tx,
-        rx_kernel=rx,
+        rx_kernel=tx.copy(),
         scatter_kernel=None,
         grid=grid,
         frequency=frequency,

@@ -249,10 +249,10 @@ def gain_operators(model: ReMSModel) -> GainOperators:
 class SolveResult:
     """All interface waves of one interconnection solve.
 
-    Waves at the tuning network frontend side (a_t into the network, b_t
-    back), at the radiating ports before (a_r, b_r) and after (a_r_tilde,
-    b_r_tilde) the extrinsic-noise insertion plane, the receive voltages,
-    and the outgoing far field.
+    Waves at the tuning network's frontend side (a_t in, b_t back), at the
+    radiating ports before (a_r, b_r) and after (a_r_tilde, b_r_tilde) the
+    extrinsic-noise insertion plane, the receive voltages, the outgoing far
+    field, and the net power (W) into the network, into the ports and radiated.
     """
 
     a_t: np.ndarray
@@ -263,22 +263,9 @@ class SolveResult:
     b_r_tilde: np.ndarray
     v_rx: np.ndarray
     a_f: FarFieldPattern
-    b_in: FarFieldPattern
-
-    @property
-    def p_transmit(self) -> float:
-        """Net power into the tuning network from the frontend, W."""
-        return float(np.vdot(self.a_t, self.a_t).real - np.vdot(self.b_t, self.b_t).real)
-
-    @property
-    def p_radiating(self) -> float:
-        """Net power into the radiating ports, W."""
-        return float(np.vdot(self.a_r, self.a_r).real - np.vdot(self.b_r, self.b_r).real)
-
-    @property
-    def p_farfield(self) -> float:
-        """Net radiated power, W."""
-        return total_power(self.a_f) - total_power(self.b_in)
+    p_transmit: float
+    p_radiating: float
+    p_farfield: float
 
 
 def _source_vector(x, size: int, name: str) -> np.ndarray:
@@ -381,7 +368,12 @@ def solve_direct(
     a_f = apply_scatter(st, b_in)
     a_f.values += apply_transmit(st, a_rt).values
     _finite(a_f.values, "radiated pattern a_f")
-    return SolveResult(a_t, b_t, a_r, b_r, a_rt, b_rt, v_rx, a_f, b_in)
+    powers = {
+        "p_transmit": float(np.vdot(a_t, a_t).real - np.vdot(b_t, b_t).real),
+        "p_radiating": float(np.vdot(a_r, a_r).real - np.vdot(b_r, b_r).real),
+        "p_farfield": total_power(a_f) - total_power(b_in),
+    }
+    return SolveResult(a_t, b_t, a_r, b_r, a_rt, b_rt, v_rx, a_f, *(_finite(p, k) for k, p in powers.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,34 @@ def test_problem_rejects_non_finite_regularizer():
             BeamformProblem(r=1, z_set=(50.0,), primary_dirs=d, i_max=2, sigma_schedule=(1.0, bad))
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("r", 1.5, "BeamformProblem r must be an integer, got 1.5"),
+        ("i_max", 2.5, "BeamformProblem i_max must be an integer, got 2.5"),
+        ("i_max", True, "BeamformProblem i_max must be a number, got True"),
+        ("rng_seed", -1, "BeamformProblem rng_seed must be at least 0, got -1"),
+        ("rng_seed", 1.5, "BeamformProblem rng_seed must be an integer, got 1.5"),
+        ("z_set", (50, "x"), "load impedances must be complex numbers, got (50, 'x')"),
+        ("z_set", 50.0, "load impedances must be complex numbers, got 50.0"),
+        ("sigma_schedule", (1.0, "x"), "regularizer schedule must be numbers, got (1.0, 'x')"),
+        ("primary_dirs", (1.0,), "primary and secondary directions must be Direction entries"),
+        ("secondary_dirs", ((0.5, 0.0),), "primary and secondary directions must be Direction entries"),
+    ],
+)
+def test_problem_rejects_malformed_fields(field, value, message):
+    fields = {"r": 1, "z_set": (50.0,), "primary_dirs": (Direction(1.0, 0.0),), field: value}
+    with pytest.raises(ModelError) as err:
+        BeamformProblem(**fields)
+    assert str(err.value) == message
+
+
+def test_problem_keeps_a_large_integer_seed_exactly():
+    seed = 2**64 + 1  # above 2**53, where a float holds no odd integer
+    p = BeamformProblem(r=1, z_set=(50.0,), primary_dirs=(Direction(1.0, 0.0),), rng_seed=seed)
+    assert p.rng_seed == seed
+
+
 # ---------------------------------------------------------------------------
 # coordinate ascent on a one-load reflective network
 

@@ -439,6 +439,17 @@ def test_non_finite_solve_drive_exits_one_and_writes_nothing(tmp_path, capsys):
     assert not out.exists() or os.listdir(out) == []
 
 
+def test_overflowing_receive_drive_exits_two_and_writes_nothing(tmp_path, capsys):
+    # a finite v_gamma whose waves square past the float range: the solve's power ledger refuses it
+    scene = _friis_scene()
+    scene["frontends"][0] = {"name": "matched", "z_tx_ohms": [], "z_rx_ohms": [50.0]}
+    scene["solve"] = {"model": "tx_model", "v_gamma": ["1e200"]}
+    code, err, out = _run_scene(tmp_path, "solve", scene, capsys)
+    assert code == 2
+    assert "p_transmit is not finite" in err
+    assert not out.exists() or os.listdir(out) == []
+
+
 def test_non_finite_gain_pattern_drive_exits_one(tmp_path, capsys):
     scene = _friis_scene()
     scene["gain_pattern"]["v_tx"] = [math.nan]

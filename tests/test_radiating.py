@@ -58,6 +58,7 @@ from remskit.scene import Scene, rotation_matrix
 from conftest import (
     FREQ,
     apply_full,
+    fejer_weights,
     loop_blend,
     loop_dipole_kernel,
     loop_stencil,
@@ -401,8 +402,9 @@ def test_dipole_array_passivity_rescale():
     gamma=st.one_of(st.floats(0.0, 0.2), st.floats(1.0, 3.0)),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(n_theta=2, half_n_phi=1, m=4, gamma=2.5, seed=3)  # 2M >= 2n: no complement
+@example(n_theta=2, half_n_phi=1, m=4, gamma=2.5, seed=3)  # M = n: R is square
 @example(n_theta=2, half_n_phi=1, m=4, gamma=0.0, seed=4)
+@example(n_theta=2, half_n_phi=1, m=10, gamma=1.5, seed=5)  # M > 2n: R is wide, no complement
 def test_reduced_passivity_norm_is_the_dense_svd(n_theta, half_n_phi, m, gamma, seed):
     g = make_latlon_grid(n_theta, 2 * half_n_phi)
     rng = np.random.default_rng(seed)
@@ -415,7 +417,7 @@ def test_reduced_passivity_norm_is_the_dense_svd(n_theta, half_n_phi, m, gamma, 
     plain = dipole_array(elements, g, FREQ, coupling=coup)
     assert plain.scatter_kernel is None
     dense = float(np.linalg.svd(_full_weighted_operator(plain), compute_uv=False)[0])
-    sigma = _weighted_operator_norm(plain.coupling, plain.tx_kernel, plain.rx_kernel, g)
+    sigma = _weighted_operator_norm(plain.coupling, plain.tx_kernel, g)
     assert sigma == pytest.approx(dense, rel=1e-12, abs=0.0)
     # the mirror block alone has norm 1, so every certified array is rescaled
     assert dense >= 1.0 - 1e-12
@@ -428,33 +430,58 @@ def test_reduced_passivity_norm_is_the_dense_svd(n_theta, half_n_phi, m, gamma, 
     certified = float(np.linalg.svd(_full_weighted_operator(s), compute_uv=False)[0])
     assert certified <= 1.0 + 1e-9
 
-    # kernels without the dipoles' antipodal symmetry (P K_w = -conj(K_w)), rx != tx
-    def draw(*shape):
-        return gamma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
-    generic = RadiatingStructure(
-        m, draw(m, m), draw(m, g.size, 2), draw(m, g.size, 2), None, g, FREQ
-    )
-    dense = float(np.linalg.svd(_full_weighted_operator(generic), compute_uv=False)[0])
-    sigma = _weighted_operator_norm(generic.coupling, generic.tx_kernel, generic.rx_kernel, g)
-    assert sigma == pytest.approx(dense, rel=1e-12, abs=0.0)
-
-
-@pytest.mark.parametrize("n_theta, n_phi, m", [(2, 2, 4), (2, 2, 1), (8, 16, 1), (8, 16, 4)])
+@pytest.mark.parametrize("n_theta, n_phi, m", [(2, 2, 4), (2, 2, 1), (2, 2, 10), (8, 16, 1), (8, 16, 4)])
 def test_passivity_norm_of_a_rank_one_span(n_theta, n_phi, m):
-    # x-dipoles at the origin have real kernels with P^H K_w = -R_w^H, so the
-    # span [R_w^H, P^H K_w] has rank 1 and the QR's R factor has zero rows;
-    # (2, 2, 4) has 2M >= 2n, so the span's basis covers every field direction
+    # x-dipoles at the origin have real kernels, so span(conj(K_w)) has rank 1
+    # and the QR's R factor has zero rows; (2, 2, 10) has M > 2n, so R is wide
+    # and Q covers every field direction
     g = make_latlon_grid(n_theta, n_phi)
     rng = np.random.default_rng(n_theta + m)
     coup = 0.8 * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
     elements = [([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])] * m
     plain = dipole_array(elements, g, FREQ, coupling=coup)
     dense = float(np.linalg.svd(_full_weighted_operator(plain), compute_uv=False)[0])
-    sigma = _weighted_operator_norm(plain.coupling, plain.tx_kernel, plain.rx_kernel, g)
+    sigma = _weighted_operator_norm(plain.coupling, plain.tx_kernel, g)
     assert sigma == pytest.approx(dense, rel=1e-12, abs=0.0)
     s = dipole_array(elements, g, FREQ, coupling=coup, enforce_passivity=True)
     assert float(np.linalg.svd(_full_weighted_operator(s), compute_uv=False)[0]) <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("n_theta, n_phi", [(2, 2), (3, 4), (7, 10), (18, 36), (40, 80)])
+def test_dipole_kernels_have_the_minimum_scattering_symmetry(n_theta, n_phi):
+    # the condition _weighted_operator_norm's reduction rests on: P^H K_w = -conj(K_w)
+    g = make_latlon_grid(n_theta, n_phi)
+    rng = np.random.default_rng(n_theta * n_phi)
+    for m in (1, 3, 6):
+        axes = rng.standard_normal((m, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        positions = rng.uniform(-2.0, 2.0, (m, 3)) * LAMBDA
+        tx = dipole_array(list(zip(axes, positions)), g, FREQ).tx_kernel
+        mirrored = tx[:, g.antipode] * np.array([-1.0, 1.0])
+        assert np.abs(mirrored + tx.conj()).max() <= 1e-13 * np.abs(tx).max()
+
+
+def test_mutual_resistance_matches_its_closed_form():
+    # two equal-orientation Hertzian dipoles a distance d apart exchange
+    # (3/2)[sin^2 psi sin u/u + (1 - 3 cos^2 psi)(cos u/u^2 - sin u/u^3)], u = k|d|,
+    # psi the angle between the axis and d; Fejer's rule integrates the
+    # band-limited product exactly
+    g = make_latlon_grid(36, 72)
+    w = fejer_weights(g)
+    rng = np.random.default_rng(16)
+    for _ in range(12):
+        axis = rng.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        d = rng.standard_normal(3)
+        d *= rng.uniform(0.1, 1.5) * LAMBDA / np.linalg.norm(d)
+        tx = dipole_array([(axis, np.zeros(3)), (axis, d)], g, FREQ).tx_kernel
+        mutual = np.sum(w[:, None] * tx[0] * tx[1].conj())
+        u = wavenumber(FREQ) * np.linalg.norm(d)
+        cos2 = (axis @ d) ** 2 / (d @ d)
+        near = math.cos(u) / u**2 - math.sin(u) / u**3
+        ref = 1.5 * ((1.0 - cos2) * math.sin(u) / u + (1.0 - 3.0 * cos2) * near)
+        assert abs(mutual - ref) <= 1e-12
 
 
 def test_case_study_geometry_certifies_at_36x72():

@@ -453,6 +453,17 @@ def test_overflowing_receive_outputs_raise_numerics_error():
         gain_operators(model).farfield_to_vrx(b_in)
 
 
+def test_overflowing_power_ledger_raises_numerics_error():
+    # finite waves whose squares overflow: the ledger would read nan (inf - inf), so the solve refuses it
+    rng = np.random.default_rng(38)
+    model = random_model(rng, make_latlon_grid(4, 4), n_tx=1, n_rx=1, m=2)
+    b_in = random_pattern(rng, model.structure.grid)
+    b_in.values *= 1e200
+    for drive in (dict(b_in=b_in), dict(v_gamma=[1e200])):
+        with pytest.raises(NumericsError, match="p_transmit is not finite"):
+            solve_direct(model, **drive)
+
+
 def test_overflowing_scattered_pattern_raises_numerics_error():
     # the pattern phased against the output sample with the largest row 1-norm (1.17 > 1)
     # of the far-field-to-far-field operator overflows that sample

@@ -3,8 +3,9 @@
 Every number the package writes is ``repr`` of a Python float, through
 ``fmt`` or, in the bulk writers, directly on values read with ``.tolist()``:
 the shortest text that round-trips the IEEE double exactly, at most 17
-significant digits. Scalar input fields go through ``number``,
-which turns a malformed value into a ModelError naming the field.
+significant digits. Scalar input fields go through ``number`` and the arrays a
+caller hands the library through ``complex_array``; each turns a malformed
+value into a ModelError naming the field.
 """
 
 from __future__ import annotations
@@ -23,24 +24,47 @@ def number(value, where: str, kind=float, low=None, high=None):
     """The finite scalar field `where` as kind (float or int), within [low, high] where given.
 
     Anything else (a word, a boolean, a non-integral count, a non-finite
-    value) raises a ModelError naming the field.
+    value, an int past the float range where a float is asked for) raises a
+    ModelError naming the field. An int asked for as an int is read exactly.
     """
     try:
         if isinstance(value, bool):  # float(True) is 1.0, but a YAML boolean is not a number
             raise TypeError
-        x = float(value)
+        exact = kind is int and isinstance(value, (int, np.integer))
+        x = int(value) if exact else float(value)
     except (TypeError, ValueError):
         raise ModelError(f"{where} must be a number, got {value!r}") from None
-    if not math.isfinite(x):
-        raise ModelError(f"{where} must be finite, got {value!r}")
-    if kind is int:
-        if x != math.floor(x):
-            raise ModelError(f"{where} must be an integer, got {value!r}")
-        x = int(value) if isinstance(value, (int, np.integer)) else int(x)  # exact beyond 2**53
+    except OverflowError:
+        raise ModelError(f"{where} must be finite, got {value!r}") from None
+    if not exact:
+        if not math.isfinite(x):
+            raise ModelError(f"{where} must be finite, got {value!r}")
+        if kind is int:
+            if x != math.floor(x):
+                raise ModelError(f"{where} must be an integer, got {value!r}")
+            x = int(x)
     if low is not None and x < low:
         raise ModelError(f"{where} must be at least {low}, got {value!r}")
     if high is not None and x > high:
         raise ModelError(f"{where} must be at most {high}, got {value!r}")
+    return x
+
+
+def complex_array(value, where: str, shape=None) -> np.ndarray:
+    """The caller-supplied array field `where` as finite complex numbers, of the given shape if one is given.
+
+    A non-numeric entry, a ragged nesting, another shape or a non-finite
+    entry raises a ModelError naming the field. np.asarray copies nothing
+    when value already is a complex array.
+    """
+    try:
+        x = np.asarray(value, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        raise ModelError(f"{where} must be complex numbers, got {value!r}") from None
+    if shape is not None and x.shape != shape:
+        raise ModelError(f"{where} shape {x.shape} != {shape}")
+    if not np.isfinite(x).all():
+        raise ModelError(f"{where} must be finite")
     return x
 
 

@@ -10,7 +10,6 @@ between sweeps.
 
 from __future__ import annotations
 
-import cmath
 import logging
 import math
 from dataclasses import dataclass, field
@@ -18,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._textio import number
+from ._textio import complex_array, number
 from .errors import ModelError, NumericsError
 from .farfield import FOUR_PI, Direction
 from .network import _frobenius2, checked_inv, reflection_coefficient
@@ -57,21 +56,19 @@ class BeamformProblem:
         self.r = number(self.r, "BeamformProblem r", int)
         if self.r < 0:
             raise ModelError("number of tunable loads cannot be negative")
-        try:
-            self.z_set = tuple(complex(z) for z in self.z_set)
-        except (TypeError, ValueError):
-            raise ModelError(f"load impedances must be complex numbers, got {self.z_set!r}") from None
+        z_set = complex_array(self.z_set, "load impedances")
+        if z_set.ndim != 1:
+            raise ModelError(f"load impedances must be complex numbers, got {self.z_set!r}")
+        self.z_set = tuple(z_set.tolist())
         if len(self.z_set) < 1:
             raise ModelError("impedance set is empty")
-        if not all(cmath.isfinite(z) for z in self.z_set):
-            raise ModelError("load impedances must be finite")
         if any(z.real < 0.0 for z in self.z_set):
             raise ModelError("load impedances must lie in the closed right half-plane")
         if len(self.primary_dirs) < 1:
             raise ModelError("need at least one primary direction")
         if not all(isinstance(d, Direction) for d in (*self.primary_dirs, *self.secondary_dirs)):
             raise ModelError("primary and secondary directions must be Direction entries")
-        self.z_init = self.z_set[0] if self.z_init is None else complex(self.z_init)
+        self.z_init = self.z_set[0] if self.z_init is None else complex(complex_array(self.z_init, "z_init", ()))
         if self.z_init not in self.z_set:
             raise ModelError("z_init is not a member of z_set")
         self.i_max = number(self.i_max, "BeamformProblem i_max", int)

@@ -30,8 +30,8 @@ def propagation_matrix(distance: float, frequency: float) -> np.ndarray:
     the arrival direction. The sign flip on the phi component accounts for
     the antipodal basis relation between the two view directions.
     """
-    if distance <= 0.0:
-        raise ModelError(f"propagation distance must be positive, got {distance}")
+    if not 0.0 < distance < math.inf:
+        raise ModelError(f"propagation distance must be positive and finite, got {distance}")
     k = wavenumber(frequency)
     lam = 2.0 * math.pi / k
     if distance < FAR_FIELD_GUIDELINE_WAVELENGTHS * lam:
@@ -64,10 +64,9 @@ def far_channel(tx: RadiatingStructure, rx: RadiatingStructure, displacement) ->
     d = float(np.linalg.norm(disp))
     if d == 0.0:
         raise ModelError("structures are co-located")
+    c = propagation_matrix(d, tx.frequency)  # refuses an infinite or NaN distance
     d_fwd = direction_from_vector(disp)
     d_bwd = direction_from_vector(-disp)
-
-    c = propagation_matrix(d, tx.frequency)
     t1 = tx.tx_at(d_fwd)  # (2, m_tx)
     r2 = rx.rx_at(d_bwd)  # (2, m_rx)
     loop = tx.scatter_at(d_fwd, d_fwd) @ c @ rx.scatter_at(d_bwd, d_bwd) @ c

@@ -15,7 +15,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ModelError, NumericsError
-from ._textio import atomic_write_text, fmt, number, read_text
+from ._textio import atomic_write_text, complex_array, fmt, number, read_text
 
 COND_LIMIT = 1e12
 CERTIFIED_COND = 1e-3 * COND_LIMIT
@@ -28,7 +28,9 @@ def reflection_coefficient(z, r0: float):
 
 
 def condition_number(mat: np.ndarray) -> float:
-    """2-norm condition number: the ratio of the extreme singular values, inf when singular."""
+    """2-norm condition number: the ratio of the extreme singular values, inf when singular or not finite."""
+    if not np.isfinite(mat).all():  # the SVD of a NaN matrix does not converge
+        return math.inf
     s = np.linalg.svd(mat, compute_uv=False)
     return s[0] / s[-1] if s[-1] > 0.0 else math.inf
 
@@ -112,12 +114,8 @@ class TuningNetwork:
             raise ModelError(
                 f"tuning network port counts must be non-negative, got {self.n_frontend} and {self.m_radiating}"
             )
-        self.s = np.asarray(self.s, dtype=complex)
         dim = self.n_frontend + self.m_radiating
-        if self.s.shape != (dim, dim):
-            raise ModelError(f"tuning matrix shape {self.s.shape} != ({dim}, {dim})")
-        if not np.all(np.isfinite(self.s)):
-            raise ModelError("tuning matrix must be finite")
+        self.s = complex_array(self.s, "tuning matrix", (dim, dim))
 
     @property
     def s_tt(self) -> np.ndarray:
@@ -143,8 +141,10 @@ def through_tuning(n: int) -> TuningNetwork:
 
 def inline_tuning(gains) -> TuningNetwork:
     """Matched per-chain two-port with transmission coefficient gains[i]."""
-    gains = np.asarray(gains, dtype=complex)
-    n = gains.shape[0]
+    gains = complex_array(gains, "tuning gains")
+    if gains.ndim != 1:
+        raise ModelError(f"tuning gains must be 1-D, got {gains.ndim}-D")
+    n = len(gains)
     s = np.zeros((2 * n, 2 * n), dtype=complex)
     s[:n, n:] = np.diag(gains)
     s[n:, :n] = np.diag(gains)
@@ -191,12 +191,10 @@ class RFFrontend:
     r0: float = 50.0
 
     def __post_init__(self):
-        self.z_tx = np.atleast_1d(np.asarray(self.z_tx, dtype=complex))
-        self.z_rx = np.atleast_1d(np.asarray(self.z_rx, dtype=complex))
+        self.z_tx = np.atleast_1d(complex_array(self.z_tx, "z_tx"))
+        self.z_rx = np.atleast_1d(complex_array(self.z_rx, "z_rx"))
         if self.z_tx.ndim != 1 or self.z_rx.ndim != 1:
             raise ModelError(f"frontend impedances must be 1-D, got {self.z_tx.ndim}-D and {self.z_rx.ndim}-D")
-        if not (np.all(np.isfinite(self.z_tx)) and np.all(np.isfinite(self.z_rx))):
-            raise ModelError("frontend impedances must be finite")
         if np.any(self.z_tx.real <= 0.0):
             raise ModelError("transmit impedances must have positive real part")
         if np.any(self.z_rx.real < 0.0):

@@ -25,7 +25,7 @@ from operator import methodcaller
 import numpy as np
 
 from .errors import ModelError
-from ._textio import atomic_write_text, count_lines, fmt, number, split_lines, text_chunks
+from ._textio import atomic_write_text, complex_array, count_lines, fmt, number, split_lines, text_chunks
 from .farfield import (
     Direction,
     DirectionGrid,
@@ -69,21 +69,11 @@ class RadiatingStructure:
 
     def __post_init__(self):
         m, n = self.m_ports, self.grid.size
-        self.coupling = np.asarray(self.coupling, dtype=complex)
-        self.tx_kernel = np.asarray(self.tx_kernel, dtype=complex)
-        self.rx_kernel = np.asarray(self.rx_kernel, dtype=complex)
-        if self.coupling.shape != (m, m):
-            raise ModelError(f"coupling shape {self.coupling.shape} != ({m}, {m})")
-        if self.tx_kernel.shape != (m, n, 2):
-            raise ModelError(f"tx_kernel shape {self.tx_kernel.shape} != ({m}, {n}, 2)")
-        if self.rx_kernel.shape != (m, n, 2):
-            raise ModelError(f"rx_kernel shape {self.rx_kernel.shape} != ({m}, {n}, 2)")
+        self.coupling = complex_array(self.coupling, "coupling", (m, m))
+        self.tx_kernel = complex_array(self.tx_kernel, "tx_kernel", (m, n, 2))
+        self.rx_kernel = complex_array(self.rx_kernel, "rx_kernel", (m, n, 2))
         if self.scatter_kernel is not None:
-            self.scatter_kernel = np.asarray(self.scatter_kernel, dtype=complex)
-            if self.scatter_kernel.shape != (n, 2, n, 2):
-                raise ModelError(
-                    f"scatter_kernel shape {self.scatter_kernel.shape} != ({n}, 2, {n}, 2)"
-                )
+            self.scatter_kernel = complex_array(self.scatter_kernel, "scatter_kernel", (n, 2, n, 2))
             if n > 64 * 64:
                 warnings.warn(
                     f"dense scatter kernel on {n} directions exceeds the 64x64 "
@@ -144,9 +134,9 @@ def apply_scatter(s: RadiatingStructure, b: FarFieldPattern) -> FarFieldPattern:
     out = antipodal_mirror(b)
     out.values *= s.mirror
     if s.scatter_kernel is not None:
-        out.values += np.einsum(
-            "icjd,jd->ic", s.scatter_kernel, b.values * s.grid.weights[:, None]
-        )
+        n2 = 2 * s.grid.size  # the kernel as a (2n, 2n) matrix: a view for every kernel built here
+        x = (b.values * s.grid.weights[:, None]).reshape(n2)
+        out.values += (s.scatter_kernel.reshape(n2, n2) @ x).reshape(-1, 2)
     return out
 
 
@@ -246,9 +236,7 @@ def dipole_array(
     if coupling is None:
         coupling = np.zeros((m, m), dtype=complex)
     else:
-        coupling = np.asarray(coupling, dtype=complex)
-        if coupling.shape != (m, m):
-            raise ModelError(f"coupling shape {coupling.shape} != ({m}, {m})")
+        coupling = complex_array(coupling, "coupling", (m, m))
     scale = 1.0
     if enforce_passivity:
         scale = _weighted_operator_norm(coupling, tx, grid) * (1.0 + 1e-12)
@@ -374,21 +362,11 @@ class PlaneWaveResponseSet:
         n = self.grid.size
         if not (math.isfinite(self.frequency) and self.frequency > 0.0):
             raise ModelError(f"frequency must be positive and finite, got {self.frequency!r}")
-        self.port_waves = np.asarray(self.port_waves, dtype=complex)
+        self.port_waves = complex_array(self.port_waves, "port_waves")
         if self.port_waves.ndim != 3 or self.port_waves.shape[:2] != (n, 2):
-            raise ModelError(
-                f"port_waves shape {self.port_waves.shape} != ({n}, 2, M)"
-            )
-        if not np.isfinite(self.port_waves).all():
-            raise ModelError("port_waves must be finite")
+            raise ModelError(f"port_waves shape {self.port_waves.shape} != ({n}, 2, M)")
         if self.scattered is not None:
-            self.scattered = np.asarray(self.scattered, dtype=complex)
-            if self.scattered.shape != (n, 2, n, 2):
-                raise ModelError(
-                    f"scattered shape {self.scattered.shape} != ({n}, 2, {n}, 2)"
-                )
-            if not np.isfinite(self.scattered).all():
-                raise ModelError("scattered must be finite")
+            self.scattered = complex_array(self.scattered, "scattered", (n, 2, n, 2))
 
     @property
     def m_ports(self) -> int:

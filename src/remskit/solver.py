@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._textio import complex_array
 from .errors import ModelError, NumericsError
 from .farfield import FarFieldPattern, intensity, total_power, zero_pattern
 from .network import (
@@ -269,14 +270,7 @@ class SolveResult:
 
 
 def _source_vector(x, size: int, name: str) -> np.ndarray:
-    if x is None:
-        return np.zeros(size, dtype=complex)
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (size,):
-        raise ModelError(f"{name} shape {x.shape} != ({size},)")
-    if not np.all(np.isfinite(x)):
-        raise ModelError(f"{name} must be finite")
-    return x
+    return np.zeros(size, dtype=complex) if x is None else complex_array(x, name, (size,))
 
 
 def _incident_pattern(b: FarFieldPattern, st: RadiatingStructure) -> FarFieldPattern:

@@ -46,6 +46,22 @@ def test_propagation_matrix_rejects_nonpositive_distance():
         propagation_matrix(-2.0, FREQ)
 
 
+@pytest.mark.parametrize("distance", [math.nan, math.inf])
+def test_propagation_matrix_rejects_non_finite_distance(distance):
+    with pytest.raises(ModelError, match="must be positive and finite"):
+        propagation_matrix(distance, FREQ)
+
+
+@pytest.mark.parametrize("displacement", [[math.inf, 1.0, 0.0], [0.0, 0.0, -math.inf], [math.nan, 1.0, 0.0]])
+def test_far_channel_rejects_a_non_finite_displacement(displacement):
+    g = make_latlon_grid(6, 12)
+    s = hertzian_dipole([1.0, 0.0, 0.0], [0.0, 0.0, 0.0], g, FREQ)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelError, match=r"^propagation distance must be positive and finite, got (inf|nan)$"):
+            far_channel(s, s, displacement)
+
+
 def test_near_field_separation_warns():
     near = 0.9 * FAR_FIELD_GUIDELINE_WAVELENGTHS * LAM
     with pytest.warns(UserWarning, match="wavelength"):

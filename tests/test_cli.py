@@ -385,6 +385,24 @@ def test_optimize_command_writes_result_and_repeats(tmp_path):
     assert (out1 / "result.txt").read_bytes() == (out2 / "result.txt").read_bytes()
 
 
+def test_optimize_reads_a_seed_beyond_the_float_range_exactly(tmp_path, capsys):
+    p = tmp_path / "opt.yaml"
+    p.write_text(yaml.safe_dump(_optimize_scene()))
+    out = tmp_path / "out"
+    assert main(["optimize", "--scene", str(p), "--out", str(out), "--seed", "1" + "0" * 400]) == 0
+    assert (out / "result.txt").exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_scene_float_beyond_the_float_range_is_a_user_error(tmp_path, capsys):
+    scene = _friis_scene()
+    scene["frequency_hz"] = 10**400
+    code, err, out = _run_scene(tmp_path, "solve", scene, capsys)
+    assert code == 1
+    assert f"frequency_hz must be finite, got {10**400}" in err
+    assert not out.exists() or os.listdir(out) == []
+
+
 def _optimize_case_study(out, threads: int) -> subprocess.Popen:
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):

@@ -174,6 +174,24 @@ def test_checked_inv_decides_like_check_condition(monkeypatch):
     assert checked_inv(np.zeros((3, 0, 0)), "empty").shape == (3, 0, 0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_non_finite_matrix_has_condition_number_inf(bad):
+    mat = np.eye(2, dtype=complex)
+    mat[1, 0] = bad
+    assert network.condition_number(mat) == math.inf
+    message = re.escape("probe: condition number inf exceeds 1e+12")
+    with pytest.raises(NumericsError, match=message):
+        check_condition(mat, "probe")
+    with pytest.raises(NumericsError, match=message):
+        checked_inv(np.full((2, 2), bad), "probe")
+
+
+@pytest.mark.parametrize("gains, ndim", [(1.0, 0), (np.eye(2), 2)])
+def test_inline_tuning_needs_a_vector_of_gains(gains, ndim):
+    with pytest.raises(ModelError, match=f"^tuning gains must be 1-D, got {ndim}-D$"):
+        inline_tuning(gains)
+
+
 def test_through_and_inline_tuning_blocks():
     t = through_tuning(2)
     np.testing.assert_array_equal(t.s_tt, np.zeros((2, 2)))

@@ -1,5 +1,5 @@
-"""Every name a package module imports is used in that module, and every private function,
-public method, dataclass field and public function is read.
+"""Every name a package module imports is used in that module, every private function,
+public method, dataclass field and public function is read, and caller arrays are converted in one place.
 
 No linter ships with the project, so this reads each module's syntax tree
 with ast: a name bound by an import statement must be read somewhere else
@@ -9,7 +9,9 @@ package class must be read outside its own body by some module of src/,
 tests/ or perfbench/, a field of a package dataclass must be read as
 an attribute by some module of those three, and a module-level public
 function must be exported by the package or read by some module of src/ or
-perfbench/, so that no function ships for the tests alone.
+perfbench/, so that no function ships for the tests alone. No __post_init__
+converts an array with np.asarray or np.array to complex itself, but for one
+named exemption: caller arrays go through _textio.complex_array.
 """
 
 import ast
@@ -216,3 +218,48 @@ def test_package_has_no_test_only_function():
     root = PACKAGE.parent.parent
     readers = [p.read_text(encoding="utf-8") for d in ("src", "perfbench") for p in (root / d).rglob("*.py")]
     assert functions_only_tests_read(package, readers) == []
+
+
+# FarFieldPattern also holds the package's own outputs: an overflow in one must
+# reach solver._finite and end as NumericsError (exit 2), not be refused at
+# construction as a malformed input (ModelError, exit 1).
+CONVERSION_EXEMPT = {"farfield.FarFieldPattern.__post_init__"}
+
+
+def complex_conversions_in_post_init(sources: dict) -> list:
+    """The __post_init__ methods of sources (module name -> text) that call np.asarray or np.array with dtype complex.
+
+    Those arrays are caller input and go through _textio.complex_array, which
+    refuses a malformed, mis-shaped or non-finite one as a ModelError naming it.
+    """
+    found = set()
+    for module, source in sources.items():
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if not (isinstance(stmt, ast.FunctionDef) and stmt.name == "__post_init__"):
+                    continue
+                for call in ast.walk(stmt):
+                    if not (isinstance(call, ast.Call) and ast.unparse(call.func) in ("np.asarray", "np.array")):
+                        continue
+                    dtype = [k.value for k in call.keywords if k.arg == "dtype"] + call.args[1:2]
+                    if any(ast.unparse(d) == "complex" for d in dtype):
+                        found.add(f"{module}.{cls.name}.__post_init__")
+    return sorted(found)
+
+
+def test_the_check_finds_a_complex_conversion_in_post_init():
+    sources = {
+        "a": "class A:\n    def __post_init__(self):\n        self.x = np.asarray(self.x, dtype=complex)\n\n\n"
+        "class B:\n    def __post_init__(self):\n        self.y = np.array(self.y, complex)\n\n\n"
+        "class C:\n    def __post_init__(self):\n        self.z = np.asarray(self.z, dtype=float)\n\n"
+        "    def other(self):\n        return np.asarray(self.z, dtype=complex)\n",
+    }
+    assert complex_conversions_in_post_init(sources) == ["a.A.__post_init__", "a.B.__post_init__"]
+
+
+def test_package_post_init_converts_caller_arrays_through_complex_array():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert set(complex_conversions_in_post_init(sources)) - CONVERSION_EXEMPT == set()
+    assert CONVERSION_EXEMPT <= set(complex_conversions_in_post_init(sources))  # the exemption is still needed

@@ -51,6 +51,7 @@ from remskit.radiating import (
     read_response_file,
     rx_extraction_factor,
     wavenumber,
+    write_response_file,
 )
 
 from remskit.scene import Scene, rotation_matrix
@@ -297,6 +298,26 @@ def test_apply_scatter_adds_weighted_kernel_action():
         "icjd,jd->ic", s.scatter_kernel, b.values * g.weights[:, None]
     )
     np.testing.assert_allclose(out.values, expect, rtol=1e-12)
+
+
+@pytest.mark.parametrize("source", ["random", "rotated", "file-backed"])
+def test_apply_scatter_matmul_matches_the_einsum_without_copying_the_kernel(source, tmp_path):
+    g = make_latlon_grid(5, 6)
+    rng = np.random.default_rng(10)
+    s = random_reciprocal_structure(g, 2, rng, FREQ)
+    if source == "rotated":
+        s = rotate_structure(s, rotation_matrix([1.0, -2.0, 0.5], 71.0))
+    elif source == "file-backed":  # the extracted kernel keeps the file's transposed layout
+        path = str(tmp_path / "r.rsp")
+        write_response_file(synthesize_plane_wave_responses(s), path)
+        s = structure_from_responses(read_response_file(path))
+    n2 = 2 * g.size
+    assert np.shares_memory(s.scatter_kernel.reshape(n2, n2), s.scatter_kernel)
+    b = random_pattern(rng, g)
+    expect = s.mirror * antipodal_mirror(b).values + np.einsum(
+        "icjd,jd->ic", s.scatter_kernel, b.values * g.weights[:, None]
+    )
+    assert _rel(apply_scatter(s, b).values, expect) <= 1e-13
 
 
 def test_the_test_kit_stays_out_of_the_package():

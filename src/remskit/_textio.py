@@ -3,9 +3,9 @@
 Every number the package writes is ``repr`` of a Python float, through
 ``fmt`` or, in the bulk writers, directly on values read with ``.tolist()``:
 the shortest text that round-trips the IEEE double exactly, at most 17
-significant digits. Scalar input fields go through ``number`` and the arrays a
-caller hands the library through ``complex_array``; each turns a malformed
-value into a ModelError naming the field.
+significant digits. Scalar input fields go through ``number``, caller arrays
+through ``complex_array`` and geometric vectors through ``real_vector``; each
+turns a malformed value into a ModelError naming the field.
 """
 
 from __future__ import annotations
@@ -66,6 +66,29 @@ def complex_array(value, where: str, shape=None) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ModelError(f"{where} must be finite")
     return x
+
+
+def real_vector(value, where: str, stacked: bool = False):
+    """The caller's finite real 3-vector field `where` and its length; stacked, an (m, 3) stack and its lengths.
+
+    A word, another shape, a NaN or inf entry or a length past the float range is a ModelError naming the field.
+    """
+    try:
+        if getattr(value, "dtype", np.dtype(float)).kind == "c":  # it would lose its imaginary part
+            raise TypeError
+        x = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ModelError(f"{where} must be real numbers, got {value!r}") from None
+    if stacked and x.size == 0:  # no vectors at all
+        x = x.reshape(0, 3)
+    if x.ndim != 1 + stacked or x.shape[-1] != 3:
+        raise ModelError(f"{where} shape {x.shape} != {'(m, 3)' if stacked else '(3,)'}")
+    with np.errstate(over="ignore"):  # the dot of x with itself that np.linalg.norm takes
+        length = np.sqrt(np.vecdot(x, x))
+    if not np.isfinite(length).all():  # a NaN or inf entry, or a length past the float range
+        defect = "must be finite" if not np.isfinite(x).all() else "length overflows the float range"
+        raise ModelError(f"{where} {defect}")
+    return x, length if stacked else float(length)
 
 
 def _not_utf8(path: str, err: UnicodeDecodeError, at: int) -> ModelError:

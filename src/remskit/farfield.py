@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ModelError
-from ._textio import atomic_write_text, csv_text
+from ._textio import atomic_write_text, csv_text, real_vector
 
 FOUR_PI = 4.0 * math.pi
 
@@ -75,14 +75,11 @@ class Direction:
 
 
 def direction_from_vector(v) -> Direction:
-    """Direction of a nonzero 3-vector."""
-    v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
+    """Direction of a nonzero 3-vector, read through real_vector."""
+    v, n = real_vector(v, "direction vector")
     if n == 0.0:
         raise ModelError("zero vector has no direction")
-    theta = math.acos(max(-1.0, min(1.0, v[2] / n)))
-    phi = math.atan2(v[1], v[0])
-    return Direction.canonical(theta, phi)
+    return Direction.canonical(math.acos(max(-1.0, min(1.0, v[2] / n))), math.atan2(v[1], v[0]))
 
 
 def spherical_basis(theta, phi):

@@ -236,7 +236,7 @@ class RFFrontend:
 
     def available_power(self, v_tx) -> float:
         """P_A = v^H Re(Z_tx)^-1 v / 4 for Thevenin sources v behind Z_tx."""
-        v = np.asarray(v_tx, dtype=complex)
+        v = complex_array(v_tx, "v_tx", (self.n_tx,))
         return float(np.real(np.vdot(v, v / self.z_tx.real)) / 4.0)
 
     def conjugate_match_tuning(self) -> np.ndarray:

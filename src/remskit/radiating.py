@@ -25,7 +25,8 @@ from operator import methodcaller
 import numpy as np
 
 from .errors import ModelError
-from ._textio import atomic_write_text, complex_array, count_lines, fmt, number, split_lines, text_chunks
+from ._textio import atomic_write_text, complex_array, count_lines, fmt, number, real_vector
+from ._textio import split_lines, text_chunks
 from .farfield import (
     Direction,
     DirectionGrid,
@@ -40,8 +41,11 @@ Z0_FREE_SPACE = 4.0e-7 * math.pi * C_LIGHT
 
 
 def wavenumber(frequency_hz: float) -> float:
-    """k = 2*pi*f/c in rad/m."""
-    return 2.0 * math.pi * frequency_hz / C_LIGHT
+    """k = 2*pi*f/c in rad/m; a frequency that is not positive with a finite k is a ModelError."""
+    k = 2.0 * math.pi * frequency_hz / C_LIGHT
+    if not 0.0 < k < math.inf:
+        raise ModelError(f"frequency must be positive and finite, got {frequency_hz!r}")
+    return k
 
 
 @dataclass
@@ -69,6 +73,7 @@ class RadiatingStructure:
 
     def __post_init__(self):
         m, n = self.m_ports, self.grid.size
+        wavenumber(self.frequency)  # refuses a frequency that is not positive and finite
         self.coupling = complex_array(self.coupling, "coupling", (m, m))
         self.tx_kernel = complex_array(self.tx_kernel, "tx_kernel", (m, n, 2))
         self.rx_kernel = complex_array(self.rx_kernel, "rx_kernel", (m, n, 2))
@@ -157,11 +162,10 @@ def hertzian_dipole(orientation, position, grid: DirectionGrid, frequency: float
 
 def synthetic_coupling(positions, k: float, gamma: float) -> np.ndarray:
     """Exp-phase, 1/(k d) magnitude coupling profile between element pairs at 3-D positions."""
-    p = np.asarray(positions, dtype=float).reshape(-1, 3)
+    p, _ = real_vector(positions, "element positions", stacked=True)
     m = len(p)
     i, j = np.nonzero(~np.eye(m, dtype=bool))  # off-diagonal pairs, row by row
-    diff = p[i] - p[j]
-    d = np.sqrt(np.vecdot(diff, diff))
+    _, d = real_vector(p[i] - p[j], "element separations", stacked=True)
     if not d.all():  # argmin is then the first zero distance, row by row
         raise ModelError(f"elements {i[d.argmin()]} and {j[d.argmin()]} are co-located")
     c = np.zeros((m, m), dtype=complex)
@@ -223,20 +227,18 @@ def dipole_array(
     if len(elements) == 0:
         raise ModelError("dipole_array requires at least one element")
     m = len(elements)
-    axes = np.array([o for o, _ in elements], dtype=float).reshape(m, 3, 1)
-    if (np.abs(np.sqrt(np.vecdot(axes, axes, axis=1)) - 1.0) > 1e-9).any():
+    axes, lengths = real_vector([o for o, _ in elements], "dipole orientation", stacked=True)
+    if (np.abs(lengths - 1.0) > 1e-9).any():
         raise ModelError("dipole orientation must be a unit vector")
-    positions = np.array([p for _, p in elements], dtype=float).reshape(m, 3, 1)
+    positions = real_vector([p for _, p in elements], "dipole position", stacked=True)[0]
     # stacked matrix-vector products: each element's kernel has the bits that
     # the same element alone (hertzian_dipole) gets
+    axes, positions = axes.reshape(m, 3, 1), positions.reshape(m, 3, 1)
     r, th, ph = spherical_basis(grid.theta, grid.phi)
-    phase = np.exp(1j * wavenumber(frequency) * (r @ positions))  # (M, n, 1)
+    phase = np.exp(1j * wavenumber(frequency) * (r @ positions))  # (M, n, 1); refuses a bad frequency
     amp = math.sqrt(3.0 / (8.0 * math.pi))
     tx = np.concatenate([amp * (th @ axes) * phase, amp * (ph @ axes) * phase], axis=-1)
-    if coupling is None:
-        coupling = np.zeros((m, m), dtype=complex)
-    else:
-        coupling = complex_array(coupling, "coupling", (m, m))
+    coupling = complex_array(np.zeros((m, m)) if coupling is None else coupling, "coupling", (m, m))
     scale = 1.0
     if enforce_passivity:
         scale = _weighted_operator_norm(coupling, tx, grid) * (1.0 + 1e-12)
@@ -360,8 +362,7 @@ class PlaneWaveResponseSet:
 
     def __post_init__(self):
         n = self.grid.size
-        if not (math.isfinite(self.frequency) and self.frequency > 0.0):
-            raise ModelError(f"frequency must be positive and finite, got {self.frequency!r}")
+        wavenumber(self.frequency)  # refuses a frequency that is not positive and finite
         self.port_waves = complex_array(self.port_waves, "port_waves")
         if self.port_waves.ndim != 3 or self.port_waves.shape[:2] != (n, 2):
             raise ModelError(f"port_waves shape {self.port_waves.shape} != ({n}, 2, M)")
@@ -745,7 +746,7 @@ def rotate_structure(s: RadiatingStructure, rot: np.ndarray) -> RadiatingStructu
     included (P commutes with rotations), carries over unchanged. Analytic
     structures are better rebuilt from rotated geometry.
     """
-    rot = np.asarray(rot, dtype=float)
+    rot, _ = real_vector(rot, "rotation", stacked=True)  # its rows
     if rot.shape != (3, 3) or not np.allclose(rot @ rot.T, np.eye(3), atol=1e-10):
         raise ModelError("rotation must be a 3x3 orthogonal matrix")
     grid = s.grid

@@ -23,7 +23,7 @@ import numpy as np
 import yaml
 
 from .beamform import BeamformProblem, geometric_schedule, x_copol
-from ._textio import number, read_text
+from ._textio import number, read_text, real_vector
 from .errors import ModelError
 from .farfield import Direction, DirectionGrid, make_latlon_grid
 from .network import (
@@ -95,8 +95,8 @@ def _string(value, where: str) -> str:
 
 
 def _vector3(value, where: str) -> np.ndarray:
-    """The 3-vector field `where`, each entry through number()."""
-    return np.array([number(x, where) for x in _sequence(value, where, 3)])
+    """The 3-vector field `where`, each entry through number(), its length within the float range."""
+    return real_vector([number(x, where) for x in _sequence(value, where, 3)], where)[0]
 
 
 def parse_complex(value) -> complex:
@@ -134,8 +134,7 @@ def _directions(pairs, where: str) -> tuple:
 
 def rotation_matrix(axis, angle_deg: float) -> np.ndarray:
     """Rodrigues rotation about `axis` by angle_deg."""
-    u = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(u)
+    u, norm = real_vector(axis, "rotation axis")
     if norm == 0.0:
         raise ModelError("rotation axis must be nonzero")
     u = u / norm
@@ -352,8 +351,7 @@ class Scene:
     @classmethod
     def from_dict(cls, raw: dict, base_dir: str = ".") -> "Scene":
         top = _walk(raw, "", _SCENE)
-        if top["frequency_hz"] <= 0.0:
-            raise ModelError("frequency_hz must be positive and finite")
+        wavenumber(top["frequency_hz"])  # refuses a frequency that is not positive and finite
         named = {kind + "s": top[kind + "s"] for kind in _NAMED}
         tasks = {key: top[key] for key in _TASKS}
         grid = latlon_grid(**top["grid"])
@@ -481,8 +479,7 @@ class Scene:
         structure, displacement); a rotated rx is built when its point is reached."""
         spec = self._task("channel")
         name1, name2 = spec["pair"]
-        disp = self.position(name2) - self.position(name1)
-        dist = float(np.linalg.norm(disp))
+        disp, dist = real_vector(self.position(name2) - self.position(name1), "channel pair displacement")
         if dist == 0.0:
             raise ModelError("channel pair structures are co-located")
         axis = disp / dist

@@ -1,11 +1,15 @@
-"""Every array a caller hands the library goes through _textio.complex_array.
+"""Every array a caller hands the library goes through _textio.complex_array,
+and every geometric vector through _textio.real_vector.
 
 A non-numeric, absent, non-finite or mis-shaped array ends as a ModelError
-that names the field, never as a raw NumPy or Python exception. Scalar fields
-go through _textio.number, which is held here to its overflow rules.
+that names the field, never as a raw NumPy or Python exception; so does a
+vector whose length overflows the float range, with no RuntimeWarning on the
+way (pyproject.toml makes one an error). Scalar fields go through
+_textio.number, which is held here to its overflow rules.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,15 +21,23 @@ from remskit import (
     PlaneWaveResponseSet,
     RadiatingStructure,
     RFFrontend,
+    Scene,
     TuningNetwork,
+    cascade_unilateral,
     dipole_array,
+    direction_from_vector,
+    far_channel,
     hertzian_dipole,
     inline_tuning,
     make_latlon_grid,
+    propagation_matrix,
     rems_gain,
+    rotate_structure,
     solve_direct,
+    synthetic_coupling,
 )
-from remskit._textio import complex_array, number
+from remskit._textio import complex_array, number, real_vector
+from remskit.scene import rotation_matrix
 
 from conftest import FREQ, random_model
 
@@ -83,6 +95,7 @@ ENTRY_POINTS = {
         50.0,
         True,
     ),
+    "available_power v_tx": ("v_tx", RFFrontend([50.0], []).available_power, [1.0], False),
 }
 
 
@@ -115,9 +128,148 @@ def test_malformed_array_is_a_model_error_naming_the_field(entry, bad):
     assert str(err.value).startswith(f"{field} ")
 
 
+ORIGIN = (0.0, 0.0, 0.0)
+DIPOLE = hertzian_dipole(X_AXIS, ORIGIN, GRID, FREQ)
+FAR = (0.0, 30.0, 0.0)  # beyond ten wavelengths, so no near-field warning
+
+
+def _channel_scene(rx_position, tx_position=(0.0, 0.0, 0.0)):
+    return Scene.from_dict({
+        "frequency_hz": FREQ,
+        "grid": {"n_theta": 3, "n_phi": 4},
+        "structures": [
+            {"name": "tx", "kind": "dipole", "orientation": list(X_AXIS), "position_m": list(tx_position)},
+            {"name": "rx", "kind": "dipole", "orientation": list(X_AXIS), "position_m": rx_position},
+        ],
+        "channel": {"pair": ["tx", "rx"]},
+    })
+
+
+# the eight sites that read a caller's 3-vector, each reached through its public caller:
+# (field named in the error, builder taking the vector, a valid vector)
+GEOMETRY = {
+    "direction_from_vector": ("direction vector", direction_from_vector, X_AXIS),
+    "far_channel": ("displacement", lambda v: far_channel(DIPOLE, DIPOLE, v), FAR),
+    "cascade_unilateral": ("displacements[1]", lambda v: cascade_unilateral([DIPOLE] * 3, [FAR, v]), FAR),
+    "rotation_matrix": ("rotation axis", lambda v: rotation_matrix(v, 30.0), X_AXIS),
+    # the scene reads each position through real_vector, so the pair's displacement never overflows
+    "channel_task": ("structure 'rx' position_m", lambda v: _channel_scene(v).channel_task(), FAR),
+    "synthetic_coupling": ("element positions", lambda v: synthetic_coupling([ORIGIN, v], 1.0, 1.0), FAR),
+    "dipole orientation": ("dipole orientation", lambda v: dipole_array([(v, ORIGIN)], GRID, FREQ), X_AXIS),
+    "dipole position": ("dipole position", lambda v: dipole_array([(X_AXIS, v)], GRID, FREQ), FAR),
+}
+
+BAD_VECTORS = {
+    **BAD_VALUES,
+    "a wrong length": lambda valid: list(valid[:2]),
+    "an overflowing length": lambda valid: [1e308, 1e308, 0.0],
+}
+
+
+@pytest.mark.parametrize("bad", BAD_VECTORS)
+@pytest.mark.parametrize("site", GEOMETRY)
+def test_malformed_vector_is_a_model_error_naming_the_field(site, bad):
+    field, build, valid = GEOMETRY[site]
+    build(valid)  # the valid vector passes
+    with pytest.raises(ModelError) as err:
+        build(BAD_VECTORS[bad](valid))
+    assert str(err.value).startswith(f"{field} ")
+
+
+def test_a_pair_displacement_that_overflows_is_refused():
+    scene = _channel_scene([1e154, 0.0, 0.0], (-1e154, 0.0, 0.0))  # each length is within the float range
+    with pytest.raises(ModelError, match="^channel pair displacement length overflows the float range$"):
+        scene.channel_task()
+
+
+def test_the_sites_keep_their_own_zero_vector_messages():
+    for build, message in (
+        (direction_from_vector, "zero vector has no direction"),
+        (lambda v: far_channel(DIPOLE, DIPOLE, v), "structures are co-located: displacement is zero"),
+        (lambda v: cascade_unilateral([DIPOLE] * 2, [v]), "structures are co-located: displacements[0] is zero"),
+        (lambda v: rotation_matrix(v, 30.0), "rotation axis must be nonzero"),
+        (lambda v: dipole_array([(v, ORIGIN)], GRID, FREQ), "dipole orientation must be a unit vector"),
+    ):
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            build([0.0, 0.0, 0.0])
+
+
+def test_a_rotation_is_read_as_finite_real_rows():
+    for rot, message in (
+        ("x", "rotation must be real numbers, got 'x'"),
+        (np.full((3, 3), math.nan), "rotation must be finite"),
+        (np.eye(2), "rotation shape (2, 2) != (m, 3)"),
+        (np.eye(3)[:2], "rotation must be a 3x3 orthogonal matrix"),
+    ):
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            rotate_structure(DIPOLE, rot)
+
+
+@pytest.mark.parametrize("frequency", [0.0, -5.4e9, math.nan, math.inf, 1e308])
+def test_a_structure_frequency_must_be_positive_and_finite(frequency):
+    # 1e308 Hz is finite, but its wavenumber overflows
+    message = re.escape(f"frequency must be positive and finite, got {frequency!r}")
+    kernel = np.ones((1, GRID.size, 2))
+    with pytest.raises(ModelError, match=message):
+        RadiatingStructure(1, np.zeros((1, 1)), kernel, kernel, None, GRID, frequency)
+    with pytest.raises(ModelError, match=message):
+        dipole_array([(X_AXIS, ORIGIN)], GRID, frequency, [[0.1]], enforce_passivity=True)
+    with pytest.raises(ModelError, match=message):
+        PlaneWaveResponseSet(frequency, GRID, np.ones((GRID.size, 2, 1)))
+
+
+def test_a_nan_position_is_refused_before_the_passivity_certificate():
+    with pytest.raises(ModelError, match="^dipole position must be finite$"):
+        dipole_array([(X_AXIS, (math.nan, 0.0, 0.0))], GRID, FREQ, [[0.1]], enforce_passivity=True)
+
+
+@pytest.mark.parametrize("distance", [1e308, 1e307])
+def test_a_distance_whose_phase_overflows_is_refused(distance):
+    message = f"propagation distance must be positive and finite, got {distance!r}, k*d inf"
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        propagation_matrix(distance, FREQ)
+
+
+def test_real_vector_messages():
+    x = np.array([3.0, 4.0, 12.0])
+    v, length = real_vector(x, "v")
+    assert v is x and length == 13.0 and type(length) is float  # a float array is taken as it is
+    stack, lengths = real_vector([[3, 4, 0], [0, 0, 2]], "v", stacked=True)
+    assert stack.shape == (2, 3) and lengths.tolist() == [5.0, 2.0]
+    assert real_vector([], "v", stacked=True)[0].shape == (0, 3)
+    # numeric text and booleans are read as NumPy reads them
+    assert real_vector(["1.5", True, 2**60 + 1], "v")[0].tolist() == [1.5, 1.0, float(2**60 + 1)]
+    for value, stacked, message in (
+        ("x", False, "v must be real numbers, got 'x'"),
+        ([1, 2j, 3], False, "v must be real numbers, got [1, 2j, 3]"),
+        (np.array([1, 2j, 3]), False, "v must be real numbers, got array([1.+0.j, 0.+2.j, 3.+0.j])"),
+        ([10**400, 2, 3], False, f"v must be real numbers, got [{10**400}, 2, 3]"),
+        ([[1, 2, 3], [4]], True, "v must be real numbers, got [[1, 2, 3], [4]]"),
+        ([1, 2], False, "v shape (2,) != (3,)"),
+        ([1, 2, 3], True, "v shape (3,) != (m, 3)"),
+        ([[1, 2, 3]], False, "v shape (1, 3) != (3,)"),
+        ([1, math.nan, 3], False, "v must be finite"),
+        ([None, 2, 3], False, "v must be finite"),  # NumPy reads None as NaN
+        (np.array([[1, 2, 3], [-math.inf, 0, 0]]), True, "v must be finite"),
+        ([[1, 2, 3], [1e200, 0, 0]], True, "v length overflows the float range"),
+    ):
+        with pytest.raises(ModelError) as err:
+            real_vector(value, "v", stacked)
+        assert str(err.value) == message
+
+
+def test_real_vector_length_has_the_bits_of_np_linalg_norm():
+    rng = np.random.default_rng(31)
+    vectors = rng.standard_normal((2000, 3)) * 10.0 ** rng.uniform(-150, 150, (2000, 1))
+    lengths = real_vector(vectors, "v", stacked=True)[1]
+    assert [real_vector(v, "v")[1] for v in vectors] == lengths.tolist()
+    assert lengths.tolist() == [float(np.linalg.norm(v)) for v in vectors]
+
+
 @pytest.mark.parametrize("position, frequency", [((math.nan, 0.0, 0.0), FREQ), ((0.0, 0.0, 0.0), math.nan)])
 def test_dipole_with_a_nan_position_or_frequency_is_refused(position, frequency):
-    with pytest.raises(ModelError, match="^tx_kernel must be finite$"):
+    message = "frequency must be positive and finite, got nan" if math.isnan(frequency) else "dipole position must be finite"
+    with pytest.raises(ModelError, match=f"^{message}$"):
         hertzian_dipole(X_AXIS, position, GRID, frequency)
 
 

@@ -850,6 +850,19 @@ def _linear_sweep(start_m, stop_m):
         # a drive whose powers overflow; pyproject.toml makes any RuntimeWarning on the way an error
         ("solve", ("solve", "v_tx"), ["1e200"], "solve drive overflows the power ledger: p_available_w is inf"),
         ("gain-pattern", ("gain_pattern", "v_tx"), ["1e200"], "gain_pattern drive has infinite available power"),
+        # a finite vector whose length overflows; the scene reads it through real_vector, with no warning
+        (
+            "channel",
+            ("structures", 1, "position_m"),
+            [1e308, 1e308, 0],
+            "structure 'rx' position_m length overflows the float range",
+        ),
+        (
+            "channel",
+            ("structures", 1, "rotation"),
+            {"axis": [1e308, 1e308, 0], "angle_deg": 30},
+            "structure 'rx' rotation axis length overflows the float range",
+        ),
     ],
 )
 def test_malformed_task_block_is_a_user_error(tmp_path, capsys, command, path, value, message):
@@ -863,6 +876,16 @@ def test_malformed_task_block_is_a_user_error(tmp_path, capsys, command, path, v
     assert message in err
     # the optimize pattern is read before the ascent, so no result.txt is left behind
     assert not out.exists() or os.listdir(out) == []
+
+
+def test_a_case_study_element_whose_length_overflows_is_a_user_error(tmp_path, capsys):
+    with open(CASE_STUDY, "r", encoding="utf-8") as fh:
+        scene = yaml.safe_load(fh)
+    scene["structures"][0]["elements"][3]["position_m"] = [1e308, 0, 0]
+    code, err, out = _run_scene(tmp_path, "optimize", scene, capsys)
+    assert code == 1
+    assert "error: structure 'array' elements[3] position_m length overflows the float range" in err
+    assert not out.exists()
 
 
 def test_linear_distance_sweep_is_evenly_spaced(tmp_path, capsys):

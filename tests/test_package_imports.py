@@ -11,7 +11,10 @@ an attribute by some module of those three, and a module-level public
 function must be exported by the package or read by some module of src/ or
 perfbench/, so that no function ships for the tests alone. No __post_init__
 converts an array with np.asarray or np.array to complex itself, but for one
-named exemption: caller arrays go through _textio.complex_array.
+named exemption: caller arrays go through _textio.complex_array. No public
+function or method takes np.linalg.norm of its own parameters, or converts
+them with np.asarray or np.array to float, but for named exemptions: caller
+vectors go through _textio.real_vector.
 """
 
 import ast
@@ -263,3 +266,67 @@ def test_package_post_init_converts_caller_arrays_through_complex_array():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert set(complex_conversions_in_post_init(sources)) - CONVERSION_EXEMPT == set()
     assert CONVERSION_EXEMPT <= set(complex_conversions_in_post_init(sources))  # the exemption is still needed
+
+
+# The public functions that may still read a float array of their own parameters, each for a reason:
+VECTOR_EXEMPT = {
+    # theta is the library's own angle, a Direction's or a grid sample's, never a caller's geometry
+    "farfield.DirectionGrid.interp_stencil",
+    # a 1-D frequency sweep, not a geometric vector; the constructor refuses a non-finite or unordered one
+    "network.TouchstoneData.from_matrices",
+}
+
+
+def hand_read_vectors(sources: dict) -> list:
+    """Public functions and methods of sources (module name -> text) that read their own parameters by hand.
+
+    A hand reading is a call of np.linalg.norm, or of np.asarray or np.array
+    with dtype float, whose first argument reads a parameter of the function.
+    _textio, where real_vector reads every caller's vector, is not scanned.
+    """
+    found = set()
+    for module, source in sources.items():
+        if module == "_textio":
+            continue
+        tree = ast.parse(source)
+        defs = [(f"{module}.{f.name}", f) for f in tree.body if isinstance(f, ast.FunctionDef)]
+        defs += [
+            (f"{module}.{cls.name}.{f.name}", f)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for f in cls.body
+            if isinstance(f, ast.FunctionDef)
+        ]
+        for label, fn in defs:
+            if fn.name.startswith("_"):
+                continue
+            params = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+            for call in ast.walk(fn):
+                if not (isinstance(call, ast.Call) and call.args):
+                    continue
+                name = ast.unparse(call.func)
+                dtype = [k.value for k in call.keywords if k.arg == "dtype"] + call.args[1:2]
+                to_float = name in ("np.asarray", "np.array") and any(ast.unparse(d) == "float" for d in dtype)
+                read = {n.id for n in ast.walk(call.args[0]) if isinstance(n, ast.Name)}
+                if (name == "np.linalg.norm" or to_float) and read & params:
+                    found.add(label)
+    return sorted(found)
+
+
+def test_the_check_finds_a_hand_read_vector():
+    sources = {
+        "a": "def norm(v):\n    return np.linalg.norm(v)\n\n\n"
+        "def stack(elements):\n    return np.array([o for o, _ in elements], dtype=float)\n\n\n"
+        "def _private(v):\n    return np.asarray(v, dtype=float)\n\n\n"
+        "def local(v):\n    w = v + 1\n    return np.linalg.norm(w), np.asarray(v, dtype=complex), np.asarray(v)\n\n\n"
+        "class C:\n    def method(self, theta):\n        return np.asarray(theta, float)\n\n"
+        "    def __post_init__(self):\n        self.x = np.asarray(self.x, dtype=float)\n",
+        "_textio": "def real_vector(value):\n    return np.asarray(value, dtype=float)\n",
+    }
+    assert hand_read_vectors(sources) == ["a.C.method", "a.norm", "a.stack"]
+
+
+def test_package_reads_caller_vectors_through_real_vector():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert set(hand_read_vectors(sources)) - VECTOR_EXEMPT == set()
+    assert VECTOR_EXEMPT <= set(hand_read_vectors(sources))  # each exemption is still needed

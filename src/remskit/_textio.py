@@ -83,12 +83,12 @@ def real_vector(value, where: str, stacked: bool = False):
         x = x.reshape(0, 3)
     if x.ndim != 1 + stacked or x.shape[-1] != 3:
         raise ModelError(f"{where} shape {x.shape} != {'(m, 3)' if stacked else '(3,)'}")
-    with np.errstate(over="ignore"):  # the dot of x with itself that np.linalg.norm takes
-        length = np.sqrt(np.vecdot(x, x))
-    if not np.isfinite(length).all():  # a NaN or inf entry, or a length past the float range
+    with np.errstate(over="ignore"):  # the dot np.linalg.norm takes; math.sqrt rounds as np.sqrt does
+        length = np.sqrt(np.vecdot(x, x)) if stacked else math.sqrt(x.dot(x))
+    if not (np.isfinite(length).all() if stacked else math.isfinite(length)):  # NaN or inf entry, or overflow
         defect = "must be finite" if not np.isfinite(x).all() else "length overflows the float range"
         raise ModelError(f"{where} {defect}")
-    return x, length if stacked else float(length)
+    return x, length
 
 
 def _not_utf8(path: str, err: UnicodeDecodeError, at: int) -> ModelError:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -100,13 +100,13 @@ def h_co(model: ReMSModel, dirs, q_co=x_copol) -> np.ndarray:
 
 
 def _projectors(dirs, q_co) -> np.ndarray:
-    """(len(dirs), 2) co-polarization projector rows, one per direction."""
-    return np.array([q_co(d) for d in dirs])
+    """(len(dirs), 2) co-polarization projector rows, one per direction, as complex numbers for the matmul."""
+    return np.array([q_co(d) for d in dirs], dtype=complex)
 
 
 def _co_rows(q: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """(..., d, n_tx) co-polarized rows of a (..., d, 2, n_tx) gain-matrix stack through (d, 2) projectors."""
-    return np.einsum("dp,...dpn->...dn", q, mats)
+    return (q[:, None] @ mats)[..., 0, :]
 
 
 def zf_precoder(h: np.ndarray) -> np.ndarray:
@@ -132,8 +132,8 @@ def _problem_dirs(problem: BeamformProblem) -> tuple:
     return tuple(problem.primary_dirs) + tuple(problem.secondary_dirs)
 
 
-def _quasi_powers(fe, mats: np.ndarray, t: np.ndarray, u: int) -> list:
-    """QuasiPowers of each precoder of a (K, n_tx, u) stack through its (K, u + s, 2, n_tx) mats.
+def _quasi_powers(fe, mats: np.ndarray, t: np.ndarray, u: int) -> tuple:
+    """(K,) arrays p_signal, p_interf, p_second of a (K, n_tx, u) precoder stack through (K, u + s, 2, n_tx) mats.
 
     gains[k, i, j] is the gain toward direction i when precoder k drives
     column j; a silent column (zero available power) radiates nothing.
@@ -141,49 +141,46 @@ def _quasi_powers(fe, mats: np.ndarray, t: np.ndarray, u: int) -> list:
     val = mats @ t[:, None]
     radiated = FOUR_PI * np.vecdot(val, val, axis=-2).real
     p_avail = np.vecdot(t, t / fe.z_tx.real[:, None], axis=-2).real[:, None] / 4.0
-    gains = np.divide(radiated, p_avail, out=np.zeros_like(radiated), where=p_avail != 0.0)
-    p_signal = np.diagonal(gains[:, :u], axis1=1, axis2=2).min(axis=1)
+    gains = np.divide(radiated, p_avail, out=np.zeros(radiated.shape), where=p_avail != 0.0)
+    p_signal = gains[:, :u].diagonal(0, 1, 2).min(axis=1)
     p_interf = gains[:, :u][:, ~np.eye(u, dtype=bool)].max(axis=1, initial=0.0)
-    p_second = gains[:, u:].max(axis=(1, 2), initial=0.0)
-    return list(map(QuasiPowers, p_signal.tolist(), p_interf.tolist(), p_second.tolist()))
+    return p_signal, p_interf, gains[:, u:].max(axis=(1, 2), initial=0.0)
 
 
-def _score_rows(fe, mats: np.ndarray, q: np.ndarray):
-    """(h, t, QuasiPowers) stacks, one entry per configuration of a (K, u + s, 2, n_tx) stack.
+@np.errstate(over="ignore", invalid="ignore")  # as Python floats: an overflowing sum is inf, inf / inf is NaN
+def _objective(p_signal, p_interf, p_second, sigma) -> np.ndarray:
+    """p_signal / ((p_interf + p_second) + sigma) per entry; a zero denominator: inf with signal, 0 without."""
+    denom = (p_interf + p_second) + sigma
+    return np.divide(p_signal, denom, out=np.where(p_signal > 0.0, math.inf, 0.0), where=denom != 0.0)
 
-    q holds the (u, 2) co-polarization projectors of the u primary directions.
+
+def _score_rows(fe, mats: np.ndarray, q: np.ndarray, sigma: float):
+    """(f, h, t) of each configuration of a (K, u + s, 2, n_tx) gain-matrix stack: the one scoring path.
+
+    q holds the (u, 2) co-polarization projectors of the u primary directions. One zf_precoder
+    call fits the K precoders and f is the (K,) objective column at regularizer sigma.
     """
     u = q.shape[0]
     h = _co_rows(q, mats[:, :u])
     t = zf_precoder(h)
-    return h, t, _quasi_powers(fe, mats, t, u)
+    return _objective(*_quasi_powers(fe, mats, t, u), sigma), h, t
 
 
 def quasi_powers(model: ReMSModel, t: np.ndarray, problem: BeamformProblem) -> QuasiPowers:
     """Worst-case signal, interference, and leakage gains of precoder t."""
     mats = gain_operators(model).vtx_gain_matrix(_problem_dirs(problem))[None]
-    t = np.asarray(t, dtype=complex)[None]
-    return _quasi_powers(model.frontend, mats, t, len(problem.primary_dirs))[0]
+    powers = _quasi_powers(model.frontend, mats, np.asarray(t, dtype=complex)[None], len(problem.primary_dirs))
+    return QuasiPowers(*(float(p[0]) for p in powers))
 
 
 def objective(model: ReMSModel, sigma: float, t: np.ndarray, problem: BeamformProblem) -> float:
     """p_signal / (p_interf + p_second + sigma)."""
-    return _objective(quasi_powers(model, t, problem), sigma)
-
-
-def _objective(qp: QuasiPowers, sigma: float) -> float:
-    """p_signal / ((p_interf + p_second) + sigma); a zero denominator gives inf with signal, 0 without."""
-    denom = (qp.p_interf + qp.p_second) + sigma
-    if denom == 0.0:
-        return math.inf if qp.p_signal > 0.0 else 0.0
-    return qp.p_signal / denom
+    return float(_objective(*astuple(quasi_powers(model, t, problem)), sigma))
 
 
 @dataclass(slots=True)
 class CandidateScore:
     f: float
-    powers: QuasiPowers
-    h: np.ndarray
     t: np.ndarray
 
 
@@ -192,28 +189,25 @@ def evaluate_candidate(
 ) -> CandidateScore:
     """Score the load configuration z_values jointly with its ZF precoder.
 
-    scored, when given, is the configuration's (h, t, QuasiPowers) row from a
-    stacked pass over its coordinate's candidates; only the objective is
-    then formed, and neither model_builder nor z_values is used. Without
-    it, the model is built for z_values and scored as a stack of one: the
-    reference path.
+    scored, when given, is the configuration's (f, t) row from a stacked
+    pass over its coordinate's candidates at regularizer sigma; neither
+    model_builder nor z_values is then used. Without it, the model is built
+    for z_values and scored as a stack of one: the reference path.
     """
     if scored is None:
         model = model_builder(tuple(z_values))
         mats = gain_operators(model).vtx_gain_matrix(_problem_dirs(problem))
-        q = _projectors(problem.primary_dirs, problem.q_co)
-        h, t, qp = _score_rows(model.frontend, mats[None], q)
-        scored = h[0], t[0], qp[0]
-    h, t, qp = scored
-    return CandidateScore(_objective(qp, sigma), qp, h, t)
+        f, _, t = _score_rows(model.frontend, mats[None], _projectors(problem.primary_dirs, problem.q_co), sigma)
+        scored = float(f[0]), t[0]
+    return CandidateScore(*scored)
 
 
-def _rank1_rows(fe, t0, u, v, w, bound, tx_dirs, q):
-    """Scored rows of one coordinate's candidates from its update; None to score them one by one.
+def _rank1_rows(fe, t0, u, v, w, bound, q, sigma):
+    """Scored (f, t) rows of one coordinate's candidates from its update; None to score them one by one.
 
-    (t0, u, v, w) is the update (LoadPorts.update), bound the load ports' certificate, tx_dirs the
-    (u + s, 2, M) transmit kernels at the problem's directions and q the (u, 2) primary
-    co-polarization projectors. The (K, u + s, 2, n_tx) gain matrices are tx_dirs @ T0 plus (K,)
+    (t0, u, v, w) is the update (LoadPorts.update) of load ports restricted to the problem's
+    2(u + s) transmit rows, bound their certificate, q the (u, 2) primary co-polarization
+    projectors and sigma the regularizer. The (K, u + s, 2, n_tx) gain matrices are T0 plus (K,)
     scalars times one outer product, 0 at the incumbent's own setting. They differ from a
     rebuild's by about eps b (eps = 2.2e-16; b = bound bounds every loop either path inverts).
     K and T0 are fresh each sweep, then carried through up to r accepted moves: an update of an
@@ -223,16 +217,16 @@ def _rank1_rows(fe, t0, u, v, w, bound, tx_dirs, q):
     by about eps ||G||_F ||G^-1||_F b: < 1e-12 for products <= RANK1_ZF_COND = 4.5e3. None unless
     each candidate's is.
     """
-    mats = tx_dirs @ t0 + w[:, None, None, None] * ((tx_dirs @ u)[..., None] * v)
+    mats = (t0 + w[:, None, None] * (u[:, None] * v)).reshape(w.size, -1, 2, t0.shape[1])
     try:
-        h, t, qp = _score_rows(fe, mats, q)
+        f, h, t = _score_rows(fe, mats, q, sigma)
     except NumericsError:
         return None
     # t = h^H G^-1, so t^H t = G^-1; the bound is compared squared
     cond2 = _frobenius2(h @ h.mT.conj()) * _frobenius2(t.mT.conj() @ t)
-    if not np.all(cond2 * bound**2 <= RANK1_ZF_COND**2):
+    if not (cond2 * bound**2 <= RANK1_ZF_COND**2).all():
         return None
-    return list(zip(h, t, qp))
+    return list(zip(f.tolist(), t))
 
 
 def _fisher_yates(rng: np.random.Generator, n: int) -> list:
@@ -266,16 +260,16 @@ def coordinate_ascent(
     Candidate evaluations that fail conditioning are logged and skipped.
     Deterministic for a fixed rng_seed.
 
-    A ReconfigurableBuilder is reduced once to the r x r network its loads
-    see (ReconfigurableBuilder.load_ports). Each sweep inverts that loop for
-    the incumbent; a coordinate's K candidates are rank-1 updates of it
-    (LoadPorts.update), scored in one array pass of one zf_precoder call and
-    one quasi-power reduction, and an accepted move updates the loop inverse
-    and T0 in O(r^2). Only the comparison of the K objective values, one
-    float each, is sequential (a NaN never wins); the incumbent rescored
-    under the sigma it was accepted at, equal up to rounding, is not
-    compared. An uncertified reduction or a declined
-    coordinate is scored like any other callable's, one rebuild per
+    A ReconfigurableBuilder is reduced once to the r x r network its loads see
+    (ReconfigurableBuilder.load_ports), on the problem's 2(u + s) transmit rows,
+    the only ones the objective reads. Each sweep inverts that loop for the
+    incumbent, whose T0 is the (2(u + s), n_tx) gain-matrix stack; a coordinate's K
+    candidates are rank-1 updates of it (LoadPorts.update), scored by one array
+    pass into one objective column, and an accepted move updates the loop inverse
+    and T0 in O(r^2), with no O(M) term. Only the comparison of the K objectives is
+    sequential (a NaN never wins); the incumbent rescored under the sigma it was
+    accepted at, equal up to rounding, is not compared. An uncertified reduction or
+    a declined coordinate is scored like any other callable's, one rebuild per
     candidate, so each failing candidate logs its own error. No case-study
     coordinate is declined.
     """
@@ -290,10 +284,12 @@ def coordinate_ascent(
         score = evaluate_candidate(problem, model_builder, (), problem.sigma_schedule[0])
         return BeamformResult((), (), score.t, score.f, [score.f], evaluations=1)
 
-    # what every coordinate's rank-1 pass reads: the load ports, transmit kernels, co-polar projectors
+    # what every coordinate's rank-1 pass reads: the load ports on the problem's rows, co-polar projectors
     gamma_set = reflection_coefficient(problem.z_set, probe.r0)
     ports = model_builder.load_ports(gamma_set) if isinstance(model_builder, ReconfigurableBuilder) else None
-    tx_dirs = None if ports is None else probe.structure.tx_at(_problem_dirs(problem))
+    if ports is not None:  # P and Q on the rows the objective reads: T0 is then the gain matrices
+        tx = probe.structure.tx_at(_problem_dirs(problem)).reshape(-1, probe.structure.m_ports)
+        ports = replace(ports, p=tx @ ports.p, q=tx @ ports.q)
     q = _projectors(problem.primary_dirs, problem.q_co)
     rng = np.random.default_rng(problem.rng_seed)
     t_best = np.eye(n_tx, u, dtype=complex)
@@ -302,18 +298,17 @@ def coordinate_ascent(
 
     for sweep in range(problem.i_max):
         sigma = problem.sigma_schedule[sweep]
-        if ports is not None:  # the incumbent's loop inverse and transmit operator, carried through the sweep
+        if ports is not None:  # the incumbent's loop inverse and gain matrices, carried through the sweep
             k_inv, t0 = ports.loop(gamma_set[z_idx])
         for coord in _fisher_yates(rng, problem.r):
-            z_cur = [problem.z_set[i] for i in z_idx]
             k_cur, rows = z_idx[coord], None
             if ports is not None:
                 ks, u_c, v_c, w = ports.update(k_inv, gamma_set[z_idx], coord, gamma_set)
-                rows = _rank1_rows(probe.frontend, t0, u_c, v_c, w, ports.bound, tx_dirs, q)
+                rows = _rank1_rows(probe.frontend, t0, u_c, v_c, w, ports.bound, q, sigma)
             for k, z_k in enumerate(problem.z_set):
                 try:
                     if rows is None:  # the reference path: rebuild and score this candidate alone
-                        z_values = (*z_cur[:coord], z_k, *z_cur[coord + 1 :])
+                        z_values = [z_k if j == coord else problem.z_set[i] for j, i in enumerate(z_idx)]
                         score = evaluate_candidate(problem, model_builder, z_values, sigma)
                     else:
                         score = evaluate_candidate(problem, model_builder, None, sigma, rows[k])

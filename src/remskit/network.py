@@ -328,13 +328,16 @@ class TouchstoneData:
         reference: float = 50.0,
     ) -> "TouchstoneData":
         """Raw pairs of the complex matrices; the constructor rejects an unknown format or unit."""
-        mats = np.asarray(matrices, dtype=complex)
-        if mats.ndim == 2:
-            mats = mats[None, :, :]
-        n = mats.shape[1]
-        if mats.shape[1:] != (n, n):
+        mats = complex_array(matrices, "matrices")
+        mats = mats[None] if mats.ndim == 2 else mats
+        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ModelError(f"matrices must be square, got {mats.shape}")
-        freqs = np.asarray(frequencies_hz, dtype=float) / _UNIT_HZ.get(frequency_unit.lower(), 1.0)
+        n = mats.shape[1]
+        try:
+            freqs = np.array([number(f, "frequencies_hz") for f in frequencies_hz])
+        except TypeError:  # not a sequence
+            raise ModelError(f"frequencies_hz must be numbers, got {frequencies_hz!r}") from None
+        freqs = freqs / _UNIT_HZ.get(frequency_unit.lower(), 1.0)
         flat = mats.reshape(mats.shape[0], n * n)
         cols = np.empty((mats.shape[0], n * n, 2))
         if format.lower() == "ri":

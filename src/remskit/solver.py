@@ -119,11 +119,12 @@ class ReconfigurableBuilder:
 
 @dataclass(frozen=True, eq=False)
 class LoadPorts:
-    """A fixed network reduced to its r load ports: core_tx = P + Q G K R, K = (I - S_LL G)^-1.
+    """A fixed network reduced to its r load ports: T0 = P + Q G K R = X core_tx, K = (I - S_LL G)^-1.
 
-    G = diag(gammas) holds the load reflections. With the loads matched, p is the (M, n_tx) core_tx
-    and r the (r, n_tx) waves out of the control ports per unit v_tx; q is the (M, r) response of
-    a_R tilde to unit waves into them, and s_ll is S_LL.
+    G = diag(gammas) holds the load reflections. With the loads matched, p is X core_tx and r the
+    (r, n_tx) waves out of the control ports per unit v_tx; q is the X response of a_R tilde to unit
+    waves into them, and s_ll is S_LL. The rows X may be any linear map of the M ports: load_ports
+    gives X = I, and coordinate_ascent maps them to the problem's transmit rows.
     """
 
     p: np.ndarray
@@ -133,14 +134,14 @@ class LoadPorts:
     bound: float  # ReconfigurableBuilder.load_ports' certificate
 
     def loop(self, gammas):
-        """(K, T0): the checked loop inverse and the core_tx of configuration gammas."""
+        """(K, T0): the checked loop inverse and T0 = P + Q G K R of configuration gammas."""
         k = checked_inv(np.eye(gammas.size) - self.s_ll * gammas, "load-port loop (I - S_LL G)")
         return k, self.p + (self.q * gammas) @ (k @ self.r)
 
     def update(self, k, gammas, coord, gamma_set):
         """(ks, u, v, w): from gammas with loop inverse k, load coord set to gamma_set[j], in O(r^2).
 
-        By Sherman-Morrison the loop inverse becomes k + w[j] ks k[coord] and core_tx T0 + w[j] u v:
+        By Sherman-Morrison the loop inverse becomes k + w[j] ks k[coord] and T0 becomes T0 + w[j] u v:
         ks = K S_LL e_c, u = Q (G ks + e_c), v = K[coord] R and w = delta / (1 - rho delta) with
         delta = gamma_set[j] - gammas[coord] and rho = ks[coord], so w = 0 at the incumbent setting.
         """

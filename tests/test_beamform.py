@@ -24,6 +24,7 @@ from remskit.beamform import (
     BeamformProblem,
     QuasiPowers,
     _fisher_yates,
+    _objective,
     _projectors,
     _quasi_powers,
     _rank1_rows,
@@ -115,7 +116,9 @@ def test_stacked_quasi_powers_give_silent_columns_zero_gain():
     mats = np.broadcast_to(gain_operators(model).vtx_gain_matrix(dirs + second), (3, 3, 2, 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        live, half, dead = _quasi_powers(model.frontend, mats, t, len(dirs))
+        powers = _quasi_powers(model.frontend, mats, t, len(dirs))
+    assert all(p.shape == (3,) for p in powers)  # one (K,) array per quasi-power
+    live, half, dead = (QuasiPowers(*p) for p in zip(*(p.tolist() for p in powers)))
     ref = quasi_powers(model, t[0], problem)
     for got, want in zip(astuple(live), astuple(ref)):
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -198,12 +201,52 @@ def test_objective_handles_zero_denominator():
     assert sig == qp.p_signal / 2.0
 
 
+def test_stacked_objective_column_is_the_per_candidate_scores_bit_for_bit():
+    # one array of K objectives against K scores of one, and against the zero-denominator rule
+    rng = np.random.default_rng(12)
+    model = random_model(rng, make_latlon_grid(8, 10), n_tx=2, n_rx=0, m=2)
+    d1, d2, d3 = Direction(1.0, 0.3), Direction(1.9, 2.0), Direction(0.4, 5.0)
+    # one stream at sigma 0: a zero denominator, inf with signal and 0.0 for the silent precoder
+    for dirs, second, sigma, want in (
+        ((d1,), (), 0.0, [math.inf, 0.0, 0.0, math.inf]),
+        ((d1, d2), (d3,), 0.3, None),
+        ((d1, d2), (), 0.0, None),
+    ):
+        problem = _quasi_problem(dirs, second)
+        t = rng.standard_normal((4, 2, len(dirs))) + 1j * rng.standard_normal((4, 2, len(dirs)))
+        t[1, :, 0] = 0.0  # a silent column
+        t[2] = 0.0  # a silent precoder
+        mats = np.broadcast_to(gain_operators(model).vtx_gain_matrix(dirs + second), (4, len(dirs + second), 2, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            column = _objective(*_quasi_powers(model.frontend, mats, t, len(dirs)), sigma).tolist()
+        assert [f.hex() for f in column] == [objective(model, sigma, t_k, problem).hex() for t_k in t]
+        for f, t_k in zip(column, t):
+            qp = quasi_powers(model, t_k, problem)
+            denom = (qp.p_interf + qp.p_second) + sigma
+            ref = qp.p_signal / denom if denom != 0.0 else (math.inf if qp.p_signal > 0.0 else 0.0)
+            assert f.hex() == ref.hex()
+        assert want is None or column == want
+
+    # a coordinate's candidates, rebuilt and scored as one stack, against the reference path
+    problem, builder = Scene.load(CASE_STUDY).beamform_problem()
+    sigma = problem.sigma_schedule[3]
+    candidates = _coordinate_candidates(problem, [0] * problem.r, 5)
+    dirs = (*problem.primary_dirs, *problem.secondary_dirs)
+    mats = np.stack([gain_operators(builder(z)).vtx_gain_matrix(dirs) for z in candidates])
+    q = _projectors(problem.primary_dirs, problem.q_co)
+    column = _score_rows(builder.frontend, mats, q, sigma)[0].tolist()
+    assert [f.hex() for f in column] == [evaluate_candidate(problem, builder, z, sigma).f.hex() for z in candidates]
+
+
 _POWER = st.floats(min_value=0.0)
 
 
 def _score_f(sigma, qp):
-    """The objective evaluate_candidate forms from a scored row."""
-    return evaluate_candidate(_quasi_problem((Direction(1.2, 0.0),)), None, None, sigma, (None, None, qp)).f
+    """The objective a stacked pass forms for quasi-powers qp, as the one entry of a stack of one."""
+    column = _objective(*(np.array([p]) for p in astuple(qp)), sigma)
+    assert column.shape == (1,) and column.dtype == float
+    return column[0]
 
 
 @given(
@@ -444,28 +487,34 @@ def _reference_scores(problem, builder, candidates, sigma):
     return out
 
 
+def _problem_rows(builder, dirs):
+    """The (2 len(dirs), M) transmit rows of builder's structure at dirs."""
+    return builder.structure.tx_at(tuple(dirs)).reshape(-1, builder.structure.m_ports)
+
+
 def _ascent_inputs(problem, builder):
-    """The load reflections, transmit kernels and co-polar projectors that an ascent forms once for
-    its rank-1 passes."""
-    dirs = tuple(problem.primary_dirs) + tuple(problem.secondary_dirs)
+    """The load reflections, load ports on the problem's transmit rows and co-polar projectors that an
+    ascent forms once for its rank-1 passes."""
     gamma_set = reflection_coefficient(problem.z_set, builder.r0)
-    return gamma_set, builder.structure.tx_at(dirs), _projectors(problem.primary_dirs, problem.q_co)
-
-
-def _rank1_rows_at(problem, builder, z_idx, coord):
-    """Load coord's rank-1 rows from incumbent z_idx through a fresh load-port loop, or None."""
-    gamma_set, tx_dirs, q = _ascent_inputs(problem, builder)
     ports = builder.load_ports(gamma_set)
     assert ports is not None  # the reduction is certified
+    rows = _problem_rows(builder, (*problem.primary_dirs, *problem.secondary_dirs))
+    ports = replace(ports, p=rows @ ports.p, q=rows @ ports.q)
+    return gamma_set, ports, _projectors(problem.primary_dirs, problem.q_co)
+
+
+def _rank1_rows_at(problem, builder, z_idx, coord, sigma):
+    """Load coord's rank-1 rows at regularizer sigma from incumbent z_idx through a fresh load-port loop, or None."""
+    gamma_set, ports, q = _ascent_inputs(problem, builder)
     gammas = gamma_set[list(z_idx)]
     k, t0 = ports.loop(gammas)
     _, u, v, w = ports.update(k, gammas, coord, gamma_set)
-    return _rank1_rows(builder.frontend, t0, u, v, w, ports.bound, tx_dirs, q)
+    return _rank1_rows(builder.frontend, t0, u, v, w, ports.bound, q, sigma)
 
 
 def _rank1_scores(problem, builder, z_idx, coord, sigma):
     """Scores of load coord's candidates from the rank-1 pass, which must not decline."""
-    rows = _rank1_rows_at(problem, builder, z_idx, coord)
+    rows = _rank1_rows_at(problem, builder, z_idx, coord, sigma)
     assert rows is not None  # the coordinate takes the rank-1 path, not the fallback
     return [evaluate_candidate(problem, builder, None, sigma, row) for row in rows]
 
@@ -503,21 +552,22 @@ def test_incumbent_rank1_row_is_the_rebuild_row_on_case_study():
     z_idx = [int(i) for i in rng.integers(0, len(problem.z_set), problem.r)]
     assert len(set(z_idx)) > 1
     z_values = [problem.z_set[i] for i in z_idx]
-    ref = evaluate_candidate(problem, builder, z_values, problem.sigma_schedule[-1])
-    gamma_set, tx_dirs, q = _ascent_inputs(problem, builder)
-    ports = builder.load_ports(gamma_set)
+    sigma = problem.sigma_schedule[-1]
+    ref = evaluate_candidate(problem, builder, z_values, sigma)
+    gamma_set, ports, q = _ascent_inputs(problem, builder)
     gammas = gamma_set[z_idx]
     k, t0 = ports.loop(gammas)
-    core_tx = gain_operators(builder(z_values)).core_tx
-    assert np.max(np.abs(t0 - core_tx)) <= 1e-13 * np.max(np.abs(core_tx))
-    h0, t_0, qp0 = _score_rows(builder.frontend, (tx_dirs @ t0)[None], q)
-    own = evaluate_candidate(problem, builder, None, problem.sigma_schedule[-1], (h0[0], t_0[0], qp0[0]))
+    # T0 is the (2(u + s), n_tx) gain-matrix stack of the rebuild
+    mats = gain_operators(builder(z_values)).vtx_gain_matrix((*problem.primary_dirs, *problem.secondary_dirs))
+    assert t0.shape == (2 * 2, builder.frontend.n_tx)
+    assert np.max(np.abs(t0 - mats.reshape(t0.shape))) <= 1e-13 * np.max(np.abs(mats))
+    f0, _, t_0 = _score_rows(builder.frontend, t0.reshape(1, -1, 2, t0.shape[1]), q, sigma)
+    own = evaluate_candidate(problem, builder, None, sigma, (f0.tolist()[0], t_0[0]))
     for coord in range(problem.r):
         _, u, v, w = ports.update(k, gammas, coord, gamma_set)
-        assert w[z_idx[coord]] == 0.0
-        h, t, qp = _rank1_rows(builder.frontend, t0, u, v, w, ports.bound, tx_dirs, q)[z_idx[coord]]
-        assert np.array_equal(h, own.h) and np.array_equal(t, own.t)
-        assert astuple(qp) == astuple(own.powers)
+        assert u.shape == (2 * 2,) and w[z_idx[coord]] == 0.0
+        f, t = _rank1_rows(builder.frontend, t0, u, v, w, ports.bound, q, sigma)[z_idx[coord]]
+        assert f.hex() == own.f.hex() and np.array_equal(t, own.t)
     _assert_scores_agree([own], [ref])
 
 
@@ -731,6 +781,54 @@ def test_load_port_algebra_matches_rebuilds_on_generated_models(n_tx, n_rx, m, r
         assert _rel(t0, gain_operators(builder(z_set[idx])).core_tx) <= 1e-13
 
 
+
+@settings(max_examples=40)
+@given(
+    n_tx=st.integers(1, 2),
+    n_rx=st.integers(0, 2),
+    m=st.integers(1, 4),
+    r=st.integers(1, 4),
+    n_dirs=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_load_ports_on_problem_rows_match_rebuilds_on_generated_models(n_tx, n_rx, m, r, n_dirs, seed):
+    # T0 on the 2 n_dirs transmit rows and every candidate's rank-1 row, carried through a chain of
+    # accepted moves, against tx_at(dirs) times a rebuild's core_tx
+    rng = np.random.default_rng(seed)
+    dim = n_tx + n_rx + m + r
+    fixed = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    fixed *= 0.9 / max_singular_value(fixed)
+    assert np.all(fixed[-r:, -r:] != 0.0)  # S_cc != 0
+    structure = random_passive_structure(make_latlon_grid(4, 6), m, rng, FREQ)
+    builder = ReconfigurableBuilder(structure, random_frontend(rng, n_tx, n_rx), fixed)
+    z_set = rng.uniform(0.0, 100.0, 5) + 1j * rng.uniform(-150.0, 150.0, 5)
+    gamma_set = reflection_coefficient(z_set, builder.r0)
+    dirs = [Direction(rng.uniform(0.1, 3.0), rng.uniform(0.0, 6.2)) for _ in range(n_dirs)]
+    rows = _problem_rows(builder, dirs)
+    ports = builder.load_ports(gamma_set)
+    assert ports is not None
+    ports = replace(ports, p=rows @ ports.p, q=rows @ ports.q)
+
+    def rebuild(idx):
+        return rows @ gain_operators(builder(z_set[idx])).core_tx
+
+    idx = rng.integers(0, len(z_set), r)
+    gammas = gamma_set[idx]
+    k, t0 = ports.loop(gammas)
+    assert t0.shape == (2 * n_dirs, n_tx) and _rel(t0, rebuild(idx)) <= 1e-13
+    for _ in range(int(rng.integers(1, 2 * r + 1))):
+        coord, j = int(rng.integers(0, r)), int(rng.integers(0, len(z_set)))
+        ks, u, v, w = ports.update(k, gammas, coord, gamma_set)
+        assert u.shape == (2 * n_dirs,)
+        for cand in range(len(z_set)):
+            idx_c = idx.copy()
+            idx_c[coord] = cand
+            assert _rel(t0 + w[cand] * np.outer(u, v), rebuild(idx_c)) <= 1e-13
+        t0 = t0 + w[j] * np.outer(u, v)
+        k = k + w[j] * np.outer(ks, k[coord])
+        gammas[coord], idx[coord] = gamma_set[j], j
+    assert _rel(t0, rebuild(idx)) <= 1e-13
+
 @settings(max_examples=25)
 @given(n_rx=st.integers(0, 2), r=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 def test_rank1_scoring_matches_rebuilds_on_generated_models(n_rx, r, seed):
@@ -789,11 +887,11 @@ def test_rank1_scoring_certifies_the_zf_gram_on_two_chain_models():
         rng = np.random.default_rng(seed)
         n_rx, r = int(rng.integers(0, 3)), int(rng.integers(1, 5))
         problem, builder, z_idx, coord = _well_conditioned_case(rng, n_rx, r, n_tx=2)
-        rows = _rank1_rows_at(problem, builder, z_idx, coord)
+        sigma = problem.sigma_schedule[-1]
+        rows = _rank1_rows_at(problem, builder, z_idx, coord, sigma)
         if rows is None:  # the ascent scores this coordinate candidate by candidate
             declined += 1
             continue
-        sigma = problem.sigma_schedule[-1]
         _assert_scores_agree(
             [evaluate_candidate(problem, builder, None, sigma, row) for row in rows],
             _reference_scores(problem, builder, _coordinate_candidates(problem, z_idx, coord), sigma),
@@ -825,7 +923,7 @@ def test_singular_gram_declines_the_rank1_pass_and_logs_the_rebuild_skips(caplog
     # two identical streams: every candidate's Gram matrix is singular
     problem, builder, z_idx, coord = _well_conditioned_case(np.random.default_rng(5), 1, 2, n_tx=2)
     problem = replace(problem, primary_dirs=(Direction(1.0, 0.5),) * 2)
-    assert _rank1_rows_at(problem, builder, z_idx, coord) is None  # certified loops, singular Grams
+    assert _rank1_rows_at(problem, builder, z_idx, coord, 1.0) is None  # certified loops, singular Grams
 
     with caplog.at_level(logging.WARNING, logger="remskit.beamform"):
         caplog.clear()

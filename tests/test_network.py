@@ -464,3 +464,21 @@ def test_touchstone_validation():
         TouchstoneData.from_matrices([1e9], np.zeros((1, 1, 1), dtype=complex), format="xx")
     with pytest.raises(ModelError, match="unknown frequency unit 'thz'"):
         TouchstoneData.from_matrices([1e9], np.zeros((1, 1, 1)), frequency_unit="thz")
+
+
+@pytest.mark.parametrize(
+    "frequencies, matrices, message",
+    [
+        (["x"], np.eye(2), "frequencies_hz must be a number, got 'x'"),
+        ([math.nan], np.eye(2), "frequencies_hz must be finite, got nan"),
+        (1e9, np.eye(2), "frequencies_hz must be numbers, got 1000000000.0"),
+        ([1e9], [["a", 1], [1, 1]], "matrices must be complex numbers, got [['a', 1], [1, 1]]"),
+        ([1e9], [[math.inf, 0.0], [0.0, 1.0]], "matrices must be finite"),
+        ([1e9], [1.0, 2.0], "matrices must be square, got (2,)"),
+        ([1e9], np.zeros((1, 2, 3)), "matrices must be square, got (1, 2, 3)"),
+    ],
+)
+def test_touchstone_from_matrices_names_a_malformed_field(frequencies, matrices, message):
+    with pytest.raises(ModelError) as err:
+        TouchstoneData.from_matrices(frequencies, matrices)
+    assert str(err.value) == message

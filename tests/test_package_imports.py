@@ -272,8 +272,6 @@ def test_package_post_init_converts_caller_arrays_through_complex_array():
 VECTOR_EXEMPT = {
     # theta is the library's own angle, a Direction's or a grid sample's, never a caller's geometry
     "farfield.DirectionGrid.interp_stencil",
-    # a 1-D frequency sweep, not a geometric vector; the constructor refuses a non-finite or unordered one
-    "network.TouchstoneData.from_matrices",
 }
 
 

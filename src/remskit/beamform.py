@@ -136,14 +136,15 @@ def _quasi_powers(fe, mats: np.ndarray, t: np.ndarray, u: int) -> tuple:
     """(K,) arrays p_signal, p_interf, p_second of a (K, n_tx, u) precoder stack through (K, u + s, 2, n_tx) mats.
 
     gains[k, i, j] is the gain toward direction i when precoder k drives
-    column j; a silent column (zero available power) radiates nothing.
+    column j; a silent column (zero available power) radiates nothing. Every
+    gain is >= 0 or NaN, so a zeroed diagonal leaves the interference max as it is.
     """
     val = mats @ t[:, None]
     radiated = FOUR_PI * np.vecdot(val, val, axis=-2).real
     p_avail = np.vecdot(t, t / fe.z_tx.real[:, None], axis=-2).real[:, None] / 4.0
     gains = np.divide(radiated, p_avail, out=np.zeros(radiated.shape), where=p_avail != 0.0)
     p_signal = gains[:, :u].diagonal(0, 1, 2).min(axis=1)
-    p_interf = gains[:, :u][:, ~np.eye(u, dtype=bool)].max(axis=1, initial=0.0)
+    p_interf = np.where(np.eye(u, dtype=bool), 0.0, gains[:, :u]).max(axis=(1, 2), initial=0.0)
     return p_signal, p_interf, gains[:, u:].max(axis=(1, 2), initial=0.0)
 
 

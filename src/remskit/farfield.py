@@ -82,6 +82,13 @@ def direction_from_vector(v) -> Direction:
     return Direction.canonical(math.acos(max(-1.0, min(1.0, v[2] / n))), math.atan2(v[1], v[0]))
 
 
+def _one_direction(d) -> Direction:
+    """d, which must be one Direction: the single-direction readers would sum a sequence's values."""
+    if not isinstance(d, Direction):
+        raise ModelError(f"direction must be one Direction, got {d!r}")
+    return d
+
+
 def spherical_basis(theta, phi):
     """Unit vectors (r_hat, theta_hat, phi_hat) at (theta, phi), each (..., 3).
 
@@ -113,20 +120,37 @@ def blend(values, idx, w) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DirectionGrid:
-    """Equiangular cell-centered direction set with exact cell-area weights.
+    """Equiangular cell-centered direction set with one area weight per direction.
 
     Row-major layout: index = i * n_phi + j with theta ring i and phi column
     j. n_phi must be even so the grid is closed under the antipodal map
     (theta, phi) -> (pi - theta, phi + pi), which the scattering mirror term
-    requires.
+    requires. theta, phi and antipode are computed from the counts; weights,
+    one per direction, are the caller's (make_latlon_grid forms cell areas).
     """
 
     n_theta: int
     n_phi: int
-    theta: np.ndarray = field(repr=False)
-    phi: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    antipode: np.ndarray = field(repr=False)
+    theta: np.ndarray = field(init=False, repr=False)
+    phi: np.ndarray = field(init=False, repr=False)
+    antipode: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        _check_counts(self.n_theta, self.n_phi)
+        try:
+            weights = np.asarray(self.weights, dtype=float)
+        except (TypeError, ValueError):
+            raise ModelError(f"grid weights must be real numbers, got {self.weights!r}") from None
+        if weights.shape != (self.size,):
+            raise ModelError(f"grid weights shape {weights.shape} != ({self.size},)")
+        rings, cols = self.n_theta, self.n_phi
+        ring, col = np.divmod(np.arange(self.size), cols)
+        set_field = object.__setattr__  # the dataclass is frozen
+        set_field(self, "weights", weights)
+        set_field(self, "theta", (ring + 0.5) * (math.pi / rings))
+        set_field(self, "phi", col * (2.0 * math.pi / cols))
+        set_field(self, "antipode", (rings - 1 - ring) * cols + (col + cols // 2) % cols)
 
     @property
     def size(self) -> int:
@@ -164,35 +188,27 @@ class DirectionGrid:
         return (rows + cols).astype(int), w
 
 
+def _check_counts(n_theta: int, n_phi: int) -> None:
+    """Refuse a grid with fewer than 2 rings or an odd n_phi or one below 2."""
+    if n_theta < 2 or n_phi < 2:
+        raise ModelError(f"grid resolution ({n_theta}, {n_phi}) below minimum (2, 2)")
+    if n_phi % 2 != 0:
+        raise ModelError(f"n_phi = {n_phi} is odd; antipodal closure requires even n_phi")
+
+
 def make_latlon_grid(n_theta: int, n_phi: int) -> DirectionGrid:
     """Build the cell-centered latitude-longitude grid.
 
     Weights are exact cell integrals d_phi * (cos(theta_lo) - cos(theta_hi)),
-    so they telescope to 4*pi. Requires n_theta >= 2 and even n_phi >= 2.
+    so they telescope to 4*pi. Requires n_theta >= 2 and even n_phi >= 2,
+    checked before any weight is formed.
     """
-    if n_theta < 2 or n_phi < 2:
-        raise ModelError(f"grid resolution ({n_theta}, {n_phi}) below minimum (2, 2)")
-    if n_phi % 2 != 0:
-        raise ModelError(
-            f"n_phi = {n_phi} is odd; antipodal closure requires even n_phi"
-        )
-    dt = math.pi / n_theta
-    dp = 2.0 * math.pi / n_phi
-    theta_c = (np.arange(n_theta) + 0.5) * dt
+    _check_counts(n_theta, n_phi)
+    dt, dp = math.pi / n_theta, 2.0 * math.pi / n_phi
     ring_w = dp * (np.cos(np.arange(n_theta) * dt) - np.cos(np.arange(1, n_theta + 1) * dt))
     # symmetrize so mirror-image rings carry bit-identical weights
     ring_w = 0.5 * (ring_w + ring_w[::-1])
-    phi_c = np.arange(n_phi) * dp
-
-    theta = np.repeat(theta_c, n_phi)
-    phi = np.tile(phi_c, n_theta)
-    weights = np.repeat(ring_w, n_phi)
-
-    ii = np.repeat(np.arange(n_theta), n_phi)
-    jj = np.tile(np.arange(n_phi), n_theta)
-    antipode = (n_theta - 1 - ii) * n_phi + (jj + n_phi // 2) % n_phi
-
-    return DirectionGrid(n_theta, n_phi, theta, phi, weights, antipode)
+    return DirectionGrid(n_theta, n_phi, np.repeat(ring_w, n_phi))
 
 
 @dataclass
@@ -216,6 +232,7 @@ class FarFieldPattern:
 
     def at(self, d: Direction) -> np.ndarray:
         """Complex 2-vector at d, bilinearly interpolated off-grid."""
+        d = _one_direction(d)
         return blend(self.values, *self.grid.interp_stencil(d.theta, d.phi))
 
 

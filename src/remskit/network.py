@@ -103,19 +103,22 @@ def reduce_terminated_ports(s: np.ndarray, n_keep: int, gamma) -> np.ndarray:
 
 @dataclass
 class TuningNetwork:
-    """(n_frontend + m_radiating)-port network between frontend and structure."""
+    """Square scattering matrix s between frontend and structure: its first
+    n_frontend ports face the frontend, the other m_radiating the structure."""
 
     n_frontend: int
-    m_radiating: int
     s: np.ndarray
 
     def __post_init__(self):
-        if self.n_frontend < 0 or self.m_radiating < 0:
-            raise ModelError(
-                f"tuning network port counts must be non-negative, got {self.n_frontend} and {self.m_radiating}"
-            )
-        dim = self.n_frontend + self.m_radiating
-        self.s = complex_array(self.s, "tuning matrix", (dim, dim))
+        self.s = complex_array(self.s, "tuning matrix")
+        if self.s.ndim != 2 or self.s.shape[0] != self.s.shape[1]:
+            raise ModelError(f"tuning matrix shape {self.s.shape} is not square")
+        if not 0 <= self.n_frontend <= len(self.s):
+            raise ModelError(f"tuning network n_frontend {self.n_frontend} outside [0, {len(self.s)}]")
+
+    @property
+    def m_radiating(self) -> int:
+        return len(self.s) - self.n_frontend
 
     @property
     def s_tt(self) -> np.ndarray:
@@ -148,18 +151,19 @@ def inline_tuning(gains) -> TuningNetwork:
     s = np.zeros((2 * n, 2 * n), dtype=complex)
     s[:n, n:] = np.diag(gains)
     s[n:, :n] = np.diag(gains)
-    return TuningNetwork(n, n, s)
+    return TuningNetwork(n, s)
 
 
-def feedthrough_reflector_fixed(n: int, m: int, r: int) -> np.ndarray:
-    """Fixed (n + m + r)-port core of a reflective reconfigurable network.
+def feedthrough_reflector_fixed(n: int, m: int) -> np.ndarray:
+    """Fixed (n + m + r)-port core of a reflective reconfigurable network, r = m - n.
 
     Port layout [frontend | radiating | control]. Frontend chain i feeds
     radiating port i directly; radiating port n + j hangs on control port j,
-    where a tunable reflective load is attached. Requires m = n + r.
+    where a tunable reflective load is attached. Requires m >= n.
     """
-    if m != n + r:
-        raise ModelError(f"feedthrough-reflector layout needs m = n + r, got {n}+{r} != {m}")
+    r = m - n
+    if r < 0:
+        raise ModelError(f"feedthrough-reflector layout needs m >= n, got m = {m} < n = {n}")
     dim = n + m + r
     s = np.zeros((dim, dim), dtype=complex)
     for i in range(n):
@@ -262,12 +266,12 @@ class TouchstoneData:
 
     `columns[f, k]` holds the two raw numbers of matrix entry k (row-major)
     at frequency index f, in the file's format (RI, MA with degrees, or DB
-    with degrees). Complex matrices are derived views; building them from
-    the raw pairs on both the write and the parse side is what makes a
-    write/parse cycle the identity.
+    with degrees); the port count n_ports is the root of the entry count.
+    Complex matrices are derived views; building them from the raw pairs on
+    both the write and the parse side is what makes a write/parse cycle the
+    identity.
     """
 
-    n_ports: int
     frequency_unit: str
     format: str
     reference: float
@@ -283,11 +287,9 @@ class TouchstoneData:
             raise ModelError(f"unknown format {self.format!r}")
         self.frequencies = np.asarray(self.frequencies, dtype=float)
         self.columns = np.asarray(self.columns, dtype=float)
-        f = self.frequencies.shape[0]
-        if self.columns.shape != (f, self.n_ports * self.n_ports, 2):
-            raise ModelError(
-                f"columns shape {self.columns.shape} != ({f}, {self.n_ports ** 2}, 2)"
-            )
+        f, k = self.frequencies.shape[0], self.columns.shape[1] if self.columns.ndim == 3 else 0
+        if self.columns.shape != (f, k, 2) or k == 0 or math.isqrt(k) ** 2 != k:
+            raise ModelError(f"columns shape {self.columns.shape} != ({f}, n*n, 2) for a port count n >= 1")
         if not (math.isfinite(self.reference) and self.reference > 0.0):
             raise ModelError(f"reference resistance {self.reference} must be positive and finite")
         if not np.all(np.isfinite(self.frequencies)):
@@ -300,6 +302,10 @@ class TouchstoneData:
             finite[..., 0] |= self.columns[..., 0] == -math.inf
         if not finite.all():
             raise ModelError("S-parameter data must be finite")
+
+    @property
+    def n_ports(self) -> int:
+        return math.isqrt(self.columns.shape[1])
 
     @property
     def frequencies_hz(self) -> np.ndarray:
@@ -348,7 +354,7 @@ class TouchstoneData:
             with np.errstate(divide="ignore"):
                 cols[:, :, 0] = mag if format.lower() == "ma" else 20.0 * np.log10(mag)
             cols[:, :, 1] = np.degrees(np.angle(flat))
-        return cls(n, frequency_unit, format, reference, freqs, cols)
+        return cls(frequency_unit, format, reference, freqs, cols)
 
 
 def _record_layout(n: int) -> tuple[list[int] | slice, list[int]]:
@@ -451,7 +457,7 @@ def parse_touchstone(text: str, n_ports: int | None = None) -> TouchstoneData:
     records = np.fromiter(map(float, tokens), float, total).reshape(-1, 1 + 2 * n_ports * n_ports)
     cols = np.empty((records.shape[0], n_ports * n_ports, 2))
     cols[:, order] = records[:, 1:].reshape(cols.shape)
-    return TouchstoneData(n_ports, unit, s_format, reference, records[:, 0].copy(), cols)
+    return TouchstoneData(unit, s_format, reference, records[:, 0].copy(), cols)
 
 
 def read_touchstone(path: str, n_ports: int | None = None) -> TouchstoneData:

@@ -33,6 +33,7 @@ from .farfield import (
     FarFieldPattern,
     antipodal_mirror,
     blend,
+    make_latlon_grid,
     spherical_basis,
 )
 
@@ -52,7 +53,8 @@ def wavenumber(frequency_hz: float) -> float:
 class RadiatingStructure:
     """The four blocks of the radiating-structure scattering operator.
 
-    coupling: (M, M) port-to-port block, dimensionless.
+    coupling: (M, M) port-to-port block, dimensionless; M, the port count
+        m_ports, is read from it.
     tx_kernel: (M, n, 2) sampled transmit kernel, sqrt(1/sr) per sqrt(W).
     rx_kernel: (M, n, 2) sampled receive kernel; enters only through the
         area-weighted bilinear pairing sum_i b(i)^T rx[m](i) w(i).
@@ -62,7 +64,6 @@ class RadiatingStructure:
         operator mirror * P + remainder; 1 (free space) by default.
     """
 
-    m_ports: int
     coupling: np.ndarray
     tx_kernel: np.ndarray
     rx_kernel: np.ndarray
@@ -72,9 +73,11 @@ class RadiatingStructure:
     mirror: float = 1.0
 
     def __post_init__(self):
-        m, n = self.m_ports, self.grid.size
         wavenumber(self.frequency)  # refuses a frequency that is not positive and finite
-        self.coupling = complex_array(self.coupling, "coupling", (m, m))
+        self.coupling = complex_array(self.coupling, "coupling")
+        if self.coupling.ndim != 2 or self.coupling.shape[0] != self.coupling.shape[1]:
+            raise ModelError(f"coupling shape {self.coupling.shape} is not square")
+        m, n = self.m_ports, self.grid.size
         self.tx_kernel = complex_array(self.tx_kernel, "tx_kernel", (m, n, 2))
         self.rx_kernel = complex_array(self.rx_kernel, "rx_kernel", (m, n, 2))
         if self.scatter_kernel is not None:
@@ -83,8 +86,12 @@ class RadiatingStructure:
                 warnings.warn(
                     f"dense scatter kernel on {n} directions exceeds the 64x64 "
                     "guideline; memory grows with the grid squared",
-                    stacklevel=2,
+                    stacklevel=3,  # the frame that builds the structure, past the dataclass __init__
                 )
+
+    @property
+    def m_ports(self) -> int:
+        return self.coupling.shape[0]
 
     def tx_at(self, d) -> np.ndarray:
         """(2, M) transmit-kernel columns interpolated at d; (k, 2, M) for k directions."""
@@ -244,16 +251,7 @@ def dipole_array(
         scale = _weighted_operator_norm(coupling, tx, grid) * (1.0 + 1e-12)
         coupling, tx = coupling / scale, tx / scale
 
-    return RadiatingStructure(
-        m_ports=m,
-        coupling=coupling,
-        tx_kernel=tx,
-        rx_kernel=tx.copy(),
-        scatter_kernel=None,
-        grid=grid,
-        frequency=frequency,
-        mirror=1.0 / scale,
-    )
+    return RadiatingStructure(coupling, tx, tx.copy(), None, grid, frequency, mirror=1.0 / scale)
 
 
 def isotropic_radiator(grid: DirectionGrid, frequency: float, pol: str = "theta") -> RadiatingStructure:
@@ -263,15 +261,7 @@ def isotropic_radiator(grid: DirectionGrid, frequency: float, pol: str = "theta"
     if col is None:
         raise ModelError(f"unknown polarization {pol!r}")
     kern[0, :, col] = 1.0 / math.sqrt(4.0 * math.pi)
-    return RadiatingStructure(
-        m_ports=1,
-        coupling=np.zeros((1, 1), dtype=complex),
-        tx_kernel=kern,
-        rx_kernel=kern.copy(),
-        scatter_kernel=None,
-        grid=grid,
-        frequency=frequency,
-    )
+    return RadiatingStructure(np.zeros((1, 1), dtype=complex), kern, kern.copy(), None, grid, frequency)
 
 
 def random_reciprocal_structure(
@@ -285,15 +275,7 @@ def random_reciprocal_structure(
     sc = 0.3 * (rng.standard_normal((n, 2, n, 2)) + 1j * rng.standard_normal((n, 2, n, 2)))
     # symmetrize: S(d; d') = S(d'; d)^T
     scatter = 0.5 * (sc + sc.transpose(2, 3, 0, 1))
-    return RadiatingStructure(
-        m_ports=m,
-        coupling=coupling,
-        tx_kernel=tx,
-        rx_kernel=tx.copy(),
-        scatter_kernel=scatter,
-        grid=grid,
-        frequency=frequency,
-    )
+    return RadiatingStructure(coupling, tx, tx.copy(), scatter, grid, frequency)
 
 
 # ---------------------------------------------------------------------------
@@ -419,19 +401,9 @@ def structure_from_responses(
     response data does not provide one.
     """
     rx = extract_rx_kernel(resp)
-    m = resp.m_ports
-    if coupling is None:
-        coupling = np.zeros((m, m), dtype=complex)
+    coupling = np.zeros((resp.m_ports,) * 2, dtype=complex) if coupling is None else coupling
     scatter = extract_scatter_kernel(resp) if resp.scattered is not None else None
-    return RadiatingStructure(
-        m_ports=m,
-        coupling=coupling,
-        tx_kernel=rx.copy(),
-        rx_kernel=rx,
-        scatter_kernel=scatter,
-        grid=resp.grid,
-        frequency=resp.frequency,
-    )
+    return RadiatingStructure(coupling, rx.copy(), rx, scatter, resp.grid, resp.frequency)
 
 
 # ---------------------------------------------------------------------------
@@ -624,8 +596,6 @@ def _parse_response_lines(lines, n_lines: int) -> PlaneWaveResponseSet:
     read per line, which is the only source of errors. Records are stored in
     file order, so a later line that restates a direction wins.
     """
-    from .farfield import make_latlon_grid
-
     first = next(lines, None)
     if first is None or first.strip() != _RESPONSE_MAGIC:
         raise ModelError("line 1: not a plane-wave response file")

@@ -289,7 +289,7 @@ _TASKS = {
         "sweep": (_walk, None, _SWEEPS, "unknown sweep kind {kind!r}"),
     }),
     "problem": ("problem", {
-        "structure": _NAME, "frontend": _NAME, "r": _PORTS,
+        "structure": _NAME, "frontend": _NAME,
         "fixed": (None, "feedthrough_reflector"),
         "z_set": (_z_set, _REQUIRED, _Z_SET), "z_init_index": (number, 0, int, 0),
         "primary_deg": (_directions, _REQUIRED), "secondary_deg": (_directions, []),
@@ -434,7 +434,7 @@ class Scene:
             s = data.matrices[int(match[0])]
         if spec["n"] > s.shape[0]:
             raise ModelError(f"tuning {name!r}: n is {spec['n']}, more than its {s.shape[0]} ports")
-        return TuningNetwork(spec["n"], s.shape[0] - spec["n"], s)
+        return TuningNetwork(spec["n"], s)
 
     def model(self, name: str) -> ReMSModel:
         spec = self._spec("model", name)
@@ -514,12 +514,18 @@ class Scene:
             raise ModelError(f"problem z_init_index {z_init_index} outside a {len(z_set)}-entry z_set")
         if spec["fixed"] != "feedthrough_reflector":
             raise ModelError(f"problem: unknown fixed network kind {spec['fixed']!r}")
-        fixed = feedthrough_reflector_fixed(frontend.n, structure.m_ports, spec["r"])
+        r = structure.m_ports - frontend.n  # the structure's ports beyond the frontend's carry the loads
+        if r < 0:
+            raise ModelError(
+                f"problem: structure {spec['structure']!r} has {structure.m_ports} ports, "
+                f"fewer than the {frontend.n} of frontend {spec['frontend']!r}"
+            )
+        fixed = feedthrough_reflector_fixed(frontend.n, structure.m_ports)
         sigma = spec["sigma"]
         count = spec["i_max"] if sigma["count"] is None else sigma["count"]
         seed = spec["seed"] if seed_override is None else seed_override
         problem = BeamformProblem(
-            r=spec["r"],
+            r=r,
             z_set=z_set,
             primary_dirs=spec["primary_deg"],
             secondary_dirs=spec["secondary_deg"],

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._textio import complex_array
 from .errors import ModelError, NumericsError
-from .farfield import FarFieldPattern, intensity, total_power, zero_pattern
+from .farfield import FarFieldPattern, _one_direction, intensity, total_power, zero_pattern
 from .network import (
     CERTIFIED_COND,
     RFFrontend,
@@ -78,7 +78,7 @@ class ReconfigurableBuilder:
     def __call__(self, z_values) -> ReMSModel:
         n, m = self.frontend.n, self.structure.m_ports
         s = reduce_terminated_ports(self.fixed_s, n + m, reflection_coefficient(z_values, self.r0))
-        return ReMSModel(self.structure, TuningNetwork(n, m, s), self.frontend)
+        return ReMSModel(self.structure, TuningNetwork(n, s), self.frontend)
 
     def load_ports(self, gamma_set) -> LoadPorts | None:
         """The r x r network the loads see, certified for reflections drawn from gamma_set; or None.
@@ -402,7 +402,7 @@ def rems_gain(model: ReMSModel, v_tx, d) -> float:
     losses into one number. A drive whose power overflows raises NumericsError.
     """
     v_tx = _source_vector(v_tx, model.frontend.n_tx, "v_tx")
-    val = gain_operators(model).vtx_gain_matrix(d) @ v_tx
+    val = gain_operators(model).vtx_gain_matrix(_one_direction(d)) @ v_tx
     p_a = model.frontend.available_power(v_tx)
     if p_a <= 0.0:
         raise ModelError("available power is zero; drive at least one chain")

@@ -69,7 +69,6 @@ def random_passive_structure(grid, m_ports, rng, frequency):
     scatter = (inv_sqw[:, None] * g[m:, m:] * inv_sqw[None, :]).reshape(n, 2, n, 2)
 
     return RadiatingStructure(
-        m_ports=m,
         coupling=coupling,
         tx_kernel=tx,
         rx_kernel=rx,
@@ -167,7 +166,7 @@ def random_tuning(rng, n, m):
     dim = n + m
     s = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     s *= 0.95 / max_singular_value(s)
-    return TuningNetwork(n, m, s)
+    return TuningNetwork(n, s)
 
 
 def random_frontend(rng, n_tx, n_rx, r0=50.0):

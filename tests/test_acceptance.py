@@ -175,7 +175,6 @@ def test_criterion_3_reciprocity(criterion_report):
 
 def _zero_kernel_structure(grid, m):
     return RadiatingStructure(
-        m_ports=m,
         coupling=np.zeros((m, m), dtype=complex),
         tx_kernel=np.zeros((m, grid.size, 2), dtype=complex),
         rx_kernel=np.zeros((m, grid.size, 2), dtype=complex),
@@ -218,7 +217,7 @@ def test_criterion_4_power_accounting(criterion_report):
     s[0, 0] = fe.conjugate_match_tuning()[0, 0]
     match_model = ReMSModel(
         structure=_zero_kernel_structure(make_latlon_grid(4, 6), 1),
-        tuning=TuningNetwork(1, 1, s),
+        tuning=TuningNetwork(1, s),
         frontend=fe,
     )
     res = solve_direct(match_model, v_tx=[1.0])
@@ -277,9 +276,7 @@ def test_criterion_5_gain_reference_points(criterion_report):
     grid5 = make_latlon_grid(19, 36)
     lossy = ReMSModel(
         structure=hertzian_dipole([1.0, 0.0, 0.0], [0.0, 0.0, 0.0], grid5, FREQ),
-        tuning=TuningNetwork(
-            1, 1, np.array([[0.0, 0.8], [0.8, 0.0]], dtype=complex)
-        ),
+        tuning=TuningNetwork(1, np.array([[0.0, 0.8], [0.8, 0.0]], dtype=complex)),
         frontend=RFFrontend(z_tx=[30.0 + 10.0j], z_rx=np.zeros(0)),
     )
     d = Direction.from_degrees(90.0, 90.0)

@@ -128,6 +128,42 @@ def test_stacked_quasi_powers_give_silent_columns_zero_gain():
     assert dead == QuasiPowers(0.0, 0.0, 0.0)
 
 
+def _gathered_interference(gains, u):
+    """The off-diagonal max of the (K, u + s, u) gains' primary rows as a boolean gather."""
+    return gains[:, :u][:, ~np.eye(u, dtype=bool)].max(axis=1, initial=0.0)
+
+
+@pytest.mark.parametrize("u", [1, 2, 3])
+def test_interference_max_over_a_zeroed_diagonal_has_the_bits_of_the_gather(u):
+    rng = np.random.default_rng(40 + u)
+    gains = rng.uniform(0.0, 5.0, (64, u + 1, u))
+    gains[rng.random(gains.shape) < 0.2] = 0.0
+    k, i, j = (rng.integers(0, n, 40) for n in gains.shape)
+    gains[k[:20], i[:20], j[:20]] = math.inf
+    gains[k[20:], i[20:], j[20:]] = math.nan
+    for c in range(u):  # on the diagonal only
+        gains[2 * c, c, c], gains[2 * c + 1, c, c] = math.inf, math.nan
+    zeroed = np.where(np.eye(u, dtype=bool), 0.0, gains[:, :u]).max(axis=(1, 2), initial=0.0)
+    assert list(map(float.hex, zeroed.tolist())) == list(map(float.hex, _gathered_interference(gains, u).tolist()))
+
+    # and _quasi_powers, whose gains are |mats t|^2 over the available power
+    fe = RFFrontend(z_tx=[50.0, 30.0 + 5.0j, 75.0], z_rx=[])
+    mats = rng.standard_normal((64, u + 1, 2, 3)) + 1j * rng.standard_normal((64, u + 1, 2, 3))
+    mats[:4] *= 1e154  # |mats t|^2 overflows to inf
+    mats[4:8] *= 1e160  # and further, to NaN
+    t = rng.standard_normal((64, 3, u)) + 1j * rng.standard_normal((64, 3, u))
+    t[8:12, :, 0] = 0.0  # silent columns
+    t[12] = math.nan
+    val = mats @ t[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_interf = _quasi_powers(fe, mats, t, u)[1]
+        radiated = 4.0 * math.pi * np.vecdot(val, val, axis=-2).real
+        p_avail = np.vecdot(t, t / fe.z_tx.real[:, None], axis=-2).real[:, None] / 4.0
+        gains = np.divide(radiated, p_avail, out=np.zeros(radiated.shape), where=p_avail != 0.0)
+    assert np.isinf(gains).any() and np.isnan(gains).any()
+    assert list(map(float.hex, p_interf.tolist())) == list(map(float.hex, _gathered_interference(gains, u).tolist()))
+
+
 def test_h_co_rows_read_the_gain_operator():
     rng = np.random.default_rng(5)
     grid = make_latlon_grid(8, 10)
@@ -349,13 +385,13 @@ def _one_load_setup(seed=17):
     rng = np.random.default_rng(seed)
     grid = make_latlon_grid(8, 10)
     structure = random_reciprocal_structure(grid, 2, rng, FREQ)
-    fixed_s = feedthrough_reflector_fixed(1, 2, 1)
+    fixed_s = feedthrough_reflector_fixed(1, 2)
 
     def builder(z_values) -> ReMSModel:
         gammas = reflection_coefficient(np.asarray(z_values, dtype=complex), 50.0)
         return ReMSModel(
             structure=structure,
-            tuning=TuningNetwork(1, 2, reduce_terminated_ports(fixed_s, 3, gammas)),
+            tuning=TuningNetwork(1, reduce_terminated_ports(fixed_s, 3, gammas)),
             frontend=RFFrontend(z_tx=[50.0], z_rx=np.zeros(0)),
         )
 
@@ -406,13 +442,13 @@ def test_no_tunable_loads_returns_zero_forcing_of_fixed_model():
     rng = np.random.default_rng(23)
     grid = make_latlon_grid(8, 10)
     structure = random_reciprocal_structure(grid, 1, rng, FREQ)
-    fixed_s = feedthrough_reflector_fixed(1, 1, 0)
+    fixed_s = feedthrough_reflector_fixed(1, 1)
 
     def builder(z_values) -> ReMSModel:
         assert z_values == ()
         return ReMSModel(
             structure=structure,
-            tuning=TuningNetwork(1, 1, reduce_terminated_ports(fixed_s, 2, np.zeros(0))),
+            tuning=TuningNetwork(1, reduce_terminated_ports(fixed_s, 2, np.zeros(0))),
             frontend=RFFrontend(z_tx=[50.0], z_rx=np.zeros(0)),
         )
 
@@ -612,7 +648,6 @@ def _near_limit_case(rng, n_rx, r, factor, frontend_closed=True):
     coupling = np.linalg.solve(s_rr, np.eye(m) - unitary() @ np.diag(sv) @ unitary())
     kernel = 0.3 * (rng.standard_normal((m, grid.size, 2)) + 1j * rng.standard_normal((m, grid.size, 2)))
     structure = RadiatingStructure(
-        m_ports=m,
         coupling=coupling,
         tx_kernel=kernel,
         rx_kernel=kernel,
@@ -712,7 +747,6 @@ def _well_conditioned_case(rng, n_rx, r, n_tx=3):
     fixed = contraction(n + m + r)
     kernel = 0.3 * (rng.standard_normal((m, grid.size, 2)) + 1j * rng.standard_normal((m, grid.size, 2)))
     structure = RadiatingStructure(
-        m_ports=m,
         coupling=contraction(m),
         tx_kernel=kernel,
         rx_kernel=kernel,

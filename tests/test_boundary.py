@@ -4,8 +4,11 @@ and every geometric vector through _textio.real_vector.
 A non-numeric, absent, non-finite or mis-shaped array ends as a ModelError
 that names the field, never as a raw NumPy or Python exception; so does a
 vector whose length overflows the float range, with no RuntimeWarning on the
-way (pyproject.toml makes one an error). Scalar fields go through
-_textio.number, which is held here to its overflow rules.
+way (pyproject.toml makes one an error), and anything but one Direction
+handed to a single-direction reader. Scalar fields go through
+_textio.number, which is held here to its overflow rules. Every port count
+and grid array is read from the array that carries it: no constructor
+restates one, and a malformed carrier is a ModelError that names it.
 """
 
 import math
@@ -17,18 +20,24 @@ import pytest
 from remskit import (
     BeamformProblem,
     Direction,
+    DirectionGrid,
     ModelError,
     PlaneWaveResponseSet,
     RadiatingStructure,
     RFFrontend,
     Scene,
+    TouchstoneData,
     TuningNetwork,
+    apply_transmit,
     cascade_unilateral,
     dipole_array,
     direction_from_vector,
+    directivity,
     far_channel,
+    feedthrough_reflector_fixed,
     hertzian_dipole,
     inline_tuning,
+    intensity,
     make_latlon_grid,
     propagation_matrix,
     rems_gain,
@@ -45,13 +54,14 @@ GRID = make_latlon_grid(3, 4)
 MODEL = random_model(np.random.default_rng(7), GRID, n_tx=2, n_rx=1, m=2)
 DIRS = (Direction(1.0, 0.0),)
 X_AXIS = (1.0, 0.0, 0.0)
+PATTERN = apply_transmit(hertzian_dipole(X_AXIS, (0.0, 0.0, 0.0), GRID, FREQ), [1.0])
 
 
 def _structure(**field):
     n = GRID.size
     kernel = np.ones((1, n, 2), dtype=complex)
     fields = {"coupling": np.zeros((1, 1)), "tx_kernel": kernel, "rx_kernel": kernel, "scatter_kernel": None, **field}
-    return RadiatingStructure(m_ports=1, grid=GRID, frequency=FREQ, **fields)
+    return RadiatingStructure(grid=GRID, frequency=FREQ, **fields)
 
 
 def _responses(**field):
@@ -64,7 +74,7 @@ def _responses(**field):
 ENTRY_POINTS = {
     "frontend z_tx": ("z_tx", lambda v: RFFrontend(z_tx=v, z_rx=[50.0]), [50.0, 75.0], False),
     "frontend z_rx": ("z_rx", lambda v: RFFrontend(z_tx=[50.0], z_rx=v), [50.0], False),
-    "tuning matrix": ("tuning matrix", lambda v: TuningNetwork(1, 1, v), np.eye(2)[::-1], False),
+    "tuning matrix": ("tuning matrix", lambda v: TuningNetwork(1, v), np.eye(2)[::-1], False),
     "inline gains": ("tuning gains", inline_tuning, [1.0, 0.5j], False),
     "coupling": ("coupling", lambda v: _structure(coupling=v), np.zeros((1, 1)), False),
     "tx_kernel": ("tx_kernel", lambda v: _structure(tx_kernel=v), np.ones((1, GRID.size, 2)), False),
@@ -96,6 +106,11 @@ ENTRY_POINTS = {
         True,
     ),
     "available_power v_tx": ("v_tx", RFFrontend([50.0], []).available_power, [1.0], False),
+    # the single-direction readers: a sequence of directions is refused like any other non-Direction
+    "gain direction": ("direction", lambda v: rems_gain(MODEL, [1.0, 0.0], v), DIRS[0], False),
+    "pattern at": ("direction", PATTERN.at, DIRS[0], False),
+    "intensity direction": ("direction", lambda v: intensity(PATTERN, v), DIRS[0], False),
+    "directivity direction": ("direction", lambda v: directivity(PATTERN, v), DIRS[0], False),
 }
 
 
@@ -126,6 +141,107 @@ def test_malformed_array_is_a_model_error_naming_the_field(entry, bad):
     with pytest.raises(ModelError) as err:
         build(BAD_VALUES[bad](valid))
     assert str(err.value).startswith(f"{field} ")
+
+
+@pytest.mark.parametrize("entry", ["gain direction", "pattern at", "intensity direction", "directivity direction"])
+def test_single_direction_readers_refuse_a_sequence_of_directions(entry):
+    read, d = ENTRY_POINTS[entry][1], Direction(0.3, 0.2)
+    read(d)
+    with pytest.raises(ModelError, match=r"^direction must be one Direction, got \[Direction\("):
+        read([d, d])  # rems_gain summed the two directions' intensities
+
+
+def _problem_scene(n_elements):
+    return Scene.from_dict({
+        "frequency_hz": FREQ,
+        "grid": {"n_theta": 3, "n_phi": 4},
+        "structures": [{"name": "arr", "kind": "dipole_array",
+                        "elements": [{"orientation": list(X_AXIS), "position_m": [0.03 * i, 0.0, 0.0]}
+                                     for i in range(n_elements)]}],
+        "frontends": [{"name": "fe", "z_tx_ohms": [50.0, 50.0]}],
+        "problem": {"structure": "arr", "frontend": "fe", "z_set": {"values": [50.0]},
+                    "primary_deg": [[30.0, 0.0], [60.0, 0.0]]},
+    })
+
+
+# each value read from the array that carries it, and the message its malformed carrier gives
+MALFORMED_CARRIERS = {
+    "1-D coupling": (lambda: _structure(coupling=np.zeros(1)), "coupling shape (1,) is not square"),
+    "non-square coupling": (lambda: _structure(coupling=np.zeros((1, 2))), "coupling shape (1, 2) is not square"),
+    "tx_kernel port count": (
+        lambda: _structure(tx_kernel=np.ones((2, GRID.size, 2))),
+        f"tx_kernel shape (2, {GRID.size}, 2) != (1, {GRID.size}, 2)",
+    ),
+    "rx_kernel port count": (
+        lambda: _structure(coupling=np.zeros((2, 2)), tx_kernel=np.ones((2, GRID.size, 2))),
+        f"rx_kernel shape (1, {GRID.size}, 2) != (2, {GRID.size}, 2)",
+    ),
+    "non-square tuning s": (lambda: TuningNetwork(1, np.zeros((2, 3))), "tuning matrix shape (2, 3) is not square"),
+    "1-D tuning s": (lambda: TuningNetwork(0, np.zeros(4)), "tuning matrix shape (4,) is not square"),
+    "n_frontend below 0": (lambda: TuningNetwork(-1, np.eye(2)), "tuning network n_frontend -1 outside [0, 2]"),
+    "n_frontend above dim": (lambda: TuningNetwork(3, np.eye(2)), "tuning network n_frontend 3 outside [0, 2]"),
+    "touchstone non-square count": (
+        lambda: TouchstoneData("ghz", "ri", 50.0, [1.0], np.zeros((1, 3, 2))),
+        "columns shape (1, 3, 2) != (1, n*n, 2) for a port count n >= 1",
+    ),
+    "touchstone no entries": (
+        lambda: TouchstoneData("ghz", "ri", 50.0, [1.0], np.zeros((1, 0, 2))),
+        "columns shape (1, 0, 2) != (1, n*n, 2) for a port count n >= 1",
+    ),
+    "grid odd n_phi": (
+        lambda: DirectionGrid(3, 5, np.ones(15)),
+        "n_phi = 5 is odd; antipodal closure requires even n_phi",
+    ),
+    "grid n_theta below 2": (lambda: DirectionGrid(1, 4, np.ones(4)), "grid resolution (1, 4) below minimum (2, 2)"),
+    "grid weights shape": (lambda: DirectionGrid(3, 4, np.ones(7)), "grid weights shape (7,) != (12,)"),
+    "grid weights words": (lambda: DirectionGrid(3, 4, ["x"] * 12), "grid weights must be real numbers, got ['x'"),
+    "feedthrough m < n": (
+        lambda: feedthrough_reflector_fixed(2, 1),
+        "feedthrough-reflector layout needs m >= n, got m = 1 < n = 2",
+    ),
+    "scene problem ports": (
+        lambda: _problem_scene(1).beamform_problem(),
+        "problem: structure 'arr' has 1 ports, fewer than the 2 of frontend 'fe'",
+    ),
+}
+
+
+@pytest.mark.parametrize("carrier", MALFORMED_CARRIERS)
+def test_a_malformed_carrier_is_a_model_error_naming_it(carrier):
+    build, message = MALFORMED_CARRIERS[carrier]
+    with pytest.raises(ModelError) as err:
+        build()
+    assert str(err.value).startswith(message)
+
+
+def test_the_carriers_give_their_counts():
+    kernel = np.ones((2, GRID.size, 2))
+    assert _structure(coupling=np.zeros((2, 2)), tx_kernel=kernel, rx_kernel=kernel).m_ports == 2
+    assert TouchstoneData("ghz", "ri", 50.0, [1.0, 2.0], np.zeros((2, 9, 2))).n_ports == 3
+    grid = DirectionGrid(3, 4, GRID.weights)
+    for name in ("theta", "phi", "weights", "antipode"):
+        assert getattr(grid, name).tobytes() == getattr(GRID, name).tobytes()
+    problem, _ = _problem_scene(5).beamform_problem()
+    assert problem.r == 3  # the structure's ports beyond the frontend's
+
+
+# none of the restated counts and grid arrays can be passed any more
+RESTATED = {
+    "RadiatingStructure m_ports": lambda: _structure(m_ports=1),
+    "TuningNetwork m_radiating": lambda: TuningNetwork(1, 1, np.eye(2)),
+    "TouchstoneData n_ports": lambda: TouchstoneData(1, "ghz", "ri", 50.0, [1.0], np.zeros((1, 1, 2))),
+    "DirectionGrid theta": lambda: DirectionGrid(3, 4, GRID.weights, theta=GRID.theta),
+    "DirectionGrid phi": lambda: DirectionGrid(3, 4, GRID.weights, phi=GRID.phi),
+    "DirectionGrid antipode": lambda: DirectionGrid(3, 4, GRID.weights, antipode=GRID.antipode),
+    "DirectionGrid positional": lambda: DirectionGrid(3, 4, GRID.theta, GRID.phi, GRID.weights, GRID.antipode),
+    "feedthrough r": lambda: feedthrough_reflector_fixed(1, 2, 1),
+}
+
+
+@pytest.mark.parametrize("call", RESTATED)
+def test_a_restated_count_is_a_type_error(call):
+    with pytest.raises(TypeError):
+        RESTATED[call]()
 
 
 ORIGIN = (0.0, 0.0, 0.0)
@@ -211,7 +327,7 @@ def test_a_structure_frequency_must_be_positive_and_finite(frequency):
     message = re.escape(f"frequency must be positive and finite, got {frequency!r}")
     kernel = np.ones((1, GRID.size, 2))
     with pytest.raises(ModelError, match=message):
-        RadiatingStructure(1, np.zeros((1, 1)), kernel, kernel, None, GRID, frequency)
+        RadiatingStructure(np.zeros((1, 1)), kernel, kernel, None, GRID, frequency)
     with pytest.raises(ModelError, match=message):
         dipole_array([(X_AXIS, ORIGIN)], GRID, frequency, [[0.1]], enforce_passivity=True)
     with pytest.raises(ModelError, match=message):

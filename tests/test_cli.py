@@ -351,7 +351,6 @@ def _optimize_scene():
         "problem": {
             "structure": "trio",
             "frontend": "feed",
-            "r": 2,
             "z_set": {"values": ["1+20j", "1-20j", "1+80j", "1-80j"]},
             "primary_deg": [[45.0, 0.0]],
             "i_max": 2,
@@ -480,8 +479,7 @@ def test_non_finite_gain_pattern_drive_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize("r", [0, 1])
 def test_more_streams_than_transmit_chains_is_a_user_error(tmp_path, capsys, r):
     scene = _optimize_scene()
-    scene["structures"][0]["elements"] = scene["structures"][0]["elements"][: 1 + r]
-    scene["problem"]["r"] = r
+    scene["structures"][0]["elements"] = scene["structures"][0]["elements"][: 1 + r]  # r loads
     scene["problem"]["primary_deg"] = [[45.0, 0.0], [100.0, 0.0]]
     code, err, out = _run_scene(tmp_path, "optimize", scene, capsys)
     assert code == 1
@@ -517,7 +515,7 @@ def _set(scene, path, value):
         ("solve", ("frequency_hz",), "frequency_hz"),
         ("solve", ("grid", "n_theta"), "grid n_theta"),
         ("solve", ("r0_ohms",), "r0_ohms"),
-        ("optimize", ("problem", "r"), "problem r"),
+        ("optimize", ("problem", "z_init_index"), "problem z_init_index"),
         ("optimize", ("problem", "z_set", "reactance", "count"), "problem z_set reactance count"),
         ("channel", ("channel", "sweep", "count"), "channel sweep count"),
     ],
@@ -1066,7 +1064,7 @@ def test_misspelled_scene_key_is_a_user_error(tmp_path, capsys, command, base, p
     "command, path, field",
     [
         ("solve", ("frequency_hz",), "frequency_hz"),
-        ("optimize", ("problem", "r"), "problem r"),
+        ("optimize", ("problem", "z_init_index"), "problem z_init_index"),
         ("channel", ("channel", "sweep", "count"), "channel sweep count"),
     ],
 )

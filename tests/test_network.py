@@ -206,18 +206,19 @@ def test_through_and_inline_tuning_blocks():
     assert is_passive(a.s)
 
     with pytest.raises(ModelError):
-        TuningNetwork(1, 1, np.zeros((3, 3)))
+        TuningNetwork(1, np.zeros((2, 3)))
 
 
-@pytest.mark.parametrize("n, m", [(3, -1), (-1, 3)])
-def test_tuning_network_rejects_negative_port_counts(n, m):
-    with pytest.raises(ModelError, match=rf"port counts must be non-negative, got {n} and {m}"):
-        TuningNetwork(n, m, np.eye(2))
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_tuning_network_reads_its_radiating_ports_from_s(n):
+    t = TuningNetwork(n, np.eye(2))
+    assert t.n_frontend == n and t.m_radiating == 2 - n
+    assert t.s_tt.shape == (n, n) and t.s_rr.shape == (2 - n, 2 - n)
 
 
 def test_feedthrough_reflector_layout():
     n, m, r = 1, 3, 2
-    s = feedthrough_reflector_fixed(n, m, r)
+    s = feedthrough_reflector_fixed(n, m)
     assert s.shape == (n + m + r, n + m + r)
     assert is_reciprocal(s) and is_passive(s)
     # frontend 0 <-> radiating 0, radiating 1+j <-> control j
@@ -225,14 +226,15 @@ def test_feedthrough_reflector_layout():
     assert s[2, 4] == 1.0 and s[4, 2] == 1.0
     assert s[3, 5] == 1.0 and s[5, 3] == 1.0
     with pytest.raises(ModelError):
-        feedthrough_reflector_fixed(2, 4, 3)
+        feedthrough_reflector_fixed(2, 1)
+    assert feedthrough_reflector_fixed(2, 2).shape == (4, 4)  # r = 0: no control ports
 
 
 def test_reconfigurable_tuning_reflects_loads():
     n, m, r = 1, 3, 2
-    fixed = feedthrough_reflector_fixed(n, m, r)
+    fixed = feedthrough_reflector_fixed(n, m)
     gammas = np.array([0.5j, -0.25 + 0.1j])
-    t = TuningNetwork(n, m, reduce_terminated_ports(fixed, n + m, gammas))
+    t = TuningNetwork(n, reduce_terminated_ports(fixed, n + m, gammas))
     assert t.n_frontend == n and t.m_radiating == m
     # the frontend chain passes straight through
     np.testing.assert_allclose(t.s_tt, np.zeros((1, 1)), atol=1e-15)

@@ -612,10 +612,7 @@ def test_check_reciprocity_accepts_and_flags():
     assert rep.coupling_ok and rep.kernel_ok and rep.scatter_ok
     assert max(rep.max_coupling_dev, rep.max_kernel_dev, rep.max_scatter_dev) <= 1e-13
 
-    from remskit.radiating import RadiatingStructure
-
     broken = RadiatingStructure(
-        m_ports=s.m_ports,
         coupling=s.coupling,
         tx_kernel=s.tx_kernel,
         rx_kernel=2.0 * s.tx_kernel,  # violates rx = tx
@@ -990,3 +987,12 @@ def test_batched_lookups_equal_stacked_single_lookups_bit_for_bit():
         ref = loop_blend(s.tx_kernel.transpose(1, 2, 0), loop_stencil(g, d.theta, d.phi))
         assert s.tx_at(d).tobytes() == ref.tobytes()
 
+
+def test_the_dense_kernel_warning_names_the_frame_that_builds_the_structure():
+    grid = make_latlon_grid(2, 2050)  # 4100 directions, above the 64x64 guideline
+    n = grid.size
+    kernel = np.zeros((1, n, 2), dtype=complex)
+    scatter = np.broadcast_to(np.zeros((), dtype=complex), (n, 2, n, 2))  # a zero-stride view: no dense memory
+    with pytest.warns(UserWarning, match="exceeds the 64x64 guideline") as record:
+        RadiatingStructure(np.zeros((1, 1)), kernel, kernel, scatter, grid, FREQ)
+    assert [w.filename for w in record] == [__file__]

@@ -442,7 +442,6 @@ def _problem_dict(**extra):
     spec = {
         "structure": "pair",
         "frontend": "fe",
-        "r": 1,
         "z_set": {"values": ["1+5j", "1-5j"]},
         "primary_deg": [[60.0, 0.0]],
         "secondary_deg": [[120.0, 180.0]],
@@ -502,6 +501,10 @@ def test_beamform_problem_reactance_sweep_and_errors():
     bad = Scene.from_dict(_problem_dict(fixed="magic"))
     with pytest.raises(ModelError, match="unknown fixed network"):
         bad.beamform_problem()
+
+    # the loads are the structure's ports beyond the frontend's: a problem does not state r
+    with pytest.raises(ModelError, match="^problem: unknown field 'r'$"):
+        Scene.from_dict(_problem_dict(r=1)).beamform_problem()
 
     empty = Scene.from_dict(_base_dict())
     with pytest.raises(ModelError, match="no problem block"):

@@ -49,7 +49,6 @@ def _zero_kernel_structure(grid, m, coupling=None):
     if coupling is None:
         coupling = np.zeros((m, m), dtype=complex)
     return RadiatingStructure(
-        m_ports=m,
         coupling=np.asarray(coupling, dtype=complex),
         tx_kernel=np.zeros((m, grid.size, 2), dtype=complex),
         rx_kernel=np.zeros((m, grid.size, 2), dtype=complex),
@@ -208,7 +207,7 @@ def test_conjugate_match_extracts_available_power():
     s[0, 0] = fe.conjugate_match_tuning()[0, 0]
     model = ReMSModel(
         structure=_zero_kernel_structure(grid, 1),
-        tuning=TuningNetwork(1, 1, s),
+        tuning=TuningNetwork(1, s),
         frontend=fe,
     )
     v_tx = [1.5 - 0.25j]
@@ -223,7 +222,7 @@ def test_reflective_tuning_transmits_nothing():
     s = np.eye(2, dtype=complex)  # S_TT = 1: total reflection back at the frontend
     model = ReMSModel(
         structure=_zero_kernel_structure(grid, 1),
-        tuning=TuningNetwork(1, 1, s),
+        tuning=TuningNetwork(1, s),
         frontend=RFFrontend(z_tx=[50.0], z_rx=np.zeros(0), r0=50.0),
     )
     res = solve_direct(model, v_tx=[1.0])
@@ -502,4 +501,4 @@ def test_malformed_tuning_matrix_raises_model_error():
     bad_nan[1, 3] = complex(math.nan, 0.0)
     for bad, what in ((np.stack([s, s]), "shape"), (bad_nan, "finite")):
         with pytest.raises(ModelError, match=what):
-            solve_direct(ReMSModel(structure=st, tuning=TuningNetwork(2, 2, bad), frontend=fe))
+            solve_direct(ReMSModel(structure=st, tuning=TuningNetwork(2, bad), frontend=fe))

@@ -25,7 +25,7 @@ from .solver import ReconfigurableBuilder, ReMSModel, gain_operators
 
 logger = logging.getLogger(__name__)
 
-# Largest certified ||G||_F ||G^-1||_F b of a rank-1 candidate's ZF Gram G (see _rank1_rows).
+# Largest certified ||h||_F^2 ||t||_F^2 b of a rank-1 candidate's rows h and ZF precoder t (see _rank1_rows).
 RANK1_ZF_COND = 4.5e3
 
 
@@ -80,10 +80,8 @@ class BeamformProblem:
         except (TypeError, ValueError):
             raise ModelError(f"regularizer schedule must be numbers, got {schedule!r}") from None
         if len(self.sigma_schedule) < self.i_max:
-            raise ModelError(
-                f"{self.i_max} sweeps need {self.i_max} regularizer values, "
-                f"got {len(self.sigma_schedule)}"
-            )
+            got = len(self.sigma_schedule)
+            raise ModelError(f"{self.i_max} sweeps need {self.i_max} regularizer values, got {got}")
         if not all(0.0 < s < math.inf for s in self.sigma_schedule):
             raise ModelError("regularizer schedule must be positive and finite")
         self.rng_seed = number(self.rng_seed, "BeamformProblem rng_seed", int, 0)
@@ -117,7 +115,7 @@ def zf_precoder(h: np.ndarray) -> np.ndarray:
     failing Gram matrix raises.
     """
     h = np.asarray(h, dtype=complex)
-    h_adj = np.swapaxes(h, -1, -2).conj()
+    h_adj = h.mT.conj()
     return h_adj @ checked_inv(h @ h_adj, "zero-forcing Gram matrix")
 
 
@@ -135,26 +133,28 @@ def _problem_dirs(problem: BeamformProblem) -> tuple:
 def _quasi_powers(fe, mats: np.ndarray, t: np.ndarray, u: int) -> tuple:
     """(K,) arrays p_signal, p_interf, p_second of a (K, n_tx, u) precoder stack through (K, u + s, 2, n_tx) mats.
 
-    gains[k, i, j] is the gain toward direction i when precoder k drives
-    column j; a silent column (zero available power) radiates nothing. Every
-    gain is >= 0 or NaN, so a zeroed diagonal leaves the interference max as it is.
+    gains[k, i, j] is the gain toward direction i when precoder k drives column j; a silent column (zero available
+    power) radiates nothing. Every gain is >= 0 or NaN, so a zeroed diagonal leaves the interference max as it is.
     """
     val = mats @ t[:, None]
     radiated = FOUR_PI * np.vecdot(val, val, axis=-2).real
     p_avail = np.vecdot(t, t / fe.z_tx.real[:, None], axis=-2).real[:, None] / 4.0
     gains = np.divide(radiated, p_avail, out=np.zeros(radiated.shape), where=p_avail != 0.0)
     p_signal = gains[:, :u].diagonal(0, 1, 2).min(axis=1)
-    p_interf = np.where(np.eye(u, dtype=bool), 0.0, gains[:, :u]).max(axis=(1, 2), initial=0.0)
-    return p_signal, p_interf, gains[:, u:].max(axis=(1, 2), initial=0.0)
+    gains.reshape(len(gains), -1)[:, : u * u : u + 1] = 0.0  # zero the primary diagonal of this fresh array
+    return p_signal, gains[:, :u].max(axis=(1, 2), initial=0.0), gains[:, u:].max(axis=(1, 2), initial=0.0)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as Python floats: an overflowing sum is inf, inf / inf is NaN
 def _objective(p_signal, p_interf, p_second, sigma) -> np.ndarray:
     """p_signal / ((p_interf + p_second) + sigma) per entry; a zero denominator: inf with signal, 0 without."""
     denom = (p_interf + p_second) + sigma
+    if sigma > 0.0:  # quasi-powers are >= 0 or NaN: denom >= sigma or NaN
+        return p_signal / denom
     return np.divide(p_signal, denom, out=np.where(p_signal > 0.0, math.inf, 0.0), where=denom != 0.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _objective's state, entered once for the whole stack
 def _score_rows(fe, mats: np.ndarray, q: np.ndarray, sigma: float):
     """(f, h, t) of each configuration of a (K, u + s, 2, n_tx) gain-matrix stack: the one scoring path.
 
@@ -164,7 +164,7 @@ def _score_rows(fe, mats: np.ndarray, q: np.ndarray, sigma: float):
     u = q.shape[0]
     h = _co_rows(q, mats[:, :u])
     t = zf_precoder(h)
-    return _objective(*_quasi_powers(fe, mats, t, u), sigma), h, t
+    return _objective.__wrapped__(*_quasi_powers(fe, mats, t, u), sigma), h, t
 
 
 def quasi_powers(model: ReMSModel, t: np.ndarray, problem: BeamformProblem) -> QuasiPowers:
@@ -206,26 +206,24 @@ def evaluate_candidate(
 def _rank1_rows(fe, t0, u, v, w, bound, q, sigma):
     """Scored (f, t) rows of one coordinate's candidates from its update; None to score them one by one.
 
-    (t0, u, v, w) is the update (LoadPorts.update) of load ports restricted to the problem's
-    2(u + s) transmit rows, bound their certificate, q the (u, 2) primary co-polarization
-    projectors and sigma the regularizer. The (K, u + s, 2, n_tx) gain matrices are T0 plus (K,)
-    scalars times one outer product, 0 at the incumbent's own setting. They differ from a
-    rebuild's by about eps b (eps = 2.2e-16; b = bound bounds every loop either path inverts).
-    K and T0 are fresh each sweep, then carried through up to r accepted moves: an update of an
-    inverse with backward error F is the exact inverse of A' + F, so a carried error is not
-    amplified, and r updates add r roundings, the order r eps of a fresh r x r inverse's own. The
-    ZF Gram inverse amplifies the difference by up to ||G||_F ||G^-1||_F, so the precoders differ
-    by about eps ||G||_F ||G^-1||_F b: < 1e-12 for products <= RANK1_ZF_COND = 4.5e3. None unless
-    each candidate's is.
+    (t0, u, v, w) is the update (LoadPorts.update) of load ports restricted to the problem's 2(u + s)
+    transmit rows, bound their certificate, q the (u, 2) primary co-polarization projectors and sigma
+    the regularizer. The (K, u + s, 2, n_tx) gain matrices are T0 plus (K,) scalars times one outer
+    product, 0 at the incumbent's own setting. They differ from a rebuild's by about eps b
+    (eps = 2.2e-16; b = bound bounds every loop either path inverts). K and T0 are fresh each sweep,
+    then carried through up to r accepted moves: an update of an inverse with backward error F is the
+    exact inverse of A' + F, so a carried error is not amplified, and r updates add r roundings, the
+    order r eps of a fresh r x r inverse's own. The ZF Gram inverse amplifies the difference by up to
+    ||G||_F ||G^-1||_F <= ||h||_F^2 ||t||_F^2 (||h h^H||_F <= ||h||_F^2 and t^H t = G^-1; 1 up to
+    rounding at u = 1), so the precoders differ by < 1e-12 if every candidate's ||h||_F^2 ||t||_F^2 b
+    <= RANK1_ZF_COND = 4.5e3. The bound is conservative; None unless every candidate passes it.
     """
     mats = (t0 + w[:, None, None] * (u[:, None] * v)).reshape(w.size, -1, 2, t0.shape[1])
     try:
         f, h, t = _score_rows(fe, mats, q, sigma)
     except NumericsError:
         return None
-    # t = h^H G^-1, so t^H t = G^-1; the bound is compared squared
-    cond2 = _frobenius2(h @ h.mT.conj()) * _frobenius2(t.mT.conj() @ t)
-    if not (cond2 * bound**2 <= RANK1_ZF_COND**2).all():
+    if not (_frobenius2(h) * _frobenius2(t)).max() * bound <= RANK1_ZF_COND:
         return None
     return list(zip(f.tolist(), t))
 
@@ -264,15 +262,15 @@ def coordinate_ascent(
     A ReconfigurableBuilder is reduced once to the r x r network its loads see
     (ReconfigurableBuilder.load_ports), on the problem's 2(u + s) transmit rows,
     the only ones the objective reads. Each sweep inverts that loop for the
-    incumbent, whose T0 is the (2(u + s), n_tx) gain-matrix stack; a coordinate's K
-    candidates are rank-1 updates of it (LoadPorts.update), scored by one array
-    pass into one objective column, and an accepted move updates the loop inverse
-    and T0 in O(r^2), with no O(M) term. Only the comparison of the K objectives is
-    sequential (a NaN never wins); the incumbent rescored under the sigma it was
-    accepted at, equal up to rounding, is not compared. An uncertified reduction or
-    a declined coordinate is scored like any other callable's, one rebuild per
-    candidate, so each failing candidate logs its own error. No case-study
-    coordinate is declined.
+    incumbent's reflections, whose T0 is the (2(u + s), n_tx) gain-matrix stack; a
+    coordinate's K candidates are rank-1 updates of it (LoadPorts.update), scored by
+    one array pass into one objective column, and an accepted move updates the
+    reflections, the loop inverse and T0 in O(r^2), with no O(M) term. Only the
+    comparison of the K objectives is sequential (a NaN never wins); the incumbent
+    rescored under the sigma it was accepted at, equal up to rounding, is not
+    compared. An uncertified reduction or a declined coordinate is scored like any
+    other callable's, one rebuild per candidate, each failing candidate logging its
+    own error. No case-study coordinate is declined.
     """
     z_idx = [problem.z_set.index(problem.z_init)] * problem.r
     probe = model_builder(tuple(problem.z_set[i] for i in z_idx))
@@ -287,6 +285,7 @@ def coordinate_ascent(
 
     # what every coordinate's rank-1 pass reads: the load ports on the problem's rows, co-polar projectors
     gamma_set = reflection_coefficient(problem.z_set, probe.r0)
+    gammas = gamma_set[z_idx]  # the incumbent's, updated with each accepted move
     ports = model_builder.load_ports(gamma_set) if isinstance(model_builder, ReconfigurableBuilder) else None
     if ports is not None:  # P and Q on the rows the objective reads: T0 is then the gain matrices
         tx = probe.structure.tx_at(_problem_dirs(problem)).reshape(-1, probe.structure.m_ports)
@@ -300,11 +299,11 @@ def coordinate_ascent(
     for sweep in range(problem.i_max):
         sigma = problem.sigma_schedule[sweep]
         if ports is not None:  # the incumbent's loop inverse and gain matrices, carried through the sweep
-            k_inv, t0 = ports.loop(gamma_set[z_idx])
+            k_inv, t0 = ports.loop(gammas)
         for coord in _fisher_yates(rng, problem.r):
             k_cur, rows = z_idx[coord], None
             if ports is not None:
-                ks, u_c, v_c, w = ports.update(k_inv, gamma_set[z_idx], coord, gamma_set)
+                ks, u_c, v_c, w = ports.update(k_inv, gammas, coord, gamma_set)
                 rows = _rank1_rows(probe.frontend, t0, u_c, v_c, w, ports.bound, q, sigma)
             for k, z_k in enumerate(problem.z_set):
                 try:
@@ -323,6 +322,7 @@ def coordinate_ascent(
                     z_idx[coord] = k
                     f_trace.append(f_best)
             if ports is not None and z_idx[coord] != k_cur:  # the accepted move, by Sherman-Morrison
+                gammas[coord] = gamma_set[z_idx[coord]]
                 t0 += w[z_idx[coord]] * np.outer(u_c, v_c)
                 k_inv += w[z_idx[coord]] * np.outer(ks, k_inv[coord])
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ModelError
-from ._textio import atomic_write_text, csv_text, real_vector
+from ._textio import atomic_write_text, csv_text, number, real_vector
 
 FOUR_PI = 4.0 * math.pi
 
@@ -137,16 +137,17 @@ class DirectionGrid:
     antipode: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        _check_counts(self.n_theta, self.n_phi)
+        rings, cols = _check_counts(self.n_theta, self.n_phi)
+        set_field = object.__setattr__  # the dataclass is frozen
+        set_field(self, "n_theta", rings)
+        set_field(self, "n_phi", cols)
         try:
             weights = np.asarray(self.weights, dtype=float)
         except (TypeError, ValueError):
             raise ModelError(f"grid weights must be real numbers, got {self.weights!r}") from None
         if weights.shape != (self.size,):
             raise ModelError(f"grid weights shape {weights.shape} != ({self.size},)")
-        rings, cols = self.n_theta, self.n_phi
         ring, col = np.divmod(np.arange(self.size), cols)
-        set_field = object.__setattr__  # the dataclass is frozen
         set_field(self, "weights", weights)
         set_field(self, "theta", (ring + 0.5) * (math.pi / rings))
         set_field(self, "phi", col * (2.0 * math.pi / cols))
@@ -188,12 +189,14 @@ class DirectionGrid:
         return (rows + cols).astype(int), w
 
 
-def _check_counts(n_theta: int, n_phi: int) -> None:
-    """Refuse a grid with fewer than 2 rings or an odd n_phi or one below 2."""
+def _check_counts(n_theta, n_phi) -> tuple[int, int]:
+    """The counts as ints; refuse a non-integral count, fewer than 2 rings, or an odd n_phi or one below 2."""
+    n_theta, n_phi = number(n_theta, "grid n_theta", int), number(n_phi, "grid n_phi", int)
     if n_theta < 2 or n_phi < 2:
         raise ModelError(f"grid resolution ({n_theta}, {n_phi}) below minimum (2, 2)")
     if n_phi % 2 != 0:
         raise ModelError(f"n_phi = {n_phi} is odd; antipodal closure requires even n_phi")
+    return n_theta, n_phi
 
 
 def make_latlon_grid(n_theta: int, n_phi: int) -> DirectionGrid:
@@ -203,7 +206,7 @@ def make_latlon_grid(n_theta: int, n_phi: int) -> DirectionGrid:
     so they telescope to 4*pi. Requires n_theta >= 2 and even n_phi >= 2,
     checked before any weight is formed.
     """
-    _check_counts(n_theta, n_phi)
+    n_theta, n_phi = _check_counts(n_theta, n_phi)
     dt, dp = math.pi / n_theta, 2.0 * math.pi / n_phi
     ring_w = dp * (np.cos(np.arange(n_theta) * dt) - np.cos(np.arange(1, n_theta + 1) * dt))
     # symmetrize so mirror-image rings carry bit-identical weights

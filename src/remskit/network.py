@@ -47,6 +47,7 @@ def check_condition(mat: np.ndarray, what: str) -> None:
         raise NumericsError(f"{what}: condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing bound is inf or NaN: uncertified
 def checked_inv(a: np.ndarray, what: str) -> np.ndarray:
     """Inverse of a matrix, or of each matrix of a (..., k, k) stack, under check_condition's rule.
 
@@ -62,11 +63,10 @@ def checked_inv(a: np.ndarray, what: str) -> np.ndarray:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         raise NumericsError(f"{what}: condition number inf exceeds {COND_LIMIT:.0e}") from None
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound2 = _frobenius2(a) * _frobenius2(inv)
-    uncertified = ~(bound2 <= CERTIFIED_COND**2)
-    if uncertified.any():  # np.argwhere costs more than a small inverse; skip it when all pass
-        for idx in map(tuple, np.argwhere(uncertified)):
+    bound2 = _frobenius2(a) * _frobenius2(inv)
+    certified = bound2 <= CERTIFIED_COND**2
+    if not certified.all():  # np.argwhere costs more than a small inverse; skip it when all pass
+        for idx in map(tuple, np.argwhere(~certified)):
             check_condition(a[idx], what)
     return inv
 
@@ -287,7 +287,9 @@ class TouchstoneData:
             raise ModelError(f"unknown format {self.format!r}")
         self.frequencies = np.asarray(self.frequencies, dtype=float)
         self.columns = np.asarray(self.columns, dtype=float)
-        f, k = self.frequencies.shape[0], self.columns.shape[1] if self.columns.ndim == 3 else 0
+        if self.frequencies.ndim != 1:
+            raise ModelError(f"frequencies shape {self.frequencies.shape} is not 1-D")
+        f, k = self.frequencies.size, self.columns.shape[1] if self.columns.ndim == 3 else 0
         if self.columns.shape != (f, k, 2) or k == 0 or math.isqrt(k) ** 2 != k:
             raise ModelError(f"columns shape {self.columns.shape} != ({f}, n*n, 2) for a port count n >= 1")
         if not (math.isfinite(self.reference) and self.reference > 0.0):

@@ -43,6 +43,7 @@ from remskit.network import (
     COND_LIMIT,
     RFFrontend,
     TuningNetwork,
+    _frobenius2,
     condition_number,
     feedthrough_reflector_fixed,
     reduce_terminated_ports,
@@ -565,6 +566,15 @@ def _assert_scores_agree(scores, reference):
         assert np.max(np.abs(got.t - ref.t)) <= 1e-12 * np.max(np.abs(ref.t))
 
 
+def _assert_ascents_agree(fast, slow):
+    """The rank-1 ascent took the per-candidate rebuild's steps: same loads and evaluations, and its
+    objective trace and precoder equal to 1e-12 relative."""
+    assert fast.z_indices == slow.z_indices
+    assert fast.evaluations == slow.evaluations
+    assert fast.f_trace == pytest.approx(slow.f_trace, rel=1e-12, abs=0.0)
+    assert np.max(np.abs(fast.t - slow.t)) <= 1e-12 * np.max(np.abs(slow.t))
+
+
 def test_stacked_scoring_matches_reference_on_case_study():
     problem, builder = Scene.load(CASE_STUDY).beamform_problem()
     assert isinstance(builder, ReconfigurableBuilder)
@@ -703,10 +713,7 @@ def test_stacked_scoring_matches_reference_on_generated_models(caplog, factor, n
         caplog.clear()
         slow = coordinate_ascent(problem, lambda z: builder(z))
     assert fast_skips == caplog.messages
-    assert fast.z_indices == slow.z_indices
-    assert fast.evaluations == slow.evaluations
-    assert fast.f_trace == pytest.approx(slow.f_trace, rel=1e-12, abs=0.0)
-    assert np.max(np.abs(fast.t - slow.t)) <= 1e-12 * np.max(np.abs(slow.t))
+    _assert_ascents_agree(fast, slow)
 
 
 def test_gain_operators_serve_models_whose_sub_loop_is_singular():
@@ -878,11 +885,8 @@ def test_rank1_scoring_matches_rebuilds_on_generated_models(n_rx, r, seed):
 
     # whole ascents: the rank-1 pass takes the per-candidate path's steps
     fast = coordinate_ascent(problem, builder)
-    slow = coordinate_ascent(problem, lambda z: builder(z))
-    assert fast.z_indices == slow.z_indices
-    assert fast.evaluations == slow.evaluations == problem.i_max * r * len(problem.z_set)
-    assert fast.f_trace == pytest.approx(slow.f_trace, rel=1e-12, abs=0.0)
-    assert np.max(np.abs(fast.t - slow.t)) <= 1e-12 * np.max(np.abs(slow.t))
+    _assert_ascents_agree(fast, coordinate_ascent(problem, lambda z: builder(z)))
+    assert fast.evaluations == problem.i_max * r * len(problem.z_set)
 
 
 def _recorded_rank1_rows(monkeypatch):
@@ -906,11 +910,36 @@ def test_rank1_ascent_matches_rebuilds_at_panel_size(monkeypatch, seed):
     rows = _recorded_rank1_rows(monkeypatch)
     fast = coordinate_ascent(problem, builder)
     assert len(rows) == problem.r and all(row is not None for row in rows)  # 0 fallbacks
-    slow = coordinate_ascent(problem, lambda z: builder(z))
-    assert fast.z_indices == slow.z_indices
-    assert fast.evaluations == slow.evaluations == problem.r * len(problem.z_set)
-    assert fast.f_trace == pytest.approx(slow.f_trace, rel=1e-12, abs=0.0)
-    assert np.max(np.abs(fast.t - slow.t)) <= 1e-12 * np.max(np.abs(slow.t))
+    _assert_ascents_agree(fast, coordinate_ascent(problem, lambda z: builder(z)))
+    assert fast.evaluations == problem.r * len(problem.z_set)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_case_study_rank1_ascent_matches_rebuilds(seed):
+    # every case-study coordinate takes the rank-1 pass (test_case_study_ascent_builds_only_the_probe_model)
+    problem, builder = Scene.load(CASE_STUDY).beamform_problem(seed_override=seed)
+    _assert_ascents_agree(coordinate_ascent(problem, builder), coordinate_ascent(problem, lambda z: builder(z)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 8), u=st.integers(1, 3), extra=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_rank1_certificate_bounds_the_zf_gram_condition(k, u, extra, seed):
+    # ||h||_F^2 ||t||_F^2 >= ||G||_F ||G^-1||_F for t = zf_precoder(h) and G = h h^H, up to the
+    # rounding of the inverse (relative eps cond(G)); one stream makes it 1 to rounding
+    rng = np.random.default_rng(seed)
+    n_tx = u + extra
+    h = rng.standard_normal((k, u, n_tx)) + 1j * rng.standard_normal((k, u, n_tx))
+    h *= 10.0 ** rng.uniform(-3.0, 3.0, (k, u, 1))  # rows of very different strengths
+    try:
+        t = zf_precoder(h)
+    except NumericsError:  # a Gram beyond COND_LIMIT: no precoder to certify
+        return
+    gram = h @ h.mT.conj()
+    exact = np.sqrt(_frobenius2(gram) * _frobenius2(np.linalg.inv(gram)))
+    bound = _frobenius2(h) * _frobenius2(t)
+    assert np.all(bound >= exact * (1.0 - 1e-13 * exact))
+    if u == 1:
+        assert np.max(np.abs(bound - 1.0)) <= 1e-14
 
 
 def test_rank1_scoring_certifies_the_zf_gram_on_two_chain_models():

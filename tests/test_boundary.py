@@ -188,6 +188,14 @@ MALFORMED_CARRIERS = {
         lambda: TouchstoneData("ghz", "ri", 50.0, [1.0], np.zeros((1, 0, 2))),
         "columns shape (1, 0, 2) != (1, n*n, 2) for a port count n >= 1",
     ),
+    "touchstone scalar frequency": (
+        lambda: TouchstoneData("ghz", "ri", 50.0, 1.0, np.zeros((1, 1, 2))),
+        "frequencies shape () is not 1-D",
+    ),
+    "grid non-integral n_theta": (lambda: DirectionGrid(3.5, 4, np.ones(14)), "grid n_theta must be an integer, got 3.5"),
+    "grid word n_phi": (lambda: DirectionGrid(3, "x", np.ones(12)), "grid n_phi must be a number, got 'x'"),
+    "latlon grid non-integral n_theta": (lambda: make_latlon_grid(4.5, 8), "grid n_theta must be an integer, got 4.5"),
+    "latlon grid boolean n_phi": (lambda: make_latlon_grid(4, True), "grid n_phi must be a number, got True"),
     "grid odd n_phi": (
         lambda: DirectionGrid(3, 5, np.ones(15)),
         "n_phi = 5 is odd; antipodal closure requires even n_phi",
@@ -218,9 +226,10 @@ def test_the_carriers_give_their_counts():
     kernel = np.ones((2, GRID.size, 2))
     assert _structure(coupling=np.zeros((2, 2)), tx_kernel=kernel, rx_kernel=kernel).m_ports == 2
     assert TouchstoneData("ghz", "ri", 50.0, [1.0, 2.0], np.zeros((2, 9, 2))).n_ports == 3
-    grid = DirectionGrid(3, 4, GRID.weights)
-    for name in ("theta", "phi", "weights", "antipode"):
-        assert getattr(grid, name).tobytes() == getattr(GRID, name).tobytes()
+    for grid in (DirectionGrid(3, 4, GRID.weights), DirectionGrid(3.0, 4.0, GRID.weights), make_latlon_grid(3.0, 4)):
+        assert (grid.n_theta, grid.n_phi) == (3, 4) and type(grid.size) is int  # integral counts read as ints
+        for name in ("theta", "phi", "weights", "antipode"):
+            assert getattr(grid, name).tobytes() == getattr(GRID, name).tobytes()
     problem, _ = _problem_scene(5).beamform_problem()
     assert problem.r == 3  # the structure's ports beyond the frontend's
 

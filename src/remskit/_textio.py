@@ -3,9 +3,9 @@
 Every number the package writes is ``repr`` of a Python float, through
 ``fmt`` or, in the bulk writers, directly on values read with ``.tolist()``:
 the shortest text that round-trips the IEEE double exactly, at most 17
-significant digits. Scalar input fields go through ``number``, caller arrays
-through ``complex_array`` and geometric vectors through ``real_vector``; each
-turns a malformed value into a ModelError naming the field.
+significant digits. Caller input is read here: scalars by ``number``, arrays by
+``complex_array`` or ``real_array`` and vectors by ``real_vector``, all three
+converted by ``as_array``; each refuses a malformed value by its field's name.
 """
 
 from __future__ import annotations
@@ -50,19 +50,35 @@ def number(value, where: str, kind=float, low=None, high=None):
     return x
 
 
-def complex_array(value, where: str, shape=None) -> np.ndarray:
-    """The caller-supplied array field `where` as finite complex numbers, of the given shape if one is given.
+def as_array(value, where: str, dtype=complex, shape=None) -> np.ndarray:
+    """The caller's field `where` as a dtype (complex or float) array of the given shape, if one is given.
 
-    A non-numeric entry, a ragged nesting, another shape or a non-finite
-    entry raises a ModelError naming the field. np.asarray copies nothing
-    when value already is a complex array.
+    A word, a ragged nesting, another shape or a complex value for a real field (the conversion would
+    drop its imaginary part) is a ModelError naming the field. An array of the dtype is not copied.
     """
+    kind = "real" if dtype is float else "complex"
     try:
-        x = np.asarray(value, dtype=complex)
+        if kind == "real" and getattr(value, "dtype", np.dtype(float)).kind == "c":
+            raise TypeError
+        x = np.asarray(value, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
-        raise ModelError(f"{where} must be complex numbers, got {value!r}") from None
+        raise ModelError(f"{where} must be {kind} numbers, got {value!r}") from None
     if shape is not None and x.shape != shape:
         raise ModelError(f"{where} shape {x.shape} != {shape}")
+    return x
+
+
+def complex_array(value, where: str, shape=None) -> np.ndarray:
+    """as_array's complex array, refused as ModelError "`where` must be finite" if an entry is NaN or inf."""
+    x = as_array(value, where, complex, shape)
+    if not np.isfinite(x).all():
+        raise ModelError(f"{where} must be finite")
+    return x
+
+
+def real_array(value, where: str, shape=None) -> np.ndarray:
+    """as_array's real array, refused as ModelError "`where` must be finite" if an entry is NaN or inf."""
+    x = as_array(value, where, float, shape)
     if not np.isfinite(x).all():
         raise ModelError(f"{where} must be finite")
     return x
@@ -73,12 +89,7 @@ def real_vector(value, where: str, stacked: bool = False):
 
     A word, another shape, a NaN or inf entry or a length past the float range is a ModelError naming the field.
     """
-    try:
-        if getattr(value, "dtype", np.dtype(float)).kind == "c":  # it would lose its imaginary part
-            raise TypeError
-        x = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ModelError(f"{where} must be real numbers, got {value!r}") from None
+    x = as_array(value, where, float)
     if stacked and x.size == 0:  # no vectors at all
         x = x.reshape(0, 3)
     if x.ndim != 1 + stacked or x.shape[-1] != 3:

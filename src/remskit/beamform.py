@@ -64,6 +64,9 @@ class BeamformProblem:
             raise ModelError("impedance set is empty")
         if any(z.real < 0.0 for z in self.z_set):
             raise ModelError("load impedances must lie in the closed right half-plane")
+        for name, dirs in (("primary_dirs", self.primary_dirs), ("secondary_dirs", self.secondary_dirs)):
+            if not isinstance(dirs, (list, tuple)):
+                raise ModelError(f"{name} must be a list of Directions, got {dirs!r}")
         if len(self.primary_dirs) < 1:
             raise ModelError("need at least one primary direction")
         if not all(isinstance(d, Direction) for d in (*self.primary_dirs, *self.secondary_dirs)):
@@ -94,6 +97,8 @@ def geometric_schedule(initial: float = 20.0, ratio: float = 0.5, count: int = 1
 
 def h_co(model: ReMSModel, dirs, q_co=x_copol) -> np.ndarray:
     """(len(dirs), n_tx) co-polarized rows of the transmit gain operator."""
+    if not (isinstance(dirs, (list, tuple)) and dirs and all(isinstance(d, Direction) for d in dirs)):
+        raise ModelError(f"h_co dirs must be a non-empty list of Directions, got {dirs!r}")
     return _co_rows(_projectors(dirs, q_co), gain_operators(model).vtx_gain_matrix(dirs))
 
 
@@ -170,8 +175,8 @@ def _score_rows(fe, mats: np.ndarray, q: np.ndarray, sigma: float):
 def quasi_powers(model: ReMSModel, t: np.ndarray, problem: BeamformProblem) -> QuasiPowers:
     """Worst-case signal, interference, and leakage gains of precoder t."""
     mats = gain_operators(model).vtx_gain_matrix(_problem_dirs(problem))[None]
-    powers = _quasi_powers(model.frontend, mats, np.asarray(t, dtype=complex)[None], len(problem.primary_dirs))
-    return QuasiPowers(*(float(p[0]) for p in powers))
+    t = complex_array(t, "precoder t", (model.frontend.n_tx, len(problem.primary_dirs)))[None]
+    return QuasiPowers(*(float(p[0]) for p in _quasi_powers(model.frontend, mats, t, t.shape[2])))
 
 
 def objective(model: ReMSModel, sigma: float, t: np.ndarray, problem: BeamformProblem) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ModelError
-from ._textio import atomic_write_text, csv_text, number, real_vector
+from ._textio import as_array, atomic_write_text, csv_text, number, real_array, real_vector
 
 FOUR_PI = 4.0 * math.pi
 
@@ -40,6 +40,9 @@ class Direction:
     phi: float
 
     def __post_init__(self):
+        set_field = object.__setattr__  # the dataclass is frozen
+        set_field(self, "theta", number(self.theta, "direction theta"))
+        set_field(self, "phi", number(self.phi, "direction phi"))
         if not (0.0 <= self.theta <= math.pi):
             raise ModelError(
                 f"direction theta {self.theta} outside [0, pi]; "
@@ -50,6 +53,7 @@ class Direction:
 
     @staticmethod
     def canonical(theta: float, phi: float) -> "Direction":
+        theta, phi = number(theta, "direction theta"), number(phi, "direction phi")
         if theta < 0.0:
             theta = -theta
             phi = phi + math.pi
@@ -65,6 +69,7 @@ class Direction:
 
     @staticmethod
     def from_degrees(theta_deg: float, phi_deg: float) -> "Direction":
+        theta_deg, phi_deg = number(theta_deg, "direction theta_deg"), number(phi_deg, "direction phi_deg")
         return Direction.canonical(math.radians(theta_deg), math.radians(phi_deg))
 
     def unit_vector(self) -> np.ndarray:
@@ -141,12 +146,9 @@ class DirectionGrid:
         set_field = object.__setattr__  # the dataclass is frozen
         set_field(self, "n_theta", rings)
         set_field(self, "n_phi", cols)
-        try:
-            weights = np.asarray(self.weights, dtype=float)
-        except (TypeError, ValueError):
-            raise ModelError(f"grid weights must be real numbers, got {self.weights!r}") from None
-        if weights.shape != (self.size,):
-            raise ModelError(f"grid weights shape {weights.shape} != ({self.size},)")
+        weights = real_array(self.weights, "grid weights", (self.size,))
+        if not (weights > 0.0).all():
+            raise ModelError("grid weights must be positive")
         ring, col = np.divmod(np.arange(self.size), cols)
         set_field(self, "weights", weights)
         set_field(self, "theta", (ring + 0.5) * (math.pi / rings))
@@ -226,12 +228,7 @@ class FarFieldPattern:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (self.grid.size, 2):
-            raise ModelError(
-                f"pattern values shape {self.values.shape} does not match "
-                f"grid size ({self.grid.size}, 2)"
-            )
+        self.values = as_array(self.values, "pattern values", complex, (self.grid.size, 2))
 
     def at(self, d: Direction) -> np.ndarray:
         """Complex 2-vector at d, bilinearly interpolated off-grid."""

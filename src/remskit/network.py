@@ -15,7 +15,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ModelError, NumericsError
-from ._textio import atomic_write_text, complex_array, fmt, number, read_text
+from ._textio import as_array, atomic_write_text, complex_array, fmt, number, read_text, real_array
 
 COND_LIMIT = 1e12
 CERTIFIED_COND = 1e-3 * COND_LIMIT
@@ -23,7 +23,7 @@ CERTIFIED_COND = 1e-3 * COND_LIMIT
 
 def reflection_coefficient(z, r0: float):
     """Gamma = (z - r0) / (z + r0), elementwise."""
-    z = np.asarray(z, dtype=complex)
+    z = complex_array(z, "impedances")
     return (z - r0) / (z + r0)
 
 
@@ -85,11 +85,11 @@ def reduce_terminated_ports(s: np.ndarray, n_keep: int, gamma) -> np.ndarray:
     S_AA + S_AB G (I - S_BB G)^-1 S_BA, formed on contiguous blocks of s,
     with the loop I - S_BB G inverted under checked_inv's rule.
     """
-    s = np.asarray(s, dtype=complex)
-    n = s.shape[0]
+    s = complex_array(s, "scattering matrix")
+    n = s.shape[0] if s.ndim else 0
     if s.shape != (n, n):
         raise ModelError(f"scattering matrix must be square, got {s.shape}")
-    gamma = np.asarray(gamma, dtype=complex)
+    gamma = complex_array(gamma, "reflections")
     if not 0 <= n_keep <= n or gamma.shape != (n - n_keep,):
         raise ModelError(f"{n}-port matrix keeping {n_keep} ports: got {gamma.shape} reflections")
     loop = np.eye(gamma.size) - s[n_keep:, n_keep:] * gamma  # G is diagonal: scale the columns
@@ -110,6 +110,7 @@ class TuningNetwork:
     s: np.ndarray
 
     def __post_init__(self):
+        self.n_frontend = number(self.n_frontend, "tuning network n_frontend", int)
         self.s = complex_array(self.s, "tuning matrix")
         if self.s.ndim != 2 or self.s.shape[0] != self.s.shape[1]:
             raise ModelError(f"tuning matrix shape {self.s.shape} is not square")
@@ -161,6 +162,7 @@ def feedthrough_reflector_fixed(n: int, m: int) -> np.ndarray:
     radiating port i directly; radiating port n + j hangs on control port j,
     where a tunable reflective load is attached. Requires m >= n.
     """
+    n, m = number(n, "feedthrough-reflector n", int, 0), number(m, "feedthrough-reflector m", int, 0)
     r = m - n
     if r < 0:
         raise ModelError(f"feedthrough-reflector layout needs m >= n, got m = {m} < n = {n}")
@@ -203,7 +205,8 @@ class RFFrontend:
             raise ModelError("transmit impedances must have positive real part")
         if np.any(self.z_rx.real < 0.0):
             raise ModelError("receive impedances must have nonnegative real part")
-        if not (math.isfinite(self.r0) and self.r0 > 0.0):
+        self.r0 = number(self.r0, "reference resistance")
+        if not self.r0 > 0.0:
             raise ModelError("reference resistance must be positive and finite")
 
     @property
@@ -253,6 +256,7 @@ class RFFrontend:
 
 
 _UNIT_HZ = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
+_FORMATS = ("ri", "ma", "db")
 
 # a data token is a decimal number with an optional exponent, or inf: float() reads every match.
 # Each token has one parse, so a data line that fails the line pattern fails in linear time.
@@ -279,23 +283,18 @@ class TouchstoneData:
     columns: np.ndarray
 
     def __post_init__(self):
-        self.frequency_unit = self.frequency_unit.lower()
-        self.format = self.format.lower()
-        if self.frequency_unit not in _UNIT_HZ:
-            raise ModelError(f"unknown frequency unit {self.frequency_unit!r}")
-        if self.format not in ("ri", "ma", "db"):
-            raise ModelError(f"unknown format {self.format!r}")
-        self.frequencies = np.asarray(self.frequencies, dtype=float)
-        self.columns = np.asarray(self.columns, dtype=float)
+        self.frequency_unit = _option(self.frequency_unit, _UNIT_HZ, "frequency unit")
+        self.format = _option(self.format, _FORMATS, "format")
+        self.frequencies = real_array(self.frequencies, "frequencies")
+        self.columns = as_array(self.columns, "columns", float)
         if self.frequencies.ndim != 1:
             raise ModelError(f"frequencies shape {self.frequencies.shape} is not 1-D")
         f, k = self.frequencies.size, self.columns.shape[1] if self.columns.ndim == 3 else 0
         if self.columns.shape != (f, k, 2) or k == 0 or math.isqrt(k) ** 2 != k:
             raise ModelError(f"columns shape {self.columns.shape} != ({f}, n*n, 2) for a port count n >= 1")
-        if not (math.isfinite(self.reference) and self.reference > 0.0):
+        self.reference = number(self.reference, "reference resistance")
+        if not self.reference > 0.0:
             raise ModelError(f"reference resistance {self.reference} must be positive and finite")
-        if not np.all(np.isfinite(self.frequencies)):
-            raise ModelError("frequencies must be finite")
         if np.any(np.diff(self.frequencies) <= 0.0):
             raise ModelError("frequencies must be strictly increasing")
         # the one non-finite number a file may hold: a zero magnitude in dB
@@ -335,7 +334,7 @@ class TouchstoneData:
         frequency_unit: str = "ghz",
         reference: float = 50.0,
     ) -> "TouchstoneData":
-        """Raw pairs of the complex matrices; the constructor rejects an unknown format or unit."""
+        """Raw pairs of the complex matrices."""
         mats = complex_array(matrices, "matrices")
         mats = mats[None] if mats.ndim == 2 else mats
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
@@ -345,18 +344,27 @@ class TouchstoneData:
             freqs = np.array([number(f, "frequencies_hz") for f in frequencies_hz])
         except TypeError:  # not a sequence
             raise ModelError(f"frequencies_hz must be numbers, got {frequencies_hz!r}") from None
-        freqs = freqs / _UNIT_HZ.get(frequency_unit.lower(), 1.0)
+        unit, form = _option(frequency_unit, _UNIT_HZ, "frequency unit"), _option(format, _FORMATS, "format")
+        freqs = freqs / _UNIT_HZ[unit]
         flat = mats.reshape(mats.shape[0], n * n)
         cols = np.empty((mats.shape[0], n * n, 2))
-        if format.lower() == "ri":
+        if form == "ri":
             cols[:, :, 0] = flat.real
             cols[:, :, 1] = flat.imag
         else:
             mag = np.abs(flat)
             with np.errstate(divide="ignore"):
-                cols[:, :, 0] = mag if format.lower() == "ma" else 20.0 * np.log10(mag)
+                cols[:, :, 0] = mag if form == "ma" else 20.0 * np.log10(mag)
             cols[:, :, 1] = np.degrees(np.angle(flat))
-        return cls(frequency_unit, format, reference, freqs, cols)
+        return cls(unit, form, reference, freqs, cols)
+
+
+def _option(value, options, what: str) -> str:
+    """The option `value` in lower case, which must be a string naming one of options."""
+    name = value.lower() if isinstance(value, str) else value
+    if not isinstance(name, str) or name not in options:
+        raise ModelError(f"unknown {what} {name!r}")
+    return name
 
 
 def _record_layout(n: int) -> tuple[list[int] | slice, list[int]]:
@@ -419,7 +427,7 @@ def parse_touchstone(text: str, n_ports: int | None = None) -> TouchstoneData:
                 unit = t
             elif t in ("s", "y", "z", "h", "g"):
                 parameter = t
-            elif t in ("ri", "ma", "db"):
+            elif t in _FORMATS:
                 s_format = t
             elif t == "r":
                 if i + 1 >= len(toks):

@@ -25,7 +25,7 @@ from operator import methodcaller
 import numpy as np
 
 from .errors import ModelError
-from ._textio import atomic_write_text, complex_array, count_lines, fmt, number, real_vector
+from ._textio import as_array, atomic_write_text, complex_array, count_lines, fmt, number, real_vector
 from ._textio import split_lines, text_chunks
 from .farfield import (
     Direction,
@@ -42,8 +42,11 @@ Z0_FREE_SPACE = 4.0e-7 * math.pi * C_LIGHT
 
 
 def wavenumber(frequency_hz: float) -> float:
-    """k = 2*pi*f/c in rad/m; a frequency that is not positive with a finite k is a ModelError."""
-    k = 2.0 * math.pi * frequency_hz / C_LIGHT
+    """k = 2*pi*f/c in rad/m; a frequency that is not a positive number with a finite k is a ModelError."""
+    try:
+        k = 2.0 * math.pi * number(frequency_hz, "frequency") / C_LIGHT
+    except ModelError:  # every refused frequency gets the one message below
+        k = math.nan
     if not 0.0 < k < math.inf:
         raise ModelError(f"frequency must be positive and finite, got {frequency_hz!r}")
     return k
@@ -74,6 +77,7 @@ class RadiatingStructure:
 
     def __post_init__(self):
         wavenumber(self.frequency)  # refuses a frequency that is not positive and finite
+        self.mirror = number(self.mirror, "mirror")
         self.coupling = complex_array(self.coupling, "coupling")
         if self.coupling.ndim != 2 or self.coupling.shape[0] != self.coupling.shape[1]:
             raise ModelError(f"coupling shape {self.coupling.shape} is not square")
@@ -128,9 +132,7 @@ def _scatter_blend(kernel: np.ndarray, out_stencil, in_stencil) -> np.ndarray:
 
 
 def apply_transmit(s: RadiatingStructure, a) -> FarFieldPattern:
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (s.m_ports,):
-        raise ModelError(f"port vector shape {a.shape} != ({s.m_ports},)")
+    a = as_array(a, "port vector", complex, (s.m_ports,))
     return FarFieldPattern(s.grid, np.einsum("mic,m->ic", s.tx_kernel, a))
 
 
@@ -169,6 +171,9 @@ def hertzian_dipole(orientation, position, grid: DirectionGrid, frequency: float
 
 def synthetic_coupling(positions, k: float, gamma: float) -> np.ndarray:
     """Exp-phase, 1/(k d) magnitude coupling profile between element pairs at 3-D positions."""
+    k, gamma = number(k, "coupling wavenumber k"), number(gamma, "coupling gamma")
+    if not k > 0.0:
+        raise ModelError(f"coupling wavenumber k must be positive, got {k!r}")
     p, _ = real_vector(positions, "element positions", stacked=True)
     m = len(p)
     i, j = np.nonzero(~np.eye(m, dtype=bool))  # off-diagonal pairs, row by row
@@ -256,11 +261,10 @@ def dipole_array(
 
 def isotropic_radiator(grid: DirectionGrid, frequency: float, pol: str = "theta") -> RadiatingStructure:
     """Unit-gain reference: constant-magnitude pattern radiating 1 W at unit drive."""
-    kern = np.zeros((1, grid.size, 2), dtype=complex)
-    col = {"theta": 0, "phi": 1}.get(pol)
-    if col is None:
+    if not (isinstance(pol, str) and pol in _POL_NAMES):
         raise ModelError(f"unknown polarization {pol!r}")
-    kern[0, :, col] = 1.0 / math.sqrt(4.0 * math.pi)
+    kern = np.zeros((1, grid.size, 2), dtype=complex)
+    kern[0, :, _POL_NAMES.index(pol)] = 1.0 / math.sqrt(4.0 * math.pi)
     return RadiatingStructure(np.zeros((1, 1), dtype=complex), kern, kern.copy(), None, grid, frequency)
 
 
@@ -294,6 +298,7 @@ class ReciprocityReport:
 
 def check_reciprocity(s: RadiatingStructure, tol: float) -> ReciprocityReport:
     """Check coupling symmetry, rx = tx, and the scatter transpose symmetry."""
+    tol = number(tol, "reciprocity tol")
     dev_c = float(np.max(np.abs(s.coupling - s.coupling.T))) if s.m_ports else 0.0
     dev_k = float(np.max(np.abs(s.rx_kernel - s.tx_kernel))) if s.m_ports else 0.0
     dev_s = 0.0 if s.scatter_kernel is None else _scatter_asymmetry(s.scatter_kernel)

@@ -23,7 +23,7 @@ import numpy as np
 import yaml
 
 from .beamform import BeamformProblem, geometric_schedule, x_copol
-from ._textio import number, read_text, real_vector
+from ._textio import complex_array, number, read_text, real_vector
 from .errors import ModelError
 from .farfield import Direction, DirectionGrid, make_latlon_grid
 from .network import (
@@ -116,16 +116,13 @@ def parse_complex_list(values, where: str) -> np.ndarray:
     if not isinstance(values, (list, tuple)):
         raise ModelError(f"{where}: expected a list of complex values, got {values!r}")
     try:
-        return np.array([parse_complex(v) for v in values], dtype=complex)
+        return complex_array([parse_complex(v) for v in values], where)
     except ModelError as err:
         raise ModelError(f"{where}: {err}") from None
 
 
 def parse_direction(pair) -> Direction:
-    theta, phi = _sequence(pair, "direction [theta_deg, phi_deg]", 2)
-    return Direction.from_degrees(
-        number(theta, "direction theta_deg"), number(phi, "direction phi_deg")
-    )
+    return Direction.from_degrees(*_sequence(pair, "direction [theta_deg, phi_deg]", 2))
 
 
 def _directions(pairs, where: str) -> tuple:

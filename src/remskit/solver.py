@@ -71,6 +71,16 @@ class ReconfigurableBuilder:
     frontend: RFFrontend
     fixed_s: np.ndarray
 
+    def __post_init__(self):
+        s, nm = complex_array(self.fixed_s, "fixed network"), self.frontend.n + self.structure.m_ports
+        if s.ndim != 2 or s.shape[0] != s.shape[1]:
+            raise ModelError(f"fixed network shape {s.shape} is not square")
+        if len(s) < nm:
+            raise ModelError(
+                f"fixed network has {len(s)} ports, fewer than the N + M = {nm} of frontend and structure"
+            )
+        object.__setattr__(self, "fixed_s", s)  # the dataclass is frozen
+
     @property
     def r0(self) -> float:
         return self.frontend.r0
@@ -277,8 +287,7 @@ def _source_vector(x, size: int, name: str) -> np.ndarray:
 def _incident_pattern(b: FarFieldPattern, st: RadiatingStructure) -> FarFieldPattern:
     if not b.grid.compatible(st.grid):
         raise ModelError("incident pattern grid does not match structure grid")
-    if not np.all(np.isfinite(b.values)):
-        raise ModelError("incident pattern must be finite")
+    complex_array(b.values, "incident pattern")  # refuses a non-finite pattern
     return b
 
 

@@ -360,6 +360,8 @@ def test_problem_rejects_non_finite_regularizer():
         ("sigma_schedule", (1.0, "x"), "regularizer schedule must be numbers, got (1.0, 'x')"),
         ("primary_dirs", (1.0,), "primary and secondary directions must be Direction entries"),
         ("secondary_dirs", ((0.5, 0.0),), "primary and secondary directions must be Direction entries"),
+        ("primary_dirs", 5, "primary_dirs must be a list of Directions, got 5"),
+        ("secondary_dirs", None, "secondary_dirs must be a list of Directions, got None"),
     ],
 )
 def test_problem_rejects_malformed_fields(field, value, message):

@@ -1,13 +1,16 @@
-"""Every array a caller hands the library goes through _textio.complex_array,
-and every geometric vector through _textio.real_vector.
+"""Every input a caller hands the library is read by _textio: arrays through
+complex_array or real_array, geometric vectors through real_vector, scalars
+through number, all but number converting through as_array.
 
-A non-numeric, absent, non-finite or mis-shaped array ends as a ModelError
-that names the field, never as a raw NumPy or Python exception; so does a
-vector whose length overflows the float range, with no RuntimeWarning on the
-way (pyproject.toml makes one an error), and anything but one Direction
-handed to a single-direction reader. Scalar fields go through
-_textio.number, which is held here to its overflow rules. Every port count
-and grid array is read from the array that carries it: no constructor
+A non-numeric, absent, non-finite or mis-shaped array or scalar ends as a
+ModelError that names the field, never as a raw NumPy or Python exception;
+so does a vector whose length overflows the float range, with no
+RuntimeWarning on the way (pyproject.toml makes one an error), anything but
+one Direction handed to a single-direction reader, and anything but a list
+of Directions where directions are read. number is held here to its overflow
+rules. The package's own results are only converted (apply_transmit,
+FarFieldPattern), so an overflow in them stays a NumericsError. Every port
+count and grid array is read from the array that carries it: no constructor
 restates one, and a malformed carrier is a ModelError that names it.
 """
 
@@ -21,29 +24,38 @@ from remskit import (
     BeamformProblem,
     Direction,
     DirectionGrid,
+    FarFieldPattern,
     ModelError,
     PlaneWaveResponseSet,
     RadiatingStructure,
+    ReconfigurableBuilder,
     RFFrontend,
     Scene,
     TouchstoneData,
     TuningNetwork,
     apply_transmit,
     cascade_unilateral,
+    check_reciprocity,
     dipole_array,
     direction_from_vector,
     directivity,
     far_channel,
     feedthrough_reflector_fixed,
+    h_co,
     hertzian_dipole,
     inline_tuning,
     intensity,
+    isotropic_radiator,
     make_latlon_grid,
     propagation_matrix,
+    quasi_powers,
+    reduce_terminated_ports,
+    reflection_coefficient,
     rems_gain,
     rotate_structure,
     solve_direct,
     synthetic_coupling,
+    wavenumber,
 )
 from remskit._textio import complex_array, number, real_vector
 from remskit.scene import rotation_matrix
@@ -54,6 +66,8 @@ GRID = make_latlon_grid(3, 4)
 MODEL = random_model(np.random.default_rng(7), GRID, n_tx=2, n_rx=1, m=2)
 DIRS = (Direction(1.0, 0.0),)
 X_AXIS = (1.0, 0.0, 0.0)
+PROBLEM = BeamformProblem(r=0, z_set=(50.0,), primary_dirs=DIRS)
+COLUMNS = np.zeros((1, 1, 2))  # the raw pairs of one 1-port Touchstone record
 PATTERN = apply_transmit(hertzian_dipole(X_AXIS, (0.0, 0.0, 0.0), GRID, FREQ), [1.0])
 
 
@@ -106,6 +120,45 @@ ENTRY_POINTS = {
         True,
     ),
     "available_power v_tx": ("v_tx", RFFrontend([50.0], []).available_power, [1.0], False),
+    "reflection impedances": ("impedances", lambda v: reflection_coefficient(v, 50.0), [50.0, 10j], False),
+    "reduction s": ("scattering matrix", lambda v: reduce_terminated_ports(v, 1, [0.5]), np.eye(2) / 2, False),
+    "reduction gamma": ("reflections", lambda v: reduce_terminated_ports(np.eye(2) / 2, 1, v), [0.5], False),
+    "quasi_powers t": ("precoder t", lambda v: quasi_powers(MODEL, v, PROBLEM), [[1.0], [0.0]], False),
+    "grid weights": ("grid weights", lambda v: DirectionGrid(3, 4, v), GRID.weights, False),
+    "touchstone frequencies": (
+        "frequencies",
+        lambda v: TouchstoneData("ghz", "ri", 50.0, v, COLUMNS),
+        [1.0],
+        False,
+    ),
+    "touchstone reference": (
+        "reference resistance",
+        lambda v: TouchstoneData("ghz", "ri", v, [1.0], COLUMNS),
+        50.0,
+        False,
+    ),
+    "frontend r0": ("reference resistance", lambda v: RFFrontend([50.0], [], v), 50.0, False),
+    "fixed network": (
+        "fixed network",
+        lambda v: ReconfigurableBuilder(MODEL.structure, MODEL.frontend, v),
+        np.zeros((5, 5)),
+        False,
+    ),
+    # scalar fields, read through number
+    "wavenumber frequency": ("frequency", wavenumber, FREQ, False),
+    "isotropic frequency": ("frequency", lambda v: isotropic_radiator(GRID, v), FREQ, False),
+    "direction theta": ("direction theta", lambda v: Direction(v, 0.0), 1.0, False),
+    "direction phi": ("direction phi", lambda v: Direction(1.0, v), 0.0, False),
+    "canonical phi": ("direction phi", lambda v: Direction.canonical(0.5, v), 7.0, False),
+    "from_degrees theta": ("direction theta_deg", lambda v: Direction.from_degrees(v, 0.0), 30.0, False),
+    "tuning n_frontend": ("tuning network n_frontend", lambda v: TuningNetwork(v, np.eye(2)), 1, False),
+    "feedthrough n": ("feedthrough-reflector n", lambda v: feedthrough_reflector_fixed(v, 3), 1, False),
+    "mirror": ("mirror", lambda v: _structure(mirror=v), 0.5, False),
+    "coupling k": ("coupling wavenumber k", lambda v: synthetic_coupling([ORIGIN, FAR], v, 1.0), 1.0, False),
+    "coupling gamma": ("coupling gamma", lambda v: synthetic_coupling([ORIGIN, FAR], 1.0, v), 1.0, False),
+    "reciprocity tol": ("reciprocity tol", lambda v: check_reciprocity(DIPOLE, v), 1e-12, False),
+    # directions, read as a list of Directions
+    "h_co dirs": ("h_co dirs", lambda v: h_co(MODEL, v), DIRS, False),
     # the single-direction readers: a sequence of directions is refused like any other non-Direction
     "gain direction": ("direction", lambda v: rems_gain(MODEL, [1.0, 0.0], v), DIRS[0], False),
     "pattern at": ("direction", PATTERN.at, DIRS[0], False),
@@ -131,13 +184,14 @@ BAD_VALUES = {
 }
 
 
-@pytest.mark.parametrize("bad", BAD_VALUES)
-@pytest.mark.parametrize("entry", ENTRY_POINTS)
+# None is a malformed value only where it does not select a default
+@pytest.mark.parametrize(
+    "entry, bad",
+    [(e, b) for e in ENTRY_POINTS for b in BAD_VALUES if not (b == "None" and ENTRY_POINTS[e][3])],
+)
 def test_malformed_array_is_a_model_error_naming_the_field(entry, bad):
-    field, build, valid, none_is_default = ENTRY_POINTS[entry]
+    field, build, valid, _ = ENTRY_POINTS[entry]
     build(valid)  # the valid value passes
-    if bad == "None" and none_is_default:
-        pytest.skip(f"None selects the default {field}")
     with pytest.raises(ModelError) as err:
         build(BAD_VALUES[bad](valid))
     assert str(err.value).startswith(f"{field} ")
@@ -203,6 +257,58 @@ MALFORMED_CARRIERS = {
     "grid n_theta below 2": (lambda: DirectionGrid(1, 4, np.ones(4)), "grid resolution (1, 4) below minimum (2, 2)"),
     "grid weights shape": (lambda: DirectionGrid(3, 4, np.ones(7)), "grid weights shape (7,) != (12,)"),
     "grid weights words": (lambda: DirectionGrid(3, 4, ["x"] * 12), "grid weights must be real numbers, got ['x'"),
+    "grid negative weights": (lambda: DirectionGrid(3, 4, -GRID.weights), "grid weights must be positive"),
+    "touchstone word columns": (
+        lambda: TouchstoneData("ghz", "ri", 50.0, [1.0], [[["x", 0.0]]]),
+        "columns must be real numbers, got [[['x', 0.0]]]",
+    ),
+    "touchstone unit not a string": (
+        lambda: TouchstoneData(5, "ri", 50.0, [1.0], COLUMNS),
+        "unknown frequency unit 5",
+    ),
+    "touchstone format not a string": (
+        lambda: TouchstoneData("ghz", None, 50.0, [1.0], COLUMNS),
+        "unknown format None",
+    ),
+    # the package's own results are converted only, so that an overflow in them stays a NumericsError
+    "pattern values words": (lambda: FarFieldPattern(GRID, "x"), "pattern values must be complex numbers, got 'x'"),
+    "pattern values shape": (
+        lambda: FarFieldPattern(GRID, np.zeros((3, 2))),
+        f"pattern values shape (3, 2) != ({GRID.size}, 2)",
+    ),
+    "port vector words": (lambda: apply_transmit(DIPOLE, ["x"]), "port vector must be complex numbers, got ['x']"),
+    "port vector shape": (lambda: apply_transmit(DIPOLE, [1.0, 0.0]), "port vector shape (2,) != (1,)"),
+    "scalar scattering matrix": (
+        lambda: reduce_terminated_ports(0.5, 0, []),
+        "scattering matrix must be square, got ()",
+    ),
+    "fixed network not square": (
+        lambda: ReconfigurableBuilder(MODEL.structure, MODEL.frontend, np.zeros((5, 6))),
+        "fixed network shape (5, 6) is not square",
+    ),
+    "fixed network too few ports": (
+        lambda: ReconfigurableBuilder(MODEL.structure, MODEL.frontend, np.eye(4)),
+        "fixed network has 4 ports, fewer than the N + M = 5 of frontend and structure",
+    ),
+    "canonical infinite phi": (lambda: Direction.canonical(0.0, math.inf), "direction phi must be finite, got inf"),
+    "non-integral n_frontend": (
+        lambda: TuningNetwork(1.5, np.eye(2)),
+        "tuning network n_frontend must be an integer, got 1.5",
+    ),
+    "boolean n_frontend": (
+        lambda: TuningNetwork(True, np.eye(2)),
+        "tuning network n_frontend must be a number, got True",
+    ),
+    "feedthrough non-integral n": (
+        lambda: feedthrough_reflector_fixed(1.5, 3),
+        "feedthrough-reflector n must be an integer, got 1.5",
+    ),
+    "coupling zero k": (
+        lambda: synthetic_coupling([ORIGIN, FAR], 0.0, 1.0),
+        "coupling wavenumber k must be positive, got 0.0",
+    ),
+    "isotropic pol list": (lambda: isotropic_radiator(GRID, FREQ, pol=[1]), "unknown polarization [1]"),
+    "h_co no dirs": (lambda: h_co(MODEL, []), "h_co dirs must be a non-empty list of Directions, got []"),
     "feedthrough m < n": (
         lambda: feedthrough_reflector_fixed(2, 1),
         "feedthrough-reflector layout needs m >= n, got m = 1 < n = 2",
@@ -330,7 +436,7 @@ def test_a_rotation_is_read_as_finite_real_rows():
             rotate_structure(DIPOLE, rot)
 
 
-@pytest.mark.parametrize("frequency", [0.0, -5.4e9, math.nan, math.inf, 1e308])
+@pytest.mark.parametrize("frequency", [0.0, -5.4e9, math.nan, math.inf, 1e308, "x"])
 def test_a_structure_frequency_must_be_positive_and_finite(frequency):
     # 1e308 Hz is finite, but its wavenumber overflows
     message = re.escape(f"frequency must be positive and finite, got {frequency!r}")

@@ -1,5 +1,5 @@
 """Every name a package module imports is used in that module, every private function,
-public method, dataclass field and public function is read, and caller arrays are converted in one place.
+public method, dataclass field and public function is read, and caller input is read in one place.
 
 No linter ships with the project, so this reads each module's syntax tree
 with ast: a name bound by an import statement must be read somewhere else
@@ -9,12 +9,11 @@ package class must be read outside its own body by some module of src/,
 tests/ or perfbench/, a field of a package dataclass must be read as
 an attribute by some module of those three, and a module-level public
 function must be exported by the package or read by some module of src/ or
-perfbench/, so that no function ships for the tests alone. No __post_init__
-converts an array with np.asarray or np.array to complex itself, but for one
-named exemption: caller arrays go through _textio.complex_array. No public
-function or method takes np.linalg.norm of its own parameters, or converts
-them with np.asarray or np.array to float, but for named exemptions: caller
-vectors go through _textio.real_vector.
+perfbench/, so that no function ships for the tests alone. No public function,
+public method or __post_init__ outside _textio reads its own parameters or
+fields by hand (np.asarray or np.array to float or complex, np.linalg.norm,
+math.isfinite, np.isfinite), but for four named calls, each with its reason:
+caller input goes through the readers of _textio.
 """
 
 import ast
@@ -223,66 +222,30 @@ def test_package_has_no_test_only_function():
     assert functions_only_tests_read(package, readers) == []
 
 
-# FarFieldPattern also holds the package's own outputs: an overflow in one must
-# reach solver._finite and end as NumericsError (exit 2), not be refused at
-# construction as a malformed input (ModelError, exit 1).
-CONVERSION_EXEMPT = {"farfield.FarFieldPattern.__post_init__"}
-
-
-def complex_conversions_in_post_init(sources: dict) -> list:
-    """The __post_init__ methods of sources (module name -> text) that call np.asarray or np.array with dtype complex.
-
-    Those arrays are caller input and go through _textio.complex_array, which
-    refuses a malformed, mis-shaped or non-finite one as a ModelError naming it.
-    """
-    found = set()
-    for module, source in sources.items():
-        for cls in ast.walk(ast.parse(source)):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            for stmt in cls.body:
-                if not (isinstance(stmt, ast.FunctionDef) and stmt.name == "__post_init__"):
-                    continue
-                for call in ast.walk(stmt):
-                    if not (isinstance(call, ast.Call) and ast.unparse(call.func) in ("np.asarray", "np.array")):
-                        continue
-                    dtype = [k.value for k in call.keywords if k.arg == "dtype"] + call.args[1:2]
-                    if any(ast.unparse(d) == "complex" for d in dtype):
-                        found.add(f"{module}.{cls.name}.__post_init__")
-    return sorted(found)
-
-
-def test_the_check_finds_a_complex_conversion_in_post_init():
-    sources = {
-        "a": "class A:\n    def __post_init__(self):\n        self.x = np.asarray(self.x, dtype=complex)\n\n\n"
-        "class B:\n    def __post_init__(self):\n        self.y = np.array(self.y, complex)\n\n\n"
-        "class C:\n    def __post_init__(self):\n        self.z = np.asarray(self.z, dtype=float)\n\n"
-        "    def other(self):\n        return np.asarray(self.z, dtype=complex)\n",
-    }
-    assert complex_conversions_in_post_init(sources) == ["a.A.__post_init__", "a.B.__post_init__"]
-
-
-def test_package_post_init_converts_caller_arrays_through_complex_array():
-    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
-    assert set(complex_conversions_in_post_init(sources)) - CONVERSION_EXEMPT == set()
-    assert CONVERSION_EXEMPT <= set(complex_conversions_in_post_init(sources))  # the exemption is still needed
-
-
-# The public functions that may still read a float array of their own parameters, each for a reason:
-VECTOR_EXEMPT = {
+# The calls that may still read a parameter or field by hand, each for a reason:
+HAND_READ_EXEMPT = {
     # theta is the library's own angle, a Direction's or a grid sample's, never a caller's geometry
-    "farfield.DirectionGrid.interp_stencil",
+    "farfield.DirectionGrid.interp_stencil: np.asarray(theta, dtype=float)",
+    # a NaN guard before the SVD of the package's own matrices, which does not converge on NaN
+    "network.condition_number: np.isfinite(mat)",
+    # the rank-1 pass's per-coordinate rows: an overflow in them must reach checked_inv as NumericsError
+    "beamform.zf_precoder: np.asarray(h, dtype=complex)",
+    # a dB magnitude may be -inf, the one non-finite number a Touchstone file holds
+    "network.TouchstoneData.__post_init__: np.isfinite(self.columns)",
 }
 
+_HAND_READS = ("np.linalg.norm", "math.isfinite", "np.isfinite")
 
-def hand_read_vectors(sources: dict) -> list:
-    """Public functions and methods of sources (module name -> text) that read their own parameters by hand.
 
-    A hand reading is a call of np.linalg.norm, or of np.asarray or np.array
-    with dtype float, whose first argument reads a parameter of the function.
-    _textio, where real_vector reads every caller's vector, is not scanned.
+def hand_reads(sources: dict) -> list:
+    """The calls that read a parameter or field by hand, as "label: call", in the public functions, public
+    methods and __post_init__ methods of sources (module name -> text).
+
+    A hand reading is np.asarray or np.array with dtype float or complex, np.linalg.norm, math.isfinite or
+    np.isfinite, whose first argument reads a parameter; self is one, so self.field is a field. _textio,
+    whose readers do every such reading for the package, is not scanned.
     """
-    found = set()
+    found = []
     for module, source in sources.items():
         if module == "_textio":
             continue
@@ -296,7 +259,7 @@ def hand_read_vectors(sources: dict) -> list:
             if isinstance(f, ast.FunctionDef)
         ]
         for label, fn in defs:
-            if fn.name.startswith("_"):
+            if fn.name.startswith("_") and fn.name != "__post_init__":
                 continue
             params = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
             for call in ast.walk(fn):
@@ -304,27 +267,48 @@ def hand_read_vectors(sources: dict) -> list:
                     continue
                 name = ast.unparse(call.func)
                 dtype = [k.value for k in call.keywords if k.arg == "dtype"] + call.args[1:2]
-                to_float = name in ("np.asarray", "np.array") and any(ast.unparse(d) == "float" for d in dtype)
+                to_number = any(ast.unparse(d) in ("float", "complex") for d in dtype)
+                converts = name in ("np.asarray", "np.array") and to_number
                 read = {n.id for n in ast.walk(call.args[0]) if isinstance(n, ast.Name)}
-                if (name == "np.linalg.norm" or to_float) and read & params:
-                    found.add(label)
+                if (converts or name in _HAND_READS) and read & params:
+                    found.append(f"{label}: {ast.unparse(call)}")
     return sorted(found)
 
 
-def test_the_check_finds_a_hand_read_vector():
+def hand_read_report(sources: dict, exempt: set) -> tuple:
+    """(the hand readings of sources that no exemption names, the exemptions that no hand reading needs)."""
+    found = set(hand_reads(sources))
+    return sorted(found - exempt), sorted(exempt - found)
+
+
+def test_the_check_finds_each_hand_reading():
     sources = {
         "a": "def norm(v):\n    return np.linalg.norm(v)\n\n\n"
         "def stack(elements):\n    return np.array([o for o, _ in elements], dtype=float)\n\n\n"
+        "def finite(x, y):\n    return math.isfinite(x), np.isfinite(y).all()\n\n\n"
         "def _private(v):\n    return np.asarray(v, dtype=float)\n\n\n"
-        "def local(v):\n    w = v + 1\n    return np.linalg.norm(w), np.asarray(v, dtype=complex), np.asarray(v)\n\n\n"
-        "class C:\n    def method(self, theta):\n        return np.asarray(theta, float)\n\n"
-        "    def __post_init__(self):\n        self.x = np.asarray(self.x, dtype=float)\n",
+        "def local(v):\n    w = v + 1\n    return np.linalg.norm(w), np.isfinite(w), np.asarray(v)\n\n\n"
+        "class C:\n    def method(self, theta):\n        return np.asarray(theta, complex)\n\n"
+        "    def __post_init__(self):\n        self.x = np.array(self.x, dtype=complex)\n"
+        "        self.ok = math.isfinite(self.y)\n\n"
+        "    def _helper(self):\n        return np.isfinite(self.x)\n",
         "_textio": "def real_vector(value):\n    return np.asarray(value, dtype=float)\n",
     }
-    assert hand_read_vectors(sources) == ["a.C.method", "a.norm", "a.stack"]
+    assert hand_reads(sources) == [
+        "a.C.__post_init__: math.isfinite(self.y)",
+        "a.C.__post_init__: np.array(self.x, dtype=complex)",
+        "a.C.method: np.asarray(theta, complex)",
+        "a.finite: math.isfinite(x)",
+        "a.finite: np.isfinite(y)",
+        "a.norm: np.linalg.norm(v)",
+        "a.stack: np.array([o for o, _ in elements], dtype=float)",
+    ]
+    # an unexempted reading fails the check, and so does an exemption that no reading needs any more
+    exempt = {"a.norm: np.linalg.norm(v)", "a.gone: np.isfinite(x)"}
+    unexempted, stale = hand_read_report(sources, exempt)
+    assert len(unexempted) == 6 and stale == ["a.gone: np.isfinite(x)"]
 
 
-def test_package_reads_caller_vectors_through_real_vector():
+def test_package_reads_caller_input_through_textio():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
-    assert set(hand_read_vectors(sources)) - VECTOR_EXEMPT == set()
-    assert VECTOR_EXEMPT <= set(hand_read_vectors(sources))  # each exemption is still needed
+    assert hand_read_report(sources, HAND_READ_EXEMPT) == ([], [])

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._textio import complex_array, number
 from .errors import ModelError, NumericsError
-from .farfield import FOUR_PI, Direction
+from .farfield import FOUR_PI, Direction, _direction_list
 from .network import _frobenius2, checked_inv, reflection_coefficient
 from .solver import ReconfigurableBuilder, ReMSModel, gain_operators
 
@@ -92,13 +92,14 @@ class BeamformProblem:
 
 def geometric_schedule(initial: float = 20.0, ratio: float = 0.5, count: int = 10) -> tuple:
     """Regularizer values initial*ratio^i for sweeps i = 1..count."""
+    initial, ratio = number(initial, "schedule initial"), number(ratio, "schedule ratio")
+    count = number(count, "schedule count", int)
     return tuple(initial * ratio**i for i in range(1, count + 1))
 
 
 def h_co(model: ReMSModel, dirs, q_co=x_copol) -> np.ndarray:
     """(len(dirs), n_tx) co-polarized rows of the transmit gain operator."""
-    if not (isinstance(dirs, (list, tuple)) and dirs and all(isinstance(d, Direction) for d in dirs)):
-        raise ModelError(f"h_co dirs must be a non-empty list of Directions, got {dirs!r}")
+    dirs = _direction_list(dirs, "h_co dirs")
     return _co_rows(_projectors(dirs, q_co), gain_operators(model).vtx_gain_matrix(dirs))
 
 

@@ -16,8 +16,8 @@ import warnings
 import numpy as np
 
 from .errors import ModelError
-from ._textio import real_vector
-from .farfield import direction_from_vector
+from ._textio import number, real_vector
+from .farfield import _vector_direction
 from .network import checked_inv
 from .radiating import RadiatingStructure, wavenumber
 
@@ -33,13 +33,17 @@ def propagation_matrix(distance: float, frequency: float) -> np.ndarray:
     the antipodal basis relation between the two view directions.
     """
     k = wavenumber(frequency)
-    if not 0.0 < k * distance < math.inf:  # also a finite distance whose phase overflows
-        raise ModelError(f"propagation distance must be positive and finite, got {distance}, k*d {k * distance}")
+    try:
+        d = number(distance, "propagation distance")
+    except ModelError:  # every refused distance gets the one message below
+        d = math.nan
+    if not 0.0 < k * d < math.inf:  # also a finite distance whose phase overflows
+        raise ModelError(f"propagation distance must be positive and finite, got {distance}, k*d {k * d}")
     near = FAR_FIELD_GUIDELINE_WAVELENGTHS * (2.0 * math.pi / k)  # in m
-    if distance < near:
-        warnings.warn(f"separation {distance:.4g} m is below {FAR_FIELD_GUIDELINE_WAVELENGTHS:g} wavelengths "
+    if d < near:
+        warnings.warn(f"separation {d:.4g} m is below {FAR_FIELD_GUIDELINE_WAVELENGTHS:g} wavelengths "
                       f"({near:.4g} m); far-field channel accuracy degrades", stacklevel=2)
-    c = (2.0 * math.pi / (1j * k)) * np.exp(-1j * k * distance) / distance
+    c = (2.0 * math.pi / (1j * k)) * np.exp(-1j * k * d) / d
     return np.diag([c, -c])
 
 
@@ -55,7 +59,7 @@ def _hop(displacement, frequency: float, where: str):
     disp, d = real_vector(displacement, where)
     if d == 0.0:
         raise ModelError(f"structures are co-located: {where} is zero")
-    return direction_from_vector(disp), direction_from_vector(-disp), propagation_matrix(d, frequency)
+    return _vector_direction(disp, d), _vector_direction(-disp, d), propagation_matrix(d, frequency)
 
 
 def far_channel(tx: RadiatingStructure, rx: RadiatingStructure, displacement) -> np.ndarray:
@@ -63,12 +67,15 @@ def far_channel(tx: RadiatingStructure, rx: RadiatingStructure, displacement) ->
 
     displacement points from the tx structure to the rx structure, in m.
     The multi-bounce loop between the two reduced scattering kernels is
-    resolved exactly; an ill-conditioned loop raises NumericsError.
+    resolved exactly; an ill-conditioned loop raises NumericsError. It is
+    formed only when both structures carry a remainder: otherwise it is zero.
     """
     _check_pair(tx, rx)
     d_fwd, d_bwd, c = _hop(displacement, tx.frequency, "displacement")
-    loop = tx.scatter_at(d_fwd, d_fwd) @ c @ rx.scatter_at(d_bwd, d_bwd) @ c
-    core = checked_inv(np.eye(2) - loop, "far-field bounce loop") @ tx.tx_at(d_fwd)  # (2, m_tx)
+    core = tx.tx_at(d_fwd)  # (2, m_tx)
+    if tx.scatter_kernel is not None and rx.scatter_kernel is not None:
+        loop = tx.scatter_at(d_fwd, d_fwd) @ c @ rx.scatter_at(d_bwd, d_bwd) @ c
+        core = checked_inv(np.eye(2) - loop, "far-field bounce loop") @ core
     return rx.rx_at(d_bwd).T @ c @ core
 
 

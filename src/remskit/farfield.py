@@ -84,6 +84,11 @@ def direction_from_vector(v) -> Direction:
     v, n = real_vector(v, "direction vector")
     if n == 0.0:
         raise ModelError("zero vector has no direction")
+    return _vector_direction(v, n)
+
+
+def _vector_direction(v: np.ndarray, n: float) -> Direction:
+    """Direction of the 3-vector v, already read, of nonzero length n."""
     return Direction.canonical(math.acos(max(-1.0, min(1.0, v[2] / n))), math.atan2(v[1], v[0]))
 
 
@@ -92,6 +97,13 @@ def _one_direction(d) -> Direction:
     if not isinstance(d, Direction):
         raise ModelError(f"direction must be one Direction, got {d!r}")
     return d
+
+
+def _direction_list(dirs, where: str):
+    """dirs, which must be a non-empty list or tuple of Directions."""
+    if not (isinstance(dirs, (list, tuple)) and dirs and all(isinstance(d, Direction) for d in dirs)):
+        raise ModelError(f"{where} must be a non-empty list of Directions, got {dirs!r}")
+    return dirs
 
 
 def spherical_basis(theta, phi):
@@ -175,8 +187,12 @@ class DirectionGrid:
         theta is clamped to the first/last ring centers (pole cells have no
         partner ring beyond them). Entries are ordered (i0, j0), (i0, j1),
         (i1, j0), (i1, j1) for ring i1 = i0 + 1 (i1 = i0 on a clamped ring)
-        and column j1 = j0 + 1 modulo n_phi.
+        and column j1 = j0 + 1 modulo n_phi. One direction's (4,) stencil is
+        computed in scalar arithmetic, by the array path's operations in its
+        order, so it has the bits of the stacked stencil's row.
         """
+        if np.ndim(theta) == 0 and np.ndim(phi) == 0:
+            return self._point_stencil(float(theta), float(phi))
         t = np.asarray(theta, dtype=float) / (math.pi / self.n_theta) - 0.5
         inside = (t > 0.0) & (t < self.n_theta - 1)
         t = np.minimum(np.maximum(t, 0.0), self.n_theta - 1)
@@ -189,6 +205,19 @@ class DirectionGrid:
         cols = (j0[..., None] + _UPPER_COL) % self.n_phi
         w = np.where(_UPPER_RING, ft, 1.0 - ft) * np.where(_UPPER_COL, fu, 1.0 - fu)
         return (rows + cols).astype(int), w
+
+    def _point_stencil(self, theta: float, phi: float):
+        """interp_stencil at one (theta, phi) in math arithmetic: % for np.mod, ints for the integral floats."""
+        rings, cols = self.n_theta, self.n_phi
+        t = theta / (math.pi / rings) - 0.5
+        inside = 0.0 < t < rings - 1
+        t = min(max(t, 0.0), float(rings - 1))
+        u = (phi % (2.0 * math.pi)) / (2.0 * math.pi / cols)
+        i0, j0 = math.floor(t), math.floor(u)
+        ft, fu = t - i0, u - j0
+        r0, r1, c0, c1 = i0 * cols, (i0 + inside) * cols, j0 % cols, (j0 + 1) % cols
+        w = [(1.0 - ft) * (1.0 - fu), (1.0 - ft) * fu, ft * (1.0 - fu), ft * fu]
+        return np.array([r0 + c0, r0 + c1, r1 + c0, r1 + c1]), np.array(w)
 
 
 def _check_counts(n_theta, n_phi) -> tuple[int, int]:
@@ -266,24 +295,26 @@ def antipodal_mirror(p: FarFieldPattern) -> FarFieldPattern:
     return FarFieldPattern(p.grid, out)
 
 
+def _direction_labels(grid: DirectionGrid, sep: str) -> list[str]:
+    """The "theta<sep>phi" text of every grid direction in degrees, as fmt writes it.
+
+    One repr per ring and one per column: the per-direction theta and phi
+    hold these values, so the text is theirs.
+    """
+    rings = [repr(x) for x in np.degrees(grid.theta[:: grid.n_phi]).tolist()]
+    cols = [sep + repr(x) for x in np.degrees(grid.phi[: grid.n_phi]).tolist()]
+    return [th + ph for th in rings for ph in cols]
+
+
 def _pattern_csv(p: FarFieldPattern) -> str:
     v = p.values
     # np.vecdot matches a per-row np.vdot bit for bit (einsum and
     # |re|^2 + |im|^2 do not); an overflowing square reads inf without a warning
     with np.errstate(over="ignore", invalid="ignore"):
         power = np.vecdot(v, v).real
-    cols = np.column_stack(
-        (
-            np.degrees(p.grid.theta),
-            np.degrees(p.grid.phi),
-            v[:, 0].real,
-            v[:, 0].imag,
-            v[:, 1].real,
-            v[:, 1].imag,
-            power,
-        )
-    )
-    return csv_text(PATTERN_CSV_HEADER, (map(repr, row) for row in cols.tolist()))
+    cols = np.column_stack((v[:, 0].real, v[:, 0].imag, v[:, 1].real, v[:, 1].imag, power))
+    rows = zip(_direction_labels(p.grid, ","), cols.tolist())
+    return csv_text(PATTERN_CSV_HEADER, ((label, *map(repr, row)) for label, row in rows))
 
 
 def write_pattern_csv(p: FarFieldPattern, path: str) -> None:

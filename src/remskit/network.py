@@ -90,6 +90,7 @@ def reduce_terminated_ports(s: np.ndarray, n_keep: int, gamma) -> np.ndarray:
     if s.shape != (n, n):
         raise ModelError(f"scattering matrix must be square, got {s.shape}")
     gamma = complex_array(gamma, "reflections")
+    n_keep = number(n_keep, "kept port count", int)
     if not 0 <= n_keep <= n or gamma.shape != (n - n_keep,):
         raise ModelError(f"{n}-port matrix keeping {n_keep} ports: got {gamma.shape} reflections")
     loop = np.eye(gamma.size) - s[n_keep:, n_keep:] * gamma  # G is diagonal: scale the columns

@@ -31,6 +31,8 @@ from .farfield import (
     Direction,
     DirectionGrid,
     FarFieldPattern,
+    _direction_labels,
+    _direction_list,
     antipodal_mirror,
     blend,
     make_latlon_grid,
@@ -117,10 +119,11 @@ class RadiatingStructure:
 
 
 def _port_at(kernel: np.ndarray, grid: DirectionGrid, d) -> np.ndarray:
-    """(M, n, 2) port kernel at a Direction as (2, M), or at k Directions as (k, 2, M)."""
+    """(M, n, 2) port kernel at a Direction as (2, M), or at a list of k Directions as (k, 2, M)."""
     if isinstance(d, Direction):
         theta, phi = d.theta, d.phi
     else:
+        d = _direction_list(d, "directions")
         theta, phi = np.array([x.theta for x in d]), np.array([x.phi for x in d])
     return blend(kernel.transpose(1, 2, 0), *grid.interp_stencil(theta, phi))
 
@@ -428,12 +431,6 @@ def _header_lines(magic: str, frequency: float, grid: DirectionGrid, m_ports: in
     ]
 
 
-def _direction_labels(grid: DirectionGrid) -> list[str]:
-    """The "theta phi" text of every grid direction in degrees, as fmt writes it."""
-    theta, phi = np.degrees(grid.theta).tolist(), np.degrees(grid.phi).tolist()
-    return [f"{th!r} {ph!r}" for th, ph in zip(theta, phi)]
-
-
 # The writers read values with .tolist() and write them with repr, the shortest
 # round-trip text fmt gives, so the same data always gives the same bytes. Each
 # format has one formatter, a chunk generator: the header and the per-direction
@@ -448,7 +445,7 @@ def write_response_file(resp: PlaneWaveResponseSet, path: str) -> None:
 
 def _response_chunks(resp: PlaneWaveResponseSet):
     g = resp.grid
-    labels = _direction_labels(g)
+    labels = _direction_labels(g, " ")
     lines = _header_lines(_RESPONSE_MAGIC, resp.frequency, g, resp.m_ports)
     for label, waves in zip(labels, resp.port_waves.tolist()):
         for pol, row in zip(_POL_NAMES, waves):
@@ -476,7 +473,7 @@ def _kernels_chunks(
     "scatter theta phi pol theta' phi' pol' re im" line per kernel entry
     [out_dir, out_comp, in_dir, in_comp].
     """
-    labels = _direction_labels(grid)
+    labels = _direction_labels(grid, " ")
     lines = _header_lines(_KERNELS_MAGIC, frequency, grid, rx_kernel.shape[0])
     for m, kernel in enumerate(rx_kernel.tolist()):
         lines += [

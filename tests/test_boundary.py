@@ -41,6 +41,8 @@ from remskit import (
     directivity,
     far_channel,
     feedthrough_reflector_fixed,
+    gain_operators,
+    geometric_schedule,
     h_co,
     hertzian_dipole,
     inline_tuning,
@@ -123,6 +125,7 @@ ENTRY_POINTS = {
     "reflection impedances": ("impedances", lambda v: reflection_coefficient(v, 50.0), [50.0, 10j], False),
     "reduction s": ("scattering matrix", lambda v: reduce_terminated_ports(v, 1, [0.5]), np.eye(2) / 2, False),
     "reduction gamma": ("reflections", lambda v: reduce_terminated_ports(np.eye(2) / 2, 1, v), [0.5], False),
+    "reduction n_keep": ("kept port count", lambda v: reduce_terminated_ports(np.eye(2) / 2, v, [0.5]), 1, False),
     "quasi_powers t": ("precoder t", lambda v: quasi_powers(MODEL, v, PROBLEM), [[1.0], [0.0]], False),
     "grid weights": ("grid weights", lambda v: DirectionGrid(3, 4, v), GRID.weights, False),
     "touchstone frequencies": (
@@ -157,8 +160,15 @@ ENTRY_POINTS = {
     "coupling k": ("coupling wavenumber k", lambda v: synthetic_coupling([ORIGIN, FAR], v, 1.0), 1.0, False),
     "coupling gamma": ("coupling gamma", lambda v: synthetic_coupling([ORIGIN, FAR], 1.0, v), 1.0, False),
     "reciprocity tol": ("reciprocity tol", lambda v: check_reciprocity(DIPOLE, v), 1e-12, False),
+    "propagation distance": ("propagation distance", lambda v: propagation_matrix(v, FREQ), 30.0, False),
+    "schedule initial": ("schedule initial", geometric_schedule, 20.0, False),
+    "schedule ratio": ("schedule ratio", lambda v: geometric_schedule(20.0, v), 0.5, False),
+    "schedule count": ("schedule count", lambda v: geometric_schedule(20.0, 0.5, v), 10, False),
     # directions, read as a list of Directions
     "h_co dirs": ("h_co dirs", lambda v: h_co(MODEL, v), DIRS, False),
+    "tx_at directions": ("directions", lambda v: MODEL.structure.tx_at(v), DIRS, False),
+    "rx_at directions": ("directions", lambda v: MODEL.structure.rx_at(v), DIRS, False),
+    "gain matrix directions": ("directions", lambda v: gain_operators(MODEL).vtx_gain_matrix(v), DIRS, False),
     # the single-direction readers: a sequence of directions is refused like any other non-Direction
     "gain direction": ("direction", lambda v: rems_gain(MODEL, [1.0, 0.0], v), DIRS[0], False),
     "pattern at": ("direction", PATTERN.at, DIRS[0], False),
@@ -203,6 +213,14 @@ def test_single_direction_readers_refuse_a_sequence_of_directions(entry):
     read(d)
     with pytest.raises(ModelError, match=r"^direction must be one Direction, got \[Direction\("):
         read([d, d])  # rems_gain summed the two directions' intensities
+
+
+@pytest.mark.parametrize("entry", ["tx_at directions", "rx_at directions", "gain matrix directions"])
+@pytest.mark.parametrize("angles", [[1.0], (0.1, 0.2), []])
+def test_the_port_readers_refuse_angles_and_an_empty_list(entry, angles):
+    with pytest.raises(ModelError) as err:
+        ENTRY_POINTS[entry][1](angles)
+    assert str(err.value) == f"directions must be a non-empty list of Directions, got {angles!r}"
 
 
 def _problem_scene(n_elements):

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -144,6 +145,18 @@ def test_ill_conditioned_bounce_loop_raises():
     assert np.linalg.cond(np.eye(2) - loop) > 1e15
     with pytest.raises(NumericsError, match="bounce loop"):
         far_channel(tx, rx, disp)
+
+
+def test_a_remainder_on_one_side_forms_no_bounce_loop():
+    grid = make_latlon_grid(8, 10)
+    disp = [0.0, 3.0, 0.0]
+    tx, rx = singular_loop_pair(grid, disp)  # each remainder makes the loop singular against the other
+    with pytest.raises(NumericsError, match="bounce loop"):
+        far_channel(tx, rx, disp)
+    bare_tx, bare_rx = replace(tx, scatter_kernel=None), replace(rx, scatter_kernel=None)
+    want = far_channel(bare_tx, bare_rx, disp)
+    assert far_channel(tx, bare_rx, disp).tobytes() == want.tobytes()
+    assert far_channel(bare_tx, rx, disp).tobytes() == want.tobytes()
 
 
 def test_reciprocal_structures_give_reciprocal_channel():

@@ -189,7 +189,7 @@ def _probe_angles(g, rng):
 def test_interp_stencil_matches_scipy_bilinear_oracle():
     from scipy.interpolate import RegularGridInterpolator
 
-    for n_theta, n_phi in [(6, 8), (7, 12), (18, 36)]:
+    for n_theta, n_phi in [(2, 4), (5, 6), (6, 8), (7, 12), (18, 36)]:
         g = make_latlon_grid(n_theta, n_phi)
         rng = np.random.default_rng(n_theta)
         vals = rng.standard_normal(g.size)
@@ -200,9 +200,21 @@ def test_interp_stencil_matches_scipy_bilinear_oracle():
             (rings, np.append(cols, 2.0 * math.pi)), np.hstack([table, table[:, :1]])
         )
         theta, phi = _probe_angles(g, rng)
+        # the grid samples, phi one ulp below 2 pi at both poles, and negative phi (one past a full turn)
+        below = math.nextafter(2.0 * math.pi, 0.0)
+        theta = np.concatenate([theta, g.theta, [0.0, math.pi, 0.4, math.pi, 2.0]])
+        phi = np.concatenate([phi, g.phi, [below, below, -0.3, -1e-300, -7.0]])
         idx, w = g.interp_stencil(theta, phi)
-        want = oracle(np.stack([np.clip(theta, rings[0], rings[-1]), phi], axis=-1))
+        want = oracle(np.stack([np.clip(theta, rings[0], rings[-1]), np.mod(phi, 2.0 * math.pi)], axis=-1))
         np.testing.assert_allclose(np.sum(w * vals[idx], axis=-1), want, rtol=0, atol=1e-13)
+        # one direction's stencil, in scalar arithmetic, has the bits of its stacked row and the loop's
+        for k in range(theta.size):
+            ref = loop_stencil(g, float(theta[k]), float(phi[k]))
+            for one in (g.interp_stencil(float(theta[k]), float(phi[k])), g.interp_stencil(theta[k], phi[k])):
+                assert one[0].shape == one[1].shape == (4,) and one[0].dtype == idx.dtype
+                assert one[0].tobytes() == idx[k].tobytes() and one[1].tobytes() == w[k].tobytes()
+                assert one[0].tolist() == [i for i, _ in ref]
+                assert one[1].tobytes() == np.array([x for _, x in ref]).tobytes()
 
 
 def test_array_stencil_and_point_lookup_match_the_scalar_loop_bit_for_bit():

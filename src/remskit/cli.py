@@ -20,7 +20,7 @@ from ._textio import atomic_write_text, csv_text, fmt, number
 from .beamform import coordinate_ascent
 from .channel import far_channel
 from .errors import ModelError, NumericsError
-from .farfield import FOUR_PI, Direction, write_pattern_csv
+from .farfield import FOUR_PI, Direction, _direction_labels, write_pattern_csv
 from .radiating import (
     _kernels_chunks,
     _scatter_asymmetry,
@@ -61,15 +61,8 @@ def _db(x: float) -> float:
 
 def cmd_grid(args) -> int:
     grid = latlon_grid(args.n_theta, args.n_phi)
-    rows = (
-        (
-            str(i),
-            fmt(math.degrees(grid.theta[i])),
-            fmt(math.degrees(grid.phi[i])),
-            fmt(grid.weights[i]),
-        )
-        for i in range(grid.size)
-    )
+    labels = zip(_direction_labels(grid, ","), grid.weights.tolist())
+    rows = ((str(i), label, repr(w)) for i, (label, w) in enumerate(labels))
     path = os.path.join(_out_dir(args), "grid.csv")
     _write_csv(path, "index,theta_deg,phi_deg,weight_sr", rows)
     total = float(np.sum(grid.weights))

@@ -298,6 +298,8 @@ class TouchstoneData:
             raise ModelError(f"reference resistance {self.reference} must be positive and finite")
         if np.any(np.diff(self.frequencies) <= 0.0):
             raise ModelError("frequencies must be strictly increasing")
+        if np.any(self.frequencies < 0.0):  # zero, a DC point, is allowed
+            raise ModelError(f"frequencies must not be negative, got {float(self.frequencies[0])!r}")
         # the one non-finite number a file may hold: a zero magnitude in dB
         finite = np.isfinite(self.columns)
         if self.format == "db":
@@ -400,6 +402,7 @@ def write_touchstone(data: TouchstoneData, path: str) -> None:
 
 
 def parse_touchstone(text: str, n_ports: int | None = None) -> TouchstoneData:
+    n_ports = None if n_ports is None else number(n_ports, "n_ports", int)
     option = None
     data_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -238,6 +238,11 @@ def dipole_array(
     from one QR's R factor (_weighted_operator_norm): the cost grows linearly
     with the grid. The mirror block alone has norm 1, so sigma >= 1 and every
     certified array is rescaled.
+
+    Each port sits at a plane where tx_port = j * tx_terminal, a lossless -90
+    degree line from the dipole's terminals: a port load of reflection rho acts
+    there as -rho, so a canonical minimum-scattering element, invisible when
+    open at its terminals, is invisible when shorted at its port.
     """
     if len(elements) == 0:
         raise ModelError("dipole_array requires at least one element")

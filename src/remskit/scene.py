@@ -232,7 +232,6 @@ def _named_list(entries, where: str) -> dict:
 
 _NAME = (None, _REQUIRED)
 _REAL = (number, _REQUIRED)
-_PORTS = (number, _REQUIRED, int, 0)
 _VECTOR = (_vector3, _REQUIRED)
 _ORIGIN = (_vector3, [0.0, 0.0, 0.0])
 
@@ -243,7 +242,7 @@ _SLICE = {"theta_start_deg": (number, -90.0), "theta_stop_deg": (number, 90.0),
 _STRUCTURE = {"name": _NAME, "kind": _NAME, "position_m": _ORIGIN,
               "rotation": (_walk, None, {"axis": _VECTOR, "angle_deg": _REAL})}
 _ELEMENT = {"orientation": _VECTOR, "position_m": _ORIGIN}
-_TUNING = {"name": _NAME, "kind": _NAME, "n": _PORTS}
+_TUNING = {"name": _NAME, "kind": _NAME}
 _NAMED = {
     "structure": ({
         "dipole": {**_STRUCTURE, "orientation": _VECTOR},
@@ -260,7 +259,7 @@ _NAMED = {
                   "z_rx_ohms": (parse_complex_list, [])}, None),
     "tuning": ({
         "through": _TUNING,
-        "inline": {"name": _NAME, "kind": _NAME, "gains": (parse_complex_list, _REQUIRED)},
+        "inline": {**_TUNING, "gains": (parse_complex_list, _REQUIRED)},
         "matrix": {**_TUNING, "s": (_matrix, _REQUIRED)},
         "touchstone": {**_TUNING, "file": (_string, _REQUIRED)},
     }, _KIND),
@@ -292,7 +291,7 @@ _TASKS = {
         "primary_deg": (_directions, _REQUIRED), "secondary_deg": (_directions, []),
         "i_max": (number, 10, int, 0, MAX_COUNT), "seed": (number, 0, int, 0),
         "sigma": (_walk, {}, {"initial": (number, 20.0), "ratio": (number, 0.5),
-                              "count": (number, None, int, 0, MAX_COUNT)}),
+                              "count": (number, None, int, 0)}),
         "pattern": (_walk, {}, {**_SLICE, "phi_deg": (number, None)}),
     }),
 }
@@ -414,10 +413,12 @@ class Scene:
         spec = self._spec("frontend", name)
         return RFFrontend(z_tx=spec["z_tx_ohms"], z_rx=spec["z_rx_ohms"], r0=self.r0)
 
-    def tuning(self, name: str) -> TuningNetwork:
+    def tuning(self, name: str, n_frontend: int) -> TuningNetwork:
+        """The tuning block for a frontend of n_frontend ports, which face its first ports;
+        a through block has n_frontend chains, an inline block one chain per gain."""
         spec = self._spec("tuning", name)
         if spec["kind"] == "through":
-            return through_tuning(spec["n"])
+            return through_tuning(n_frontend)
         if spec["kind"] == "inline":
             return inline_tuning(spec["gains"])
         if spec["kind"] == "matrix":
@@ -429,19 +430,14 @@ class Scene:
             if match.size == 0:
                 raise ModelError(f"tuning {name!r}: no entry at {self.frequency} Hz in the file")
             s = data.matrices[int(match[0])]
-        if spec["n"] > s.shape[0]:
-            raise ModelError(f"tuning {name!r}: n is {spec['n']}, more than its {s.shape[0]} ports")
-        return TuningNetwork(spec["n"], s)
+        if n_frontend > len(s):
+            raise ModelError(f"tuning {name!r}: {len(s)} ports, fewer than the {n_frontend} frontend ports")
+        return TuningNetwork(n_frontend, s)
 
     def model(self, name: str) -> ReMSModel:
         spec = self._spec("model", name)
-        frontend, tuning = self.frontend(spec["frontend"]), self._spec("tuning", spec["tuning"])
-        if tuning["kind"] == "through" and tuning["n"] != frontend.n:  # refused before it is allocated
-            raise ModelError(
-                f"tuning {spec['tuning']!r}: through n is {tuning['n']}, "
-                f"model {name!r} has {frontend.n} frontend ports"
-            )
-        return ReMSModel(self.structure(spec["structure"]), self.tuning(spec["tuning"]), frontend)
+        frontend = self.frontend(spec["frontend"])
+        return ReMSModel(self.structure(spec["structure"]), self.tuning(spec["tuning"], frontend.n), frontend)
 
     # --------------------------------------------------------------- tasks
 
@@ -519,7 +515,8 @@ class Scene:
             )
         fixed = feedthrough_reflector_fixed(frontend.n, structure.m_ports)
         sigma = spec["sigma"]
-        count = spec["i_max"] if sigma["count"] is None else sigma["count"]
+        if sigma["count"] not in (None, spec["i_max"]):  # a stated count may only restate i_max
+            raise ModelError(f"problem sigma count must equal i_max {spec['i_max']}, got {sigma['count']}")
         seed = spec["seed"] if seed_override is None else seed_override
         problem = BeamformProblem(
             r=r,
@@ -529,7 +526,7 @@ class Scene:
             q_co=x_copol,
             z_init=z_set[z_init_index],
             i_max=spec["i_max"],
-            sigma_schedule=geometric_schedule(sigma["initial"], sigma["ratio"], count),
+            sigma_schedule=geometric_schedule(sigma["initial"], sigma["ratio"], spec["i_max"]),
             rng_seed=number(seed, "problem seed", int, 0),
         )
         return problem, ReconfigurableBuilder(structure, frontend, fixed)

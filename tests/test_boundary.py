@@ -49,6 +49,7 @@ from remskit import (
     intensity,
     isotropic_radiator,
     make_latlon_grid,
+    parse_touchstone,
     propagation_matrix,
     quasi_powers,
     reduce_terminated_ports,
@@ -134,6 +135,7 @@ ENTRY_POINTS = {
         [1.0],
         False,
     ),
+    "touchstone n_ports": ("n_ports", lambda v: parse_touchstone("1.0 0.5 0.0\n", n_ports=v), 1, True),
     "touchstone reference": (
         "reference resistance",
         lambda v: TouchstoneData("ghz", "ri", v, [1.0], COLUMNS),

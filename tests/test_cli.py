@@ -296,7 +296,6 @@ def test_ill_conditioned_solve_exits_two(tmp_path, capsys):
             {
                 "name": "stuck",
                 "kind": "matrix",
-                "n": 2,
                 "s": [
                     ["1", "0", "0", "0"],
                     ["0", "0", "0", "0"],
@@ -354,7 +353,7 @@ def _optimize_scene():
             "z_set": {"values": ["1+20j", "1-20j", "1+80j", "1-80j"]},
             "primary_deg": [[45.0, 0.0]],
             "i_max": 2,
-            "sigma": {"initial": 2.0, "ratio": 0.5, "count": 2},
+            "sigma": {"initial": 2.0, "ratio": 0.5},
             "seed": 0,
             "pattern": {"count": 21},
         },
@@ -487,21 +486,6 @@ def test_more_streams_than_transmit_chains_is_a_user_error(tmp_path, capsys, r):
     assert not out.exists() or os.listdir(out) == []
 
 
-def test_oversized_through_tuning_exits_one_before_it_is_built(tmp_path, capsys, monkeypatch):
-    # a through block's n must match its model's frontend; a million ports would need 58 TiB
-    def refuse(n):
-        raise AssertionError(f"through_tuning({n}) was called")
-
-    monkeypatch.setattr(scene_mod, "through_tuning", refuse)
-    scene = _friis_scene()
-    scene["tunings"][0]["n"] = 1_000_000
-    code, err, out = _run_scene(tmp_path, "solve", scene, capsys)
-    assert code == 1
-    assert "error: tuning 'thru': through n is 1000000, model 'tx_model' has 1 frontend ports" in err
-    assert "Traceback" not in err
-    assert not out.exists() or os.listdir(out) == []
-
-
 def _set(scene, path, value):
     node = scene
     for key in path[:-1]:
@@ -544,7 +528,6 @@ def test_non_numeric_scene_scalar_is_a_user_error(tmp_path, capsys, command, pat
         ("optimize", ("problem", "z_set", "reactance", "count"), "problem z_set reactance count"),
         ("solve", ("grid", "n_phi"), "grid n_theta*n_phi"),
         ("optimize", ("problem", "i_max"), "problem i_max"),
-        ("optimize", ("problem", "sigma", "count"), "problem sigma count"),
     ],
 )
 def test_scene_count_above_the_limit_is_a_user_error(tmp_path, capsys, command, path, field):
@@ -572,6 +555,29 @@ def test_scene_count_above_the_limit_is_a_user_error(tmp_path, capsys, command, 
     assert peak < 8 * scene_mod.MAX_COUNT  # less than one float per sample
 
 
+@pytest.mark.parametrize("count", [1, 3])
+def test_sigma_count_other_than_i_max_is_a_user_error(tmp_path, capsys, count):
+    # the schedule's length is i_max: a stated count may only restate it
+    scene = _optimize_scene()
+    scene["problem"]["sigma"]["count"] = count
+    code, err, out = _run_scene(tmp_path, "optimize", scene, capsys)
+    assert code == 1
+    assert f"error: problem sigma count must equal i_max 2, got {count}" in err
+    assert not out.exists() or os.listdir(out) == []
+
+
+def test_sigma_count_restating_i_max_moves_no_result_byte(tmp_path, capsys):
+    results = []
+    for count in (None, 2):
+        scene = _optimize_scene()
+        if count is not None:
+            scene["problem"]["sigma"]["count"] = count
+        code, _, out = _run_scene(tmp_path, "optimize", scene, capsys)
+        assert code == 0
+        results.append((out / "result.txt").read_bytes())
+    assert results[0] == results[1]
+
+
 def test_grid_command_above_the_direction_limit_is_a_user_error(tmp_path, capsys):
     out = tmp_path / "out"
     tracemalloc.start()
@@ -590,7 +596,7 @@ def test_grid_command_above_the_direction_limit_is_a_user_error(tmp_path, capsys
 def test_touchstone_number_with_a_misplaced_exponent_is_a_user_error(tmp_path, capsys):
     (tmp_path / "thru.s2p").write_text("# GHz S RI R 50\n5.4 0.0 0.0 1.0 0.0 1.0 infe5 0.0 0.0\n")
     scene = _friis_scene()
-    scene["tunings"] = [{"name": "thru", "kind": "touchstone", "file": "thru.s2p", "n": 1}]
+    scene["tunings"] = [{"name": "thru", "kind": "touchstone", "file": "thru.s2p"}]
     code, err, out = _run_scene(tmp_path, "solve", scene, capsys)
     assert code == 1
     assert "line 2: non-numeric token 'infe5' in data" in err
@@ -726,7 +732,7 @@ def test_rotation_sweep_reads_its_response_file_once(tmp_path, monkeypatch):
         (
             "solve",
             ("tunings", 0),
-            {"name": "thru", "kind": "touchstone", "file": 5, "n": 1},
+            {"name": "thru", "kind": "touchstone", "file": 5},
             "tuning 'thru' file must be a string, got 5",
         ),
         (
@@ -807,7 +813,7 @@ def test_undecodable_file_is_a_user_error(tmp_path, capsys, reader):
         data = TouchstoneData.from_matrices([FREQ], np.array([[[0.0, 1.0], [1.0, 0.0]]]), "ri")
         bad.write_bytes(_undecodable(touchstone_to_text(data)))
         scene = _friis_scene()
-        scene["tunings"] = [{"name": "thru", "kind": "touchstone", "file": "bad.s2p", "n": 1}]
+        scene["tunings"] = [{"name": "thru", "kind": "touchstone", "file": "bad.s2p"}]
         (tmp_path / "scene.yaml").write_text(yaml.safe_dump(scene))
         argv = ["solve", "--scene", str(tmp_path / "scene.yaml")]
     assert main(argv + ["--out", str(out)]) == 1
@@ -1004,12 +1010,22 @@ def _tuning(**fields):
             "tuning 'thru'", "n", id="inline",
         ),
         pytest.param(
-            "solve", "friis", ("tunings", 0), _tuning(kind="matrix", n=1, s=_S, gains=["1"]),
+            "solve", "friis", ("tunings", 0), _tuning(kind="matrix", s=_S, gains=["1"]),
             "tuning 'thru'", "gains", id="matrix",
         ),
         pytest.param(
-            "solve", "friis", ("tunings", 0), _tuning(kind="touchstone", n=1, file="t", fmt="ri"),
+            "solve", "friis", ("tunings", 0), _tuning(kind="touchstone", file="t", fmt="ri"),
             "tuning 'thru'", "fmt", id="touchstone",
+        ),
+        # a tuning takes its frontend port count from its model's frontend
+        pytest.param("solve", "friis", ("tunings", 0, "n"), 1, "tuning 'thru'", "n", id="through_n"),
+        pytest.param(
+            "solve", "friis", ("tunings", 0), _tuning(kind="matrix", s=_S, n=1), "tuning 'thru'", "n",
+            id="matrix_n",
+        ),
+        pytest.param(
+            "solve", "friis", ("tunings", 0), _tuning(kind="touchstone", file="t", n=1), "tuning 'thru'", "n",
+            id="touchstone_n",
         ),
         pytest.param(
             "solve", "friis", ("models", 0, "frontends"), "matched",

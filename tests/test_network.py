@@ -355,12 +355,16 @@ def test_touchstone_rejections():
         ("# GHz S DB R 50\n1.0 -20.0 inf\n", "S-parameter data must be finite"),
         ("# GHz S RI R 50\n1.0 infe5 0.0\n", "line 2: non-numeric token 'infe5'"),
         ("# GHz S RI R 50\n1.0 0.5 -infE2\n", "line 2: non-numeric token '-infE2'"),
+        ("# GHz S RI R 50\n-1.0 0.5 0.0\n0.0 0.5 0.0\n", "frequencies must not be negative, got -1.0"),
     ]
     for text, match in cases:
         with pytest.raises(ModelError, match=match):
             parse_touchstone(text)
     with pytest.raises(ModelError, match="0-port"):
         parse_touchstone("1.0 0.5 0.0\n", n_ports=0)
+    with pytest.raises(ModelError, match="n_ports must be a number, got True"):
+        parse_touchstone("1.0 0.5 0.0\n", n_ports=True)  # a boolean is not a port count
+    assert parse_touchstone("# GHz S RI R 50\n0.0 0.5 0.0\n").frequencies.tolist() == [0.0]  # a DC point
 
 
 @pytest.mark.parametrize("fmt, bad", [("RI", "x"), ("DB", "-3.0.1")])

@@ -297,7 +297,7 @@ def _scene_calls(scene):
         (scene.structures, scene.structure),
         (scene.structures, scene.position),
         (scene.frontends, scene.frontend),
-        (scene.tunings, scene.tuning),
+        (scene.tunings, lambda name: scene.tuning(name, 1)),  # a one-chain frontend
         (scene.models, scene.model),
     ):
         calls += [lambda build=build, name=name: build(name) for name in names]

@@ -122,8 +122,8 @@ def test_scene_rejects_non_finite_frequency():
          lambda s: s.structure("a"), "structure 'a' position_m must be a number, got False"),
         ({"frontends": [{"name": "fe", "z_tx_ohms": [True]}]}, lambda s: s.frontend("fe"),
          "frontend 'fe' z_tx_ohms: cannot parse complex value True"),
-        ({"tunings": [{"name": "t", "kind": "matrix", "n": 1, "s": [["0", "1"], ["1", False]]}]},
-         lambda s: s.tuning("t"), "tuning 't' s: cannot parse complex value False"),
+        ({"tunings": [{"name": "t", "kind": "matrix", "s": [["0", "1"], ["1", False]]}]},
+         lambda s: s.tuning("t", 1), "tuning 't' s: cannot parse complex value False"),
     ],
     ids=["scalar", "count", "position_entry", "complex_list", "matrix_entry"],
 )
@@ -339,37 +339,37 @@ def test_tuning_kinds(tmp_path):
     scene = Scene.from_dict(
         _base_dict(
             tunings=[
-                {"name": "thru", "kind": "through", "n": 2},
+                {"name": "thru", "kind": "through"},
                 {"name": "pad", "kind": "inline", "gains": ["0.5", "0.25j"]},
-                {"name": "mat", "kind": "matrix", "n": 1, "s": s_mat},
-                {"name": "disk", "kind": "touchstone", "n": 1, "file": "net.s2p"},
+                {"name": "mat", "kind": "matrix", "s": s_mat},
+                {"name": "disk", "kind": "touchstone", "file": "net.s2p"},
                 {"name": "odd", "kind": "mystery"},
             ]
         ),
         base_dir=str(tmp_path),
     )
-    assert np.array_equal(scene.tuning("thru").s, through_tuning(2).s)
-    pad = scene.tuning("pad")
+    assert np.array_equal(scene.tuning("thru", 2).s, through_tuning(2).s)
+    pad = scene.tuning("pad", 2)
     assert pad.n_frontend == 2 and pad.s_tr[1, 1] == 0.25j
-    mat = scene.tuning("mat")
+    mat = scene.tuning("mat", 1)
     assert mat.n_frontend == 1 and mat.m_radiating == 1
     assert mat.s[0, 1] == 1.0 + 0.0j
-    disk = scene.tuning("disk")
+    disk = scene.tuning("disk", 1)
     assert disk.n_frontend == 1 and disk.m_radiating == 1
     assert np.array_equal(disk.s, np.array([[0.1j, 0.2], [0.2, 0.0]]))
     with pytest.raises(ModelError, match="unknown kind"):
-        scene.tuning("odd")
+        scene.tuning("odd", 1)
     with pytest.raises(ModelError, match="unknown tuning"):
-        scene.tuning("nope")
+        scene.tuning("nope", 1)
 
 
 def test_matrix_tuning_rows_must_form_a_square():
     for rows in ([["0", "1"], ["1"]], [["0", "1"]], "0 1", [["0", "1"], "01"]):
         scene = Scene.from_dict(
-            _base_dict(tunings=[{"name": "rag", "kind": "matrix", "n": 1, "s": rows}])
+            _base_dict(tunings=[{"name": "rag", "kind": "matrix", "s": rows}])
         )
         with pytest.raises(ModelError, match="tuning 'rag' s must be a square list of rows"):
-            scene.tuning("rag")
+            scene.tuning("rag", 1)
 
 
 @pytest.mark.parametrize(
@@ -379,10 +379,10 @@ def test_matrix_tuning_rows_must_form_a_square():
 )
 def test_matrix_tuning_entry_error_names_the_field(word, message):
     scene = Scene.from_dict(
-        _base_dict(tunings=[{"name": "t", "kind": "matrix", "n": 1, "s": [["0", "1"], ["1", word]]}])
+        _base_dict(tunings=[{"name": "t", "kind": "matrix", "s": [["0", "1"], ["1", word]]}])
     )
     with pytest.raises(ModelError, match=re.escape(f"tuning 't' s: {message}")):
-        scene.tuning("t")
+        scene.tuning("t", 1)
 
 
 def test_tuning_with_more_frontend_ports_than_ports_is_rejected(tmp_path):
@@ -393,15 +393,16 @@ def test_tuning_with_more_frontend_ports_than_ports_is_rejected(tmp_path):
     scene = Scene.from_dict(
         _base_dict(
             tunings=[
-                {"name": "mat", "kind": "matrix", "n": 3, "s": [["0", "1"], ["1", "0"]]},
-                {"name": "disk", "kind": "touchstone", "n": 3, "file": "net.s2p"},
+                {"name": "mat", "kind": "matrix", "s": [["0", "1"], ["1", "0"]]},
+                {"name": "disk", "kind": "touchstone", "file": "net.s2p"},
             ]
         ),
         base_dir=str(tmp_path),
     )
     for name in ("mat", "disk"):
-        with pytest.raises(ModelError, match=re.escape(f"tuning {name!r}: n is 3, more than its 2 ports")):
-            scene.tuning(name)
+        message = f"tuning {name!r}: 2 ports, fewer than the 3 frontend ports"
+        with pytest.raises(ModelError, match=re.escape(message)):
+            scene.tuning(name, 3)
 
 
 def test_touchstone_tuning_needs_matching_frequency(tmp_path):
@@ -413,11 +414,11 @@ def test_touchstone_tuning_needs_matching_frequency(tmp_path):
     )
     write_touchstone(ts, str(tmp_path / "off.s1p"))
     scene = Scene.from_dict(
-        _base_dict(tunings=[{"name": "t", "kind": "touchstone", "n": 0, "file": "off.s1p"}]),
+        _base_dict(tunings=[{"name": "t", "kind": "touchstone", "file": "off.s1p"}]),
         base_dir=str(tmp_path),
     )
     with pytest.raises(ModelError, match="no entry at"):
-        scene.tuning("t")
+        scene.tuning("t", 0)
 
 
 def test_model_assembly():
@@ -425,7 +426,7 @@ def test_model_assembly():
         _base_dict(
             structures=[{"name": "ant", "kind": "dipole", "orientation": [1.0, 0.0, 0.0]}],
             frontends=[{"name": "fe", "z_tx_ohms": [50.0]}],
-            tunings=[{"name": "thru", "kind": "through", "n": 1}],
+            tunings=[{"name": "thru", "kind": "through"}],
             models=[
                 {"name": "link", "structure": "ant", "tuning": "thru", "frontend": "fe"}
             ],
@@ -438,6 +439,32 @@ def test_model_assembly():
         scene.model("nope")
 
 
+def test_one_through_block_serves_frontends_of_one_and_two_chains():
+    # the block states no port count: each model's frontend gives its chains
+    pair = [{"orientation": [1.0, 0.0, 0.0]}, {"orientation": [0.0, 1.0, 0.0], "position_m": [0.03, 0.0, 0.0]}]
+    scene = Scene.from_dict(
+        _base_dict(
+            structures=[
+                {"name": "one", "kind": "dipole", "orientation": [1.0, 0.0, 0.0]},
+                {"name": "two", "kind": "dipole_array", "elements": pair},
+            ],
+            frontends=[{"name": "fe1", "z_tx_ohms": [50.0]}, {"name": "fe2", "z_tx_ohms": [50.0, 75.0]}],
+            tunings=[{"name": "thru", "kind": "through"}],
+            models=[
+                {"name": "single", "structure": "one", "tuning": "thru", "frontend": "fe1"},
+                {"name": "double", "structure": "two", "tuning": "thru", "frontend": "fe2"},
+                {"name": "short", "structure": "one", "tuning": "thru", "frontend": "fe2"},
+            ],
+        )
+    )
+    for name, n in (("single", 1), ("double", 2)):
+        model = scene.model(name)
+        assert model.tuning.n_frontend == model.tuning.m_radiating == model.structure.m_ports == n
+        assert np.array_equal(model.tuning.s, through_tuning(n).s)
+    with pytest.raises(ModelError, match="tuning network drives 2 radiating ports, structure has 1"):
+        scene.model("short")
+
+
 def _problem_dict(**extra):
     spec = {
         "structure": "pair",
@@ -446,7 +473,7 @@ def _problem_dict(**extra):
         "primary_deg": [[60.0, 0.0]],
         "secondary_deg": [[120.0, 180.0]],
         "i_max": 2,
-        "sigma": {"initial": 4.0, "ratio": 0.5, "count": 2},
+        "sigma": {"initial": 4.0, "ratio": 0.5},
         "seed": 7,
     }
     spec.update(extra)

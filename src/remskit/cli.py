@@ -9,6 +9,7 @@ precision. Exit codes: 0 success, 1 user error, 2 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import math
 import os
@@ -237,7 +238,10 @@ def cmd_optimize(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process. Each command's func looks its cmd_* function up when it runs, so a
+    replaced module binding is the one called."""
     parser = _ArgumentParser(
         prog="remskit",
         description="Numerical modeling kit for reconfigurable electromagnetic structures.",
@@ -248,34 +252,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-theta", type=int, required=True)
     p.add_argument("--n-phi", type=int, required=True)
     p.add_argument("--out", default=None, help="output directory (default $REMSKIT_OUT_DIR or .)")
-    p.set_defaults(func=cmd_grid)
+    p.set_defaults(func=lambda args: cmd_grid(args))
 
     p = sub.add_parser("extract", help="extract sampled kernels from plane-wave responses")
     p.add_argument("--response", required=True, help="plane-wave response file")
     p.add_argument("--out", default=None)
     p.add_argument("--tol", type=float, default=None, help="report kernel asymmetry above this")
-    p.set_defaults(func=cmd_extract)
+    p.set_defaults(func=lambda args: cmd_extract(args))
 
     p = sub.add_parser("solve", help="run the scene's solve block")
     p.add_argument("--scene", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=lambda args: cmd_solve(args))
 
     p = sub.add_parser("channel", help="run the scene's channel sweep")
     p.add_argument("--scene", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_channel)
+    p.set_defaults(func=lambda args: cmd_channel(args))
 
     p = sub.add_parser("gain-pattern", help="export a gain-vs-theta slice")
     p.add_argument("--scene", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_gain_pattern)
+    p.set_defaults(func=lambda args: cmd_gain_pattern(args))
 
     p = sub.add_parser("optimize", help="run the scene's beamform problem")
     p.add_argument("--scene", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=None, help="override the scene's rng seed")
-    p.set_defaults(func=cmd_optimize)
+    p.set_defaults(func=lambda args: cmd_optimize(args))
 
     return parser
 

@@ -120,11 +120,12 @@ class RadiatingStructure:
 
 def _port_at(kernel: np.ndarray, grid: DirectionGrid, d) -> np.ndarray:
     """(M, n, 2) port kernel at a Direction as (2, M), or at a list of k Directions as (k, 2, M)."""
-    if isinstance(d, Direction):
-        theta, phi = d.theta, d.phi
-    else:
-        d = _direction_list(d, "directions")
-        theta, phi = np.array([x.theta for x in d]), np.array([x.phi for x in d])
+    if isinstance(d, Direction):  # one gather of the (M, 4, 2) stencil rows, summed in blend's order
+        idx, w = grid.interp_stencil(d.theta, d.phi)
+        g = kernel[:, idx] * w[:, None]
+        return (0.0 + g[:, 0] + g[:, 1] + g[:, 2] + g[:, 3]).T
+    d = _direction_list(d, "directions")
+    theta, phi = np.array([x.theta for x in d]), np.array([x.phi for x in d])
     return blend(kernel.transpose(1, 2, 0), *grid.interp_stencil(theta, phi))
 
 

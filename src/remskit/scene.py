@@ -45,7 +45,7 @@ from .radiating import (
     synthetic_coupling,
     wavenumber,
 )
-from .solver import ReconfigurableBuilder, ReMSModel
+from .solver import ReconfigurableBuilder, ReMSModel, _check_radiating_ports
 
 
 # A YAML text nests no deeper than its count of characters that can open a
@@ -437,7 +437,10 @@ class Scene:
     def model(self, name: str) -> ReMSModel:
         spec = self._spec("model", name)
         frontend = self.frontend(spec["frontend"])
-        return ReMSModel(self.structure(spec["structure"]), self.tuning(spec["tuning"], frontend.n), frontend)
+        structure = self.structure(spec["structure"])
+        if self._spec("tuning", spec["tuning"])["kind"] == "through":  # refused before its dense (2N)² matrix
+            _check_radiating_ports(frontend.n, structure.m_ports)
+        return ReMSModel(structure, self.tuning(spec["tuning"], frontend.n), frontend)
 
     # --------------------------------------------------------------- tasks
 

@@ -33,6 +33,11 @@ from .network import (
 from .radiating import RadiatingStructure, apply_receive, apply_scatter, apply_transmit
 
 
+def _check_radiating_ports(m_tuning: int, m_structure: int) -> None:
+    if m_tuning != m_structure:
+        raise ModelError(f"tuning network drives {m_tuning} radiating ports, structure has {m_structure}")
+
+
 @dataclass
 class ReMSModel:
     """Frontend + tuning network + radiating structure, shape-checked."""
@@ -42,11 +47,7 @@ class ReMSModel:
     frontend: RFFrontend
 
     def __post_init__(self):
-        if self.tuning.m_radiating != self.structure.m_ports:
-            raise ModelError(
-                f"tuning network drives {self.tuning.m_radiating} radiating ports, "
-                f"structure has {self.structure.m_ports}"
-            )
+        _check_radiating_ports(self.tuning.m_radiating, self.structure.m_ports)
         if self.tuning.n_frontend != self.frontend.n:
             raise ModelError(
                 f"tuning network exposes {self.tuning.n_frontend} frontend ports, "

@@ -67,6 +67,33 @@ def test_usage_errors_exit_one():
     assert exc.value.code == 1
 
 
+def test_one_parser_serves_every_call_without_carrying_state(tmp_path, capsys, monkeypatch):
+    parser = cli_mod.build_parser()
+    assert cli_mod.build_parser() is parser
+    grid = ["grid", "--n-theta", "4", "--n-phi", "6", "--out"]
+    assert main([*grid, str(tmp_path / "first")]) == 0
+    # a command replaced at its module binding after the parser exists is the one main calls
+    calls = []
+    monkeypatch.setattr(cli_mod, "cmd_grid", lambda args: calls.append((args.n_theta, args.n_phi)) or 0)
+    assert main(["grid", "--n-theta", "3", "--n-phi", "8"]) == 0
+    assert calls == [(3, 8)]
+    tols = []
+    monkeypatch.setattr(cli_mod, "cmd_extract", lambda args: tols.append(args.tol) or 0)
+    assert main(["extract", "--response", "r.rsp", "--tol", "1e-3"]) == 0
+    assert main(["extract", "--response", "r.rsp"]) == 0
+    assert tols == [1e-3, None]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["grid", "--bogus"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: remskit grid") and "remskit grid: error: " in err
+    monkeypatch.undo()
+    assert main([*grid, str(tmp_path / "third")]) == 0
+    assert (tmp_path / "third" / "grid.csv").read_bytes() == (tmp_path / "first" / "grid.csv").read_bytes()
+    assert cli_mod.build_parser() is parser
+
+
 def test_missing_scene_file_is_a_user_error(capsys):
     assert main(["solve", "--scene", "nowhere/missing.yaml"]) == 1
     assert "error:" in capsys.readouterr().err

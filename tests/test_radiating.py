@@ -988,6 +988,27 @@ def test_batched_lookups_equal_stacked_single_lookups_bit_for_bit():
         assert s.tx_at(d).tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("n_theta, n_phi", [(19, 36), (2, 4)])
+def test_one_direction_lookup_equals_its_stacked_row_bit_for_bit(n_theta, n_phi, m):
+    # the one-gather path against blend, including -0.0 kernel entries that the sum's leading +0.0 clears
+    g = make_latlon_grid(n_theta, n_phi)
+    rng = np.random.default_rng(n_theta * m)
+    s = random_reciprocal_structure(g, m, rng, FREQ)
+    s.tx_kernel = s.tx_kernel.copy()
+    s.tx_kernel[:, ::3] = complex(-0.0, -0.0)
+    s.rx_kernel[:, 1::4] = complex(-0.0, 0.0)
+    below = math.nextafter(2.0 * math.pi, 0.0)
+    dirs = [g.direction(i) for i in range(g.size)]
+    dirs += [Direction(t, p) for t, p in zip(rng.uniform(0.0, math.pi, 30), rng.uniform(0.0, 2.0 * math.pi, 30))]
+    dirs += [Direction(t, p) for t in (0.0, math.pi, 0.5 * math.pi) for p in (0.0, 1.0, below)]
+    for d in dirs:
+        for lookup in (s.tx_at, s.rx_at):
+            one = lookup(d)
+            assert one.shape == (2, m)
+            assert one.tobytes() == lookup([d])[0].tobytes()
+
+
 def test_the_dense_kernel_warning_names_the_frame_that_builds_the_structure():
     grid = make_latlon_grid(2, 2050)  # 4100 directions, above the 64x64 guideline
     n = grid.size

@@ -3,6 +3,7 @@
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -463,6 +464,26 @@ def test_one_through_block_serves_frontends_of_one_and_two_chains():
         assert np.array_equal(model.tuning.s, through_tuning(n).s)
     with pytest.raises(ModelError, match="tuning network drives 2 radiating ports, structure has 1"):
         scene.model("short")
+
+
+def test_through_block_wider_than_its_structure_is_refused_before_it_is_built():
+    # a through block's (2N)^2 matrix would take 64 MB for N = 1000: the port counts are compared first
+    scene = Scene.from_dict(
+        _base_dict(
+            structures=[{"name": "ant", "kind": "dipole", "orientation": [1.0, 0.0, 0.0]}],
+            frontends=[{"name": "wide", "z_tx_ohms": [50.0] * 1000}],
+            tunings=[{"name": "thru", "kind": "through"}],
+            models=[{"name": "link", "structure": "ant", "tuning": "thru", "frontend": "wide"}],
+        )
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelError, match=r"^tuning network drives 1000 radiating ports, structure has 1$"):
+            scene.model("link")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
 
 
 def _problem_dict(**extra):
